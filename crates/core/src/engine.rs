@@ -167,7 +167,6 @@ pub struct ParallelEngine {
     seeds: Vec<VertexId>,
     pool: Option<Arc<rayon::ThreadPool>>,
     opts: crate::par::PushOpts,
-    parallel_restore: bool,
 }
 
 impl ParallelEngine {
@@ -181,7 +180,6 @@ impl ParallelEngine {
             seeds: Vec::new(),
             pool: None,
             opts: crate::par::PushOpts::default(),
-            parallel_restore: false,
         }
     }
 
@@ -200,14 +198,6 @@ impl ParallelEngine {
     /// Overrides the push tuning options (granularity ablation).
     pub fn set_opts(&mut self, opts: crate::par::PushOpts) {
         self.opts = opts;
-    }
-
-    /// Enables the parallel batch-restore prelude (see
-    /// [`crate::invariant::apply_batch_parallel_restore`]). Off by
-    /// default — the paper treats invariant repair as a sequential O(k)
-    /// step; this is the extension ablated in the `granularity` benches.
-    pub fn set_parallel_restore(&mut self, on: bool) {
-        self.parallel_restore = on;
     }
 
     /// The push variant this engine runs.
@@ -234,28 +224,16 @@ impl DynamicPprEngine for ParallelEngine {
         let before = self.counters.snapshot();
         let start = Instant::now();
         // Restore the invariant for the whole batch ("repairing the
-        // invariant only takes a constant time" per update, §4). The graph
-        // mutation itself is inherently sequential; the repairs optionally
-        // run grouped-by-source in parallel.
+        // invariant only takes a constant time" per update, §4), serially:
+        // the graph mutation itself is inherently sequential.
         self.seeds.clear();
-        let applied = if self.parallel_restore {
-            crate::invariant::apply_batch_parallel_restore(
-                g,
-                &mut self.state,
-                batch,
-                &self.counters,
-                &mut self.seeds,
-            )
-        } else {
-            let mut applied = 0usize;
-            for &upd in batch {
-                if apply_update(g, &mut self.state, upd, &self.counters) {
-                    applied += 1;
-                    self.seeds.push(upd.src);
-                }
+        let mut applied = 0usize;
+        for &upd in batch {
+            if apply_update(g, &mut self.state, upd, &self.counters) {
+                applied += 1;
+                self.seeds.push(upd.src);
             }
-            applied
-        };
+        }
         // One parallel push for the batch.
         let state = &self.state;
         let variant = self.variant;

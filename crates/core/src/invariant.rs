@@ -91,57 +91,6 @@ pub fn apply_update(
     true
 }
 
-/// Applies a whole update batch with **parallel invariant repair**.
-///
-/// The paper treats the restore phase as a sequential O(k) prelude ("as
-/// repairing the invariant only takes a constant time, the parallel push
-/// dominates", §4). For very large batches the prelude itself becomes
-/// measurable; this routine exploits that repairs for *different* source
-/// vertices commute — a repair writes only `Rs(u)` and reads only
-/// estimates, which no repair writes — so after the (inherently serial)
-/// graph mutation records each update's post-degree, the repairs run
-/// grouped by source across rayon workers, preserving per-source order
-/// (the `d_j(u)` recursion of Lemma 3 is order-sensitive within a source).
-///
-/// Appends the sources of applied updates to `seeds` and returns how many
-/// updates changed the graph. Produces bit-identical state to the serial
-/// [`apply_update`] loop.
-pub fn apply_batch_parallel_restore(
-    g: &mut DynamicGraph,
-    state: &mut PprState,
-    batch: &[EdgeUpdate],
-    counters: &Counters,
-    seeds: &mut Vec<VertexId>,
-) -> usize {
-    use rayon::prelude::*;
-
-    // Serial phase: mutate the graph, recording post-update degrees.
-    let mut records: Vec<(EdgeUpdate, usize)> = Vec::with_capacity(batch.len());
-    for &upd in batch {
-        if g.apply(upd) {
-            records.push((upd, g.out_degree(upd.src)));
-            seeds.push(upd.src);
-        }
-    }
-    state.ensure_len(g.num_vertices());
-    let applied = records.len();
-
-    // Group by source, stably, so each source's repairs replay in arrival
-    // order.
-    records.sort_by_key(|(upd, _)| upd.src);
-    let state = &*state;
-    let groups: Vec<&[(EdgeUpdate, usize)]> = records
-        .chunk_by(|a, b| a.0.src == b.0.src)
-        .collect();
-    groups.par_iter().with_min_len(16).for_each(|group| {
-        for &(upd, dout_after) in *group {
-            restore_invariant_with_degree(state, upd.src, upd.dst, upd.op, dout_after);
-        }
-    });
-    counters.record_restores(applied as u64);
-    applied
-}
-
 /// Largest absolute violation of Eq. 2 over all vertices. Exactly zero only
 /// in exact arithmetic; tests compare against a small tolerance. O(n + m).
 pub fn max_invariant_violation(g: &DynamicGraph, state: &PprState) -> f64 {
@@ -281,65 +230,6 @@ mod tests {
         assert!(apply_update(&mut g, &mut st, EdgeUpdate::insert(9, 0), &c));
         assert_eq!(st.len(), 10);
         assert!(max_invariant_violation(&g, &st) < 1e-12);
-    }
-
-    #[test]
-    fn parallel_restore_is_bit_identical_to_serial() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(44);
-        let cfg = PprConfig::new(0, 0.15, 0.01);
-        // One long batch with repeated sources (the order-sensitive case).
-        let batch: Vec<EdgeUpdate> = (0..400)
-            .map(|_| {
-                let u = rng.gen_range(0..12u32);
-                let v = rng.gen_range(0..12u32);
-                if rng.gen_bool(0.75) {
-                    EdgeUpdate::insert(u, v)
-                } else {
-                    EdgeUpdate::delete(u, v)
-                }
-            })
-            .collect();
-
-        let c = Counters::new();
-        let mut g1 = DynamicGraph::new();
-        let mut st1 = PprState::new(cfg);
-        let mut applied_serial = 0;
-        for &upd in &batch {
-            if apply_update(&mut g1, &mut st1, upd, &c) {
-                applied_serial += 1;
-            }
-        }
-
-        let mut g2 = DynamicGraph::new();
-        let mut st2 = PprState::new(cfg);
-        let mut seeds = Vec::new();
-        let applied_parallel =
-            apply_batch_parallel_restore(&mut g2, &mut st2, &batch, &c, &mut seeds);
-
-        assert_eq!(applied_serial, applied_parallel);
-        assert_eq!(seeds.len(), applied_parallel);
-        assert_eq!(g1.num_edges(), g2.num_edges());
-        // Per-source order is preserved, so the floating point results are
-        // bit-identical, not merely close.
-        assert_eq!(st1.residuals(), st2.residuals());
-        assert_eq!(st1.estimates(), st2.estimates());
-        assert!(max_invariant_violation(&g2, &st2) < 1e-9);
-    }
-
-    #[test]
-    fn parallel_restore_empty_batch() {
-        let cfg = PprConfig::new(0, 0.15, 0.01);
-        let c = Counters::new();
-        let mut g = DynamicGraph::new();
-        let mut st = PprState::new(cfg);
-        let mut seeds = Vec::new();
-        assert_eq!(
-            apply_batch_parallel_restore(&mut g, &mut st, &[], &c, &mut seeds),
-            0
-        );
-        assert!(seeds.is_empty());
     }
 
     #[test]

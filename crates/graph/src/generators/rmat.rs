@@ -56,7 +56,7 @@ pub fn rmat(scale: u32, m: usize, params: RmatParams, seed: u64) -> Vec<(VertexI
 /// paper's update model treats a re-inserted edge as a no-op), and on a
 /// skewed stream those repeats concentrate on the hubs, which is exactly
 /// what duplicate-checked ingest has to absorb. Used by the
-/// `graph_ingest` benchmark and the `perf_report` ingest probe.
+/// `graph_ingest` benchmark and the `dppr_bench` workload inputs.
 pub fn rmat_stream(
     scale: u32,
     m: usize,

@@ -25,14 +25,15 @@
 //! The expensive ground-truth solve runs on the observer thread; the
 //! write loop only pays for cloning state, which keeps audit overhead
 //! on the serving path small and measurable (`dppr_audit_solve_seconds`
-//! and the BENCH_10 on/off comparison quantify it).
+//! times every solve).
 
+use crate::metrics::{series_columns, SeriesColumn, View};
 use crate::server::{Control, Ctx, ServeConfig};
 use crate::snapshot::QuerySnapshot;
 use dppr_core::multi::top_k_of;
 use dppr_core::{exact_ppr_seq, max_invariant_violation, PprState};
 use dppr_graph::{DynamicGraph, VertexId};
-use dppr_obs::{HistSnapshot, ProcessStats, SeriesRing};
+use dppr_obs::{HistSnapshot, SeriesRing};
 use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
@@ -52,26 +53,10 @@ pub(crate) const SLOW_TICKS: usize = 60;
 /// default tick).
 const SERIES_CAP: usize = 512;
 
-/// The fixed column set of the in-process time-series. Push order in
-/// the observer must match this list.
-pub(crate) const SERIES_NAMES: [&str; 13] = [
-    "http_requests_total",
-    "queries_total",
-    "shed_total",
-    "slides_total",
-    "epoch",
-    "sessions",
-    "http_request_p50_seconds",
-    "http_request_p99_seconds",
-    "audit_linf_error",
-    "audit_topk_overlap_10",
-    "process_rss_bytes",
-    "process_open_fds",
-    "process_threads",
-];
-
+/// The in-process time-series ring; its columns are the table rows that
+/// name a `/series` column.
 pub(crate) fn new_series_ring() -> SeriesRing {
-    SeriesRing::new(SERIES_NAMES.to_vec(), SERIES_CAP)
+    SeriesRing::new(series_columns().into_iter().map(|(name, _)| name).collect(), SERIES_CAP)
 }
 
 // --- audit data flow ------------------------------------------------------
@@ -258,7 +243,6 @@ impl SloEngine {
 pub(crate) fn spawn_observer(
     ctx: Arc<Ctx>,
     ctl_txs: Vec<mpsc::Sender<Control>>,
-    _cfg: &ServeConfig,
 ) -> io::Result<JoinHandle<()>> {
     thread::Builder::new()
         .name("dppr-observer".into())
@@ -269,6 +253,7 @@ fn observer_loop(ctx: &Ctx, ctl_txs: &[mpsc::Sender<Control>]) {
     let interval = ctx.audit_interval;
     let mut prev_http: HistSnapshot = ctx.metrics.http_request.snapshot();
     let mut next_shard = 0usize;
+    let columns = series_columns();
     loop {
         // Sleep in short chunks so shutdown is honored promptly even
         // with long tick intervals.
@@ -290,7 +275,7 @@ fn observer_loop(ctx: &Ctx, ctl_txs: &[mpsc::Sender<Control>]) {
         let http = ctx.metrics.http_request.snapshot();
         let (p50, p99) = tick_percentiles(&prev_http, &http);
         prev_http = http;
-        push_series_row(ctx, p50, p99);
+        push_series_row(ctx, &columns, (p50, p99));
         evaluate_slos(ctx);
     }
 }
@@ -311,26 +296,11 @@ fn tick_percentiles(prev: &HistSnapshot, cur: &HistSnapshot) -> (f64, f64) {
     (delta.p50() as f64 / 1e9, delta.p99() as f64 / 1e9)
 }
 
-fn push_series_row(ctx: &Ctx, p50: f64, p99: f64) {
-    let proc = ProcessStats::sample();
+fn push_series_row(ctx: &Ctx, columns: &[SeriesColumn], tick_latency: (f64, f64)) {
     let at = ctx.start.elapsed().as_nanos() as u64;
-    // Column order must match SERIES_NAMES.
-    let values = vec![
-        ctx.conn.requests.load(Relaxed) as f64,
-        ctx.stats.queries.load(Relaxed) as f64,
-        ctx.stats.shed.load(Relaxed) as f64,
-        ctx.stats.slides.load(Relaxed) as f64,
-        ctx.epoch_min() as f64,
-        ctx.sessions_len() as f64,
-        p50,
-        p99,
-        ctx.audit.last_linf.get(),
-        ctx.audit.last_overlap10.get(),
-        proc.rss_bytes as f64,
-        proc.open_fds as f64,
-        proc.threads as f64,
-    ];
-    ctx.series.push(at, values);
+    let mut view = View::gather(ctx);
+    view.tick_latency = tick_latency;
+    ctx.series.push(at, columns.iter().map(|(_, read)| read(ctx, &view).as_f64()).collect());
 }
 
 // --- accuracy audit -------------------------------------------------------

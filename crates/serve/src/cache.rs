@@ -43,7 +43,7 @@ struct Entry {
     body: std::sync::Arc<str>,
 }
 
-/// Hit/miss counters, exported into `/stats` and `BENCH_3.json`.
+/// Hit/miss counters, exported into `/stats`, `/metrics` and `ServeReport`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStats {
     /// Lookups answered from the cache at the current epoch.

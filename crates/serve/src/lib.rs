@@ -30,11 +30,15 @@
 //!   per thread (via the vendored `minipoll` wrapper), each owning its
 //!   connections outright, fed by a bounded accept queue with
 //!   `503 Retry-After` load shedding when full.
-//! * [`server`] — the assembled instance: write loop sliding
-//!   `StreamDriver` batches in the background, epoch publication after
-//!   every batch, acceptor + event-loop shards answering queries
-//!   concurrently (keep-alive clients cost one poll registration, not one
-//!   thread), and query-side shedding while a slide lags the stream.
+//! * [`server`] — the assembled instance's shared types (`ServeConfig`,
+//!   `ServerStats`, `ServerHandle`), with the code along its seams:
+//!   `boot` (start + recovery), `writer` (write loop sliding
+//!   `StreamDriver` batches, epoch publication after every batch,
+//!   durability acks), `query` (dispatch + query handlers, shedding
+//!   while a slide lags the stream) and `admin` (telemetry + control).
+//! * [`metrics`] — the histogram registry and the tables that describe
+//!   every scalar's `/metrics` family, `/stats` key and `/series` column
+//!   once.
 //! * [`durability`] — checkpoints + the `dppr-wal` write-ahead log: every
 //!   slide batch is logged before its epoch publishes, a background
 //!   checkpointer snapshots session states, and a restarted instance
@@ -50,7 +54,9 @@
 //!
 //! Start one with [`start`]; drive it with `dppr serve` from the CLI.
 
+mod admin;
 pub mod audit;
+mod boot;
 pub mod cache;
 pub mod conn;
 pub mod durability;
@@ -59,10 +65,12 @@ pub mod event;
 pub mod http;
 pub mod json;
 pub mod metrics;
+mod query;
 pub mod registry;
 pub mod server;
 pub mod signals;
 pub mod snapshot;
+mod writer;
 
 pub use cache::{CacheStats, QueryCache, QueryKind};
 pub use conn::{Close, Conn, Step};
@@ -73,8 +81,6 @@ pub use event::{ConnCounters, Router, ShardConfig};
 pub use http::{Request, Response};
 pub use metrics::ServerMetrics;
 pub use registry::{OpenOutcome, SessionEntry, SessionRegistry};
-pub use server::{
-    boot_probe, boot_probe_shards, pick_top_degree_sources, shard_data_dir, shard_of, start,
-    BootProbe, ServeConfig, ServeReport, ServerHandle, ServerStats,
-};
+pub use boot::{boot_probe, boot_probe_shards, pick_top_degree_sources, start, BootProbe};
+pub use server::{shard_data_dir, shard_of, ServeConfig, ServeReport, ServerHandle, ServerStats};
 pub use snapshot::QuerySnapshot;

@@ -1,41 +1,26 @@
-//! The serving instance's metric catalog and trace plumbing.
+//! The serving instance's metric catalog: the registered histograms and
+//! the two tables that describe every scalar exactly once.
 //!
 //! One [`ServerMetrics`] per instance owns the [`dppr_obs::Registry`]
 //! plus direct handles to every pipeline-stage histogram, so the write
-//! loop and the shard routers record without name lookups. Scrape-time
-//! values that already live elsewhere (`ServerStats`, `ConnCounters`,
-//! cache, engine counters) are rendered ad hoc by the `/metrics`
-//! handler — single source of truth, no double counting.
+//! loop and the shard routers record without name lookups (the
+//! registrations in [`ServerMetrics::new`] and
+//! [`ServerMetrics::write_shard_stages`] are the histogram catalog).
 //!
-//! Metric families (all prefixed `dppr_`):
-//!
-//! | family | kind | meaning |
-//! |---|---|---|
-//! | `dppr_http_request_seconds` | histogram | per-request parse+route+serialize |
-//! | `dppr_http_parse_seconds` | histogram | request-head parse |
-//! | `dppr_http_route_seconds` | histogram | endpoint dispatch + query execution |
-//! | `dppr_http_write_seconds` | histogram | response render into the socket buffer |
-//! | `dppr_slide_apply_seconds` | histogram | one window slide, WAL append → publish |
-//! | `dppr_push_wall_seconds` | histogram | engine `apply_batch` (push convergence) |
-//! | `dppr_push_iterations` | histogram | frontier iterations per slide |
-//! | `dppr_snapshot_publish_seconds` | histogram | per-session snapshot swap |
-//! | `dppr_wal_append_seconds` | histogram | WAL record append (excl. fsync policy) |
-//! | `dppr_wal_fsync_seconds` | histogram | device flush latency |
-//! | `dppr_checkpoint_seconds` | histogram | checkpoint serialization + rename |
-//! | `dppr_shard_connections{shard=…}` | gauge | live connections per shard |
-//! | `dppr_shard_queue_depth{shard=…}` | gauge | accept hand-off backlog per shard |
-//! | `dppr_audit_l1_error` | histogram | audited L1 error vs ground truth (×1e9 encoding) |
-//! | `dppr_audit_linf_error` | histogram | audited L∞ error — the ε contract (×1e9 encoding) |
-//! | `dppr_audit_topk_overlap{k=…}` | histogram | audited top-k overlap (×1e9 encoding) |
-//! | `dppr_audit_solve_seconds` | histogram | ground-truth solve per audited session |
-//! | `dppr_metrics_scrape_seconds` | histogram | `/metrics` render time (self-observation) |
-//!
-//! With `--write-shards N` each write loop additionally registers its own
-//! labelled stage family (`dppr_shard_slide_apply_seconds{write_shard=…}`
-//! and friends, see [`WriteShardStages`]); the unlabelled families above
-//! keep aggregating across all write shards.
+//! Scalars that already live elsewhere (`ServerStats`, `ConnCounters`,
+//! caches, WALs, engine counters) are not registered a second time:
+//! [`INSTANCE`] and [`SHARD`] name each one's `/metrics` family, `/stats`
+//! key and `/series` column next to the function that reads it, and the
+//! handlers in `admin.rs` and the observer's series sampler are loops
+//! over those rows.
 
-use dppr_obs::{Histogram, Registry, Sampler, TraceRing, Unit};
+use crate::cache::CacheStats;
+use crate::json::JsonBuf;
+use crate::server::{Ctx, WriteShardState};
+use dppr_graph::SubstrateStats;
+use dppr_obs::{Gauge, Histogram, ProcessStats, PromText, Registry, Sampler, TraceRing, Unit};
+use dppr_wal::WalStats;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// Every histogram the pipeline records into, plus the trace ring.
@@ -88,122 +73,83 @@ pub struct WriteShardStages {
 impl ServerMetrics {
     pub fn new(trace_sample: u64, trace_capacity: usize) -> Self {
         let registry = Registry::new();
-        let http_request = registry.histogram(
-            "dppr_http_request_seconds",
-            "Request handling end to end: parse, route, serialize",
-            Unit::Nanos,
-        );
-        let http_parse = registry.histogram(
-            "dppr_http_parse_seconds",
-            "Request-head parse time",
-            Unit::Nanos,
-        );
-        let http_route = registry.histogram(
-            "dppr_http_route_seconds",
-            "Endpoint dispatch and query execution time",
-            Unit::Nanos,
-        );
-        let http_write = registry.histogram(
-            "dppr_http_write_seconds",
-            "Response render time into the connection buffer",
-            Unit::Nanos,
-        );
-        let slide_apply = registry.histogram(
-            "dppr_slide_apply_seconds",
-            "One window slide end to end: WAL append, engine apply, snapshot publish",
-            Unit::Nanos,
-        );
-        let push_wall = registry.histogram(
-            "dppr_push_wall_seconds",
-            "Engine apply_batch wall time (push convergence)",
-            Unit::Nanos,
-        );
-        let push_iterations = registry.histogram(
-            "dppr_push_iterations",
-            "Frontier iterations per slide until the push converged",
-            Unit::Raw,
-        );
-        let snapshot_publish = registry.histogram(
-            "dppr_snapshot_publish_seconds",
-            "Per-slide session snapshot publication time",
-            Unit::Nanos,
-        );
-        let wal_append = registry.histogram(
-            "dppr_wal_append_seconds",
-            "WAL record append time (framing + write, excluding fsync policy)",
-            Unit::Nanos,
-        );
-        let wal_fsync = registry.histogram(
-            "dppr_wal_fsync_seconds",
-            "WAL device-flush latency",
-            Unit::Nanos,
-        );
-        let checkpoint = registry.histogram(
-            "dppr_checkpoint_seconds",
-            "Checkpoint write duration (serialize, fsync, rename)",
-            Unit::Nanos,
-        );
+        let seconds = |name, help| registry.histogram(name, help, Unit::Nanos);
         // The audit error/overlap families reuse the nanos-unit bucket
         // layout as a natural-units encoding: values are recorded ×1e9,
         // so a rendered bound of 0.001 means an L1 error of 1e-3 (or an
         // overlap of 0.001). This keeps the log-scale buckets dense
         // exactly where ε-scale errors live.
-        let audit_l1 = registry.histogram(
-            "dppr_audit_l1_error",
-            "Audited L1 distance between published estimates and ground truth (recorded x1e9)",
-            Unit::Nanos,
-        );
-        let audit_linf = registry.histogram(
-            "dppr_audit_linf_error",
-            "Audited max per-vertex error vs ground truth; the paper's epsilon contract (recorded x1e9)",
-            Unit::Nanos,
-        );
-        let audit_overlap10 = registry.histogram_with_label(
-            "dppr_audit_topk_overlap",
-            "Audited top-k overlap between published and ground-truth rankings (recorded x1e9)",
-            Unit::Nanos,
-            "k",
-            "10",
-        );
-        let audit_overlap50 = registry.histogram_with_label(
-            "dppr_audit_topk_overlap",
-            "Audited top-k overlap between published and ground-truth rankings (recorded x1e9)",
-            Unit::Nanos,
-            "k",
-            "50",
-        );
-        let audit_solve = registry.histogram(
-            "dppr_audit_solve_seconds",
-            "Sequential ground-truth solve wall time per audited session",
-            Unit::Nanos,
-        );
-        let metrics_scrape = registry.histogram(
-            "dppr_metrics_scrape_seconds",
-            "Time spent rendering /metrics (visible from the next scrape)",
-            Unit::Nanos,
-        );
+        let overlap = |k| {
+            registry.histogram_with_label(
+                "dppr_audit_topk_overlap",
+                "Audited top-k overlap between published and ground-truth rankings (recorded x1e9)",
+                Unit::Nanos,
+                "k",
+                k,
+            )
+        };
         ServerMetrics {
-            registry,
-            http_request,
-            http_parse,
-            http_route,
-            http_write,
-            slide_apply,
-            push_wall,
-            push_iterations,
-            snapshot_publish,
-            wal_append,
-            wal_fsync,
-            checkpoint,
-            audit_l1,
-            audit_linf,
-            audit_overlap10,
-            audit_overlap50,
-            audit_solve,
-            metrics_scrape,
+            http_request: seconds(
+                "dppr_http_request_seconds",
+                "Request handling end to end: parse, route, serialize",
+            ),
+            http_parse: seconds("dppr_http_parse_seconds", "Request-head parse time"),
+            http_route: seconds(
+                "dppr_http_route_seconds",
+                "Endpoint dispatch and query execution time",
+            ),
+            http_write: seconds(
+                "dppr_http_write_seconds",
+                "Response render time into the connection buffer",
+            ),
+            slide_apply: seconds(
+                "dppr_slide_apply_seconds",
+                "One window slide end to end: WAL append, engine apply, snapshot publish",
+            ),
+            push_wall: seconds(
+                "dppr_push_wall_seconds",
+                "Engine apply_batch wall time (push convergence)",
+            ),
+            push_iterations: registry.histogram(
+                "dppr_push_iterations",
+                "Frontier iterations per slide until the push converged",
+                Unit::Raw,
+            ),
+            snapshot_publish: seconds(
+                "dppr_snapshot_publish_seconds",
+                "Per-slide session snapshot publication time",
+            ),
+            wal_append: seconds(
+                "dppr_wal_append_seconds",
+                "WAL record append time (framing + write, excluding fsync policy)",
+            ),
+            wal_fsync: seconds("dppr_wal_fsync_seconds", "WAL device-flush latency"),
+            checkpoint: seconds(
+                "dppr_checkpoint_seconds",
+                "Checkpoint write duration (serialize, fsync, rename)",
+            ),
+            audit_l1: seconds(
+                "dppr_audit_l1_error",
+                "Audited L1 distance between published estimates and ground truth (recorded x1e9)",
+            ),
+            audit_linf: seconds(
+                "dppr_audit_linf_error",
+                "Audited max per-vertex error vs ground truth; the paper's epsilon contract (recorded x1e9)",
+            ),
+            audit_overlap10: overlap("10"),
+            audit_overlap50: overlap("50"),
+            audit_solve: seconds(
+                "dppr_audit_solve_seconds",
+                "Sequential ground-truth solve wall time per audited session",
+            ),
+            metrics_scrape: seconds(
+                "dppr_metrics_scrape_seconds",
+                "Time spent rendering /metrics (visible from the next scrape)",
+            ),
             trace: TraceRing::new(trace_capacity),
             trace_requests: Sampler::new(trace_sample),
             trace_slides: Sampler::new(trace_sample),
+            registry,
         }
     }
 
@@ -213,7 +159,13 @@ impl ServerMetrics {
     /// the aggregate histograms above.
     pub fn write_shard_stages(&self, i: usize) -> WriteShardStages {
         let h = |name, help| {
-            self.registry.histogram_with_label(name, help, Unit::Nanos, "write_shard", i.to_string())
+            self.registry.histogram_with_label(
+                name,
+                help,
+                Unit::Nanos,
+                "write_shard",
+                i.to_string(),
+            )
         };
         WriteShardStages {
             slide_apply: h(
@@ -242,4 +194,411 @@ impl ServerMetrics {
             ),
         }
     }
+
+    /// Registers event-loop shard `w`'s `(connections, queue_depth)`
+    /// gauges; the shard's router sets them once per tick.
+    pub(crate) fn event_shard_gauges(&self, w: usize) -> (Arc<Gauge>, Arc<Gauge>) {
+        let g = |name, help| {
+            self.registry
+                .gauge_with_label(name, help, "shard", w.to_string())
+        };
+        (
+            g(
+                "dppr_shard_connections",
+                "Live connections owned by the shard",
+            ),
+            g(
+                "dppr_shard_queue_depth",
+                "Accepted connections awaiting adoption by the shard",
+            ),
+        )
+    }
+}
+
+// --- the scalar tables ------------------------------------------------------
+
+/// A scalar as its reader produced it; each surface formats it its own
+/// way (`B` is `true`/`false` in JSON and 1/0 in the exposition).
+#[derive(Clone, Copy)]
+pub(crate) enum Val {
+    U(u64),
+    F(f64),
+    B(bool),
+}
+use Val::{B, F, U};
+
+impl Val {
+    pub(crate) fn json(self, j: &mut JsonBuf) {
+        match self {
+            U(v) => j.uint(v),
+            F(v) => j.num(v),
+            B(v) => j.bool(v),
+        };
+    }
+
+    pub(crate) fn prom(
+        self,
+        out: &mut PromText,
+        family: &str,
+        label: Option<&(&'static str, String)>,
+    ) {
+        match self {
+            U(v) => out.series_u64(family, label, v),
+            F(v) => out.series_f64(family, label, v),
+            B(v) => out.series_u64(family, label, v as u64),
+        }
+    }
+
+    pub(crate) fn as_f64(self) -> f64 {
+        match self {
+            U(v) => v as f64,
+            F(v) => v,
+            B(v) => v as u64 as f64,
+        }
+    }
+}
+
+/// One scalar, described once: where it appears on each surface and how
+/// to read it. `V` is what the reader folds over — the gathered [`View`]
+/// for instance rows, one [`WriteShardState`] for per-shard rows.
+pub(crate) struct Row<V: 'static> {
+    /// `/metrics`: `(family, help, "counter" | "gauge")`.
+    pub(crate) prom: Option<(&'static str, &'static str, &'static str)>,
+    /// `/stats` key, `section.key` when nested; `""` keeps the row out
+    /// of `/stats`. Table order is wire order within a section.
+    pub(crate) key: &'static str,
+    /// `/series` column as `(position, name)` — instance rows only. The
+    /// catalogue order predates the table, hence the explicit position.
+    pub(crate) series: Option<(u8, &'static str)>,
+    /// 1-based position in the `/healthz` shard objects, 0 = absent —
+    /// per-shard rows only (`/healthz` orders its keys differently).
+    pub(crate) healthz: u8,
+    pub(crate) read: fn(&Ctx, &V) -> Val,
+}
+
+/// An [`INSTANCE`] row (spelled out so the closures' argument types infer).
+const fn row(key: &'static str, read: fn(&Ctx, &View) -> Val) -> Row<View> {
+    Row::new(key, read)
+}
+
+/// A [`SHARD`] row.
+const fn shard_row(
+    key: &'static str,
+    read: fn(&Ctx, &WriteShardState) -> Val,
+) -> Row<WriteShardState> {
+    Row::new(key, read)
+}
+
+impl<V> Row<V> {
+    const fn new(key: &'static str, read: fn(&Ctx, &V) -> Val) -> Self {
+        Row {
+            prom: None,
+            key,
+            series: None,
+            healthz: 0,
+            read,
+        }
+    }
+    const fn counter(self, family: &'static str, help: &'static str) -> Self {
+        Row {
+            prom: Some((family, help, "counter")),
+            ..self
+        }
+    }
+    const fn gauge(self, family: &'static str, help: &'static str) -> Self {
+        Row {
+            prom: Some((family, help, "gauge")),
+            ..self
+        }
+    }
+    const fn series(self, position: u8, name: &'static str) -> Self {
+        Row {
+            series: Some((position, name)),
+            ..self
+        }
+    }
+    const fn healthz(self, position: u8) -> Self {
+        Row {
+            healthz: position,
+            ..self
+        }
+    }
+}
+
+/// Everything the instance rows fold across shards or sample from the
+/// OS, gathered once per render; live atomics are read through `Ctx`.
+pub(crate) struct View {
+    /// Minimum published epoch across write shards.
+    pub(crate) epoch: u64,
+    pub(crate) sessions: u64,
+    /// Minimum durable checkpoint epoch across write shards.
+    pub(crate) durable_epoch: u64,
+    pub(crate) cache: CacheStats,
+    pub(crate) wal: WalStats,
+    pub(crate) wal_segments: u64,
+    /// Engine push-work counters by [`dppr_core::CounterSnapshot::fields`]
+    /// name, summed across write shards.
+    pub(crate) engine: Vec<(&'static str, u64)>,
+    /// Every shard applies the identical stream, so the graphs are
+    /// replicas — shard 0's occupancy stands for all.
+    graph: SubstrateStats,
+    /// The laggard shard's window: the freshness floor across sessions.
+    window: (u64, u64),
+    process: ProcessStats,
+    /// Per-tick windowed HTTP `(p50, p99)` seconds; only the observer's
+    /// series sampler knows them, every other render leaves zeros.
+    pub(crate) tick_latency: (f64, f64),
+}
+
+impl View {
+    pub(crate) fn gather(ctx: &Ctx) -> View {
+        let mut v = View {
+            epoch: ctx.epoch_min(),
+            sessions: 0,
+            durable_epoch: u64::MAX,
+            cache: CacheStats::default(),
+            wal: WalStats::default(),
+            wal_segments: 0,
+            engine: Vec::new(),
+            graph: *ctx.shards[0].graph.lock().unwrap(),
+            window: (0, u64::MAX),
+            process: ProcessStats::sample(),
+            tick_latency: (0.0, 0.0),
+        };
+        for s in &ctx.shards {
+            v.sessions += s.registry.len() as u64;
+            v.durable_epoch = v.durable_epoch.min(s.durable_epoch.load(Relaxed));
+            v.cache = v.cache.merge(&s.cache.stats());
+            let w = *s.wal.lock().unwrap();
+            v.wal.appends += w.appends;
+            v.wal.syncs += w.syncs;
+            v.wal.bytes_written += w.bytes_written;
+            v.wal.pruned_segments += w.pruned_segments;
+            v.wal_segments += s.wal_segments.load(Relaxed);
+            for (i, (name, n)) in s.engine.lock().unwrap().fields().into_iter().enumerate() {
+                match v.engine.get_mut(i) {
+                    Some(slot) => slot.1 += n,
+                    None => v.engine.push((name, n)),
+                }
+            }
+            let window = (s.window_start.load(Relaxed), s.window_end.load(Relaxed));
+            if window.1 < v.window.1 {
+                v.window = window;
+            }
+        }
+        v
+    }
+
+    fn fraction_consumed(&self, stream_len: u64) -> f64 {
+        if stream_len == 0 {
+            1.0
+        } else {
+            self.window.1 as f64 / stream_len as f64
+        }
+    }
+}
+
+/// Instance-scope scalars, in `/stats` order.
+#[rustfmt::skip]
+pub(crate) static INSTANCE: &[Row<View>] = &[
+    row("", |c, _| F(c.start.elapsed().as_secs_f64()))
+        .gauge("dppr_uptime_seconds", "Seconds since the instance started serving"),
+    row("epoch", |_, v| U(v.epoch))
+        .gauge("dppr_epoch", "Last published epoch (minimum across write shards)").series(5, "epoch"),
+    row("slides", |c, _| U(c.stats.slides.load(Relaxed)))
+        .counter("dppr_slides_total", "Window slides applied").series(4, "slides_total"),
+    row("updates_offered", |c, _| U(c.stats.updates_offered.load(Relaxed)))
+        .counter("dppr_updates_offered_total", "Updates handed to the engine (arcs)"),
+    row("updates_applied", |c, _| U(c.stats.updates_applied.load(Relaxed)))
+        .counter("dppr_updates_applied_total", "Updates that changed the graph"),
+    row("updates_per_sec", |c, _| F(c.stats.updates_per_sec())),
+    row("stream_done", |c, _| B(c.stats.stream_done.load(Relaxed))),
+    row("queries", |c, _| U(c.stats.queries.load(Relaxed)))
+        .counter("dppr_queries_total", "Query requests answered (any kind, any status)").series(2, "queries_total"),
+    row("shed", |c, _| U(c.stats.shed.load(Relaxed)))
+        .counter("dppr_shed_total", "Requests shed 503 under lag or connection pressure").series(3, "shed_total"),
+    row("sessions", |_, v| U(v.sessions))
+        .gauge("dppr_sessions", "Open sessions").series(6, "sessions"),
+    row("sessions_opened", |c, _| U(c.stats.sessions_opened.load(Relaxed)))
+        .counter("dppr_sessions_opened_total", "Sessions opened over HTTP"),
+    row("sessions_closed", |c, _| U(c.stats.sessions_closed.load(Relaxed)))
+        .counter("dppr_sessions_closed_total", "Sessions closed over HTTP"),
+    row("sessions_evicted", |c, _| U(c.stats.sessions_evicted.load(Relaxed)))
+        .counter("dppr_sessions_evicted_total", "Sessions evicted by the LRU budget"),
+
+    row("http.connections", |c, _| U(c.conn.accepted.load(Relaxed)))
+        .counter("dppr_http_connections_total", "Connections adopted by the shards"),
+    row("http.requests", |c, _| U(c.conn.requests.load(Relaxed)))
+        .counter("dppr_http_requests_total", "HTTP requests answered").series(1, "http_requests_total"),
+    row("http.bad_requests", |c, _| U(c.conn.bad_requests.load(Relaxed)))
+        .counter("dppr_http_bad_requests_total", "Malformed or oversized requests answered 400"),
+    row("http.read_timeouts", |c, _| U(c.conn.read_timeouts.load(Relaxed)))
+        .counter("dppr_http_read_timeouts_total", "Connections reaped by the read deadline"),
+    row("http.write_timeouts", |c, _| U(c.conn.write_timeouts.load(Relaxed)))
+        .counter("dppr_http_write_timeouts_total", "Connections reaped by the write deadline"),
+
+    row("cache.hits", |_, v| U(v.cache.hits)).counter("dppr_cache_hits_total", "Query-cache hits"),
+    row("cache.misses", |_, v| U(v.cache.misses)).counter("dppr_cache_misses_total", "Query-cache misses"),
+    row("cache.evictions", |_, v| U(v.cache.evictions))
+        .counter("dppr_cache_evictions_total", "Query-cache evictions"),
+    row("cache.stale_purged", |_, v| U(v.cache.stale_purged))
+        .counter("dppr_cache_stale_purged_total", "Dead-epoch cache entries purged at insert"),
+    row("cache.hit_rate", |_, v| F(v.cache.hit_rate()))
+        .gauge("dppr_cache_hit_rate", "Query-cache hit rate (0 before any lookup)"),
+
+    row("durability.enabled", |c, _| B(c.durability_enabled))
+        .gauge("dppr_durability_enabled", "1 when a WAL and checkpoints are configured"),
+    row("durability.degraded", |c, _| B(c.stats.degraded.load(Relaxed)))
+        .gauge("dppr_degraded", "1 once a WAL failure forced read-only serving"),
+    row("durability.durable_epoch", |_, v| U(v.durable_epoch))
+        .gauge("dppr_durable_epoch", "Epoch of the newest durable checkpoint"),
+    row("durability.checkpoints", |c, _| U(c.stats.checkpoints.load(Relaxed)))
+        .counter("dppr_checkpoints_total", "Checkpoints written successfully"),
+    row("durability.checkpoint_failures", |c, _| U(c.stats.checkpoint_failures.load(Relaxed)))
+        .counter("dppr_checkpoint_failures_total", "Checkpoint attempts that failed"),
+    row("durability.wal_records", |_, v| U(v.wal.appends))
+        .counter("dppr_wal_records_total", "Records appended to the WAL"),
+    row("durability.wal_segments", |_, v| U(v.wal_segments))
+        .gauge("dppr_wal_segments", "Live WAL segments (sealed + active)"),
+    row("durability.wal_syncs", |_, v| U(v.wal.syncs))
+        .counter("dppr_wal_syncs_total", "WAL device flushes issued"),
+    row("durability.wal_bytes", |_, v| U(v.wal.bytes_written))
+        .counter("dppr_wal_bytes_total", "WAL bytes written (payload + framing)"),
+    row("durability.wal_pruned_segments", |_, v| U(v.wal.pruned_segments))
+        .counter("dppr_wal_pruned_segments_total", "WAL segments deleted by retention"),
+
+    row("graph.arena_slots", |_, v| U(v.graph.arena_slots as u64))
+        .gauge("dppr_graph_arena_slots", "Adjacency-arena slots (live + slack + garbage)"),
+    row("graph.live_slots", |_, v| U(v.graph.live_slots as u64))
+        .gauge("dppr_graph_live_slots", "Live adjacency slots (2m)"),
+    row("graph.dead_slots", |_, v| U(v.graph.dead_slots as u64))
+        .gauge("dppr_graph_dead_slots", "Garbage slots awaiting compaction"),
+    row("graph.hub_vertices", |_, v| U(v.graph.hub_vertices as u64))
+        .gauge("dppr_graph_hub_vertices", "Vertices on the hash-membership (hub) path"),
+    row("graph.utilization", |_, v| F(v.graph.utilization()))
+        .gauge("dppr_graph_utilization", "Live fraction of the arena"),
+
+    row("stream.window_start", |_, v| U(v.window.0))
+        .gauge("dppr_stream_window_start", "Window start (stream position)"),
+    row("stream.window_end", |_, v| U(v.window.1))
+        .gauge("dppr_stream_window_end", "Window end (stream position)"),
+    row("stream.stream_len", |c, _| U(c.stream_len))
+        .gauge("dppr_stream_len", "Total logical edges in the stream"),
+    row("stream.fraction_consumed", |c, v| F(v.fraction_consumed(c.stream_len)))
+        .gauge("dppr_stream_fraction_consumed", "Share of the stream that has arrived"),
+
+    row("trace.enabled", |c, _| B(c.metrics.trace_requests.enabled())),
+    row("trace.buffered", |c, _| U(c.metrics.trace.len() as u64))
+        .gauge("dppr_trace_buffered", "Trace events currently buffered"),
+    row("trace.dropped", |c, _| U(c.metrics.trace.dropped()))
+        .counter("dppr_trace_dropped_total", "Trace events evicted from the ring"),
+
+    row("audit.enabled", |c, _| B(c.audit.enabled))
+        .gauge("dppr_audit_enabled", "1 when online accuracy auditing is configured"),
+    row("audit.sample", |c, _| U(c.audit.sample as u64)),
+    row("audit.runs", |c, _| U(c.audit.runs.load(Relaxed)))
+        .counter("dppr_audit_runs_total", "Audit ticks completed"),
+    row("audit.sessions_audited", |c, _| U(c.audit.sessions_audited.load(Relaxed)))
+        .counter("dppr_audit_sessions_total", "Sessions audited against ground truth"),
+    row("audit.bound_violations", |c, _| U(c.audit.bound_violations.load(Relaxed)))
+        .counter("dppr_audit_bound_violations_total",
+                 "Audited sessions whose max error exceeded the epsilon contract"),
+    row("audit.cpu_seconds", |c, _| F(c.audit.cpu_nanos.load(Relaxed) as f64 / 1e9))
+        .counter("dppr_audit_cpu_seconds_total", "Observer wall time spent auditing (clone-free side only)"),
+    row("audit.last_epoch", |c, _| U(c.audit.last_epoch.load(Relaxed)))
+        .gauge("dppr_audit_last_epoch", "Epoch of the newest completed audit"),
+    row("audit.staleness_epochs", |c, _| U(c.audit.staleness_epochs.load(Relaxed)))
+        .gauge("dppr_audit_staleness_epochs", "Shard epoch minus audited epoch at last report"),
+    row("audit.last_l1_error", |c, _| F(c.audit.last_l1.get())),
+    row("audit.last_linf_error", |c, _| F(c.audit.last_linf.get()))
+        .gauge("dppr_audit_last_linf_error", "Max per-vertex error in the newest audit")
+        .series(9, "audit_linf_error"),
+    row("audit.max_linf_error", |c, _| F(c.audit.max_linf.get()))
+        .gauge("dppr_audit_max_linf_error", "Largest per-vertex error ever audited"),
+    row("audit.last_topk_overlap_10", |c, _| F(c.audit.last_overlap10.get())).series(10, "audit_topk_overlap_10"),
+    row("audit.last_topk_overlap_50", |c, _| F(c.audit.last_overlap50.get())),
+    row("audit.last_invariant_residual", |c, _| F(c.audit.last_residual.get()))
+        .gauge("dppr_audit_invariant_residual", "Largest Eq. 2 invariant violation in the newest audit"),
+
+    // Process-level gauges out of /proc/self (all 0 without procfs).
+    row("process.rss_bytes", |_, v| U(v.process.rss_bytes))
+        .gauge("dppr_process_rss_bytes", "Resident set size").series(11, "process_rss_bytes"),
+    row("process.open_fds", |_, v| U(v.process.open_fds))
+        .gauge("dppr_process_open_fds", "Open file descriptors").series(12, "process_open_fds"),
+    row("process.threads", |_, v| U(v.process.threads))
+        .gauge("dppr_process_threads", "OS threads").series(13, "process_threads"),
+
+    row("series.interval_ms", |c, _| F(c.audit_interval.as_secs_f64() * 1e3)),
+    row("series.samples", |c, _| U(c.series.len() as u64))
+        .gauge("dppr_metrics_series_samples", "Rows retained by the in-process metrics time-series"),
+
+    row("", |_, v| F(v.tick_latency.0)).series(7, "http_request_p50_seconds"),
+    row("", |_, v| F(v.tick_latency.1)).series(8, "http_request_p99_seconds"),
+];
+
+/// Per-write-shard scalars, in `/stats` `write_shards[]` order; the
+/// families render one `{write_shard="i"}` series per shard so a
+/// straggling, degraded, or behind-on-checkpoints shard is visible in
+/// isolation.
+#[rustfmt::skip]
+pub(crate) static SHARD: &[Row<WriteShardState>] = &[
+    shard_row("shard", |_, s| U(s.index as u64)).healthz(1),
+    shard_row("epoch", |_, s| U(s.domain.epoch()))
+        .gauge("dppr_write_shard_epoch", "Published epoch per write shard").healthz(2),
+    shard_row("slides", |_, s| U(s.slides.load(Relaxed)))
+        .counter("dppr_write_shard_slides_total", "Window slides applied per write shard"),
+    shard_row("sessions", |_, s| U(s.registry.len() as u64))
+        .gauge("dppr_write_shard_sessions", "Open sessions per write shard"),
+    shard_row("session_capacity", |_, s| U(s.registry.capacity() as u64)),
+    shard_row("stream_done", |_, s| B(s.stream_done.load(Relaxed)))
+        .gauge("dppr_write_shard_stream_done", "1 once the shard ran its stream copy dry").healthz(4),
+    shard_row("degraded", |_, s| B(s.degraded.load(Relaxed)))
+        .gauge("dppr_write_shard_degraded", "1 once the shard's WAL failed (read-only)").healthz(3),
+    shard_row("durable_epoch", |_, s| U(s.durable_epoch.load(Relaxed)))
+        .gauge("dppr_write_shard_durable_epoch", "Newest durable checkpoint epoch per write shard"),
+    shard_row("wal_records", |_, s| U(s.wal.lock().unwrap().appends)),
+    shard_row("wal_segments", |_, s| U(s.wal_segments.load(Relaxed))),
+    shard_row("window_start", |_, s| U(s.window_start.load(Relaxed))),
+    shard_row("window_end", |_, s| U(s.window_end.load(Relaxed)))
+        .gauge("dppr_write_shard_window_end", "Window end (stream position) per write shard"),
+    shard_row("cache.hits", |_, s| U(s.cache.stats().hits)),
+    shard_row("cache.misses", |_, s| U(s.cache.stats().misses)),
+    shard_row("cache.evictions", |_, s| U(s.cache.stats().evictions)),
+    shard_row("cache.stale_purged", |_, s| U(s.cache.stats().stale_purged)),
+];
+
+/// Writes the `/stats` object `section` (`""` = the enclosing object's
+/// own scalars) from the rows of `table` that live in it.
+pub(crate) fn json_section<V>(
+    j: &mut JsonBuf,
+    table: &[Row<V>],
+    section: &str,
+    ctx: &Ctx,
+    view: &V,
+) {
+    if !section.is_empty() {
+        j.key(section).begin_obj();
+    }
+    for row in table {
+        let (sec, key) = row.key.rsplit_once('.').unwrap_or(("", row.key));
+        if sec == section && !key.is_empty() {
+            (row.read)(ctx, view).json(j.key(key));
+        }
+    }
+    if !section.is_empty() {
+        j.end_obj();
+    }
+}
+
+/// One `/series` column: its name and the reader of the row it came from.
+pub(crate) type SeriesColumn = (&'static str, fn(&Ctx, &View) -> Val);
+
+/// The `/series` columns in catalogue order.
+pub(crate) fn series_columns() -> Vec<SeriesColumn> {
+    let mut cols: Vec<_> = INSTANCE
+        .iter()
+        .filter_map(|r| r.series.map(|(at, name)| (at, name, r.read)))
+        .collect();
+    cols.sort_by_key(|c| c.0);
+    cols.into_iter().map(|(_, name, read)| (name, read)).collect()
 }

@@ -25,33 +25,30 @@
 //! non-reading client is bounded by the write deadline instead of
 //! pinning a worker, and overload surfaces as fast `503 Retry-After`
 //! responses instead of an unbounded backlog.
+//!
+//! This module holds the instance's shared types; the code lives along
+//! the seams of the diagram: `boot.rs` (start + recovery), `writer.rs`
+//! (write loop + durability acks), `query.rs` (dispatch + query
+//! handlers) and `admin.rs` (telemetry + control handlers).
 
-use crate::cache::{CacheStats, QueryCache, QueryKind};
-use crate::durability::{self, DurabilityConfig, RecoveryReport};
-use crate::epoch::{EpochDomain, Reader};
-use crate::event::{spawn_shard, ConnCounters, Router, ShardConfig, ShardGate, ShardHandle};
-use crate::http::{render_response, Request, Response};
-use crate::json::{error_body, JsonBuf};
-use crate::metrics::{ServerMetrics, WriteShardStages};
-use crate::registry::{OpenOutcome, SessionRegistry};
-use crate::snapshot::QuerySnapshot;
-use dppr_core::queries::BoundedScore;
-use dppr_core::{CounterSnapshot, MultiSourcePpr, PprState, PushVariant};
-use dppr_graph::{GraphStream, SubstrateStats, VertexId};
-use dppr_obs::{Gauge, LocalHistogram, PromText};
-use dppr_stream::StreamDriver;
-use dppr_wal::{Wal, WalOptions, WalRecord, WalStats};
-use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use crate::audit::{AuditJob, AuditShared, SloEngine};
+use crate::cache::{CacheStats, QueryCache};
+use crate::durability::{DurabilityConfig, RecoveryReport};
+use crate::epoch::EpochDomain;
+use crate::event::{ConnCounters, ShardHandle};
+use crate::metrics::{ServerMetrics, View, WriteShardStages};
+use crate::registry::SessionRegistry;
+use dppr_core::CounterSnapshot;
+use dppr_graph::{SubstrateStats, VertexId};
+use dppr_obs::{Gauge, SeriesRing};
+use dppr_wal::WalStats;
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
-use std::sync::mpsc::{self, sync_channel, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// `Content-Type` of the Prometheus text exposition format.
-const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
 /// Tuning for one serving instance.
 #[derive(Debug, Clone)]
@@ -207,30 +204,17 @@ pub struct ServerStats {
     pub sessions_evicted: AtomicU64,
     /// Whether the update stream has been run dry.
     pub stream_done: AtomicBool,
-    /// Start-relative nanos (+1) of the slide currently being applied;
-    /// 0 while the write loop is idle/between slides. The shed check
-    /// reads this to see how long the published epoch has been stale.
-    pub slide_started_ns: AtomicU64,
-    /// Epoch of the newest durable checkpoint (0 with durability off).
-    pub durable_epoch: AtomicU64,
     /// Checkpoints written successfully (initial + periodic + final).
     pub checkpoints: AtomicU64,
     /// Checkpoint attempts that failed (serving continues; the WAL tail
     /// keeps growing until one succeeds).
     pub checkpoint_failures: AtomicU64,
-    /// Records appended to the WAL.
-    pub wal_records: AtomicU64,
-    /// Live WAL segment count (sealed + active).
-    pub wal_segments: AtomicU64,
     /// True once a WAL append failed: the write loop has stopped sliding
     /// and the instance serves read-only from the last published epoch.
     pub degraded: AtomicBool,
     /// Why the instance degraded to read-only (the WAL error text);
     /// `None` while healthy. Surfaced by `/healthz`.
     pub degraded_reason: Mutex<Option<String>>,
-    /// Start-relative nanos (+1) of the last successful WAL fsync; 0 if
-    /// none has completed yet. `/healthz` reports the age.
-    pub last_fsync_ns: AtomicU64,
 }
 
 impl ServerStats {
@@ -304,7 +288,7 @@ pub(crate) enum Control {
     /// clones the graph plus up to `max_sessions` sessions' published
     /// snapshots and live states into an [`AuditJob`] and replies. The
     /// expensive ground-truth solve happens on the observer thread.
-    Audit { max_sessions: usize, reply: SyncSender<crate::audit::AuditJob> },
+    Audit { max_sessions: usize, reply: SyncSender<AuditJob> },
 }
 
 /// Everything one write shard owns: its epoch domain, session registry,
@@ -332,7 +316,7 @@ pub(crate) struct WriteShardState {
     pub(crate) durable_epoch: AtomicU64,
     /// Start-relative nanos (+1) of this shard's last WAL fsync.
     pub(crate) last_fsync_ns: AtomicU64,
-    pub(crate) wal_records: AtomicU64,
+    /// Live WAL segment count (sealed + active).
     pub(crate) wal_segments: AtomicU64,
     /// Engine push-work counters, refreshed per slide.
     pub(crate) engine: Mutex<CounterSnapshot>,
@@ -355,7 +339,7 @@ pub(crate) struct WriteShardState {
 pub(crate) struct Ctx {
     /// One entry per write shard; length ≥ 1.
     pub(crate) shards: Vec<Arc<WriteShardState>>,
-    pub(crate) stats: Arc<ServerStats>,
+    pub(crate) stats: ServerStats,
     pub(crate) conn: Arc<ConnCounters>,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) addr: SocketAddr,
@@ -371,18 +355,18 @@ pub(crate) struct Ctx {
     /// Whether this instance runs with a WAL + checkpoints.
     pub(crate) durability_enabled: bool,
     /// Pipeline histograms, trace ring, and the metric registry.
-    pub(crate) metrics: Arc<ServerMetrics>,
+    pub(crate) metrics: ServerMetrics,
     /// Per-shard `(connections, queue_depth)` gauges, indexed by shard.
     pub(crate) shard_gauges: Vec<(Arc<Gauge>, Arc<Gauge>)>,
     /// Total logical edges in the stream (constant per instance).
     pub(crate) stream_len: u64,
     /// Accuracy-audit scalars published by the observer thread.
-    pub(crate) audit: Arc<crate::audit::AuditShared>,
+    pub(crate) audit: AuditShared,
     /// SLO burn-rate state (targets, burn gauges, breach counters, the
     /// latency shed flag).
-    pub(crate) slo: Arc<crate::audit::SloEngine>,
+    pub(crate) slo: SloEngine,
     /// The in-process metrics time-series (`GET /series`).
-    pub(crate) series: Arc<dppr_obs::SeriesRing>,
+    pub(crate) series: SeriesRing,
     /// Observer tick period (`/series` reports it so dashboards can
     /// convert rows to wall time).
     pub(crate) audit_interval: Duration,
@@ -407,23 +391,18 @@ impl Ctx {
             && self.slide_in_flight(ws).is_some_and(|d| d > self.shed_after)
     }
 
-    /// Whether any write shard is currently behind (`/healthz`).
-    pub(crate) fn any_lagging(&self) -> bool {
-        self.shards.iter().any(|s| self.lagging(s))
-    }
-
     /// The epoch every shard has published through — the instance-level
     /// epoch. (Unsharded: the one shard's epoch, unchanged semantics.)
     pub(crate) fn epoch_min(&self) -> u64 {
         self.shards.iter().map(|s| s.domain.epoch()).min().unwrap_or(0)
     }
 
-    /// Re-derives the global durable epoch (min across shards) after any
-    /// shard checkpoints: the instance is only durable through an epoch
-    /// every shard has checkpointed or logged past.
-    pub(crate) fn refresh_durable_epoch(&self) {
-        let min = self.shards.iter().map(|s| s.durable_epoch.load(Relaxed)).min().unwrap_or(0);
-        self.stats.durable_epoch.store(min, Relaxed);
+    /// Sets the shutdown flag and unblocks the acceptor's blocking
+    /// `accept` with a throwaway connection; the event-loop shards notice
+    /// the flag within their poll ceiling.
+    pub(crate) fn request_shutdown(&self) {
+        self.shutdown.store(true, SeqCst);
+        let _ = TcpStream::connect(self.addr);
     }
 
     /// Global stream-done flag: set once every shard ran its copy dry.
@@ -432,119 +411,83 @@ impl Ctx {
             self.stats.stream_done.store(true, Relaxed);
         }
     }
-
-    /// Re-derives the global WAL totals (sums) and the oldest-flush
-    /// marker after any shard appends or syncs.
-    pub(crate) fn refresh_wal_totals(&self) {
-        let mut records = 0;
-        let mut segments = 0;
-        let mut oldest = u64::MAX;
-        for s in &self.shards {
-            records += s.wal_records.load(Relaxed);
-            segments += s.wal_segments.load(Relaxed);
-            oldest = oldest.min(s.last_fsync_ns.load(Relaxed));
-        }
-        self.stats.wal_records.store(records, Relaxed);
-        self.stats.wal_segments.store(segments, Relaxed);
-        // The global marker is the *oldest* per-shard flush (largest
-        // age): conservative for the `/healthz` staleness report. Any
-        // shard that never flushed keeps the global marker at 0 (null).
-        self.stats.last_fsync_ns.store(if oldest == u64::MAX { 0 } else { oldest }, Relaxed);
-    }
-
-    /// Merged cache counters across every shard's query cache.
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        self.shards
-            .iter()
-            .fold(CacheStats::default(), |acc, s| acc.merge(&s.cache.stats()))
-    }
-
-    /// Open sessions across all shards.
-    pub(crate) fn sessions_len(&self) -> usize {
-        self.shards.iter().map(|s| s.registry.len()).sum()
-    }
 }
 
 /// A running serving instance. Dropping the handle without calling
 /// [`ServerHandle::join`] detaches the threads (they exit on shutdown).
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    write_shards: Vec<Arc<WriteShardState>>,
-    stats: Arc<ServerStats>,
-    conn: Arc<ConnCounters>,
-    acceptor: Option<JoinHandle<()>>,
-    shards: Vec<ShardHandle>,
-    writers: Vec<JoinHandle<()>>,
-    recoveries: Vec<Option<RecoveryReport>>,
-    metrics: Arc<ServerMetrics>,
+    pub(crate) ctx: Arc<Ctx>,
+    pub(crate) acceptor: Option<JoinHandle<()>>,
+    pub(crate) shards: Vec<ShardHandle>,
+    pub(crate) writers: Vec<JoinHandle<()>>,
+    pub(crate) recoveries: Vec<Option<RecoveryReport>>,
 }
 
 impl ServerHandle {
     /// The bound address (query it for the ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.ctx.addr
     }
 
     /// Live counters.
     pub fn stats(&self) -> &ServerStats {
-        &self.stats
+        &self.ctx.stats
     }
 
     /// Live connection-layer counters.
     pub fn conn_counters(&self) -> &ConnCounters {
-        &self.conn
+        &self.ctx.conn
     }
 
     /// Write shard 0's query cache (the only one unsharded). Sharded
     /// callers wanting totals should sum [`ServerHandle::shard_cache`]
     /// stats across [`ServerHandle::write_shard_count`] shards.
     pub fn cache(&self) -> &QueryCache {
-        &self.write_shards[0].cache
+        self.shard_cache(0)
     }
 
     /// Write shard 0's session registry (the only one unsharded).
     pub fn registry(&self) -> &SessionRegistry {
-        &self.write_shards[0].registry
+        self.shard_registry(0)
     }
 
     /// Independent write loops this instance runs (≥ 1).
     pub fn write_shard_count(&self) -> usize {
-        self.write_shards.len()
+        self.ctx.shards.len()
     }
 
     /// Write shard `i`'s session registry.
     pub fn shard_registry(&self, i: usize) -> &SessionRegistry {
-        &self.write_shards[i].registry
+        &self.ctx.shards[i].registry
     }
 
     /// Write shard `i`'s query cache.
     pub fn shard_cache(&self, i: usize) -> &QueryCache {
-        &self.write_shards[i].cache
+        &self.ctx.shards[i].cache
     }
 
     /// Write shard `i`'s published epoch.
     pub fn shard_epoch(&self, i: usize) -> u64 {
-        self.write_shards[i].domain.epoch()
+        self.ctx.shards[i].domain.epoch()
     }
 
     /// The instance's metric registry and pipeline histograms (what
     /// `GET /metrics` renders) — report generators read percentiles
     /// straight from here.
     pub fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
+        &self.ctx.metrics
     }
 
     /// The buffered trace events as JSON lines (what `GET /trace`
     /// serves); empty when tracing is off.
     pub fn trace_dump(&self) -> String {
-        self.metrics.trace.dump()
+        self.ctx.metrics.trace.dump()
     }
 
     /// Current epoch: the minimum across write shards (every session is
     /// served at least this fresh).
     pub fn epoch(&self) -> u64 {
-        self.write_shards.iter().map(|s| s.domain.epoch()).min().unwrap_or(0)
+        self.ctx.epoch_min()
     }
 
     /// What recovery did at startup for write shard 0, if this instance
@@ -561,14 +504,12 @@ impl ServerHandle {
 
     /// Whether shutdown has been requested (flag or `POST /shutdown`).
     pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(SeqCst)
+        self.ctx.shutdown.load(SeqCst)
     }
 
     /// Requests shutdown and wakes the acceptor and every shard.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, SeqCst);
-        // Unblock the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
+        self.ctx.request_shutdown();
         for s in &self.shards {
             s.wake();
         }
@@ -586,2136 +527,28 @@ impl ServerHandle {
         for h in self.writers.drain(..) {
             let _ = h.join();
         }
+        let (stats, conn) = (&self.ctx.stats, &self.ctx.conn);
+        let view = View::gather(&self.ctx);
         ServeReport {
-            epoch: self.write_shards.iter().map(|s| s.domain.epoch()).min().unwrap_or(0),
-            slides: self.stats.slides.load(Relaxed),
-            updates_offered: self.stats.updates_offered.load(Relaxed),
-            updates_applied: self.stats.updates_applied.load(Relaxed),
-            updates_per_sec: self.stats.updates_per_sec(),
-            queries: self.stats.queries.load(Relaxed),
-            http_requests: self.conn.requests.load(Relaxed),
-            connections: self.conn.accepted.load(Relaxed),
-            bad_requests: self.conn.bad_requests.load(Relaxed),
-            read_timeouts: self.conn.read_timeouts.load(Relaxed),
-            write_timeouts: self.conn.write_timeouts.load(Relaxed),
-            shed: self.stats.shed.load(Relaxed),
-            cache: self
-                .write_shards
-                .iter()
-                .fold(CacheStats::default(), |acc, s| acc.merge(&s.cache.stats())),
-            sessions: self.write_shards.iter().map(|s| s.registry.len()).sum(),
-            stream_done: self.stats.stream_done.load(Relaxed),
-            degraded: self.stats.degraded.load(Relaxed),
-            durable_epoch: self.stats.durable_epoch.load(Relaxed),
-            checkpoints: self.stats.checkpoints.load(Relaxed),
-            write_shards: self.write_shards.len(),
+            epoch: view.epoch,
+            slides: stats.slides.load(Relaxed),
+            updates_offered: stats.updates_offered.load(Relaxed),
+            updates_applied: stats.updates_applied.load(Relaxed),
+            updates_per_sec: stats.updates_per_sec(),
+            queries: stats.queries.load(Relaxed),
+            http_requests: conn.requests.load(Relaxed),
+            connections: conn.accepted.load(Relaxed),
+            bad_requests: conn.bad_requests.load(Relaxed),
+            read_timeouts: conn.read_timeouts.load(Relaxed),
+            write_timeouts: conn.write_timeouts.load(Relaxed),
+            shed: stats.shed.load(Relaxed),
+            cache: view.cache,
+            sessions: view.sessions as usize,
+            stream_done: stats.stream_done.load(Relaxed),
+            degraded: stats.degraded.load(Relaxed),
+            durable_epoch: view.durable_epoch,
+            checkpoints: stats.checkpoints.load(Relaxed),
+            write_shards: self.ctx.shards.len(),
         }
     }
-}
-
-/// Warms the initial window of `stream` and picks the `k` top-out-degree
-/// vertices as serving sources — the paper's hub-vertex methodology.
-///
-/// Pass the **same** `init_fraction` here as to [`start`]: the probe must
-/// replay exactly the window the server will bootstrap with, or the picked
-/// hubs belong to a different graph than the one actually served (this
-/// helper exists so the CLI, the load generator, and the examples cannot
-/// drift apart on that pairing).
-pub fn pick_top_degree_sources(
-    stream: &GraphStream,
-    init_fraction: f64,
-    k: usize,
-) -> Vec<VertexId> {
-    let window = dppr_graph::SlidingWindow::new(stream.clone(), init_fraction);
-    let mut probe = dppr_graph::DynamicGraph::new();
-    for upd in window.initial_updates() {
-        probe.apply(upd);
-    }
-    probe.top_out_degree_vertices(k)
-}
-
-/// Boots a serving instance over `stream`: applies the initial window for
-/// every source in `sources` (so the returned handle is immediately
-/// queryable), then starts the write loop, the acceptor, and the
-/// event-loop shards. `init_fraction` is the sliding-window warmup share
-/// (the paper uses 0.1).
-pub fn start(
-    stream: GraphStream,
-    init_fraction: f64,
-    sources: &[VertexId],
-    cfg: ServeConfig,
-) -> io::Result<ServerHandle> {
-    let vertex_bound = stream.vertex_bound();
-    if let Some(&s) = sources.iter().find(|&&s| (s as usize) >= vertex_bound) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("source {s} is outside the stream's vertex bound {vertex_bound}"),
-        ));
-    }
-    let threads = cfg.threads.max(1);
-    let n = cfg.write_shards.max(1);
-    let stats = Arc::new(ServerStats::default());
-    let conn_counters = Arc::new(ConnCounters::default());
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let metrics = Arc::new(ServerMetrics::new(cfg.trace_sample, cfg.trace_capacity));
-
-    // --- bootstrap every write shard synchronously: sessions are live
-    // before we return. Each shard consumes its own copy of the whole
-    // stream (the window slides identically everywhere) but maintains
-    // only the sessions hashed to it — so a source's PPR state is
-    // bit-identical under any shard count. Durable shards either recover
-    // (their checkpoint + WAL tail) or bootstrap fresh and write their
-    // epoch-1 base checkpoint.
-    let mut boots: Vec<Boot> = Vec::with_capacity(n);
-    let mut dcfgs: Vec<Option<DurabilityConfig>> = Vec::with_capacity(n);
-    let mut shard_states: Vec<Arc<WriteShardState>> = Vec::with_capacity(n);
-    for i in 0..n {
-        // Event-loop shards each hold one Reader per write shard, + slack
-        // for external Reader users (tests, in-process tools).
-        let domain = EpochDomain::new(threads + 4);
-        let shard_sources: Vec<VertexId> =
-            sources.iter().copied().filter(|&s| shard_of(s, n) == i).collect();
-        let registry = Arc::new(SessionRegistry::new(
-            Arc::clone(&domain),
-            cfg.session_capacity.div_ceil(n).max(shard_sources.len()).max(1),
-        ));
-        let cache = Arc::new(QueryCache::new(cfg.cache_capacity.div_ceil(n)));
-        let dcfg = cfg.durability.as_ref().map(|d| DurabilityConfig {
-            data_dir: shard_data_dir(&d.data_dir, i, n),
-            ..d.clone()
-        });
-        let boot = match &dcfg {
-            None => {
-                let mut driver = StreamDriver::new(stream.clone(), init_fraction);
-                let mut multi =
-                    MultiSourcePpr::new(&shard_sources, cfg.alpha, cfg.epsilon, PushVariant::OPT);
-                bootstrap_window(&mut driver, &mut multi, &domain, &registry, &stats);
-                Boot { driver, multi, wal: None, recovery: None, durable_epoch: 0 }
-            }
-            Some(d) => durable_boot(
-                stream.clone(),
-                init_fraction,
-                &shard_sources,
-                &cfg,
-                d,
-                &domain,
-                &registry,
-                &stats,
-            )?,
-        };
-        let (ws, we) = boot.driver.window_range();
-        shard_states.push(Arc::new(WriteShardState {
-            index: i,
-            domain,
-            registry,
-            cache,
-            slides: AtomicU64::new(0),
-            slide_started_ns: AtomicU64::new(0),
-            stream_done: AtomicBool::new(false),
-            degraded: AtomicBool::new(false),
-            degraded_reason: Mutex::new(None),
-            durable_epoch: AtomicU64::new(boot.durable_epoch),
-            last_fsync_ns: AtomicU64::new(0),
-            wal_records: AtomicU64::new(0),
-            wal_segments: AtomicU64::new(0),
-            engine: Mutex::new(boot.multi.counters().snapshot()),
-            graph: Mutex::new(boot.driver.graph().substrate_stats()),
-            wal: Mutex::new(WalStats::default()),
-            window_start: AtomicU64::new(ws as u64),
-            window_end: AtomicU64::new(we as u64),
-            audit_cursor: AtomicU64::new(0),
-            stage: metrics.write_shard_stages(i),
-        }));
-        dcfgs.push(dcfg);
-        boots.push(boot);
-    }
-    if cfg.durability.is_some() {
-        let min = shard_states.iter().map(|s| s.durable_epoch.load(Relaxed)).min().unwrap_or(0);
-        stats.durable_epoch.store(min, Relaxed);
-    }
-
-    let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
-    let addr = listener.local_addr()?;
-
-    let shard_gauges: Vec<(Arc<Gauge>, Arc<Gauge>)> = (0..threads)
-        .map(|w| {
-            (
-                metrics.registry.gauge_with_label(
-                    "dppr_shard_connections",
-                    "Live connections owned by the shard",
-                    "shard",
-                    w.to_string(),
-                ),
-                metrics.registry.gauge_with_label(
-                    "dppr_shard_queue_depth",
-                    "Accepted connections awaiting adoption by the shard",
-                    "shard",
-                    w.to_string(),
-                ),
-            )
-        })
-        .collect();
-    let stream_len = boots[0].driver.stream_len() as u64;
-    let ctx = Arc::new(Ctx {
-        shards: shard_states.clone(),
-        stats: Arc::clone(&stats),
-        conn: Arc::clone(&conn_counters),
-        shutdown: Arc::clone(&shutdown),
-        addr,
-        start: Instant::now(),
-        shed_after: cfg.shed_after,
-        vertex_bound,
-        durability_enabled: cfg.durability.is_some(),
-        metrics: Arc::clone(&metrics),
-        shard_gauges,
-        stream_len,
-        audit: Arc::new(crate::audit::AuditShared::new(&cfg)),
-        slo: Arc::new(crate::audit::SloEngine::new(&cfg)),
-        series: Arc::new(crate::audit::new_series_ring()),
-        audit_interval: cfg.audit_interval.max(Duration::from_millis(10)),
-    });
-
-    // --- per-shard background checkpointer + write loop -------------------
-    let mut ctl_txs: Vec<mpsc::Sender<Control>> = Vec::with_capacity(n);
-    let mut writers: Vec<JoinHandle<()>> = Vec::with_capacity(n);
-    let mut recoveries: Vec<Option<RecoveryReport>> = Vec::with_capacity(n);
-    for (i, boot) in boots.into_iter().enumerate() {
-        let (ctl_tx, ctl_rx) = mpsc::channel::<Control>();
-        ctl_txs.push(ctl_tx);
-        recoveries.push(boot.recovery);
-        let dur = match (dcfgs[i].take(), boot.wal) {
-            (Some(dcfg), Some(wal)) => Some(spawn_durable(
-                dcfg,
-                wal,
-                boot.durable_epoch,
-                Arc::clone(&ctx),
-                Arc::clone(&shard_states[i]),
-            )?),
-            _ => None,
-        };
-        let writer = {
-            let ctx = Arc::clone(&ctx);
-            let shard = Arc::clone(&shard_states[i]);
-            let cfg = cfg.clone();
-            std::thread::Builder::new()
-                .name(format!("dppr-serve-writer-{i}"))
-                .spawn(move || write_loop(boot.driver, boot.multi, ctl_rx, ctx, shard, cfg, dur))?
-        };
-        writers.push(writer);
-    }
-
-    // --- event-loop shards ------------------------------------------------
-    let shard_cfg = ShardConfig {
-        read_timeout: cfg.read_timeout,
-        write_timeout: cfg.write_timeout,
-    };
-    let mut shards = Vec::with_capacity(threads);
-    let mut gates: Vec<ShardGate> = Vec::with_capacity(threads);
-    for w in 0..threads {
-        let (conn_gauge, depth_gauge) = ctx.shard_gauges[w].clone();
-        let router = RouterImpl {
-            ctx: Arc::clone(&ctx),
-            readers: shard_states.iter().map(|s| s.domain.register_reader()).collect(),
-            ctl_txs: ctl_txs.clone(),
-            shard: w,
-            conn_gauge,
-            depth_gauge,
-            local_request: LocalHistogram::new(),
-            local_parse: LocalHistogram::new(),
-            local_route: LocalHistogram::new(),
-            local_write: LocalHistogram::new(),
-        };
-        let (queue_tx, queue_rx) = sync_channel::<TcpStream>(cfg.conn_backlog.max(1));
-        let shard = spawn_shard(
-            format!("dppr-serve-shard-{w}"),
-            shard_cfg.clone(),
-            queue_rx,
-            queue_tx,
-            Arc::clone(&shutdown),
-            Arc::clone(&conn_counters),
-            router,
-        )?;
-        gates.push(shard.gate()?);
-        shards.push(shard);
-    }
-    // --- audit + SLO observer --------------------------------------------
-    // Always spawned: it samples the metrics time-series and evaluates
-    // SLO burn rates every tick; the (optional) accuracy audit rides the
-    // same ticker. It keeps its own control handles so audit probes can
-    // reach the write loops.
-    writers.push(crate::audit::spawn_observer(Arc::clone(&ctx), ctl_txs.clone(), &cfg)?);
-    drop(ctl_txs);
-
-    // --- acceptor ---------------------------------------------------------
-    let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        let stats = Arc::clone(&stats);
-        std::thread::Builder::new()
-            .name("dppr-serve-acceptor".into())
-            .spawn(move || {
-                let mut next = 0usize;
-                loop {
-                    match listener.accept() {
-                        Ok((conn, _)) => {
-                            if shutdown.load(SeqCst) {
-                                break; // wake-up connection, not a client
-                            }
-                            // Round-robin, falling through to any shard
-                            // with room; every queue full → shed at the
-                            // door with 503. A shard that adopted the
-                            // connection leaves `pending` empty, which
-                            // ends the probe loop gracefully (no panic
-                            // path here: an acceptor abort would take the
-                            // whole front end down with it).
-                            let mut pending = Some(conn);
-                            for probe in 0..gates.len() {
-                                let Some(c) = pending.take() else { break };
-                                match gates[(next + probe) % gates.len()].try_adopt(c) {
-                                    Ok(()) => break,
-                                    Err(back) => pending = Some(back),
-                                }
-                            }
-                            if let Some(c) = pending {
-                                stats.shed.fetch_add(1, Relaxed);
-                                shed_at_door(c);
-                            }
-                            next = next.wrapping_add(1);
-                        }
-                        Err(_) => {
-                            if shutdown.load(SeqCst) {
-                                break;
-                            }
-                            // Persistent accept errors (e.g. fd
-                            // exhaustion) must not busy-spin a core.
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    }
-                }
-            })?
-    };
-
-    Ok(ServerHandle {
-        addr,
-        shutdown,
-        write_shards: shard_states,
-        stats,
-        conn: conn_counters,
-        acceptor: Some(acceptor),
-        shards,
-        writers,
-        recoveries,
-        metrics,
-    })
-}
-
-/// What bootstrapping produced, durable or not.
-struct Boot {
-    driver: StreamDriver,
-    multi: MultiSourcePpr,
-    wal: Option<Wal>,
-    recovery: Option<RecoveryReport>,
-    /// Epoch of the newest durable checkpoint at startup.
-    durable_epoch: u64,
-}
-
-/// The original in-memory bootstrap: apply the initial window, advance to
-/// epoch 1, open a session per source.
-fn bootstrap_window(
-    driver: &mut StreamDriver,
-    multi: &mut MultiSourcePpr,
-    domain: &EpochDomain,
-    registry: &SessionRegistry,
-    stats: &ServerStats,
-) {
-    let init = driver.take_initial_batch();
-    let t = Instant::now();
-    let applied = multi.apply_batch(driver.graph_mut(), &init);
-    // Accumulate, don't overwrite: with several write shards every shard
-    // bootstraps the same window, and the global counters sum them.
-    stats.update_nanos.fetch_add(t.elapsed().as_nanos() as u64, Relaxed);
-    stats.updates_offered.fetch_add(init.len() as u64, Relaxed);
-    stats.updates_applied.fetch_add(applied as u64, Relaxed);
-    let epoch = domain.advance();
-    for i in 0..multi.num_sources() {
-        registry.open(
-            multi.source(i),
-            Arc::new(QuerySnapshot::from_state(multi.state(i), epoch)),
-        );
-    }
-}
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Durable bootstrap: recover from the newest checkpoint + WAL tail when
-/// one exists, else bootstrap fresh and write the epoch-1 base
-/// checkpoint. Either way the returned WAL is open, repaired, and ready
-/// for the write loop to append to.
-#[allow(clippy::too_many_arguments)]
-fn durable_boot(
-    stream: GraphStream,
-    init_fraction: f64,
-    sources: &[VertexId],
-    cfg: &ServeConfig,
-    dcfg: &DurabilityConfig,
-    domain: &Arc<EpochDomain>,
-    registry: &SessionRegistry,
-    stats: &ServerStats,
-) -> io::Result<Boot> {
-    std::fs::create_dir_all(&dcfg.data_dir)?;
-    let checkpoint = durability::load_latest_checkpoint(&dcfg.data_dir)?;
-    let wal_opts = WalOptions { segment_bytes: dcfg.segment_bytes, fsync: dcfg.fsync };
-    let wdir = durability::wal_dir(&dcfg.data_dir);
-    let (mut wal, tail) = Wal::open(&wdir, wal_opts.clone())?;
-
-    let Some(ck) = checkpoint else {
-        if !tail.is_empty() {
-            // A log with no base checkpoint cannot be replayed (the
-            // states it applies on top of are gone). Start over rather
-            // than appending new epochs after stale ones.
-            eprintln!(
-                "dppr-serve: discarding {} WAL records with no checkpoint to anchor them",
-                tail.len()
-            );
-            drop(wal);
-            std::fs::remove_dir_all(&wdir)?;
-            (wal, _) = Wal::open(&wdir, wal_opts)?;
-        }
-        let mut driver = StreamDriver::new(stream, init_fraction);
-        let mut multi = MultiSourcePpr::new(sources, cfg.alpha, cfg.epsilon, PushVariant::OPT);
-        bootstrap_window(&mut driver, &mut multi, domain, registry, stats);
-        // The base checkpoint: recovery always has somewhere to start, so
-        // the WAL never needs to hold the (large) initial window.
-        let states: Vec<PprState> =
-            (0..multi.num_sources()).map(|i| multi.state(i).clone_values()).collect();
-        let (ws, we) = driver.window_range();
-        durability::write_checkpoint(&dcfg.data_dir, 1, (ws, we), &states)?;
-        wal.append(&WalRecord::Checkpoint { epoch: 1 })?;
-        wal.sync()?;
-        stats.checkpoints.fetch_add(1, Relaxed);
-        return Ok(Boot { driver, multi, wal: Some(wal), recovery: None, durable_epoch: 1 });
-    };
-
-    // --- recovery: checkpoint + WAL-tail replay ---------------------------
-    if ck.window_end > stream.len() {
-        return Err(invalid(format!(
-            "checkpoint window [{}, {}) exceeds the stream length {} — wrong graph or seed?",
-            ck.window_start,
-            ck.window_end,
-            stream.len()
-        )));
-    }
-    let checkpoint_epoch = ck.epoch;
-    let (window_start, window_end) = (ck.window_start, ck.window_end);
-    let mut driver = StreamDriver::resume_from(stream, window_start, window_end);
-    let mut multi = if ck.states.is_empty() {
-        MultiSourcePpr::new(&[], cfg.alpha, cfg.epsilon, PushVariant::OPT)
-    } else {
-        MultiSourcePpr::from_states(ck.states, PushVariant::OPT)
-    };
-
-    // Replay only the tail: batches at or below the checkpoint epoch are
-    // the duplicated-tail case (checkpointed but not yet pruned) and are
-    // skipped; an epoch gap means the log lost acknowledged records and
-    // recovery must not fake the missing slides.
-    let mut applied_epoch = checkpoint_epoch;
-    let mut replayed = 0u64;
-    for rec in &tail {
-        let WalRecord::Batch { epoch, window_end: rec_end, updates, .. } = rec else {
-            continue;
-        };
-        if *epoch <= applied_epoch {
-            continue;
-        }
-        if *epoch != applied_epoch + 1 {
-            return Err(invalid(format!(
-                "WAL gap: next batch is epoch {epoch}, expected {}",
-                applied_epoch + 1
-            )));
-        }
-        let (_, cur_end) = driver.window_range();
-        let k = (*rec_end as usize)
-            .checked_sub(cur_end)
-            .filter(|&k| k > 0)
-            .ok_or_else(|| invalid(format!("batch epoch {epoch} rewinds the window")))?;
-        let batch = driver
-            .slide_batch(k)
-            .ok_or_else(|| invalid(format!("stream exhausted replaying epoch {epoch}")))?;
-        if batch != *updates {
-            return Err(invalid(format!(
-                "WAL batch for epoch {epoch} disagrees with the stream — graph or seed changed \
-                 since the log was written"
-            )));
-        }
-        let t = Instant::now();
-        let applied = multi.apply_batch(driver.graph_mut(), &batch);
-        stats.update_nanos.fetch_add(t.elapsed().as_nanos() as u64, Relaxed);
-        stats.updates_offered.fetch_add(batch.len() as u64, Relaxed);
-        stats.updates_applied.fetch_add(applied as u64, Relaxed);
-        applied_epoch = *epoch;
-        replayed += 1;
-    }
-
-    domain.resume_at(applied_epoch);
-    for i in 0..multi.num_sources() {
-        registry.open(
-            multi.source(i),
-            Arc::new(QuerySnapshot::from_state(multi.state(i), applied_epoch)),
-        );
-    }
-    // Re-anchor retention: if the crash hit between the checkpoint rename
-    // and its WAL marker, the marker is missing — append it now so the
-    // covered segments can be pruned.
-    wal.append(&WalRecord::Checkpoint { epoch: checkpoint_epoch })?;
-    wal.sync()?;
-    wal.prune_through(checkpoint_epoch)?;
-
-    let (ws, we) = driver.window_range();
-    let recovery = RecoveryReport {
-        checkpoint_epoch,
-        replayed_batches: replayed,
-        recovered_epoch: applied_epoch,
-        window_start: ws,
-        window_end: we,
-    };
-    Ok(Boot {
-        driver,
-        multi,
-        wal: Some(wal),
-        recovery: Some(recovery),
-        durable_epoch: checkpoint_epoch,
-    })
-}
-
-/// What [`boot_probe`] observed: the booted epoch and a bit-exact
-/// fingerprint per session state.
-#[derive(Debug, Clone)]
-pub struct BootProbe {
-    /// Recovery outcome (`None` for a fresh durable start).
-    pub recovery: Option<RecoveryReport>,
-    /// The epoch the instance would serve at.
-    pub epoch: u64,
-    /// `(source, state_fingerprint)` per session, in session order.
-    pub fingerprints: Vec<(VertexId, u64)>,
-}
-
-/// Runs the durable bootstrap exactly as [`start`] would — recovery or
-/// fresh start, including WAL torn-tail repair, checkpoint-marker
-/// re-append, and retention — but binds no port and spawns no threads,
-/// so the returned state is frozen at the boot point instead of racing
-/// the write loop. The crash-recovery harness uses this to prove a
-/// recovered instance is bit-identical to a never-crashed replay.
-pub fn boot_probe(
-    stream: GraphStream,
-    init_fraction: f64,
-    sources: &[VertexId],
-    cfg: &ServeConfig,
-) -> io::Result<BootProbe> {
-    let dcfg = cfg.durability.as_ref().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "boot_probe requires cfg.durability")
-    })?;
-    let domain = EpochDomain::new(1);
-    let registry =
-        SessionRegistry::new(Arc::clone(&domain), cfg.session_capacity.max(sources.len()).max(1));
-    let stats = ServerStats::default();
-    let boot =
-        durable_boot(stream, init_fraction, sources, cfg, dcfg, &domain, &registry, &stats)?;
-    let fingerprints = (0..boot.multi.num_sources())
-        .map(|i| {
-            (boot.multi.source(i), dppr_core::persist::state_fingerprint(boot.multi.state(i)))
-        })
-        .collect();
-    Ok(BootProbe { recovery: boot.recovery, epoch: domain.epoch(), fingerprints })
-}
-
-/// [`boot_probe`] for every write shard of a sharded durable instance:
-/// probes each shard's own data directory with the sources hashed to it,
-/// exactly as [`start`] would boot them. The crash-recovery harness uses
-/// this to assert per-shard bit-identical fingerprints after a kill.
-pub fn boot_probe_shards(
-    stream: GraphStream,
-    init_fraction: f64,
-    sources: &[VertexId],
-    cfg: &ServeConfig,
-) -> io::Result<Vec<BootProbe>> {
-    let n = cfg.write_shards.max(1);
-    let dcfg = cfg.durability.as_ref().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "boot_probe_shards requires cfg.durability")
-    })?;
-    (0..n)
-        .map(|i| {
-            let shard_sources: Vec<VertexId> =
-                sources.iter().copied().filter(|&s| shard_of(s, n) == i).collect();
-            let mut scfg = cfg.clone();
-            scfg.durability = Some(DurabilityConfig {
-                data_dir: shard_data_dir(&dcfg.data_dir, i, n),
-                ..dcfg.clone()
-            });
-            boot_probe(stream.clone(), init_fraction, &shard_sources, &scfg)
-        })
-        .collect()
-}
-
-/// A snapshot of everything one checkpoint needs, handed to the
-/// background checkpointer over a bounded channel.
-struct CkptJob {
-    epoch: u64,
-    window: (usize, usize),
-    states: Vec<PprState>,
-}
-
-/// The write loop's durability half: the WAL it owns exclusively, plus
-/// the handles of the background checkpointer.
-struct DurableState {
-    wal: Wal,
-    cfg: DurabilityConfig,
-    /// Epoch of the newest durable checkpoint, published by the
-    /// background checkpointer.
-    durable: Arc<AtomicU64>,
-    /// Newest durable epoch whose `Checkpoint` marker has been appended
-    /// to the WAL (retention runs when this catches up to `durable`).
-    acked: u64,
-    ckpt_tx: Option<SyncSender<CkptJob>>,
-    ckpt_thread: Option<JoinHandle<()>>,
-    /// Set on the first WAL append failure: stop sliding, serve
-    /// read-only.
-    dead: bool,
-    /// WAL counters as of the last [`note_wal`]; deltas against the live
-    /// stats yield per-fsync latency.
-    seen: WalStats,
-}
-
-/// Spawns the background checkpointer for one write shard and packages
-/// the durable state for that shard's write loop.
-fn spawn_durable(
-    dcfg: DurabilityConfig,
-    wal: Wal,
-    durable_epoch: u64,
-    ctx: Arc<Ctx>,
-    shard: Arc<WriteShardState>,
-) -> io::Result<DurableState> {
-    let durable = Arc::new(AtomicU64::new(durable_epoch));
-    let (ckpt_tx, ckpt_rx) = sync_channel::<CkptJob>(1);
-    let ckpt_thread = {
-        let durable = Arc::clone(&durable);
-        let data_dir = dcfg.data_dir.clone();
-        std::thread::Builder::new()
-            .name(format!("dppr-serve-ckpt-{}", shard.index))
-            .spawn(move || {
-                while let Ok(job) = ckpt_rx.recv() {
-                    let t = Instant::now();
-                    match durability::write_checkpoint(
-                        &data_dir,
-                        job.epoch,
-                        job.window,
-                        &job.states,
-                    ) {
-                        Ok(()) => {
-                            let ns = t.elapsed().as_nanos() as u64;
-                            ctx.metrics.checkpoint.record(ns);
-                            shard.stage.checkpoint.record(ns);
-                            let _ = durability::prune_checkpoints(&data_dir, job.epoch);
-                            durable.store(job.epoch, Relaxed);
-                            shard.durable_epoch.store(job.epoch, Relaxed);
-                            ctx.refresh_durable_epoch();
-                            ctx.stats.checkpoints.fetch_add(1, Relaxed);
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "dppr-serve: checkpoint at epoch {} failed: {e}",
-                                job.epoch
-                            );
-                            ctx.stats.checkpoint_failures.fetch_add(1, Relaxed);
-                        }
-                    }
-                }
-            })?
-    };
-    let seen = wal.stats();
-    Ok(DurableState {
-        wal,
-        cfg: dcfg,
-        durable,
-        acked: durable_epoch,
-        ckpt_tx: Some(ckpt_tx),
-        ckpt_thread: Some(ckpt_thread),
-        dead: false,
-        seen,
-    })
-}
-
-/// Publishes one shard's fresh WAL counters after appends/syncs: fsync
-/// latency from the `sync_nanos` delta, the last-fsync timestamp for
-/// `/healthz`, and the raw stats for `/stats` and `/metrics`. The global
-/// totals (sums across shards) are re-derived afterwards.
-fn note_wal(d: &mut DurableState, ctx: &Ctx, shard: &WriteShardState) {
-    let s = d.wal.stats();
-    let syncs = s.syncs - d.seen.syncs;
-    if let Some(per_sync) = (s.sync_nanos - d.seen.sync_nanos).checked_div(syncs) {
-        for _ in 0..syncs {
-            ctx.metrics.wal_fsync.record(per_sync);
-            shard.stage.wal_fsync.record(per_sync);
-        }
-        shard
-            .last_fsync_ns
-            .store(ctx.start.elapsed().as_nanos() as u64 + 1, Relaxed);
-    }
-    shard.wal_records.store(s.appends, Relaxed);
-    shard.wal_segments.store(d.wal.segment_count() as u64, Relaxed);
-    *shard.wal.lock().unwrap() = s;
-    d.seen = s;
-    ctx.refresh_wal_totals();
-}
-
-/// Records why a write shard degraded to read-only (shown by
-/// `/healthz`): the shard's own flag plus the instance-level flag. The
-/// first shard to degrade provides the instance-level reason.
-fn mark_degraded(ctx: &Ctx, shard: &WriteShardState, reason: String) {
-    shard.degraded.store(true, SeqCst);
-    let global = if ctx.shards.len() == 1 {
-        reason.clone()
-    } else {
-        format!("write shard {}: {reason}", shard.index)
-    };
-    *shard.degraded_reason.lock().unwrap() = Some(reason);
-    ctx.stats.degraded.store(true, SeqCst);
-    let mut g = ctx.stats.degraded_reason.lock().unwrap();
-    if g.is_none() {
-        *g = Some(global);
-    }
-}
-
-/// Answers an un-adoptable connection with `503 Retry-After: 1`
-/// (best-effort, non-blocking) and drops it.
-fn shed_at_door(conn: TcpStream) {
-    let mut out = Vec::with_capacity(160);
-    render_response(
-        &mut out,
-        &Response {
-            status: 503,
-            body: error_body("server is at connection capacity").into(),
-            retry_after: Some(1),
-            content_type: None,
-        },
-        false,
-    );
-    let _ = conn.set_nonblocking(true);
-    let _ = (&conn).write(&out);
-}
-
-fn write_loop(
-    mut driver: StreamDriver,
-    mut multi: MultiSourcePpr,
-    ctl_rx: mpsc::Receiver<Control>,
-    ctx: Arc<Ctx>,
-    shard: Arc<WriteShardState>,
-    cfg: ServeConfig,
-    mut dur: Option<DurableState>,
-) {
-    // Baseline for per-slide counter deltas (push convergence metrics);
-    // the boot/recovery work is already in the cumulative snapshot.
-    let mut prev_counters = multi.counters().snapshot();
-    // Epoch reader for audit probes: loading a session's published
-    // snapshot must pin an epoch like any other reader. The domain is
-    // sized `threads + 4`, so the write loop's own reader fits in the
-    // slack.
-    let reader = shard.domain.register_reader();
-    loop {
-        if ctx.shutdown.load(SeqCst) {
-            break;
-        }
-        while let Ok(ctl) = ctl_rx.try_recv() {
-            handle_control(ctl, &mut driver, &mut multi, &ctx, &shard, &reader);
-        }
-        // Retention follows the background checkpointer: once a newer
-        // checkpoint is durable, append its marker and drop the WAL
-        // segments it covers.
-        if let Some(d) = dur.as_mut() {
-            ack_durable(d, &ctx, &shard);
-        }
-        let frozen = dur.as_ref().is_some_and(|d| d.dead)
-            || (cfg.max_slides != 0
-                && shard.slides.load(Relaxed) >= cfg.max_slides as u64);
-        if frozen || shard.stream_done.load(Relaxed) {
-            // Nothing left to slide (stream dry, slide cap, or WAL
-            // failure → read-only): serve from the frozen epoch, but stay
-            // responsive to session control and shutdown.
-            match ctl_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(ctl) => handle_control(ctl, &mut driver, &mut multi, &ctx, &shard, &reader),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            continue;
-        }
-        let Some(batch) = driver.slide_batch(cfg.batch) else {
-            shard.stream_done.store(true, Relaxed);
-            ctx.refresh_stream_done();
-            continue;
-        };
-        // Write-ahead point: the batch must be in the log *before* its
-        // effects can be observed by any query. A failed append degrades
-        // to read-only serving — the slide is abandoned (the window moved,
-        // but the graph, the engine states, and the published epoch all
-        // stay put, which is exactly the state the log describes).
-        let slide_t = Instant::now();
-        let mut wal_append_ns = 0u64;
-        if let Some(d) = dur.as_mut() {
-            let (ws, we) = driver.window_range();
-            let rec = WalRecord::Batch {
-                epoch: shard.domain.epoch() + 1,
-                window_start: ws as u64,
-                window_end: we as u64,
-                updates: batch.clone(),
-            };
-            let t = Instant::now();
-            if let Err(e) = d.wal.append(&rec) {
-                eprintln!("dppr-serve: WAL append failed ({e}); serving read-only from here");
-                d.dead = true;
-                mark_degraded(&ctx, &shard, format!("WAL append failed: {e}"));
-                continue;
-            }
-            wal_append_ns = t.elapsed().as_nanos() as u64;
-            ctx.metrics.wal_append.record(wal_append_ns);
-            shard.stage.wal_append.record(wal_append_ns);
-            note_wal(d, &ctx, &shard);
-        }
-        // Lag marker: queries routed to this shard observe how long the
-        // slide has been in flight and shed once it exceeds `shed_after`
-        // (the snapshot they would serve is stale by at least that much).
-        shard
-            .slide_started_ns
-            .store(ctx.start.elapsed().as_nanos() as u64 + 1, Relaxed);
-        let t = Instant::now();
-        let applied = multi.apply_batch(driver.graph_mut(), &batch);
-        let apply_ns = t.elapsed().as_nanos() as u64;
-        ctx.metrics.push_wall.record(apply_ns);
-        shard.stage.push_wall.record(apply_ns);
-        ctx.stats.update_nanos.fetch_add(apply_ns, Relaxed);
-        ctx.stats.updates_offered.fetch_add(batch.len() as u64, Relaxed);
-        ctx.stats.updates_applied.fetch_add(applied as u64, Relaxed);
-        ctx.stats.slides.fetch_add(1, Relaxed);
-        shard.slides.fetch_add(1, Relaxed);
-        // Publication point: one epoch per batch, every session swapped to
-        // a snapshot of the new converged state.
-        let epoch = shard.domain.advance();
-        let t = Instant::now();
-        for i in 0..multi.num_sources() {
-            if let Some(entry) = shard.registry.peek(multi.source(i)) {
-                entry.publish(
-                    &shard.domain,
-                    Arc::new(QuerySnapshot::from_state(multi.state(i), epoch)),
-                );
-            }
-        }
-        let publish_ns = t.elapsed().as_nanos() as u64;
-        ctx.metrics.snapshot_publish.record(publish_ns);
-        shard.stage.snapshot_publish.record(publish_ns);
-        shard.slide_started_ns.store(0, Relaxed);
-        let slide_ns = slide_t.elapsed().as_nanos() as u64;
-        ctx.metrics.slide_apply.record(slide_ns);
-        shard.stage.slide_apply.record(slide_ns);
-
-        // Refresh the engine/graph/stream views `/stats` and `/metrics`
-        // read (this write loop is the only thread that can see them).
-        let counters = multi.counters().snapshot();
-        let delta = counters - prev_counters;
-        ctx.metrics.push_iterations.record(delta.iterations);
-        prev_counters = counters;
-        *shard.engine.lock().unwrap() = counters;
-        *shard.graph.lock().unwrap() = driver.graph().substrate_stats();
-        let (ws, we) = driver.window_range();
-        shard.window_start.store(ws as u64, Relaxed);
-        shard.window_end.store(we as u64, Relaxed);
-
-        if ctx.metrics.trace_slides.sample() {
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("event").str("slide");
-            j.key("write_shard").uint(shard.index as u64);
-            j.key("epoch").uint(epoch);
-            j.key("batch_updates").uint(batch.len() as u64);
-            j.key("applied").uint(applied as u64);
-            j.key("iterations").uint(delta.iterations);
-            j.key("pushes").uint(delta.pushes);
-            j.key("wal_append_ns").uint(wal_append_ns);
-            j.key("apply_ns").uint(apply_ns);
-            j.key("publish_ns").uint(publish_ns);
-            j.key("slide_ns").uint(slide_ns);
-            j.end_obj();
-            ctx.metrics.trace.push(j.finish());
-        }
-
-        if let Some(d) = dur.as_mut() {
-            maybe_checkpoint(d, &shard, epoch, &driver, &multi);
-        }
-        if !cfg.slide_pause.is_zero() {
-            std::thread::sleep(cfg.slide_pause);
-        }
-    }
-    // Graceful shutdown: stop the background checkpointer, flush the WAL,
-    // and leave a final checkpoint so the next start replays nothing.
-    if let Some(d) = dur.as_mut() {
-        finalize_durable(d, &ctx, &shard, &driver, &multi);
-    }
-}
-
-/// Appends the `Checkpoint` marker for any newly durable checkpoint and
-/// prunes the WAL segments it covers.
-fn ack_durable(d: &mut DurableState, ctx: &Ctx, shard: &WriteShardState) {
-    let e = d.durable.load(Relaxed);
-    if d.dead || e <= d.acked {
-        return;
-    }
-    let result = d
-        .wal
-        .append(&WalRecord::Checkpoint { epoch: e })
-        .and_then(|()| d.wal.sync())
-        .and_then(|()| d.wal.prune_through(e));
-    match result {
-        Ok(_) => {
-            d.acked = e;
-            note_wal(d, ctx, shard);
-        }
-        Err(err) => {
-            eprintln!("dppr-serve: WAL checkpoint marker failed ({err}); serving read-only");
-            d.dead = true;
-            mark_degraded(ctx, shard, format!("WAL checkpoint marker failed: {err}"));
-        }
-    }
-}
-
-/// Hands a checkpoint job to the background checkpointer every
-/// `checkpoint_every_slides` slides. A full channel means the previous
-/// checkpoint is still being written — skip this round rather than stall
-/// the write loop.
-fn maybe_checkpoint(
-    d: &mut DurableState,
-    shard: &WriteShardState,
-    epoch: u64,
-    driver: &StreamDriver,
-    multi: &MultiSourcePpr,
-) {
-    let every = d.cfg.checkpoint_every_slides;
-    if every == 0 || !shard.slides.load(Relaxed).is_multiple_of(every) {
-        return;
-    }
-    let Some(tx) = d.ckpt_tx.as_ref() else { return };
-    let job = CkptJob {
-        epoch,
-        window: driver.window_range(),
-        states: (0..multi.num_sources()).map(|i| multi.state(i).clone_values()).collect(),
-    };
-    match tx.try_send(job) {
-        Ok(()) | Err(TrySendError::Full(_)) => {}
-        Err(TrySendError::Disconnected(_)) => d.ckpt_tx = None,
-    }
-}
-
-/// Shutdown path: drain the checkpointer, then write the final
-/// checkpoint synchronously (every applied slide becomes part of the
-/// base; the WAL tail for the next start is empty).
-fn finalize_durable(
-    d: &mut DurableState,
-    ctx: &Ctx,
-    shard: &WriteShardState,
-    driver: &StreamDriver,
-    multi: &MultiSourcePpr,
-) {
-    d.ckpt_tx = None; // close the channel → checkpointer drains and exits
-    if let Some(h) = d.ckpt_thread.take() {
-        let _ = h.join();
-    }
-    let _ = d.wal.sync();
-    if d.dead {
-        return;
-    }
-    let epoch = shard.domain.epoch();
-    if epoch <= d.durable.load(Relaxed) {
-        return; // nothing applied since the last durable checkpoint
-    }
-    let states: Vec<PprState> =
-        (0..multi.num_sources()).map(|i| multi.state(i).clone_values()).collect();
-    let t = Instant::now();
-    match durability::write_checkpoint(&d.cfg.data_dir, epoch, driver.window_range(), &states) {
-        Ok(()) => {
-            let ns = t.elapsed().as_nanos() as u64;
-            ctx.metrics.checkpoint.record(ns);
-            shard.stage.checkpoint.record(ns);
-            let _ = durability::prune_checkpoints(&d.cfg.data_dir, epoch);
-            shard.durable_epoch.store(epoch, Relaxed);
-            ctx.refresh_durable_epoch();
-            ctx.stats.checkpoints.fetch_add(1, Relaxed);
-            let _ = d
-                .wal
-                .append(&WalRecord::Checkpoint { epoch })
-                .and_then(|()| d.wal.sync())
-                .and_then(|()| d.wal.prune_through(epoch));
-        }
-        Err(e) => eprintln!("dppr-serve: final checkpoint at epoch {epoch} failed: {e}"),
-    }
-}
-
-fn handle_control(
-    ctl: Control,
-    driver: &mut StreamDriver,
-    multi: &mut MultiSourcePpr,
-    ctx: &Ctx,
-    shard: &WriteShardState,
-    reader: &Reader,
-) {
-    match ctl {
-        Control::Open(s) => {
-            if shard.registry.peek(s).is_some() {
-                return;
-            }
-            let i = multi.add_source(driver.graph(), s);
-            let snap = QuerySnapshot::from_state(multi.state(i), shard.domain.epoch());
-            if let OpenOutcome::Opened { evicted: Some(victim) } =
-                shard.registry.open(s, Arc::new(snap))
-            {
-                remove_maintained(multi, victim);
-                ctx.stats.sessions_evicted.fetch_add(1, Relaxed);
-            }
-            ctx.stats.sessions_opened.fetch_add(1, Relaxed);
-        }
-        Control::Close(s) => {
-            if shard.registry.close(s) {
-                remove_maintained(multi, s);
-                ctx.stats.sessions_closed.fetch_add(1, Relaxed);
-            }
-        }
-        Control::Audit { max_sessions, reply } => {
-            // Between batches the graph, the live states, and the
-            // published snapshots are mutually consistent — clone them
-            // all here and let the observer pay for the exact solve.
-            let sources = shard.registry.sources();
-            let take = max_sessions.min(sources.len());
-            let cursor = shard.audit_cursor.fetch_add(take as u64, Relaxed) as usize;
-            let mut sessions = Vec::with_capacity(take);
-            for k in 0..take {
-                let source = sources[(cursor + k) % sources.len()];
-                let (Some(entry), Some(i)) =
-                    (shard.registry.peek(source), multi.index_of(source))
-                else {
-                    continue; // raced with a close; skip
-                };
-                sessions.push(crate::audit::AuditSession {
-                    source,
-                    snapshot: entry.load(reader),
-                    state: multi.state(i).clone_values(),
-                });
-            }
-            let job = crate::audit::AuditJob {
-                epoch: shard.domain.epoch(),
-                graph: driver.graph().clone(),
-                sessions,
-            };
-            // The observer may have timed out and gone away; that's its
-            // problem, not the write loop's.
-            let _ = reply.send(job);
-        }
-    }
-}
-
-fn remove_maintained(multi: &mut MultiSourcePpr, source: VertexId) {
-    if let Some(i) = multi.index_of(source) {
-        multi.remove_source(i);
-    }
-}
-
-// --- request routing ------------------------------------------------------
-
-/// The per-shard router: shared state + this shard's epoch readers (one
-/// per write-shard domain), control-channel handles (one per write
-/// shard), and thread-local telemetry accumulators (flushed to the
-/// shared histograms once per event-loop tick, so the per-request path
-/// touches no shared atomics).
-struct RouterImpl {
-    ctx: Arc<Ctx>,
-    readers: Vec<Reader>,
-    ctl_txs: Vec<mpsc::Sender<Control>>,
-    shard: usize,
-    conn_gauge: Arc<Gauge>,
-    depth_gauge: Arc<Gauge>,
-    local_request: LocalHistogram,
-    local_parse: LocalHistogram,
-    local_route: LocalHistogram,
-    local_write: LocalHistogram,
-}
-
-impl Router for RouterImpl {
-    fn route(&mut self, req: &Request) -> Response {
-        match route(req, &self.ctx, &self.readers, &self.ctl_txs) {
-            Ok(resp) => resp,
-            Err(msg) => Response::new(400, error_body(&msg)),
-        }
-    }
-
-    fn observe_http(
-        &mut self,
-        req: &Request,
-        status: u16,
-        parse_ns: u64,
-        route_ns: u64,
-        write_ns: u64,
-    ) {
-        self.local_parse.record(parse_ns);
-        self.local_route.record(route_ns);
-        self.local_write.record(write_ns);
-        self.local_request.record(parse_ns + route_ns + write_ns);
-        if self.ctx.metrics.trace_requests.sample() {
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("event").str("request");
-            j.key("shard").uint(self.shard as u64);
-            j.key("path").str(&req.path);
-            j.key("status").uint(status as u64);
-            j.key("epoch").uint(self.ctx.epoch_min());
-            j.key("parse_ns").uint(parse_ns);
-            j.key("route_ns").uint(route_ns);
-            j.key("write_ns").uint(write_ns);
-            j.end_obj();
-            self.ctx.metrics.trace.push(j.finish());
-        }
-    }
-
-    fn on_tick(&mut self, live_conns: usize, queue_depth: u64) {
-        let m = &self.ctx.metrics;
-        self.local_request.flush(&m.http_request);
-        self.local_parse.flush(&m.http_parse);
-        self.local_route.flush(&m.http_route);
-        self.local_write.flush(&m.http_write);
-        self.conn_gauge.set(live_conns as i64);
-        self.depth_gauge.set(queue_depth as i64);
-    }
-}
-
-fn push_bounded(j: &mut JsonBuf, b: &BoundedScore) {
-    j.begin_obj();
-    j.key("vertex").uint(b.vertex as u64);
-    j.key("estimate").num(b.estimate);
-    j.key("lo").num(b.lo);
-    j.key("hi").num(b.hi);
-    j.end_obj();
-}
-
-/// Resolves a `source=` query parameter to its write shard and loads the
-/// published snapshot: the 503 shed gate (that shard lagging) and the
-/// 404 (no session) travel in the inner `Err`.
-fn snapshot_for(
-    req: &Request,
-    ctx: &Ctx,
-    readers: &[Reader],
-) -> Result<Result<(Arc<QuerySnapshot>, usize), Response>, String> {
-    let source: VertexId = req.require("source")?;
-    let ws = shard_of(source, ctx.shards.len());
-    if let Some(shed) = shed_check(ctx, ws) {
-        return Ok(Err(shed));
-    }
-    Ok(match ctx.shards[ws].registry.lookup(source) {
-        Some(entry) => Ok((entry.load(&readers[ws]), ws)),
-        None => Err(Response::new(
-            404,
-            error_body(&format!("no open session for source {source}")),
-        )),
-    })
-}
-
-/// Load-shedding gate for the query endpoints: while write shard `ws`
-/// has had a slide in flight longer than `shed_after`, answer `503
-/// Retry-After` instead of serving a snapshot that lags the stream.
-/// Shedding is per shard — a straggler does not shed traffic for
-/// sessions owned by healthy shards.
-fn shed_check(ctx: &Ctx, ws: usize) -> Option<Response> {
-    // A fast-window latency SLO breach sheds globally: the error budget
-    // is burning now, and queries are the load we can refuse.
-    if ctx.slo.shed.load(Relaxed) {
-        ctx.stats.shed.fetch_add(1, Relaxed);
-        return Some(Response {
-            status: 503,
-            body: error_body("latency SLO fast burn; shedding load").into(),
-            retry_after: Some(1),
-            content_type: None,
-        });
-    }
-    if !ctx.lagging(&ctx.shards[ws]) {
-        return None;
-    }
-    ctx.stats.shed.fetch_add(1, Relaxed);
-    Some(Response {
-        status: 503,
-        body: error_body("write loop is behind; retry shortly").into(),
-        retry_after: Some(1),
-        content_type: None,
-    })
-}
-
-/// Routes a request to a [`Response`]. Bodies travel as `Arc<str>` so a
-/// cache hit is returned without copying the rendered JSON.
-fn route(
-    req: &Request,
-    ctx: &Ctx,
-    readers: &[Reader],
-    ctl_txs: &[mpsc::Sender<Control>],
-) -> Result<Response, String> {
-    match req.path.as_str() {
-        "/healthz" => {
-            let wal_degraded = ctx.stats.degraded.load(Relaxed);
-            let slo_breaching = ctx.slo.any_breaching();
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("ok").bool(true);
-            j.key("epoch").uint(ctx.epoch_min());
-            j.key("degraded").bool(wal_degraded || slo_breaching);
-            // Why the instance is degraded (null while healthy): a WAL
-            // failure (read-only serving) wins over an SLO burn.
-            j.key("degraded_reason");
-            let wal_reason = ctx.stats.degraded_reason.lock().unwrap().as_deref().map(String::from);
-            match wal_reason.or_else(|| ctx.slo.breach_reason()).as_deref() {
-                Some(reason) => j.str(reason),
-                None => j.null(),
-            };
-            // Per-SLO burn-rate detail (empty array with no targets).
-            j.key("slos").begin_arr();
-            for (spec, st) in ctx.slo.specs.iter().zip(&ctx.slo.status) {
-                j.begin_obj();
-                j.key("name").str(spec.name);
-                j.key("target").num(spec.target);
-                j.key("burn_fast").num(st.burn_fast.get());
-                j.key("burn_slow").num(st.burn_slow.get());
-                j.key("breaching").bool(st.breaching.load(Relaxed));
-                j.key("breaches_total").uint(st.breaches.load(Relaxed));
-                j.end_obj();
-            }
-            j.end_arr();
-            j.key("last_fsync_age_seconds");
-            match ctx.stats.last_fsync_ns.load(Relaxed) {
-                0 => j.null(),
-                marker => {
-                    let age =
-                        (ctx.start.elapsed().as_nanos() as u64).saturating_sub(marker - 1);
-                    j.num(age as f64 / 1e9)
-                }
-            };
-            j.key("lagging").bool(ctx.any_lagging());
-            j.key("write_shards").begin_arr();
-            for s in &ctx.shards {
-                j.begin_obj();
-                j.key("shard").uint(s.index as u64);
-                j.key("epoch").uint(s.domain.epoch());
-                j.key("degraded").bool(s.degraded.load(Relaxed));
-                j.key("stream_done").bool(s.stream_done.load(Relaxed));
-                j.key("lag_seconds");
-                match ctx.slide_in_flight(s) {
-                    Some(d) => j.num(d.as_secs_f64()),
-                    None => j.num(0.0),
-                };
-                j.end_obj();
-            }
-            j.end_arr();
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
-        "/metrics" => {
-            // Self-observation: time the render and count families. The
-            // duration lands in a registered histogram, so it shows up
-            // on the *next* scrape — acceptable for a gauge of scrape
-            // cost, and it keeps this scrape's text consistent.
-            let t = Instant::now();
-            let mut text = render_metrics(ctx);
-            let families = text.matches("# TYPE ").count() as u64 + 1;
-            let mut tail = PromText::new();
-            tail.gauge_u64(
-                "dppr_metrics_families",
-                "Metric families in this exposition (including this one)",
-                families,
-            );
-            text.push_str(tail.as_str());
-            ctx.metrics.metrics_scrape.record(t.elapsed().as_nanos() as u64);
-            Ok(Response::with_content_type(200, PROMETHEUS_CONTENT_TYPE, text))
-        }
-        "/trace" => {
-            let limit: usize = req.parsed_or("limit", usize::MAX)?;
-            let body = match req.param("kind") {
-                None => ctx.metrics.trace.dump_with(limit, |_| true),
-                Some("request") => ctx
-                    .metrics
-                    .trace
-                    .dump_with(limit, |l| l.contains("\"event\":\"request\"")),
-                Some("slide") => ctx
-                    .metrics
-                    .trace
-                    .dump_with(limit, |l| l.contains("\"event\":\"slide\"")),
-                Some(other) => {
-                    return Err(format!("unknown trace kind {other:?} (request|slide)"))
-                }
-            };
-            Ok(Response::with_content_type(200, "application/x-ndjson", body))
-        }
-        "/series" => {
-            let interval_ms = ctx.audit_interval.as_secs_f64() * 1e3;
-            match req.param("name") {
-                None => {
-                    // Catalog: the column set plus sampling geometry.
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("interval_ms").num(interval_ms);
-                    j.key("samples").uint(ctx.series.len() as u64);
-                    j.key("names").begin_arr();
-                    for name in ctx.series.names() {
-                        j.str(name);
-                    }
-                    j.end_arr();
-                    j.end_obj();
-                    Ok(Response::new(200, j.finish()))
-                }
-                Some(name) => {
-                    let window_s: f64 = req.parsed_finite_or("window", 60.0)?;
-                    let window_nanos = (window_s.max(0.0) * 1e9) as u64;
-                    let Some(w) = ctx.series.window(name, window_nanos) else {
-                        return Ok(Response::new(
-                            404,
-                            error_body(&format!("unknown series {name}")),
-                        ));
-                    };
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("name").str(name);
-                    j.key("window_seconds").num(window_s);
-                    j.key("interval_ms").num(interval_ms);
-                    j.key("last").num(w.last);
-                    j.key("min").num(w.min);
-                    j.key("max").num(w.max);
-                    j.key("avg").num(w.avg);
-                    j.key("rate_per_sec").num(w.rate_per_sec);
-                    j.key("points").begin_arr();
-                    for (at, v) in &w.points {
-                        j.begin_arr();
-                        j.num(*at as f64 / 1e9);
-                        j.num(*v);
-                        j.end_arr();
-                    }
-                    j.end_arr();
-                    j.end_obj();
-                    Ok(Response::new(200, j.finish()))
-                }
-            }
-        }
-        "/topk" => {
-            ctx.stats.queries.fetch_add(1, Relaxed);
-            let k: usize = req.parsed_or("k", 10)?;
-            let (snap, ws) = match snapshot_for(req, ctx, readers)? {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let (body, _) = ctx.shards[ws].cache.get_or_render(
-                snap.source(),
-                QueryKind::TopK(k),
-                snap.epoch(),
-                || {
-                    let ans = snap.top_k(k);
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("source").uint(snap.source() as u64);
-                    j.key("epoch").uint(snap.epoch());
-                    j.key("epsilon").num(snap.epsilon());
-                    j.key("k").uint(k as u64);
-                    j.key("set_is_certain").bool(ans.set_is_certain);
-                    j.key("ranking").begin_arr();
-                    for b in &ans.ranking {
-                        push_bounded(&mut j, b);
-                    }
-                    j.end_arr();
-                    j.end_obj();
-                    j.finish()
-                },
-            );
-            Ok(Response::new(200, body))
-        }
-        "/score" => {
-            ctx.stats.queries.fetch_add(1, Relaxed);
-            let v: VertexId = req.require("v")?;
-            let (snap, ws) = match snapshot_for(req, ctx, readers)? {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let (body, _) = ctx.shards[ws].cache.get_or_render(
-                snap.source(),
-                QueryKind::Score(v),
-                snap.epoch(),
-                || {
-                    let b = snap.score(v);
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("source").uint(snap.source() as u64);
-                    j.key("epoch").uint(snap.epoch());
-                    j.key("epsilon").num(snap.epsilon());
-                    j.key("vertex").uint(v as u64);
-                    j.key("estimate").num(b.estimate);
-                    j.key("lo").num(b.lo);
-                    j.key("hi").num(b.hi);
-                    j.end_obj();
-                    j.finish()
-                },
-            );
-            Ok(Response::new(200, body))
-        }
-        "/threshold" => {
-            ctx.stats.queries.fetch_add(1, Relaxed);
-            // Finite by construction: NaN would make every comparison
-            // false and silently return an empty answer.
-            let delta: f64 = req.require_finite("delta")?;
-            let (snap, ws) = match snapshot_for(req, ctx, readers)? {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let (body, _) = ctx.shards[ws].cache.get_or_render(
-                snap.source(),
-                QueryKind::Threshold(delta.to_bits()),
-                snap.epoch(),
-                || {
-                    let ans = snap.above_threshold(delta);
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("source").uint(snap.source() as u64);
-                    j.key("epoch").uint(snap.epoch());
-                    j.key("delta").num(delta);
-                    j.key("certain").begin_arr();
-                    for b in &ans.certain {
-                        push_bounded(&mut j, b);
-                    }
-                    j.end_arr();
-                    j.key("possible").begin_arr();
-                    for b in &ans.possible {
-                        push_bounded(&mut j, b);
-                    }
-                    j.end_arr();
-                    j.end_obj();
-                    j.finish()
-                },
-            );
-            Ok(Response::new(200, body))
-        }
-        "/compare" => {
-            ctx.stats.queries.fetch_add(1, Relaxed);
-            let a: VertexId = req.require("a")?;
-            let b: VertexId = req.require("b")?;
-            let (snap, ws) = match snapshot_for(req, ctx, readers)? {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let (body, _) = ctx.shards[ws].cache.get_or_render(
-                snap.source(),
-                QueryKind::Compare(a, b),
-                snap.epoch(),
-                || {
-                    let order = match snap.compare(a, b) {
-                        Some(std::cmp::Ordering::Greater) => "greater",
-                        Some(std::cmp::Ordering::Less) => "less",
-                        Some(std::cmp::Ordering::Equal) => "equal",
-                        None => "undecidable",
-                    };
-                    let mut j = JsonBuf::new();
-                    j.begin_obj();
-                    j.key("source").uint(snap.source() as u64);
-                    j.key("epoch").uint(snap.epoch());
-                    j.key("a").uint(a as u64);
-                    j.key("b").uint(b as u64);
-                    j.key("order").str(order);
-                    j.end_obj();
-                    j.finish()
-                },
-            );
-            Ok(Response::new(200, body))
-        }
-        // Cross-shard comparison: which of two *sessions* ranks vertex
-        // `v` higher. The per-session `/compare` never leaves one
-        // engine; this one loads both sessions' snapshots — potentially
-        // owned by different write shards at different epochs — and
-        // interval-compares their estimates. Not cached: the composite
-        // key spans two epoch lines.
-        "/compare_sessions" => {
-            ctx.stats.queries.fetch_add(1, Relaxed);
-            let a: VertexId = req.require("a")?;
-            let b: VertexId = req.require("b")?;
-            let v: VertexId = req.require("v")?;
-            let n = ctx.shards.len();
-            let (wa, wb) = (shard_of(a, n), shard_of(b, n));
-            if let Some(shed) = shed_check(ctx, wa).or_else(|| shed_check(ctx, wb)) {
-                return Ok(shed);
-            }
-            let load = |source: VertexId, ws: usize| {
-                ctx.shards[ws].registry.lookup(source).map(|e| e.load(&readers[ws])).ok_or_else(
-                    || {
-                        Response::new(
-                            404,
-                            error_body(&format!("no open session for source {source}")),
-                        )
-                    },
-                )
-            };
-            let sa = match load(a, wa) {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let sb = match load(b, wb) {
-                Ok(s) => s,
-                Err(e) => return Ok(e),
-            };
-            let (ba, bb) = (sa.score(v), sb.score(v));
-            // Certain only when the ε-intervals are disjoint, same as
-            // the in-session compare semantics.
-            let order = if ba.lo > bb.hi {
-                "greater"
-            } else if ba.hi < bb.lo {
-                "less"
-            } else {
-                "undecidable"
-            };
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("a").uint(a as u64);
-            j.key("b").uint(b as u64);
-            j.key("v").uint(v as u64);
-            j.key("epoch_a").uint(sa.epoch());
-            j.key("epoch_b").uint(sb.epoch());
-            j.key("estimate_a").num(ba.estimate);
-            j.key("estimate_b").num(bb.estimate);
-            j.key("order").str(order);
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
-        "/sessions" => {
-            // The flat `sessions` array stays merged-and-sorted across
-            // shards (the unsharded wire shape); the per-shard blocks
-            // expose the partition.
-            let mut all: Vec<VertexId> = Vec::new();
-            for s in &ctx.shards {
-                all.extend(s.registry.sources());
-            }
-            all.sort_unstable();
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("capacity")
-                .uint(ctx.shards.iter().map(|s| s.registry.capacity() as u64).sum());
-            j.key("sessions").begin_arr();
-            for s in all {
-                j.uint(s as u64);
-            }
-            j.end_arr();
-            j.key("write_shards").begin_arr();
-            for s in &ctx.shards {
-                j.begin_obj();
-                j.key("shard").uint(s.index as u64);
-                j.key("capacity").uint(s.registry.capacity() as u64);
-                j.key("sessions").begin_arr();
-                for src in s.registry.sources() {
-                    j.uint(src as u64);
-                }
-                j.end_arr();
-                j.end_obj();
-            }
-            j.end_arr();
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
-        "/session/open" | "/session/close" => {
-            let source: VertexId = req.require("source")?;
-            let open = req.path == "/session/open";
-            if open && source as usize >= ctx.vertex_bound {
-                return Err(format!(
-                    "source {source} is outside the graph's vertex bound {}",
-                    ctx.vertex_bound
-                ));
-            }
-            let ctl = if open {
-                Control::Open(source)
-            } else {
-                Control::Close(source)
-            };
-            // Applied by the owning shard's write loop between batches;
-            // the response acknowledges acceptance, not completion.
-            let ws = shard_of(source, ctx.shards.len());
-            let accepted = ctl_txs[ws].send(ctl).is_ok();
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("accepted").bool(accepted);
-            j.key(if open { "opening" } else { "closing" }).uint(source as u64);
-            j.key("write_shard").uint(ws as u64);
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
-        "/stats" => {
-            let cache = ctx.cache_stats();
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("epoch").uint(ctx.epoch_min());
-            j.key("slides").uint(ctx.stats.slides.load(Relaxed));
-            j.key("updates_offered").uint(ctx.stats.updates_offered.load(Relaxed));
-            j.key("updates_applied").uint(ctx.stats.updates_applied.load(Relaxed));
-            j.key("updates_per_sec").num(ctx.stats.updates_per_sec());
-            j.key("stream_done").bool(ctx.stats.stream_done.load(Relaxed));
-            j.key("queries").uint(ctx.stats.queries.load(Relaxed));
-            j.key("shed").uint(ctx.stats.shed.load(Relaxed));
-            j.key("sessions").uint(ctx.sessions_len() as u64);
-            j.key("sessions_opened").uint(ctx.stats.sessions_opened.load(Relaxed));
-            j.key("sessions_closed").uint(ctx.stats.sessions_closed.load(Relaxed));
-            j.key("sessions_evicted").uint(ctx.stats.sessions_evicted.load(Relaxed));
-            j.key("http").begin_obj();
-            j.key("connections").uint(ctx.conn.accepted.load(Relaxed));
-            j.key("requests").uint(ctx.conn.requests.load(Relaxed));
-            j.key("bad_requests").uint(ctx.conn.bad_requests.load(Relaxed));
-            j.key("read_timeouts").uint(ctx.conn.read_timeouts.load(Relaxed));
-            j.key("write_timeouts").uint(ctx.conn.write_timeouts.load(Relaxed));
-            j.end_obj();
-            j.key("cache").begin_obj();
-            j.key("hits").uint(cache.hits);
-            j.key("misses").uint(cache.misses);
-            j.key("evictions").uint(cache.evictions);
-            j.key("stale_purged").uint(cache.stale_purged);
-            j.key("hit_rate").num(cache.hit_rate());
-            j.end_obj();
-            j.key("durability").begin_obj();
-            j.key("enabled").bool(ctx.durability_enabled);
-            j.key("degraded").bool(ctx.stats.degraded.load(Relaxed));
-            j.key("durable_epoch").uint(ctx.stats.durable_epoch.load(Relaxed));
-            j.key("checkpoints").uint(ctx.stats.checkpoints.load(Relaxed));
-            j.key("checkpoint_failures")
-                .uint(ctx.stats.checkpoint_failures.load(Relaxed));
-            j.key("wal_records").uint(ctx.stats.wal_records.load(Relaxed));
-            j.key("wal_segments").uint(ctx.stats.wal_segments.load(Relaxed));
-            let wal = ctx.shards.iter().fold(WalStats::default(), |mut acc, s| {
-                let w = *s.wal.lock().unwrap();
-                acc.appends += w.appends;
-                acc.syncs += w.syncs;
-                acc.sync_nanos += w.sync_nanos;
-                acc.bytes_written += w.bytes_written;
-                acc.pruned_segments += w.pruned_segments;
-                acc
-            });
-            j.key("wal_syncs").uint(wal.syncs);
-            j.key("wal_bytes").uint(wal.bytes_written);
-            j.key("wal_pruned_segments").uint(wal.pruned_segments);
-            j.end_obj();
-            // Engine push-work counters, cumulative, summed across write
-            // shards (each refreshed by its own write loop per slide).
-            let engine = merged_engine_fields(ctx);
-            j.key("engine").begin_obj();
-            for (name, v) in engine {
-                j.key(name).uint(v);
-            }
-            j.end_obj();
-            // Every shard applies the identical stream, so the graphs
-            // are replicas — shard 0's occupancy stands for all.
-            let graph = *ctx.shards[0].graph.lock().unwrap();
-            j.key("graph").begin_obj();
-            j.key("arena_slots").uint(graph.arena_slots as u64);
-            j.key("live_slots").uint(graph.live_slots as u64);
-            j.key("dead_slots").uint(graph.dead_slots as u64);
-            j.key("hub_vertices").uint(graph.hub_vertices as u64);
-            j.key("utilization").num(graph.utilization());
-            j.end_obj();
-            // The stream block reports the *laggard* shard's window —
-            // the freshness floor every session is guaranteed.
-            let laggard = ctx
-                .shards
-                .iter()
-                .min_by_key(|s| s.window_end.load(Relaxed))
-                .expect("at least one write shard");
-            j.key("stream").begin_obj();
-            let end = laggard.window_end.load(Relaxed);
-            j.key("window_start").uint(laggard.window_start.load(Relaxed));
-            j.key("window_end").uint(end);
-            j.key("stream_len").uint(ctx.stream_len);
-            j.key("fraction_consumed").num(if ctx.stream_len == 0 {
-                1.0
-            } else {
-                end as f64 / ctx.stream_len as f64
-            });
-            j.end_obj();
-            j.key("write_shards").begin_arr();
-            for s in &ctx.shards {
-                let c = s.cache.stats();
-                j.begin_obj();
-                j.key("shard").uint(s.index as u64);
-                j.key("epoch").uint(s.domain.epoch());
-                j.key("slides").uint(s.slides.load(Relaxed));
-                j.key("sessions").uint(s.registry.len() as u64);
-                j.key("session_capacity").uint(s.registry.capacity() as u64);
-                j.key("stream_done").bool(s.stream_done.load(Relaxed));
-                j.key("degraded").bool(s.degraded.load(Relaxed));
-                j.key("durable_epoch").uint(s.durable_epoch.load(Relaxed));
-                j.key("wal_records").uint(s.wal_records.load(Relaxed));
-                j.key("wal_segments").uint(s.wal_segments.load(Relaxed));
-                j.key("window_start").uint(s.window_start.load(Relaxed));
-                j.key("window_end").uint(s.window_end.load(Relaxed));
-                j.key("cache").begin_obj();
-                j.key("hits").uint(c.hits);
-                j.key("misses").uint(c.misses);
-                j.key("evictions").uint(c.evictions);
-                j.key("stale_purged").uint(c.stale_purged);
-                j.end_obj();
-                j.end_obj();
-            }
-            j.end_arr();
-            j.key("shards").begin_arr();
-            for (conns, depth) in &ctx.shard_gauges {
-                j.begin_obj();
-                j.key("connections").uint(conns.get().max(0) as u64);
-                j.key("queue_depth").uint(depth.get().max(0) as u64);
-                j.end_obj();
-            }
-            j.end_arr();
-            // Stage-latency summaries out of the same histograms
-            // `/metrics` exposes (seconds at bucket resolution).
-            let m = &ctx.metrics;
-            j.key("timings").begin_obj();
-            for (name, h) in [
-                ("http_request", &m.http_request),
-                ("slide_apply", &m.slide_apply),
-                ("push_wall", &m.push_wall),
-                ("snapshot_publish", &m.snapshot_publish),
-                ("wal_append", &m.wal_append),
-                ("wal_fsync", &m.wal_fsync),
-                ("checkpoint", &m.checkpoint),
-            ] {
-                let s = h.snapshot();
-                j.key(name).begin_obj();
-                j.key("count").uint(s.count);
-                j.key("p50_s").num(s.p50() as f64 / 1e9);
-                j.key("p99_s").num(s.p99() as f64 / 1e9);
-                j.end_obj();
-            }
-            j.end_obj();
-            j.key("trace").begin_obj();
-            j.key("enabled").bool(m.trace_requests.enabled());
-            j.key("buffered").uint(m.trace.len() as u64);
-            j.key("dropped").uint(m.trace.dropped());
-            j.end_obj();
-            // Accuracy-audit scalars (zeros while auditing is off).
-            let a = &ctx.audit;
-            j.key("audit").begin_obj();
-            j.key("enabled").bool(a.enabled);
-            j.key("sample").uint(a.sample as u64);
-            j.key("runs").uint(a.runs.load(Relaxed));
-            j.key("sessions_audited").uint(a.sessions_audited.load(Relaxed));
-            j.key("bound_violations").uint(a.bound_violations.load(Relaxed));
-            j.key("cpu_seconds").num(a.cpu_nanos.load(Relaxed) as f64 / 1e9);
-            j.key("last_epoch").uint(a.last_epoch.load(Relaxed));
-            j.key("staleness_epochs").uint(a.staleness_epochs.load(Relaxed));
-            j.key("last_l1_error").num(a.last_l1.get());
-            j.key("last_linf_error").num(a.last_linf.get());
-            j.key("max_linf_error").num(a.max_linf.get());
-            j.key("last_topk_overlap_10").num(a.last_overlap10.get());
-            j.key("last_topk_overlap_50").num(a.last_overlap50.get());
-            j.key("last_invariant_residual").num(a.last_residual.get());
-            j.end_obj();
-            j.key("slos").begin_arr();
-            for (spec, st) in ctx.slo.specs.iter().zip(&ctx.slo.status) {
-                j.begin_obj();
-                j.key("name").str(spec.name);
-                j.key("target").num(spec.target);
-                j.key("burn_fast").num(st.burn_fast.get());
-                j.key("burn_slow").num(st.burn_slow.get());
-                j.key("breaching").bool(st.breaching.load(Relaxed));
-                j.key("breaches_total").uint(st.breaches.load(Relaxed));
-                j.end_obj();
-            }
-            j.end_arr();
-            let proc = dppr_obs::ProcessStats::sample();
-            j.key("process").begin_obj();
-            j.key("rss_bytes").uint(proc.rss_bytes);
-            j.key("open_fds").uint(proc.open_fds);
-            j.key("threads").uint(proc.threads);
-            j.end_obj();
-            j.key("series").begin_obj();
-            j.key("interval_ms").num(ctx.audit_interval.as_secs_f64() * 1e3);
-            j.key("samples").uint(ctx.series.len() as u64);
-            j.end_obj();
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
-        "/shutdown" => {
-            ctx.shutdown.store(true, SeqCst);
-            // Wake the blocking accept so the acceptor can exit; shards
-            // notice the flag within their poll ceiling.
-            let _ = TcpStream::connect(ctx.addr);
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("shutting_down").bool(true);
-            j.end_obj();
-            Ok(Response::new(200, j.finish()))
-        }
-        other => Ok(Response::new(404, error_body(&format!("unknown endpoint {other}")))),
-    }
-}
-
-/// Element-wise sum of every write shard's engine counters, in the
-/// stable [`CounterSnapshot::fields`] order.
-fn merged_engine_fields(ctx: &Ctx) -> [(&'static str, u64); 11] {
-    let mut acc = ctx.shards[0].engine.lock().unwrap().fields();
-    for s in &ctx.shards[1..] {
-        for (slot, (_, v)) in acc.iter_mut().zip(s.engine.lock().unwrap().fields()) {
-            slot.1 += v;
-        }
-    }
-    acc
-}
-
-/// Renders the full Prometheus exposition: the registered histogram and
-/// gauge families first, then every counter that already lives in
-/// `ServerStats` / `ConnCounters` / the caches / the engines, emitted at
-/// scrape time so nothing is double-counted. Cross-shard families keep
-/// their unsharded meaning (sums for counters, the freshness floor for
-/// epochs); the `dppr_write_shard_*` families expose each shard.
-fn render_metrics(ctx: &Ctx) -> String {
-    let stats = &ctx.stats;
-    let cache = ctx.cache_stats();
-    let mut extra = PromText::new();
-    extra.gauge_f64(
-        "dppr_uptime_seconds",
-        "Seconds since the instance started serving",
-        ctx.start.elapsed().as_secs_f64(),
-    );
-    extra.gauge_u64(
-        "dppr_epoch",
-        "Last published epoch (minimum across write shards)",
-        ctx.epoch_min(),
-    );
-    extra.counter_u64("dppr_slides_total", "Window slides applied", stats.slides.load(Relaxed));
-    extra.counter_u64(
-        "dppr_updates_offered_total",
-        "Updates handed to the engine (arcs)",
-        stats.updates_offered.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_updates_applied_total",
-        "Updates that changed the graph",
-        stats.updates_applied.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_queries_total",
-        "Query requests answered (any kind, any status)",
-        stats.queries.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_shed_total",
-        "Requests shed 503 under lag or connection pressure",
-        stats.shed.load(Relaxed),
-    );
-    extra.gauge_u64("dppr_sessions", "Open sessions", ctx.sessions_len() as u64);
-    extra.counter_u64(
-        "dppr_sessions_opened_total",
-        "Sessions opened over HTTP",
-        stats.sessions_opened.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_sessions_closed_total",
-        "Sessions closed over HTTP",
-        stats.sessions_closed.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_sessions_evicted_total",
-        "Sessions evicted by the LRU budget",
-        stats.sessions_evicted.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_http_connections_total",
-        "Connections adopted by the shards",
-        ctx.conn.accepted.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_http_requests_total",
-        "HTTP requests answered",
-        ctx.conn.requests.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_http_bad_requests_total",
-        "Malformed or oversized requests answered 400",
-        ctx.conn.bad_requests.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_http_read_timeouts_total",
-        "Connections reaped by the read deadline",
-        ctx.conn.read_timeouts.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_http_write_timeouts_total",
-        "Connections reaped by the write deadline",
-        ctx.conn.write_timeouts.load(Relaxed),
-    );
-    extra.counter_u64("dppr_cache_hits_total", "Query-cache hits", cache.hits);
-    extra.counter_u64("dppr_cache_misses_total", "Query-cache misses", cache.misses);
-    extra.counter_u64("dppr_cache_evictions_total", "Query-cache evictions", cache.evictions);
-    extra.counter_u64(
-        "dppr_cache_stale_purged_total",
-        "Dead-epoch cache entries purged at insert",
-        cache.stale_purged,
-    );
-    extra.gauge_f64(
-        "dppr_cache_hit_rate",
-        "Query-cache hit rate (0 before any lookup)",
-        cache.hit_rate(),
-    );
-    // Engine push-work counters (the paper's operation quantities),
-    // summed across write shards.
-    for (name, v) in merged_engine_fields(ctx) {
-        let fam = format!("dppr_engine_{name}_total");
-        extra.counter_u64(&fam, "Cumulative engine push-work counter", v);
-    }
-    let graph = *ctx.shards[0].graph.lock().unwrap();
-    extra.gauge_u64(
-        "dppr_graph_arena_slots",
-        "Adjacency-arena slots (live + slack + garbage)",
-        graph.arena_slots as u64,
-    );
-    extra.gauge_u64("dppr_graph_live_slots", "Live adjacency slots (2m)", graph.live_slots as u64);
-    extra.gauge_u64(
-        "dppr_graph_dead_slots",
-        "Garbage slots awaiting compaction",
-        graph.dead_slots as u64,
-    );
-    extra.gauge_u64(
-        "dppr_graph_hub_vertices",
-        "Vertices on the hash-membership (hub) path",
-        graph.hub_vertices as u64,
-    );
-    extra.gauge_f64("dppr_graph_utilization", "Live fraction of the arena", graph.utilization());
-    // The laggard shard's window: the freshness floor across sessions.
-    let laggard = ctx
-        .shards
-        .iter()
-        .min_by_key(|s| s.window_end.load(Relaxed))
-        .expect("at least one write shard");
-    let end = laggard.window_end.load(Relaxed);
-    extra.gauge_u64(
-        "dppr_stream_window_start",
-        "Window start (stream position)",
-        laggard.window_start.load(Relaxed),
-    );
-    extra.gauge_u64("dppr_stream_window_end", "Window end (stream position)", end);
-    extra.gauge_u64("dppr_stream_len", "Total logical edges in the stream", ctx.stream_len);
-    extra.gauge_f64(
-        "dppr_stream_fraction_consumed",
-        "Share of the stream that has arrived",
-        if ctx.stream_len == 0 { 1.0 } else { end as f64 / ctx.stream_len as f64 },
-    );
-    extra.gauge_u64(
-        "dppr_durability_enabled",
-        "1 when a WAL and checkpoints are configured",
-        ctx.durability_enabled as u64,
-    );
-    extra.gauge_u64(
-        "dppr_degraded",
-        "1 once a WAL failure forced read-only serving",
-        stats.degraded.load(Relaxed) as u64,
-    );
-    extra.gauge_u64(
-        "dppr_durable_epoch",
-        "Epoch of the newest durable checkpoint",
-        stats.durable_epoch.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_checkpoints_total",
-        "Checkpoints written successfully",
-        stats.checkpoints.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_checkpoint_failures_total",
-        "Checkpoint attempts that failed",
-        stats.checkpoint_failures.load(Relaxed),
-    );
-    let wal = ctx.shards.iter().fold(WalStats::default(), |mut acc, s| {
-        let w = *s.wal.lock().unwrap();
-        acc.appends += w.appends;
-        acc.syncs += w.syncs;
-        acc.sync_nanos += w.sync_nanos;
-        acc.bytes_written += w.bytes_written;
-        acc.pruned_segments += w.pruned_segments;
-        acc
-    });
-    extra.counter_u64("dppr_wal_records_total", "Records appended to the WAL", wal.appends);
-    extra.counter_u64("dppr_wal_syncs_total", "WAL device flushes issued", wal.syncs);
-    extra.counter_u64("dppr_wal_bytes_total", "WAL bytes written (payload + framing)", wal.bytes_written);
-    extra.counter_u64(
-        "dppr_wal_pruned_segments_total",
-        "WAL segments deleted by retention",
-        wal.pruned_segments,
-    );
-    extra.gauge_u64(
-        "dppr_wal_segments",
-        "Live WAL segments (sealed + active)",
-        stats.wal_segments.load(Relaxed),
-    );
-    // Accuracy-audit scalars (the error *distributions* are the
-    // registered dppr_audit_* histograms below).
-    let audit = &ctx.audit;
-    extra.gauge_u64(
-        "dppr_audit_enabled",
-        "1 when online accuracy auditing is configured",
-        audit.enabled as u64,
-    );
-    extra.counter_u64("dppr_audit_runs_total", "Audit ticks completed", audit.runs.load(Relaxed));
-    extra.counter_u64(
-        "dppr_audit_sessions_total",
-        "Sessions audited against ground truth",
-        audit.sessions_audited.load(Relaxed),
-    );
-    extra.counter_u64(
-        "dppr_audit_bound_violations_total",
-        "Audited sessions whose max error exceeded the epsilon contract",
-        audit.bound_violations.load(Relaxed),
-    );
-    extra.family(
-        "dppr_audit_cpu_seconds_total",
-        "Observer wall time spent auditing (clone-free side only)",
-        "counter",
-    );
-    extra.series_f64("dppr_audit_cpu_seconds_total", None, audit.cpu_nanos.load(Relaxed) as f64 / 1e9);
-    extra.gauge_u64(
-        "dppr_audit_last_epoch",
-        "Epoch of the newest completed audit",
-        audit.last_epoch.load(Relaxed),
-    );
-    extra.gauge_u64(
-        "dppr_audit_staleness_epochs",
-        "Shard epoch minus audited epoch at last report",
-        audit.staleness_epochs.load(Relaxed),
-    );
-    extra.gauge_f64(
-        "dppr_audit_last_linf_error",
-        "Max per-vertex error in the newest audit",
-        audit.last_linf.get(),
-    );
-    extra.gauge_f64(
-        "dppr_audit_max_linf_error",
-        "Largest per-vertex error ever audited",
-        audit.max_linf.get(),
-    );
-    extra.gauge_f64(
-        "dppr_audit_invariant_residual",
-        "Largest Eq. 2 invariant violation in the newest audit",
-        audit.last_residual.get(),
-    );
-    // SLO burn rates: one {slo,window} series per target and window.
-    if !ctx.slo.specs.is_empty() {
-        extra.family(
-            "dppr_slo_burn_rate",
-            "Error-budget burn rate per SLO and window (>= 1 on the fast window is a breach)",
-            "gauge",
-        );
-        for (spec, st) in ctx.slo.specs.iter().zip(&ctx.slo.status) {
-            extra.series_f64_multi(
-                "dppr_slo_burn_rate",
-                &[("slo", spec.name), ("window", "fast")],
-                st.burn_fast.get(),
-            );
-            extra.series_f64_multi(
-                "dppr_slo_burn_rate",
-                &[("slo", spec.name), ("window", "slow")],
-                st.burn_slow.get(),
-            );
-        }
-        extra.family(
-            "dppr_slo_breaching",
-            "1 while the SLO's fast-window burn is at or above 1",
-            "gauge",
-        );
-        extra.family("dppr_slo_breach_total", "Healthy-to-breaching transitions per SLO", "counter");
-        for (spec, st) in ctx.slo.specs.iter().zip(&ctx.slo.status) {
-            extra.series_u64_multi(
-                "dppr_slo_breaching",
-                &[("slo", spec.name)],
-                st.breaching.load(Relaxed) as u64,
-            );
-            extra.series_u64_multi(
-                "dppr_slo_breach_total",
-                &[("slo", spec.name)],
-                st.breaches.load(Relaxed),
-            );
-        }
-    }
-    // Process-level gauges out of /proc/self (all 0 without procfs).
-    let proc = dppr_obs::ProcessStats::sample();
-    extra.gauge_u64("dppr_process_rss_bytes", "Resident set size", proc.rss_bytes);
-    extra.gauge_u64("dppr_process_open_fds", "Open file descriptors", proc.open_fds);
-    extra.gauge_u64("dppr_process_threads", "OS threads", proc.threads);
-    extra.gauge_u64(
-        "dppr_metrics_series_samples",
-        "Rows retained by the in-process metrics time-series",
-        ctx.series.len() as u64,
-    );
-    extra.gauge_u64(
-        "dppr_trace_buffered",
-        "Trace events currently buffered",
-        ctx.metrics.trace.len() as u64,
-    );
-    extra.counter_u64(
-        "dppr_trace_dropped_total",
-        "Trace events evicted from the ring",
-        ctx.metrics.trace.dropped(),
-    );
-    // Per-write-shard scalar families: one labelled series per shard so
-    // a straggling, degraded, or behind-on-checkpoints shard is visible
-    // without scraping logs. (The labelled stage *histograms* come from
-    // the registry render below.)
-    struct ShardFam {
-        name: &'static str,
-        help: &'static str,
-        kind: &'static str,
-        get: fn(&WriteShardState) -> u64,
-    }
-    let fams = [
-        ShardFam {
-            name: "dppr_write_shard_epoch",
-            help: "Published epoch per write shard",
-            kind: "gauge",
-            get: |s| s.domain.epoch(),
-        },
-        ShardFam {
-            name: "dppr_write_shard_slides_total",
-            help: "Window slides applied per write shard",
-            kind: "counter",
-            get: |s| s.slides.load(Relaxed),
-        },
-        ShardFam {
-            name: "dppr_write_shard_sessions",
-            help: "Open sessions per write shard",
-            kind: "gauge",
-            get: |s| s.registry.len() as u64,
-        },
-        ShardFam {
-            name: "dppr_write_shard_durable_epoch",
-            help: "Newest durable checkpoint epoch per write shard",
-            kind: "gauge",
-            get: |s| s.durable_epoch.load(Relaxed),
-        },
-        ShardFam {
-            name: "dppr_write_shard_degraded",
-            help: "1 once the shard's WAL failed (read-only)",
-            kind: "gauge",
-            get: |s| s.degraded.load(Relaxed) as u64,
-        },
-        ShardFam {
-            name: "dppr_write_shard_stream_done",
-            help: "1 once the shard ran its stream copy dry",
-            kind: "gauge",
-            get: |s| s.stream_done.load(Relaxed) as u64,
-        },
-        ShardFam {
-            name: "dppr_write_shard_window_end",
-            help: "Window end (stream position) per write shard",
-            kind: "gauge",
-            get: |s| s.window_end.load(Relaxed),
-        },
-    ];
-    for fam in fams {
-        extra.family(fam.name, fam.help, fam.kind);
-        for s in &ctx.shards {
-            let label = ("write_shard", s.index.to_string());
-            extra.series_u64(fam.name, Some(&label), (fam.get)(s));
-        }
-    }
-    ctx.metrics.registry.render_prometheus(&mut extra)
 }

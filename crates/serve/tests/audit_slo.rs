@@ -11,15 +11,19 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn get(addr: SocketAddr, target: &str) -> (u16, String) {
+fn request(addr: SocketAddr, method: &str, target: &str) -> (u16, String) {
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(conn, "GET {target} HTTP/1.0\r\nHost: dppr\r\n\r\n").unwrap();
+    write!(conn, "{method} {target} HTTP/1.0\r\nHost: dppr\r\n\r\n").unwrap();
     let mut raw = String::new();
     conn.read_to_string(&mut raw).expect("read response");
     let status: u16 = raw.split_whitespace().nth(1).expect("status").parse().expect("numeric");
     let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
     (status, body)
+}
+
+fn get(addr: SocketAddr, target: &str) -> (u16, String) {
+    request(addr, "GET", target)
 }
 
 /// First sample of family `name` in a Prometheus exposition (skips
@@ -90,7 +94,7 @@ fn audit_reports_errors_within_bound_across_shards() {
     assert!(stats.contains("\"audit\":{\"enabled\":true"), "{stats}");
     assert!(stats.contains("\"bound_violations\":0"), "{stats}");
 
-    get(addr, "/shutdown");
+    request(addr, "POST", "/shutdown");
     handle.join();
 }
 
@@ -137,7 +141,7 @@ fn corrupted_snapshot_fires_bound_violation() {
     let last_linf = metric_value(&body, "dppr_audit_last_linf_error").unwrap();
     assert!(last_linf > epsilon, "audited error {last_linf} should dwarf epsilon");
 
-    get(addr, "/shutdown");
+    request(addr, "POST", "/shutdown");
     handle.join();
 }
 
@@ -204,7 +208,7 @@ fn latency_slo_breach_degrades_health_and_sheds() {
     assert_eq!(shed.0, 503, "{}", shed.1);
     assert!(shed.1.contains("latency SLO"), "{}", shed.1);
 
-    get(addr, "/shutdown");
+    request(addr, "POST", "/shutdown");
     handle.join();
 }
 
@@ -263,7 +267,7 @@ fn series_endpoint_serves_catalog_and_windows() {
     assert!(metric_value(&metrics, "dppr_process_rss_bytes").unwrap() > 0.0);
     assert!(metric_value(&metrics, "dppr_process_threads").unwrap() >= 1.0);
 
-    get(addr, "/shutdown");
+    request(addr, "POST", "/shutdown");
     handle.join();
 }
 
@@ -302,6 +306,6 @@ fn trace_endpoint_filters_by_limit_and_kind() {
     let (status, body) = get(addr, "/trace?kind=nonsense");
     assert_eq!(status, 400, "{body}");
 
-    get(addr, "/shutdown");
+    request(addr, "POST", "/shutdown");
     handle.join();
 }

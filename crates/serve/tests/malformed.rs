@@ -75,6 +75,18 @@ fn malformed_request_corpus() {
     let resp = send_raw(addr, b"EHLO mail.example.com\r\n\r\n");
     assert!(resp.starts_with("HTTP/1.1 400"), "non-http: {resp:?}");
 
+    // --- state-changing endpoints insist on POST: 405, nothing happens ---
+    for target in ["/shutdown", "/session/open?source=7", "/session/close?source=0"] {
+        for method in ["GET", "DELETE"] {
+            let req = format!("{method} {target} HTTP/1.1\r\nHost: dppr\r\nConnection: close\r\n\r\n");
+            let resp = send_raw(addr, req.as_bytes());
+            assert!(resp.starts_with("HTTP/1.1 405 Method Not Allowed"), "{method} {target}: {resp:?}");
+            assert!(resp.contains("requires POST"), "{resp}");
+        }
+    }
+    assert!(!handle.is_shutdown(), "GET /shutdown must not stop the server");
+    assert_eq!(handle.registry().sources(), [0], "GET must neither open nor close a session");
+
     // --- missing blank line: no response, reaped by the read deadline ----
     let before = handle.conn_counters().read_timeouts.load(Relaxed);
     let resp = send_raw(addr, b"GET /healthz HTTP/1.1\r\nHost: dppr\r\n");

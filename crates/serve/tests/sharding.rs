@@ -12,15 +12,23 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-fn get(addr: SocketAddr, target: &str) -> (u16, String) {
+fn request(addr: SocketAddr, method: &str, target: &str) -> (u16, String) {
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(conn, "GET {target} HTTP/1.0\r\nHost: dppr\r\n\r\n").unwrap();
+    write!(conn, "{method} {target} HTTP/1.0\r\nHost: dppr\r\n\r\n").unwrap();
     let mut raw = String::new();
     conn.read_to_string(&mut raw).expect("read response");
     let status: u16 = raw.split_whitespace().nth(1).expect("status").parse().expect("numeric");
     let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
     (status, body)
+}
+
+fn get(addr: SocketAddr, target: &str) -> (u16, String) {
+    request(addr, "GET", target)
+}
+
+fn post(addr: SocketAddr, target: &str) -> (u16, String) {
+    request(addr, "POST", target)
 }
 
 fn the_stream() -> GraphStream {
@@ -96,13 +104,13 @@ fn session_routing_is_stable_across_reopen() {
 
     for source in [7u32, 42, 99] {
         let want = format!("\"write_shard\":{}", shard_of(source, n));
-        let (status, body) = get(addr, &format!("/session/open?source={source}"));
+        let (status, body) = post(addr, &format!("/session/open?source={source}"));
         assert_eq!(status, 200, "{body}");
         assert!(body.contains(&want), "open must land on the hash-owned shard: {body}");
-        let (status, body) = get(addr, &format!("/session/close?source={source}"));
+        let (status, body) = post(addr, &format!("/session/close?source={source}"));
         assert_eq!(status, 200, "{body}");
         assert!(body.contains(&want), "close must route to the same shard: {body}");
-        let (status, body) = get(addr, &format!("/session/open?source={source}"));
+        let (status, body) = post(addr, &format!("/session/open?source={source}"));
         assert_eq!(status, 200, "{body}");
         assert!(body.contains(&want), "reopen must land on the same shard again: {body}");
     }
@@ -193,7 +201,7 @@ fn eviction_budgets_are_per_shard() {
     // acknowledged on acceptance and applied by the write loop between
     // batches, so wait for the last one to land before inspecting.
     for s in &crowd[1..7] {
-        let (status, body) = get(addr, &format!("/session/open?source={s}"));
+        let (status, body) = post(addr, &format!("/session/open?source={s}"));
         assert_eq!(status, 200, "{body}");
     }
     let deadline = Instant::now() + Duration::from_secs(30);

@@ -13,12 +13,16 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-fn get(addr: std::net::SocketAddr, target: &str) -> String {
+fn request(addr: std::net::SocketAddr, method: &str, target: &str) -> String {
     let mut conn = TcpStream::connect(addr).expect("connect");
-    write!(conn, "GET {target} HTTP/1.0\r\nHost: dppr\r\n\r\n").unwrap();
+    write!(conn, "{method} {target} HTTP/1.0\r\nHost: dppr\r\n\r\n").unwrap();
     let mut raw = String::new();
     conn.read_to_string(&mut raw).unwrap();
     raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or(raw)
+}
+
+fn get(addr: std::net::SocketAddr, target: &str) -> String {
+    request(addr, "GET", target)
 }
 
 fn main() {
@@ -63,7 +67,7 @@ fn main() {
     // cold-starts it between batches. (Picked to not already be tracked,
     // so this genuinely exercises the cold-start path.)
     let newcomer = (0..n).find(|v| !sources.contains(v)).expect("an untracked vertex");
-    get(addr, &format!("/session/open?source={newcomer}"));
+    request(addr, "POST", &format!("/session/open?source={newcomer}"));
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let body = get(addr, &format!("/topk?source={newcomer}&k=3"));

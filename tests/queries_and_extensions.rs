@@ -1,12 +1,10 @@
-//! Integration coverage for the extension layers: ε-aware queries,
-//! multi-source maintenance, and the parallel batch-restore prelude —
-//! all driven through the public facade over a live stream.
+//! Integration coverage for the extension layers: ε-aware queries and
+//! multi-source maintenance, driven through the public facade over a
+//! live stream.
 
 use dppr::core::queries::{above_threshold, compare, top_k};
 use dppr::core::multi::MultiSourcePpr;
-use dppr::core::{
-    exact_ppr, DynamicPprEngine, ParallelEngine, PprConfig, PushVariant,
-};
+use dppr::core::{exact_ppr, ParallelEngine, PprConfig, PushVariant};
 use dppr::graph::generators::{barabasi_albert, undirected_to_directed};
 use dppr::graph::{DynamicGraph, GraphStream};
 use dppr::stream::StreamDriver;
@@ -104,28 +102,5 @@ fn multi_source_tracks_each_hub_through_slides() {
         let top = multi.top_k(i, 5);
         assert_eq!(top.len(), 5);
         assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
-    }
-}
-
-#[test]
-fn parallel_restore_engine_matches_serial_restore_engine() {
-    let cfg = PprConfig::new(0, 0.15, 1e-4);
-    let run = |parallel_restore: bool| {
-        let mut engine = ParallelEngine::new(cfg, PushVariant::OPT);
-        engine.set_parallel_restore(parallel_restore);
-        let mut driver = StreamDriver::new(stream(), 0.1);
-        driver.bootstrap(&mut engine);
-        driver.run_slides(&mut engine, 150, 8);
-        (engine.estimates(), driver.graph().num_edges())
-    };
-    let (serial, edges_a) = run(false);
-    let (parallel, edges_b) = run(true);
-    assert_eq!(edges_a, edges_b);
-    for v in 0..serial.len().max(parallel.len()) {
-        let a = serial.get(v).copied().unwrap_or(0.0);
-        let b = parallel.get(v).copied().unwrap_or(0.0);
-        // Restore is bit-identical; only the pushes' float ordering may
-        // differ, so 2ε covers it with margin.
-        assert!((a - b).abs() <= 2e-4 + 1e-10, "vertex {v}");
     }
 }
