@@ -10,10 +10,11 @@
 //!   afterwards (the "not work-efficient" rejected design).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use dppr_core::fanout::{concat, default_threads, fan_out};
 use dppr_core::{AtomicF64, Phase};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const N: usize = 100_000;
@@ -58,19 +59,15 @@ fn apply_adds<E>(f: &Fixture, enqueue: E) -> Vec<u32>
 where
     E: Fn(u32, f64, f64, &mut Vec<u32>) + Sync,
 {
-    f.updates
-        .par_chunks(1024)
-        .fold(Vec::new, |mut acc, chunk| {
-            for &(v, inc) in chunk {
-                let pre = f.residuals[v as usize].fetch_add(inc);
-                enqueue(v, pre, pre + inc, &mut acc);
-            }
-            acc
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        })
+    let add = |range: Range<usize>| {
+        let mut acc = Vec::new();
+        for &(v, inc) in &f.updates[range] {
+            let pre = f.residuals[v as usize].fetch_add(inc);
+            enqueue(v, pre, pre + inc, &mut acc);
+        }
+        acc
+    };
+    fan_out(f.updates.len(), default_threads(), add, concat)
 }
 
 fn bench_frontier_gen(c: &mut Criterion) {
@@ -111,10 +108,13 @@ fn bench_frontier_gen(c: &mut Criterion) {
             || reset(&f),
             |_| {
                 apply_adds(&f, |_v, _pre, _cur, _acc| {});
-                (0..N as u32)
-                    .into_par_iter()
-                    .filter(|&v| Phase::Pos.active(f.residuals[v as usize].load(), EPS))
-                    .collect::<Vec<u32>>()
+                let scan = |range: Range<usize>| {
+                    range
+                        .filter(|&v| Phase::Pos.active(f.residuals[v].load(), EPS))
+                        .map(|v| v as u32)
+                        .collect::<Vec<u32>>()
+                };
+                fan_out(N, default_threads(), scan, concat)
             },
             BatchSize::PerIteration,
         )

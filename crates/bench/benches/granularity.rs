@@ -1,9 +1,10 @@
 //! Ablation: the hybrid granularity threshold of the parallel push
 //! (`PushOpts::seq_threshold`).
 //!
-//! `always_parallel` (threshold 0) pays rayon's fork/join on every
-//! iteration — the overhead CilkPlus's lazy stealing hides; `always_inline`
-//! (threshold ∞) is the one-worker schedule; `hybrid` is the default.
+//! `always_parallel` (threshold 0) pays two `thread::scope` fork/joins on
+//! every iteration — the overhead CilkPlus's lazy stealing hides;
+//! `always_inline` (threshold ∞) is the one-worker schedule; `hybrid` is
+//! the default (`fanout::FAN_OUT_MIN`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dppr_bench::{time_slides, Workload};

@@ -7,10 +7,11 @@
 //! propagation round over a BA graph.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use dppr_core::fanout::{concat, default_threads, fan_out};
 use dppr_core::AtomicF64;
 use dppr_graph::generators::{barabasi_albert, undirected_to_directed};
 use dppr_graph::DynamicGraph;
-use rayon::prelude::*;
+use std::ops::Range;
 
 fn fixture() -> (DynamicGraph, Vec<(u32, f64)>, Vec<AtomicF64>) {
     let g = DynamicGraph::from_edges(undirected_to_directed(&barabasi_albert(
@@ -35,13 +36,16 @@ fn bench_neighbor_update(c: &mut Criterion) {
         b.iter_batched(
             || residuals.iter().for_each(|r| r.store(0.0)),
             |_| {
-                frontier.par_iter().with_min_len(64).for_each(|&(u, w)| {
-                    let scaled = (1.0 - alpha) * w;
-                    for &v in g.in_neighbors(u) {
-                        residuals[v as usize]
-                            .fetch_add(scaled * g.inv_out_degree(v));
+                let add = |range: Range<usize>| {
+                    for &(u, w) in &frontier[range] {
+                        let scaled = (1.0 - alpha) * w;
+                        for &v in g.in_neighbors(u) {
+                            residuals[v as usize]
+                                .fetch_add(scaled * g.inv_out_degree(v));
+                        }
                     }
-                });
+                };
+                fan_out(frontier.len(), default_threads(), add, |(), ()| ());
             },
             BatchSize::PerIteration,
         )
@@ -52,22 +56,20 @@ fn bench_neighbor_update(c: &mut Criterion) {
             || residuals.iter().for_each(|r| r.store(0.0)),
             |_| {
                 // Phase 1: materialize all (target, delta) pairs.
-                let mut pairs: Vec<(u32, f64)> = frontier
-                    .par_iter()
-                    .with_min_len(64)
-                    .fold(Vec::new, |mut acc, &(u, w)| {
+                let emit = |range: Range<usize>| {
+                    let mut acc = Vec::new();
+                    for &(u, w) in &frontier[range] {
                         let scaled = (1.0 - alpha) * w;
                         for &v in g.in_neighbors(u) {
                             acc.push((v, scaled * g.inv_out_degree(v)));
                         }
-                        acc
-                    })
-                    .reduce(Vec::new, |mut a, mut b| {
-                        a.append(&mut b);
-                        a
-                    });
-                // Phase 2: parallel sort by target.
-                pairs.par_sort_unstable_by_key(|&(v, _)| v);
+                    }
+                    acc
+                };
+                let mut pairs: Vec<(u32, f64)> =
+                    fan_out(frontier.len(), default_threads(), emit, concat);
+                // Phase 2: sort by target.
+                pairs.sort_unstable_by_key(|&(v, _)| v);
                 // Phase 3: segmented reduce + contention-free writes.
                 let mut i = 0;
                 while i < pairs.len() {

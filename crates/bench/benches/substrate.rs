@@ -2,11 +2,11 @@
 //! CSR snapshotting, `RestoreInvariant`, and Monte-Carlo walk maintenance.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use dppr_core::fanout::{fan_out, threads_for};
 use dppr_core::{AtomicF64, Counters, PprConfig, PprState};
 use dppr_graph::generators::{barabasi_albert, erdos_renyi, undirected_to_directed};
 use dppr_graph::{CsrGraph, DynamicGraph, EdgeUpdate};
 use dppr_mc::MonteCarloPpr;
-use rayon::prelude::*;
 
 fn bench_atomic_f64(c: &mut Criterion) {
     let mut group = c.benchmark_group("atomic_f64");
@@ -24,9 +24,13 @@ fn bench_atomic_f64(c: &mut Criterion) {
         let hot = AtomicF64::new(0.0);
         b.iter_custom(|iters| {
             let start = std::time::Instant::now();
-            (0..iters).into_par_iter().for_each(|_| {
-                hot.fetch_add(1.0);
-            });
+            let n = iters as usize;
+            let add = |range: std::ops::Range<usize>| {
+                for _ in range {
+                    hot.fetch_add(1.0);
+                }
+            };
+            fan_out(n, threads_for(n), add, |(), ()| ());
             start.elapsed()
         })
     });

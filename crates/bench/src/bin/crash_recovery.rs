@@ -23,9 +23,9 @@
 //!    epoch, that replay covered exactly `recovered - checkpoint`
 //!    batches, and that a second probe is idempotent.
 //!
-//! Output: one TSV line per case, plus `BENCH_7_RECOVERY.json` with
-//! recovery-time numbers (the CI smoke step uploads it). Exits nonzero
-//! if any case fails.
+//! Output: one TSV line per case, plus a JSON report of recovery-time
+//! numbers at `--out <path>` (default `target/crash_recovery.json`, the
+//! path the CI smoke step uploads). Exits nonzero if any case fails.
 
 use dppr_core::{persist::state_fingerprint, MultiSourcePpr, PushVariant};
 use dppr_graph::{presets, GraphStream, VertexId};
@@ -528,7 +528,7 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|j| args.get(j + 1))
-        .map_or_else(|| "BENCH_7_RECOVERY.json".to_string(), Clone::clone);
+        .map_or_else(|| "target/crash_recovery.json".to_string(), Clone::clone);
 
     let root = std::env::temp_dir().join(format!("dppr_crash_{}", std::process::id()));
     std::fs::create_dir_all(&root).expect("creating scratch dir");
@@ -562,7 +562,7 @@ fn main() {
         sharded_err.as_deref().unwrap_or("ok")
     );
 
-    // BENCH_7_RECOVERY.json — recovery-time numbers for the CI artifact.
+    // The report — recovery-time numbers for the CI artifact.
     let mut json = String::from("{\n  \"cases\": [\n");
     for (i, o) in outcomes.iter().enumerate() {
         json.push_str(&format!(
@@ -590,6 +590,9 @@ fn main() {
         sharded_err.is_none(),
         failures.is_empty() && resume_err.is_none() && sharded_err.is_none()
     ));
+    if let Some(dir) = Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("creating the report's directory");
+    }
     std::fs::write(&out_path, json).expect("writing report JSON");
     println!("report\t{out_path}");
 

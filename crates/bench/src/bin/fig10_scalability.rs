@@ -1,7 +1,8 @@
 //! Figure 10 — multi-core scalability.
 //!
-//! Runs `CPU-MT[Opt]` on dedicated rayon pools of growing size and reports
-//! throughput and speedup over one worker. Paper's shape: throughput
+//! Runs `CPU-MT[Opt]` with a growing thread count
+//! (`ParallelEngine::with_threads`), one row per count up to `nproc`, and
+//! reports throughput and speedup over one thread. Paper's shape: throughput
 //! scales with the core count (sub-linearly — the push is memory-bound).
 //!
 //! Usage: `fig10_scalability [--full]`

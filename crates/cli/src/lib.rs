@@ -48,7 +48,9 @@ COMMANDS
              --preset NAME | --graph FILE [--undirected]
              --engine cpu-base|cpu-seq|cpu-mt|ligra|mc  [--variant opt|eager|dupdetect|vanilla]
              --batch K  --slides N  --alpha A  --epsilon E
-             [--source V | --top-bucket B]  [--seed S]  [--threads T]
+             [--source V | --top-bucket B]  [--seed S]
+             [--threads T (cpu-mt: threads a fanned-out push iteration
+             uses; default every core, 1 = deterministic)]
              [--walks-per-vertex W]  [--counters]
   query      Maintain PPR over the full graph, then answer queries.
              --graph FILE|--preset NAME [--undirected]
@@ -57,7 +59,8 @@ COMMANDS
   serve      Serve top-k/score/threshold/compare queries over HTTP while
              the update stream slides in the background.
              --graph FILE|--preset NAME [--undirected]
-             [--port P (7171; 0 = ephemeral)]  [--threads T]
+             [--port P (7171; 0 = ephemeral)]
+             [--threads T (4; HTTP event-loop shards)]
              [--sources 0,3,9 | --num-sources K]  [--cache-capacity N]
              [--session-capacity N]  [--alpha A] [--epsilon E] [--batch K]
              [--max-slides N]  [--slide-pause-ms MS]  [--run-secs S]

@@ -8,8 +8,9 @@
 //! detection* possible.
 //!
 //! All operations use `Relaxed` ordering: the values are pure data and every
-//! cross-thread hand-off in the push kernels happens across a rayon join
-//! barrier, which already establishes the necessary happens-before edges.
+//! cross-thread hand-off in the push kernels happens across the join of a
+//! `thread::scope` (see [`crate::fanout`]), which already establishes the
+//! necessary happens-before edges.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -9,7 +9,7 @@
 //! attempts), and how many iterations the push takes.
 //!
 //! Hot loops accumulate into a plain [`LocalCounters`] and flush once per
-//! rayon task, so profiling adds no per-edge atomic traffic.
+//! iteration, so profiling adds no per-edge atomic traffic.
 
 use std::fmt;
 use std::ops::Sub;
@@ -117,7 +117,7 @@ pub struct LocalCounters {
 }
 
 impl LocalCounters {
-    /// Adds `other` into `self` (used when rayon reduces accumulators).
+    /// Adds `other` into `self` (used when a fan-out merges per-range accumulators).
     pub fn merge(&mut self, other: &LocalCounters) {
         self.pushes += other.pushes;
         self.edge_traversals += other.edge_traversals;

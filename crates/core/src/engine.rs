@@ -13,13 +13,13 @@
 
 use crate::config::PprConfig;
 use crate::counters::{CounterSnapshot, Counters};
+use crate::fanout::default_threads;
 use crate::invariant::apply_update;
-use crate::par::{parallel_local_push_opts, ParPushBuffers};
+use crate::par::{parallel_local_push_opts, ParPushBuffers, PushOpts};
 use crate::seq::{sequential_local_push, SeqPushBuffers};
 use crate::state::PprState;
 use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Outcome of one [`DynamicPprEngine::apply_batch`] call.
@@ -165,38 +165,35 @@ pub struct ParallelEngine {
     counters: Counters,
     bufs: ParPushBuffers,
     seeds: Vec<VertexId>,
-    pool: Option<Arc<rayon::ThreadPool>>,
-    opts: crate::par::PushOpts,
+    threads: usize,
+    opts: PushOpts,
 }
 
 impl ParallelEngine {
-    /// Creates an engine running on the global rayon pool.
+    /// Creates an engine that fans large frontiers out over every core
+    /// ([`default_threads`]).
     pub fn new(cfg: PprConfig, variant: PushVariant) -> Self {
+        Self::with_threads(cfg, variant, default_threads())
+    }
+
+    /// Creates an engine whose fanned-out iterations use `threads` threads
+    /// (the scalability experiment of Figure 10). With `threads = 1` no
+    /// iteration ever leaves the calling thread, so equal inputs give
+    /// bit-identical states.
+    pub fn with_threads(cfg: PprConfig, variant: PushVariant, threads: usize) -> Self {
         ParallelEngine {
             state: PprState::new(cfg),
             variant,
             counters: Counters::new(),
             bufs: ParPushBuffers::new(),
             seeds: Vec::new(),
-            pool: None,
-            opts: crate::par::PushOpts::default(),
+            threads,
+            opts: PushOpts::default(),
         }
     }
 
-    /// Creates an engine pinned to a dedicated pool of `threads` workers
-    /// (the scalability experiment of Figure 10).
-    pub fn with_threads(cfg: PprConfig, variant: PushVariant, threads: usize) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("failed to build rayon pool");
-        let mut e = Self::new(cfg, variant);
-        e.pool = Some(Arc::new(pool));
-        e
-    }
-
     /// Overrides the push tuning options (granularity ablation).
-    pub fn set_opts(&mut self, opts: crate::par::PushOpts) {
+    pub fn set_opts(&mut self, opts: PushOpts) {
         self.opts = opts;
     }
 
@@ -235,18 +232,16 @@ impl DynamicPprEngine for ParallelEngine {
             }
         }
         // One parallel push for the batch.
-        let state = &self.state;
-        let variant = self.variant;
-        let seeds = &self.seeds;
-        let counters = &self.counters;
-        let bufs = &mut self.bufs;
-        let opts = self.opts;
-        match &self.pool {
-            Some(pool) => pool.install(|| {
-                parallel_local_push_opts(g, state, variant, seeds, counters, bufs, opts)
-            }),
-            None => parallel_local_push_opts(g, state, variant, seeds, counters, bufs, opts),
-        }
+        parallel_local_push_opts(
+            g,
+            &self.state,
+            self.variant,
+            &self.seeds,
+            &self.counters,
+            &mut self.bufs,
+            self.opts,
+            self.threads,
+        );
         self.counters.record_batch();
         BatchStats {
             latency: start.elapsed(),
@@ -272,8 +267,10 @@ impl DynamicPprEngine for ParallelEngine {
 mod tests {
     use super::*;
     use crate::ground_truth::exact_ppr;
+    use crate::fanout::FAN_OUT_MIN;
     use crate::invariant::max_invariant_violation;
-    use dppr_graph::generators::erdos_renyi;
+    use crate::persist::state_fingerprint;
+    use dppr_graph::generators::{barabasi_albert, erdos_renyi, undirected_to_directed};
 
     fn batches(seed: u64) -> Vec<Vec<EdgeUpdate>> {
         let edges = erdos_renyi(60, 600, seed);
@@ -331,6 +328,54 @@ mod tests {
             ParallelEngine::with_threads(PprConfig::new(0, 0.2, 1e-3), PushVariant::OPT, 2);
         check_engine(&mut e);
         assert_eq!(e.name(), "CPU-MT[Opt]");
+    }
+
+    /// `CPU-MT[Opt]` with `threads` threads over a stream wide enough that
+    /// its frontiers pass `FAN_OUT_MIN` (asserted): a 12k-vertex BA graph
+    /// loaded in one batch, then a window-style batch that retracts the
+    /// oldest arcs and inserts fresh ones.
+    fn run_wide_stream(threads: usize) -> (DynamicGraph, ParallelEngine) {
+        let edges = undirected_to_directed(&barabasi_albert(12_000, 3, 41));
+        let load: Vec<EdgeUpdate> =
+            edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
+        let slide: Vec<EdgeUpdate> = edges[..2_000]
+            .iter()
+            .map(|&(u, v)| EdgeUpdate::delete(u, v))
+            .chain(erdos_renyi(12_000, 2_000, 5).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)))
+            .collect();
+        let mut g = DynamicGraph::new();
+        let mut e =
+            ParallelEngine::with_threads(PprConfig::new(0, 0.2, 1e-6), PushVariant::OPT, threads);
+        e.apply_batch(&mut g, &load);
+        e.apply_batch(&mut g, &slide);
+        assert!(
+            e.counters().max_frontier >= FAN_OUT_MIN as u64,
+            "stream too narrow to fan out: max frontier {}",
+            e.counters().max_frontier
+        );
+        (g, e)
+    }
+
+    #[test]
+    fn one_thread_engine_is_deterministic_past_the_fan_out_threshold() {
+        let (_, a) = run_wide_stream(1);
+        let (_, b) = run_wide_stream(1);
+        // No second thread ever touched a residual, so no CAS ever lost.
+        assert_eq!(a.counters().cas_retries, 0);
+        assert_eq!(b.counters().cas_retries, 0);
+        assert_eq!(state_fingerprint(a.state()), state_fingerprint(b.state()));
+    }
+
+    #[test]
+    fn three_thread_engine_stays_within_two_epsilon_of_one_thread() {
+        let (_, one) = run_wide_stream(1);
+        let (g, three) = run_wide_stream(3);
+        assert!(max_invariant_violation(&g, three.state()) < 1e-9);
+        let eps = three.config().epsilon;
+        for v in 0..g.num_vertices() as VertexId {
+            let d = (three.estimate(v) - one.estimate(v)).abs();
+            assert!(d <= 2.0 * eps + 1e-12, "vertex {v}: 3 threads vs 1 differ by {d}");
+        }
     }
 
     #[test]

@@ -11,102 +11,64 @@
 //! factor `(1−α)`, so plain iteration converges geometrically from any
 //! start; we iterate until the sup-norm step falls below `tol`.
 
+use crate::fanout::{fan_out_chunks, threads_for};
 use dppr_graph::{DynamicGraph, VertexId};
-use rayon::prelude::*;
 
-/// Solves the Eq. 2 fix-point to sup-norm accuracy `tol`.
+/// Solves the Eq. 2 fix-point to sup-norm accuracy `tol`, each Jacobi sweep
+/// fanned out over every core once the graph is large enough to pay for it.
 ///
 /// The returned vector is what a converged local-update state approximates:
 /// `|π(v) − Ps(v)| ≤ ε` for every `v`.
 pub fn exact_ppr(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64) -> Vec<f64> {
+    solve(g, source, alpha, tol, threads_for(g.num_vertices()))
+}
+
+/// [`exact_ppr`] on the calling thread only — for callers that must leave
+/// the cores to someone else, e.g. the serve-side accuracy auditor, which
+/// runs on a single background thread next to the write loops. Identical
+/// math and iteration cap, so the two agree bit for bit.
+pub fn exact_ppr_seq(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64) -> Vec<f64> {
+    solve(g, source, alpha, tol, 1)
+}
+
+fn solve(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64, threads: usize) -> Vec<f64> {
     assert!(alpha > 0.0 && alpha < 1.0);
     assert!(tol > 0.0);
     let n = g.num_vertices().max(source as usize + 1);
     let mut cur = vec![0.0f64; n];
-    if (source as usize) < n {
-        cur[source as usize] = alpha;
-    }
+    cur[source as usize] = alpha;
     let mut next = vec![0.0f64; n];
+    // Eq. 2's right-hand side at `v`, read off the iterate `cur`.
+    let value_at = |v: usize, cur: &[f64]| {
+        let teleport = if v == source as usize { alpha } else { 0.0 };
+        if v < g.num_vertices() && g.out_degree(v as VertexId) > 0 {
+            let sum: f64 = g.out_neighbors(v as VertexId).iter().map(|&x| cur[x as usize]).sum();
+            teleport + (1.0 - alpha) * sum / g.out_degree(v as VertexId) as f64
+        } else {
+            teleport
+        }
+    };
     // (1−α)^k < tol/1 gives a generous iteration cap.
     let max_iters = ((tol.ln() / (1.0 - alpha).ln()).ceil() as usize + 2).max(8);
     for _ in 0..max_iters {
-        let delta = jacobi_step(g, source, alpha, &cur, &mut next);
-        std::mem::swap(&mut cur, &mut next);
-        if delta < tol {
-            break;
-        }
-    }
-    cur
-}
-
-/// Sequential variant of [`exact_ppr`] for callers that must not touch the
-/// rayon pool — e.g. the serve-side accuracy auditor, which runs on a single
-/// background thread and must leave the worker threads to the write loops.
-/// Identical math, identical iteration cap, plain sweep.
-pub fn exact_ppr_seq(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64) -> Vec<f64> {
-    assert!(alpha > 0.0 && alpha < 1.0);
-    assert!(tol > 0.0);
-    let n = g.num_vertices().max(source as usize + 1);
-    let mut cur = vec![0.0f64; n];
-    if (source as usize) < n {
-        cur[source as usize] = alpha;
-    }
-    let mut next = vec![0.0f64; n];
-    let max_iters = ((tol.ln() / (1.0 - alpha).ln()).ceil() as usize + 2).max(8);
-    for _ in 0..max_iters {
-        let mut delta = 0.0f64;
-        for (v, slot) in next.iter_mut().enumerate() {
-            let teleport = if v == source as usize { alpha } else { 0.0 };
-            let value = if v < g.num_vertices() && g.out_degree(v as VertexId) > 0 {
-                let sum: f64 = g
-                    .out_neighbors(v as VertexId)
-                    .iter()
-                    .map(|&x| cur[x as usize])
-                    .sum();
-                teleport + (1.0 - alpha) * sum / g.out_degree(v as VertexId) as f64
-            } else {
-                teleport
-            };
-            delta = delta.max((value - *slot).abs());
-            *slot = value;
-        }
-        std::mem::swap(&mut cur, &mut next);
-        if delta < tol {
-            break;
-        }
-    }
-    cur
-}
-
-/// One Jacobi sweep; returns the sup-norm change. Parallel over vertices
-/// (reads `cur`, writes disjoint slots of `next`).
-fn jacobi_step(
-    g: &DynamicGraph,
-    source: VertexId,
-    alpha: f64,
-    cur: &[f64],
-    next: &mut [f64],
-) -> f64 {
-    next.par_iter_mut()
-        .enumerate()
-        .map(|(v, slot)| {
-            let teleport = if v == source as usize { alpha } else { 0.0 };
-            let value = if v < g.num_vertices() && g.out_degree(v as VertexId) > 0 {
-                let sum: f64 = g
-                    .out_neighbors(v as VertexId)
-                    .iter()
-                    .map(|&x| cur[x as usize])
-                    .sum();
-                teleport + (1.0 - alpha) * sum / g.out_degree(v as VertexId) as f64
-            } else {
-                teleport
-            };
-            let delta = (value - *slot).abs();
-            *slot = value;
+        // One Jacobi sweep: each thread reads `cur` and overwrites its own
+        // chunk of `next`; the sup-norm change folds by max.
+        let sweep = |offset: usize, chunk: &mut [f64]| {
+            let mut delta = 0.0f64;
+            for (v, slot) in (offset..).zip(chunk) {
+                let value = value_at(v, &cur);
+                delta = delta.max((value - *slot).abs());
+                *slot = value;
+            }
             delta
-        })
-        .reduce(|| 0.0, f64::max)
-        .max(0.0)
+        };
+        let delta = fan_out_chunks(&mut next, threads, sweep, f64::max);
+        std::mem::swap(&mut cur, &mut next);
+        if delta < tol {
+            break;
+        }
+    }
+    cur
 }
 
 #[cfg(test)]
@@ -176,16 +138,11 @@ mod tests {
         let edges = undirected_to_directed(&barabasi_albert(200, 3, 11));
         let g = DynamicGraph::from_edges(edges);
         for &(source, alpha, tol) in &[(0u32, 0.15, 1e-10), (7, 0.5, 1e-8), (150, 0.2, 1e-12)] {
-            let par = exact_ppr(&g, source, alpha, tol);
+            // Per-vertex arithmetic does not depend on the chunking, and
+            // the sup-norm fold is a max: nothing is order-sensitive.
             let seq = exact_ppr_seq(&g, source, alpha, tol);
-            assert_eq!(par.len(), seq.len());
-            let diff = par
-                .iter()
-                .zip(&seq)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            // Same iteration schedule; only FP summation order may differ.
-            assert!(diff < 1e-12, "par/seq diverge by {diff}");
+            assert_eq!(solve(&g, source, alpha, tol, 3), seq);
+            assert_eq!(exact_ppr(&g, source, alpha, tol), seq);
         }
     }
 

@@ -13,6 +13,9 @@
 //! * [`engine`] — the [`DynamicPprEngine`] trait plus the paper's engine
 //!   line-up: `CPU-Base` / `CPU-Seq` ([`SeqEngine`]) and `CPU-MT`
 //!   ([`ParallelEngine`]).
+//! * [`fanout`] — the one fork-join primitive everything parallel in the
+//!   workspace runs on: contiguous ranges over scoped threads, results
+//!   merged in range order, a direct call when there is one range.
 //! * [`atomic`] — the atomic `f64` fetch-add returning the *before-value*,
 //!   the primitive §4.2's local duplicate detection is built on.
 //! * [`counters`] — software profiling counters (push operations, edge
@@ -45,6 +48,7 @@ pub mod checksum;
 pub mod config;
 pub mod counters;
 pub mod engine;
+pub mod fanout;
 pub mod forward;
 pub mod ground_truth;
 pub mod invariant;

@@ -6,9 +6,9 @@
 //! vectors", and the indexing systems it aims to serve (HubPPR [46],
 //! distributed exact PPR [18]) maintain vectors for many hub vertices.
 //! [`MultiSourcePpr`] does exactly that: one [`PprState`] per source,
-//! updated against the same graph, with the per-source pushes themselves
-//! running in parallel across sources (each push is independent — they
-//! share only the read-only graph).
+//! updated against the same graph, one source after another (the pushes
+//! are independent — they share only the read-only graph — so the loop in
+//! [`MultiSourcePpr::apply_batch`] is where a fan-out over sources would go).
 
 use crate::config::PprConfig;
 use crate::counters::Counters;
@@ -17,7 +17,6 @@ use crate::par::{parallel_local_push, ParPushBuffers};
 use crate::state::PprState;
 use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
-use rayon::prelude::*;
 
 /// A bundle of PPR vectors for several sources over one dynamic graph.
 pub struct MultiSourcePpr {
@@ -135,8 +134,12 @@ impl MultiSourcePpr {
     }
 
     /// Applies a batch: mutates the graph once, then repairs and pushes
-    /// every source's vector (sources processed in parallel; each source's
-    /// own push uses the sequentially-seeded parallel kernel).
+    /// every source's vector, in index order on the calling thread; only a
+    /// push whose frontier reaches `PushOpts::seq_threshold` fans out.
+    /// Running the sessions side by side instead is a one-line change —
+    /// the loop below becomes the body of a
+    /// [`crate::fanout::fan_out_chunks`] over `self.bufs` — reserved for a
+    /// perf issue that claims `serve_write` `updates_per_s` for it.
     pub fn apply_batch(&mut self, g: &mut DynamicGraph, batch: &[EdgeUpdate]) -> usize {
         // Graph mutation happens once, recording each update's post-update
         // out-degree (the d_j(u) of Lemma 3) so the invariant repairs can
@@ -153,21 +156,13 @@ impl MultiSourcePpr {
         for st in &mut self.states {
             st.ensure_len(n);
         }
-        let g = &*g;
-        let seeds = &self.seeds;
-        let applied_ref = &applied;
-        let variant = self.variant;
-        let counters = &self.counters;
-        self.states
-            .par_iter()
-            .zip(self.bufs.par_iter_mut())
-            .for_each(|(st, bufs)| {
-                for &(upd, dout_after) in applied_ref {
-                    restore_invariant_with_degree(st, upd.src, upd.dst, upd.op, dout_after);
-                    counters.record_restore();
-                }
-                parallel_local_push(g, st, variant, seeds, counters, bufs);
-            });
+        for (st, bufs) in self.states.iter().zip(&mut self.bufs) {
+            for &(upd, dout_after) in &applied {
+                restore_invariant_with_degree(st, upd.src, upd.dst, upd.op, dout_after);
+                self.counters.record_restore();
+            }
+            parallel_local_push(g, st, self.variant, &self.seeds, &self.counters, bufs);
+        }
         applied.len()
     }
 

@@ -1,7 +1,7 @@
 //! `ParallelLocalPush` (Algorithm 3) and `OptParallelPush` (Algorithm 4).
 //!
 //! One iteration of the push runs two parallel sessions separated by a
-//! barrier (rayon's fork-join joins are the paper's `synchronize`):
+//! barrier (the join of a [`fan_out`] is the paper's `synchronize`):
 //!
 //! * **Vanilla order** (Algorithm 3): *self-update* first — every frontier
 //!   vertex `u` atomically takes out its residual (`w = swap(Rs(u), 0)`) and
@@ -24,33 +24,30 @@
 
 use crate::config::Phase;
 use crate::counters::{Counters, LocalCounters};
+use crate::fanout::{default_threads, fan_out, FAN_OUT_MIN};
 use crate::seq::{dedup_seeds, LockstepTrace};
 use crate::state::PprState;
 use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, VertexId};
-use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Minimum items per rayon task, bounding scheduling overhead on the small
-/// frontiers that dominate early iterations.
-const MIN_TASK: usize = 128;
 
 /// Tuning knobs for the parallel push.
 #[derive(Debug, Clone, Copy)]
 pub struct PushOpts {
-    /// Frontiers smaller than this run the iteration body inline on the
-    /// calling thread (same operations, same semantics — the one-worker
-    /// schedule of the parallel push). CilkPlus gets this behaviour for
-    /// free from lazy task stealing; with rayon's eager fork/join the
-    /// explicit threshold is needed to avoid paying two barriers per
-    /// iteration for a ten-vertex frontier. Set to 0 to force the fully
-    /// parallel path (used by the granularity ablation bench).
+    /// Frontiers smaller than this run the iteration on one thread — the
+    /// same body on the calling thread, i.e. the one-worker schedule of the
+    /// parallel push. CilkPlus gets this behaviour for free from lazy task
+    /// stealing; with one `thread::scope` per session the explicit
+    /// threshold is needed to avoid paying two barriers per iteration for
+    /// a ten-vertex frontier. `0` fans every iteration out, `usize::MAX`
+    /// none (the granularity ablation bench runs both).
     pub seq_threshold: usize,
 }
 
 impl Default for PushOpts {
     fn default() -> Self {
-        PushOpts { seq_threshold: 4096 }
+        PushOpts { seq_threshold: FAN_OUT_MIN }
     }
 }
 
@@ -74,10 +71,11 @@ impl ParPushBuffers {
     }
 }
 
-/// Per-task accumulator threaded through rayon's fold/reduce: thread-local
-/// next-frontier buffer, the `(u, ru)` entry log `E` of Algorithm 4, and
-/// local counters. Merging is append-only, so frontier generation itself
-/// never contends on shared state.
+/// Per-range accumulator of a fanned-out session: thread-local
+/// next-frontier buffer, the `(u, ru)` entry log `E` of Algorithm 4 (the
+/// `(u, w)` snapshots of Algorithm 3), and local counters. Merging appends in range order, so frontier generation
+/// itself never contends on shared state and a one-thread run enqueues in
+/// frontier order.
 #[derive(Default)]
 struct SessAcc {
     next: Vec<VertexId>,
@@ -87,13 +85,7 @@ struct SessAcc {
 
 impl SessAcc {
     fn merge(mut self, mut other: SessAcc) -> SessAcc {
-        if self.next.len() < other.next.len() {
-            std::mem::swap(&mut self.next, &mut other.next);
-        }
         self.next.append(&mut other.next);
-        if self.entries.len() < other.entries.len() {
-            std::mem::swap(&mut self.entries, &mut other.entries);
-        }
         self.entries.append(&mut other.entries);
         self.lc.merge(&other.lc);
         self
@@ -107,7 +99,6 @@ struct Ctx<'a> {
     eps: f64,
     variant: PushVariant,
     claimed: &'a [AtomicBool],
-    seq_threshold: usize,
 }
 
 impl Ctx<'_> {
@@ -148,24 +139,6 @@ impl Ctx<'_> {
         }
     }
 
-    /// One-worker schedule of [`Ctx::vanilla_iteration`], used below the
-    /// granularity threshold: identical operations and session barrier,
-    /// no fork/join cost.
-    fn vanilla_iteration_seq(&self, frontier: &[VertexId], phase: Phase) -> SessAcc {
-        let mut acc = SessAcc::default();
-        let mut entries = Vec::with_capacity(frontier.len());
-        for &u in frontier {
-            let w = self.state.r_atomics()[u as usize].swap(0.0);
-            let p = &self.state.p_atomics()[u as usize];
-            p.store(p.load() + self.alpha * w);
-            entries.push((u, w));
-        }
-        for &(u, w) in &entries {
-            self.propagate(u, w, phase, &mut acc);
-        }
-        acc
-    }
-
     /// Algorithm 4's self-update for one frontier vertex (lines 19–23):
     /// bank `α·ru`, subtract the consistent `ru`, and re-enqueue `u` if the
     /// residual that accumulated since the session-1 read still exceeds ε.
@@ -190,87 +163,69 @@ impl Ctx<'_> {
         }
     }
 
-    /// One-worker schedule of [`Ctx::eager_iteration`].
-    fn eager_iteration_seq(&self, frontier: &[VertexId], phase: Phase) -> SessAcc {
-        let mut acc = SessAcc::default();
-        for &u in frontier {
-            let ru = self.state.r_atomics()[u as usize].load();
-            acc.entries.push((u, ru));
-            self.propagate(u, ru, phase, &mut acc);
-        }
-        let entries = std::mem::take(&mut acc.entries);
-        for &(u, ru) in &entries {
-            self.eager_self_update(u, ru, phase, &mut acc);
-        }
-        acc
+    /// One session over `items` on `threads` threads, each with its own
+    /// accumulator; the merged result is the session's barrier.
+    fn session<T: Sync>(
+        &self,
+        items: &[T],
+        threads: usize,
+        each: impl Fn(&T, &mut SessAcc) + Sync,
+    ) -> SessAcc {
+        let fold = |range: Range<usize>| {
+            let mut acc = SessAcc::default();
+            for item in &items[range] {
+                each(item, &mut acc);
+            }
+            acc
+        };
+        fan_out(items.len(), threads, fold, SessAcc::merge)
     }
 
     /// Algorithm 3: self-update (stale snapshot) then neighbor-propagation.
-    fn vanilla_iteration(&self, frontier: &[VertexId], phase: Phase) -> SessAcc {
+    fn vanilla_iteration(&self, frontier: &[VertexId], phase: Phase, threads: usize) -> SessAcc {
         // Session 1: take out residuals, bank α·w. Distinct vertices, so
         // the plain read-modify-write on P is race-free.
-        let entries: Vec<(VertexId, f64)> = frontier
-            .par_iter()
-            .with_min_len(MIN_TASK)
-            .map(|&u| {
-                let w = self.state.r_atomics()[u as usize].swap(0.0);
-                let p = &self.state.p_atomics()[u as usize];
-                p.store(p.load() + self.alpha * w);
-                (u, w)
-            })
-            .collect();
-        // (collect is the synchronize barrier)
+        let snapshots = self.session(frontier, threads, |&u, acc| {
+            let w = self.state.r_atomics()[u as usize].swap(0.0);
+            let p = &self.state.p_atomics()[u as usize];
+            p.store(p.load() + self.alpha * w);
+            acc.entries.push((u, w));
+        });
         // Session 2: propagate the snapshots.
-        entries
-            .par_iter()
-            .with_min_len(MIN_TASK)
-            .fold(SessAcc::default, |mut acc, &(u, w)| {
-                self.propagate(u, w, phase, &mut acc);
-                acc
-            })
-            .reduce(SessAcc::default, SessAcc::merge)
+        self.session(&snapshots.entries, threads, |&(u, w), acc| {
+            self.propagate(u, w, phase, acc)
+        })
     }
 
     /// Algorithm 4: neighbor-propagation on fresh reads, then the
     /// consistent self-update with its second frontier-generation pass.
-    fn eager_iteration(&self, frontier: &[VertexId], phase: Phase) -> SessAcc {
+    fn eager_iteration(&self, frontier: &[VertexId], phase: Phase, threads: usize) -> SessAcc {
         // Session 1: read the *current* residual (it may keep growing under
         // us — whatever arrives after the read is handled by the consistent
         // subtraction below) and propagate it.
-        let mut acc1 = frontier
-            .par_iter()
-            .with_min_len(MIN_TASK)
-            .fold(SessAcc::default, |mut acc, &u| {
-                let ru = self.state.r_atomics()[u as usize].load();
-                acc.entries.push((u, ru));
-                self.propagate(u, ru, phase, &mut acc);
-                acc
-            })
-            .reduce(SessAcc::default, SessAcc::merge);
-        // (reduce is the synchronize barrier)
+        let mut acc = self.session(frontier, threads, |&u, acc| {
+            let ru = self.state.r_atomics()[u as usize].load();
+            acc.entries.push((u, ru));
+            self.propagate(u, ru, phase, acc);
+        });
         // Session 2: banked estimate update and Rs(u) −= ru; a frontier
         // vertex that accumulated more than ε since its read goes straight
-        // back into the frontier. (With local duplicate detection this
-        // enqueue cannot duplicate: session 1 never enqueues current
-        // members, whose before-values already satisfy the push condition.
-        // With flags, the member's claim is held until this very check.)
-        let acc2 = acc1
-            .entries
-            .par_iter()
-            .with_min_len(MIN_TASK)
-            .fold(SessAcc::default, |mut acc, &(u, ru)| {
-                self.eager_self_update(u, ru, phase, &mut acc);
-                acc
-            })
-            .reduce(SessAcc::default, SessAcc::merge);
-        acc1.entries.clear();
-        acc1.merge(acc2)
+        // back into the frontier, after session 1's crossings. (With local
+        // duplicate detection this enqueue cannot duplicate: session 1
+        // never enqueues current members, whose before-values already
+        // satisfy the push condition. With flags, the member's claim is
+        // held until this very check.)
+        let entries = std::mem::take(&mut acc.entries);
+        let requeued = self.session(&entries, threads, |&(u, ru), acc| {
+            self.eager_self_update(u, ru, phase, acc)
+        });
+        acc.merge(requeued)
     }
 }
 
 /// Runs the parallel local push to convergence from the given seed
-/// vertices with default [`PushOpts`]. On return every residual lies
-/// within `[−ε, ε]`.
+/// vertices with default [`PushOpts`] on [`default_threads`] threads. On
+/// return every residual lies within `[−ε, ε]`.
 pub fn parallel_local_push(
     g: &DynamicGraph,
     state: &PprState,
@@ -279,10 +234,14 @@ pub fn parallel_local_push(
     counters: &Counters,
     bufs: &mut ParPushBuffers,
 ) {
-    parallel_local_push_opts(g, state, variant, seeds, counters, bufs, PushOpts::default())
+    let opts = PushOpts::default();
+    parallel_local_push_opts(g, state, variant, seeds, counters, bufs, opts, default_threads())
 }
 
-/// [`parallel_local_push`] with explicit tuning options.
+/// [`parallel_local_push`] with explicit tuning options and thread count.
+/// An iteration whose frontier is shorter than `opts.seq_threshold` runs on
+/// one thread whatever `threads` says; with `threads = 1` every iteration
+/// does, and the push is deterministic.
 ///
 /// The positive phase runs first; because positive pushes only ever *add*
 /// probability mass, the only candidates for the negative phase are the
@@ -296,6 +255,7 @@ pub fn parallel_local_push_opts(
     counters: &Counters,
     bufs: &mut ParPushBuffers,
     opts: PushOpts,
+    threads: usize,
 ) {
     bufs.ensure(g.num_vertices());
     let ctx = Ctx {
@@ -305,7 +265,6 @@ pub fn parallel_local_push_opts(
         eps: state.config().epsilon,
         variant,
         claimed: &bufs.claimed,
-        seq_threshold: opts.seq_threshold,
     };
     let seeds = dedup_seeds(seeds);
     // Flag discipline differs by ordering (see `eager_self_update`):
@@ -330,26 +289,19 @@ pub fn parallel_local_push_opts(
         let mut frontier = frontier;
         while !frontier.is_empty() {
             counters.record_iteration(frontier.len());
-            let inline = frontier.len() < ctx.seq_threshold;
-            let acc = match (variant.eager, inline) {
-                (true, true) => ctx.eager_iteration_seq(&frontier, phase),
-                (true, false) => ctx.eager_iteration(&frontier, phase),
-                (false, true) => ctx.vanilla_iteration_seq(&frontier, phase),
-                (false, false) => ctx.vanilla_iteration(&frontier, phase),
+            let threads = if frontier.len() < opts.seq_threshold { 1 } else { threads };
+            let acc = if variant.eager {
+                ctx.eager_iteration(&frontier, phase, threads)
+            } else {
+                ctx.vanilla_iteration(&frontier, phase, threads)
             };
             acc.lc.flush(counters);
             frontier = acc.next;
             if vanilla_flags {
                 // Release the claim flags so next iteration's members can
                 // be re-enqueued if they re-activate.
-                if frontier.len() < ctx.seq_threshold {
-                    for &v in &frontier {
-                        ctx.claimed[v as usize].store(false, Ordering::Relaxed);
-                    }
-                } else {
-                    frontier.par_iter().with_min_len(MIN_TASK).for_each(|&v| {
-                        ctx.claimed[v as usize].store(false, Ordering::Relaxed)
-                    });
+                for &v in &frontier {
+                    ctx.claimed[v as usize].store(false, Ordering::Relaxed);
                 }
             }
         }
@@ -553,7 +505,7 @@ mod tests {
     fn eager_beats_vanilla_on_figure3_ops() {
         // Eager propagation exists precisely to reclaim Figure 3's lost
         // push: v2's contribution reaches v3 before v3's own push.
-        // (Deterministic here: single-threaded rayon ordering does not
+        // (Deterministic here: scheduling order does not
         // matter because the claim is about operation *counts* after
         // convergence, which are schedule-independent on this tiny DAG of
         // dependencies... they are not in general — so we assert only that

@@ -13,8 +13,8 @@
 //!   first visit to `u` (a fresh suffix is distributionally exact on the
 //!   new graph; Bahmani et al. show only `O(w·log k / k)`-ish walks are
 //!   touched per update in expectation).
-//! * Re-simulation is parallelized across affected walks with rayon —
-//!   matching the paper's setup, which parallelized this baseline with
+//! * Re-simulation fans out across affected walks
+//!   (`dppr_core::fanout`) once there are enough of them — matching the paper's setup, which parallelized this baseline with
 //!   CilkPlus to keep the comparison fair.
 //!
 //! The inverted index uses **lazy deletion**: stale entries are filtered on

@@ -1,9 +1,10 @@
 //! Walk storage, inverted index, and incremental maintenance.
 
+use dppr_core::fanout::{concat, fan_out, threads_for};
 use dppr_graph::{DynamicGraph, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use std::ops::Range;
 
 /// `w` α-terminating random walks from one source, with the auxiliary
 /// structures needed to maintain them under edge updates: per-walk traces,
@@ -109,23 +110,19 @@ impl MonteCarloPpr {
         let seed = self.seed;
         let walks = &self.walks;
         let epochs = &self.epochs;
-        let new_suffixes: Vec<(u32, usize, Vec<VertexId>)> = affected
-            .par_iter()
-            .with_min_len(16)
-            .map(|&id| {
-                let trace = &walks[id as usize];
-                let pos = trace
-                    .iter()
-                    .position(|&x| x == u)
-                    .expect("validated above");
-                let mut rng = SmallRng::seed_from_u64(mix(
-                    seed,
-                    id as u64,
-                    epochs[id as usize] + 1,
-                ));
-                (id, pos, simulate_walk(g, u, alpha, &mut rng))
-            })
-            .collect();
+        let resimulate = |&id: &u32| {
+            let trace = &walks[id as usize];
+            let pos = trace
+                .iter()
+                .position(|&x| x == u)
+                .expect("validated above");
+            let mut rng =
+                SmallRng::seed_from_u64(mix(seed, id as u64, epochs[id as usize] + 1));
+            (id, pos, simulate_walk(g, u, alpha, &mut rng))
+        };
+        let resimulate_all = |range: Range<usize>| affected[range].iter().map(resimulate).collect();
+        let new_suffixes: Vec<(u32, usize, Vec<VertexId>)> =
+            fan_out(affected.len(), threads_for(affected.len()), resimulate_all, concat);
 
         // Serial: splice the suffixes into the stores.
         for (id, pos, suffix) in new_suffixes {
@@ -162,15 +159,13 @@ impl MonteCarloPpr {
         let seed = self.seed;
         let source = self.source;
         let epochs = &self.epochs;
-        let traces: Vec<Vec<VertexId>> = (0..self.walks.len())
-            .into_par_iter()
-            .with_min_len(64)
-            .map(|id| {
-                let mut rng =
-                    SmallRng::seed_from_u64(mix(seed, id as u64, epochs[id] + 1));
-                simulate_walk(g, source, alpha, &mut rng)
-            })
-            .collect();
+        let simulate = |id: usize| {
+            let mut rng = SmallRng::seed_from_u64(mix(seed, id as u64, epochs[id] + 1));
+            simulate_walk(g, source, alpha, &mut rng)
+        };
+        let n = self.walks.len();
+        let simulate_all = |range: Range<usize>| range.map(simulate).collect();
+        let traces: Vec<Vec<VertexId>> = fan_out(n, threads_for(n), simulate_all, concat);
         self.walks = traces;
         for e in &mut self.epochs {
             *e += 1;

@@ -10,8 +10,8 @@
 //!    sessions' published snapshots and live states, all captured
 //!    between batches so they are mutually consistent. The observer
 //!    then recomputes ground truth with the *sequential* Gauss–Jacobi
-//!    solver ([`dppr_core::exact_ppr_seq`], so the audit never steals
-//!    the rayon pool from the write path) and reports L1/L∞ error,
+//!    solver ([`dppr_core::exact_ppr_seq`], so the audit never takes
+//!    cores from the write path) and reports L1/L∞ error,
 //!    top-k overlap, and the Eq. 2 invariant residual as
 //!    `dppr_audit_*` metric families.
 //! 2. samples selected counters, gauges, and windowed percentiles into

@@ -91,17 +91,12 @@ pub fn start(
         // Event-loop shards each hold one Reader per write shard, + slack
         // for external Reader users (tests, in-process tools).
         let domain = EpochDomain::new(threads + 4);
-        let shard_sources: Vec<VertexId> =
-            sources.iter().copied().filter(|&s| shard_of(s, n) == i).collect();
+        let (shard_sources, dcfg) = shard_slice(&cfg, sources, i);
         let registry = Arc::new(SessionRegistry::new(
             Arc::clone(&domain),
             cfg.session_capacity.div_ceil(n).max(shard_sources.len()).max(1),
         ));
         let cache = Arc::new(QueryCache::new(cfg.cache_capacity.div_ceil(n)));
-        let dcfg = cfg.durability.as_ref().map(|d| DurabilityConfig {
-            data_dir: shard_data_dir(&d.data_dir, i, n),
-            ..d.clone()
-        });
         let boot = match &dcfg {
             None => {
                 let mut driver = StreamDriver::new(stream.clone(), init_fraction);
@@ -508,22 +503,32 @@ pub fn boot_probe_shards(
     sources: &[VertexId],
     cfg: &ServeConfig,
 ) -> io::Result<Vec<BootProbe>> {
-    let n = cfg.write_shards.max(1);
-    let dcfg = cfg.durability.as_ref().ok_or_else(|| {
+    cfg.durability.as_ref().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, "boot_probe_shards requires cfg.durability")
     })?;
-    (0..n)
+    (0..cfg.write_shards.max(1))
         .map(|i| {
-            let shard_sources: Vec<VertexId> =
-                sources.iter().copied().filter(|&s| shard_of(s, n) == i).collect();
-            let mut scfg = cfg.clone();
-            scfg.durability = Some(DurabilityConfig {
-                data_dir: shard_data_dir(&dcfg.data_dir, i, n),
-                ..dcfg.clone()
-            });
+            let (shard_sources, durability) = shard_slice(cfg, sources, i);
+            let scfg = ServeConfig { durability, ..cfg.clone() };
             boot_probe(stream.clone(), init_fraction, &shard_sources, &scfg)
         })
         .collect()
+}
+
+/// What write shard `i` of `cfg.write_shards` owns: the sources hashed to
+/// it and, on a durable instance, its own data directory.
+fn shard_slice(
+    cfg: &ServeConfig,
+    sources: &[VertexId],
+    i: usize,
+) -> (Vec<VertexId>, Option<DurabilityConfig>) {
+    let n = cfg.write_shards.max(1);
+    let shard_sources = sources.iter().copied().filter(|&s| shard_of(s, n) == i).collect();
+    let dcfg = cfg.durability.as_ref().map(|d| DurabilityConfig {
+        data_dir: shard_data_dir(&d.data_dir, i, n),
+        ..d.clone()
+    });
+    (shard_sources, dcfg)
 }
 
 /// Answers an un-adoptable connection with `503 Retry-After: 1`

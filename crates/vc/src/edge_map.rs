@@ -1,8 +1,9 @@
 //! `edgeMap` / `vertexMap` with Ligra's sparse/dense direction switching.
 
 use crate::subset::VertexSubset;
+use dppr_core::fanout::{concat, fan_out, threads_for};
 use dppr_graph::{DynamicGraph, VertexId};
-use rayon::prelude::*;
+use std::ops::Range;
 
 /// Which adjacency the traversal follows from a frontier vertex `u`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,11 +103,10 @@ where
     F: Fn(VertexId, VertexId) -> bool + Sync,
     C: Fn(VertexId) -> bool + Sync,
 {
-    let out: Vec<VertexId> = frontier
-        .ids()
-        .par_iter()
-        .with_min_len(64)
-        .fold(Vec::new, |mut acc, &u| {
+    let ids = frontier.ids();
+    let push = |range: Range<usize>| {
+        let mut acc = Vec::new();
+        for &u in &ids[range] {
             let neighbors = match direction {
                 Direction::Out => g.out_neighbors(u),
                 Direction::In => g.in_neighbors(u),
@@ -116,13 +116,10 @@ where
                     acc.push(v);
                 }
             }
-            acc
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        });
-    VertexSubset::from_sparse(n, out)
+        }
+        acc
+    };
+    VertexSubset::from_sparse(n, fan_out(ids.len(), threads_for(ids.len()), push, concat))
 }
 
 fn edge_map_dense<F, C>(
@@ -139,28 +136,25 @@ where
 {
     frontier.to_dense();
     let frontier = &*frontier;
-    let bits: Vec<bool> = (0..n as VertexId)
-        .into_par_iter()
-        .with_min_len(256)
-        .map(|v| {
-            if !cond(v) {
-                return false;
+    let pull = |v: VertexId| {
+        if !cond(v) {
+            return false;
+        }
+        // Sources of v along `direction`: the reverse adjacency.
+        let sources = match direction {
+            Direction::Out => g.in_neighbors(v),
+            Direction::In => g.out_neighbors(v),
+        };
+        let mut added = false;
+        for &u in sources {
+            if frontier.contains(u) && f(u, v) {
+                added = true;
             }
-            // Sources of v along `direction`: the reverse adjacency.
-            let sources = match direction {
-                Direction::Out => g.in_neighbors(v),
-                Direction::In => g.out_neighbors(v),
-            };
-            let mut added = false;
-            for &u in sources {
-                if frontier.contains(u) && f(u, v) {
-                    added = true;
-                }
-            }
-            added
-        })
-        .collect();
-    VertexSubset::from_dense(bits)
+        }
+        added
+    };
+    let pull_all = |range: Range<usize>| range.map(|v| pull(v as VertexId)).collect::<Vec<bool>>();
+    VertexSubset::from_dense(fan_out(n, threads_for(n), pull_all, concat))
 }
 
 /// Ligra's `vertexMap(U, F)`: applies `f` to every member; the output
@@ -170,14 +164,9 @@ where
     F: Fn(VertexId) -> bool + Sync,
 {
     let n = subset.universe();
-    let out: Vec<VertexId> = subset
-        .ids()
-        .par_iter()
-        .with_min_len(64)
-        .filter(|&&v| f(v))
-        .copied()
-        .collect();
-    VertexSubset::from_sparse(n, out)
+    let ids = subset.ids();
+    let keep = |range: Range<usize>| ids[range].iter().copied().filter(|&v| f(v)).collect::<Vec<_>>();
+    VertexSubset::from_sparse(n, fan_out(ids.len(), threads_for(ids.len()), keep, concat))
 }
 
 #[cfg(test)]
