@@ -5,15 +5,14 @@
 //! reports throughput and speedup over one thread. Paper's shape: throughput
 //! scales with the core count (sub-linearly — the push is memory-bound).
 //!
-//! Usage: `fig10_scalability [--full]`
+//! Usage: `figures fig10_scalability [--full]`
 
-use dppr_bench::{ExperimentScale, Workload};
+use crate::{ExperimentScale, Workload};
 use dppr_core::{ParallelEngine, PushVariant};
 use dppr_graph::presets;
 use std::time::Duration;
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(scale: ExperimentScale) {
     // Scale note: thread scaling needs per-iteration frontiers well past
     // the granularity threshold, which the small presets cannot produce
     // (their whole vertex set is a few thousand). Quick uses the
@@ -46,20 +45,9 @@ fn main() {
         let mut engine = ParallelEngine::with_threads(cfg, PushVariant::OPT, t);
         let mut driver = workload.driver(0.1);
         driver.bootstrap(&mut engine);
-        let mut slides = 0usize;
-        let mut updates = 0usize;
-        let mut latency = Duration::ZERO;
-        while latency < budget {
-            let part = driver.run_slides(&mut engine, batch, 1);
-            if part.slides == 0 {
-                break;
-            }
-            slides += part.slides;
-            updates += part.total_updates;
-            latency += part.total_latency;
-        }
-        let tput = updates as f64 / latency.as_secs_f64().max(1e-9);
+        let run = driver.run_for(&mut engine, batch, usize::MAX, budget);
+        let tput = run.throughput();
         let b = *base.get_or_insert(tput);
-        println!("{t}\t{slides}\t{tput:.0}\t{:.2}", tput / b);
+        println!("{t}\t{}\t{tput:.0}\t{:.2}", run.slides, tput / b);
     }
 }

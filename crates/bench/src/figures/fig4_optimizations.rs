@@ -6,14 +6,13 @@
 //! observes ~2.5× between `Opt` and `Vanilla` on the larger graphs, with
 //! each optimization contributing.
 //!
-//! Usage: `fig4_optimizations [--full]`
+//! Usage: `figures fig4_optimizations [--full]`
 
-use dppr_bench::{ms, run_engine, EngineKind, ExperimentScale, Workload};
+use crate::{ms, run_engine, EngineKind, ExperimentScale, Workload};
 use dppr_core::PushVariant;
 use std::time::Duration;
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(scale: ExperimentScale) {
     let (batch, budget) = match scale {
         ExperimentScale::Quick => (1_000usize, Duration::from_secs(3)),
         ExperimentScale::Full => (10_000usize, Duration::from_secs(20)),

@@ -1,20 +1,19 @@
 //! Figure 5 — streaming throughput of all engines across batch sizes.
 //!
 //! Reports updates consumed per second for `CPU-Base`, `CPU-Seq`,
-//! `CPU-MT[Opt]`, `Monte-Carlo` and `Ligra` (the paper's GPU line is
-//! covered by CPU-MT; see DESIGN.md substitutions). The paper's shape:
-//! CPU-MT ≫ CPU-Seq ≫ CPU-Base, Monte-Carlo slowest of the maintained
-//! baselines, Ligra between CPU-Seq and CPU-MT, and CPU-MT's advantage
-//! growing with the batch size.
+//! `CPU-MT[Opt]`, `Monte-Carlo` and `Ligra` (there is no GPU engine here;
+//! CPU-MT is the parallel line). The paper's shape: CPU-MT ≫ CPU-Seq ≫
+//! CPU-Base, Monte-Carlo slowest of the maintained baselines, Ligra
+//! between CPU-Seq and CPU-MT, and CPU-MT's advantage growing with the
+//! batch size.
 //!
-//! Usage: `fig5_throughput [--full]`
+//! Usage: `figures fig5_throughput [--full]`
 
-use dppr_bench::{run_engine, EngineKind, ExperimentScale, Workload};
+use crate::{ms, run_engine, EngineKind, ExperimentScale, Workload};
 use dppr_core::PushVariant;
 use std::time::Duration;
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(scale: ExperimentScale) {
     let (batches, budget, walks_per_vertex): (&[usize], Duration, usize) = match scale {
         ExperimentScale::Quick => (&[100, 1_000, 10_000], Duration::from_secs(2), 6),
         ExperimentScale::Full => (&[1_000, 10_000, 100_000], Duration::from_secs(15), 2),
@@ -52,7 +51,7 @@ fn main() {
                     batch,
                     summary.slides,
                     summary.throughput(),
-                    dppr_bench::ms(summary.mean_latency()),
+                    ms(summary.mean_latency()),
                 );
             }
         }

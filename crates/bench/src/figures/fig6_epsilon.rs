@@ -5,15 +5,14 @@
 //! shrinks for every engine, and the parallel speedup *widens* (smaller ε
 //! ⇒ larger frontiers ⇒ more parallelism).
 //!
-//! Usage: `fig6_epsilon [--full]`
+//! Usage: `figures fig6_epsilon [--full]`
 
-use dppr_bench::{ms, run_engine, EngineKind, ExperimentScale, Workload};
+use crate::{ms, run_engine, EngineKind, ExperimentScale, Workload};
 use dppr_core::PushVariant;
 use dppr_graph::presets;
 use std::time::Duration;
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(scale: ExperimentScale) {
     // Scale note: the ε effect needs room to grow frontiers; even the
     // "quick" setting uses the mid-size preset (the paper's smallest graph
     // is 1.1M vertices).

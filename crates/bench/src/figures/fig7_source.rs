@@ -7,14 +7,13 @@
 //! degree sources cost more for everyone, and the parallel advantage is
 //! largest for high-degree sources.
 //!
-//! Usage: `fig7_source [--full]`
+//! Usage: `figures fig7_source [--full]`
 
-use dppr_bench::{ms, run_engine, EngineKind, ExperimentScale, Workload};
+use crate::{ms, run_engine, EngineKind, ExperimentScale, Workload};
 use dppr_core::PushVariant;
 use std::time::Duration;
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(scale: ExperimentScale) {
     let (batch, budget, buckets): (usize, Duration, &[usize]) = match scale {
         ExperimentScale::Quick => (500, Duration::from_secs(3), &[10, 1_000, 100_000]),
         ExperimentScale::Full => (5_000, Duration::from_secs(15), &[10, 1_000, 100_000]),

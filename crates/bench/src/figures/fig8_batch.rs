@@ -5,14 +5,13 @@
 //! work per slide), but the parallel engines retain their speedup over
 //! CPU-Seq at every batch size.
 //!
-//! Usage: `fig8_batch [--full]`
+//! Usage: `figures fig8_batch [--full]`
 
-use dppr_bench::{ms, run_engine, EngineKind, ExperimentScale, Workload};
+use crate::{ms, run_engine, EngineKind, ExperimentScale, Workload};
 use dppr_core::PushVariant;
 use std::time::Duration;
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(scale: ExperimentScale) {
     let (budget, walks_per_vertex) = match scale {
         ExperimentScale::Quick => (Duration::from_secs(2), 6),
         ExperimentScale::Full => (Duration::from_secs(15), 2),

@@ -14,14 +14,13 @@
 //! * duplicate-enqueues avoided → the synchronization the frontier scheme
 //!   saves.
 //!
-//! Usage: `fig9_profiling [--full]`
+//! Usage: `figures fig9_profiling [--full]`
 
-use dppr_bench::{run_engine, EngineKind, ExperimentScale, Workload};
+use crate::{run_engine, EngineKind, ExperimentScale, Workload};
 use dppr_core::PushVariant;
 use std::time::Duration;
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(scale: ExperimentScale) {
     let (batches, budget): (&[usize], Duration) = match scale {
         ExperimentScale::Quick => (&[100, 1_000, 10_000], Duration::from_secs(3)),
         ExperimentScale::Full => (&[1_000, 10_000, 100_000], Duration::from_secs(20)),

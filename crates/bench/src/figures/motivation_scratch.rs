@@ -13,15 +13,14 @@
 //! Expected shape: incremental wins by orders of magnitude at small batch
 //! sizes and the gap narrows as the batch approaches the window size.
 //!
-//! Usage: `motivation_scratch [--full]`
+//! Usage: `figures motivation_scratch [--full]`
 
-use dppr_bench::{ms, ExperimentScale, Workload};
+use crate::{ms, ExperimentScale, Workload};
 use dppr_core::{exact_ppr, DynamicPprEngine, ParallelEngine, PushVariant};
 use dppr_graph::{DynamicGraph, EdgeUpdate};
 use std::time::{Duration, Instant};
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(scale: ExperimentScale) {
     let (ds, batches): (_, &[usize]) = match scale {
         ExperimentScale::Quick => (dppr_graph::presets::small_sim(), &[10, 100, 1_000]),
         ExperimentScale::Full => (dppr_graph::presets::lj_sim(), &[100, 1_000, 10_000]),

@@ -6,17 +6,16 @@
 //! parallel residual mass dominates the sequential one (Lemma 4 predicts
 //! 100% as ε→0).
 //!
-//! Usage: `theory_loss [--full]`
+//! Usage: `figures theory_loss [--full]`
 
-use dppr_bench::ExperimentScale;
+use crate::ExperimentScale;
 use dppr_core::par::parallel_push_lockstep;
 use dppr_core::seq::sequential_push_lockstep;
 use dppr_core::{PprConfig, PprState};
 use dppr_graph::generators::{barabasi_albert, undirected_to_directed};
 use dppr_graph::DynamicGraph;
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(scale: ExperimentScale) {
     let sizes: &[(u32, usize)] = match scale {
         ExperimentScale::Quick => &[(500, 3), (1_000, 4), (2_000, 5)],
         ExperimentScale::Full => &[(2_000, 4), (10_000, 5), (50_000, 7)],

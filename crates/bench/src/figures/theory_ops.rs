@@ -15,14 +15,13 @@
 //! loss, pulled back toward 1 by eager propagation), and both counts sit
 //! far below the worst-case bound.
 //!
-//! Usage: `theory_ops [--full]`
+//! Usage: `figures theory_ops [--full]`
 
-use dppr_bench::{run_engine, EngineKind, ExperimentScale, Workload};
+use crate::{run_engine, EngineKind, ExperimentScale, Workload};
 use dppr_core::PushVariant;
 use std::time::Duration;
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(scale: ExperimentScale) {
     let batches: &[usize] = match scale {
         ExperimentScale::Quick => &[10, 100, 1_000],
         ExperimentScale::Full => &[100, 1_000, 10_000],

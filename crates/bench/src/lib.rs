@@ -1,10 +1,13 @@
-//! Shared plumbing for the experiment binaries and Criterion benches.
+//! The paper's evaluation, reproduced: the `figures` binary and the
+//! `crash_recovery` harness.
 //!
-//! Each `src/bin/fig*.rs` binary regenerates one figure/table of the
-//! paper's evaluation (see `DESIGN.md` §5 for the index and
-//! `EXPERIMENTS.md` for paper-vs-measured outcomes). Output is TSV on
-//! stdout so results can be piped into any plotting tool.
+//! [`figures`] holds one module per figure, table, theorem check or
+//! ablation of the paper's §3–§5 and the table that registers them
+//! (`cargo run --release --bin figures -- list`); [`setup`] is the
+//! workload and engine construction they share. Output is TSV on stdout so
+//! results can be piped into any plotting tool.
 
+pub mod figures;
 pub mod setup;
 
-pub use setup::{build_engine, ms, run_engine, time_slides, EngineKind, ExperimentScale, Workload};
+pub use setup::{median_of, ms, run_engine, EngineKind, ExperimentScale, Workload};

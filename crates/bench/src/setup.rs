@@ -1,4 +1,4 @@
-//! Workload and engine construction shared across experiment binaries.
+//! Workload and engine construction shared across the figures.
 
 use dppr_core::{DynamicPprEngine, ParallelEngine, PprConfig, PushVariant, SeqEngine, UpdateMode};
 use dppr_graph::presets::Dataset;
@@ -6,8 +6,9 @@ use dppr_graph::{DynamicGraph, VertexId};
 use dppr_mc::MonteCarloEngine;
 use dppr_stream::{pick_top_degree_source, StreamDriver};
 use dppr_vc::LigraEngine;
+use std::time::{Duration, Instant};
 
-/// How large a run the experiment binaries should do. `Quick` keeps every
+/// How large a run a figure should do. `Quick` keeps every
 /// figure reproducible in seconds; `Full` mirrors the paper's relative
 /// scales (minutes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,15 +20,6 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Parses `--quick` / `--full` style argv; defaults to `Quick`.
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--full") {
-            ExperimentScale::Full
-        } else {
-            ExperimentScale::Quick
-        }
-    }
-
     /// Datasets to sweep at this scale.
     pub fn datasets(self) -> Vec<Dataset> {
         use dppr_graph::presets;
@@ -159,69 +151,38 @@ pub fn run_engine(
     epsilon: f64,
     batch: usize,
     max_slides: usize,
-    budget: std::time::Duration,
+    budget: Duration,
 ) -> dppr_stream::RunSummary {
     let cfg = workload.config(epsilon);
     let mut engine = build_engine(kind, cfg, workload.num_vertices, workload.seed);
     let mut driver = workload.driver(0.1);
     driver.bootstrap(engine.as_mut());
-    let mut summary = dppr_stream::RunSummary {
-        engine: engine.name(),
-        slides: 0,
-        total_updates: 0,
-        total_latency: std::time::Duration::ZERO,
-        records: Vec::new(),
-    };
-    // Slide until either cap is hit.
-    for _ in 0..max_slides {
-        if summary.total_latency >= budget {
-            break;
-        }
-        let mut part = driver.run_slides(engine.as_mut(), batch, 1);
-        if part.slides == 0 {
-            break;
-        }
-        summary.slides += part.slides;
-        summary.total_updates += part.total_updates;
-        summary.total_latency += part.total_latency;
-        summary.records.append(&mut part.records);
-    }
-    summary
+    driver.run_for(engine.as_mut(), batch, max_slides, budget)
 }
 
 /// Formats a `Duration` as fractional milliseconds for TSV output.
-pub fn ms(d: std::time::Duration) -> f64 {
+pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Criterion helper: accumulates the engine-reported latency of `iters`
-/// window slides, rebuilding (and **not** timing) a fresh bootstrapped run
-/// whenever the stream is exhausted.
-pub fn time_slides(
-    mut make_engine: impl FnMut() -> Box<dyn DynamicPprEngine>,
-    workload: &Workload,
-    batch: usize,
-    iters: u64,
-) -> std::time::Duration {
-    let mut total = std::time::Duration::ZERO;
-    let mut done = 0u64;
-    while done < iters {
-        let mut engine = make_engine();
-        let mut driver = workload.driver(0.1);
-        driver.bootstrap(engine.as_mut());
-        loop {
-            if done == iters {
-                return total;
-            }
-            let part = driver.run_slides(engine.as_mut(), batch, 1);
-            if part.slides == 0 {
-                break; // stream exhausted; rebuild outside the clock
-            }
-            total += part.total_latency;
-            done += 1;
-        }
-    }
-    total
+/// Times `n` runs of `body`, each after an untimed `reset`, and returns
+/// `(median, min, max)` — the ablations' clock. The extremes are returned
+/// because a median alone cannot tell a difference from noise.
+pub fn median_of<R>(
+    n: usize,
+    mut reset: impl FnMut(),
+    mut body: impl FnMut() -> R,
+) -> (Duration, Duration, Duration) {
+    let mut samples: Vec<Duration> = (0..n)
+        .map(|_| {
+            reset();
+            let start = Instant::now();
+            std::hint::black_box(body());
+            start.elapsed()
+        })
+        .collect();
+    samples.sort_unstable();
+    (samples[n / 2], samples[0], samples[n - 1])
 }
 
 #[cfg(test)]

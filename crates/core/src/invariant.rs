@@ -121,7 +121,7 @@ mod tests {
     use crate::config::PprConfig;
 
     /// The 4-vertex graph of Figure 1: edges 1→4? No — the figure's
-    /// topology (recovered from the arithmetic, see DESIGN.md) is
+    /// topology (recovered from its arithmetic) is
     /// 2→1, 3→1, 3→2, 4→3, 1→4 with vertex ids 1..=4 (we use 0..=3 with
     /// the same numbering shifted by −1).
     fn figure1_graph() -> DynamicGraph {

@@ -40,8 +40,9 @@
 //! ```
 //!
 //! holding at all times and `|π(v) − Ps(v)| ≤ ε` for all `v` whenever no
-//! residual exceeds ε in absolute value. See `DESIGN.md` for why this is
-//! the quantity the paper's Algorithms 1–4 compute.
+//! residual exceeds ε in absolute value. This is the quantity the paper's
+//! Algorithms 1–4 compute: a push at `u` hands `u`'s residual to `Nin(u)`,
+//! each share scaled by the receiver's `1/dout`.
 
 pub mod atomic;
 pub mod checksum;

@@ -128,7 +128,7 @@ impl PprState {
         self.r.iter().map(AtomicF64::load).collect()
     }
 
-    /// `max_v |Rs(v)|` — the convergence criterion: the push has converged
+    /// `max_v |Rs(v)|` — the convergence test: the push has converged
     /// when this does not exceed ε.
     pub fn max_abs_residual(&self) -> f64 {
         self.r.iter().map(|x| x.load().abs()).fold(0.0, f64::max)

@@ -335,10 +335,10 @@ impl DynamicGraph {
         }
     }
 
-    /// Test/bench-only: a graph that always uses the pre-pool linear
+    /// Test-only: a graph that always uses the pre-pool linear
     /// membership scan for duplicate detection, regardless of degree.
-    /// Keeps the old-style O(deg)-per-insert ingest path measurable (see
-    /// the `graph_ingest` benchmark); not intended for production use.
+    /// The reference model `tests/proptest_pool.rs` checks the adaptive
+    /// path against; not intended for production use.
     pub fn new_linear_scan() -> Self {
         Self::with_dup_threshold(usize::MAX)
     }

@@ -7,18 +7,15 @@
 //! * [`DynamicGraph`] — an in-memory directed graph with both out- and
 //!   in-adjacency, supporting edge insertion and deletion (the `ΔEt` update
 //!   model of §2.2 of the paper).
-//! * [`CsrGraph`] — an immutable compressed-sparse-row snapshot for
-//!   read-mostly analytics and baselines.
 //! * [`generators`] — seeded Erdős–Rényi, Barabási–Albert and R-MAT
 //!   generators used as laptop-scale stand-ins for the SNAP datasets of the
-//!   paper's §5.1 (see `DESIGN.md` for the substitution rationale).
+//!   paper's §5.1 (the table in [`presets`] maps each to its stand-in).
 //! * [`stream`] — timestamped edge streams and the sliding-window update
 //!   model used throughout the paper's evaluation.
 //! * [`io`] — SNAP-style edge-list text I/O.
 //! * [`presets`] — the five named synthetic datasets mirroring the paper's
 //!   evaluation graphs.
 
-pub mod csr;
 pub mod dynamic;
 pub mod generators;
 pub mod io;
@@ -27,7 +24,6 @@ pub mod stats;
 pub mod stream;
 pub mod types;
 
-pub use csr::CsrGraph;
 pub use dynamic::{DynamicGraph, SubstrateStats};
 pub use stream::{GraphStream, SlidingWindow};
 pub use types::{EdgeOp, EdgeUpdate, VertexId};

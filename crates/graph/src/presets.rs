@@ -3,7 +3,7 @@
 //! The paper evaluates on five SNAP graphs. Those files are not available
 //! offline, so each preset is a seeded generator configuration whose *shape*
 //! (degree skew, average degree, directedness convention) matches the
-//! original at laptop scale; see `DESIGN.md` for the substitution table.
+//! original at laptop scale:
 //!
 //! | preset        | paper graph  | model  | ~vertices | ~logical edges |
 //! |---------------|--------------|--------|-----------|----------------|

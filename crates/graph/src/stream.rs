@@ -125,7 +125,8 @@ impl SlidingWindow {
 
     /// The updates that build the initial window (insertions only). Engines
     /// apply these as one big batch to bootstrap from the empty graph, which
-    /// the local-update invariant supports directly (see `DESIGN.md`).
+    /// the local-update invariant supports directly: the empty graph
+    /// satisfies it trivially and every insertion restores it.
     pub fn initial_updates(&self) -> Vec<EdgeUpdate> {
         let mut out = Vec::with_capacity(self.arcs_per_edge() * (self.end - self.start));
         for i in self.start..self.end {

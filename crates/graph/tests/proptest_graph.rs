@@ -3,7 +3,7 @@
 use dppr_graph::generators::{
     barabasi_albert, erdos_renyi, rmat, undirected_to_directed, RmatParams,
 };
-use dppr_graph::{CsrGraph, DynamicGraph, EdgeOp, EdgeUpdate, GraphStream, SlidingWindow};
+use dppr_graph::{DynamicGraph, EdgeOp, EdgeUpdate, GraphStream, SlidingWindow};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -76,27 +76,6 @@ proptest! {
             prop_assert_eq!(g.out_neighbors(v).len(), g.out_degree(v));
             prop_assert_eq!(g.in_neighbors(v).len(), g.in_degree(v));
         }
-    }
-
-    /// CSR snapshots are lossless and agree with the dynamic graph.
-    #[test]
-    fn csr_roundtrip(script in update_script(16, 150)) {
-        let mut g = DynamicGraph::new();
-        for upd in script {
-            g.apply(upd);
-        }
-        let csr = CsrGraph::from_dynamic(&g);
-        prop_assert_eq!(csr.num_edges(), g.num_edges());
-        for v in 0..g.num_vertices() as u32 {
-            prop_assert_eq!(csr.out_degree(v), g.out_degree(v));
-            prop_assert_eq!(csr.in_degree(v), g.in_degree(v));
-            for &w in csr.out_neighbors(v) {
-                prop_assert!(g.has_edge(v, w));
-            }
-        }
-        let back = csr.to_dynamic();
-        let csr2 = CsrGraph::from_dynamic(&back);
-        prop_assert_eq!(csr, csr2);
     }
 
     /// The in/out adjacency of every edge agrees (transpose symmetry).

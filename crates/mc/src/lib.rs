@@ -28,7 +28,8 @@
 //! distribution from the source (walks stop at dangling vertices), which is
 //! the quantity [10] maintains. The throughput comparison with the
 //! local-update engines is about *maintenance cost per update*, not about
-//! agreeing on the same vector; see `DESIGN.md`.
+//! agreeing on the same vector (`dppr_core`'s "Semantics" section defines
+//! the one the push engines maintain).
 
 pub mod walks;
 

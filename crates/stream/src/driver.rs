@@ -2,7 +2,7 @@
 
 use dppr_core::{BatchStats, CounterSnapshot, DynamicPprEngine};
 use dppr_graph::{DynamicGraph, GraphStream, SlidingWindow};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One window slide as observed by the driver.
 #[derive(Debug, Clone, Copy)]
@@ -192,17 +192,6 @@ impl StreamDriver {
         self.window.slide(k)
     }
 
-    /// Slides the window forward until its end reaches exactly `end`
-    /// (one batch covering the gap), returning the raw update batch;
-    /// `None` when the window is already at or past `end`. Recovery
-    /// paths use this to close the distance between a checkpointed
-    /// window and the WAL tail in a single deterministic step.
-    pub fn slide_to(&mut self, end: usize) -> Option<Vec<dppr_graph::EdgeUpdate>> {
-        let (_, cur_end) = self.window_range();
-        let k = end.checked_sub(cur_end).filter(|k| *k > 0)?;
-        self.slide_batch(k)
-    }
-
     /// Runs up to `max_slides` slides of `k` logical edges each, stopping
     /// early when the stream is exhausted.
     pub fn run_slides(
@@ -211,62 +200,19 @@ impl StreamDriver {
         k: usize,
         max_slides: usize,
     ) -> RunSummary {
-        self.run_slides_with(engine, k, max_slides, |_, _, _| {})
+        self.run_for(engine, k, max_slides, Duration::MAX)
     }
 
-    /// [`StreamDriver::run_slides`] with a post-slide hook: after each
-    /// batch is applied (engine converged, graph mutated) the hook sees the
-    /// engine, the graph, and the slide record. A snapshot taken here is
-    /// guaranteed to be a converged, internally consistent state — the
-    /// publication point for single-engine serving pipelines. (The
-    /// multi-source write loop in `dppr-serve` needs the state *between*
-    /// window slide and publication in its own hands, so it uses the
-    /// manual [`StreamDriver::take_initial_batch`] /
-    /// [`StreamDriver::slide_batch`] form of the same contract instead.)
-    pub fn run_slides_with(
-        &mut self,
-        engine: &mut dyn DynamicPprEngine,
-        k: usize,
-        max_slides: usize,
-        mut on_slide: impl FnMut(&dyn DynamicPprEngine, &DynamicGraph, &SlideRecord),
-    ) -> RunSummary {
-        assert!(self.bootstrapped, "bootstrap the engine first");
-        let mut summary = RunSummary {
-            engine: engine.name(),
-            slides: 0,
-            total_updates: 0,
-            total_latency: Duration::ZERO,
-            records: Vec::new(),
-        };
-        for slide in 0..max_slides {
-            let Some(batch) = self.window.slide(k) else {
-                break;
-            };
-            let stats = engine.apply_batch(&mut self.graph, &batch);
-            summary.slides += 1;
-            summary.total_updates += batch.len();
-            summary.total_latency += stats.latency;
-            let record = SlideRecord {
-                slide,
-                batch_updates: batch.len(),
-                applied: stats.applied,
-                latency: stats.latency,
-                counters: stats.counters,
-                active_vertices: self.graph.active_vertices(),
-            };
-            on_slide(engine, &self.graph, &record);
-            summary.records.push(record);
-        }
-        summary
-    }
-
-    /// Runs slides until the cumulative engine latency exceeds `budget`
-    /// (the paper's "report the number of edges consumed per second after
-    /// running for 5 minutes") or the stream ends.
+    /// The slide loop: slides by `k` logical edges and applies each batch
+    /// through `engine` until `max_slides` slides have run, the cumulative
+    /// engine latency ([`BatchStats::latency`]) has reached `budget` (the
+    /// paper's "report the number of edges consumed per second after
+    /// running for 5 minutes"), or the stream runs dry.
     pub fn run_for(
         &mut self,
         engine: &mut dyn DynamicPprEngine,
         k: usize,
+        max_slides: usize,
         budget: Duration,
     ) -> RunSummary {
         assert!(self.bootstrapped, "bootstrap the engine first");
@@ -277,25 +223,22 @@ impl StreamDriver {
             total_latency: Duration::ZERO,
             records: Vec::new(),
         };
-        let start = Instant::now();
-        let mut slide = 0usize;
-        while start.elapsed() < budget {
+        while summary.slides < max_slides && summary.total_latency < budget {
             let Some(batch) = self.window.slide(k) else {
                 break;
             };
             let stats = engine.apply_batch(&mut self.graph, &batch);
-            summary.slides += 1;
-            summary.total_updates += batch.len();
-            summary.total_latency += stats.latency;
             summary.records.push(SlideRecord {
-                slide,
+                slide: summary.slides,
                 batch_updates: batch.len(),
                 applied: stats.applied,
                 latency: stats.latency,
                 counters: stats.counters,
                 active_vertices: self.graph.active_vertices(),
             });
-            slide += 1;
+            summary.slides += 1;
+            summary.total_updates += batch.len();
+            summary.total_latency += stats.latency;
         }
         summary
     }
@@ -354,11 +297,35 @@ mod tests {
 
     #[test]
     fn run_for_respects_budget() {
-        let mut d = StreamDriver::new(stream(), 0.1);
-        let mut e = SeqEngine::new(PprConfig::new(0, 0.2, 1e-2), UpdateMode::Batched);
-        d.bootstrap(&mut e);
-        let summary = d.run_for(&mut e, 10, Duration::from_millis(200));
-        assert!(summary.slides > 0);
+        // 1800 edges remain after the 10% window: 180 slides of 10.
+        let fresh = || {
+            let mut d = StreamDriver::new(stream(), 0.1);
+            let mut e = SeqEngine::new(PprConfig::new(0, 0.2, 1e-2), UpdateMode::Batched);
+            d.bootstrap(&mut e);
+            (d, e)
+        };
+        // A zero budget runs no slide.
+        let (mut d, mut e) = fresh();
+        assert_eq!(d.run_for(&mut e, 10, usize::MAX, Duration::ZERO).slides, 0);
+        // The budget alone stops the loop: it is checked before each
+        // slide, so exactly the last slide carries the total across it.
+        let budget = Duration::from_nanos(1);
+        let summary = d.run_for(&mut e, 10, usize::MAX, budget);
+        assert!(summary.slides > 0 && summary.slides < 180);
+        assert!(summary.total_latency >= budget);
+        let last = summary.records.last().unwrap().latency;
+        assert!(summary.total_latency - last < budget);
+        // The cap alone stops the loop, and records are numbered in order.
+        let (mut d, mut e) = fresh();
+        let summary = d.run_for(&mut e, 10, 7, Duration::MAX);
+        assert_eq!(summary.slides, 7);
+        assert_eq!(summary.records.len(), 7);
+        for (i, r) in summary.records.iter().enumerate() {
+            assert_eq!(r.slide, i);
+        }
+        // Neither bound: the stream runs dry, and a dry stream runs nothing.
+        assert_eq!(d.run_for(&mut e, 10, usize::MAX, Duration::MAX).slides, 173);
+        assert_eq!(d.run_slides(&mut e, 10, 5).slides, 0);
     }
 
     #[test]
@@ -378,27 +345,6 @@ mod tests {
         let total = summary.total_counters();
         assert_eq!(total.batches, 5);
         assert!(total.restore_ops > 0);
-    }
-
-    #[test]
-    fn post_slide_hook_sees_converged_consistent_state() {
-        use dppr_core::max_invariant_violation;
-        let mut d = StreamDriver::new(stream(), 0.1);
-        let mut e = ParallelEngine::new(PprConfig::new(0, 0.2, 1e-3), PushVariant::OPT);
-        d.bootstrap(&mut e);
-        let mut hook_calls = 0usize;
-        let summary = d.run_slides_with(&mut e, 100, 4, |engine, g, record| {
-            hook_calls += 1;
-            assert_eq!(record.slide + 1, hook_calls);
-            // The hook fires at the publication point: the engine must be
-            // converged and invariant-consistent against the mutated graph.
-            let estimates = engine.estimates();
-            assert_eq!(estimates.len(), g.num_vertices());
-            assert_eq!(record.active_vertices, g.active_vertices());
-        });
-        assert_eq!(hook_calls, 4);
-        assert_eq!(summary.slides, 4);
-        assert!(max_invariant_violation(d.graph(), e.state()) < 1e-9);
     }
 
     #[test]

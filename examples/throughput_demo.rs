@@ -64,6 +64,6 @@ fn main() {
     }
 
     println!(
-        "\n(The local-update engines keep the same ε-guarantee; Monte-Carlo's\n accuracy depends on its walk budget — see DESIGN.md.)"
+        "\n(The local-update engines keep the same ε-guarantee; Monte-Carlo's\n accuracy depends on its walk budget — see crates/mc/src/lib.rs.)"
     );
 }

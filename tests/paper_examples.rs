@@ -2,7 +2,7 @@
 //! the public facade API.
 //!
 //! Paper ids `v1..v4` map to our `0..3`. The figure graph (recovered from
-//! the arithmetic; see DESIGN.md) is 2→1, 3→1, 3→2, 4→3, 1→4, with
+//! the figure's arithmetic) is 2→1, 3→1, 3→2, 4→3, 1→4, with
 //! α = 0.5 and ε = 0.1, source `v1`.
 
 use dppr::core::seq::{sequential_local_push, SeqPushBuffers};
