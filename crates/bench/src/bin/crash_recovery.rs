@@ -29,7 +29,7 @@
 
 use dppr_core::{persist::state_fingerprint, MultiSourcePpr, PushVariant};
 use dppr_graph::{presets, GraphStream, VertexId};
-use dppr_serve::{boot_probe, boot_probe_shards, shard_of, BootProbe, DurabilityConfig, ServeConfig};
+use dppr_serve::{boot_probe, BootProbe, DurabilityConfig, ServeConfig};
 use dppr_stream::StreamDriver;
 use dppr_wal::{FsyncPolicy, CRASH_ENV, CRASH_EXIT_CODE};
 use std::io::Write as _;
@@ -46,11 +46,10 @@ const ALPHA: f64 = 0.15;
 const EPSILON: f64 = 1e-4;
 const BATCH: usize = 40;
 const SOURCES: [VertexId; 2] = [0, 7];
-/// Sources for the 2-shard case; 11 hashes onto write shard 0 while 0
-/// and 7 land on shard 1, so both shards own sessions and both WALs see
-/// the kill.
-const SHARD_SOURCES: [VertexId; 3] = [0, 7, 11];
-const SHARDS: usize = 2;
+/// Sources for the 2-lane case: three sessions over two lanes, so both
+/// lanes own sessions when the kill lands.
+const LANE_SOURCES: [VertexId; 3] = [0, 7, 11];
+const LANES: usize = 2;
 const CKPT_EVERY: u64 = 4;
 // Small segments so rotation happens several times per run.
 const SEGMENT_BYTES: u64 = 3_072;
@@ -59,7 +58,7 @@ fn the_stream() -> GraphStream {
     presets::toy().stream(SEED)
 }
 
-fn serve_cfg(data_dir: &Path) -> ServeConfig {
+fn serve_cfg(data_dir: &Path, lanes: usize) -> ServeConfig {
     let mut d = DurabilityConfig::new(data_dir);
     d.fsync = FsyncPolicy::PerBatch;
     d.checkpoint_every_slides = CKPT_EVERY;
@@ -70,6 +69,7 @@ fn serve_cfg(data_dir: &Path) -> ServeConfig {
         batch: BATCH,
         alpha: ALPHA,
         epsilon: EPSILON,
+        write_shards: lanes,
         durability: Some(d),
         ..ServeConfig::default()
     }
@@ -103,19 +103,14 @@ fn baseline_for(sources: &[VertexId]) -> Vec<Vec<(VertexId, u64)>> {
 /// hard-exits (code 86, no WAL flush, no final checkpoint) once that
 /// many slides have been applied — the "kill -9 between batches" point.
 /// With `DPPR_CRASH` set, the injected site exits 86 on its own. With
-/// `shards > 1` the instance runs that many independent write loops
-/// (`SHARD_SOURCES`, one WAL directory per shard) and the kill lands
-/// while both are mid-stream.
-fn run_child(data_dir: &Path, die_after_slides: u64, shards: usize) -> ! {
-    let mut cfg = serve_cfg(data_dir);
-    cfg.write_shards = shards;
+/// `lanes > 1` the write loop pushes `LANE_SOURCES` over that many lanes.
+fn run_child(data_dir: &Path, die_after_slides: u64, lanes: usize) -> ! {
+    let mut cfg = serve_cfg(data_dir, lanes);
     // Freeze the write loop at the kill point rather than racing it: a
     // fast slide loop must not run the stream dry before the poll below
-    // notices the threshold and hard-exits. (`max_slides` is per shard;
-    // the die threshold below counts slides across all shards.)
+    // notices the threshold and hard-exits.
     cfg.max_slides = die_after_slides as usize;
-    let sources: &[VertexId] = if shards > 1 { &SHARD_SOURCES } else { &SOURCES };
-    let handle = dppr_serve::start(the_stream(), INIT_FRACTION, sources, cfg)
+    let handle = dppr_serve::start(the_stream(), INIT_FRACTION, sources_for(lanes), cfg)
         .unwrap_or_else(|e| {
             eprintln!("child: start failed: {e}");
             std::process::exit(3);
@@ -203,6 +198,17 @@ struct Case {
     die_after_slides: u64,
     /// Post-mortem filesystem damage.
     corrupt: Option<fn(&Path)>,
+    /// Push lanes of the child and of the recovering probe.
+    lanes: usize,
+}
+
+/// The sessions a `lanes`-lane case maintains.
+fn sources_for(lanes: usize) -> &'static [VertexId] {
+    if lanes > 1 {
+        &LANE_SOURCES
+    } else {
+        &SOURCES
+    }
 }
 
 impl Case {
@@ -212,6 +218,7 @@ impl Case {
             crash: format!("{site}:{nth}"),
             die_after_slides: 0,
             corrupt: None,
+            lanes: 1,
         }
     }
 
@@ -221,6 +228,7 @@ impl Case {
             crash: String::new(),
             die_after_slides: 10,
             corrupt: Some(corrupt),
+            lanes: 1,
         }
     }
 }
@@ -275,9 +283,10 @@ struct Outcome {
     error: Option<String>,
 }
 
-fn probe_now(data_dir: &Path) -> std::io::Result<(BootProbe, f64)> {
+fn probe_now(data_dir: &Path, lanes: usize) -> std::io::Result<(BootProbe, f64)> {
     let t = Instant::now();
-    let probe = boot_probe(the_stream(), INIT_FRACTION, &SOURCES, &serve_cfg(data_dir))?;
+    let cfg = serve_cfg(data_dir, lanes);
+    let probe = boot_probe(the_stream(), INIT_FRACTION, sources_for(lanes), &cfg)?;
     Ok((probe, t.elapsed().as_secs_f64() * 1e3))
 }
 
@@ -303,6 +312,7 @@ fn check_case(case: &Case, base: &[Vec<(VertexId, u64)>], root: &Path) -> Outcom
     if case.die_after_slides > 0 {
         cmd.arg("--die-after-slides").arg(case.die_after_slides.to_string());
     }
+    cmd.arg("--lanes").arg(case.lanes.to_string());
     let child = match cmd.output() {
         Ok(o) => o,
         Err(e) => {
@@ -328,7 +338,7 @@ fn check_case(case: &Case, base: &[Vec<(VertexId, u64)>], root: &Path) -> Outcom
     }
 
     // 3. Recover and compare against the baseline.
-    let (probe, ms) = match probe_now(&data_dir) {
+    let (probe, ms) = match probe_now(&data_dir, case.lanes) {
         Ok(v) => v,
         Err(e) => {
             out.error = Some(format!("recovery failed: {e}"));
@@ -371,7 +381,7 @@ fn check_case(case: &Case, base: &[Vec<(VertexId, u64)>], root: &Path) -> Outcom
 
     // 4. Recovery must be idempotent (the probe itself re-appends the
     //    checkpoint marker and prunes — run it again on the result).
-    match probe_now(&data_dir) {
+    match probe_now(&data_dir, case.lanes) {
         Ok((again, _)) => {
             if again.epoch != probe.epoch || again.fingerprints != probe.fingerprints {
                 out.error = Some("second recovery disagreed with the first".into());
@@ -398,7 +408,7 @@ fn check_resume_to_completion(base: &[Vec<(VertexId, u64)>], root: &Path) -> Opt
     }
     // Recover inside a real server and run the stream dry.
     let handle =
-        match dppr_serve::start(the_stream(), INIT_FRACTION, &SOURCES, serve_cfg(&data_dir)) {
+        match dppr_serve::start(the_stream(), INIT_FRACTION, &SOURCES, serve_cfg(&data_dir, 1)) {
             Ok(h) => h,
             Err(e) => return Some(format!("restart failed: {e}")),
         };
@@ -413,7 +423,7 @@ fn check_resume_to_completion(base: &[Vec<(VertexId, u64)>], root: &Path) -> Opt
         return Some(format!("resumed run ended at epoch {}, baseline {}", report.epoch, base.len()));
     }
     // The graceful join checkpointed the final epoch; probe it.
-    match probe_now(&data_dir) {
+    match probe_now(&data_dir, 1) {
         Ok((probe, _)) => {
             if probe.fingerprints != *base.last().unwrap() {
                 return Some("final state after resume diverged from baseline".into());
@@ -424,86 +434,19 @@ fn check_resume_to_completion(base: &[Vec<(VertexId, u64)>], root: &Path) -> Opt
     }
 }
 
-/// Kills a 2-shard server mid-stream and proves every shard recovers
-/// independently: each shard's `(checkpoint + WAL tail)` replays to
-/// fingerprints bit-identical to the uncrashed baseline at that shard's
-/// own recovered epoch — shards crash at different points, and each one
-/// must come back at exactly where *its* log ends.
-fn check_sharded_kill(root: &Path) -> Option<String> {
-    let base = baseline_for(&SHARD_SOURCES);
-    let data_dir = root.join("sharded-kill");
-    let exe = std::env::current_exe().expect("current_exe");
-    let child = std::process::Command::new(exe)
-        .arg("--child")
-        .arg(&data_dir)
-        .arg("--die-after-slides")
-        .arg("12")
-        .arg("--shards")
-        .arg(SHARDS.to_string())
-        .env_remove(CRASH_ENV)
-        .output()
-        .ok()?;
-    if child.status.code() != Some(CRASH_EXIT_CODE) {
-        return Some(format!(
-            "sharded child exited {:?}; stderr: {}",
-            child.status.code(),
-            String::from_utf8_lossy(&child.stderr).trim()
-        ));
-    }
-
-    let mut cfg = serve_cfg(&data_dir);
-    cfg.write_shards = SHARDS;
-    let probes = match boot_probe_shards(the_stream(), INIT_FRACTION, &SHARD_SOURCES, &cfg) {
-        Ok(p) => p,
-        Err(e) => return Some(format!("sharded recovery failed: {e}")),
+/// Kills a 2-lane server between batches, mid-stream, and recovers it
+/// through the same probe and the same assertions as every other case:
+/// tail-only replay, fingerprints bit-identical to the uncrashed one-lane
+/// baseline of the same three sources, idempotent second recovery.
+fn check_lanes_kill(root: &Path) -> Outcome {
+    let case = Case {
+        name: format!("lanes-kill-{LANES}"),
+        crash: String::new(),
+        die_after_slides: 12,
+        corrupt: None,
+        lanes: LANES,
     };
-    if probes.len() != SHARDS {
-        return Some(format!("expected {SHARDS} shard probes, got {}", probes.len()));
-    }
-    for (i, probe) in probes.iter().enumerate() {
-        // The probe must cover exactly the sources this shard owns.
-        let owned: Vec<VertexId> =
-            SHARD_SOURCES.iter().copied().filter(|&s| shard_of(s, SHARDS) == i).collect();
-        let got: Vec<VertexId> = probe.fingerprints.iter().map(|&(s, _)| s).collect();
-        if got != owned {
-            return Some(format!("shard {i} recovered sources {got:?}, owns {owned:?}"));
-        }
-        if let Some(r) = &probe.recovery {
-            if r.checkpoint_epoch + r.replayed_batches != r.recovered_epoch {
-                return Some(format!(
-                    "shard {i} replay not tail-only: {} + {} != {}",
-                    r.checkpoint_epoch, r.replayed_batches, r.recovered_epoch
-                ));
-            }
-        }
-        // Bit-identical to the uncrashed replay at this shard's epoch.
-        let Some(want) = probe.epoch.checked_sub(1).and_then(|e| base.get(e as usize)) else {
-            return Some(format!("shard {i} epoch {} outside baseline", probe.epoch));
-        };
-        for &(s, fp) in &probe.fingerprints {
-            let Some(&(_, base_fp)) = want.iter().find(|&&(bs, _)| bs == s) else {
-                return Some(format!("shard {i} source {s} missing from baseline"));
-            };
-            if fp != base_fp {
-                return Some(format!(
-                    "shard {i} source {s} diverged at epoch {}: {fp:x} != {base_fp:x}",
-                    probe.epoch
-                ));
-            }
-        }
-    }
-    // Idempotent: probing again reproduces every shard exactly.
-    match boot_probe_shards(the_stream(), INIT_FRACTION, &SHARD_SOURCES, &cfg) {
-        Ok(again) => {
-            for (i, (a, b)) in again.iter().zip(&probes).enumerate() {
-                if a.epoch != b.epoch || a.fingerprints != b.fingerprints {
-                    return Some(format!("shard {i}: second recovery disagreed with the first"));
-                }
-            }
-            None
-        }
-        Err(e) => Some(format!("second sharded recovery failed: {e}")),
-    }
+    check_case(&case, &baseline_for(&LANE_SOURCES), root)
 }
 
 // ---- entry point ------------------------------------------------------
@@ -517,12 +460,12 @@ fn main() {
             .position(|a| a == "--die-after-slides")
             .and_then(|j| args.get(j + 1))
             .map_or(0, |v| v.parse().expect("--die-after-slides <n>"));
-        let shards = args
+        let lanes = args
             .iter()
-            .position(|a| a == "--shards")
+            .position(|a| a == "--lanes")
             .and_then(|j| args.get(j + 1))
-            .map_or(1, |v| v.parse().expect("--shards <n>"));
-        run_child(&data_dir, die, shards);
+            .map_or(1, |v| v.parse().expect("--lanes <n>"));
+        run_child(&data_dir, die, lanes);
     }
     let out_path = args
         .iter()
@@ -537,8 +480,8 @@ fn main() {
     println!("case\tchild_exit\trecovery_ms\tcheckpoint_epoch\treplayed\trecovered_epoch\tok");
 
     let mut outcomes = Vec::new();
-    for case in cases() {
-        let o = check_case(&case, &base, &root);
+    let lanes_kill = std::iter::once_with(|| check_lanes_kill(&root));
+    for o in cases().iter().map(|case| check_case(case, &base, &root)).chain(lanes_kill) {
         println!(
             "{}\t{}\t{:.2}\t{}\t{}\t{}\t{}",
             o.name,
@@ -555,11 +498,6 @@ fn main() {
     println!(
         "resume-to-completion\t-\t-\t-\t-\t-\t{}",
         resume_err.as_deref().unwrap_or("ok")
-    );
-    let sharded_err = check_sharded_kill(&root);
-    println!(
-        "sharded-kill-{SHARDS}\t-\t-\t-\t-\t-\t{}",
-        sharded_err.as_deref().unwrap_or("ok")
     );
 
     // The report — recovery-time numbers for the CI artifact.
@@ -583,12 +521,11 @@ fn main() {
     let mean_ms = outcomes.iter().map(|o| o.recovery_ms).sum::<f64>() / outcomes.len() as f64;
     json.push_str(&format!(
         "  ],\n  \"baseline_epochs\": {},\n  \"mean_recovery_ms\": {:.3},\n  \
-         \"resume_to_completion_ok\": {},\n  \"sharded_kill_ok\": {},\n  \"all_ok\": {}\n}}\n",
+         \"resume_to_completion_ok\": {},\n  \"all_ok\": {}\n}}\n",
         base.len(),
         mean_ms,
         resume_err.is_none(),
-        sharded_err.is_none(),
-        failures.is_empty() && resume_err.is_none() && sharded_err.is_none()
+        failures.is_empty() && resume_err.is_none()
     ));
     if let Some(dir) = Path::new(&out_path).parent() {
         std::fs::create_dir_all(dir).expect("creating the report's directory");
@@ -603,14 +540,11 @@ fn main() {
     if let Some(e) = &resume_err {
         eprintln!("FAIL resume-to-completion: {e}");
     }
-    if let Some(e) = &sharded_err {
-        eprintln!("FAIL sharded-kill-{SHARDS}: {e}");
-    }
-    if !failures.is_empty() || resume_err.is_some() || sharded_err.is_some() {
+    if !failures.is_empty() || resume_err.is_some() {
         std::process::exit(1);
     }
     println!(
-        "crash_recovery: {} cases + resume-to-completion + sharded-kill-{SHARDS} all ok",
+        "crash_recovery: {} cases (the last a {LANES}-lane kill) + resume-to-completion all ok",
         outcomes.len()
     );
 }

@@ -350,10 +350,9 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         .join(",");
     println!("listening\thttp://{}", handle.addr());
     println!("graph\t{name}\nsources\t{sources_csv}");
-    for (i, r) in handle.recoveries().iter().enumerate() {
-        let Some(r) = r else { continue };
+    if let Some(r) = handle.recovery() {
         println!(
-            "recovered\tshard={i} checkpoint_epoch={} replayed_batches={} epoch={} window=[{}, {})",
+            "recovered\tcheckpoint_epoch={} replayed_batches={} epoch={} window=[{}, {})",
             r.checkpoint_epoch, r.replayed_batches, r.recovered_epoch, r.window_start, r.window_end
         );
     }

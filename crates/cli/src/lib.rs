@@ -67,8 +67,9 @@ COMMANDS
              [--seed S]  [--read-timeout-ms MS (10000)]
              [--write-timeout-ms MS (10000)]  [--shed-after-ms MS (1000;
              0 = never shed)]  [--conn-backlog N (256 per shard)]
-             [--write-shards N (1; partition sessions across N
-             independent write loops by stable source hash)]
+             [--write-shards N (1; push lanes: the one write loop pushes
+             its sessions in N chunks side by side, cores/N threads each;
+             one graph, WAL and epoch; answers identical for any N)]
              [--data-dir DIR (durable WAL + checkpoints; restart recovers
              checkpoint + log tail)]  [--fsync batch|off|interval:MS
              (interval:50)]  [--checkpoint-every N (64 slides)]

@@ -264,7 +264,7 @@ impl DynamicPprEngine for ParallelEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ground_truth::exact_ppr;
     use crate::fanout::FAN_OUT_MIN;
@@ -330,19 +330,24 @@ mod tests {
         assert_eq!(e.name(), "CPU-MT[Opt]");
     }
 
-    /// `CPU-MT[Opt]` with `threads` threads over a stream wide enough that
-    /// its frontiers pass `FAN_OUT_MIN` (asserted): a 12k-vertex BA graph
-    /// loaded in one batch, then a window-style batch that retracts the
-    /// oldest arcs and inserts fresh ones.
-    fn run_wide_stream(threads: usize) -> (DynamicGraph, ParallelEngine) {
+    /// A stream wide enough that its push frontiers pass `FAN_OUT_MIN` (the
+    /// users assert it): a 12k-vertex BA graph loaded in one batch, then a
+    /// window-style batch that retracts the oldest arcs and inserts fresh
+    /// ones.
+    pub(crate) fn wide_stream() -> [Vec<EdgeUpdate>; 2] {
         let edges = undirected_to_directed(&barabasi_albert(12_000, 3, 41));
-        let load: Vec<EdgeUpdate> =
-            edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
-        let slide: Vec<EdgeUpdate> = edges[..2_000]
+        let load = edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
+        let slide = edges[..2_000]
             .iter()
             .map(|&(u, v)| EdgeUpdate::delete(u, v))
             .chain(erdos_renyi(12_000, 2_000, 5).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)))
             .collect();
+        [load, slide]
+    }
+
+    /// `CPU-MT[Opt]` with `threads` threads over [`wide_stream`].
+    fn run_wide_stream(threads: usize) -> (DynamicGraph, ParallelEngine) {
+        let [load, slide] = wide_stream();
         let mut g = DynamicGraph::new();
         let mut e =
             ParallelEngine::with_threads(PprConfig::new(0, 0.2, 1e-6), PushVariant::OPT, threads);

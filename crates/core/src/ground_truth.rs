@@ -25,7 +25,7 @@ pub fn exact_ppr(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64) -> Ve
 
 /// [`exact_ppr`] on the calling thread only — for callers that must leave
 /// the cores to someone else, e.g. the serve-side accuracy auditor, which
-/// runs on a single background thread next to the write loops. Identical
+/// runs on a single background thread next to the write loop. Identical
 /// math and iteration cap, so the two agree bit for bit.
 pub fn exact_ppr_seq(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64) -> Vec<f64> {
     solve(g, source, alpha, tol, 1)

@@ -6,46 +6,53 @@
 //! vectors", and the indexing systems it aims to serve (HubPPR [46],
 //! distributed exact PPR [18]) maintain vectors for many hub vertices.
 //! [`MultiSourcePpr`] does exactly that: one [`PprState`] per source,
-//! updated against the same graph, one source after another (the pushes
-//! are independent — they share only the read-only graph — so the loop in
-//! [`MultiSourcePpr::apply_batch`] is where a fan-out over sources would go).
+//! updated against the same graph. The pushes of different sources are
+//! independent — each writes its own state and only reads the graph — so
+//! [`MultiSourcePpr::apply_batch`] mutates the graph once and then spreads
+//! the sessions over `lanes` contiguous chunks of one
+//! [`fan_out_chunks`]: sources go to workers, the graph is not copied per
+//! worker (the scaling of Lin's distributed fully-personalized PageRank).
+//! One lane, the default, is a plain loop on the calling thread.
 
 use crate::config::PprConfig;
 use crate::counters::Counters;
+use crate::fanout::{default_threads, fan_out_chunks};
 use crate::invariant::restore_invariant_with_degree;
-use crate::par::{parallel_local_push, ParPushBuffers};
+use crate::par::{parallel_local_push, parallel_local_push_opts, ParPushBuffers, PushOpts};
 use crate::state::PprState;
 use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
 
+/// One maintained vector with the push scratch that travels with it.
+struct Session {
+    state: PprState,
+    bufs: ParPushBuffers,
+}
+
+impl Session {
+    fn new(state: PprState) -> Self {
+        Session { state, bufs: ParPushBuffers::new() }
+    }
+}
+
 /// A bundle of PPR vectors for several sources over one dynamic graph.
 pub struct MultiSourcePpr {
-    states: Vec<PprState>,
-    bufs: Vec<ParPushBuffers>,
+    sessions: Vec<Session>,
     alpha: f64,
     epsilon: f64,
     variant: PushVariant,
     counters: Counters,
-    seeds: Vec<VertexId>,
+    lanes: usize,
 }
 
 impl MultiSourcePpr {
     /// Creates one maintained vector per source, all with the same α and ε.
     pub fn new(sources: &[VertexId], alpha: f64, epsilon: f64, variant: PushVariant) -> Self {
-        let states = sources
+        let sessions = sources
             .iter()
-            .map(|&s| PprState::new(PprConfig::new(s, alpha, epsilon)))
-            .collect::<Vec<_>>();
-        let bufs = sources.iter().map(|_| ParPushBuffers::new()).collect();
-        MultiSourcePpr {
-            states,
-            bufs,
-            alpha,
-            epsilon,
-            variant,
-            counters: Counters::new(),
-            seeds: Vec::new(),
-        }
+            .map(|&s| Session::new(PprState::new(PprConfig::new(s, alpha, epsilon))))
+            .collect();
+        MultiSourcePpr { sessions, alpha, epsilon, variant, counters: Counters::new(), lanes: 1 }
     }
 
     /// Rebuilds a bundle from previously maintained states (e.g. loaded
@@ -67,36 +74,40 @@ impl MultiSourcePpr {
                 "all restored states must share alpha/epsilon"
             );
         }
-        let bufs = states.iter().map(|_| ParPushBuffers::new()).collect();
-        MultiSourcePpr {
-            states,
-            bufs,
-            alpha,
-            epsilon,
-            variant,
-            counters: Counters::new(),
-            seeds: Vec::new(),
-        }
+        let sessions = states.into_iter().map(Session::new).collect();
+        MultiSourcePpr { sessions, alpha, epsilon, variant, counters: Counters::new(), lanes: 1 }
+    }
+
+    /// Spreads [`MultiSourcePpr::apply_batch`]'s sessions over `lanes`
+    /// contiguous chunks pushed side by side (0 means 1). The thread
+    /// budget is split, not multiplied: each session's own push gets
+    /// `max(1, default_threads() / lanes)` threads, so a lane count that
+    /// uses up the budget makes every push a one-thread, bit-reproducible
+    /// schedule. The maintained states do not depend on `lanes` as long as
+    /// no push fans out (frontiers below `PushOpts::seq_threshold`).
+    pub fn with_lanes(mut self, lanes: usize) -> Self {
+        self.lanes = lanes.max(1);
+        self
     }
 
     /// Number of maintained sources.
     pub fn num_sources(&self) -> usize {
-        self.states.len()
+        self.sessions.len()
     }
 
     /// The state maintained for the `i`-th source.
     pub fn state(&self, i: usize) -> &PprState {
-        &self.states[i]
+        &self.sessions[i].state
     }
 
     /// The source vertex of the `i`-th maintained vector.
     pub fn source(&self, i: usize) -> VertexId {
-        self.states[i].config().source
+        self.state(i).config().source
     }
 
     /// All maintained sources, in index order.
     pub fn sources(&self) -> Vec<VertexId> {
-        self.states.iter().map(|s| s.config().source).collect()
+        self.sessions.iter().map(|s| s.state.config().source).collect()
     }
 
     /// Cumulative counters across all sources.
@@ -108,7 +119,7 @@ impl MultiSourcePpr {
     /// not stable across [`MultiSourcePpr::remove_source`] (swap-remove),
     /// so callers that close sessions must re-resolve rather than cache.
     pub fn index_of(&self, source: VertexId) -> Option<usize> {
-        self.states.iter().position(|s| s.config().source == source)
+        self.sessions.iter().position(|s| s.state.config().source == source)
     }
 
     /// Starts maintaining a new source against an **already-populated**
@@ -118,63 +129,66 @@ impl MultiSourcePpr {
     /// session mid-stream without replaying the graph's edge history.
     pub fn add_source(&mut self, g: &DynamicGraph, source: VertexId) -> usize {
         let cfg = PprConfig::new(source, self.alpha, self.epsilon);
-        let st = PprState::cold_start(cfg, g.num_vertices());
-        let mut bufs = ParPushBuffers::new();
-        parallel_local_push(g, &st, self.variant, &[source], &self.counters, &mut bufs);
-        self.states.push(st);
-        self.bufs.push(bufs);
-        self.states.len() - 1
+        let mut sess = Session::new(PprState::cold_start(cfg, g.num_vertices()));
+        parallel_local_push(g, &sess.state, self.variant, &[source], &self.counters, &mut sess.bufs);
+        self.sessions.push(sess);
+        self.sessions.len() - 1
     }
 
     /// Stops maintaining the `i`-th source (swap-remove: the last index
     /// moves into `i`) and returns its source vertex.
     pub fn remove_source(&mut self, i: usize) -> VertexId {
-        self.bufs.swap_remove(i);
-        self.states.swap_remove(i).config().source
+        self.sessions.swap_remove(i).state.config().source
     }
 
-    /// Applies a batch: mutates the graph once, then repairs and pushes
-    /// every source's vector, in index order on the calling thread; only a
-    /// push whose frontier reaches `PushOpts::seq_threshold` fans out.
-    /// Running the sessions side by side instead is a one-line change —
-    /// the loop below becomes the body of a
-    /// [`crate::fanout::fan_out_chunks`] over `self.bufs` — reserved for a
-    /// perf issue that claims `serve_write` `updates_per_s` for it.
+    /// Applies a batch: mutates the graph once on the calling thread, then
+    /// repairs and pushes every source's vector — the sessions split into
+    /// `lanes` contiguous chunks, lane 0 on the caller and the others under
+    /// one `thread::scope` for the batch. With one lane (the default) this
+    /// is a plain loop in index order on the calling thread, each push on
+    /// [`default_threads`] threads; only a push whose frontier reaches
+    /// `PushOpts::seq_threshold` fans out. What a server passes to
+    /// [`MultiSourcePpr::with_lanes`] when its configuration says 1 is a
+    /// one-line change for a perf issue that claims `serve_write`
+    /// `updates_per_s` for it.
     pub fn apply_batch(&mut self, g: &mut DynamicGraph, batch: &[EdgeUpdate]) -> usize {
         // Graph mutation happens once, recording each update's post-update
         // out-degree (the d_j(u) of Lemma 3) so the invariant repairs can
         // be replayed exactly against every source's state afterwards.
-        self.seeds.clear();
         let mut applied: Vec<(EdgeUpdate, usize)> = Vec::with_capacity(batch.len());
         for &upd in batch {
             if g.apply(upd) {
                 applied.push((upd, g.out_degree(upd.src)));
-                self.seeds.push(upd.src);
             }
         }
-        let n = g.num_vertices();
-        for st in &mut self.states {
-            st.ensure_len(n);
-        }
-        for (st, bufs) in self.states.iter().zip(&mut self.bufs) {
-            for &(upd, dout_after) in &applied {
-                restore_invariant_with_degree(st, upd.src, upd.dst, upd.op, dout_after);
-                self.counters.record_restore();
+        let seeds: Vec<VertexId> = applied.iter().map(|(upd, _)| upd.src).collect();
+        let (g, n) = (&*g, g.num_vertices());
+        let (variant, counters) = (self.variant, &self.counters);
+        let threads = (default_threads() / self.lanes).max(1);
+        let lane = |_first: usize, sessions: &mut [Session]| {
+            for Session { state, bufs } in sessions {
+                state.ensure_len(n);
+                for &(upd, dout_after) in &applied {
+                    restore_invariant_with_degree(state, upd.src, upd.dst, upd.op, dout_after);
+                }
+                counters.record_restores(applied.len() as u64);
+                let opts = PushOpts::default();
+                parallel_local_push_opts(g, state, variant, &seeds, counters, bufs, opts, threads);
             }
-            parallel_local_push(g, st, self.variant, &self.seeds, &self.counters, bufs);
-        }
+        };
+        fan_out_chunks(&mut self.sessions, self.lanes, lane, |(), ()| ());
         applied.len()
     }
 
     /// The estimate of `v` w.r.t. the `i`-th source.
     pub fn estimate(&self, i: usize, v: VertexId) -> f64 {
-        self.states[i].p(v)
+        self.state(i).p(v)
     }
 
     /// Top-`k` vertices by estimate for the `i`-th source, descending
     /// (ties by ascending id). The workhorse of recommendation queries.
     pub fn top_k(&self, i: usize, k: usize) -> Vec<(VertexId, f64)> {
-        top_k_of(&self.states[i].estimates(), k)
+        top_k_of(&self.state(i).estimates(), k)
     }
 }
 
@@ -397,6 +411,88 @@ mod tests {
                 state_fingerprint(live.state(i)),
                 "source index {i}"
             );
+        }
+    }
+
+    fn fingerprints(m: &MultiSourcePpr) -> Vec<(VertexId, u64)> {
+        use crate::persist::state_fingerprint;
+        (0..m.num_sources()).map(|i| (m.source(i), state_fingerprint(m.state(i)))).collect()
+    }
+
+    /// Five sources over inserts then deletes, with a session opened and
+    /// one closed between batches: the maintained states and the work
+    /// counted do not depend on how many lanes pushed them.
+    #[test]
+    fn states_and_counters_do_not_depend_on_the_lane_count() {
+        let edges = erdos_renyi(60, 900, 77);
+        let mut batches: Vec<Vec<EdgeUpdate>> = edges
+            .chunks(150)
+            .map(|c| c.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect())
+            .collect();
+        batches.push(edges[..200].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect());
+        batches.push(edges[300..450].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect());
+        let run = |lanes: usize| {
+            let mut multi = MultiSourcePpr::new(&[0, 3, 7, 11, 20], 0.2, 1e-4, PushVariant::OPT)
+                .with_lanes(lanes);
+            let mut g = DynamicGraph::new();
+            for (i, batch) in batches.iter().enumerate() {
+                multi.apply_batch(&mut g, batch);
+                match i {
+                    2 => assert_eq!(multi.add_source(&g, 31), 5),
+                    4 => assert_eq!(multi.remove_source(1), 3),
+                    _ => {}
+                }
+            }
+            assert_eq!(multi.sources(), vec![0, 31, 7, 11, 20]);
+            let c = multi.counters().snapshot();
+            (fingerprints(&multi), c.restore_ops, c.pushes)
+        };
+        let one = run(1);
+        assert!(one.2 > 0, "the stream pushed nothing");
+        for lanes in [2, 3, 7] {
+            assert_eq!(run(lanes), one, "{lanes} lanes");
+        }
+    }
+
+    /// Lanes that use up the thread budget leave every push one thread, so
+    /// the bundle is bit-reproducible even where a push would fan out.
+    #[test]
+    fn a_full_lane_budget_is_deterministic_past_the_fan_out_threshold() {
+        use crate::fanout::{default_threads, FAN_OUT_MIN};
+        let [load, slide] = crate::engine::tests::wide_stream();
+        let run = || {
+            let mut multi = MultiSourcePpr::new(&[0, 1], 0.2, 1e-6, PushVariant::OPT)
+                .with_lanes(default_threads());
+            let mut g = DynamicGraph::new();
+            multi.apply_batch(&mut g, &load);
+            multi.apply_batch(&mut g, &slide);
+            let c = multi.counters().snapshot();
+            assert!(c.max_frontier >= FAN_OUT_MIN as u64, "max frontier {}", c.max_frontier);
+            // Lanes share no residual, and no push had a second thread.
+            assert_eq!(c.cas_retries, 0);
+            fingerprints(&multi)
+        };
+        assert_eq!(run(), run());
+    }
+
+    /// A push that panics — here on its convergence `debug_assert`, tripped
+    /// by a poisoned residual the batch's seeds never reach — surfaces on
+    /// the caller whether its lane is the caller's own or a spawned one.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_panic_inside_a_lane_resurfaces_on_the_caller() {
+        let ins: Vec<EdgeUpdate> =
+            erdos_renyi(20, 150, 5).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
+        for poisoned in [0, 3] {
+            let mut multi =
+                MultiSourcePpr::new(&[0, 1, 2, 3], 0.2, 1e-3, PushVariant::OPT).with_lanes(2);
+            let mut g = DynamicGraph::new();
+            multi.apply_batch(&mut g, &ins);
+            multi.state(poisoned).set_r(19, f64::INFINITY);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                multi.apply_batch(&mut g, &[EdgeUpdate::insert(25, 26)])
+            }));
+            assert!(r.is_err(), "panic in session {poisoned}'s lane was swallowed");
         }
     }
 

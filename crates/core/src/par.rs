@@ -76,7 +76,6 @@ impl ParPushBuffers {
 /// `(u, w)` snapshots of Algorithm 3), and local counters. Merging appends in range order, so frontier generation
 /// itself never contends on shared state and a one-thread run enqueues in
 /// frontier order.
-#[derive(Default)]
 struct SessAcc {
     next: Vec<VertexId>,
     entries: Vec<(VertexId, f64)>,
@@ -172,7 +171,15 @@ impl Ctx<'_> {
         each: impl Fn(&T, &mut SessAcc) + Sync,
     ) -> SessAcc {
         let fold = |range: Range<usize>| {
-            let mut acc = SessAcc::default();
+            // Room for one entry and one enqueue per item up front: growing
+            // these by `realloc` from empty, iteration after iteration, is what
+            // two pushes running side by side contend on (the allocator grows
+            // and trims its heaps under one process-wide kernel lock).
+            let mut acc = SessAcc {
+                next: Vec::with_capacity(range.len()),
+                entries: Vec::with_capacity(range.len()),
+                lc: LocalCounters::default(),
+            };
             for item in &items[range] {
                 each(item, &mut acc);
             }

@@ -110,7 +110,7 @@ impl Registry {
     }
 
     /// A labeled histogram series, e.g.
-    /// `dppr_slide_apply_seconds_bucket{write_shard="2",le="0.001"}`.
+    /// `dppr_audit_topk_overlap_bucket{k="10",le="0.001"}`.
     /// The label is merged with the `le` bound on bucket lines and
     /// rendered plainly on `_sum` / `_count`.
     pub fn histogram_with_label(

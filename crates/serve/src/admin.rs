@@ -1,13 +1,13 @@
 //! Telemetry and instance-control handlers: `/healthz`, `/metrics`,
-//! `/stats`, `/series`, `/trace`, `/shutdown`. The scalar content of the
-//! first three is a loop over the tables in `metrics.rs`; what is written
-//! out here is only what is not a scalar (SLO blocks, histogram
-//! summaries, the per-shard arrays' framing).
+//! `/stats`, `/series`, `/trace`, `/shutdown`. The scalar content of
+//! `/metrics` and `/stats` is a loop over the table in `metrics.rs`; what
+//! is written out here is only what is not a scalar (SLO blocks, histogram
+//! summaries, the event-loop shards' array).
 
 use crate::audit::SloEngine;
 use crate::http::{Request, Response};
 use crate::json::{error_body, JsonBuf};
-use crate::metrics::{json_section, View, INSTANCE, SHARD};
+use crate::metrics::{json_section, View, INSTANCE};
 use crate::query::RouterImpl;
 use crate::server::Ctx;
 use dppr_obs::PromText;
@@ -38,7 +38,7 @@ pub(crate) fn healthz(_req: &Request, r: &RouterImpl) -> Result<Response, String
     let mut j = JsonBuf::new();
     j.begin_obj();
     j.key("ok").bool(true);
-    j.key("epoch").uint(ctx.epoch_min());
+    j.key("epoch").uint(ctx.domain.epoch());
     j.key("degraded")
         .bool(ctx.stats.degraded.load(Relaxed) || ctx.slo.any_breaching());
     // Why the instance is degraded (null while healthy): a WAL failure
@@ -50,46 +50,24 @@ pub(crate) fn healthz(_req: &Request, r: &RouterImpl) -> Result<Response, String
         None => j.null(),
     };
     slos_json(&mut j, &ctx.slo);
-    // The *oldest* per-shard flush (largest age): conservative for a
-    // staleness report. Null until every shard has flushed once.
+    // Null until the WAL has flushed once.
     j.key("last_fsync_age_seconds");
-    match ctx
-        .shards
-        .iter()
-        .map(|s| s.last_fsync_ns.load(Relaxed))
-        .min()
-    {
-        None | Some(0) => j.null(),
-        Some(marker) => {
+    match ctx.last_fsync_ns.load(Relaxed) {
+        0 => j.null(),
+        marker => {
             let age = (ctx.start.elapsed().as_nanos() as u64).saturating_sub(marker - 1);
             j.num(age as f64 / 1e9)
         }
     };
-    j.key("lagging")
-        .bool(ctx.shards.iter().any(|s| ctx.lagging(s)));
-    let mut keys: Vec<_> = SHARD.iter().filter(|row| row.healthz > 0).collect();
-    keys.sort_by_key(|row| row.healthz);
-    j.key("write_shards").begin_arr();
-    for s in &ctx.shards {
-        j.begin_obj();
-        for row in &keys {
-            (row.read)(ctx, s).json(j.key(row.key));
-        }
-        j.key("lag_seconds")
-            .num(ctx.slide_in_flight(s).map_or(0.0, |d| d.as_secs_f64()));
-        j.end_obj();
-    }
-    j.end_arr();
+    j.key("lagging").bool(ctx.lagging());
     j.end_obj();
     Ok(Response::new(200, j.finish()))
 }
 
 /// The full Prometheus exposition: the table scalars (read at scrape
 /// time from where they already live, so nothing is double-counted),
-/// the engine counters, the SLO series, one `{write_shard="i"}` series
-/// per shard and per-shard family, then every registered histogram and
-/// gauge. Cross-shard families keep their unsharded meaning (sums for
-/// counters, the freshness floor for epochs).
+/// the engine counters, the SLO series, then every registered histogram
+/// and gauge.
 pub(crate) fn metrics_text(ctx: &Ctx) -> String {
     let view = View::gather(ctx);
     let mut out = PromText::new();
@@ -100,11 +78,11 @@ pub(crate) fn metrics_text(ctx: &Ctx) -> String {
         }
     }
     // The paper's operation quantities, by `CounterSnapshot::fields` name.
-    for (name, v) in &view.engine {
+    for (name, v) in view.engine.fields() {
         out.counter_u64(
             &format!("dppr_engine_{name}_total"),
             "Cumulative engine push-work counter",
-            *v,
+            v,
         );
     }
     // One {slo,window} burn series per target and window, one {slo}
@@ -149,18 +127,6 @@ pub(crate) fn metrics_text(ctx: &Ctx) -> String {
             out.series_u64_multi(family, &[("slo", spec.name)], st.breaches.load(Relaxed));
         }
     }
-    for row in SHARD {
-        if let Some((family, help, kind)) = row.prom {
-            out.family(family, help, kind);
-            for s in &ctx.shards {
-                (row.read)(ctx, s).prom(
-                    &mut out,
-                    family,
-                    Some(&("write_shard", s.index.to_string())),
-                );
-            }
-        }
-    }
     ctx.metrics.registry.render_prometheus(&mut out)
 }
 
@@ -196,28 +162,18 @@ pub(crate) fn stats(_req: &Request, r: &RouterImpl) -> Result<Response, String> 
     let mut j = JsonBuf::new();
     j.begin_obj();
     for section in ["", "http", "cache", "durability"] {
-        json_section(&mut j, INSTANCE, section, ctx, &view);
+        json_section(&mut j, section, ctx, &view);
     }
-    // Engine push-work counters, cumulative, summed across write shards
-    // (each refreshed by its own write loop per slide).
+    // Engine push-work counters, cumulative, refreshed by the write loop
+    // per slide.
     j.key("engine").begin_obj();
-    for (name, v) in &view.engine {
-        j.key(name).uint(*v);
+    for (name, v) in view.engine.fields() {
+        j.key(name).uint(v);
     }
     j.end_obj();
-    // `stream` reports the *laggard* shard's window — the freshness
-    // floor every session is guaranteed.
     for section in ["graph", "stream"] {
-        json_section(&mut j, INSTANCE, section, ctx, &view);
+        json_section(&mut j, section, ctx, &view);
     }
-    j.key("write_shards").begin_arr();
-    for s in &ctx.shards {
-        j.begin_obj();
-        json_section(&mut j, SHARD, "", ctx, s);
-        json_section(&mut j, SHARD, "cache", ctx, s);
-        j.end_obj();
-    }
-    j.end_arr();
     j.key("shards").begin_arr();
     for (conns, depth) in &ctx.shard_gauges {
         j.begin_obj();
@@ -248,11 +204,11 @@ pub(crate) fn stats(_req: &Request, r: &RouterImpl) -> Result<Response, String> 
     }
     j.end_obj();
     for section in ["trace", "audit"] {
-        json_section(&mut j, INSTANCE, section, ctx, &view);
+        json_section(&mut j, section, ctx, &view);
     }
     slos_json(&mut j, &ctx.slo);
     for section in ["process", "series"] {
-        json_section(&mut j, INSTANCE, section, ctx, &view);
+        json_section(&mut j, section, ctx, &view);
     }
     j.end_obj();
     Ok(Response::new(200, j.finish()))
@@ -331,7 +287,7 @@ pub(crate) fn shutdown(_req: &Request, r: &RouterImpl) -> Result<Response, Strin
 #[cfg(test)]
 mod tests {
     use super::metrics_text;
-    use crate::metrics::{INSTANCE, SHARD};
+    use crate::metrics::INSTANCE;
     use crate::server::ServeConfig;
     use dppr_graph::generators::erdos_renyi;
     use dppr_graph::GraphStream;
@@ -451,11 +407,7 @@ mod tests {
             .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
             .collect();
         families.insert("dppr_metrics_families"); // appended by the handler
-        for row in INSTANCE
-            .iter()
-            .filter_map(|r| r.prom)
-            .chain(SHARD.iter().filter_map(|r| r.prom))
-        {
+        for row in INSTANCE.iter().filter_map(|r| r.prom) {
             assert!(
                 families.contains(row.0),
                 "table family {} missing from /metrics",

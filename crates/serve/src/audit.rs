@@ -5,10 +5,10 @@
 //! every published epoch; this module *checks it in production* instead
 //! of trusting the algebra. Every tick the observer:
 //!
-//! 1. (optionally) asks one write shard — round-robin — for an
-//!    [`AuditJob`]: the shard's graph plus up to `--audit-sample` live
-//!    sessions' published snapshots and live states, all captured
-//!    between batches so they are mutually consistent. The observer
+//! 1. (optionally) asks the write loop for an [`AuditJob`]: the graph
+//!    plus up to `--audit-sample` live sessions' published snapshots and
+//!    live states (round-robin over the sessions), all captured between
+//!    batches so they are mutually consistent. The observer
 //!    then recomputes ground truth with the *sequential* Gauss–Jacobi
 //!    solver ([`dppr_core::exact_ppr_seq`], so the audit never takes
 //!    cores from the write path) and reports L1/L∞ error,
@@ -61,7 +61,7 @@ pub(crate) fn new_series_ring() -> SeriesRing {
 
 // --- audit data flow ------------------------------------------------------
 
-/// One session's audit inputs, captured by the owning write loop.
+/// One session's audit inputs, captured by the write loop.
 pub(crate) struct AuditSession {
     pub(crate) source: VertexId,
     /// The published snapshot readers are answering from.
@@ -70,7 +70,7 @@ pub(crate) struct AuditSession {
     pub(crate) state: PprState,
 }
 
-/// What a write shard hands the observer: a consistent `(graph, epoch,
+/// What the write loop hands the observer: a consistent `(graph, epoch,
 /// sessions)` capture taken between batches.
 pub(crate) struct AuditJob {
     pub(crate) epoch: u64,
@@ -108,7 +108,7 @@ pub(crate) struct AuditShared {
     pub(crate) bound_violations: AtomicU64,
     /// Observer CPU spent auditing (solve + scoring), nanos.
     pub(crate) cpu_nanos: AtomicU64,
-    /// Epoch lag of the last audit: shard epoch at report time minus
+    /// Epoch lag of the last audit: published epoch at report time minus
     /// the audited epoch.
     pub(crate) staleness_epochs: AtomicU64,
     /// Epoch of the newest completed audit.
@@ -242,17 +242,16 @@ impl SloEngine {
 /// only runs when `--audit-sample > 0`.
 pub(crate) fn spawn_observer(
     ctx: Arc<Ctx>,
-    ctl_txs: Vec<mpsc::Sender<Control>>,
+    ctl_tx: mpsc::Sender<Control>,
 ) -> io::Result<JoinHandle<()>> {
     thread::Builder::new()
         .name("dppr-observer".into())
-        .spawn(move || observer_loop(&ctx, &ctl_txs))
+        .spawn(move || observer_loop(&ctx, &ctl_tx))
 }
 
-fn observer_loop(ctx: &Ctx, ctl_txs: &[mpsc::Sender<Control>]) {
+fn observer_loop(ctx: &Ctx, ctl_tx: &mpsc::Sender<Control>) {
     let interval = ctx.audit_interval;
     let mut prev_http: HistSnapshot = ctx.metrics.http_request.snapshot();
-    let mut next_shard = 0usize;
     let columns = series_columns();
     loop {
         // Sleep in short chunks so shutdown is honored promptly even
@@ -270,7 +269,7 @@ fn observer_loop(ctx: &Ctx, ctl_txs: &[mpsc::Sender<Control>]) {
             return;
         }
         if ctx.audit.sample > 0 {
-            audit_tick(ctx, ctl_txs, &mut next_shard);
+            audit_tick(ctx, ctl_tx);
         }
         let http = ctx.metrics.http_request.snapshot();
         let (p50, p99) = tick_percentiles(&prev_http, &http);
@@ -305,25 +304,21 @@ fn push_series_row(ctx: &Ctx, columns: &[SeriesColumn], tick_latency: (f64, f64)
 
 // --- accuracy audit -------------------------------------------------------
 
-/// One audit tick: ask the next write shard (round-robin) for a
-/// consistent capture, then grade it against ground truth.
-fn audit_tick(ctx: &Ctx, ctl_txs: &[mpsc::Sender<Control>], next_shard: &mut usize) {
-    let ws = *next_shard % ctx.shards.len();
-    *next_shard = (*next_shard + 1) % ctx.shards.len();
+/// One audit tick: ask the write loop for a consistent capture, then
+/// grade it against ground truth.
+fn audit_tick(ctx: &Ctx, ctl_tx: &mpsc::Sender<Control>) {
     let (reply, rx) = mpsc::sync_channel(1);
-    if ctl_txs[ws].send(Control::Audit { max_sessions: ctx.audit.sample, reply }).is_err() {
+    if ctl_tx.send(Control::Audit { max_sessions: ctx.audit.sample, reply }).is_err() {
         return;
     }
-    // The write loop applies controls between batches; a shard mired in
-    // a long slide just skips this tick.
-    let job = match rx.recv_timeout(Duration::from_secs(5)) {
-        Ok(job) => job,
-        Err(_) => return,
-    };
-    run_audit(ctx, ws, job);
+    // The write loop applies controls between batches; one mired in a
+    // long slide just skips this tick.
+    if let Ok(job) = rx.recv_timeout(Duration::from_secs(5)) {
+        run_audit(ctx, job);
+    }
 }
 
-fn run_audit(ctx: &Ctx, ws: usize, job: AuditJob) {
+fn run_audit(ctx: &Ctx, job: AuditJob) {
     let a = &ctx.audit;
     let m = &ctx.metrics;
     let tick_start = Instant::now();
@@ -371,8 +366,7 @@ fn run_audit(ctx: &Ctx, ws: usize, job: AuditJob) {
     a.sessions_audited.fetch_add(job.sessions.len() as u64, Relaxed);
     a.cpu_nanos.fetch_add(tick_start.elapsed().as_nanos() as u64, Relaxed);
     a.last_epoch.store(job.epoch, Relaxed);
-    a.staleness_epochs
-        .store(ctx.shards[ws].domain.epoch().saturating_sub(job.epoch), Relaxed);
+    a.staleness_epochs.store(ctx.domain.epoch().saturating_sub(job.epoch), Relaxed);
 }
 
 /// `|top-k(exact) ∩ top-k(estimate)| / |top-k(exact)|`; 1.0 when the

@@ -1,7 +1,7 @@
-//! Boot and recovery: [`start`] assembles an instance — per-shard
-//! bootstrap (fresh window or checkpoint + WAL-tail replay), the write
-//! loops, the event-loop shards, the observer and the acceptor — and
-//! [`boot_probe`] runs the durable half alone for the recovery harness.
+//! Boot and recovery: [`start`] assembles an instance — bootstrap (fresh
+//! window or checkpoint + WAL-tail replay), the write loop, the
+//! event-loop shards, the observer and the acceptor — and [`boot_probe`]
+//! runs the durable half alone for the recovery harness.
 
 use crate::audit::{self, AuditShared, SloEngine};
 use crate::cache::QueryCache;
@@ -13,22 +13,19 @@ use crate::json::error_body;
 use crate::metrics::ServerMetrics;
 use crate::query::RouterImpl;
 use crate::registry::SessionRegistry;
-use crate::server::{
-    shard_data_dir, shard_of, Control, Ctx, ServeConfig, ServerHandle, ServerStats,
-    WriteShardState,
-};
+use crate::server::{Control, Ctx, ServeConfig, ServerHandle, ServerStats};
 use crate::snapshot::QuerySnapshot;
-use crate::writer::{mark_checkpoint, spawn_durable, write_loop};
+use crate::writer::{apply_counted, mark_checkpoint, spawn_durable, write_loop};
 use dppr_core::{MultiSourcePpr, PprState, PushVariant};
 use dppr_graph::{GraphStream, VertexId};
 use dppr_stream::StreamDriver;
 use dppr_wal::{Wal, WalOptions, WalRecord, WalStats};
 use std::io::{self, Write as _};
 use std::net::{TcpListener, TcpStream};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::mpsc::{self, sync_channel};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Warms the initial window of `stream` and picks the `k` top-out-degree
@@ -71,128 +68,80 @@ pub fn start(
         ));
     }
     let threads = cfg.threads.max(1);
-    let n = cfg.write_shards.max(1);
     let stats = ServerStats::default();
     let conn_counters = Arc::new(ConnCounters::default());
     let shutdown = Arc::new(AtomicBool::new(false));
     let metrics = ServerMetrics::new(cfg.trace_sample, cfg.trace_capacity);
 
-    // --- bootstrap every write shard synchronously: sessions are live
-    // before we return. Each shard consumes its own copy of the whole
-    // stream (the window slides identically everywhere) but maintains
-    // only the sessions hashed to it — so a source's PPR state is
-    // bit-identical under any shard count. Durable shards either recover
-    // (their checkpoint + WAL tail) or bootstrap fresh and write their
-    // epoch-1 base checkpoint.
-    let mut boots: Vec<Boot> = Vec::with_capacity(n);
-    let mut dcfgs: Vec<Option<DurabilityConfig>> = Vec::with_capacity(n);
-    let mut shard_states: Vec<Arc<WriteShardState>> = Vec::with_capacity(n);
-    for i in 0..n {
-        // Event-loop shards each hold one Reader per write shard, + slack
-        // for external Reader users (tests, in-process tools).
-        let domain = EpochDomain::new(threads + 4);
-        let (shard_sources, dcfg) = shard_slice(&cfg, sources, i);
-        let registry = Arc::new(SessionRegistry::new(
-            Arc::clone(&domain),
-            cfg.session_capacity.div_ceil(n).max(shard_sources.len()).max(1),
-        ));
-        let cache = Arc::new(QueryCache::new(cfg.cache_capacity.div_ceil(n)));
-        let boot = match &dcfg {
-            None => {
-                let mut driver = StreamDriver::new(stream.clone(), init_fraction);
-                let mut multi =
-                    MultiSourcePpr::new(&shard_sources, cfg.alpha, cfg.epsilon, PushVariant::OPT);
-                bootstrap_window(&mut driver, &mut multi, &domain, &registry, &stats);
-                Boot { driver, multi, wal: None, recovery: None, durable_epoch: 0 }
-            }
-            Some(d) => durable_boot(
-                stream.clone(),
-                init_fraction,
-                &shard_sources,
-                &cfg,
-                d,
-                &domain,
-                &registry,
-                &stats,
-            )?,
-        };
-        let (ws, we) = boot.driver.window_range();
-        shard_states.push(Arc::new(WriteShardState {
-            index: i,
-            domain,
-            registry,
-            cache,
-            slides: AtomicU64::new(0),
-            slide_started_ns: AtomicU64::new(0),
-            stream_done: AtomicBool::new(false),
-            degraded: AtomicBool::new(false),
-            degraded_reason: Mutex::new(None),
-            durable_epoch: AtomicU64::new(boot.durable_epoch),
-            last_fsync_ns: AtomicU64::new(0),
-            wal_segments: AtomicU64::new(0),
-            engine: Mutex::new(boot.multi.counters().snapshot()),
-            graph: Mutex::new(boot.driver.graph().substrate_stats()),
-            wal: Mutex::new(WalStats::default()),
-            window_start: AtomicU64::new(ws as u64),
-            window_end: AtomicU64::new(we as u64),
-            audit_cursor: AtomicU64::new(0),
-            stage: metrics.write_shard_stages(i),
-        }));
-        dcfgs.push(dcfg);
-        boots.push(boot);
-    }
+    // --- bootstrap synchronously: sessions are live before we return. A
+    // durable instance either recovers (checkpoint + WAL tail) or
+    // bootstraps fresh and writes its epoch-1 base checkpoint.
+    // One Reader per event-loop shard and one for the write loop, + slack
+    // for external Reader users (tests, in-process tools).
+    let domain = EpochDomain::new(threads + 4);
+    let registry = Arc::new(SessionRegistry::new(
+        Arc::clone(&domain),
+        cfg.session_capacity.max(sources.len()).max(1),
+    ));
+    let boot = match &cfg.durability {
+        None => {
+            let (driver, multi) =
+                bootstrap_window(stream, init_fraction, sources, &cfg, &domain, &registry, &stats);
+            Boot { driver, multi, wal: None, recovery: None, durable_epoch: 0 }
+        }
+        Some(d) => {
+            durable_boot(stream, init_fraction, sources, &cfg, d, &domain, &registry, &stats)?
+        }
+    };
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
     let addr = listener.local_addr()?;
 
-    let shard_gauges = (0..threads).map(|w| metrics.event_shard_gauges(w)).collect();
-    let stream_len = boots[0].driver.stream_len() as u64;
+    let (window_start, window_end) = boot.driver.window_range();
     let ctx = Arc::new(Ctx {
-        shards: shard_states.clone(),
+        domain,
+        registry,
+        cache: Arc::new(QueryCache::new(cfg.cache_capacity)),
         stats,
         conn: Arc::clone(&conn_counters),
         shutdown: Arc::clone(&shutdown),
         addr,
         start: Instant::now(),
         shed_after: cfg.shed_after,
+        lanes: cfg.write_shards.max(1),
         vertex_bound,
         durability_enabled: cfg.durability.is_some(),
+        slide_started_ns: AtomicU64::new(0),
+        durable_epoch: AtomicU64::new(boot.durable_epoch),
+        last_fsync_ns: AtomicU64::new(0),
+        wal_segments: AtomicU64::new(0),
+        engine: Mutex::new(boot.multi.counters().snapshot()),
+        graph: Mutex::new(boot.driver.graph().substrate_stats()),
+        wal: Mutex::new(WalStats::default()),
+        window_start: AtomicU64::new(window_start as u64),
+        window_end: AtomicU64::new(window_end as u64),
+        shard_gauges: (0..threads).map(|w| metrics.event_shard_gauges(w)).collect(),
         metrics,
-        shard_gauges,
-        stream_len,
+        stream_len: boot.driver.stream_len() as u64,
         audit: AuditShared::new(&cfg),
         slo: SloEngine::new(&cfg),
         series: audit::new_series_ring(),
         audit_interval: cfg.audit_interval.max(Duration::from_millis(10)),
     });
 
-    // --- per-shard background checkpointer + write loop -------------------
-    let mut ctl_txs: Vec<mpsc::Sender<Control>> = Vec::with_capacity(n);
-    let mut writers: Vec<JoinHandle<()>> = Vec::with_capacity(n);
-    let mut recoveries: Vec<Option<RecoveryReport>> = Vec::with_capacity(n);
-    for (i, boot) in boots.into_iter().enumerate() {
-        let (ctl_tx, ctl_rx) = mpsc::channel::<Control>();
-        ctl_txs.push(ctl_tx);
-        recoveries.push(boot.recovery);
-        let dur = match (dcfgs[i].take(), boot.wal) {
-            (Some(dcfg), Some(wal)) => Some(spawn_durable(
-                dcfg,
-                wal,
-                boot.durable_epoch,
-                Arc::clone(&ctx),
-                Arc::clone(&shard_states[i]),
-            )?),
-            _ => None,
-        };
-        let writer = {
-            let ctx = Arc::clone(&ctx);
-            let shard = Arc::clone(&shard_states[i]);
-            let cfg = cfg.clone();
-            std::thread::Builder::new()
-                .name(format!("dppr-serve-writer-{i}"))
-                .spawn(move || write_loop(boot.driver, boot.multi, ctl_rx, ctx, shard, cfg, dur))?
-        };
-        writers.push(writer);
-    }
+    // --- background checkpointer + write loop -----------------------------
+    let (ctl_tx, ctl_rx) = mpsc::channel::<Control>();
+    let dur = match (cfg.durability.clone(), boot.wal) {
+        (Some(dcfg), Some(wal)) => {
+            Some(spawn_durable(dcfg, wal, boot.durable_epoch, Arc::clone(&ctx))?)
+        }
+        _ => None,
+    };
+    let writer = {
+        let (ctx, cfg) = (Arc::clone(&ctx), cfg.clone());
+        std::thread::Builder::new()
+            .name("dppr-serve-writer".into())
+            .spawn(move || write_loop(boot.driver, boot.multi, ctl_rx, ctx, cfg, dur))?
+    };
 
     // --- event-loop shards ------------------------------------------------
     let shard_cfg = ShardConfig {
@@ -202,7 +151,7 @@ pub fn start(
     let mut shards = Vec::with_capacity(threads);
     let mut gates: Vec<ShardGate> = Vec::with_capacity(threads);
     for w in 0..threads {
-        let router = RouterImpl::new(Arc::clone(&ctx), ctl_txs.clone(), w);
+        let router = RouterImpl::new(Arc::clone(&ctx), ctl_tx.clone(), w);
         let (queue_tx, queue_rx) = sync_channel::<TcpStream>(cfg.conn_backlog.max(1));
         let shard = spawn_shard(
             format!("dppr-serve-shard-{w}"),
@@ -219,10 +168,8 @@ pub fn start(
     // --- audit + SLO observer --------------------------------------------
     // Always spawned: it samples the metrics time-series and evaluates
     // SLO burn rates every tick; the (optional) accuracy audit rides the
-    // same ticker. It keeps its own control handles so audit probes can
-    // reach the write loops.
-    writers.push(audit::spawn_observer(Arc::clone(&ctx), ctl_txs.clone())?);
-    drop(ctl_txs);
+    // same ticker, reaching the write loop over the control channel.
+    let observer = audit::spawn_observer(Arc::clone(&ctx), ctl_tx)?;
 
     // --- acceptor ---------------------------------------------------------
     let acceptor = {
@@ -271,7 +218,13 @@ pub fn start(
             })?
     };
 
-    Ok(ServerHandle { ctx, acceptor: Some(acceptor), shards, writers, recoveries })
+    Ok(ServerHandle {
+        ctx,
+        acceptor: Some(acceptor),
+        shards,
+        workers: vec![writer, observer],
+        recovery: boot.recovery,
+    })
 }
 
 /// What bootstrapping produced, durable or not.
@@ -284,40 +237,56 @@ struct Boot {
     durable_epoch: u64,
 }
 
-/// The original in-memory bootstrap: apply the initial window, advance to
-/// epoch 1, open a session per source.
+/// Publishes every maintained source as an open session at `epoch`.
+fn open_sessions(multi: &MultiSourcePpr, registry: &SessionRegistry, epoch: u64) {
+    for i in 0..multi.num_sources() {
+        registry.open(multi.source(i), Arc::new(QuerySnapshot::from_state(multi.state(i), epoch)));
+    }
+}
+
+/// The in-memory bootstrap: apply the initial window, advance to epoch 1,
+/// open a session per source.
 fn bootstrap_window(
-    driver: &mut StreamDriver,
-    multi: &mut MultiSourcePpr,
+    stream: GraphStream,
+    init_fraction: f64,
+    sources: &[VertexId],
+    cfg: &ServeConfig,
     domain: &EpochDomain,
     registry: &SessionRegistry,
     stats: &ServerStats,
-) {
+) -> (StreamDriver, MultiSourcePpr) {
+    let mut driver = StreamDriver::new(stream, init_fraction);
+    let mut multi = MultiSourcePpr::new(sources, cfg.alpha, cfg.epsilon, PushVariant::OPT)
+        .with_lanes(cfg.write_shards);
     let init = driver.take_initial_batch();
-    let t = Instant::now();
-    let applied = multi.apply_batch(driver.graph_mut(), &init);
-    // Accumulate, don't overwrite: with several write shards every shard
-    // bootstraps the same window, and the global counters sum them.
-    stats.update_nanos.fetch_add(t.elapsed().as_nanos() as u64, Relaxed);
-    stats.updates_offered.fetch_add(init.len() as u64, Relaxed);
-    stats.updates_applied.fetch_add(applied as u64, Relaxed);
-    let epoch = domain.advance();
-    for i in 0..multi.num_sources() {
-        registry.open(
-            multi.source(i),
-            Arc::new(QuerySnapshot::from_state(multi.state(i), epoch)),
-        );
-    }
+    apply_counted(&mut driver, &mut multi, &init, stats);
+    open_sessions(&multi, registry, domain.advance());
+    (driver, multi)
 }
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// A directory entry named `shard-<digits>`: the per-shard layout of
+/// instances that kept one WAL directory per write shard.
+fn sharded_layout_entry(data_dir: &Path) -> io::Result<Option<String>> {
+    for entry in std::fs::read_dir(data_dir)? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        let digits = name.strip_prefix("shard-").unwrap_or("");
+        if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
+            return Ok(Some(name));
+        }
+    }
+    Ok(None)
+}
+
 /// Durable bootstrap: recover from the newest checkpoint + WAL tail when
 /// one exists, else bootstrap fresh and write the epoch-1 base
 /// checkpoint. Either way the returned WAL is open, repaired, and ready
-/// for the write loop to append to.
+/// for the write loop to append to. A directory in the per-shard layout
+/// is refused: its root holds no checkpoint, so it would look fresh and
+/// be bootstrapped over.
 #[allow(clippy::too_many_arguments)]
 fn durable_boot(
     stream: GraphStream,
@@ -330,6 +299,14 @@ fn durable_boot(
     stats: &ServerStats,
 ) -> io::Result<Boot> {
     std::fs::create_dir_all(&dcfg.data_dir)?;
+    if let Some(name) = sharded_layout_entry(&dcfg.data_dir)? {
+        return Err(invalid(format!(
+            "data directory {} holds {name}/: it was written with one WAL directory per write \
+             shard, a layout this version does not read — recover it with the version that \
+             wrote it, or point --data-dir at an empty directory",
+            dcfg.data_dir.display()
+        )));
+    }
     let checkpoint = durability::load_latest_checkpoint(&dcfg.data_dir)?;
     let wal_opts = WalOptions { segment_bytes: dcfg.segment_bytes, fsync: dcfg.fsync };
     let wdir = durability::wal_dir(&dcfg.data_dir);
@@ -348,9 +325,8 @@ fn durable_boot(
             std::fs::remove_dir_all(&wdir)?;
             (wal, _) = Wal::open(&wdir, wal_opts)?;
         }
-        let mut driver = StreamDriver::new(stream, init_fraction);
-        let mut multi = MultiSourcePpr::new(sources, cfg.alpha, cfg.epsilon, PushVariant::OPT);
-        bootstrap_window(&mut driver, &mut multi, domain, registry, stats);
+        let (driver, multi) =
+            bootstrap_window(stream, init_fraction, sources, cfg, domain, registry, stats);
         // The base checkpoint: recovery always has somewhere to start, so
         // the WAL never needs to hold the (large) initial window.
         let states: Vec<PprState> =
@@ -379,7 +355,8 @@ fn durable_boot(
         MultiSourcePpr::new(&[], cfg.alpha, cfg.epsilon, PushVariant::OPT)
     } else {
         MultiSourcePpr::from_states(ck.states, PushVariant::OPT)
-    };
+    }
+    .with_lanes(cfg.write_shards);
 
     // Replay only the tail: batches at or below the checkpoint epoch are
     // the duplicated-tail case (checkpointed but not yet pruned) and are
@@ -414,22 +391,13 @@ fn durable_boot(
                  since the log was written"
             )));
         }
-        let t = Instant::now();
-        let applied = multi.apply_batch(driver.graph_mut(), &batch);
-        stats.update_nanos.fetch_add(t.elapsed().as_nanos() as u64, Relaxed);
-        stats.updates_offered.fetch_add(batch.len() as u64, Relaxed);
-        stats.updates_applied.fetch_add(applied as u64, Relaxed);
+        apply_counted(&mut driver, &mut multi, &batch, stats);
         applied_epoch = *epoch;
         replayed += 1;
     }
 
     domain.resume_at(applied_epoch);
-    for i in 0..multi.num_sources() {
-        registry.open(
-            multi.source(i),
-            Arc::new(QuerySnapshot::from_state(multi.state(i), applied_epoch)),
-        );
-    }
+    open_sessions(&multi, registry, applied_epoch);
     // Re-anchor retention: if the crash hit between the checkpoint rename
     // and its WAL marker, the marker is missing — append it now so the
     // covered segments can be pruned.
@@ -491,44 +459,6 @@ pub fn boot_probe(
         })
         .collect();
     Ok(BootProbe { recovery: boot.recovery, epoch: domain.epoch(), fingerprints })
-}
-
-/// [`boot_probe`] for every write shard of a sharded durable instance:
-/// probes each shard's own data directory with the sources hashed to it,
-/// exactly as [`start`] would boot them. The crash-recovery harness uses
-/// this to assert per-shard bit-identical fingerprints after a kill.
-pub fn boot_probe_shards(
-    stream: GraphStream,
-    init_fraction: f64,
-    sources: &[VertexId],
-    cfg: &ServeConfig,
-) -> io::Result<Vec<BootProbe>> {
-    cfg.durability.as_ref().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "boot_probe_shards requires cfg.durability")
-    })?;
-    (0..cfg.write_shards.max(1))
-        .map(|i| {
-            let (shard_sources, durability) = shard_slice(cfg, sources, i);
-            let scfg = ServeConfig { durability, ..cfg.clone() };
-            boot_probe(stream.clone(), init_fraction, &shard_sources, &scfg)
-        })
-        .collect()
-}
-
-/// What write shard `i` of `cfg.write_shards` owns: the sources hashed to
-/// it and, on a durable instance, its own data directory.
-fn shard_slice(
-    cfg: &ServeConfig,
-    sources: &[VertexId],
-    i: usize,
-) -> (Vec<VertexId>, Option<DurabilityConfig>) {
-    let n = cfg.write_shards.max(1);
-    let shard_sources = sources.iter().copied().filter(|&s| shard_of(s, n) == i).collect();
-    let dcfg = cfg.durability.as_ref().map(|d| DurabilityConfig {
-        data_dir: shard_data_dir(&d.data_dir, i, n),
-        ..d.clone()
-    });
-    (shard_sources, dcfg)
 }
 
 /// Answers an un-adoptable connection with `503 Retry-After: 1`

@@ -69,16 +69,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Field-wise sum, for merging per-shard cache stats.
-    pub fn merge(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-            stale_purged: self.stale_purged + other.stale_purged,
-        }
-    }
 }
 
 /// Sharded, epoch-validated cache of rendered responses.
@@ -341,10 +331,5 @@ mod tests {
             stale_delta <= SHARDS as u64,
             "each shard holds at most one dead entry to purge"
         );
-        // And the merge helper sums field-wise.
-        let doubled = s2.merge(&s2);
-        assert_eq!(doubled.evictions, 2 * s2.evictions);
-        assert_eq!(doubled.stale_purged, 2 * s2.stale_purged);
-        assert_eq!(doubled.misses, 2 * s2.misses);
     }
 }

@@ -32,11 +32,13 @@
 //!   `503 Retry-After` load shedding when full.
 //! * [`server`] — the assembled instance's shared types (`ServeConfig`,
 //!   `ServerStats`, `ServerHandle`), with the code along its seams:
-//!   `boot` (start + recovery), `writer` (write loop sliding
-//!   `StreamDriver` batches, epoch publication after every batch,
-//!   durability acks), `query` (dispatch + query handlers, shedding
-//!   while a slide lags the stream) and `admin` (telemetry + control).
-//! * [`metrics`] — the histogram registry and the tables that describe
+//!   `boot` (start + recovery), `writer` (the one write loop sliding
+//!   `StreamDriver` batches — graph once, sessions over
+//!   `ServeConfig::write_shards` push lanes — epoch publication after
+//!   every batch, durability acks), `query` (dispatch + query handlers,
+//!   shedding while a slide lags the stream) and `admin` (telemetry +
+//!   control).
+//! * [`metrics`] — the histogram registry and the table that describes
 //!   every scalar's `/metrics` family, `/stats` key and `/series` column
 //!   once.
 //! * [`durability`] — checkpoints + the `dppr-wal` write-ahead log: every
@@ -81,6 +83,6 @@ pub use event::{ConnCounters, Router, ShardConfig};
 pub use http::{Request, Response};
 pub use metrics::ServerMetrics;
 pub use registry::{OpenOutcome, SessionEntry, SessionRegistry};
-pub use boot::{boot_probe, boot_probe_shards, pick_top_degree_sources, start, BootProbe};
-pub use server::{shard_data_dir, shard_of, ServeConfig, ServeReport, ServerHandle, ServerStats};
+pub use boot::{boot_probe, pick_top_degree_sources, start, BootProbe};
+pub use server::{ServeConfig, ServeReport, ServerHandle, ServerStats};
 pub use snapshot::QuerySnapshot;

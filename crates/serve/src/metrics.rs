@@ -1,22 +1,23 @@
 //! The serving instance's metric catalog: the registered histograms and
-//! the two tables that describe every scalar exactly once.
+//! the table that describes every scalar exactly once.
 //!
 //! One [`ServerMetrics`] per instance owns the [`dppr_obs::Registry`]
 //! plus direct handles to every pipeline-stage histogram, so the write
-//! loop and the shard routers record without name lookups (the
-//! registrations in [`ServerMetrics::new`] and
-//! [`ServerMetrics::write_shard_stages`] are the histogram catalog).
+//! loop and the event-loop shards' routers record without name lookups
+//! (the registrations in [`ServerMetrics::new`] are the histogram
+//! catalog).
 //!
 //! Scalars that already live elsewhere (`ServerStats`, `ConnCounters`,
-//! caches, WALs, engine counters) are not registered a second time:
-//! [`INSTANCE`] and [`SHARD`] name each one's `/metrics` family, `/stats`
-//! key and `/series` column next to the function that reads it, and the
-//! handlers in `admin.rs` and the observer's series sampler are loops
-//! over those rows.
+//! the cache, the WAL, engine counters) are not registered a second time:
+//! [`INSTANCE`] names each one's `/metrics` family, `/stats` key and
+//! `/series` column next to the function that reads it, and the handlers
+//! in `admin.rs` and the observer's series sampler are loops over those
+//! rows.
 
 use crate::cache::CacheStats;
 use crate::json::JsonBuf;
-use crate::server::{Ctx, WriteShardState};
+use crate::server::Ctx;
+use dppr_core::CounterSnapshot;
 use dppr_graph::SubstrateStats;
 use dppr_obs::{Gauge, Histogram, ProcessStats, PromText, Registry, Sampler, TraceRing, Unit};
 use dppr_wal::WalStats;
@@ -56,18 +57,6 @@ pub struct ServerMetrics {
     pub trace_requests: Sampler,
     /// Every-Nth slide tracing.
     pub trace_slides: Sampler,
-}
-
-/// One write shard's labelled stage histograms: the same pipeline stages
-/// as the aggregate families, but as `{write_shard="i"}` series so a
-/// straggling or degraded shard is visible in isolation.
-pub struct WriteShardStages {
-    pub slide_apply: Arc<Histogram>,
-    pub push_wall: Arc<Histogram>,
-    pub snapshot_publish: Arc<Histogram>,
-    pub wal_append: Arc<Histogram>,
-    pub wal_fsync: Arc<Histogram>,
-    pub checkpoint: Arc<Histogram>,
 }
 
 impl ServerMetrics {
@@ -153,48 +142,6 @@ impl ServerMetrics {
         }
     }
 
-    /// Registers the labelled per-write-shard stage families for shard
-    /// `i`. Called once per write shard at instance start; the returned
-    /// handles are recorded into by that shard's write loop alongside
-    /// the aggregate histograms above.
-    pub fn write_shard_stages(&self, i: usize) -> WriteShardStages {
-        let h = |name, help| {
-            self.registry.histogram_with_label(
-                name,
-                help,
-                Unit::Nanos,
-                "write_shard",
-                i.to_string(),
-            )
-        };
-        WriteShardStages {
-            slide_apply: h(
-                "dppr_shard_slide_apply_seconds",
-                "Per-write-shard window slide end to end",
-            ),
-            push_wall: h(
-                "dppr_shard_push_wall_seconds",
-                "Per-write-shard engine apply_batch wall time",
-            ),
-            snapshot_publish: h(
-                "dppr_shard_snapshot_publish_seconds",
-                "Per-write-shard session snapshot publication time",
-            ),
-            wal_append: h(
-                "dppr_shard_wal_append_seconds",
-                "Per-write-shard WAL record append time",
-            ),
-            wal_fsync: h(
-                "dppr_shard_wal_fsync_seconds",
-                "Per-write-shard WAL device-flush latency",
-            ),
-            checkpoint: h(
-                "dppr_shard_checkpoint_seconds",
-                "Per-write-shard checkpoint write duration",
-            ),
-        }
-    }
-
     /// Registers event-loop shard `w`'s `(connections, queue_depth)`
     /// gauges; the shard's router sets them once per tick.
     pub(crate) fn event_shard_gauges(&self, w: usize) -> (Arc<Gauge>, Arc<Gauge>) {
@@ -259,91 +206,43 @@ impl Val {
 }
 
 /// One scalar, described once: where it appears on each surface and how
-/// to read it. `V` is what the reader folds over — the gathered [`View`]
-/// for instance rows, one [`WriteShardState`] for per-shard rows.
-pub(crate) struct Row<V: 'static> {
+/// to read it.
+pub(crate) struct Row {
     /// `/metrics`: `(family, help, "counter" | "gauge")`.
     pub(crate) prom: Option<(&'static str, &'static str, &'static str)>,
     /// `/stats` key, `section.key` when nested; `""` keeps the row out
     /// of `/stats`. Table order is wire order within a section.
     pub(crate) key: &'static str,
-    /// `/series` column as `(position, name)` — instance rows only. The
-    /// catalogue order predates the table, hence the explicit position.
+    /// `/series` column as `(position, name)`. The catalogue order
+    /// predates the table, hence the explicit position.
     pub(crate) series: Option<(u8, &'static str)>,
-    /// 1-based position in the `/healthz` shard objects, 0 = absent —
-    /// per-shard rows only (`/healthz` orders its keys differently).
-    pub(crate) healthz: u8,
-    pub(crate) read: fn(&Ctx, &V) -> Val,
+    pub(crate) read: fn(&Ctx, &View) -> Val,
 }
 
-/// An [`INSTANCE`] row (spelled out so the closures' argument types infer).
-const fn row(key: &'static str, read: fn(&Ctx, &View) -> Val) -> Row<View> {
-    Row::new(key, read)
+const fn row(key: &'static str, read: fn(&Ctx, &View) -> Val) -> Row {
+    Row { prom: None, key, series: None, read }
 }
 
-/// A [`SHARD`] row.
-const fn shard_row(
-    key: &'static str,
-    read: fn(&Ctx, &WriteShardState) -> Val,
-) -> Row<WriteShardState> {
-    Row::new(key, read)
-}
-
-impl<V> Row<V> {
-    const fn new(key: &'static str, read: fn(&Ctx, &V) -> Val) -> Self {
-        Row {
-            prom: None,
-            key,
-            series: None,
-            healthz: 0,
-            read,
-        }
-    }
+impl Row {
     const fn counter(self, family: &'static str, help: &'static str) -> Self {
-        Row {
-            prom: Some((family, help, "counter")),
-            ..self
-        }
+        Row { prom: Some((family, help, "counter")), ..self }
     }
     const fn gauge(self, family: &'static str, help: &'static str) -> Self {
-        Row {
-            prom: Some((family, help, "gauge")),
-            ..self
-        }
+        Row { prom: Some((family, help, "gauge")), ..self }
     }
     const fn series(self, position: u8, name: &'static str) -> Self {
-        Row {
-            series: Some((position, name)),
-            ..self
-        }
-    }
-    const fn healthz(self, position: u8) -> Self {
-        Row {
-            healthz: position,
-            ..self
-        }
+        Row { series: Some((position, name)), ..self }
     }
 }
 
-/// Everything the instance rows fold across shards or sample from the
-/// OS, gathered once per render; live atomics are read through `Ctx`.
+/// What the rows read that is behind a lock or sampled from the OS,
+/// taken once per render; live atomics are read through `Ctx`.
 pub(crate) struct View {
-    /// Minimum published epoch across write shards.
-    pub(crate) epoch: u64,
-    pub(crate) sessions: u64,
-    /// Minimum durable checkpoint epoch across write shards.
-    pub(crate) durable_epoch: u64,
-    pub(crate) cache: CacheStats,
-    pub(crate) wal: WalStats,
-    pub(crate) wal_segments: u64,
-    /// Engine push-work counters by [`dppr_core::CounterSnapshot::fields`]
-    /// name, summed across write shards.
-    pub(crate) engine: Vec<(&'static str, u64)>,
-    /// Every shard applies the identical stream, so the graphs are
-    /// replicas — shard 0's occupancy stands for all.
+    cache: CacheStats,
+    wal: WalStats,
+    /// Engine push-work counters as of the last slide.
+    pub(crate) engine: CounterSnapshot,
     graph: SubstrateStats,
-    /// The laggard shard's window: the freshness floor across sessions.
-    window: (u64, u64),
     process: ProcessStats,
     /// Per-tick windowed HTTP `(p50, p99)` seconds; only the observer's
     /// series sampler knows them, every other render leaves zeros.
@@ -352,59 +251,31 @@ pub(crate) struct View {
 
 impl View {
     pub(crate) fn gather(ctx: &Ctx) -> View {
-        let mut v = View {
-            epoch: ctx.epoch_min(),
-            sessions: 0,
-            durable_epoch: u64::MAX,
-            cache: CacheStats::default(),
-            wal: WalStats::default(),
-            wal_segments: 0,
-            engine: Vec::new(),
-            graph: *ctx.shards[0].graph.lock().unwrap(),
-            window: (0, u64::MAX),
+        View {
+            cache: ctx.cache.stats(),
+            wal: *ctx.wal.lock().unwrap(),
+            engine: *ctx.engine.lock().unwrap(),
+            graph: *ctx.graph.lock().unwrap(),
             process: ProcessStats::sample(),
             tick_latency: (0.0, 0.0),
-        };
-        for s in &ctx.shards {
-            v.sessions += s.registry.len() as u64;
-            v.durable_epoch = v.durable_epoch.min(s.durable_epoch.load(Relaxed));
-            v.cache = v.cache.merge(&s.cache.stats());
-            let w = *s.wal.lock().unwrap();
-            v.wal.appends += w.appends;
-            v.wal.syncs += w.syncs;
-            v.wal.bytes_written += w.bytes_written;
-            v.wal.pruned_segments += w.pruned_segments;
-            v.wal_segments += s.wal_segments.load(Relaxed);
-            for (i, (name, n)) in s.engine.lock().unwrap().fields().into_iter().enumerate() {
-                match v.engine.get_mut(i) {
-                    Some(slot) => slot.1 += n,
-                    None => v.engine.push((name, n)),
-                }
-            }
-            let window = (s.window_start.load(Relaxed), s.window_end.load(Relaxed));
-            if window.1 < v.window.1 {
-                v.window = window;
-            }
         }
-        v
     }
+}
 
-    fn fraction_consumed(&self, stream_len: u64) -> f64 {
-        if stream_len == 0 {
-            1.0
-        } else {
-            self.window.1 as f64 / stream_len as f64
-        }
+fn fraction_consumed(ctx: &Ctx) -> f64 {
+    match ctx.stream_len {
+        0 => 1.0,
+        len => ctx.window_end.load(Relaxed) as f64 / len as f64,
     }
 }
 
 /// Instance-scope scalars, in `/stats` order.
 #[rustfmt::skip]
-pub(crate) static INSTANCE: &[Row<View>] = &[
+pub(crate) static INSTANCE: &[Row] = &[
     row("", |c, _| F(c.start.elapsed().as_secs_f64()))
         .gauge("dppr_uptime_seconds", "Seconds since the instance started serving"),
-    row("epoch", |_, v| U(v.epoch))
-        .gauge("dppr_epoch", "Last published epoch (minimum across write shards)").series(5, "epoch"),
+    row("epoch", |c, _| U(c.domain.epoch()))
+        .gauge("dppr_epoch", "Last published epoch").series(5, "epoch"),
     row("slides", |c, _| U(c.stats.slides.load(Relaxed)))
         .counter("dppr_slides_total", "Window slides applied").series(4, "slides_total"),
     row("updates_offered", |c, _| U(c.stats.updates_offered.load(Relaxed)))
@@ -417,7 +288,7 @@ pub(crate) static INSTANCE: &[Row<View>] = &[
         .counter("dppr_queries_total", "Query requests answered (any kind, any status)").series(2, "queries_total"),
     row("shed", |c, _| U(c.stats.shed.load(Relaxed)))
         .counter("dppr_shed_total", "Requests shed 503 under lag or connection pressure").series(3, "shed_total"),
-    row("sessions", |_, v| U(v.sessions))
+    row("sessions", |c, _| U(c.registry.len() as u64))
         .gauge("dppr_sessions", "Open sessions").series(6, "sessions"),
     row("sessions_opened", |c, _| U(c.stats.sessions_opened.load(Relaxed)))
         .counter("dppr_sessions_opened_total", "Sessions opened over HTTP"),
@@ -450,7 +321,7 @@ pub(crate) static INSTANCE: &[Row<View>] = &[
         .gauge("dppr_durability_enabled", "1 when a WAL and checkpoints are configured"),
     row("durability.degraded", |c, _| B(c.stats.degraded.load(Relaxed)))
         .gauge("dppr_degraded", "1 once a WAL failure forced read-only serving"),
-    row("durability.durable_epoch", |_, v| U(v.durable_epoch))
+    row("durability.durable_epoch", |c, _| U(c.durable_epoch.load(Relaxed)))
         .gauge("dppr_durable_epoch", "Epoch of the newest durable checkpoint"),
     row("durability.checkpoints", |c, _| U(c.stats.checkpoints.load(Relaxed)))
         .counter("dppr_checkpoints_total", "Checkpoints written successfully"),
@@ -458,7 +329,7 @@ pub(crate) static INSTANCE: &[Row<View>] = &[
         .counter("dppr_checkpoint_failures_total", "Checkpoint attempts that failed"),
     row("durability.wal_records", |_, v| U(v.wal.appends))
         .counter("dppr_wal_records_total", "Records appended to the WAL"),
-    row("durability.wal_segments", |_, v| U(v.wal_segments))
+    row("durability.wal_segments", |c, _| U(c.wal_segments.load(Relaxed)))
         .gauge("dppr_wal_segments", "Live WAL segments (sealed + active)"),
     row("durability.wal_syncs", |_, v| U(v.wal.syncs))
         .counter("dppr_wal_syncs_total", "WAL device flushes issued"),
@@ -478,13 +349,13 @@ pub(crate) static INSTANCE: &[Row<View>] = &[
     row("graph.utilization", |_, v| F(v.graph.utilization()))
         .gauge("dppr_graph_utilization", "Live fraction of the arena"),
 
-    row("stream.window_start", |_, v| U(v.window.0))
+    row("stream.window_start", |c, _| U(c.window_start.load(Relaxed)))
         .gauge("dppr_stream_window_start", "Window start (stream position)"),
-    row("stream.window_end", |_, v| U(v.window.1))
+    row("stream.window_end", |c, _| U(c.window_end.load(Relaxed)))
         .gauge("dppr_stream_window_end", "Window end (stream position)"),
     row("stream.stream_len", |c, _| U(c.stream_len))
         .gauge("dppr_stream_len", "Total logical edges in the stream"),
-    row("stream.fraction_consumed", |c, v| F(v.fraction_consumed(c.stream_len)))
+    row("stream.fraction_consumed", |c, _| F(fraction_consumed(c)))
         .gauge("dppr_stream_fraction_consumed", "Share of the stream that has arrived"),
 
     row("trace.enabled", |c, _| B(c.metrics.trace_requests.enabled())),
@@ -536,50 +407,13 @@ pub(crate) static INSTANCE: &[Row<View>] = &[
     row("", |_, v| F(v.tick_latency.1)).series(8, "http_request_p99_seconds"),
 ];
 
-/// Per-write-shard scalars, in `/stats` `write_shards[]` order; the
-/// families render one `{write_shard="i"}` series per shard so a
-/// straggling, degraded, or behind-on-checkpoints shard is visible in
-/// isolation.
-#[rustfmt::skip]
-pub(crate) static SHARD: &[Row<WriteShardState>] = &[
-    shard_row("shard", |_, s| U(s.index as u64)).healthz(1),
-    shard_row("epoch", |_, s| U(s.domain.epoch()))
-        .gauge("dppr_write_shard_epoch", "Published epoch per write shard").healthz(2),
-    shard_row("slides", |_, s| U(s.slides.load(Relaxed)))
-        .counter("dppr_write_shard_slides_total", "Window slides applied per write shard"),
-    shard_row("sessions", |_, s| U(s.registry.len() as u64))
-        .gauge("dppr_write_shard_sessions", "Open sessions per write shard"),
-    shard_row("session_capacity", |_, s| U(s.registry.capacity() as u64)),
-    shard_row("stream_done", |_, s| B(s.stream_done.load(Relaxed)))
-        .gauge("dppr_write_shard_stream_done", "1 once the shard ran its stream copy dry").healthz(4),
-    shard_row("degraded", |_, s| B(s.degraded.load(Relaxed)))
-        .gauge("dppr_write_shard_degraded", "1 once the shard's WAL failed (read-only)").healthz(3),
-    shard_row("durable_epoch", |_, s| U(s.durable_epoch.load(Relaxed)))
-        .gauge("dppr_write_shard_durable_epoch", "Newest durable checkpoint epoch per write shard"),
-    shard_row("wal_records", |_, s| U(s.wal.lock().unwrap().appends)),
-    shard_row("wal_segments", |_, s| U(s.wal_segments.load(Relaxed))),
-    shard_row("window_start", |_, s| U(s.window_start.load(Relaxed))),
-    shard_row("window_end", |_, s| U(s.window_end.load(Relaxed)))
-        .gauge("dppr_write_shard_window_end", "Window end (stream position) per write shard"),
-    shard_row("cache.hits", |_, s| U(s.cache.stats().hits)),
-    shard_row("cache.misses", |_, s| U(s.cache.stats().misses)),
-    shard_row("cache.evictions", |_, s| U(s.cache.stats().evictions)),
-    shard_row("cache.stale_purged", |_, s| U(s.cache.stats().stale_purged)),
-];
-
 /// Writes the `/stats` object `section` (`""` = the enclosing object's
-/// own scalars) from the rows of `table` that live in it.
-pub(crate) fn json_section<V>(
-    j: &mut JsonBuf,
-    table: &[Row<V>],
-    section: &str,
-    ctx: &Ctx,
-    view: &V,
-) {
+/// own scalars) from the rows of [`INSTANCE`] that live in it.
+pub(crate) fn json_section(j: &mut JsonBuf, section: &str, ctx: &Ctx, view: &View) {
     if !section.is_empty() {
         j.key(section).begin_obj();
     }
-    for row in table {
+    for row in INSTANCE {
         let (sec, key) = row.key.rsplit_once('.').unwrap_or(("", row.key));
         if sec == section && !key.is_empty() {
             (row.read)(ctx, view).json(j.key(key));

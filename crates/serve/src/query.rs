@@ -1,5 +1,5 @@
 //! Request dispatch and the handlers that answer from session
-//! snapshots: the four cached queries, the cross-shard compare, and
+//! snapshots: the four cached queries, the cross-session compare, and
 //! session control. Telemetry and instance control live in `admin.rs`.
 
 use crate::admin;
@@ -8,7 +8,7 @@ use crate::epoch::Reader;
 use crate::event::Router;
 use crate::http::{Request, Response};
 use crate::json::{error_body, JsonBuf};
-use crate::server::{shard_of, Control, Ctx};
+use crate::server::{Control, Ctx};
 use crate::snapshot::QuerySnapshot;
 use dppr_core::queries::BoundedScore;
 use dppr_graph::VertexId;
@@ -18,15 +18,15 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc;
 use std::sync::Arc;
 
-/// The per-shard router: shared state + this shard's epoch readers (one
-/// per write-shard domain), control-channel handles (one per write
-/// shard), and thread-local telemetry accumulators (flushed to the
-/// shared histograms once per event-loop tick, so the per-request path
-/// touches no shared atomics).
+/// One event-loop shard's router: shared state + this shard's epoch
+/// reader, its handle on the write loop's control channel, and
+/// thread-local telemetry accumulators (flushed to the shared histograms
+/// once per event-loop tick, so the per-request path touches no shared
+/// atomics).
 pub(crate) struct RouterImpl {
     pub(crate) ctx: Arc<Ctx>,
-    readers: Vec<Reader>,
-    ctl_txs: Vec<mpsc::Sender<Control>>,
+    reader: Reader,
+    ctl_tx: mpsc::Sender<Control>,
     shard: usize,
     conn_gauge: Arc<Gauge>,
     depth_gauge: Arc<Gauge>,
@@ -37,18 +37,13 @@ pub(crate) struct RouterImpl {
 }
 
 impl RouterImpl {
-    /// Event-loop shard `shard`'s router, with a fresh epoch reader per
-    /// write-shard domain.
-    pub(crate) fn new(ctx: Arc<Ctx>, ctl_txs: Vec<mpsc::Sender<Control>>, shard: usize) -> Self {
+    /// Event-loop shard `shard`'s router, with a fresh epoch reader.
+    pub(crate) fn new(ctx: Arc<Ctx>, ctl_tx: mpsc::Sender<Control>, shard: usize) -> Self {
         let (conn_gauge, depth_gauge) = ctx.shard_gauges[shard].clone();
         RouterImpl {
-            readers: ctx
-                .shards
-                .iter()
-                .map(|s| s.domain.register_reader())
-                .collect(),
+            reader: ctx.domain.register_reader(),
             ctx,
-            ctl_txs,
+            ctl_tx,
             shard,
             conn_gauge,
             depth_gauge,
@@ -84,7 +79,7 @@ impl Router for RouterImpl {
             j.key("shard").uint(self.shard as u64);
             j.key("path").str(&req.path);
             j.key("status").uint(status as u64);
-            j.key("epoch").uint(self.ctx.epoch_min());
+            j.key("epoch").uint(self.ctx.domain.epoch());
             j.key("parse_ns").uint(parse_ns);
             j.key("route_ns").uint(route_ns);
             j.key("write_ns").uint(write_ns);
@@ -155,15 +150,11 @@ fn push_bounded_arr(j: &mut JsonBuf, key: &str, scores: &[BoundedScore]) {
     j.end_arr();
 }
 
-/// Loads `source`'s published snapshot from write shard `ws`, or the
-/// 404 that says there is no such session.
-fn load_session(
-    r: &RouterImpl,
-    source: VertexId,
-    ws: usize,
-) -> Result<Arc<QuerySnapshot>, Response> {
-    match r.ctx.shards[ws].registry.lookup(source) {
-        Some(entry) => Ok(entry.load(&r.readers[ws])),
+/// Loads `source`'s published snapshot, or the 404 that says there is no
+/// such session.
+fn load_session(r: &RouterImpl, source: VertexId) -> Result<Arc<QuerySnapshot>, Response> {
+    match r.ctx.registry.lookup(source) {
+        Some(entry) => Ok(entry.load(&r.reader)),
         None => Err(Response::new(
             404,
             error_body(&format!("no open session for source {source}")),
@@ -171,17 +162,15 @@ fn load_session(
     }
 }
 
-/// Load-shedding gate for the query endpoints: while write shard `ws`
-/// has had a slide in flight longer than `shed_after`, answer `503
-/// Retry-After` instead of serving a snapshot that lags the stream.
-/// Shedding is per shard — a straggler does not shed traffic for
-/// sessions owned by healthy shards.
-fn shed_check(ctx: &Ctx, ws: usize) -> Option<Response> {
-    // A fast-window latency SLO breach sheds globally: the error budget
-    // is burning now, and queries are the load we can refuse.
+/// Load-shedding gate for the query endpoints: while a slide has been in
+/// flight longer than `shed_after`, answer `503 Retry-After` instead of
+/// serving a snapshot that lags the stream.
+fn shed_check(ctx: &Ctx) -> Option<Response> {
+    // A fast-window latency SLO breach sheds too: the error budget is
+    // burning now, and queries are the load we can refuse.
     let why = if ctx.slo.shed.load(Relaxed) {
         "latency SLO fast burn; shedding load"
-    } else if ctx.lagging(&ctx.shards[ws]) {
+    } else if ctx.lagging() {
         "write loop is behind; retry shortly"
     } else {
         return None;
@@ -196,8 +185,8 @@ fn shed_check(ctx: &Ctx, ws: usize) -> Option<Response> {
 }
 
 /// The skeleton the four cached query endpoints share: count the query,
-/// parse its parameters, resolve `source=` to its write shard (503 while
-/// that shard lags, 404 without a session), then answer from the shard's
+/// parse its parameters, shed with 503 while the write loop lags, resolve
+/// `source=` to its session (404 without one), then answer from the
 /// epoch-keyed cache or render `{"source", "epoch", …}` and cache it.
 /// An endpoint is its parameter parse plus its body renderer.
 fn cached_query<P>(
@@ -211,15 +200,14 @@ fn cached_query<P>(
     ctx.stats.queries.fetch_add(1, Relaxed);
     let params = parse(req)?;
     let source: VertexId = req.require("source")?;
-    let ws = shard_of(source, ctx.shards.len());
-    if let Some(shed) = shed_check(ctx, ws) {
+    if let Some(shed) = shed_check(ctx) {
         return Ok(shed);
     }
-    let snap = match load_session(r, source, ws) {
+    let snap = match load_session(r, source) {
         Ok(snap) => snap,
         Err(not_found) => return Ok(not_found),
     };
-    let (body, _) = ctx.shards[ws]
+    let (body, _) = ctx
         .cache
         .get_or_render(source, kind(&params), snap.epoch(), || {
             let mut j = JsonBuf::new();
@@ -302,23 +290,21 @@ fn compare(req: &Request, r: &RouterImpl) -> Result<Response, String> {
     )
 }
 
-/// Cross-shard comparison: which of two *sessions* ranks vertex `v`
-/// higher. The per-session `/compare` never leaves one engine; this one
-/// loads both sessions' snapshots — potentially owned by different write
-/// shards at different epochs — and interval-compares their estimates.
-/// Not cached: the composite key spans two epoch lines.
+/// Cross-session comparison: which of two *sessions* ranks vertex `v`
+/// higher. The per-session `/compare` reads one snapshot; this one loads
+/// both sessions' snapshots — two loads, so possibly one epoch apart —
+/// and interval-compares their estimates. Not cached: the cache is keyed
+/// by one source and one epoch.
 fn compare_sessions(req: &Request, r: &RouterImpl) -> Result<Response, String> {
     let ctx = &*r.ctx;
     ctx.stats.queries.fetch_add(1, Relaxed);
     let a: VertexId = req.require("a")?;
     let b: VertexId = req.require("b")?;
     let v: VertexId = req.require("v")?;
-    let n = ctx.shards.len();
-    let (wa, wb) = (shard_of(a, n), shard_of(b, n));
-    if let Some(shed) = shed_check(ctx, wa).or_else(|| shed_check(ctx, wb)) {
+    if let Some(shed) = shed_check(ctx) {
         return Ok(shed);
     }
-    let (sa, sb) = match (load_session(r, a, wa), load_session(r, b, wb)) {
+    let (sa, sb) = match (load_session(r, a), load_session(r, b)) {
         (Ok(sa), Ok(sb)) => (sa, sb),
         (Err(not_found), _) | (_, Err(not_found)) => return Ok(not_found),
     };
@@ -347,41 +333,22 @@ fn compare_sessions(req: &Request, r: &RouterImpl) -> Result<Response, String> {
 }
 
 fn sessions(_req: &Request, r: &RouterImpl) -> Result<Response, String> {
-    // The flat `sessions` array stays merged-and-sorted across shards
-    // (the unsharded wire shape); the per-shard blocks expose the
-    // partition.
-    let shards = &r.ctx.shards;
-    let mut all: Vec<VertexId> = shards.iter().flat_map(|s| s.registry.sources()).collect();
-    all.sort_unstable();
+    let registry = &r.ctx.registry;
     let mut j = JsonBuf::new();
     j.begin_obj();
-    j.key("capacity")
-        .uint(shards.iter().map(|s| s.registry.capacity() as u64).sum());
-    push_sources(&mut j, &all);
-    j.key("write_shards").begin_arr();
-    for s in shards {
-        j.begin_obj();
-        j.key("shard").uint(s.index as u64);
-        j.key("capacity").uint(s.registry.capacity() as u64);
-        push_sources(&mut j, &s.registry.sources());
-        j.end_obj();
+    j.key("capacity").uint(registry.capacity() as u64);
+    j.key("sessions").begin_arr();
+    for s in registry.sources() {
+        j.uint(s as u64);
     }
     j.end_arr();
     j.end_obj();
     Ok(Response::new(200, j.finish()))
 }
 
-fn push_sources(j: &mut JsonBuf, sources: &[VertexId]) {
-    j.key("sessions").begin_arr();
-    for &s in sources {
-        j.uint(s as u64);
-    }
-    j.end_arr();
-}
-
 /// `POST /session/open` and `/session/close`: hands the request to the
-/// owning shard's write loop, which applies it between batches; the
-/// response acknowledges acceptance, not completion.
+/// write loop, which applies it between batches; the response
+/// acknowledges acceptance, not completion.
 fn session_control(req: &Request, r: &RouterImpl, open: bool) -> Result<Response, String> {
     let ctx = &*r.ctx;
     let source: VertexId = req.require("source")?;
@@ -396,14 +363,12 @@ fn session_control(req: &Request, r: &RouterImpl, open: bool) -> Result<Response
     } else {
         Control::Close(source)
     };
-    let ws = shard_of(source, ctx.shards.len());
-    let accepted = r.ctl_txs[ws].send(ctl).is_ok();
+    let accepted = r.ctl_tx.send(ctl).is_ok();
     let mut j = JsonBuf::new();
     j.begin_obj();
     j.key("accepted").bool(accepted);
     j.key(if open { "opening" } else { "closing" })
         .uint(source as u64);
-    j.key("write_shard").uint(ws as u64);
     j.end_obj();
     Ok(Response::new(200, j.finish()))
 }

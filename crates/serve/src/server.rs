@@ -1,11 +1,12 @@
-//! The serving instance: write loop + acceptor + event-loop shards.
+//! The serving instance: one write loop + acceptor + event-loop shards.
 //!
 //! ```text
 //!                     ┌────────────────────────────────────────────┐
 //!  edge stream ──────▶│ write loop (owns StreamDriver+MultiSource) │
-//!                     │  slide → apply batch → advance epoch ──────┼──▶ publish
+//!                     │  slide → WAL → graph once → N push lanes   │
+//!                     │        → advance epoch ────────────────────┼──▶ publish
 //!                     └────────────▲───────────────────────────────┘    per-session
-//!                                  │ control (open/close)               SnapshotCell
+//!                                  │ control (open/close/audit)         SnapshotCell
 //!  TCP clients ──▶ acceptor ──▶ shard event loops ── lookup ──▶ registry
 //!                  (bounded        │ poll(2), keep-alive,          │
 //!                   hand-off,      │ per-conn state machines       └─▶ lock-free load
@@ -17,7 +18,10 @@
 //! snapshot lock-free ([`crate::SnapshotCell::load`]). Session open/close
 //! requests travel over a channel and are applied by the write loop
 //! *between* batches, which is what keeps `MultiSourcePpr`'s mutable state
-//! single-threaded.
+//! single-owner. There is one graph, one stream, one WAL, one epoch line,
+//! one session registry and one query cache per instance whatever
+//! [`ServeConfig::write_shards`] says: that number only decides over how
+//! many lanes a batch's per-session pushes are spread.
 //!
 //! The front end is event-driven (see [`crate::event`]): each shard
 //! thread owns its connections and multiplexes them with `poll(2)`, so a
@@ -36,14 +40,13 @@ use crate::cache::{CacheStats, QueryCache};
 use crate::durability::{DurabilityConfig, RecoveryReport};
 use crate::epoch::EpochDomain;
 use crate::event::{ConnCounters, ShardHandle};
-use crate::metrics::{ServerMetrics, View, WriteShardStages};
+use crate::metrics::ServerMetrics;
 use crate::registry::SessionRegistry;
 use dppr_core::CounterSnapshot;
 use dppr_graph::{SubstrateStats, VertexId};
 use dppr_obs::{Gauge, SeriesRing};
 use dppr_wal::WalStats;
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
@@ -57,9 +60,11 @@ pub struct ServeConfig {
     pub port: u16,
     /// Event-loop shard threads.
     pub threads: usize,
-    /// Query-cache capacity in entries (0 disables the cache).
+    /// Query-cache capacity in entries (0 disables the cache) — the whole
+    /// instance's one cache, whatever `write_shards` says.
     pub cache_capacity: usize,
-    /// Session budget; opening past it evicts the LRU session.
+    /// Session budget; opening past it evicts the LRU session — one
+    /// instance-wide LRU, whatever `write_shards` says.
     pub session_capacity: usize,
     /// Teleport probability α.
     pub alpha: f64,
@@ -94,14 +99,16 @@ pub struct ServeConfig {
     pub trace_sample: u64,
     /// Capacity of the trace ring in events (oldest evicted first).
     pub trace_capacity: usize,
-    /// Independent write loops (0 and 1 both mean unsharded). Sessions
-    /// are partitioned by a stable hash of their source vertex
-    /// ([`shard_of`]); each write shard owns its own engine, session
-    /// registry, query cache, epoch domain, and (with durability on) its
-    /// own WAL directory and checkpoints under `data_dir/shard-<i>/`.
+    /// Push lanes (0 and 1 both mean one): the instance's single write
+    /// loop mutates the graph once per batch, then repairs and pushes its
+    /// sessions in this many contiguous chunks side by side
+    /// ([`dppr_core::MultiSourcePpr::with_lanes`]), each push on
+    /// `max(1, cores / lanes)` threads. Nothing is replicated per lane —
+    /// one graph, WAL, epoch line, registry and cache — and answers are
+    /// byte-identical for any value.
     pub write_shards: usize,
     /// Accuracy auditing: recompute ground-truth PPR for up to this many
-    /// live sessions per audit tick (round-robin across write shards)
+    /// live sessions per audit tick (round-robin over the sessions)
     /// and report estimate error as `dppr_audit_*` families. 0 disables
     /// auditing (the observer still samples the metrics time-series).
     pub audit_sample: usize,
@@ -148,36 +155,6 @@ impl Default for ServeConfig {
             slo_availability: 0.0,
             slo_topk_overlap: 0.0,
         }
-    }
-}
-
-/// Stable assignment of a session source to a write shard: a splitmix64
-/// finalizer over the vertex id, reduced mod `write_shards`. The mapping
-/// depends only on `(source, write_shards)`, so a session lands on the
-/// same shard across restarts and across processes (the recovery
-/// harness and the router must agree on it).
-pub fn shard_of(source: VertexId, write_shards: usize) -> usize {
-    if write_shards <= 1 {
-        return 0;
-    }
-    let mut x = (source as u64) ^ 0x9e37_79b9_7f4a_7c15;
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    (x % write_shards as u64) as usize
-}
-
-/// Where write shard `i` keeps its WAL + checkpoints. Unsharded
-/// instances keep the historical layout (the root itself), so existing
-/// durable directories stay recoverable; sharded instances get one
-/// subdirectory per shard.
-pub fn shard_data_dir(root: &Path, shard: usize, write_shards: usize) -> PathBuf {
-    if write_shards <= 1 {
-        root.to_path_buf()
-    } else {
-        root.join(format!("shard-{shard}"))
     }
 }
 
@@ -271,50 +248,54 @@ pub struct ServeReport {
     /// Whether a WAL failure forced read-only serving.
     pub degraded: bool,
     /// Epoch of the newest durable checkpoint (0 with durability off).
-    /// Sharded instances report the minimum across shards — the epoch
-    /// every shard is durable through.
     pub durable_epoch: u64,
-    /// Checkpoints written over the instance lifetime (all shards).
+    /// Checkpoints written over the instance lifetime.
     pub checkpoints: u64,
-    /// Independent write loops this instance ran.
+    /// Push lanes the write loop spread its sessions over (≥ 1).
     pub write_shards: usize,
 }
 
 pub(crate) enum Control {
     Open(VertexId),
     Close(VertexId),
-    /// Accuracy-audit probe from the observer thread: the owning write
-    /// loop (between batches, so its graph matches the published epoch)
+    /// Accuracy-audit probe from the observer thread: the write loop
+    /// (between batches, so its graph matches the published epoch)
     /// clones the graph plus up to `max_sessions` sessions' published
     /// snapshots and live states into an [`AuditJob`] and replies. The
     /// expensive ground-truth solve happens on the observer thread.
     Audit { max_sessions: usize, reply: SyncSender<AuditJob> },
 }
 
-/// Everything one write shard owns: its epoch domain, session registry,
-/// query cache, and the per-shard view of the stats `/stats`, `/healthz`
-/// and `/metrics` merge across shards. The engine, graph, and WAL live
-/// on the shard's writer thread; the mutexed snapshots here are
-/// refreshed by that thread after every slide.
-pub(crate) struct WriteShardState {
-    pub(crate) index: usize,
+/// State shared by the event-loop shards, the acceptor, the write loop,
+/// the checkpointer and the audit/SLO observer. The engine, graph and WAL
+/// live on the writer thread; the mutexed snapshots here are refreshed by
+/// that thread after every slide.
+pub(crate) struct Ctx {
     pub(crate) domain: Arc<EpochDomain>,
     pub(crate) registry: Arc<SessionRegistry>,
     pub(crate) cache: Arc<QueryCache>,
-    /// Slides this shard applied (the global counter sums all shards).
-    pub(crate) slides: AtomicU64,
-    /// Start-relative nanos (+1) of this shard's in-flight slide; 0
-    /// while idle. Shedding is per shard: only queries routed to a
-    /// lagging shard are answered 503.
+    pub(crate) stats: ServerStats,
+    pub(crate) conn: Arc<ConnCounters>,
+    pub(crate) shutdown: Arc<AtomicBool>,
+    pub(crate) addr: SocketAddr,
+    /// Instance birth; `slide_started_ns` is relative to this.
+    pub(crate) start: Instant,
+    /// See [`ServeConfig::shed_after`].
+    pub(crate) shed_after: Duration,
+    /// See [`ServeConfig::write_shards`] (≥ 1).
+    pub(crate) lanes: usize,
+    /// One past the largest vertex id the stream will ever mention; the
+    /// upper bound for `/session/open` requests (an unchecked id would
+    /// make `cold_start` allocate `source + 1` slots — a single request
+    /// naming vertex 4e9 must not OOM the server).
+    pub(crate) vertex_bound: usize,
+    /// Whether this instance runs with a WAL + checkpoints.
+    pub(crate) durability_enabled: bool,
+    /// Start-relative nanos (+1) of the in-flight slide; 0 while idle.
     pub(crate) slide_started_ns: AtomicU64,
-    /// Whether this shard ran its stream copy dry.
-    pub(crate) stream_done: AtomicBool,
-    /// True once this shard's WAL failed (shard serves read-only).
-    pub(crate) degraded: AtomicBool,
-    pub(crate) degraded_reason: Mutex<Option<String>>,
-    /// Epoch of this shard's newest durable checkpoint.
+    /// Epoch of the newest durable checkpoint.
     pub(crate) durable_epoch: AtomicU64,
-    /// Start-relative nanos (+1) of this shard's last WAL fsync.
+    /// Start-relative nanos (+1) of the last WAL fsync.
     pub(crate) last_fsync_ns: AtomicU64,
     /// Live WAL segment count (sealed + active).
     pub(crate) wal_segments: AtomicU64,
@@ -324,39 +305,12 @@ pub(crate) struct WriteShardState {
     pub(crate) graph: Mutex<SubstrateStats>,
     /// WAL counters as of the last append/sync.
     pub(crate) wal: Mutex<WalStats>,
-    /// This shard's window bounds in logical stream positions.
+    /// Window bounds in logical stream positions.
     pub(crate) window_start: AtomicU64,
     pub(crate) window_end: AtomicU64,
-    /// Round-robin cursor over this shard's sessions for audit probes
-    /// (advanced by the write loop each time it serves an audit).
-    pub(crate) audit_cursor: AtomicU64,
-    /// Labelled `{write_shard="i"}` stage histograms.
-    pub(crate) stage: WriteShardStages,
-}
-
-/// State shared by the shards, the acceptor, the write loops, and the
-/// audit/SLO observer.
-pub(crate) struct Ctx {
-    /// One entry per write shard; length ≥ 1.
-    pub(crate) shards: Vec<Arc<WriteShardState>>,
-    pub(crate) stats: ServerStats,
-    pub(crate) conn: Arc<ConnCounters>,
-    pub(crate) shutdown: Arc<AtomicBool>,
-    pub(crate) addr: SocketAddr,
-    /// Instance birth; `slide_started_ns` is relative to this.
-    pub(crate) start: Instant,
-    /// See [`ServeConfig::shed_after`].
-    pub(crate) shed_after: Duration,
-    /// One past the largest vertex id the stream will ever mention; the
-    /// upper bound for `/session/open` requests (an unchecked id would
-    /// make `cold_start` allocate `source + 1` slots — a single request
-    /// naming vertex 4e9 must not OOM the server).
-    pub(crate) vertex_bound: usize,
-    /// Whether this instance runs with a WAL + checkpoints.
-    pub(crate) durability_enabled: bool,
     /// Pipeline histograms, trace ring, and the metric registry.
     pub(crate) metrics: ServerMetrics,
-    /// Per-shard `(connections, queue_depth)` gauges, indexed by shard.
+    /// Per-event-loop-shard `(connections, queue_depth)` gauges.
     pub(crate) shard_gauges: Vec<(Arc<Gauge>, Arc<Gauge>)>,
     /// Total logical edges in the stream (constant per instance).
     pub(crate) stream_len: u64,
@@ -373,28 +327,15 @@ pub(crate) struct Ctx {
 }
 
 impl Ctx {
-    /// Nanoseconds write shard `ws`'s in-flight slide has been running,
-    /// or `None` while that shard is between slides.
-    pub(crate) fn slide_in_flight(&self, ws: &WriteShardState) -> Option<Duration> {
-        match ws.slide_started_ns.load(Relaxed) {
-            0 => None,
-            marker => {
-                let started = Duration::from_nanos(marker - 1);
-                Some(self.start.elapsed().saturating_sub(started))
-            }
+    /// Whether queries should be shed: the published epoch lags the
+    /// stream by a slide that has been in flight past `shed_after`.
+    pub(crate) fn lagging(&self) -> bool {
+        let marker = self.slide_started_ns.load(Relaxed);
+        if self.shed_after.is_zero() || marker == 0 {
+            return false;
         }
-    }
-
-    /// Whether queries routed to write shard `ws` should be shed.
-    pub(crate) fn lagging(&self, ws: &WriteShardState) -> bool {
-        !self.shed_after.is_zero()
-            && self.slide_in_flight(ws).is_some_and(|d| d > self.shed_after)
-    }
-
-    /// The epoch every shard has published through — the instance-level
-    /// epoch. (Unsharded: the one shard's epoch, unchanged semantics.)
-    pub(crate) fn epoch_min(&self) -> u64 {
-        self.shards.iter().map(|s| s.domain.epoch()).min().unwrap_or(0)
+        let started = Duration::from_nanos(marker - 1);
+        self.start.elapsed().saturating_sub(started) > self.shed_after
     }
 
     /// Sets the shutdown flag and unblocks the acceptor's blocking
@@ -404,13 +345,6 @@ impl Ctx {
         self.shutdown.store(true, SeqCst);
         let _ = TcpStream::connect(self.addr);
     }
-
-    /// Global stream-done flag: set once every shard ran its copy dry.
-    pub(crate) fn refresh_stream_done(&self) {
-        if self.shards.iter().all(|s| s.stream_done.load(Relaxed)) {
-            self.stats.stream_done.store(true, Relaxed);
-        }
-    }
 }
 
 /// A running serving instance. Dropping the handle without calling
@@ -419,8 +353,9 @@ pub struct ServerHandle {
     pub(crate) ctx: Arc<Ctx>,
     pub(crate) acceptor: Option<JoinHandle<()>>,
     pub(crate) shards: Vec<ShardHandle>,
-    pub(crate) writers: Vec<JoinHandle<()>>,
-    pub(crate) recoveries: Vec<Option<RecoveryReport>>,
+    /// The write loop and the observer.
+    pub(crate) workers: Vec<JoinHandle<()>>,
+    pub(crate) recovery: Option<RecoveryReport>,
 }
 
 impl ServerHandle {
@@ -439,36 +374,14 @@ impl ServerHandle {
         &self.ctx.conn
     }
 
-    /// Write shard 0's query cache (the only one unsharded). Sharded
-    /// callers wanting totals should sum [`ServerHandle::shard_cache`]
-    /// stats across [`ServerHandle::write_shard_count`] shards.
+    /// The instance's query cache.
     pub fn cache(&self) -> &QueryCache {
-        self.shard_cache(0)
+        &self.ctx.cache
     }
 
-    /// Write shard 0's session registry (the only one unsharded).
+    /// The instance's session registry.
     pub fn registry(&self) -> &SessionRegistry {
-        self.shard_registry(0)
-    }
-
-    /// Independent write loops this instance runs (≥ 1).
-    pub fn write_shard_count(&self) -> usize {
-        self.ctx.shards.len()
-    }
-
-    /// Write shard `i`'s session registry.
-    pub fn shard_registry(&self, i: usize) -> &SessionRegistry {
-        &self.ctx.shards[i].registry
-    }
-
-    /// Write shard `i`'s query cache.
-    pub fn shard_cache(&self, i: usize) -> &QueryCache {
-        &self.ctx.shards[i].cache
-    }
-
-    /// Write shard `i`'s published epoch.
-    pub fn shard_epoch(&self, i: usize) -> u64 {
-        self.ctx.shards[i].domain.epoch()
+        &self.ctx.registry
     }
 
     /// The instance's metric registry and pipeline histograms (what
@@ -484,22 +397,15 @@ impl ServerHandle {
         self.ctx.metrics.trace.dump()
     }
 
-    /// Current epoch: the minimum across write shards (every session is
-    /// served at least this fresh).
+    /// The last published epoch.
     pub fn epoch(&self) -> u64 {
-        self.ctx.epoch_min()
+        self.ctx.domain.epoch()
     }
 
-    /// What recovery did at startup for write shard 0, if this instance
-    /// resumed from a checkpoint (`None` for fresh starts and
-    /// memory-only instances).
+    /// What recovery did at startup, if this instance resumed from a
+    /// checkpoint (`None` for fresh starts and memory-only instances).
     pub fn recovery(&self) -> Option<&RecoveryReport> {
-        self.recoveries.first().and_then(Option::as_ref)
-    }
-
-    /// Per-write-shard recovery reports, in shard order.
-    pub fn recoveries(&self) -> &[Option<RecoveryReport>] {
-        &self.recoveries
+        self.recovery.as_ref()
     }
 
     /// Whether shutdown has been requested (flag or `POST /shutdown`).
@@ -524,13 +430,13 @@ impl ServerHandle {
         for s in self.shards.drain(..) {
             s.join();
         }
-        for h in self.writers.drain(..) {
+        for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        let (stats, conn) = (&self.ctx.stats, &self.ctx.conn);
-        let view = View::gather(&self.ctx);
+        let ctx = &*self.ctx;
+        let (stats, conn) = (&ctx.stats, &ctx.conn);
         ServeReport {
-            epoch: view.epoch,
+            epoch: ctx.domain.epoch(),
             slides: stats.slides.load(Relaxed),
             updates_offered: stats.updates_offered.load(Relaxed),
             updates_applied: stats.updates_applied.load(Relaxed),
@@ -542,13 +448,13 @@ impl ServerHandle {
             read_timeouts: conn.read_timeouts.load(Relaxed),
             write_timeouts: conn.write_timeouts.load(Relaxed),
             shed: stats.shed.load(Relaxed),
-            cache: view.cache,
-            sessions: view.sessions as usize,
+            cache: ctx.cache.stats(),
+            sessions: ctx.registry.len(),
             stream_done: stats.stream_done.load(Relaxed),
             degraded: stats.degraded.load(Relaxed),
-            durable_epoch: view.durable_epoch,
+            durable_epoch: ctx.durable_epoch.load(Relaxed),
             checkpoints: stats.checkpoints.load(Relaxed),
-            write_shards: self.ctx.shards.len(),
+            write_shards: ctx.lanes,
         }
     }
 }

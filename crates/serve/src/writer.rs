@@ -1,17 +1,18 @@
-//! The write side of one write shard: the slide loop that applies
-//! batches and publishes epochs, session control between batches, and
-//! the durability half — WAL appends before publication, the background
-//! checkpointer, its acknowledgement markers and retention.
+//! The write side of the instance: the one slide loop that applies
+//! batches (graph once, sessions over the push lanes) and publishes
+//! epochs, session control between batches, and the durability half —
+//! WAL appends before publication, the background checkpointer, its
+//! acknowledgement markers and retention.
 
 use crate::audit::{AuditJob, AuditSession};
 use crate::durability::{self, DurabilityConfig};
 use crate::epoch::Reader;
 use crate::json::JsonBuf;
 use crate::registry::OpenOutcome;
-use crate::server::{Control, Ctx, ServeConfig, WriteShardState};
+use crate::server::{Control, Ctx, ServeConfig, ServerStats};
 use crate::snapshot::QuerySnapshot;
 use dppr_core::{MultiSourcePpr, PprState};
-use dppr_graph::VertexId;
+use dppr_graph::{EdgeUpdate, VertexId};
 use dppr_stream::StreamDriver;
 use dppr_wal::{Wal, WalRecord, WalStats};
 use std::io;
@@ -39,17 +40,15 @@ impl CkptJob {
         }
     }
 
-    /// Writes the checkpoint, timed into both checkpoint histograms; on
-    /// success older checkpoints are pruned and the shard's durable
-    /// epoch advances.
-    fn write(&self, ctx: &Ctx, shard: &WriteShardState, data_dir: &Path) -> io::Result<()> {
+    /// Writes the checkpoint, timed into the checkpoint histogram; on
+    /// success older checkpoints are pruned and the durable epoch
+    /// advances.
+    fn write(&self, ctx: &Ctx, data_dir: &Path) -> io::Result<()> {
         let t = Instant::now();
         durability::write_checkpoint(data_dir, self.epoch, self.window, &self.states)?;
-        let ns = t.elapsed().as_nanos() as u64;
-        ctx.metrics.checkpoint.record(ns);
-        shard.stage.checkpoint.record(ns);
+        ctx.metrics.checkpoint.record(t.elapsed().as_nanos() as u64);
         let _ = durability::prune_checkpoints(data_dir, self.epoch);
-        shard.durable_epoch.store(self.epoch, Relaxed);
+        ctx.durable_epoch.store(self.epoch, Relaxed);
         ctx.stats.checkpoints.fetch_add(1, Relaxed);
         Ok(())
     }
@@ -69,8 +68,8 @@ pub(crate) struct DurableState {
     wal: Wal,
     cfg: DurabilityConfig,
     /// Newest durable epoch whose `Checkpoint` marker has been appended
-    /// to the WAL (retention runs when this catches up to the shard's
-    /// `durable_epoch`, which the background checkpointer publishes).
+    /// to the WAL (retention runs when this catches up to
+    /// `Ctx::durable_epoch`, which the background checkpointer publishes).
     acked: u64,
     ckpt_tx: Option<SyncSender<CkptJob>>,
     ckpt_thread: Option<JoinHandle<()>>,
@@ -82,23 +81,22 @@ pub(crate) struct DurableState {
     seen: WalStats,
 }
 
-/// Spawns the background checkpointer for one write shard and packages
-/// the durable state for that shard's write loop.
+/// Spawns the background checkpointer and packages the durable state for
+/// the write loop.
 pub(crate) fn spawn_durable(
     dcfg: DurabilityConfig,
     wal: Wal,
     durable_epoch: u64,
     ctx: Arc<Ctx>,
-    shard: Arc<WriteShardState>,
 ) -> io::Result<DurableState> {
     let (ckpt_tx, ckpt_rx) = sync_channel::<CkptJob>(1);
     let ckpt_thread = {
         let data_dir = dcfg.data_dir.clone();
         std::thread::Builder::new()
-            .name(format!("dppr-serve-ckpt-{}", shard.index))
+            .name("dppr-serve-ckpt".into())
             .spawn(move || {
                 while let Ok(job) = ckpt_rx.recv() {
-                    if let Err(e) = job.write(&ctx, &shard, &data_dir) {
+                    if let Err(e) = job.write(&ctx, &data_dir) {
                         eprintln!("dppr-serve: checkpoint at epoch {} failed: {e}", job.epoch);
                         ctx.stats.checkpoint_failures.fetch_add(1, Relaxed);
                     }
@@ -117,43 +115,45 @@ pub(crate) fn spawn_durable(
     })
 }
 
-/// Publishes one shard's fresh WAL counters after appends/syncs: fsync
-/// latency from the `sync_nanos` delta, the last-fsync timestamp for
-/// `/healthz`, and the raw stats for `/stats` and `/metrics` (which sum
-/// them across shards when they render).
-fn note_wal(d: &mut DurableState, ctx: &Ctx, shard: &WriteShardState) {
+/// Publishes the WAL's fresh counters after appends/syncs: fsync latency
+/// from the `sync_nanos` delta, the last-fsync timestamp for `/healthz`,
+/// and the raw stats for `/stats` and `/metrics`.
+fn note_wal(d: &mut DurableState, ctx: &Ctx) {
     let s = d.wal.stats();
     let syncs = s.syncs - d.seen.syncs;
     if let Some(per_sync) = (s.sync_nanos - d.seen.sync_nanos).checked_div(syncs) {
         for _ in 0..syncs {
             ctx.metrics.wal_fsync.record(per_sync);
-            shard.stage.wal_fsync.record(per_sync);
         }
-        shard
-            .last_fsync_ns
-            .store(ctx.start.elapsed().as_nanos() as u64 + 1, Relaxed);
+        ctx.last_fsync_ns.store(ctx.start.elapsed().as_nanos() as u64 + 1, Relaxed);
     }
-    shard.wal_segments.store(d.wal.segment_count() as u64, Relaxed);
-    *shard.wal.lock().unwrap() = s;
+    ctx.wal_segments.store(d.wal.segment_count() as u64, Relaxed);
+    *ctx.wal.lock().unwrap() = s;
     d.seen = s;
 }
 
-/// Records why a write shard degraded to read-only (shown by
-/// `/healthz`): the shard's own flag plus the instance-level flag. The
-/// first shard to degrade provides the instance-level reason.
-fn mark_degraded(ctx: &Ctx, shard: &WriteShardState, reason: String) {
-    shard.degraded.store(true, SeqCst);
-    let global = if ctx.shards.len() == 1 {
-        reason.clone()
-    } else {
-        format!("write shard {}: {reason}", shard.index)
-    };
-    *shard.degraded_reason.lock().unwrap() = Some(reason);
+/// Applies `batch` through the engine and counts it into `stats` — the one
+/// call bootstrap, WAL-tail replay and the live slide all make. Returns
+/// the updates that changed the graph and the engine time in nanoseconds.
+pub(crate) fn apply_counted(
+    driver: &mut StreamDriver,
+    multi: &mut MultiSourcePpr,
+    batch: &[EdgeUpdate],
+    stats: &ServerStats,
+) -> (usize, u64) {
+    let t = Instant::now();
+    let applied = multi.apply_batch(driver.graph_mut(), batch);
+    let apply_ns = t.elapsed().as_nanos() as u64;
+    stats.update_nanos.fetch_add(apply_ns, Relaxed);
+    stats.updates_offered.fetch_add(batch.len() as u64, Relaxed);
+    stats.updates_applied.fetch_add(applied as u64, Relaxed);
+    (applied, apply_ns)
+}
+
+/// Records why the instance degraded to read-only (shown by `/healthz`).
+fn mark_degraded(ctx: &Ctx, reason: String) {
+    *ctx.stats.degraded_reason.lock().unwrap() = Some(reason);
     ctx.stats.degraded.store(true, SeqCst);
-    let mut g = ctx.stats.degraded_reason.lock().unwrap();
-    if g.is_none() {
-        *g = Some(global);
-    }
 }
 
 pub(crate) fn write_loop(
@@ -161,7 +161,6 @@ pub(crate) fn write_loop(
     mut multi: MultiSourcePpr,
     ctl_rx: mpsc::Receiver<Control>,
     ctx: Arc<Ctx>,
-    shard: Arc<WriteShardState>,
     cfg: ServeConfig,
     mut dur: Option<DurableState>,
 ) {
@@ -172,37 +171,40 @@ pub(crate) fn write_loop(
     // snapshot must pin an epoch like any other reader. The domain is
     // sized `threads + 4`, so the write loop's own reader fits in the
     // slack.
-    let reader = shard.domain.register_reader();
+    let reader = ctx.domain.register_reader();
+    // Round-robin cursor over the sessions for audit probes.
+    let mut audit_cursor = 0usize;
     loop {
         if ctx.shutdown.load(SeqCst) {
             break;
         }
         while let Ok(ctl) = ctl_rx.try_recv() {
-            handle_control(ctl, &mut driver, &mut multi, &ctx, &shard, &reader);
+            handle_control(ctl, &mut driver, &mut multi, &ctx, &reader, &mut audit_cursor);
         }
         // Retention follows the background checkpointer: once a newer
         // checkpoint is durable, append its marker and drop the WAL
         // segments it covers.
         if let Some(d) = dur.as_mut() {
-            ack_durable(d, &ctx, &shard);
+            ack_durable(d, &ctx);
         }
         let frozen = dur.as_ref().is_some_and(|d| d.dead)
             || (cfg.max_slides != 0
-                && shard.slides.load(Relaxed) >= cfg.max_slides as u64);
-        if frozen || shard.stream_done.load(Relaxed) {
+                && ctx.stats.slides.load(Relaxed) >= cfg.max_slides as u64);
+        if frozen || ctx.stats.stream_done.load(Relaxed) {
             // Nothing left to slide (stream dry, slide cap, or WAL
             // failure → read-only): serve from the frozen epoch, but stay
             // responsive to session control and shutdown.
             match ctl_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(ctl) => handle_control(ctl, &mut driver, &mut multi, &ctx, &shard, &reader),
+                Ok(ctl) => {
+                    handle_control(ctl, &mut driver, &mut multi, &ctx, &reader, &mut audit_cursor)
+                }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
             continue;
         }
         let Some(batch) = driver.slide_batch(cfg.batch) else {
-            shard.stream_done.store(true, Relaxed);
-            ctx.refresh_stream_done();
+            ctx.stats.stream_done.store(true, Relaxed);
             continue;
         };
         // Write-ahead point: the batch must be in the log *before* its
@@ -215,7 +217,7 @@ pub(crate) fn write_loop(
         if let Some(d) = dur.as_mut() {
             let (ws, we) = driver.window_range();
             let rec = WalRecord::Batch {
-                epoch: shard.domain.epoch() + 1,
+                epoch: ctx.domain.epoch() + 1,
                 window_start: ws as u64,
                 window_end: we as u64,
                 updates: batch.clone(),
@@ -224,49 +226,37 @@ pub(crate) fn write_loop(
             if let Err(e) = d.wal.append(&rec) {
                 eprintln!("dppr-serve: WAL append failed ({e}); serving read-only from here");
                 d.dead = true;
-                mark_degraded(&ctx, &shard, format!("WAL append failed: {e}"));
+                mark_degraded(&ctx, format!("WAL append failed: {e}"));
                 continue;
             }
             wal_append_ns = t.elapsed().as_nanos() as u64;
             ctx.metrics.wal_append.record(wal_append_ns);
-            shard.stage.wal_append.record(wal_append_ns);
-            note_wal(d, &ctx, &shard);
+            note_wal(d, &ctx);
         }
-        // Lag marker: queries routed to this shard observe how long the
-        // slide has been in flight and shed once it exceeds `shed_after`
-        // (the snapshot they would serve is stale by at least that much).
-        shard
-            .slide_started_ns
-            .store(ctx.start.elapsed().as_nanos() as u64 + 1, Relaxed);
-        let t = Instant::now();
-        let applied = multi.apply_batch(driver.graph_mut(), &batch);
-        let apply_ns = t.elapsed().as_nanos() as u64;
+        // Lag marker: queries observe how long the slide has been in
+        // flight and shed once it exceeds `shed_after` (the snapshot they
+        // would serve is stale by at least that much).
+        ctx.slide_started_ns.store(ctx.start.elapsed().as_nanos() as u64 + 1, Relaxed);
+        let (applied, apply_ns) = apply_counted(&mut driver, &mut multi, &batch, &ctx.stats);
         ctx.metrics.push_wall.record(apply_ns);
-        shard.stage.push_wall.record(apply_ns);
-        ctx.stats.update_nanos.fetch_add(apply_ns, Relaxed);
-        ctx.stats.updates_offered.fetch_add(batch.len() as u64, Relaxed);
-        ctx.stats.updates_applied.fetch_add(applied as u64, Relaxed);
-        ctx.stats.slides.fetch_add(1, Relaxed);
-        shard.slides.fetch_add(1, Relaxed);
+        let slides = ctx.stats.slides.fetch_add(1, Relaxed) + 1;
         // Publication point: one epoch per batch, every session swapped to
         // a snapshot of the new converged state.
-        let epoch = shard.domain.advance();
+        let epoch = ctx.domain.advance();
         let t = Instant::now();
         for i in 0..multi.num_sources() {
-            if let Some(entry) = shard.registry.peek(multi.source(i)) {
+            if let Some(entry) = ctx.registry.peek(multi.source(i)) {
                 entry.publish(
-                    &shard.domain,
+                    &ctx.domain,
                     Arc::new(QuerySnapshot::from_state(multi.state(i), epoch)),
                 );
             }
         }
         let publish_ns = t.elapsed().as_nanos() as u64;
         ctx.metrics.snapshot_publish.record(publish_ns);
-        shard.stage.snapshot_publish.record(publish_ns);
-        shard.slide_started_ns.store(0, Relaxed);
+        ctx.slide_started_ns.store(0, Relaxed);
         let slide_ns = slide_t.elapsed().as_nanos() as u64;
         ctx.metrics.slide_apply.record(slide_ns);
-        shard.stage.slide_apply.record(slide_ns);
 
         // Refresh the engine/graph/stream views `/stats` and `/metrics`
         // read (this write loop is the only thread that can see them).
@@ -274,17 +264,16 @@ pub(crate) fn write_loop(
         let delta = counters - prev_counters;
         ctx.metrics.push_iterations.record(delta.iterations);
         prev_counters = counters;
-        *shard.engine.lock().unwrap() = counters;
-        *shard.graph.lock().unwrap() = driver.graph().substrate_stats();
+        *ctx.engine.lock().unwrap() = counters;
+        *ctx.graph.lock().unwrap() = driver.graph().substrate_stats();
         let (ws, we) = driver.window_range();
-        shard.window_start.store(ws as u64, Relaxed);
-        shard.window_end.store(we as u64, Relaxed);
+        ctx.window_start.store(ws as u64, Relaxed);
+        ctx.window_end.store(we as u64, Relaxed);
 
         if ctx.metrics.trace_slides.sample() {
             let mut j = JsonBuf::new();
             j.begin_obj();
             j.key("event").str("slide");
-            j.key("write_shard").uint(shard.index as u64);
             j.key("epoch").uint(epoch);
             j.key("batch_updates").uint(batch.len() as u64);
             j.key("applied").uint(applied as u64);
@@ -299,7 +288,7 @@ pub(crate) fn write_loop(
         }
 
         if let Some(d) = dur.as_mut() {
-            maybe_checkpoint(d, &shard, epoch, &driver, &multi);
+            maybe_checkpoint(d, slides, epoch, &driver, &multi);
         }
         if !cfg.slide_pause.is_zero() {
             std::thread::sleep(cfg.slide_pause);
@@ -308,43 +297,43 @@ pub(crate) fn write_loop(
     // Graceful shutdown: stop the background checkpointer, flush the WAL,
     // and leave a final checkpoint so the next start replays nothing.
     if let Some(d) = dur.as_mut() {
-        finalize_durable(d, &ctx, &shard, &driver, &multi);
+        finalize_durable(d, &ctx, &driver, &multi);
     }
 }
 
 /// Appends the `Checkpoint` marker for any newly durable checkpoint and
 /// prunes the WAL segments it covers.
-fn ack_durable(d: &mut DurableState, ctx: &Ctx, shard: &WriteShardState) {
-    let e = shard.durable_epoch.load(Relaxed);
+fn ack_durable(d: &mut DurableState, ctx: &Ctx) {
+    let e = ctx.durable_epoch.load(Relaxed);
     if d.dead || e <= d.acked {
         return;
     }
     match mark_checkpoint(&mut d.wal, e) {
         Ok(()) => {
             d.acked = e;
-            note_wal(d, ctx, shard);
+            note_wal(d, ctx);
         }
         Err(err) => {
             eprintln!("dppr-serve: WAL checkpoint marker failed ({err}); serving read-only");
             d.dead = true;
-            mark_degraded(ctx, shard, format!("WAL checkpoint marker failed: {err}"));
+            mark_degraded(ctx, format!("WAL checkpoint marker failed: {err}"));
         }
     }
 }
 
 /// Hands a checkpoint job to the background checkpointer every
-/// `checkpoint_every_slides` slides. A full channel means the previous
-/// checkpoint is still being written — skip this round rather than stall
-/// the write loop.
+/// `checkpoint_every_slides` slides (`slides` counts this instance's).
+/// A full channel means the previous checkpoint is still being written —
+/// skip this round rather than stall the write loop.
 fn maybe_checkpoint(
     d: &mut DurableState,
-    shard: &WriteShardState,
+    slides: u64,
     epoch: u64,
     driver: &StreamDriver,
     multi: &MultiSourcePpr,
 ) {
     let every = d.cfg.checkpoint_every_slides;
-    if every == 0 || !shard.slides.load(Relaxed).is_multiple_of(every) {
+    if every == 0 || !slides.is_multiple_of(every) {
         return;
     }
     let Some(tx) = d.ckpt_tx.as_ref() else { return };
@@ -360,7 +349,6 @@ fn maybe_checkpoint(
 fn finalize_durable(
     d: &mut DurableState,
     ctx: &Ctx,
-    shard: &WriteShardState,
     driver: &StreamDriver,
     multi: &MultiSourcePpr,
 ) {
@@ -372,11 +360,11 @@ fn finalize_durable(
     if d.dead {
         return;
     }
-    let epoch = shard.domain.epoch();
-    if epoch <= shard.durable_epoch.load(Relaxed) {
+    let epoch = ctx.domain.epoch();
+    if epoch <= ctx.durable_epoch.load(Relaxed) {
         return; // nothing applied since the last durable checkpoint
     }
-    match CkptJob::capture(epoch, driver, multi).write(ctx, shard, &d.cfg.data_dir) {
+    match CkptJob::capture(epoch, driver, multi).write(ctx, &d.cfg.data_dir) {
         Ok(()) => {
             let _ = mark_checkpoint(&mut d.wal, epoch);
         }
@@ -389,18 +377,18 @@ fn handle_control(
     driver: &mut StreamDriver,
     multi: &mut MultiSourcePpr,
     ctx: &Ctx,
-    shard: &WriteShardState,
     reader: &Reader,
+    audit_cursor: &mut usize,
 ) {
     match ctl {
         Control::Open(s) => {
-            if shard.registry.peek(s).is_some() {
+            if ctx.registry.peek(s).is_some() {
                 return;
             }
             let i = multi.add_source(driver.graph(), s);
-            let snap = QuerySnapshot::from_state(multi.state(i), shard.domain.epoch());
+            let snap = QuerySnapshot::from_state(multi.state(i), ctx.domain.epoch());
             if let OpenOutcome::Opened { evicted: Some(victim) } =
-                shard.registry.open(s, Arc::new(snap))
+                ctx.registry.open(s, Arc::new(snap))
             {
                 remove_maintained(multi, victim);
                 ctx.stats.sessions_evicted.fetch_add(1, Relaxed);
@@ -408,7 +396,7 @@ fn handle_control(
             ctx.stats.sessions_opened.fetch_add(1, Relaxed);
         }
         Control::Close(s) => {
-            if shard.registry.close(s) {
+            if ctx.registry.close(s) {
                 remove_maintained(multi, s);
                 ctx.stats.sessions_closed.fetch_add(1, Relaxed);
             }
@@ -417,14 +405,14 @@ fn handle_control(
             // Between batches the graph, the live states, and the
             // published snapshots are mutually consistent — clone them
             // all here and let the observer pay for the exact solve.
-            let sources = shard.registry.sources();
+            let sources = ctx.registry.sources();
             let take = max_sessions.min(sources.len());
-            let cursor = shard.audit_cursor.fetch_add(take as u64, Relaxed) as usize;
+            let cursor = *audit_cursor;
+            *audit_cursor += take;
             let mut sessions = Vec::with_capacity(take);
             for k in 0..take {
                 let source = sources[(cursor + k) % sources.len()];
-                let (Some(entry), Some(i)) =
-                    (shard.registry.peek(source), multi.index_of(source))
+                let (Some(entry), Some(i)) = (ctx.registry.peek(source), multi.index_of(source))
                 else {
                     continue; // raced with a close; skip
                 };
@@ -435,7 +423,7 @@ fn handle_control(
                 });
             }
             let job = AuditJob {
-                epoch: shard.domain.epoch(),
+                epoch: ctx.domain.epoch(),
                 graph: driver.graph().clone(),
                 sessions,
             };

@@ -51,6 +51,8 @@ fn poll_metrics(addr: SocketAddr, secs: u64, check: impl Fn(&str) -> bool) -> St
     }
 }
 
+/// At 4 push lanes (`write_shards: 4` — the name predates lanes): one
+/// capture from the one write loop covers sessions of every lane.
 #[test]
 fn audit_reports_errors_within_bound_across_shards() {
     let epsilon = 1e-3;

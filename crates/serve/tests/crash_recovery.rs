@@ -190,3 +190,31 @@ fn restarted_server_serves_recovered_sessions() {
     assert!(report.epoch >= 4);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A data directory in the one-WAL-per-write-shard layout has no
+/// checkpoint at its root and would look fresh; booting over it is
+/// refused, by `start` and by `boot_probe` alike, and nothing is written.
+#[test]
+fn data_directory_in_the_per_shard_layout_is_refused() {
+    let dir = tmpdir("pershard");
+    std::fs::create_dir_all(dir.join("shard-0").join("wal")).unwrap();
+    std::fs::create_dir_all(dir.join("shard-1").join("wal")).unwrap();
+    let c = cfg(&dir);
+    for err in [
+        boot_probe(the_stream(), INIT, &SOURCES, &c).expect_err("probe must refuse"),
+        dppr_serve::start(the_stream(), INIT, &SOURCES, c.clone()).err().expect("start must refuse"),
+    ] {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(dir.to_str().unwrap()), "names the directory: {msg}");
+        assert!(msg.contains("shard-") && msg.contains("per write shard"), "names the cause: {msg}");
+    }
+    assert!(!dir.join("wal").exists(), "a refused boot must not start a log");
+
+    // Names that only resemble the layout are not it.
+    let dir = tmpdir("lookalike");
+    std::fs::create_dir_all(dir.join("shard-")).unwrap();
+    std::fs::create_dir_all(dir.join("shard-x1")).unwrap();
+    boot_probe(the_stream(), INIT, &SOURCES, &cfg(&dir)).expect("fresh boot");
+    std::fs::remove_dir_all(&dir).ok();
+}
