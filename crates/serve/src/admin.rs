@@ -24,8 +24,8 @@ fn slos_json(j: &mut JsonBuf, slo: &SloEngine) {
         j.begin_obj();
         j.key("name").str(spec.name);
         j.key("target").num(spec.target);
-        j.key("burn_fast").num(st.burn_fast.get());
-        j.key("burn_slow").num(st.burn_slow.get());
+        j.key("burn_fast").num(st.burn_fast.load());
+        j.key("burn_slow").num(st.burn_slow.load());
         j.key("breaching").bool(st.breaching.load(Relaxed));
         j.key("breaches_total").uint(st.breaches.load(Relaxed));
         j.end_obj();
@@ -100,7 +100,7 @@ pub(crate) fn metrics_text(ctx: &Ctx) -> String {
                 out.series_f64_multi(
                     family,
                     &[("slo", spec.name), ("window", window)],
-                    burn.get(),
+                    burn.load(),
                 );
             }
         }

@@ -31,7 +31,7 @@ use crate::metrics::{series_columns, SeriesColumn, View};
 use crate::server::{Control, Ctx, ServeConfig};
 use crate::snapshot::QuerySnapshot;
 use dppr_core::multi::top_k_of;
-use dppr_core::{exact_ppr_seq, max_invariant_violation, PprState};
+use dppr_core::{exact_ppr_seq, max_invariant_violation, AtomicF64, PprState};
 use dppr_graph::{DynamicGraph, VertexId};
 use dppr_obs::{HistSnapshot, SeriesRing};
 use std::collections::HashSet;
@@ -78,21 +78,6 @@ pub(crate) struct AuditJob {
     pub(crate) sessions: Vec<AuditSession>,
 }
 
-/// Lock-free f64 cell (bit-cast through an `AtomicU64`).
-pub(crate) struct F64Cell(AtomicU64);
-
-impl F64Cell {
-    pub(crate) fn new(v: f64) -> Self {
-        F64Cell(AtomicU64::new(v.to_bits()))
-    }
-    pub(crate) fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Relaxed);
-    }
-    pub(crate) fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Relaxed))
-    }
-}
-
 /// Audit scalars published by the observer, read by `/metrics`,
 /// `/stats`, and the accuracy SLO.
 pub(crate) struct AuditShared {
@@ -113,14 +98,14 @@ pub(crate) struct AuditShared {
     pub(crate) staleness_epochs: AtomicU64,
     /// Epoch of the newest completed audit.
     pub(crate) last_epoch: AtomicU64,
-    pub(crate) last_l1: F64Cell,
-    pub(crate) last_linf: F64Cell,
+    pub(crate) last_l1: AtomicF64,
+    pub(crate) last_linf: AtomicF64,
     /// Largest L∞ error ever audited (the headline accuracy number).
-    pub(crate) max_linf: F64Cell,
-    pub(crate) last_overlap10: F64Cell,
-    pub(crate) last_overlap50: F64Cell,
+    pub(crate) max_linf: AtomicF64,
+    pub(crate) last_overlap10: AtomicF64,
+    pub(crate) last_overlap50: AtomicF64,
     /// Largest Eq. 2 invariant residual in the last audit.
-    pub(crate) last_residual: F64Cell,
+    pub(crate) last_residual: AtomicF64,
 }
 
 impl AuditShared {
@@ -134,14 +119,14 @@ impl AuditShared {
             cpu_nanos: AtomicU64::new(0),
             staleness_epochs: AtomicU64::new(0),
             last_epoch: AtomicU64::new(0),
-            last_l1: F64Cell::new(0.0),
-            last_linf: F64Cell::new(0.0),
-            max_linf: F64Cell::new(0.0),
+            last_l1: AtomicF64::new(0.0),
+            last_linf: AtomicF64::new(0.0),
+            max_linf: AtomicF64::new(0.0),
             // Overlap defaults to perfect so the accuracy SLO does not
             // burn before the first audit lands.
-            last_overlap10: F64Cell::new(1.0),
-            last_overlap50: F64Cell::new(1.0),
-            last_residual: F64Cell::new(0.0),
+            last_overlap10: AtomicF64::new(1.0),
+            last_overlap50: AtomicF64::new(1.0),
+            last_residual: AtomicF64::new(0.0),
         }
     }
 }
@@ -167,8 +152,8 @@ pub(crate) struct SloSpec {
 
 /// One SLO's live evaluation state.
 pub(crate) struct SloStatus {
-    pub(crate) burn_fast: F64Cell,
-    pub(crate) burn_slow: F64Cell,
+    pub(crate) burn_fast: AtomicF64,
+    pub(crate) burn_slow: AtomicF64,
     pub(crate) breaching: AtomicBool,
     /// Healthy→breaching transitions (a page count, not a tick count).
     pub(crate) breaches: AtomicU64,
@@ -212,8 +197,8 @@ impl SloEngine {
         let status = specs
             .iter()
             .map(|_| SloStatus {
-                burn_fast: F64Cell::new(0.0),
-                burn_slow: F64Cell::new(0.0),
+                burn_fast: AtomicF64::new(0.0),
+                burn_slow: AtomicF64::new(0.0),
                 breaching: AtomicBool::new(false),
                 breaches: AtomicU64::new(0),
             })
@@ -229,7 +214,7 @@ impl SloEngine {
     pub(crate) fn breach_reason(&self) -> Option<String> {
         self.specs.iter().zip(&self.status).find_map(|(spec, st)| {
             st.breaching.load(Relaxed).then(|| {
-                format!("SLO {} fast burn {:.2}", spec.name, st.burn_fast.get())
+                format!("SLO {} fast burn {:.2}", spec.name, st.burn_fast.load())
             })
         })
     }
@@ -353,14 +338,14 @@ fn run_audit(ctx: &Ctx, job: AuditJob) {
         if linf > eps + tol {
             a.bound_violations.fetch_add(1, Relaxed);
         }
-        a.last_l1.set(l1);
-        a.last_linf.set(linf);
-        a.max_linf.set(a.max_linf.get().max(linf));
-        a.last_overlap10.set(o10);
-        a.last_overlap50.set(o50);
+        a.last_l1.store(l1);
+        a.last_linf.store(linf);
+        a.max_linf.store(a.max_linf.load().max(linf));
+        a.last_overlap10.store(o10);
+        a.last_overlap50.store(o50);
     }
     if !job.sessions.is_empty() {
-        a.last_residual.set(max_residual);
+        a.last_residual.store(max_residual);
     }
     a.runs.fetch_add(1, Relaxed);
     a.sessions_audited.fetch_add(job.sessions.len() as u64, Relaxed);
@@ -424,8 +409,8 @@ fn evaluate_slos(ctx: &Ctx) {
     for (spec, st) in ctx.slo.specs.iter().zip(&ctx.slo.status) {
         let fast = burn(ctx, spec, FAST_TICKS);
         let slow = burn(ctx, spec, SLOW_TICKS);
-        st.burn_fast.set(fast);
-        st.burn_slow.set(slow);
+        st.burn_fast.store(fast);
+        st.burn_slow.store(slow);
         let breaching = fast >= 1.0;
         if breaching && !st.breaching.swap(true, Relaxed) {
             st.breaches.fetch_add(1, Relaxed);
@@ -475,7 +460,7 @@ mod tests {
     fn breach_reason_names_the_breaching_slo() {
         let e = SloEngine::new(&cfg_with(|c| c.slo_p99 = Duration::from_millis(10)));
         e.status[0].breaching.store(true, Relaxed);
-        e.status[0].burn_fast.set(2.5);
+        e.status[0].burn_fast.store(2.5);
         assert_eq!(e.breach_reason().as_deref(), Some("SLO latency_p99 fast burn 2.50"));
     }
 
@@ -504,13 +489,5 @@ mod tests {
         // down: only the 100ms one is in the delta.
         assert!(p50 >= 0.1, "windowed p50 {p50}");
         assert!(p99 >= 0.1, "windowed p99 {p99}");
-    }
-
-    #[test]
-    fn f64_cell_round_trips() {
-        let c = F64Cell::new(1.5);
-        assert_eq!(c.get(), 1.5);
-        c.set(-0.25);
-        assert_eq!(c.get(), -0.25);
     }
 }

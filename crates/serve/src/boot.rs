@@ -76,9 +76,7 @@ pub fn start(
     // --- bootstrap synchronously: sessions are live before we return. A
     // durable instance either recovers (checkpoint + WAL tail) or
     // bootstraps fresh and writes its epoch-1 base checkpoint.
-    // One Reader per event-loop shard and one for the write loop, + slack
-    // for external Reader users (tests, in-process tools).
-    let domain = EpochDomain::new(threads + 4);
+    let domain = EpochDomain::new(0);
     let registry = Arc::new(SessionRegistry::new(
         Arc::clone(&domain),
         cfg.session_capacity.max(sources.len()).max(1),
@@ -447,7 +445,7 @@ pub fn boot_probe(
     let dcfg = cfg.durability.as_ref().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, "boot_probe requires cfg.durability")
     })?;
-    let domain = EpochDomain::new(1);
+    let domain = EpochDomain::new(0);
     let registry =
         SessionRegistry::new(Arc::clone(&domain), cfg.session_capacity.max(sources.len()).max(1));
     let stats = ServerStats::default();

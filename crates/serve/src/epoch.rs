@@ -1,59 +1,31 @@
-//! Epoch-published snapshots: single-writer, many lock-free readers.
+//! Epoch-published snapshots: one writer, many readers, `std` locks only.
 //!
 //! The write loop owns the mutable PPR states. After every converged batch
 //! it *publishes* an immutable [`crate::QuerySnapshot`] per session into a
-//! [`SnapshotCell`] by an atomic pointer swap; readers pick the snapshot up
-//! with two atomic stores and two atomic loads — no mutex, no blocking of
-//! the writer, and never a torn state (a snapshot is immutable from the
-//! moment it is published).
+//! [`SnapshotCell`]; readers clone the `Arc` out under a read lock held for
+//! one reference-count increment. A snapshot is immutable from the moment
+//! it is published, so a reader never observes a torn state, and `Arc`
+//! frees it when its last holder lets go — there is no other reclamation.
 //!
-//! Reclamation is the classic epoch scheme. `std`'s `Arc` alone cannot make
-//! the swap safe: a reader that has loaded the raw pointer but not yet
-//! incremented the strong count races a writer dropping the last reference.
-//! The [`EpochDomain`] closes exactly that window:
-//!
-//! * the domain keeps a global epoch counter, bumped once per publication
-//!   round, and one *pin slot* per registered reader;
-//! * a reader **pins** (stores the current epoch into its slot, then
-//!   re-checks the epoch), loads the pointer, bumps the strong count, and
-//!   unpins — the pinned section is a handful of instructions;
-//! * the writer never frees a swapped-out snapshot immediately: it retires
-//!   it with the epoch at which it became unreachable and only drops it
-//!   once every active pin is from a *strictly later* epoch.
-//!
-//! All operations are `SeqCst`. The safety argument (spelled out on
-//! [`SnapshotCell::publish`]) needs the single total order: a reader whose
-//! pin-confirm observed epoch `e` can only load pointers that were still
-//! current when the epoch became `e`, so an entry retired at epoch `r` is
-//! unreachable to every pin with `e > r`.
+//! The [`EpochDomain`] is the instance's epoch line — the counter every
+//! publication round, WAL record and checkpoint is numbered by.
 
 use crate::snapshot::QuerySnapshot;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::{Arc, RwLock};
 
-/// Pin-slot value: the slot is unallocated.
-const FREE: u64 = u64::MAX;
-/// Pin-slot value: the slot belongs to a reader that is not inside a
-/// pinned section right now.
-const IDLE: u64 = u64::MAX - 1;
-
-/// The shared epoch counter and reader pin slots for one serving instance.
-/// All of an instance's [`SnapshotCell`]s publish at the same epoch, so one
-/// domain serves every session.
+/// The epoch counter of one serving instance; all of its
+/// [`SnapshotCell`]s publish at the same epoch.
 pub struct EpochDomain {
     epoch: AtomicU64,
-    pins: Box<[AtomicU64]>,
 }
 
 impl EpochDomain {
-    /// A domain with capacity for `max_readers` concurrently registered
-    /// readers. Epochs start at 0; the first publication round is epoch 1.
-    pub fn new(max_readers: usize) -> Arc<Self> {
-        let pins = (0..max_readers.max(1))
-            .map(|_| AtomicU64::new(FREE))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Arc::new(EpochDomain { epoch: AtomicU64::new(0), pins })
+    /// A domain at epoch 0; the first publication round is epoch 1. The
+    /// argument is vestigial (it sized a reader table that no longer
+    /// exists); the frozen `dppr_bench` still passes it.
+    pub fn new(_max_readers: usize) -> Arc<Self> {
+        Arc::new(EpochDomain { epoch: AtomicU64::new(0) })
     }
 
     /// The current epoch.
@@ -70,7 +42,6 @@ impl EpochDomain {
     /// Jumps the epoch counter forward to `epoch` — the recovery path,
     /// so a restarted server resumes numbering where the crashed one
     /// left off instead of re-issuing epochs that clients may have seen.
-    /// Only meaningful before any readers are registered.
     ///
     /// # Panics
     /// When `epoch` would move the counter backwards.
@@ -80,155 +51,40 @@ impl EpochDomain {
         self.epoch.store(epoch, SeqCst);
     }
 
-    /// Claims a pin slot for the calling thread. The slot is released when
-    /// the returned [`Reader`] drops.
-    ///
-    /// # Panics
-    /// When all `max_readers` slots are taken — size the domain to the
-    /// worker-thread count plus slack.
-    pub fn register_reader(self: &Arc<Self>) -> Reader {
-        for (slot, pin) in self.pins.iter().enumerate() {
-            if pin.compare_exchange(FREE, IDLE, SeqCst, SeqCst).is_ok() {
-                return Reader { domain: Arc::clone(self), slot };
-            }
-        }
-        panic!(
-            "EpochDomain reader capacity ({}) exhausted",
-            self.pins.len()
-        );
-    }
-
-    /// Number of currently registered readers.
-    pub fn registered_readers(&self) -> usize {
-        self.pins.iter().filter(|p| p.load(SeqCst) != FREE).count()
-    }
-
-    /// The smallest epoch any reader is currently pinned at; `u64::MAX`
-    /// when no pinned section is active.
-    fn min_pinned(&self) -> u64 {
-        self.pins
-            .iter()
-            .map(|p| p.load(SeqCst))
-            .filter(|&e| e < IDLE)
-            .min()
-            .unwrap_or(u64::MAX)
+    /// Vestigial, like [`Reader`]: loading needs no registration.
+    pub fn register_reader(&self) -> Reader {
+        Reader
     }
 }
 
-/// A registered reader: owns one pin slot of its [`EpochDomain`].
-pub struct Reader {
-    domain: Arc<EpochDomain>,
-    slot: usize,
-}
+/// The token [`crate::SessionEntry::load`] takes. It carries nothing; it
+/// and `register_reader` stay because the frozen `dppr_bench` names them.
+pub struct Reader;
 
-impl Reader {
-    /// Enters a pinned section; returns the confirmed epoch. The
-    /// store-then-recheck loop guarantees that once this returns `e`, the
-    /// slot held `e` *before* the epoch moved past `e` — which is what the
-    /// writer's reclamation scan relies on.
-    fn pin(&self) -> u64 {
-        let pin = &self.domain.pins[self.slot];
-        loop {
-            let e = self.domain.epoch.load(SeqCst);
-            pin.store(e, SeqCst);
-            if self.domain.epoch.load(SeqCst) == e {
-                return e;
-            }
-        }
-    }
-
-    fn unpin(&self) {
-        self.domain.pins[self.slot].store(IDLE, SeqCst);
-    }
-
-    /// The domain this reader belongs to.
-    pub fn domain(&self) -> &Arc<EpochDomain> {
-        &self.domain
-    }
-}
-
-impl Drop for Reader {
-    fn drop(&mut self) {
-        self.domain.pins[self.slot].store(FREE, SeqCst);
-    }
-}
-
-/// One session's published snapshot: an atomic pointer to the current
-/// `Arc<QuerySnapshot>` plus the deferred-reclamation list.
+/// One session's published snapshot.
 pub struct SnapshotCell {
-    /// Raw form of an `Arc<QuerySnapshot>` — the cell owns one strong count
-    /// for whatever pointer is stored here.
-    current: AtomicPtr<QuerySnapshot>,
-    /// Swapped-out snapshots the writer still owes a strong-count drop,
-    /// tagged with the epoch at which they became unreachable. Touched only
-    /// by the (single) writer, but a `Mutex` keeps misuse safe.
-    retired: Mutex<Vec<(u64, Arc<QuerySnapshot>)>>,
+    current: RwLock<Arc<QuerySnapshot>>,
 }
 
 impl SnapshotCell {
     /// A cell currently publishing `initial`.
     pub fn new(initial: Arc<QuerySnapshot>) -> Self {
-        SnapshotCell {
-            current: AtomicPtr::new(Arc::into_raw(initial).cast_mut()),
-            retired: Mutex::new(Vec::new()),
-        }
+        SnapshotCell { current: RwLock::new(initial) }
     }
 
-    /// Loads the current snapshot: pin, pointer load, strong-count bump,
-    /// unpin. Wait-free apart from the (writer-frequency-bounded) pin
-    /// retry; never blocks `publish` and never observes a torn snapshot.
-    pub fn load(&self, reader: &Reader) -> Arc<QuerySnapshot> {
-        reader.pin();
-        let p = self.current.load(SeqCst);
-        // SAFETY: `p` came from `Arc::into_raw` (only `new`/`publish` store
-        // into `current`). While the reader is pinned, `publish` keeps the
-        // strong count it owns for any pointer this load can observe (see
-        // its reclamation condition), so the count is ≥ 1 throughout the
-        // increment.
-        let snap = unsafe {
-            Arc::increment_strong_count(p);
-            Arc::from_raw(p)
-        };
-        reader.unpin();
-        snap
+    /// The current snapshot: read-lock, clone the `Arc`, unlock.
+    pub fn load(&self) -> Arc<QuerySnapshot> {
+        Arc::clone(&self.current.read().expect("snapshot lock poisoned"))
     }
 
-    /// Publishes `snap` (writer only; call after [`EpochDomain::advance`])
-    /// and reclaims every retired snapshot no pinned reader can still see.
-    ///
-    /// Safety of the reclamation: an entry is dropped only when
-    /// `retire_epoch < min_pinned`. A reader that could still raw-load the
-    /// entry's pointer pinned at some epoch `e`; `retire_epoch` was read
-    /// *after* the swap, and the reader's pin-confirm *before* its pointer
-    /// load, so in the SeqCst total order `e ≤ retire_epoch` — meaning the
-    /// entry is retained until that pin leaves. Conversely a pin appearing
-    /// after the reclamation scan read the slot as idle is ordered after
-    /// the swap and can only load the new pointer.
-    pub fn publish(&self, domain: &EpochDomain, snap: Arc<QuerySnapshot>) {
-        let fresh = Arc::into_raw(snap).cast_mut();
-        let old = self.current.swap(fresh, SeqCst);
-        let retire_epoch = domain.epoch();
-        // SAFETY: `old` was stored by `new`/`publish`, which transferred
-        // one strong count to the cell; we take that count back. Readers
-        // hold their own counts.
-        let old_arc = unsafe { Arc::from_raw(old) };
-        let mut retired = self.retired.lock().unwrap();
-        retired.push((retire_epoch, old_arc));
-        let min_pinned = domain.min_pinned();
-        retired.retain(|&(e, _)| e >= min_pinned);
-    }
-
-    /// Snapshots awaiting reclamation (diagnostics / tests).
-    pub fn retired_len(&self) -> usize {
-        self.retired.lock().unwrap().len()
-    }
-}
-
-impl Drop for SnapshotCell {
-    fn drop(&mut self) {
-        // SAFETY: the cell owns one strong count for `current`; no readers
-        // can hold a `&self` anymore.
-        unsafe { drop(Arc::from_raw(self.current.load(SeqCst))) };
+    /// Publishes `snap` (call after [`EpochDomain::advance`]). `snap` was
+    /// built before the call and the old snapshot is dropped after the
+    /// write lock, so readers wait for a pointer swap, never for a free.
+    pub fn publish(&self, snap: Arc<QuerySnapshot>) {
+        let mut current = self.current.write().expect("snapshot lock poisoned");
+        let old = std::mem::replace(&mut *current, snap);
+        drop(current);
+        drop(old);
     }
 }
 
@@ -242,51 +98,38 @@ mod tests {
 
     #[test]
     fn load_returns_latest_published() {
-        let domain = EpochDomain::new(2);
-        let reader = domain.register_reader();
+        let domain = EpochDomain::new(0);
         let cell = SnapshotCell::new(snap(0, &[0.1]));
-        assert_eq!(cell.load(&reader).epoch(), 0);
+        assert_eq!(cell.load().epoch(), 0);
         let e = domain.advance();
-        cell.publish(&domain, snap(e, &[0.2]));
-        let got = cell.load(&reader);
+        cell.publish(snap(e, &[0.2]));
+        let got = cell.load();
         assert_eq!(got.epoch(), 1);
         assert_eq!(got.estimates(), &[0.2]);
     }
 
     #[test]
-    fn retired_snapshots_drain_without_pinned_readers() {
-        let domain = EpochDomain::new(2);
-        let cell = SnapshotCell::new(snap(0, &[0.1]));
-        for i in 1..=10 {
-            let e = domain.advance();
-            cell.publish(&domain, snap(e, &[0.1 * i as f64]));
-            // No reader is ever pinned, so at most the entry just pushed
-            // may linger — and with min_pinned = MAX even it drains.
-            assert_eq!(cell.retired_len(), 0, "round {i}");
-        }
-    }
-
-    #[test]
     fn old_snapshot_stays_valid_while_reader_holds_it() {
-        let domain = EpochDomain::new(2);
-        let reader = domain.register_reader();
+        let domain = EpochDomain::new(0);
         let cell = SnapshotCell::new(snap(0, &[0.7]));
-        let held = cell.load(&reader);
-        for i in 1..=5 {
-            let e = domain.advance();
-            cell.publish(&domain, snap(e, &[0.0]));
-            let _ = i;
+        let held = cell.load();
+        let old = Arc::downgrade(&held);
+        for _ in 0..5 {
+            cell.publish(snap(domain.advance(), &[0.0]));
         }
-        // The reader's own strong count keeps the old contents alive even
-        // though the writer reclaimed its reference long ago.
+        // The holder's own strong count keeps the old contents alive even
+        // though the cell let go of its reference five publishes ago.
         assert_eq!(held.epoch(), 0);
         assert_eq!(held.estimates(), &[0.7]);
-        assert_eq!(cell.load(&reader).epoch(), 5);
+        assert_eq!(cell.load().epoch(), 5);
+        // The no-leak check: the holder's was the last reference.
+        drop(held);
+        assert!(old.upgrade().is_none(), "a swapped-out snapshot outlived its last holder");
     }
 
     #[test]
     fn resume_at_fast_forwards_epoch() {
-        let domain = EpochDomain::new(1);
+        let domain = EpochDomain::new(0);
         domain.resume_at(17);
         assert_eq!(domain.epoch(), 17);
         assert_eq!(domain.advance(), 18);
@@ -295,29 +138,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot rewind")]
     fn resume_at_rejects_rewind() {
-        let domain = EpochDomain::new(1);
+        let domain = EpochDomain::new(0);
         domain.resume_at(5);
         domain.resume_at(3);
-    }
-
-    #[test]
-    fn reader_slots_are_reused_after_drop() {
-        let domain = EpochDomain::new(2);
-        let a = domain.register_reader();
-        let b = domain.register_reader();
-        assert_eq!(domain.registered_readers(), 2);
-        drop(a);
-        assert_eq!(domain.registered_readers(), 1);
-        let _c = domain.register_reader(); // reuses the freed slot
-        drop(b);
-        assert_eq!(domain.registered_readers(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "reader capacity")]
-    fn reader_exhaustion_panics() {
-        let domain = EpochDomain::new(1);
-        let _a = domain.register_reader();
-        let _b = domain.register_reader();
     }
 }

@@ -50,8 +50,8 @@ const POLL_CEILING: Duration = Duration::from_millis(100);
 const REQUESTS_PER_TICK: u32 = 8;
 
 /// Routes one parsed request to a response. Implemented by the server
-/// (which closes over the registry, cache, epoch reader, and control
-/// channel); the event loop itself is protocol-only.
+/// (which closes over the registry, cache, and control channel); the
+/// event loop itself is protocol-only.
 pub trait Router: Send + 'static {
     /// Answer `req`. Infallible at this layer: routing errors are encoded
     /// as 4xx/5xx responses.

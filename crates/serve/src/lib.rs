@@ -6,10 +6,10 @@
 //! and Lin) all answer per-source queries continuously. This crate is that
 //! read path:
 //!
-//! * [`epoch`] — single-writer / many-reader snapshot publication with an
-//!   atomic pointer swap and epoch-based deferred reclamation. Readers are
-//!   lock-free and can never observe a torn state; the writer is never
-//!   blocked by readers.
+//! * [`epoch`] — single-writer / many-reader snapshot publication: an
+//!   `RwLock<Arc<QuerySnapshot>>` per session, held for one `Arc` clone or
+//!   one swap, plus the instance's epoch counter. Readers can never
+//!   observe a torn state; `Arc` frees a snapshot after its last holder.
 //! * [`snapshot`] — [`QuerySnapshot`], an immutable `(estimates, ε,
 //!   epoch)` frozen at the publication point, answering top-k / score /
 //!   threshold / compare via the slice-based query kernels in

@@ -379,16 +379,16 @@ pub(crate) static INSTANCE: &[Row] = &[
     row("audit.last_epoch", |c, _| U(c.audit.last_epoch.load(Relaxed)))
         .gauge("dppr_audit_last_epoch", "Epoch of the newest completed audit"),
     row("audit.staleness_epochs", |c, _| U(c.audit.staleness_epochs.load(Relaxed)))
-        .gauge("dppr_audit_staleness_epochs", "Shard epoch minus audited epoch at last report"),
-    row("audit.last_l1_error", |c, _| F(c.audit.last_l1.get())),
-    row("audit.last_linf_error", |c, _| F(c.audit.last_linf.get()))
+        .gauge("dppr_audit_staleness_epochs", "Published epoch minus audited epoch at last report"),
+    row("audit.last_l1_error", |c, _| F(c.audit.last_l1.load())),
+    row("audit.last_linf_error", |c, _| F(c.audit.last_linf.load()))
         .gauge("dppr_audit_last_linf_error", "Max per-vertex error in the newest audit")
         .series(9, "audit_linf_error"),
-    row("audit.max_linf_error", |c, _| F(c.audit.max_linf.get()))
+    row("audit.max_linf_error", |c, _| F(c.audit.max_linf.load()))
         .gauge("dppr_audit_max_linf_error", "Largest per-vertex error ever audited"),
-    row("audit.last_topk_overlap_10", |c, _| F(c.audit.last_overlap10.get())).series(10, "audit_topk_overlap_10"),
-    row("audit.last_topk_overlap_50", |c, _| F(c.audit.last_overlap50.get())),
-    row("audit.last_invariant_residual", |c, _| F(c.audit.last_residual.get()))
+    row("audit.last_topk_overlap_10", |c, _| F(c.audit.last_overlap10.load())).series(10, "audit_topk_overlap_10"),
+    row("audit.last_topk_overlap_50", |c, _| F(c.audit.last_overlap50.load())),
+    row("audit.last_invariant_residual", |c, _| F(c.audit.last_residual.load()))
         .gauge("dppr_audit_invariant_residual", "Largest Eq. 2 invariant violation in the newest audit"),
 
     // Process-level gauges out of /proc/self (all 0 without procfs).

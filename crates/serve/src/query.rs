@@ -18,14 +18,12 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc;
 use std::sync::Arc;
 
-/// One event-loop shard's router: shared state + this shard's epoch
-/// reader, its handle on the write loop's control channel, and
-/// thread-local telemetry accumulators (flushed to the shared histograms
-/// once per event-loop tick, so the per-request path touches no shared
-/// atomics).
+/// One event-loop shard's router: shared state + its handle on the
+/// write loop's control channel, and thread-local telemetry accumulators
+/// (flushed to the shared histograms once per event-loop tick, so the
+/// per-request path touches no shared atomics).
 pub(crate) struct RouterImpl {
     pub(crate) ctx: Arc<Ctx>,
-    reader: Reader,
     ctl_tx: mpsc::Sender<Control>,
     shard: usize,
     conn_gauge: Arc<Gauge>,
@@ -37,11 +35,10 @@ pub(crate) struct RouterImpl {
 }
 
 impl RouterImpl {
-    /// Event-loop shard `shard`'s router, with a fresh epoch reader.
+    /// Event-loop shard `shard`'s router.
     pub(crate) fn new(ctx: Arc<Ctx>, ctl_tx: mpsc::Sender<Control>, shard: usize) -> Self {
         let (conn_gauge, depth_gauge) = ctx.shard_gauges[shard].clone();
         RouterImpl {
-            reader: ctx.domain.register_reader(),
             ctx,
             ctl_tx,
             shard,
@@ -154,7 +151,7 @@ fn push_bounded_arr(j: &mut JsonBuf, key: &str, scores: &[BoundedScore]) {
 /// such session.
 fn load_session(r: &RouterImpl, source: VertexId) -> Result<Arc<QuerySnapshot>, Response> {
     match r.ctx.registry.lookup(source) {
-        Some(entry) => Ok(entry.load(&r.reader)),
+        Some(entry) => Ok(entry.load(&Reader)),
         None => Err(Response::new(
             404,
             error_body(&format!("no open session for source {source}")),

@@ -4,7 +4,8 @@
 //! maintains (via `MultiSourcePpr`) and publishes into a [`SnapshotCell`]
 //! every epoch. The registry is the reader-facing index over those cells:
 //! HTTP workers look a session up (a brief `RwLock` read that clones an
-//! `Arc`), then answer any number of queries lock-free from the cell.
+//! `Arc`), load the cell's snapshot the same way, and answer from that
+//! immutable snapshot with no lock held.
 //!
 //! Mutations — open, close, LRU eviction past the capacity budget — are
 //! driven by the write loop only, which keeps the registry's contents in
@@ -13,7 +14,7 @@
 use crate::epoch::{EpochDomain, Reader, SnapshotCell};
 use crate::snapshot::QuerySnapshot;
 use dppr_graph::VertexId;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, RwLock};
 
@@ -31,14 +32,16 @@ impl SessionEntry {
         self.source
     }
 
-    /// The current snapshot (lock-free; see [`SnapshotCell::load`]).
-    pub fn load(&self, reader: &Reader) -> Arc<QuerySnapshot> {
-        self.cell.load(reader)
+    /// The current snapshot (see [`SnapshotCell::load`]). The argument is
+    /// vestigial; the frozen `dppr_bench` still passes it.
+    pub fn load(&self, _reader: &Reader) -> Arc<QuerySnapshot> {
+        self.cell.load()
     }
 
-    /// Publishes a new snapshot (write loop only).
-    pub fn publish(&self, domain: &EpochDomain, snap: Arc<QuerySnapshot>) {
-        self.cell.publish(domain, snap)
+    /// Publishes a new snapshot (write loop only). `_domain` is vestigial,
+    /// as above.
+    pub fn publish(&self, _domain: &EpochDomain, snap: Arc<QuerySnapshot>) {
+        self.cell.publish(snap)
     }
 }
 
@@ -52,66 +55,10 @@ pub enum OpenOutcome {
     Opened { evicted: Option<VertexId> },
 }
 
-/// The write-locked half of the registry: the session map plus an
-/// ordered LRU index over it.
-///
-/// `lookup` bumps `SessionEntry::last_used` from reader threads without
-/// the write lock, so the index is allowed to lag: `lru` orders each
-/// session by the stamp it was last *indexed* at (mirrored in
-/// `indexed`), not necessarily its current stamp. Eviction pops the
-/// index minimum and lazily re-files any entry whose stamp moved since —
-/// each re-file corresponds to at least one intervening lookup, so the
-/// scan stays amortized O(log n) instead of the old O(n) full-table
-/// minimum under the write lock.
-#[derive(Default)]
-struct Tables {
-    map: HashMap<VertexId, Arc<SessionEntry>>,
-    /// `(indexed stamp, source)`, ordered stalest-first.
-    lru: BTreeSet<(u64, VertexId)>,
-    /// The stamp each source is currently filed under in `lru`.
-    indexed: HashMap<VertexId, u64>,
-}
-
-impl Tables {
-    fn file(&mut self, source: VertexId, stamp: u64) {
-        if let Some(old) = self.indexed.insert(source, stamp) {
-            self.lru.remove(&(old, source));
-        }
-        self.lru.insert((stamp, source));
-    }
-
-    fn unfile(&mut self, source: VertexId) {
-        if let Some(stamp) = self.indexed.remove(&source) {
-            self.lru.remove(&(stamp, source));
-        }
-    }
-
-    /// Evicts and returns the least-recently-used session. Pops the index
-    /// minimum; a popped entry whose live stamp advanced past its indexed
-    /// stamp is re-filed at the live stamp and the scan continues.
-    fn evict_lru(&mut self) -> VertexId {
-        loop {
-            let (stamp, source) =
-                *self.lru.iter().next().expect("capacity >= 1 implies a non-empty index here");
-            let live = self.map[&source].last_used.load(Relaxed);
-            if live == stamp {
-                self.lru.remove(&(stamp, source));
-                self.indexed.remove(&source);
-                self.map.remove(&source);
-                return source;
-            }
-            // Stale index entry: lookups bumped this session since it was
-            // filed. Re-file at the live stamp (strictly larger) and keep
-            // scanning.
-            self.file(source, live);
-        }
-    }
-}
-
 /// Reader-facing index of open sessions with an LRU capacity budget.
 pub struct SessionRegistry {
     domain: Arc<EpochDomain>,
-    table: RwLock<Tables>,
+    table: RwLock<HashMap<VertexId, Arc<SessionEntry>>>,
     capacity: usize,
     clock: AtomicU64,
 }
@@ -121,7 +68,7 @@ impl SessionRegistry {
     pub fn new(domain: Arc<EpochDomain>, capacity: usize) -> Self {
         SessionRegistry {
             domain,
-            table: RwLock::new(Tables::default()),
+            table: RwLock::new(HashMap::new()),
             capacity: capacity.max(1),
             clock: AtomicU64::new(0),
         }
@@ -139,26 +86,25 @@ impl SessionRegistry {
 
     /// Number of open sessions.
     pub fn len(&self) -> usize {
-        self.table.read().unwrap().map.len()
+        self.table.read().unwrap().len()
     }
 
     /// Whether no session is open.
     pub fn is_empty(&self) -> bool {
-        self.table.read().unwrap().map.is_empty()
+        self.table.read().unwrap().is_empty()
     }
 
     /// Open sources, ascending.
     pub fn sources(&self) -> Vec<VertexId> {
-        let mut v: Vec<VertexId> = self.table.read().unwrap().map.keys().copied().collect();
+        let mut v: Vec<VertexId> = self.table.read().unwrap().keys().copied().collect();
         v.sort_unstable();
         v
     }
 
-    /// Looks a session up for answering queries; bumps its LRU stamp.
-    /// The bump is a lock-free atomic store — the ordered LRU index is
-    /// reconciled lazily by the next eviction, never on the query path.
+    /// Looks a session up for answering queries; bumps its LRU stamp (an
+    /// atomic store after the table's read lock is released).
     pub fn lookup(&self, source: VertexId) -> Option<Arc<SessionEntry>> {
-        let entry = self.table.read().unwrap().map.get(&source).cloned()?;
+        let entry = self.table.read().unwrap().get(&source).cloned()?;
         entry.last_used.store(self.clock.fetch_add(1, Relaxed) + 1, Relaxed);
         Some(entry)
     }
@@ -166,7 +112,7 @@ impl SessionRegistry {
     /// Looks a session up *without* touching its LRU stamp (the write
     /// loop's publish scan must not keep every session artificially hot).
     pub fn peek(&self, source: VertexId) -> Option<Arc<SessionEntry>> {
-        self.table.read().unwrap().map.get(&source).cloned()
+        self.table.read().unwrap().get(&source).cloned()
     }
 
     /// Opens a session publishing `initial` (write loop only). Past the
@@ -174,15 +120,23 @@ impl SessionRegistry {
     /// reported so the caller can drop the matching maintained state.
     pub fn open(&self, source: VertexId, initial: Arc<QuerySnapshot>) -> OpenOutcome {
         let mut table = self.table.write().unwrap();
-        if table.map.contains_key(&source) {
+        if table.contains_key(&source) {
             return OpenOutcome::AlreadyOpen;
         }
         let mut evicted = None;
-        if table.map.len() >= self.capacity {
-            evicted = Some(table.evict_lru());
+        if table.len() >= self.capacity {
+            // A scan, not an index: this runs once per `/session/open` past
+            // the budget, right before a cold-start push costing far more.
+            let lru = table
+                .values()
+                .min_by_key(|e| (e.last_used.load(Relaxed), e.source))
+                .expect("capacity >= 1 implies a non-empty table here")
+                .source;
+            table.remove(&lru);
+            evicted = Some(lru);
         }
         let stamp = self.clock.fetch_add(1, Relaxed) + 1;
-        table.map.insert(
+        table.insert(
             source,
             Arc::new(SessionEntry {
                 source,
@@ -190,15 +144,12 @@ impl SessionRegistry {
                 last_used: AtomicU64::new(stamp),
             }),
         );
-        table.file(source, stamp);
         OpenOutcome::Opened { evicted }
     }
 
     /// Closes a session (write loop only); `false` if it was not open.
     pub fn close(&self, source: VertexId) -> bool {
-        let mut table = self.table.write().unwrap();
-        table.unfile(source);
-        table.map.remove(&source).is_some()
+        self.table.write().unwrap().remove(&source).is_some()
     }
 }
 
@@ -258,21 +209,20 @@ mod tests {
     }
 
     #[test]
-    fn lazy_lru_index_survives_churn_and_stays_exact() {
+    fn lru_survives_churn_and_stays_exact() {
         // Interleave opens, closes, and stamp-bumping lookups, then check
-        // every eviction picks the true LRU (the lazily-maintained index
-        // must re-file entries whose stamps moved since they were filed).
+        // every eviction picks the true LRU.
         let r = registry(4);
         for s in [1, 2, 3, 4] {
             r.open(s, snap(s));
         }
-        // Bump everything out of index order: 1 becomes hottest, 2 next.
+        // Bump everything out of open order: 1 becomes hottest, 2 next.
         r.lookup(4);
         r.lookup(3);
         r.lookup(2);
         r.lookup(1);
         assert_eq!(r.open(5, snap(5)), OpenOutcome::Opened { evicted: Some(4) });
-        // Close a mid-heat session; its index entry must go with it.
+        // Close a mid-heat session; it must not be picked afterwards.
         assert!(r.close(2));
         r.open(6, snap(6));
         // Table: {1 hot, 3 cold, 5, 6}; 3 is now the LRU.

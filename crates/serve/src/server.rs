@@ -9,15 +9,16 @@
 //!                                  │ control (open/close/audit)         SnapshotCell
 //!  TCP clients ──▶ acceptor ──▶ shard event loops ── lookup ──▶ registry
 //!                  (bounded        │ poll(2), keep-alive,          │
-//!                   hand-off,      │ per-conn state machines       └─▶ lock-free load
-//!                   503 shed)      └── epoch-keyed QueryCache          of Arc<QuerySnapshot>
+//!                   hand-off,      │ per-conn state machines       └─▶ clone the session's
+//!                   503 shed)      └── epoch-keyed QueryCache          Arc<QuerySnapshot>
 //! ```
 //!
 //! Readers never hold a lock while the writer works: a query takes one
-//! brief `RwLock` read to find the session, then loads the published
-//! snapshot lock-free ([`crate::SnapshotCell::load`]). Session open/close
-//! requests travel over a channel and are applied by the write loop
-//! *between* batches, which is what keeps `MultiSourcePpr`'s mutable state
+//! brief `RwLock` read to find the session and a second to clone the
+//! published snapshot's `Arc` ([`crate::SnapshotCell::load`]), then
+//! answers from that immutable snapshot. Session open/close requests
+//! travel over a channel and are applied by the write loop *between*
+//! batches, which is what keeps `MultiSourcePpr`'s mutable state
 //! single-owner. There is one graph, one stream, one WAL, one epoch line,
 //! one session registry and one query cache per instance whatever
 //! [`ServeConfig::write_shards`] says: that number only decides over how

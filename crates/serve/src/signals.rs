@@ -11,6 +11,8 @@
 //! libc crate, and the two signal numbers used are stable POSIX values
 //! on every platform this serves on.
 
+#![allow(unsafe_code)] // the workspace denies it everywhere else
+
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
 const SIGINT: i32 = 2;

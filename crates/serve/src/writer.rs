@@ -167,11 +167,6 @@ pub(crate) fn write_loop(
     // Baseline for per-slide counter deltas (push convergence metrics);
     // the boot/recovery work is already in the cumulative snapshot.
     let mut prev_counters = multi.counters().snapshot();
-    // Epoch reader for audit probes: loading a session's published
-    // snapshot must pin an epoch like any other reader. The domain is
-    // sized `threads + 4`, so the write loop's own reader fits in the
-    // slack.
-    let reader = ctx.domain.register_reader();
     // Round-robin cursor over the sessions for audit probes.
     let mut audit_cursor = 0usize;
     loop {
@@ -179,7 +174,7 @@ pub(crate) fn write_loop(
             break;
         }
         while let Ok(ctl) = ctl_rx.try_recv() {
-            handle_control(ctl, &mut driver, &mut multi, &ctx, &reader, &mut audit_cursor);
+            handle_control(ctl, &mut driver, &mut multi, &ctx, &mut audit_cursor);
         }
         // Retention follows the background checkpointer: once a newer
         // checkpoint is durable, append its marker and drop the WAL
@@ -196,7 +191,7 @@ pub(crate) fn write_loop(
             // responsive to session control and shutdown.
             match ctl_rx.recv_timeout(Duration::from_millis(20)) {
                 Ok(ctl) => {
-                    handle_control(ctl, &mut driver, &mut multi, &ctx, &reader, &mut audit_cursor)
+                    handle_control(ctl, &mut driver, &mut multi, &ctx, &mut audit_cursor)
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
@@ -377,7 +372,6 @@ fn handle_control(
     driver: &mut StreamDriver,
     multi: &mut MultiSourcePpr,
     ctx: &Ctx,
-    reader: &Reader,
     audit_cursor: &mut usize,
 ) {
     match ctl {
@@ -418,7 +412,7 @@ fn handle_control(
                 };
                 sessions.push(AuditSession {
                     source,
-                    snapshot: entry.load(reader),
+                    snapshot: entry.load(&Reader),
                     state: multi.state(i).clone_values(),
                 });
             }

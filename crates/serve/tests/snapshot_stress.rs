@@ -12,7 +12,7 @@
 use dppr_core::{MultiSourcePpr, PushVariant};
 use dppr_graph::generators::erdos_renyi;
 use dppr_graph::GraphStream;
-use dppr_serve::{EpochDomain, QuerySnapshot, SnapshotCell};
+use dppr_serve::{start, EpochDomain, QuerySnapshot, ServeConfig, SnapshotCell};
 use dppr_stream::StreamDriver;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
@@ -27,7 +27,7 @@ const EPS: f64 = 1e-3;
 #[test]
 fn concurrent_readers_never_observe_torn_snapshots() {
     let stream = GraphStream::directed(erdos_renyi(250, 7_000, 11)).permuted(3);
-    let domain = EpochDomain::new(READERS + 1);
+    let domain = EpochDomain::new(0);
     let mut driver = StreamDriver::new(stream, 0.1);
     let mut multi = MultiSourcePpr::new(&SOURCES, 0.2, EPS, PushVariant::OPT);
 
@@ -36,17 +36,14 @@ fn concurrent_readers_never_observe_torn_snapshots() {
     multi.apply_batch(driver.graph_mut(), &init);
     let fingerprints: Arc<Mutex<HashMap<(usize, u64), u64>>> =
         Arc::new(Mutex::new(HashMap::new()));
-    let publish = |multi: &MultiSourcePpr,
-                   cells: &[Arc<SnapshotCell>],
-                   domain: &EpochDomain,
-                   epoch: u64| {
+    let publish = |multi: &MultiSourcePpr, cells: &[Arc<SnapshotCell>], epoch: u64| {
         for (i, cell) in cells.iter().enumerate() {
             let snap = QuerySnapshot::from_state(multi.state(i), epoch);
             fingerprints
                 .lock()
                 .unwrap()
                 .insert((i, epoch), snap.fingerprint());
-            cell.publish(domain, Arc::new(snap));
+            cell.publish(Arc::new(snap));
         }
     };
     let epoch0 = domain.advance();
@@ -64,18 +61,16 @@ fn concurrent_readers_never_observe_torn_snapshots() {
     let stop = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
-            let domain = Arc::clone(&domain);
             let cells = cells.clone();
             let stop = Arc::clone(&stop);
             let fingerprints = Arc::clone(&fingerprints);
             std::thread::spawn(move || {
-                let reader = domain.register_reader();
                 let mut last_epoch = vec![0u64; cells.len()];
                 let mut observed_epochs = 0u64;
                 let mut loads = 0u64;
                 while !stop.load(SeqCst) {
                     for (i, cell) in cells.iter().enumerate() {
-                        let snap = cell.load(&reader);
+                        let snap = cell.load();
                         loads += 1;
                         // (1) Publication order: epochs are monotone per cell.
                         assert!(
@@ -146,7 +141,7 @@ fn concurrent_readers_never_observe_torn_snapshots() {
         };
         multi.apply_batch(driver.graph_mut(), &batch);
         let epoch = domain.advance();
-        publish(&multi, &cells, &domain, epoch);
+        publish(&multi, &cells, epoch);
         slides += 1;
     }
     stop.store(true, SeqCst);
@@ -166,11 +161,28 @@ fn concurrent_readers_never_observe_torn_snapshots() {
         "readers saw almost no epoch movement ({total_epoch_advances})"
     );
     assert!(total_loads > 0);
-    // Retired lists drain once readers are gone: publish one more round
-    // and check nothing accumulates unboundedly.
-    let epoch = domain.advance();
-    publish(&multi, &cells, &domain, epoch);
-    for cell in &cells {
-        assert_eq!(cell.retired_len(), 0);
+    // No leak: with the readers gone, one more round frees what it swaps out.
+    let swapped_out: Vec<_> = cells.iter().map(|c| Arc::downgrade(&c.load())).collect();
+    publish(&multi, &cells, domain.advance());
+    for old in &swapped_out {
+        assert!(old.upgrade().is_none(), "a swapped-out snapshot outlived its readers");
     }
+}
+
+/// Loading takes no slot from any table, so there is no reader count at
+/// which `register_reader` or `load` can refuse: 64 readers on a
+/// one-thread instance all load.
+#[test]
+fn a_live_instance_serves_any_number_of_readers() {
+    let stream = GraphStream::directed(erdos_renyi(120, 3_000, 9)).permuted(3);
+    let cfg = ServeConfig { threads: 1, batch: 400, epsilon: EPS, max_slides: 2, ..ServeConfig::default() };
+    let handle = start(stream, 0.1, &[0], cfg).expect("server starts");
+    let readers: Vec<_> =
+        (0..64).map(|_| handle.registry().domain().register_reader()).collect();
+    let entry = handle.registry().lookup(0).expect("session 0 is open");
+    for reader in &readers {
+        assert_eq!(entry.load(reader).source(), 0);
+    }
+    handle.shutdown();
+    handle.join();
 }
