@@ -23,9 +23,9 @@
 //!    epoch, that replay covered exactly `recovered - checkpoint`
 //!    batches, and that a second probe is idempotent.
 //!
-//! Output: one TSV line per case, plus a JSON report of recovery-time
-//! numbers at `--out <path>` (default `target/crash_recovery.json`, the
-//! path the CI smoke step uploads). Exits nonzero if any case fails.
+//! Output: one TSV line per case and a closing `… all ok` line. Exits
+//! nonzero if any case fails. (Recovery *time* is tracked by the
+//! benchmark's gated `recovery_s`, not here.)
 
 use dppr_core::{persist::state_fingerprint, MultiSourcePpr, PushVariant};
 use dppr_graph::{presets, GraphStream, VertexId};
@@ -467,12 +467,6 @@ fn main() {
             .map_or(1, |v| v.parse().expect("--lanes <n>"));
         run_child(&data_dir, die, lanes);
     }
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|j| args.get(j + 1))
-        .map_or_else(|| "target/crash_recovery.json".to_string(), Clone::clone);
-
     let root = std::env::temp_dir().join(format!("dppr_crash_{}", std::process::id()));
     std::fs::create_dir_all(&root).expect("creating scratch dir");
     let base = baseline_for(&SOURCES);
@@ -500,39 +494,7 @@ fn main() {
         resume_err.as_deref().unwrap_or("ok")
     );
 
-    // The report — recovery-time numbers for the CI artifact.
-    let mut json = String::from("{\n  \"cases\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"case\": \"{}\", \"child_exit\": {}, \"recovery_ms\": {:.3}, \
-             \"checkpoint_epoch\": {}, \"replayed_batches\": {}, \"recovered_epoch\": {}, \
-             \"ok\": {}}}{}\n",
-            o.name,
-            o.child_exit,
-            o.recovery_ms,
-            o.checkpoint_epoch,
-            o.replayed,
-            o.recovered_epoch,
-            o.error.is_none(),
-            if i + 1 < outcomes.len() { "," } else { "" }
-        ));
-    }
     let failures: Vec<&Outcome> = outcomes.iter().filter(|o| o.error.is_some()).collect();
-    let mean_ms = outcomes.iter().map(|o| o.recovery_ms).sum::<f64>() / outcomes.len() as f64;
-    json.push_str(&format!(
-        "  ],\n  \"baseline_epochs\": {},\n  \"mean_recovery_ms\": {:.3},\n  \
-         \"resume_to_completion_ok\": {},\n  \"all_ok\": {}\n}}\n",
-        base.len(),
-        mean_ms,
-        resume_err.is_none(),
-        failures.is_empty() && resume_err.is_none()
-    ));
-    if let Some(dir) = Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("creating the report's directory");
-    }
-    std::fs::write(&out_path, json).expect("writing report JSON");
-    println!("report\t{out_path}");
-
     std::fs::remove_dir_all(&root).ok();
     for o in &failures {
         eprintln!("FAIL {}: {}", o.name, o.error.as_deref().unwrap());

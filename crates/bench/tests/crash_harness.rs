@@ -5,11 +5,7 @@
 
 #[test]
 fn crash_recovery_matrix_passes() {
-    let report = std::env::temp_dir()
-        .join(format!("dppr_crash_harness_{}.json", std::process::id()));
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_crash_recovery"))
-        .arg("--out")
-        .arg(&report)
         .output()
         .expect("running the crash_recovery harness");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -19,7 +15,6 @@ fn crash_recovery_matrix_passes() {
         "harness failed (exit {:?})\n--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}",
         out.status.code()
     );
-    let json = std::fs::read_to_string(&report).expect("harness wrote its report");
-    assert!(json.contains("\"all_ok\": true"), "report not all-ok:\n{json}");
-    std::fs::remove_file(&report).ok();
+    let last = stdout.lines().last().unwrap_or_default();
+    assert!(last.ends_with("all ok"), "no closing all-ok line:\n{stdout}");
 }

@@ -1,6 +1,7 @@
 //! Minimal `--key value` / `--flag` argument parsing (no external deps).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A parsing or validation error with a user-facing message.
@@ -21,13 +22,16 @@ pub fn err(msg: impl Into<String>) -> CliError {
 }
 
 /// Parsed command line: a subcommand, `--key value` options, and bare
-/// `--flag`s.
+/// `--flag`s. Every lookup notes the name it asked for, so that
+/// [`Args::reject_unknown`] can name what was given but never looked up.
 #[derive(Debug, Default)]
 pub struct Args {
     /// The first positional token (subcommand).
     pub command: String,
     options: HashMap<String, String>,
     flags: Vec<String>,
+    asked_options: RefCell<HashSet<String>>,
+    asked_flags: RefCell<HashSet<String>>,
 }
 
 impl Args {
@@ -68,6 +72,7 @@ impl Args {
 
     /// String option.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.asked_options.borrow_mut().insert(key.to_string());
         self.options.get(key).map(String::as_str)
     }
 
@@ -110,7 +115,31 @@ impl Args {
 
     /// Whether a bare flag was given.
     pub fn flag(&self, key: &str) -> bool {
+        self.asked_flags.borrow_mut().insert(key.to_string());
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// The closing check of a subcommand, called once it has looked up
+    /// everything it understands and before it computes, serves or writes
+    /// anything: fails on the first (in name order) option no `get*` call
+    /// asked for, or flag no `flag` call asked for. The lookups are the list of what a
+    /// subcommand accepts, so a misspelt `--epsilonn 1e-6` is an error
+    /// here instead of a run with the default.
+    pub fn reject_unknown(&self) -> Result<(), CliError> {
+        let (options, flags) = (self.asked_options.borrow(), self.asked_flags.borrow());
+        let unknown = |k: &String| format!("unknown option --{k}");
+        let stray_options = self.options.keys().filter(|k| !options.contains(*k)).map(|k| {
+            let is_flag = flags.contains(k);
+            (k, if is_flag { format!("option --{k} takes no value") } else { unknown(k) })
+        });
+        let stray_flags = self.flags.iter().filter(|k| !flags.contains(*k)).map(|k| {
+            let is_option = options.contains(k);
+            (k, if is_option { format!("option --{k} needs a value") } else { unknown(k) })
+        });
+        match stray_options.chain(stray_flags).min() {
+            Some((_, msg)) => Err(err(msg)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -148,6 +177,28 @@ mod tests {
         let a = Args::parse(["x", "--alpha", "0.2"]).unwrap();
         assert_eq!(a.get_finite("alpha", 0.15).unwrap(), 0.2);
         assert_eq!(a.get_finite("missing", 0.15).unwrap(), 0.15);
+    }
+
+    #[test]
+    fn reject_unknown_names_what_no_lookup_asked_for() {
+        let a = Args::parse(["x", "--batch", "5", "--full", "--bacth", "7", "--ful"]).unwrap();
+        assert_eq!(a.get_parsed("batch", 0usize).unwrap(), 5);
+        assert!(a.flag("full"));
+        // Name order, whatever the map's: `bacth` before `ful`.
+        assert_eq!(a.reject_unknown(), Err(err("unknown option --bacth")));
+        assert_eq!(a.get("bacth"), Some("7"));
+        assert_eq!(a.reject_unknown(), Err(err("unknown option --ful")));
+        assert!(a.flag("ful"));
+        assert_eq!(a.reject_unknown(), Ok(()));
+
+        // A known name in the wrong shape says which shape.
+        let a = Args::parse(["x", "--full", "yes", "--batch"]).unwrap();
+        assert!(!a.flag("full"));
+        assert_eq!(a.get("batch"), None);
+        assert_eq!(a.reject_unknown(), Err(err("option --batch needs a value")));
+        let a = Args::parse(["x", "--full", "yes"]).unwrap();
+        assert!(!a.flag("full"));
+        assert_eq!(a.reject_unknown(), Err(err("option --full takes no value")));
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
     let m: usize = args.get_parsed("m", 5usize)?;
     let seed: u64 = args.get_parsed("seed", 1u64)?;
     let out = args.require("out")?;
+    args.reject_unknown()?;
     let (edges, desc) = match model {
         "ba" => (
             generators::undirected_to_directed(&generators::barabasi_albert(n, m, seed)),
@@ -46,15 +47,18 @@ type LoadedGraph = (Vec<(u32, u32)>, bool, String);
 
 /// Loads a graph source shared by `info`, `query`, `exact`.
 fn load_edges(args: &Args) -> Result<LoadedGraph, CliError> {
-    if let Some(name) = args.get("preset") {
+    // All three are looked up whichever one decides: a lookup is what
+    // makes an option known to `Args::reject_unknown`.
+    let (preset, graph, undirected) = (args.get("preset"), args.get("graph"), args.flag("undirected"));
+    if let Some(name) = preset {
         let ds = presets::by_name(name)
             .ok_or_else(|| err(format!("unknown preset {name:?}")))?;
         let undirected = ds.undirected;
         Ok((ds.edges, undirected, name.to_string()))
-    } else if let Some(path) = args.get("graph") {
+    } else if let Some(path) = graph {
         let edges =
             io::read_edge_list(path).map_err(|e| err(format!("reading {path}: {e}")))?;
-        Ok((edges, args.flag("undirected"), path.to_string()))
+        Ok((edges, undirected, path.to_string()))
     } else {
         Err(err("need --preset NAME or --graph FILE"))
     }
@@ -74,6 +78,7 @@ fn materialize(edges: &[(u32, u32)], undirected: bool) -> DynamicGraph {
 /// `dppr info` — graph statistics including degree-distribution shape.
 pub fn info(args: &Args) -> Result<String, CliError> {
     let (edges, undirected, name) = load_edges(args)?;
+    args.reject_unknown()?;
     let g = materialize(&edges, undirected);
     let mut out = String::new();
     writeln!(out, "graph\t{name}").unwrap();
@@ -108,6 +113,18 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let epsilon: f64 = args.get_finite("epsilon", 1e-5)?;
     let batch: usize = args.get_parsed("batch", 1_000usize)?;
     let slides: usize = args.get_parsed("slides", 10usize)?;
+    let explicit_source: Option<VertexId> = args
+        .get("source")
+        .map(|raw| raw.parse().map_err(|_| err(format!("bad --source {raw:?}"))))
+        .transpose()?;
+    let bucket: usize = args.get_parsed("top-bucket", 1_000usize)?;
+    let engine_name = args.get_or("engine", "cpu-mt");
+    let variant = parse_variant(args.get_or("variant", "opt"))?;
+    let threads: usize = args.get_parsed("threads", 0usize)?;
+    let wpv: usize = args.get_parsed("walks-per-vertex", 6usize)?;
+    let counters = args.flag("counters");
+    let top: usize = args.get_parsed("top", 10usize)?;
+    args.reject_unknown()?;
 
     let stream = if undirected {
         GraphStream::undirected(edges)
@@ -118,10 +135,9 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     // Source: explicit id, or drawn from a top-degree bucket of the warmed
     // window (the paper's methodology).
-    let source: VertexId = if let Some(raw) = args.get("source") {
-        raw.parse().map_err(|_| err(format!("bad --source {raw:?}")))?
+    let source: VertexId = if let Some(source) = explicit_source {
+        source
     } else {
-        let bucket: usize = args.get_parsed("top-bucket", 1_000usize)?;
         let window = dppr_graph::SlidingWindow::new(stream.clone(), 0.1);
         let mut probe = DynamicGraph::new();
         for upd in window.initial_updates() {
@@ -131,13 +147,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     };
     let cfg = PprConfig::new(source, alpha, epsilon);
 
-    let engine_name = args.get_or("engine", "cpu-mt");
     let mut engine: Box<dyn DynamicPprEngine> = match engine_name {
         "cpu-base" => Box::new(SeqEngine::new(cfg, UpdateMode::PerUpdate)),
         "cpu-seq" => Box::new(SeqEngine::new(cfg, UpdateMode::Batched)),
         "cpu-mt" => {
-            let variant = parse_variant(args.get_or("variant", "opt"))?;
-            let threads: usize = args.get_parsed("threads", 0usize)?;
             if threads > 0 {
                 Box::new(ParallelEngine::with_threads(cfg, variant, threads))
             } else {
@@ -146,7 +159,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         }
         "ligra" => Box::new(LigraEngine::new(cfg)),
         "mc" => {
-            let wpv: usize = args.get_parsed("walks-per-vertex", 6usize)?;
             let n = stream.vertex_bound();
             Box::new(MonteCarloEngine::new(cfg, (wpv * n).max(1_000), seed))
         }
@@ -176,10 +188,9 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         summary.throughput(),
     )
     .unwrap();
-    if args.flag("counters") {
+    if counters {
         writeln!(out, "counters\t{}", summary.total_counters()).unwrap();
     }
-    let top: usize = args.get_parsed("top", 10usize)?;
     writeln!(out, "top_{top}_by_ppr").unwrap();
     let scores = engine.estimates();
     for (v, p) in dppr_core::multi::top_k_of(&scores, top) {
@@ -195,6 +206,11 @@ pub fn query(args: &Args) -> Result<String, CliError> {
     let source: VertexId = args.get_parsed("source", 0u32)?;
     let alpha: f64 = args.get_finite("alpha", 0.15)?;
     let epsilon: f64 = args.get_finite("epsilon", 1e-5)?;
+    let k: usize = args.get_parsed("top", 10usize)?;
+    let threshold: Option<f64> =
+        args.get("threshold").map(|_| args.get_finite("threshold", 0.0)).transpose()?;
+    let save_state = args.get("save-state");
+    args.reject_unknown()?;
     let cfg = PprConfig::new(source, alpha, epsilon);
     let mut engine = ParallelEngine::new(cfg, PushVariant::OPT);
     let mut g = DynamicGraph::new();
@@ -209,7 +225,6 @@ pub fn query(args: &Args) -> Result<String, CliError> {
 
     let mut out = String::new();
     writeln!(out, "graph\t{name}\nsource\t{source}\nepsilon\t{epsilon:e}").unwrap();
-    let k: usize = args.get_parsed("top", 10usize)?;
     let ans = queries::top_k(engine.state(), k);
     writeln!(
         out,
@@ -220,8 +235,7 @@ pub fn query(args: &Args) -> Result<String, CliError> {
     for b in &ans.ranking {
         writeln!(out, "{}\t{:.8}\t{:.8}\t{:.8}", b.vertex, b.estimate, b.lo, b.hi).unwrap();
     }
-    if args.get("threshold").is_some() {
-        let delta: f64 = args.get_finite("threshold", 0.0)?;
+    if let Some(delta) = threshold {
         let t = queries::above_threshold(engine.state(), delta);
         writeln!(
             out,
@@ -231,7 +245,7 @@ pub fn query(args: &Args) -> Result<String, CliError> {
         )
         .unwrap();
     }
-    if let Some(path) = args.get("save-state") {
+    if let Some(path) = save_state {
         dppr_core::persist::save_state(engine.state(), path)
             .map_err(|e| err(format!("writing {path}: {e}")))?;
         writeln!(out, "state_saved\t{path}").unwrap();
@@ -241,8 +255,12 @@ pub fn query(args: &Args) -> Result<String, CliError> {
 
 /// Parses `--sources 0,3,9`, or picks `--num-sources K` top-out-degree
 /// vertices from the warmed initial window.
-fn serve_sources(args: &Args, stream: &GraphStream) -> Result<Vec<VertexId>, CliError> {
-    if let Some(raw) = args.get("sources") {
+fn serve_sources(
+    explicit: Option<&str>,
+    k: usize,
+    stream: &GraphStream,
+) -> Result<Vec<VertexId>, CliError> {
+    if let Some(raw) = explicit {
         raw.split(',')
             .map(|t| {
                 t.trim()
@@ -251,7 +269,6 @@ fn serve_sources(args: &Args, stream: &GraphStream) -> Result<Vec<VertexId>, Cli
             })
             .collect()
     } else {
-        let k: usize = args.get_parsed("num-sources", 4usize)?;
         Ok(dppr_serve::pick_top_degree_sources(stream, SERVE_INIT_FRACTION, k))
     }
 }
@@ -332,6 +349,9 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         slo_topk_overlap: args.get_finite("slo-topk-overlap", 0.0)?,
     };
     let run_secs: u64 = args.get_parsed("run-secs", 0u64)?;
+    let explicit_sources = args.get("sources");
+    let num_sources: usize = args.get_parsed("num-sources", 4usize)?;
+    args.reject_unknown()?;
 
     let stream = if undirected {
         GraphStream::undirected(edges)
@@ -339,7 +359,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         GraphStream::directed(edges)
     }
     .permuted(seed);
-    let sources = serve_sources(args, &stream)?;
+    let sources = serve_sources(explicit_sources, num_sources, &stream)?;
 
     let handle = dppr_serve::start(stream, SERVE_INIT_FRACTION, &sources, cfg)
         .map_err(|e| err(format!("starting server: {e}")))?;
@@ -409,9 +429,10 @@ pub fn exact(args: &Args) -> Result<String, CliError> {
     let (edges, undirected, name) = load_edges(args)?;
     let source: VertexId = args.get_parsed("source", 0u32)?;
     let alpha: f64 = args.get_finite("alpha", 0.15)?;
+    let k: usize = args.get_parsed("top", 10usize)?;
+    args.reject_unknown()?;
     let g = materialize(&edges, undirected);
     let p = exact_ppr(&g, source, alpha, 1e-12);
-    let k: usize = args.get_parsed("top", 10usize)?;
     let mut out = String::new();
     writeln!(out, "graph\t{name}\nsource\t{source}\nalpha\t{alpha}").unwrap();
     for (v, score) in dppr_core::multi::top_k_of(&p, k) {
@@ -510,6 +531,48 @@ mod tests {
         ])
         .unwrap();
         assert!(serve(&a).is_err());
+    }
+
+    // One per subcommand: an option it never looks up is an error, not a
+    // run with the default.
+
+    fn assert_unknown(line: &[&str], option: &str) {
+        let args = Args::parse(line.iter().copied()).unwrap();
+        let e = crate::dispatch(&args).expect_err("a misspelt option must fail");
+        assert_eq!(e.0, format!("unknown option --{option}"));
+    }
+
+    #[test]
+    fn generate_rejects_a_misspelt_option() {
+        let path = tmpfile("never_written.txt");
+        std::fs::remove_file(&path).ok();
+        assert_unknown(&["generate", "--model", "ba", "--sead", "5", "--out", &path], "sead");
+        assert!(!std::path::Path::new(&path).exists(), "the check runs before the write");
+    }
+
+    #[test]
+    fn info_rejects_a_misspelt_option() {
+        assert_unknown(&["info", "--preset", "toy", "--undirectd"], "undirectd");
+    }
+
+    #[test]
+    fn run_rejects_a_misspelt_option() {
+        assert_unknown(&["run", "--preset", "toy", "--bacth", "10"], "bacth");
+    }
+
+    #[test]
+    fn query_rejects_a_misspelt_option() {
+        assert_unknown(&["query", "--preset", "toy", "--epsilonn", "1e-6"], "epsilonn");
+    }
+
+    #[test]
+    fn serve_rejects_a_misspelt_option() {
+        assert_unknown(&["serve", "--preset", "toy", "--port", "0", "--epsilonn", "1e-6"], "epsilonn");
+    }
+
+    #[test]
+    fn exact_rejects_a_misspelt_option() {
+        assert_unknown(&["exact", "--preset", "toy", "--source", "0", "--tpo", "1"], "tpo");
     }
 
     #[test]

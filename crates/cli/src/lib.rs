@@ -26,7 +26,7 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "query" => commands::query(args),
         "serve" => commands::serve(args),
         "exact" => commands::exact(args),
-        "help" | "" => Ok(HELP.to_string()),
+        "help" | "" => args.reject_unknown().map(|()| HELP.to_string()),
         other => Err(err(format!("unknown command {other:?}; try `dppr help`"))),
     }
 }
@@ -36,6 +36,7 @@ pub const HELP: &str = "\
 dppr — dynamic Personalized PageRank toolkit
 
 USAGE: dppr <command> [options]
+       (an option the command does not list below is an error)
 
 COMMANDS
   generate   Write a synthetic edge list.
@@ -51,7 +52,7 @@ COMMANDS
              [--source V | --top-bucket B]  [--seed S]
              [--threads T (cpu-mt: threads a fanned-out push iteration
              uses; default every core, 1 = deterministic)]
-             [--walks-per-vertex W]  [--counters]
+             [--walks-per-vertex W]  [--counters]  [--top K]
   query      Maintain PPR over the full graph, then answer queries.
              --graph FILE|--preset NAME [--undirected]
              --source V  --alpha A  --epsilon E  [--top K] [--threshold D]

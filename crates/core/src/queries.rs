@@ -74,8 +74,9 @@ fn bounded(state: &PprState, v: VertexId) -> BoundedScore {
 
 /// [`top_k`] over a plain score slice.
 pub fn top_k_scores(scores: &[f64], eps: f64, k: usize) -> TopKAnswer {
-    // One extra entry decides set certainty.
-    let extended = top_k_of(scores, k + 1);
+    // One extra entry decides set certainty. `k` arrives straight from a
+    // query string, so the add saturates (`top_k_of` clamps to the slice).
+    let extended = top_k_of(scores, k.saturating_add(1));
     let ranking: Vec<BoundedScore> = extended
         .iter()
         .take(k)
@@ -198,9 +199,11 @@ mod tests {
     #[test]
     fn top_k_larger_than_universe() {
         let st = state_with(&[0.5, 0.3], 0.01);
-        let ans = top_k(&st, 10);
-        assert_eq!(ans.ranking.len(), 2);
-        assert!(ans.set_is_certain);
+        for k in [10, usize::MAX] {
+            let ans = top_k(&st, k);
+            assert_eq!(ans.ranking.len(), 2, "k = {k}");
+            assert!(ans.set_is_certain);
+        }
     }
 
     #[test]

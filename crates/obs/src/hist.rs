@@ -8,10 +8,8 @@
 //! bucket-wise addition, so the merged quantiles equal those of a
 //! single histogram fed the union of the samples.
 //!
-//! Hot paths record into a plain-`u64` [`LocalHistogram`] owned by the
-//! recording thread and flush it into the shared atomic [`Histogram`]
-//! once per event-loop tick; cold paths (one slide every few ms) call
-//! [`Histogram::record`] directly.
+//! Every observation reaches a [`Histogram`] through
+//! [`Histogram::record`]: three relaxed atomic adds, from any thread.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
@@ -49,8 +47,8 @@ pub fn bucket_index(value: u64) -> usize {
     bounds().partition_point(|&b| b < value)
 }
 
-/// A mergeable atomic histogram. Cheap enough to `record` directly on
-/// cold paths; hot paths should batch through [`LocalHistogram`].
+/// A mergeable atomic histogram, shared by reference between the threads
+/// that record into it and the ones that snapshot it.
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
@@ -69,26 +67,11 @@ impl Histogram {
         Histogram { buckets, count: AtomicU64::new(0), sum: AtomicU64::new(0) }
     }
 
-    /// Record one observation (shared-atomic path).
+    /// Record one observation.
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Relaxed);
         self.count.fetch_add(1, Relaxed);
         self.sum.fetch_add(value, Relaxed);
-    }
-
-    /// Fold a thread-local batch in. One pass over the non-zero buckets;
-    /// called once per event-loop tick, not per observation.
-    pub fn merge_local(&self, local: &LocalHistogram) {
-        if local.count == 0 {
-            return;
-        }
-        for (i, &n) in local.buckets.iter().enumerate() {
-            if n != 0 {
-                self.buckets[i].fetch_add(n, Relaxed);
-            }
-        }
-        self.count.fetch_add(local.count, Relaxed);
-        self.sum.fetch_add(local.sum, Relaxed);
     }
 
     /// Consistent-enough snapshot for rendering (individual loads are
@@ -99,47 +82,6 @@ impl Histogram {
             count: self.count.load(Relaxed),
             sum: self.sum.load(Relaxed),
         }
-    }
-}
-
-/// Unsynchronized accumulator owned by one thread. Record is two array
-/// ops and two adds — no atomics, no sharing.
-#[derive(Clone)]
-pub struct LocalHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-}
-
-impl Default for LocalHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LocalHistogram {
-    pub fn new() -> Self {
-        LocalHistogram { buckets: vec![0; num_buckets()], count: 0, sum: 0 }
-    }
-
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_index(value)] += 1;
-        self.count += 1;
-        // Wrapping, to match the shared histogram's atomic fetch_add.
-        self.sum = self.sum.wrapping_add(value);
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Drain into the shared histogram and reset to empty.
-    pub fn flush(&mut self, into: &Histogram) {
-        into.merge_local(self);
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
     }
 }
 
@@ -254,23 +196,6 @@ mod tests {
             h.record(bound);
             assert_eq!(h.snapshot().quantile(0.5), bound);
         }
-    }
-
-    #[test]
-    fn local_flush_matches_direct_recording() {
-        let direct = Histogram::new();
-        let batched = Histogram::new();
-        let mut local = LocalHistogram::new();
-        for v in [0u64, 3, 17, 17, 250, 99_999, u64::MAX] {
-            direct.record(v);
-            local.record(v);
-        }
-        local.flush(&batched);
-        assert_eq!(direct.snapshot(), batched.snapshot());
-        assert!(local.is_empty());
-        // Flushing an empty local is a no-op.
-        local.flush(&batched);
-        assert_eq!(direct.snapshot(), batched.snapshot());
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Three pieces, mirroring how the paper instruments its kernels
 //! (per-phase timing rather than end-to-end black boxes):
 //!
-//! - [`hist`]: fixed-bucket log-scale histograms (~×1.2 per bucket)
-//!   with thread-local accumulation, exact merging across shards, and
-//!   p50/p90/p99/p999 extraction at bucket resolution.
-//! - [`registry`]: a named-metric registry (counters, gauges,
-//!   histograms) with Prometheus text-format exposition.
+//! - [`hist`]: fixed-bucket log-scale atomic histograms (~×1.2 per
+//!   bucket) with exact snapshot merging and p50/p90/p99/p999 extraction
+//!   at bucket resolution.
+//! - [`registry`]: the Prometheus text-format writer ([`PromText`]); it
+//!   renders what its caller hands it and keeps no list of metrics.
 //! - [`trace`]: every-Nth sampling and a bounded JSON-lines ring for
 //!   end-to-end request/slide traces.
 //! - [`series`]: a fixed-capacity ring of periodic metric snapshots
@@ -25,8 +25,8 @@ pub mod registry;
 pub mod series;
 pub mod trace;
 
-pub use hist::{bounds, bucket_index, HistSnapshot, Histogram, LocalHistogram};
+pub use hist::{bounds, bucket_index, HistSnapshot, Histogram};
 pub use process::ProcessStats;
-pub use registry::{escape_label_value, Counter, Gauge, PromText, Registry, Unit};
+pub use registry::{escape_label_value, PromText, Unit};
 pub use series::{SeriesRing, SeriesWindow};
 pub use trace::{Sampler, TraceRing};

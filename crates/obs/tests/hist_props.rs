@@ -3,7 +3,7 @@
 //! same snapshot — hence the same percentiles — as a single histogram
 //! fed the union of the samples.
 
-use dppr_obs::{bounds, bucket_index, HistSnapshot, Histogram, LocalHistogram};
+use dppr_obs::{bounds, bucket_index, HistSnapshot, Histogram};
 use proptest::prelude::*;
 
 fn snapshot_of(values: &[u64]) -> HistSnapshot {
@@ -35,21 +35,6 @@ proptest! {
         for q in [0.5, 0.9, 0.99, 0.999] {
             prop_assert_eq!(merged.quantile(q), union.quantile(q));
         }
-    }
-
-    /// Thread-local accumulation then flush is indistinguishable from
-    /// direct shared-atomic recording.
-    #[test]
-    fn local_flush_equals_direct(values in prop::collection::vec(0u64..u64::MAX, 0..200)) {
-        let direct = snapshot_of(&values);
-        let shared = Histogram::new();
-        let mut local = LocalHistogram::new();
-        for &v in &values {
-            local.record(v);
-        }
-        local.flush(&shared);
-        prop_assert!(local.is_empty());
-        prop_assert_eq!(shared.snapshot(), direct);
     }
 
     /// Indexing is the partition the bounds define: every value lands in

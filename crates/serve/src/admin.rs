@@ -1,13 +1,13 @@
 //! Telemetry and instance-control handlers: `/healthz`, `/metrics`,
-//! `/stats`, `/series`, `/trace`, `/shutdown`. The scalar content of
-//! `/metrics` and `/stats` is a loop over the table in `metrics.rs`; what
-//! is written out here is only what is not a scalar (SLO blocks, histogram
-//! summaries, the event-loop shards' array).
+//! `/stats`, `/series`, `/trace`, `/shutdown`. The scalars, histograms
+//! and per-shard gauges of `/metrics` and `/stats` are loops over the
+//! tables in `metrics.rs`; what is written out here is only what no table
+//! describes (the SLO blocks and the engine counters).
 
 use crate::audit::SloEngine;
 use crate::http::{Request, Response};
 use crate::json::{error_body, JsonBuf};
-use crate::metrics::{json_section, View, INSTANCE};
+use crate::metrics::{json_section, View, HISTOGRAMS, INSTANCE, SHARD_GAUGES};
 use crate::query::RouterImpl;
 use crate::server::Ctx;
 use dppr_obs::PromText;
@@ -64,17 +64,33 @@ pub(crate) fn healthz(_req: &Request, r: &RouterImpl) -> Result<Response, String
     Ok(Response::new(200, j.finish()))
 }
 
-/// The full Prometheus exposition: the table scalars (read at scrape
-/// time from where they already live, so nothing is double-counted),
-/// the engine counters, the SLO series, then every registered histogram
-/// and gauge.
-pub(crate) fn metrics_text(ctx: &Ctx) -> String {
+/// The full Prometheus exposition: every histogram, the per-event-shard
+/// gauges, the table scalars (read at scrape time from where they already
+/// live, so nothing is double-counted), the engine counters, then the SLO
+/// series.
+pub(crate) fn metrics_text(ctx: &Ctx) -> PromText {
     let view = View::gather(ctx);
     let mut out = PromText::new();
+    // Rows of one histogram family are adjacent and share its header.
+    let mut last = "";
+    for &(family, help, unit, label, _, hist) in HISTOGRAMS {
+        if family != last {
+            last = family;
+            out.family(family, help, "histogram");
+        }
+        out.histogram(family, label, &hist(&ctx.metrics).snapshot(), unit);
+    }
+    for (family, help, _, gauge) in SHARD_GAUGES {
+        out.family(family, help, "gauge");
+        for (shard, g) in ctx.shard_gauges.iter().enumerate() {
+            let shard = shard.to_string();
+            out.series_u64(family, Some(("shard", &shard)), gauge(g).load(Relaxed));
+        }
+    }
     for row in INSTANCE {
         if let Some((family, help, kind)) = row.prom {
             out.family(family, help, kind);
-            (row.read)(ctx, &view).prom(&mut out, family, None);
+            (row.read)(ctx, &view).prom(&mut out, family);
         }
     }
     // The paper's operation quantities, by `CounterSnapshot::fields` name.
@@ -127,24 +143,22 @@ pub(crate) fn metrics_text(ctx: &Ctx) -> String {
             out.series_u64_multi(family, &[("slo", spec.name)], st.breaches.load(Relaxed));
         }
     }
-    ctx.metrics.registry.render_prometheus(&mut out)
+    out
 }
 
 pub(crate) fn metrics(_req: &Request, r: &RouterImpl) -> Result<Response, String> {
     // Self-observation: time the render and count families. The duration
-    // lands in a registered histogram, so it shows up on the *next*
-    // scrape — acceptable for a gauge of scrape cost, and it keeps this
-    // scrape's text consistent.
+    // lands in a histogram this render has already read, so it shows up
+    // on the *next* scrape — acceptable for a gauge of scrape cost, and
+    // it keeps this scrape's text consistent.
     let t = Instant::now();
-    let mut text = metrics_text(&r.ctx);
-    let families = text.matches("# TYPE ").count() as u64 + 1;
-    let mut tail = PromText::new();
-    tail.gauge_u64(
+    let mut out = metrics_text(&r.ctx);
+    let families = out.as_str().matches("# TYPE ").count() as u64 + 1;
+    out.gauge_u64(
         "dppr_metrics_families",
         "Metric families in this exposition (including this one)",
         families,
     );
-    text.push_str(tail.as_str());
     r.ctx
         .metrics
         .metrics_scrape
@@ -152,7 +166,7 @@ pub(crate) fn metrics(_req: &Request, r: &RouterImpl) -> Result<Response, String
     Ok(Response::with_content_type(
         200,
         PROMETHEUS_CONTENT_TYPE,
-        text,
+        out.as_str(),
     ))
 }
 
@@ -175,28 +189,21 @@ pub(crate) fn stats(_req: &Request, r: &RouterImpl) -> Result<Response, String> 
         json_section(&mut j, section, ctx, &view);
     }
     j.key("shards").begin_arr();
-    for (conns, depth) in &ctx.shard_gauges {
+    for g in &ctx.shard_gauges {
         j.begin_obj();
-        j.key("connections").uint(conns.get().max(0) as u64);
-        j.key("queue_depth").uint(depth.get().max(0) as u64);
+        for (_, _, key, gauge) in SHARD_GAUGES {
+            j.key(key).uint(gauge(g).load(Relaxed));
+        }
         j.end_obj();
     }
     j.end_arr();
     // Stage-latency summaries out of the same histograms `/metrics`
     // exposes (seconds at bucket resolution).
-    let m = &ctx.metrics;
     j.key("timings").begin_obj();
-    for (name, h) in [
-        ("http_request", &m.http_request),
-        ("slide_apply", &m.slide_apply),
-        ("push_wall", &m.push_wall),
-        ("snapshot_publish", &m.snapshot_publish),
-        ("wal_append", &m.wal_append),
-        ("wal_fsync", &m.wal_fsync),
-        ("checkpoint", &m.checkpoint),
-    ] {
-        let s = h.snapshot();
-        j.key(name).begin_obj();
+    for &(.., timing, hist) in HISTOGRAMS {
+        let Some(key) = timing else { continue };
+        let s = hist(&ctx.metrics).snapshot();
+        j.key(key).begin_obj();
         j.key("count").uint(s.count);
         j.key("p50_s").num(s.p50() as f64 / 1e9);
         j.key("p99_s").num(s.p99() as f64 / 1e9);
@@ -286,9 +293,11 @@ pub(crate) fn shutdown(_req: &Request, r: &RouterImpl) -> Result<Response, Strin
 
 #[cfg(test)]
 mod tests {
-    use super::metrics_text;
-    use crate::metrics::INSTANCE;
-    use crate::server::ServeConfig;
+    use super::{metrics_text, stats};
+    use crate::http::Request;
+    use crate::metrics::{HISTOGRAMS, INSTANCE};
+    use crate::query::RouterImpl;
+    use crate::server::{ServeConfig, ServerHandle};
     use dppr_graph::generators::erdos_renyi;
     use dppr_graph::GraphStream;
     use std::collections::BTreeSet;
@@ -355,16 +364,16 @@ mod tests {
     #[test]
     fn pattern_helpers() {
         let got = family_patterns(
-            "`dppr_http_{request,parse}_seconds`, `dppr_engine_*_total`, `dppr_x{k=...}` and \
+            "`dppr_stage_{b,a}_seconds`, `dppr_engine_*_total`, `dppr_x{k=...}` and \
              `dppr_process_{rss_bytes,threads}`; grep 'dppr_(audit|slo)_'",
         );
         let want = [
             "dppr_",
             "dppr_engine_*_total",
-            "dppr_http_parse_seconds",
-            "dppr_http_request_seconds",
             "dppr_process_rss_bytes",
             "dppr_process_threads",
+            "dppr_stage_a_seconds",
+            "dppr_stage_b_seconds",
             "dppr_x",
         ];
         assert_eq!(got.iter().map(String::as_str).collect::<Vec<_>>(), want);
@@ -374,9 +383,63 @@ mod tests {
         assert!(!matches("dppr_epoch", "dppr_epochs"));
     }
 
+    /// A one-slide instance with an SLO configured, so every conditional
+    /// family of `/metrics` is present.
+    fn live_instance() -> ServerHandle {
+        let stream = GraphStream::directed(erdos_renyi(60, 600, 5)).permuted(1);
+        let cfg = ServeConfig {
+            threads: 1,
+            max_slides: 1,
+            slo_p99: Duration::from_secs(30),
+            ..ServeConfig::default()
+        };
+        crate::start(stream, 0.1, &[0], cfg).expect("server starts")
+    }
+
+    /// Each row of the histogram table reaches both surfaces: a complete
+    /// `_bucket` / `_sum` / `_count` block under a header its family gets
+    /// exactly once on `/metrics`, and — for the rows that name a key —
+    /// the `/stats` `timings` object, which holds nothing else.
+    #[test]
+    fn histogram_rows_render_on_both_surfaces() {
+        let handle = live_instance();
+        let text = metrics_text(&handle.ctx);
+        let text = text.as_str();
+        let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        assert_eq!(types.len(), types.iter().collect::<BTreeSet<_>>().len(), "duplicate # TYPE line");
+        for &(family, _, _, label, ..) in HISTOGRAMS {
+            assert!(types.contains(&format!("# TYPE {family} histogram").as_str()), "{family}");
+            let (merged, plain) = match label {
+                Some((k, v)) => (format!("{{{k}=\"{v}\","), format!("{{{k}=\"{v}\"}}")),
+                None => ("{".to_string(), String::new()),
+            };
+            for series in [
+                format!("\n{family}_bucket{merged}le=\"+Inf\"}} "),
+                format!("\n{family}_sum{plain} "),
+                format!("\n{family}_count{plain} "),
+            ] {
+                assert!(text.contains(&series), "/metrics lacks {series:?}");
+            }
+        }
+
+        let router = RouterImpl::new(handle.ctx.clone(), std::sync::mpsc::channel().0, 0);
+        let req = Request { method: "GET".into(), path: "/stats".into(), params: vec![], http11: true };
+        let body = stats(&req, &router).expect("/stats renders").body;
+        let timings = body.split_once("\"timings\":{").expect("timings object").1;
+        let timings = timings.split_once("}},").expect("timings object closes").0;
+        // Each entry is `"<key>":{"count":..,"p50_s":..,"p99_s":..}`.
+        let keys: Vec<&str> = timings
+            .match_indices("\":{\"count\":")
+            .map(|(at, _)| timings[..at].rsplit('"').next().unwrap())
+            .collect();
+        let rows: Vec<&str> = HISTOGRAMS.iter().filter_map(|&(.., timing, _)| timing).collect();
+        assert_eq!(keys, rows, "{timings}");
+        handle.join();
+    }
+
     /// README's observability sections may only name families the server
-    /// exports: each name there must match a table row, a registered
-    /// histogram/gauge, or one of the computed families of `/metrics`.
+    /// exports: each name there must match a row of one of the tables or
+    /// one of the computed families of `/metrics`.
     #[test]
     fn readme_families_exist() {
         let readme = include_str!("../../../README.md");
@@ -392,17 +455,11 @@ mod tests {
             "README parse found too little: {patterns:?}"
         );
 
-        let stream = GraphStream::directed(erdos_renyi(60, 600, 5)).permuted(1);
-        let cfg = ServeConfig {
-            threads: 1,
-            max_slides: 1,
-            slo_p99: Duration::from_secs(30),
-            ..ServeConfig::default()
-        };
-        let handle = crate::start(stream, 0.1, &[0], cfg).expect("server starts");
+        let handle = live_instance();
         let text = metrics_text(&handle.ctx);
         handle.join();
         let mut families: BTreeSet<&str> = text
+            .as_str()
             .lines()
             .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
             .collect();

@@ -10,7 +10,7 @@ use crate::epoch::EpochDomain;
 use crate::event::{spawn_shard, ConnCounters, ShardConfig, ShardGate};
 use crate::http::{render_response, Response};
 use crate::json::error_body;
-use crate::metrics::ServerMetrics;
+use crate::metrics::{ServerMetrics, ShardGauges};
 use crate::query::RouterImpl;
 use crate::registry::SessionRegistry;
 use crate::server::{Control, Ctx, ServeConfig, ServerHandle, ServerStats};
@@ -71,7 +71,6 @@ pub fn start(
     let stats = ServerStats::default();
     let conn_counters = Arc::new(ConnCounters::default());
     let shutdown = Arc::new(AtomicBool::new(false));
-    let metrics = ServerMetrics::new(cfg.trace_sample, cfg.trace_capacity);
 
     // --- bootstrap synchronously: sessions are live before we return. A
     // durable instance either recovers (checkpoint + WAL tail) or
@@ -117,8 +116,8 @@ pub fn start(
         wal: Mutex::new(WalStats::default()),
         window_start: AtomicU64::new(window_start as u64),
         window_end: AtomicU64::new(window_end as u64),
-        shard_gauges: (0..threads).map(|w| metrics.event_shard_gauges(w)).collect(),
-        metrics,
+        metrics: ServerMetrics::new(cfg.trace_sample, cfg.trace_capacity),
+        shard_gauges: (0..threads).map(|_| ShardGauges::default()).collect(),
         stream_len: boot.driver.stream_len() as u64,
         audit: AuditShared::new(&cfg),
         slo: SloEngine::new(&cfg),

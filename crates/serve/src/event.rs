@@ -59,8 +59,8 @@ pub trait Router: Send + 'static {
 
     /// Stage timing for one answered request (parse → route → serialize,
     /// in nanoseconds), called right after the response is enqueued. The
-    /// default does nothing; the server's router accumulates these into
-    /// thread-local histograms.
+    /// default does nothing; the server's router records them into the
+    /// instance's stage histograms.
     fn observe_http(
         &mut self,
         _req: &Request,
@@ -72,8 +72,7 @@ pub trait Router: Send + 'static {
     }
 
     /// Called once per event-loop iteration with this shard's live
-    /// connection count and the depth of its accept queue — the flush
-    /// point for thread-local telemetry.
+    /// connection count and the depth of its accept queue.
     fn on_tick(&mut self, _live_conns: usize, _queue_depth: u64) {}
 }
 
@@ -280,7 +279,7 @@ pub fn spawn_shard<R: Router>(
                 stats.closed.fetch_add(1, Relaxed);
             }
 
-            // 6. flush thread-local telemetry once per iteration.
+            // 6. report this iteration's connection count and queue depth.
             router.on_tick(conns.len(), loop_depth.load(Relaxed));
         }
     })?;

@@ -38,9 +38,9 @@
 //!   every batch, durability acks), `query` (dispatch + query handlers,
 //!   shedding while a slide lags the stream) and `admin` (telemetry +
 //!   control).
-//! * [`metrics`] — the histogram registry and the table that describes
-//!   every scalar's `/metrics` family, `/stats` key and `/series` column
-//!   once.
+//! * [`metrics`] — the pipeline histograms and the tables that describe
+//!   every histogram's and every scalar's `/metrics` family, `/stats` key
+//!   and `/series` column once.
 //! * [`durability`] — checkpoints + the `dppr-wal` write-ahead log: every
 //!   slide batch is logged before its epoch publishes, a background
 //!   checkpointer snapshots session states, and a restarted instance

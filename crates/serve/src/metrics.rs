@@ -1,56 +1,58 @@
-//! The serving instance's metric catalog: the registered histograms and
-//! the table that describes every scalar exactly once.
+//! The serving instance's metric catalog: every histogram, every scalar
+//! and the two per-event-shard gauges, each described exactly once.
 //!
-//! One [`ServerMetrics`] per instance owns the [`dppr_obs::Registry`]
-//! plus direct handles to every pipeline-stage histogram, so the write
-//! loop and the event-loop shards' routers record without name lookups
-//! (the registrations in [`ServerMetrics::new`] are the histogram
-//! catalog).
+//! One [`ServerMetrics`] per instance holds the pipeline-stage histograms
+//! as plain fields, so the write loop and the event-loop shards' routers
+//! record with [`Histogram::record`] — no name lookup, no second copy.
+//! [`HISTOGRAMS`] names each one's `/metrics` family, help text, unit and
+//! (for the stage latencies `/stats` summarises) its `timings` key next
+//! to the function that reaches the field; adding a histogram is a field
+//! plus a row.
 //!
 //! Scalars that already live elsewhere (`ServerStats`, `ConnCounters`,
-//! the cache, the WAL, engine counters) are not registered a second time:
+//! the cache, the WAL, engine counters) are read where they live:
 //! [`INSTANCE`] names each one's `/metrics` family, `/stats` key and
-//! `/series` column next to the function that reads it, and the handlers
-//! in `admin.rs` and the observer's series sampler are loops over those
-//! rows.
+//! `/series` column next to the function that reads it, and
+//! [`SHARD_GAUGES`] does the same for the per-event-shard pair. The
+//! handlers in `admin.rs` and the observer's series sampler are loops
+//! over those rows.
 
 use crate::cache::CacheStats;
 use crate::json::JsonBuf;
 use crate::server::Ctx;
 use dppr_core::CounterSnapshot;
 use dppr_graph::SubstrateStats;
-use dppr_obs::{Gauge, Histogram, ProcessStats, PromText, Registry, Sampler, TraceRing, Unit};
+use dppr_obs::Unit::{self, Nanos, Raw};
+use dppr_obs::{Histogram, ProcessStats, PromText, Sampler, TraceRing};
 use dppr_wal::WalStats;
-use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Every histogram the pipeline records into, plus the trace ring.
 pub struct ServerMetrics {
-    pub registry: Registry,
-    pub http_request: Arc<Histogram>,
-    pub http_parse: Arc<Histogram>,
-    pub http_route: Arc<Histogram>,
-    pub http_write: Arc<Histogram>,
-    pub slide_apply: Arc<Histogram>,
-    pub push_wall: Arc<Histogram>,
-    pub push_iterations: Arc<Histogram>,
-    pub snapshot_publish: Arc<Histogram>,
-    pub wal_append: Arc<Histogram>,
-    pub wal_fsync: Arc<Histogram>,
-    pub checkpoint: Arc<Histogram>,
+    pub http_request: Histogram,
+    pub http_parse: Histogram,
+    pub http_route: Histogram,
+    pub http_write: Histogram,
+    pub slide_apply: Histogram,
+    pub push_wall: Histogram,
+    pub push_iterations: Histogram,
+    pub snapshot_publish: Histogram,
+    pub wal_append: Histogram,
+    pub wal_fsync: Histogram,
+    pub checkpoint: Histogram,
     /// Audited per-session L1 error, recorded ×1e9 (natural units).
-    pub audit_l1: Arc<Histogram>,
+    pub audit_l1: Histogram,
     /// Audited per-session L∞ error, recorded ×1e9 (natural units).
-    pub audit_linf: Arc<Histogram>,
+    pub audit_linf: Histogram,
     /// Audited top-10 overlap (0..1), recorded ×1e9 (natural units).
-    pub audit_overlap10: Arc<Histogram>,
+    pub audit_overlap10: Histogram,
     /// Audited top-50 overlap (0..1), recorded ×1e9 (natural units).
-    pub audit_overlap50: Arc<Histogram>,
+    pub audit_overlap50: Histogram,
     /// Ground-truth solve wall time per audited session.
-    pub audit_solve: Arc<Histogram>,
+    pub audit_solve: Histogram,
     /// `/metrics` render duration (self-observation; a scrape sees the
     /// previous scrape's cost).
-    pub metrics_scrape: Arc<Histogram>,
+    pub metrics_scrape: Histogram,
     /// End-to-end structured trace events (`GET /trace`).
     pub trace: TraceRing,
     /// Every-Nth request tracing.
@@ -61,106 +63,112 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     pub fn new(trace_sample: u64, trace_capacity: usize) -> Self {
-        let registry = Registry::new();
-        let seconds = |name, help| registry.histogram(name, help, Unit::Nanos);
-        // The audit error/overlap families reuse the nanos-unit bucket
-        // layout as a natural-units encoding: values are recorded ×1e9,
-        // so a rendered bound of 0.001 means an L1 error of 1e-3 (or an
-        // overlap of 0.001). This keeps the log-scale buckets dense
-        // exactly where ε-scale errors live.
-        let overlap = |k| {
-            registry.histogram_with_label(
-                "dppr_audit_topk_overlap",
-                "Audited top-k overlap between published and ground-truth rankings (recorded x1e9)",
-                Unit::Nanos,
-                "k",
-                k,
-            )
-        };
         ServerMetrics {
-            http_request: seconds(
-                "dppr_http_request_seconds",
-                "Request handling end to end: parse, route, serialize",
-            ),
-            http_parse: seconds("dppr_http_parse_seconds", "Request-head parse time"),
-            http_route: seconds(
-                "dppr_http_route_seconds",
-                "Endpoint dispatch and query execution time",
-            ),
-            http_write: seconds(
-                "dppr_http_write_seconds",
-                "Response render time into the connection buffer",
-            ),
-            slide_apply: seconds(
-                "dppr_slide_apply_seconds",
-                "One window slide end to end: WAL append, engine apply, snapshot publish",
-            ),
-            push_wall: seconds(
-                "dppr_push_wall_seconds",
-                "Engine apply_batch wall time (push convergence)",
-            ),
-            push_iterations: registry.histogram(
-                "dppr_push_iterations",
-                "Frontier iterations per slide until the push converged",
-                Unit::Raw,
-            ),
-            snapshot_publish: seconds(
-                "dppr_snapshot_publish_seconds",
-                "Per-slide session snapshot publication time",
-            ),
-            wal_append: seconds(
-                "dppr_wal_append_seconds",
-                "WAL record append time (framing + write, excluding fsync policy)",
-            ),
-            wal_fsync: seconds("dppr_wal_fsync_seconds", "WAL device-flush latency"),
-            checkpoint: seconds(
-                "dppr_checkpoint_seconds",
-                "Checkpoint write duration (serialize, fsync, rename)",
-            ),
-            audit_l1: seconds(
-                "dppr_audit_l1_error",
-                "Audited L1 distance between published estimates and ground truth (recorded x1e9)",
-            ),
-            audit_linf: seconds(
-                "dppr_audit_linf_error",
-                "Audited max per-vertex error vs ground truth; the paper's epsilon contract (recorded x1e9)",
-            ),
-            audit_overlap10: overlap("10"),
-            audit_overlap50: overlap("50"),
-            audit_solve: seconds(
-                "dppr_audit_solve_seconds",
-                "Sequential ground-truth solve wall time per audited session",
-            ),
-            metrics_scrape: seconds(
-                "dppr_metrics_scrape_seconds",
-                "Time spent rendering /metrics (visible from the next scrape)",
-            ),
+            http_request: Histogram::new(),
+            http_parse: Histogram::new(),
+            http_route: Histogram::new(),
+            http_write: Histogram::new(),
+            slide_apply: Histogram::new(),
+            push_wall: Histogram::new(),
+            push_iterations: Histogram::new(),
+            snapshot_publish: Histogram::new(),
+            wal_append: Histogram::new(),
+            wal_fsync: Histogram::new(),
+            checkpoint: Histogram::new(),
+            audit_l1: Histogram::new(),
+            audit_linf: Histogram::new(),
+            audit_overlap10: Histogram::new(),
+            audit_overlap50: Histogram::new(),
+            audit_solve: Histogram::new(),
+            metrics_scrape: Histogram::new(),
             trace: TraceRing::new(trace_capacity),
             trace_requests: Sampler::new(trace_sample),
             trace_slides: Sampler::new(trace_sample),
-            registry,
         }
     }
-
-    /// Registers event-loop shard `w`'s `(connections, queue_depth)`
-    /// gauges; the shard's router sets them once per tick.
-    pub(crate) fn event_shard_gauges(&self, w: usize) -> (Arc<Gauge>, Arc<Gauge>) {
-        let g = |name, help| {
-            self.registry
-                .gauge_with_label(name, help, "shard", w.to_string())
-        };
-        (
-            g(
-                "dppr_shard_connections",
-                "Live connections owned by the shard",
-            ),
-            g(
-                "dppr_shard_queue_depth",
-                "Accepted connections awaiting adoption by the shard",
-            ),
-        )
-    }
 }
+
+// --- the histogram table ----------------------------------------------------
+
+/// One histogram, described once: `(family, help, unit, label, timings
+/// key, field)`. `label` is the series' one `key="value"` pair; rows of
+/// one family are adjacent and share its header. A `timings` key puts the
+/// histogram's `{count, p50_s, p99_s}` under that name in `/stats`.
+pub(crate) type HistRow = (
+    &'static str,
+    &'static str,
+    Unit,
+    Option<(&'static str, &'static str)>,
+    Option<&'static str>,
+    fn(&ServerMetrics) -> &Histogram,
+);
+
+/// Family and help shared by the two `{k=…}` overlap rows.
+const OVERLAP: (&str, &str) = (
+    "dppr_audit_topk_overlap",
+    "Audited top-k overlap between published and ground-truth rankings (recorded x1e9)",
+);
+
+/// Every histogram of [`ServerMetrics`], in `/metrics` order.
+///
+/// The audit error/overlap families reuse the nanos-unit bucket layout as
+/// a natural-units encoding: values are recorded ×1e9, so a rendered
+/// bound of 0.001 means an L1 error of 1e-3 (or an overlap of 0.001).
+/// This keeps the log-scale buckets dense exactly where ε-scale errors
+/// live.
+#[rustfmt::skip]
+pub(crate) static HISTOGRAMS: &[HistRow] = &[
+    ("dppr_http_request_seconds", "Request handling end to end: parse, route, serialize",
+     Nanos, None, Some("http_request"), |m| &m.http_request),
+    ("dppr_http_parse_seconds", "Request-head parse time", Nanos, None, None, |m| &m.http_parse),
+    ("dppr_http_route_seconds", "Endpoint dispatch and query execution time",
+     Nanos, None, None, |m| &m.http_route),
+    ("dppr_http_write_seconds", "Response render time into the connection buffer",
+     Nanos, None, None, |m| &m.http_write),
+    ("dppr_slide_apply_seconds", "One window slide end to end: WAL append, engine apply, snapshot publish",
+     Nanos, None, Some("slide_apply"), |m| &m.slide_apply),
+    ("dppr_push_wall_seconds", "Engine apply_batch wall time (push convergence)",
+     Nanos, None, Some("push_wall"), |m| &m.push_wall),
+    ("dppr_push_iterations", "Frontier iterations per slide until the push converged",
+     Raw, None, None, |m| &m.push_iterations),
+    ("dppr_snapshot_publish_seconds", "Per-slide session snapshot publication time",
+     Nanos, None, Some("snapshot_publish"), |m| &m.snapshot_publish),
+    ("dppr_wal_append_seconds", "WAL record append time (framing + write, excluding fsync policy)",
+     Nanos, None, Some("wal_append"), |m| &m.wal_append),
+    ("dppr_wal_fsync_seconds", "WAL device-flush latency", Nanos, None, Some("wal_fsync"), |m| &m.wal_fsync),
+    ("dppr_checkpoint_seconds", "Checkpoint write duration (serialize, fsync, rename)",
+     Nanos, None, Some("checkpoint"), |m| &m.checkpoint),
+    ("dppr_audit_l1_error", "Audited L1 distance between published estimates and ground truth (recorded x1e9)",
+     Nanos, None, None, |m| &m.audit_l1),
+    ("dppr_audit_linf_error",
+     "Audited max per-vertex error vs ground truth; the paper's epsilon contract (recorded x1e9)",
+     Nanos, None, None, |m| &m.audit_linf),
+    (OVERLAP.0, OVERLAP.1, Nanos, Some(("k", "10")), None, |m| &m.audit_overlap10),
+    (OVERLAP.0, OVERLAP.1, Nanos, Some(("k", "50")), None, |m| &m.audit_overlap50),
+    ("dppr_audit_solve_seconds", "Sequential ground-truth solve wall time per audited session",
+     Nanos, None, None, |m| &m.audit_solve),
+    ("dppr_metrics_scrape_seconds", "Time spent rendering /metrics (visible from the next scrape)",
+     Nanos, None, None, |m| &m.metrics_scrape),
+];
+
+// --- the per-event-shard gauges ---------------------------------------------
+
+/// One event-loop shard's gauges, set by its router once per tick.
+#[derive(Default)]
+pub(crate) struct ShardGauges {
+    pub(crate) connections: AtomicU64,
+    pub(crate) queue_depth: AtomicU64,
+}
+
+/// `(family, help, key in /stats shards[], field)`; on `/metrics` each
+/// family carries one `{shard="<i>"}` series per event-loop shard.
+#[rustfmt::skip]
+pub(crate) static SHARD_GAUGES: [(&str, &str, &str, fn(&ShardGauges) -> &AtomicU64); 2] = [
+    ("dppr_shard_connections", "Live connections owned by the shard",
+     "connections", |g| &g.connections),
+    ("dppr_shard_queue_depth", "Accepted connections awaiting adoption by the shard",
+     "queue_depth", |g| &g.queue_depth),
+];
 
 // --- the scalar tables ------------------------------------------------------
 
@@ -183,16 +191,11 @@ impl Val {
         };
     }
 
-    pub(crate) fn prom(
-        self,
-        out: &mut PromText,
-        family: &str,
-        label: Option<&(&'static str, String)>,
-    ) {
+    pub(crate) fn prom(self, out: &mut PromText, family: &str) {
         match self {
-            U(v) => out.series_u64(family, label, v),
-            F(v) => out.series_f64(family, label, v),
-            B(v) => out.series_u64(family, label, v as u64),
+            U(v) => out.series_u64(family, None, v),
+            F(v) => out.series_f64(family, None, v),
+            B(v) => out.series_u64(family, None, v as u64),
         }
     }
 

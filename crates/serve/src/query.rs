@@ -12,43 +12,23 @@ use crate::server::{Control, Ctx};
 use crate::snapshot::QuerySnapshot;
 use dppr_core::queries::BoundedScore;
 use dppr_graph::VertexId;
-use dppr_obs::{Gauge, LocalHistogram};
 use std::cmp::Ordering;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc;
 use std::sync::Arc;
 
 /// One event-loop shard's router: shared state + its handle on the
-/// write loop's control channel, and thread-local telemetry accumulators
-/// (flushed to the shared histograms once per event-loop tick, so the
-/// per-request path touches no shared atomics).
+/// write loop's control channel.
 pub(crate) struct RouterImpl {
     pub(crate) ctx: Arc<Ctx>,
     ctl_tx: mpsc::Sender<Control>,
     shard: usize,
-    conn_gauge: Arc<Gauge>,
-    depth_gauge: Arc<Gauge>,
-    local_request: LocalHistogram,
-    local_parse: LocalHistogram,
-    local_route: LocalHistogram,
-    local_write: LocalHistogram,
 }
 
 impl RouterImpl {
     /// Event-loop shard `shard`'s router.
     pub(crate) fn new(ctx: Arc<Ctx>, ctl_tx: mpsc::Sender<Control>, shard: usize) -> Self {
-        let (conn_gauge, depth_gauge) = ctx.shard_gauges[shard].clone();
-        RouterImpl {
-            ctx,
-            ctl_tx,
-            shard,
-            conn_gauge,
-            depth_gauge,
-            local_request: LocalHistogram::new(),
-            local_parse: LocalHistogram::new(),
-            local_route: LocalHistogram::new(),
-            local_write: LocalHistogram::new(),
-        }
+        RouterImpl { ctx, ctl_tx, shard }
     }
 }
 
@@ -65,11 +45,12 @@ impl Router for RouterImpl {
         route_ns: u64,
         write_ns: u64,
     ) {
-        self.local_parse.record(parse_ns);
-        self.local_route.record(route_ns);
-        self.local_write.record(write_ns);
-        self.local_request.record(parse_ns + route_ns + write_ns);
-        if self.ctx.metrics.trace_requests.sample() {
+        let m = &self.ctx.metrics;
+        m.http_parse.record(parse_ns);
+        m.http_route.record(route_ns);
+        m.http_write.record(write_ns);
+        m.http_request.record(parse_ns + route_ns + write_ns);
+        if m.trace_requests.sample() {
             let mut j = JsonBuf::new();
             j.begin_obj();
             j.key("event").str("request");
@@ -81,18 +62,14 @@ impl Router for RouterImpl {
             j.key("route_ns").uint(route_ns);
             j.key("write_ns").uint(write_ns);
             j.end_obj();
-            self.ctx.metrics.trace.push(j.finish());
+            m.trace.push(j.finish());
         }
     }
 
     fn on_tick(&mut self, live_conns: usize, queue_depth: u64) {
-        let m = &self.ctx.metrics;
-        self.local_request.flush(&m.http_request);
-        self.local_parse.flush(&m.http_parse);
-        self.local_route.flush(&m.http_route);
-        self.local_write.flush(&m.http_write);
-        self.conn_gauge.set(live_conns as i64);
-        self.depth_gauge.set(queue_depth as i64);
+        let g = &self.ctx.shard_gauges[self.shard];
+        g.connections.store(live_conns as u64, Relaxed);
+        g.queue_depth.store(queue_depth, Relaxed);
     }
 }
 

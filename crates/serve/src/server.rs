@@ -41,11 +41,11 @@ use crate::cache::{CacheStats, QueryCache};
 use crate::durability::{DurabilityConfig, RecoveryReport};
 use crate::epoch::EpochDomain;
 use crate::event::{ConnCounters, ShardHandle};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{ServerMetrics, ShardGauges};
 use crate::registry::SessionRegistry;
 use dppr_core::CounterSnapshot;
 use dppr_graph::{SubstrateStats, VertexId};
-use dppr_obs::{Gauge, SeriesRing};
+use dppr_obs::SeriesRing;
 use dppr_wal::WalStats;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
@@ -309,10 +309,10 @@ pub(crate) struct Ctx {
     /// Window bounds in logical stream positions.
     pub(crate) window_start: AtomicU64,
     pub(crate) window_end: AtomicU64,
-    /// Pipeline histograms, trace ring, and the metric registry.
+    /// Pipeline histograms and the trace ring.
     pub(crate) metrics: ServerMetrics,
-    /// Per-event-loop-shard `(connections, queue_depth)` gauges.
-    pub(crate) shard_gauges: Vec<(Arc<Gauge>, Arc<Gauge>)>,
+    /// One entry per event-loop shard, set by its router once per tick.
+    pub(crate) shard_gauges: Vec<ShardGauges>,
     /// Total logical edges in the stream (constant per instance).
     pub(crate) stream_len: u64,
     /// Accuracy-audit scalars published by the observer thread.
@@ -385,9 +385,8 @@ impl ServerHandle {
         &self.ctx.registry
     }
 
-    /// The instance's metric registry and pipeline histograms (what
-    /// `GET /metrics` renders) — report generators read percentiles
-    /// straight from here.
+    /// The instance's pipeline histograms (what `GET /metrics` renders)
+    /// — report generators read percentiles straight from here.
     pub fn metrics(&self) -> &ServerMetrics {
         &self.ctx.metrics
     }

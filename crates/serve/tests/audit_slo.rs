@@ -3,28 +3,15 @@
 //! and the trace-endpoint filters — all against a real server on an
 //! ephemeral port.
 
+mod common;
+
+use common::{get, request};
 use dppr_graph::generators::erdos_renyi;
 use dppr_graph::GraphStream;
 use dppr_serve::{start, QuerySnapshot, ServeConfig};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn request(addr: SocketAddr, method: &str, target: &str) -> (u16, String) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(conn, "{method} {target} HTTP/1.0\r\nHost: dppr\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    conn.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw.split_whitespace().nth(1).expect("status").parse().expect("numeric");
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, String) {
-    request(addr, "GET", target)
-}
 
 /// First sample of family `name` in a Prometheus exposition (skips
 /// `# HELP`/`# TYPE` lines and labeled series of longer names).

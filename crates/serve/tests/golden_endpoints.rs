@@ -17,13 +17,15 @@
 //! Regenerate after an intended wire change with
 //! `DPPR_BLESS=1 cargo test -p dppr-serve --test golden_endpoints`.
 
+mod common;
+
+use common::request;
 use dppr_graph::generators::erdos_renyi;
 use dppr_graph::{GraphStream, VertexId};
 use dppr_serve::{start, DurabilityConfig, FsyncPolicy, ServeConfig};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
@@ -32,26 +34,6 @@ const SOURCES: [VertexId; 6] = [0, 1, 2, 3, 5, 8];
 const SLIDES: u64 = 3;
 /// Opened and closed again over HTTP after the query pins.
 const NEWCOMER: VertexId = 13;
-
-fn request(addr: SocketAddr, method: &str, target: &str) -> (u16, String) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(conn, "{method} {target} HTTP/1.0\r\nHost: dppr\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    conn.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status")
-        .parse()
-        .expect("numeric");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
 
 fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(30);

@@ -2,35 +2,15 @@
 //! ephemeral port, a plain `TcpStream` client, every endpoint exercised
 //! while the write loop slides in the background.
 
+mod common;
+
+use common::{get, request};
 use dppr_graph::generators::erdos_renyi;
 use dppr_graph::GraphStream;
 use dppr_serve::{start, ServeConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
-
-fn request(addr: SocketAddr, method: &str, target: &str) -> (u16, String) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(conn, "{method} {target} HTTP/1.0\r\nHost: dppr\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    conn.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, String) {
-    request(addr, "GET", target)
-}
 
 /// Reads exactly one Content-Length-framed response off a keep-alive
 /// connection, leaving the stream positioned at the next response.

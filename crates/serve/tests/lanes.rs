@@ -3,32 +3,18 @@
 //! and counters are the same as at N = 1 — N only spreads a batch's
 //! per-session pushes over N lanes.
 
+mod common;
+
+use common::{get, request};
 use dppr_graph::generators::erdos_renyi;
 use dppr_graph::{GraphStream, VertexId};
 use dppr_serve::{boot_probe, start, DurabilityConfig, ServeConfig, ServerHandle};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Held by every test here: `one_of_everything_at_any_lane_count` counts
 /// the process's threads by name, so no other instance may be alive.
 static ONE_INSTANCE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-fn request(addr: SocketAddr, method: &str, target: &str) -> (u16, String) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(conn, "{method} {target} HTTP/1.0\r\nHost: dppr\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    conn.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw.split_whitespace().nth(1).expect("status").parse().expect("numeric");
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, String) {
-    request(addr, "GET", target)
-}
 
 fn the_stream() -> GraphStream {
     GraphStream::directed(erdos_renyi(200, 6_000, 21)).permuted(5)

@@ -2,6 +2,9 @@
 //! observable behaviour (status code or clean close) and, crucially, that
 //! the instance keeps serving everyone else — no case may pin a shard.
 
+mod common;
+
+use common::get;
 use dppr_graph::generators::erdos_renyi;
 use dppr_graph::GraphStream;
 use dppr_serve::{start, ServeConfig, ServerHandle};
@@ -30,17 +33,6 @@ fn boot() -> ServerHandle {
     .expect("server starts")
 }
 
-/// One well-formed request over a fresh connection (the health probe).
-fn healthz(addr: SocketAddr) -> (u16, String) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(conn, "GET /healthz HTTP/1.1\r\nHost: dppr\r\nConnection: close\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    conn.read_to_string(&mut raw).expect("read response");
-    let status = raw.split_whitespace().nth(1).unwrap().parse().unwrap();
-    (status, raw)
-}
-
 /// Sends raw bytes, then reads whatever comes back until EOF (the server
 /// closes every malformed connection after the 400, or silently on
 /// timeout). A hung server fails the 10 s client read timeout instead of
@@ -58,7 +50,7 @@ fn send_raw(addr: SocketAddr, payload: &[u8]) -> String {
 fn malformed_request_corpus() {
     let handle = boot();
     let addr = handle.addr();
-    assert_eq!(healthz(addr).0, 200);
+    assert_eq!(get(addr, "/healthz").0, 200);
 
     // --- oversized request line: 400, then close -------------------------
     let mut huge = Vec::from(&b"GET /"[..]);
@@ -101,7 +93,7 @@ fn malformed_request_corpus() {
         let mut conn = TcpStream::connect(addr).expect("connect");
         conn.write_all(b"GET /to").unwrap();
     } // dropped mid-request-line
-    assert_eq!(healthz(addr).0, 200, "disconnect mid-request hurt the server");
+    assert_eq!(get(addr, "/healthz").0, 200, "disconnect mid-request hurt the server");
 
     // --- pipelined requests: answered in order on one connection ---------
     let mut conn = TcpStream::connect(addr).expect("connect");
@@ -118,6 +110,29 @@ fn malformed_request_corpus() {
     let sessions = raw.find("\"sessions\":[0]").expect("sessions answer present");
     assert_eq!(ok.len(), 2, "{raw}");
     assert!(ok[0] < sessions && sessions < ok[1], "pipelined answers out of order: {raw}");
+
+    // --- k = usize::MAX: the full ranking, and the connection lives on ---
+    // `k + 1` used to overflow: a panic that killed the routing shard's
+    // thread in a checked build, an empty "certain" answer in release.
+    while handle.stats().slides.load(Relaxed) < 1 {
+        std::thread::sleep(Duration::from_millis(2)); // rankings stop changing after the one slide
+    }
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    conn.write_all(
+        b"GET /topk?source=0&k=18446744073709551615 HTTP/1.1\r\nHost: dppr\r\n\r\n\
+          GET /topk?source=0&k=1000000 HTTP/1.1\r\nHost: dppr\r\nConnection: close\r\n\r\n",
+    )
+    .unwrap();
+    let mut raw = String::new();
+    conn.read_to_string(&mut raw).expect("read both answers");
+    let answers: Vec<&str> = raw.split("HTTP/1.1 ").skip(1).collect();
+    assert_eq!(answers.len(), 2, "{raw}");
+    assert!(answers.iter().all(|a| a.starts_with("200")), "{raw}");
+    assert!(answers[0].contains("\"k\":18446744073709551615"), "{raw}");
+    let entries = |a: &str| a.matches("\"vertex\":").count();
+    assert!(entries(answers[0]) > 10, "{raw}");
+    assert_eq!(entries(answers[0]), entries(answers[1]), "k = usize::MAX must rank every vertex");
 
     // --- non-reading client: reaped by the WRITE deadline ----------------
     // Pipeline many large responses and never read; the server must give
@@ -138,13 +153,13 @@ fn malformed_request_corpus() {
     while handle.conn_counters().write_timeouts.load(Relaxed) == before {
         assert!(Instant::now() < deadline, "non-reading client was never reaped");
         // The stalled connection must not block anyone else meanwhile.
-        assert_eq!(healthz(addr).0, 200);
+        assert_eq!(get(addr, "/healthz").0, 200);
         std::thread::sleep(Duration::from_millis(25));
     }
     drop(sink);
 
     // --- after all of that: healthy, and the books balance ---------------
-    assert_eq!(healthz(addr).0, 200);
+    assert_eq!(get(addr, "/healthz").0, 200);
     let report = handle.join();
     assert!(report.bad_requests >= 3, "{report:?}");
     assert!(report.read_timeouts >= 1, "{report:?}");
