@@ -279,14 +279,14 @@ mod tests {
     fn query_command_line() {
         let a = Args::parse([
             "query", "--graph", "edges.txt", "--source", "0", "--alpha", "0.2", "--epsilon",
-            "1e-4", "--top", "10", "--threshold", "0.001", "--save-state", "state.tsv",
+            "1e-4", "--top", "10", "--threshold", "0.001", "--save-state", "state.bin",
         ])
         .unwrap();
         assert_eq!(a.command, "query");
         assert_eq!(a.get_parsed("source", u32::MAX).unwrap(), 0);
         assert_eq!(a.get_parsed("top", 0usize).unwrap(), 10);
         assert_eq!(a.get_parsed("threshold", 0.0f64).unwrap(), 0.001);
-        assert_eq!(a.get("save-state"), Some("state.tsv"));
+        assert_eq!(a.get("save-state"), Some("state.bin"));
     }
 
     #[test]

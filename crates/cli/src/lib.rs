@@ -56,7 +56,7 @@ COMMANDS
   query      Maintain PPR over the full graph, then answer queries.
              --graph FILE|--preset NAME [--undirected]
              --source V  --alpha A  --epsilon E  [--top K] [--threshold D]
-             [--save-state FILE]
+             [--save-state FILE (binary, checksummed state snapshot)]
   serve      Serve top-k/score/threshold/compare queries over HTTP while
              the update stream slides in the background.
              --graph FILE|--preset NAME [--undirected]

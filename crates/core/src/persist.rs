@@ -3,155 +3,117 @@
 //! The indexing systems the paper aims to serve (HubPPR [46], distributed
 //! exact PPR [18]) keep pre-computed PPR vectors on disk and maintain them
 //! incrementally. This module provides the minimal durable format for
-//! that: a plain-text, versioned snapshot of `(config, Ps, Rs)` that can
-//! be written after any converged batch and re-attached to a graph later
-//! — useful for restart, for shipping states between the sequential and
+//! that: a binary, versioned snapshot of `(config, Ps, Rs)` that can be
+//! written after any converged batch and re-attached to a graph later —
+//! useful for restart, for shipping states between the sequential and
 //! parallel engines, and for the serving layer's crash-recovery
 //! checkpoints (`dppr-serve`'s durability module pairs these files with a
 //! `dppr-wal` update log).
 //!
-//! Format v2 (line-oriented, `f64` round-trips via hex bits for
-//! exactness; the trailer's CRC32 covers every byte before it, so a torn
-//! or bit-flipped snapshot is detected instead of silently loaded):
+//! Format v3, every integer little-endian, every `f64` stored as its bit
+//! pattern so the round trip is exact:
 //!
 //! ```text
-//! dppr-state v2
-//! source <u32> alpha <hex-bits> epsilon <hex-bits> len <usize>
-//! <p-bits> <r-bits>        (one line per vertex)
-//! crc32 <8-hex-digits>
+//! offset            size     field
+//! 0                 14       magic "dppr-state v3\n"
+//! 14                4        source   (u32)
+//! 18                8        alpha    (f64 bits)
+//! 26                8        epsilon  (f64 bits)
+//! 34                8        len      (u64)
+//! 42                8·len    Ps(0..len) (f64 bits)
+//! 42 + 8·len        8·len    Rs(0..len) (f64 bits)
+//! 42 + 16·len       4        CRC32 of every byte before it
 //! ```
 //!
-//! v1 is the same without the trailer; [`read_state`] still loads it
-//! (without integrity protection), so snapshots written by older builds
-//! stay usable.
+//! [`read_state`] checks the magic, then that the file is exactly as long
+//! as `len` says, then the CRC, then the parameters, and allocates the
+//! state only after all of them pass: a torn, bit-flipped or lying
+//! snapshot is an [`io::ErrorKind::InvalidData`] error, never a panic, an
+//! abort or a silently different state. Earlier text formats are refused.
 
-use crate::checksum::{crc32, Crc32};
+use crate::checksum::crc32;
 use crate::config::PprConfig;
 use crate::state::PprState;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC_V1: &str = "dppr-state v1";
-const MAGIC_V2: &str = "dppr-state v2";
+const MAGIC: &[u8] = b"dppr-state v3\n";
+/// Bytes before the vectors: the magic, `source` (u32), then the α bits,
+/// ε bits and `len` (u64 each).
+const HEADER: usize = MAGIC.len() + 4 + 3 * 8;
 
-/// A writer adapter that feeds everything it forwards through a CRC32
-/// hasher, so the trailer can be computed without buffering the snapshot.
-struct CrcWriter<W: Write> {
-    inner: W,
-    crc: Crc32,
-}
-
-impl<W: Write> Write for CrcWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Writes a v2 snapshot of `state` to `w` (header + vertex rows + CRC32
-/// trailer).
-pub fn write_state<W: Write>(state: &PprState, w: W) -> io::Result<()> {
-    let mut w = CrcWriter { inner: BufWriter::new(w), crc: Crc32::new() };
+/// Writes a v3 snapshot of `state` to `w`: the bytes are encoded into one
+/// buffer, checksummed, and handed to `w` in a single `write_all`.
+pub fn write_state<W: Write>(state: &PprState, mut w: W) -> io::Result<()> {
     let cfg = state.config();
-    writeln!(w, "{MAGIC_V2}")?;
-    writeln!(
-        w,
-        "source {} alpha {:016x} epsilon {:016x} len {}",
-        cfg.source,
-        cfg.alpha.to_bits(),
-        cfg.epsilon.to_bits(),
-        state.len()
-    )?;
-    for v in 0..state.len() as u32 {
-        writeln!(
-            w,
-            "{:016x} {:016x}",
-            state.p(v).to_bits(),
-            state.r(v).to_bits()
-        )?;
+    let mut buf = Vec::with_capacity(HEADER + 16 * state.len() + 4);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&cfg.source.to_le_bytes());
+    for word in [cfg.alpha.to_bits(), cfg.epsilon.to_bits(), state.len() as u64] {
+        buf.extend_from_slice(&word.to_le_bytes());
     }
-    let crc = w.crc.finish();
-    // The trailer itself is outside the checksummed range.
-    writeln!(w.inner, "crc32 {crc:08x}")?;
-    w.inner.flush()
+    for x in state.p_atomics().iter().chain(state.r_atomics()) {
+        buf.extend_from_slice(&x.load().to_bits().to_le_bytes());
+    }
+    let crc = crc32(&buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    w.write_all(&buf)?;
+    w.flush()
 }
 
-/// Reads a snapshot back (v1 or v2). The returned state is bit-identical
-/// to the one written; a v2 snapshot whose bytes do not match its trailer
-/// is rejected as [`io::ErrorKind::InvalidData`].
+/// Reads a v3 snapshot back. The returned state is bit-identical to the
+/// one written; anything else — a foreign or older format, a length that
+/// disagrees with the header, a checksum mismatch, invalid parameters — is
+/// rejected as [`io::ErrorKind::InvalidData`] before the state is
+/// allocated.
 pub fn read_state<R: Read>(mut r: R) -> io::Result<PprState> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
-    let text = std::str::from_utf8(&bytes)
-        .map_err(|_| bad("snapshot is not valid UTF-8".into()))?;
-
-    let magic_end = text.find('\n').ok_or_else(|| bad("unexpected EOF reading header".into()))?;
-    let body = match text[..magic_end].trim() {
-        MAGIC_V1 => &text[magic_end + 1..],
-        MAGIC_V2 => {
-            // Split off the trailer line and verify it covers the rest.
-            let content = text.strip_suffix('\n').unwrap_or(text);
-            let trailer_at = content
-                .rfind('\n')
-                .ok_or_else(|| bad("unexpected EOF reading crc32 trailer".into()))?;
-            let trailer = &content[trailer_at + 1..];
-            let expected = trailer
-                .strip_prefix("crc32 ")
-                .ok_or_else(|| bad(format!("malformed crc32 trailer {trailer:?}")))?;
-            let expected = u32::from_str_radix(expected.trim(), 16)
-                .map_err(|_| bad(format!("malformed crc32 trailer {trailer:?}")))?;
-            let covered = &text.as_bytes()[..trailer_at + 1];
-            let actual = crc32(covered);
-            if actual != expected {
-                return Err(bad(format!(
-                    "snapshot checksum mismatch: stored {expected:08x}, computed {actual:08x}"
-                )));
-            }
-            &text[magic_end + 1..trailer_at + 1]
-        }
-        other => return Err(bad(format!("bad magic {other:?}"))),
-    };
-
-    let mut lines = body.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| bad("unexpected EOF reading config".into()))?;
-    let tokens: Vec<&str> = header.split_whitespace().collect();
-    if tokens.len() != 8
-        || tokens[0] != "source"
-        || tokens[2] != "alpha"
-        || tokens[4] != "epsilon"
-        || tokens[6] != "len"
-    {
-        return Err(bad(format!("malformed config line {header:?}")));
+    if !bytes.starts_with(MAGIC) {
+        return Err(bad("not a dppr-state v3 snapshot (bad magic)".into()));
     }
-    let source: u32 = tokens[1].parse().map_err(|_| bad("bad source".into()))?;
-    let alpha = f64::from_bits(parse_hex(tokens[3])?);
-    let epsilon = f64::from_bits(parse_hex(tokens[5])?);
-    let len: usize = tokens[7].parse().map_err(|_| bad("bad len".into()))?;
-    if !(alpha > 0.0 && alpha < 1.0) || epsilon <= 0.0 {
+    let header = bytes
+        .get(..HEADER)
+        .ok_or_else(|| bad(format!("snapshot of {} bytes ends inside its header", bytes.len())))?;
+    let len = le_u64(&header[HEADER - 8..]);
+    let expected = usize::try_from(len)
+        .ok()
+        .and_then(|n| n.checked_mul(16))
+        .and_then(|n| n.checked_add(HEADER + 4));
+    if expected != Some(bytes.len()) {
+        return Err(bad(format!(
+            "snapshot holds {} bytes, but its header says len {len}",
+            bytes.len()
+        )));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - 4);
+    let stored = u32::from_le_bytes(trailer.try_into().expect("a 4-byte trailer"));
+    let actual = crc32(body);
+    if actual != stored {
+        return Err(bad(format!(
+            "snapshot checksum mismatch: stored {stored:08x}, computed {actual:08x}"
+        )));
+    }
+
+    let source = u32::from_le_bytes(header[MAGIC.len()..][..4].try_into().expect("4 bytes"));
+    let alpha = f64::from_bits(le_u64(&header[MAGIC.len() + 4..]));
+    let epsilon = f64::from_bits(le_u64(&header[MAGIC.len() + 12..]));
+    if !(alpha > 0.0 && alpha < 1.0 && epsilon > 0.0) {
         return Err(bad(format!("invalid parameters α={alpha} ε={epsilon}")));
+    }
+    // Every state materializes its source, so a genuine snapshot stores
+    // it; this also bounds `PprState::new`'s allocation by the file size.
+    let len = len as usize; // fits: the length check above converted it
+    if source as usize >= len {
+        return Err(bad(format!("source {source} lies outside the {len} stored rows")));
     }
     let mut state = PprState::new(PprConfig::new(source, alpha, epsilon));
     state.ensure_len(len);
-    for v in 0..len as u32 {
-        let line = lines
-            .next()
-            .ok_or_else(|| bad(format!("unexpected EOF reading vertex row {v} of {len}")))?;
-        let mut it = line.split_whitespace();
-        let p = f64::from_bits(parse_hex(
-            it.next().ok_or_else(|| bad("missing p".into()))?,
-        )?);
-        let r = f64::from_bits(parse_hex(
-            it.next().ok_or_else(|| bad("missing r".into()))?,
-        )?);
-        state.set_p(v, p);
-        state.set_r(v, r);
+    let (p, r) = body[HEADER..].split_at(8 * len);
+    for (slots, words) in [(state.p_atomics(), p), (state.r_atomics(), r)] {
+        for (slot, word) in slots.iter().zip(words.chunks_exact(8)) {
+            slot.store(f64::from_bits(le_u64(word)));
+        }
     }
     Ok(state)
 }
@@ -210,8 +172,9 @@ pub fn state_fingerprint(state: &PprState) -> u64 {
     h
 }
 
-fn parse_hex(tok: &str) -> io::Result<u64> {
-    u64::from_str_radix(tok, 16).map_err(|_| bad(format!("bad hex field {tok:?}")))
+/// The little-endian `u64` at the start of `b`.
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("an 8-byte field"))
 }
 
 fn bad(msg: String) -> io::Error {
@@ -227,6 +190,8 @@ mod tests {
     use crate::variants::PushVariant;
     use dppr_graph::generators::erdos_renyi;
     use dppr_graph::{DynamicGraph, EdgeUpdate};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn converged_pair() -> (DynamicGraph, PprState) {
         let cfg = PprConfig::new(0, 0.15, 1e-4);
@@ -244,12 +209,24 @@ mod tests {
         (g, st)
     }
 
+    fn encoded(st: &PprState) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_state(st, &mut buf).unwrap();
+        buf
+    }
+
+    /// Recomputes the CRC trailer after a test edited the covered bytes,
+    /// so only the checks behind the checksum can catch the edit.
+    fn reseal(bytes: &mut [u8]) {
+        let at = bytes.len() - 4;
+        let crc = crc32(&bytes[..at]);
+        bytes[at..].copy_from_slice(&crc.to_le_bytes());
+    }
+
     #[test]
     fn roundtrip_is_bit_identical() {
         let (_, st) = converged_pair();
-        let mut buf = Vec::new();
-        write_state(&st, &mut buf).unwrap();
-        let back = read_state(&buf[..]).unwrap();
+        let back = read_state(&encoded(&st)[..]).unwrap();
         assert_eq!(back.config(), st.config());
         assert_eq!(back.len(), st.len());
         assert_eq!(back.estimates(), st.estimates());
@@ -258,37 +235,23 @@ mod tests {
     }
 
     #[test]
-    fn v2_has_verified_trailer() {
+    fn v3_has_verified_trailer() {
         let (_, st) = converged_pair();
-        let mut buf = Vec::new();
-        write_state(&st, &mut buf).unwrap();
-        let text = std::str::from_utf8(&buf).unwrap();
-        assert!(text.starts_with("dppr-state v2\n"));
-        let trailer = text.lines().last().unwrap();
-        assert!(trailer.starts_with("crc32 "), "missing trailer: {trailer:?}");
+        let buf = encoded(&st);
+        assert!(buf.starts_with(b"dppr-state v3\n"));
+        assert_eq!(buf.len(), HEADER + 16 * st.len() + 4);
+        let (body, trailer) = buf.split_at(buf.len() - 4);
+        assert_eq!(trailer, crc32(body).to_le_bytes());
+        // The vectors sit in the body as plain little-endian bit patterns.
+        let p1 = &buf[HEADER + 8..HEADER + 16];
+        assert_eq!(p1, st.p(1).to_bits().to_le_bytes());
         // Any single corrupted byte in the covered range must be caught.
         let mut torn = buf.clone();
         let mid = torn.len() / 2;
-        torn[mid] ^= 0x20; // flips hex-digit case/value, still UTF-8
+        torn[mid] ^= 0x20;
         let err = read_state(&torn[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "{err}");
-    }
-
-    #[test]
-    fn v1_without_trailer_still_loads() {
-        let (_, st) = converged_pair();
-        let mut buf = Vec::new();
-        write_state(&st, &mut buf).unwrap();
-        // Rewrite the v2 bytes as their v1 equivalent: swap the magic,
-        // drop the trailer.
-        let text = std::str::from_utf8(&buf).unwrap();
-        let body_end = text.rfind("crc32 ").unwrap();
-        let v1 = format!("{MAGIC_V1}\n{}", &text[MAGIC_V2.len() + 1..body_end]);
-        let back = read_state(v1.as_bytes()).unwrap();
-        assert_eq!(back.estimates(), st.estimates());
-        assert_eq!(back.residuals(), st.residuals());
-        assert_eq!(state_fingerprint(&back), state_fingerprint(&st));
     }
 
     #[test]
@@ -297,9 +260,7 @@ mod tests {
         // ever applied (PprState::new always materializes source+1 rows).
         let st = PprState::new(PprConfig::new(0, 0.3, 1e-3));
         assert_eq!(st.len(), 1);
-        let mut buf = Vec::new();
-        write_state(&st, &mut buf).unwrap();
-        let back = read_state(&buf[..]).unwrap();
+        let back = read_state(&encoded(&st)[..]).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back.config(), st.config());
         assert_eq!(state_fingerprint(&back), state_fingerprint(&st));
@@ -307,19 +268,11 @@ mod tests {
 
     #[test]
     fn truncated_header_is_clean_error() {
-        // Every prefix of a valid snapshot that cuts into the header lines
-        // must fail with InvalidData, never panic.
+        // Every prefix of a valid snapshot that cuts into the header must
+        // fail with InvalidData, never panic.
         let (_, st) = converged_pair();
-        let mut buf = Vec::new();
-        write_state(&st, &mut buf).unwrap();
-        let second_newline = buf
-            .iter()
-            .enumerate()
-            .filter(|&(_, &b)| b == b'\n')
-            .map(|(i, _)| i)
-            .nth(1)
-            .unwrap();
-        for cut in [0, 5, MAGIC_V2.len(), MAGIC_V2.len() + 1, second_newline] {
+        let buf = encoded(&st);
+        for cut in [0, 5, MAGIC.len() - 1, MAGIC.len(), HEADER - 1, HEADER] {
             let err = read_state(&buf[..cut]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
         }
@@ -327,35 +280,71 @@ mod tests {
 
     #[test]
     fn len_field_body_mismatch_is_clean_error() {
-        // A header that promises more rows than the body holds (v1, so no
-        // checksum catches it first) must fail on the missing row.
-        let claims_three = format!(
-            "{MAGIC_V1}\nsource 0 alpha {:016x} epsilon {:016x} len 3\n{:016x} {:016x}\n",
-            0.15f64.to_bits(),
-            1e-4f64.to_bits(),
-            0.5f64.to_bits(),
-            0.0f64.to_bits()
-        );
-        let err = read_state(claims_three.as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("vertex row"), "{err}");
-        // A row with only one field is caught too.
-        let half_row = format!(
-            "{MAGIC_V1}\nsource 0 alpha {:016x} epsilon {:016x} len 1\n{:016x}\n",
-            0.15f64.to_bits(),
-            1e-4f64.to_bits(),
-            0.5f64.to_bits()
-        );
-        let err = read_state(half_row.as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A header whose `len` disagrees with the body, under a *valid*
+        // checksum, is refused by the length check before anything is
+        // allocated for it (`u64::MAX` rows would abort the process).
+        let (_, st) = converged_pair();
+        let clean = encoded(&st);
+        let len = st.len() as u64;
+        for lie in [len + 1, len - 1, u64::MAX] {
+            let mut buf = clean.clone();
+            buf[HEADER - 8..HEADER].copy_from_slice(&lie.to_le_bytes());
+            reseal(&mut buf);
+            let err = read_state(&buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "len {lie}");
+            assert!(err.to_string().contains("header says len"), "{err}");
+        }
+        // A sealed header naming a source outside the rows, or a NaN ε,
+        // is refused by the parameter checks.
+        let mut far_source = clean.clone();
+        far_source[MAGIC.len()..][..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut nan_epsilon = clean.clone();
+        nan_epsilon[MAGIC.len() + 12..][..8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        for mut buf in [far_source, nan_epsilon] {
+            reseal(&mut buf);
+            let err = read_state(&buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+    }
+
+    #[test]
+    fn hostile_bytes_give_an_error_or_the_same_state() {
+        // Seeded mutations of a small snapshot: every truncation, then
+        // random byte flips confined to the header, the body and the
+        // trailer in turn. Each must be a clean InvalidData or load the
+        // bit-identical state (flips that cancel out).
+        let (_, st) = converged_pair();
+        let clean = encoded(&st);
+        let want = state_fingerprint(&st);
+        let check = |bytes: &[u8], what: &dyn Fn() -> String| match read_state(bytes) {
+            Ok(back) => assert_eq!(state_fingerprint(&back), want, "{} loaded", what()),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{}: {e}", what()),
+        };
+        for cut in 0..clean.len() {
+            check(&clean[..cut], &|| format!("truncation to {cut}"));
+        }
+        let mut longer = clean.clone();
+        longer.push(0);
+        check(&longer, &|| "one appended byte".into());
+
+        let mut rng = SmallRng::seed_from_u64(0xBAD_B17E);
+        let end = clean.len();
+        let regions = [("header", 0, HEADER), ("body", HEADER, end - 4), ("trailer", end - 4, end)];
+        for (region, lo, hi) in regions {
+            for case in 0..300 {
+                let mut m = clean.clone();
+                for _ in 0..rng.gen_range(1..=4) {
+                    m[rng.gen_range(lo..hi)] ^= rng.gen_range(1..=255u8);
+                }
+                check(&m, &|| format!("{region} flip case {case}"));
+            }
+        }
     }
 
     #[test]
     fn restored_state_resumes_maintenance() {
         let (mut g, st) = converged_pair();
-        let mut buf = Vec::new();
-        write_state(&st, &mut buf).unwrap();
-        let mut resumed = read_state(&buf[..]).unwrap();
+        let mut resumed = read_state(&encoded(&st)[..]).unwrap();
         // Keep updating through the resumed state.
         let c = Counters::new();
         let mut seeds = Vec::new();
@@ -375,12 +364,13 @@ mod tests {
         let (_, st) = converged_pair();
         let dir = std::env::temp_dir().join("dppr_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.dppr");
+        let path = dir.join("state.bin");
         save_state(&st, &path).unwrap();
         let back = load_state(&path).unwrap();
         assert_eq!(back.estimates(), st.estimates());
+        assert_eq!(state_fingerprint(&back), state_fingerprint(&st));
         // The staging file was renamed away, not left behind.
-        assert!(!dir.join("state.dppr.tmp").exists());
+        assert!(!dir.join("state.bin.tmp").exists());
         std::fs::remove_file(&path).ok();
     }
 
@@ -389,7 +379,7 @@ mod tests {
         let (_, st) = converged_pair();
         let dir = std::env::temp_dir().join("dppr_persist_atomic_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.dppr");
+        let path = dir.join("state.bin");
         // Round-trip over an existing file (the rename overwrites).
         save_state(&st, &path).unwrap();
         save_state(&st, &path).unwrap();
@@ -410,25 +400,24 @@ mod tests {
     #[test]
     fn rejects_corrupt_input() {
         assert!(read_state(&b"nonsense"[..]).is_err());
-        assert!(read_state(&b"dppr-state v1\nsource x alpha 0 epsilon 0 len 0\n"[..]).is_err());
-        assert!(read_state(&[0xFF, 0xFE, b'\n'][..]).is_err()); // not UTF-8
-        // Truncated vertex rows.
+        assert!(read_state(&[0xFF, 0xFE, b'\n'][..]).is_err());
+        // Truncated vectors.
         let (_, st) = converged_pair();
-        let mut buf = Vec::new();
-        write_state(&st, &mut buf).unwrap();
+        let mut buf = encoded(&st);
         buf.truncate(buf.len() / 2);
         assert!(read_state(&buf[..]).is_err());
-        // Special values survive.
+        // Special values survive, NaN payload bits included.
+        let nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
         let cfg = PprConfig::new(0, 0.5, 0.1);
         let mut tiny = PprState::new(cfg);
-        tiny.ensure_len(2);
+        tiny.ensure_len(3);
         tiny.set_p(1, f64::MIN_POSITIVE);
         tiny.set_r(1, -0.0);
-        let mut buf = Vec::new();
-        write_state(&tiny, &mut buf).unwrap();
-        let back = read_state(&buf[..]).unwrap();
+        tiny.set_r(2, nan);
+        let back = read_state(&encoded(&tiny)[..]).unwrap();
         assert_eq!(back.p(1).to_bits(), f64::MIN_POSITIVE.to_bits());
         assert_eq!(back.r(1).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back.r(2).to_bits(), nan.to_bits());
     }
 
     #[test]

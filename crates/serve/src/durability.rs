@@ -4,11 +4,11 @@
 //! directory `ckpt-<epoch>` and (b) the WAL tail past that epoch. A
 //! checkpoint captures everything recovery needs:
 //!
-//! * `MANIFEST` — version line, epoch, window bounds (logical stream
-//!   positions), the open source list, and a CRC32 trailer over all
-//!   preceding bytes;
-//! * one `state-<source>.tsv` per open session, in the `core::persist`
-//!   v2 format (its own CRC trailer).
+//! * `MANIFEST` — a small text file: the version line `dppr-ckpt v2`,
+//!   epoch, window bounds (logical stream positions), the open source
+//!   list, and a CRC32 trailer over all preceding bytes;
+//! * one `state-<source>.bin` per open session, in the binary
+//!   `core::persist` v3 format (its own CRC trailer).
 //!
 //! Checkpoints are written crash-atomically: everything goes into a
 //! staging directory `ckpt.tmp-<epoch>` first, each file is fsynced, and
@@ -17,7 +17,11 @@
 //! hybrid. Loading walks `ckpt-*` newest-first and takes the first one
 //! that validates, so a corrupt newest checkpoint silently falls back to
 //! its predecessor (whose WAL tail is still retained, because segments
-//! are pruned only up to the *acknowledged* durable epoch).
+//! are pruned only up to the *acknowledged* durable epoch). A valid
+//! `dppr-ckpt v1` manifest — a checkpoint in the text state format of
+//! older builds — is not skipped but refused with an error, so a data
+//! directory written by an older version is never mistaken for a fresh
+//! one and bootstrapped over.
 
 use dppr_core::persist::{read_state, write_state};
 use dppr_core::{crc32, PprState};
@@ -28,7 +32,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// First line of every checkpoint manifest.
-const MANIFEST_MAGIC: &str = "dppr-ckpt v1";
+const MANIFEST_MAGIC: &str = "dppr-ckpt v2";
+/// First line of the manifests older builds wrote next to text state
+/// files; such a checkpoint is refused, not skipped.
+const TEXT_MANIFEST_MAGIC: &str = "dppr-ckpt v1";
 
 /// Durability knobs for a serving instance.
 #[derive(Debug, Clone)]
@@ -94,6 +101,10 @@ fn ckpt_path(data_dir: &Path, epoch: u64) -> PathBuf {
     data_dir.join(format!("ckpt-{epoch}"))
 }
 
+fn state_file(source: u32) -> String {
+    format!("state-{source}.bin")
+}
+
 fn parse_ckpt_epoch(name: &str) -> Option<u64> {
     name.strip_prefix("ckpt-")?.parse().ok()
 }
@@ -130,7 +141,7 @@ pub fn write_checkpoint(
     for (i, st) in states.iter().enumerate() {
         let source = st.config().source;
         manifest.push_str(&format!("source {source}\n"));
-        let mut f = File::create(stage.join(format!("state-{source}.tsv")))?;
+        let mut f = File::create(stage.join(state_file(source)))?;
         write_state(st, &mut f)?;
         f.sync_data()?;
         if i == 0 {
@@ -153,7 +164,9 @@ pub fn write_checkpoint(
 }
 
 /// Loads one checkpoint directory, validating the manifest CRC, the
-/// listed sources, and every per-state file (v2 trailer).
+/// listed sources, and every per-state file (v3 length and trailer). A
+/// valid manifest of the text-format version is an
+/// [`io::ErrorKind::Unsupported`] error, which the caller must not skip.
 fn load_checkpoint_dir(dir: &Path) -> io::Result<LoadedCheckpoint> {
     let mut bytes = Vec::new();
     File::open(dir.join("MANIFEST"))?.read_to_end(&mut bytes)?;
@@ -173,8 +186,21 @@ fn load_checkpoint_dir(dir: &Path) -> io::Result<LoadedCheckpoint> {
     }
 
     let mut lines = body.lines();
-    if lines.next() != Some(MANIFEST_MAGIC) {
-        return Err(bad("bad manifest magic"));
+    match lines.next() {
+        Some(MANIFEST_MAGIC) => {}
+        Some(TEXT_MANIFEST_MAGIC) => {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!(
+                    "checkpoint {} is a {TEXT_MANIFEST_MAGIC} checkpoint: its state files are in \
+                     the text format of older builds, which this version does not read — \
+                     recover the data directory with the version that wrote it, or point \
+                     --data-dir at an empty directory",
+                    dir.display()
+                ),
+            ))
+        }
+        _ => return Err(bad("bad manifest magic")),
     }
     let field = |line: Option<&str>, key: &str| -> io::Result<String> {
         line.and_then(|l| l.strip_prefix(key))
@@ -198,11 +224,11 @@ fn load_checkpoint_dir(dir: &Path) -> io::Result<LoadedCheckpoint> {
     }
     let count: usize =
         field(lines.next(), "sources ")?.parse().map_err(|_| bad("bad sources field"))?;
-    let mut states = Vec::with_capacity(count);
+    let mut states = Vec::new();
     for _ in 0..count {
         let source: u32 =
             field(lines.next(), "source ")?.parse().map_err(|_| bad("bad source field"))?;
-        let st = read_state(File::open(dir.join(format!("state-{source}.tsv")))?)?;
+        let st = read_state(File::open(dir.join(state_file(source)))?)?;
         if st.config().source != source {
             return Err(bad(format!(
                 "state file claims source {}, manifest says {source}",
@@ -217,7 +243,10 @@ fn load_checkpoint_dir(dir: &Path) -> io::Result<LoadedCheckpoint> {
 /// Finds and loads the newest valid checkpoint under `data_dir`:
 /// candidates are tried newest-first and invalid ones are skipped with a
 /// note on stderr (a crash mid-checkpoint must not block recovery from
-/// the previous one). `Ok(None)` means a genuinely fresh data dir.
+/// the previous one). `Ok(None)` means a genuinely fresh data dir. A
+/// checkpoint an older build wrote in the text state format is an error:
+/// skipping it would make the directory look fresh, and a fresh boot
+/// deletes the WAL.
 pub fn load_latest_checkpoint(data_dir: &Path) -> io::Result<Option<LoadedCheckpoint>> {
     let mut epochs: Vec<u64> = match fs::read_dir(data_dir) {
         Ok(rd) => rd
@@ -234,6 +263,7 @@ pub fn load_latest_checkpoint(data_dir: &Path) -> io::Result<Option<LoadedCheckp
                 debug_assert_eq!(ck.epoch, epoch);
                 return Ok(Some(ck));
             }
+            Err(e) if e.kind() == io::ErrorKind::Unsupported => return Err(e),
             Err(e) => {
                 eprintln!("dppr-serve: skipping invalid checkpoint ckpt-{epoch}: {e}");
             }
@@ -264,6 +294,8 @@ mod tests {
     use dppr_core::persist::state_fingerprint;
     use dppr_core::{MultiSourcePpr, PushVariant};
     use dppr_graph::{generators::erdos_renyi, DynamicGraph, EdgeUpdate};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     static DIR_ID: AtomicU32 = AtomicU32::new(0);
@@ -327,7 +359,7 @@ mod tests {
         assert_eq!(ck.epoch, 3);
 
         // Corrupt a *state file* of epoch 3 too: nothing valid remains.
-        let s = dir.join("ckpt-3").join("state-2.tsv");
+        let s = dir.join("ckpt-3").join("state-2.bin");
         let mut bytes = fs::read(&s).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
@@ -364,6 +396,57 @@ mod tests {
     fn missing_dir_is_fresh() {
         let dir = test_dir("fresh").join("does-not-exist");
         assert!(load_latest_checkpoint(&dir).unwrap().is_none());
+    }
+
+    #[test]
+    fn hostile_checkpoint_bytes_load_the_same_state_or_fall_back() {
+        // Seeded mutations of the newer of two checkpoints: every
+        // truncation of each of its files, random byte flips in each, and
+        // a flip at every manifest byte. Every case must load the newer
+        // checkpoint bit-identically or fall back to the older one.
+        let dir = test_dir("hostile");
+        let older = converged_states(&[0, 5]);
+        let newer = converged_states(&[1, 5]);
+        write_checkpoint(&dir, 3, (0, 50), &older).unwrap();
+        write_checkpoint(&dir, 8, (50, 100), &newer).unwrap();
+        let fps = |states: &[PprState]| -> Vec<u64> {
+            states.iter().map(state_fingerprint).collect()
+        };
+        let (want_older, want_newer) = (fps(&older), fps(&newer));
+        let check = |what: &dyn Fn() -> String| {
+            let ck = load_latest_checkpoint(&dir).unwrap().expect("ckpt-3 is intact");
+            let want = if ck.epoch == 8 { &want_newer } else { &want_older };
+            assert!(ck.epoch == 8 || ck.epoch == 3, "{}: epoch {}", what(), ck.epoch);
+            assert_eq!(&fps(&ck.states), want, "{}: epoch {} differs", what(), ck.epoch);
+        };
+        let mut rng = SmallRng::seed_from_u64(0xC4EC4);
+        for name in ["MANIFEST", "state-1.bin", "state-5.bin"] {
+            let path = dir.join("ckpt-8").join(name);
+            let clean = fs::read(&path).unwrap();
+            for cut in 0..clean.len() {
+                fs::write(&path, &clean[..cut]).unwrap();
+                check(&|| format!("{name} cut to {cut}"));
+            }
+            for case in 0..100 {
+                let mut m = clean.clone();
+                for _ in 0..rng.gen_range(1..=4) {
+                    m[rng.gen_range(0..clean.len())] ^= rng.gen_range(1..=255u8);
+                }
+                fs::write(&path, &m).unwrap();
+                check(&|| format!("{name} flip case {case}"));
+            }
+            if name == "MANIFEST" {
+                for at in 0..clean.len() {
+                    let mut m = clean.clone();
+                    m[at] ^= rng.gen_range(1..=255u8);
+                    fs::write(&path, &m).unwrap();
+                    check(&|| format!("manifest byte {at} flipped"));
+                }
+            }
+            fs::write(&path, &clean).unwrap();
+        }
+        assert_eq!(load_latest_checkpoint(&dir).unwrap().unwrap().epoch, 8);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

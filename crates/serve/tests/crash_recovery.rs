@@ -218,3 +218,38 @@ fn data_directory_in_the_per_shard_layout_is_refused() {
     boot_probe(the_stream(), INIT, &SOURCES, &cfg(&dir)).expect("fresh boot");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A data directory whose checkpoint an older build wrote in the text
+/// state format (manifest `dppr-ckpt v1`) is refused, not treated as
+/// fresh: a fresh boot would delete the WAL the old checkpoint anchors.
+#[test]
+fn data_directory_with_text_format_checkpoints_is_refused() {
+    let dir = tmpdir("textckpt");
+    let body = "dppr-ckpt v1\nepoch 1\nwindow 0 100\nsources 1\nsource 0\n";
+    let manifest = format!("{body}crc32 {:08x}\n", dppr_core::crc32(body.as_bytes()));
+    std::fs::create_dir_all(dir.join("ckpt-1")).unwrap();
+    std::fs::write(dir.join("ckpt-1").join("MANIFEST"), manifest).unwrap();
+    let wal_dir = dppr_serve::durability::wal_dir(&dir);
+    let (mut wal, _) = Wal::open(&wal_dir, WalOptions::default()).unwrap();
+    wal.append(&WalRecord::Checkpoint { epoch: 1 }).unwrap();
+    wal.sync().unwrap();
+    drop(wal);
+    let wal_bytes = |d: &Path| -> Vec<Vec<u8>> {
+        let mut segs: Vec<_> = std::fs::read_dir(d).unwrap().map(|e| e.unwrap().path()).collect();
+        segs.sort();
+        segs.iter().map(|p| std::fs::read(p).unwrap()).collect()
+    };
+    let before = wal_bytes(&wal_dir);
+
+    let c = cfg(&dir);
+    for err in [
+        boot_probe(the_stream(), INIT, &SOURCES, &c).expect_err("probe must refuse"),
+        dppr_serve::start(the_stream(), INIT, &SOURCES, c.clone()).err().expect("start must refuse"),
+    ] {
+        let msg = err.to_string();
+        assert!(msg.contains("ckpt-1") && msg.contains("dppr-ckpt v1"), "names the cause: {msg}");
+    }
+    assert!(wal_dir.is_dir(), "a refused boot must not delete the log");
+    assert_eq!(wal_bytes(&wal_dir), before, "nor touch it");
+    std::fs::remove_dir_all(&dir).ok();
+}
