@@ -46,10 +46,10 @@ const ALPHA: f64 = 0.15;
 const EPSILON: f64 = 1e-4;
 const BATCH: usize = 40;
 const SOURCES: [VertexId; 2] = [0, 7];
-/// Sources for the 2-lane case: three sessions over two lanes, so both
-/// lanes own sessions when the kill lands.
+/// Sources for the multi-lane case: three sessions, so on a host of two or
+/// more cores the write loop pushes them over several lanes and each lane
+/// owns sessions when the kill lands.
 const LANE_SOURCES: [VertexId; 3] = [0, 7, 11];
-const LANES: usize = 2;
 const CKPT_EVERY: u64 = 4;
 // Small segments so rotation happens several times per run.
 const SEGMENT_BYTES: u64 = 3_072;
@@ -58,7 +58,7 @@ fn the_stream() -> GraphStream {
     presets::toy().stream(SEED)
 }
 
-fn serve_cfg(data_dir: &Path, lanes: usize) -> ServeConfig {
+fn serve_cfg(data_dir: &Path) -> ServeConfig {
     let mut d = DurabilityConfig::new(data_dir);
     d.fsync = FsyncPolicy::PerBatch;
     d.checkpoint_every_slides = CKPT_EVERY;
@@ -69,7 +69,6 @@ fn serve_cfg(data_dir: &Path, lanes: usize) -> ServeConfig {
         batch: BATCH,
         alpha: ALPHA,
         epsilon: EPSILON,
-        write_shards: lanes,
         durability: Some(d),
         ..ServeConfig::default()
     }
@@ -102,15 +101,14 @@ fn baseline_for(sources: &[VertexId]) -> Vec<Vec<(VertexId, u64)>> {
 /// down gracefully (exit 0). With `die_after_slides > 0` it instead
 /// hard-exits (code 86, no WAL flush, no final checkpoint) once that
 /// many slides have been applied — the "kill -9 between batches" point.
-/// With `DPPR_CRASH` set, the injected site exits 86 on its own. With
-/// `lanes > 1` the write loop pushes `LANE_SOURCES` over that many lanes.
-fn run_child(data_dir: &Path, die_after_slides: u64, lanes: usize) -> ! {
-    let mut cfg = serve_cfg(data_dir, lanes);
+/// With `DPPR_CRASH` set, the injected site exits 86 on its own.
+fn run_child(data_dir: &Path, die_after_slides: u64, sources: &[VertexId]) -> ! {
+    let mut cfg = serve_cfg(data_dir);
     // Freeze the write loop at the kill point rather than racing it: a
     // fast slide loop must not run the stream dry before the poll below
     // notices the threshold and hard-exits.
     cfg.max_slides = die_after_slides as usize;
-    let handle = dppr_serve::start(the_stream(), INIT_FRACTION, sources_for(lanes), cfg)
+    let handle = dppr_serve::start(the_stream(), INIT_FRACTION, sources, cfg)
         .unwrap_or_else(|e| {
             eprintln!("child: start failed: {e}");
             std::process::exit(3);
@@ -198,17 +196,8 @@ struct Case {
     die_after_slides: u64,
     /// Post-mortem filesystem damage.
     corrupt: Option<fn(&Path)>,
-    /// Push lanes of the child and of the recovering probe.
-    lanes: usize,
-}
-
-/// The sessions a `lanes`-lane case maintains.
-fn sources_for(lanes: usize) -> &'static [VertexId] {
-    if lanes > 1 {
-        &LANE_SOURCES
-    } else {
-        &SOURCES
-    }
+    /// Sessions of the child and of the recovering probe.
+    sources: &'static [VertexId],
 }
 
 impl Case {
@@ -218,7 +207,7 @@ impl Case {
             crash: format!("{site}:{nth}"),
             die_after_slides: 0,
             corrupt: None,
-            lanes: 1,
+            sources: &SOURCES,
         }
     }
 
@@ -228,7 +217,7 @@ impl Case {
             crash: String::new(),
             die_after_slides: 10,
             corrupt: Some(corrupt),
-            lanes: 1,
+            sources: &SOURCES,
         }
     }
 }
@@ -283,10 +272,9 @@ struct Outcome {
     error: Option<String>,
 }
 
-fn probe_now(data_dir: &Path, lanes: usize) -> std::io::Result<(BootProbe, f64)> {
+fn probe_now(data_dir: &Path, sources: &[VertexId]) -> std::io::Result<(BootProbe, f64)> {
     let t = Instant::now();
-    let cfg = serve_cfg(data_dir, lanes);
-    let probe = boot_probe(the_stream(), INIT_FRACTION, sources_for(lanes), &cfg)?;
+    let probe = boot_probe(the_stream(), INIT_FRACTION, sources, &serve_cfg(data_dir))?;
     Ok((probe, t.elapsed().as_secs_f64() * 1e3))
 }
 
@@ -312,7 +300,8 @@ fn check_case(case: &Case, base: &[Vec<(VertexId, u64)>], root: &Path) -> Outcom
     if case.die_after_slides > 0 {
         cmd.arg("--die-after-slides").arg(case.die_after_slides.to_string());
     }
-    cmd.arg("--lanes").arg(case.lanes.to_string());
+    let csv: Vec<String> = case.sources.iter().map(ToString::to_string).collect();
+    cmd.arg("--sources").arg(csv.join(","));
     let child = match cmd.output() {
         Ok(o) => o,
         Err(e) => {
@@ -338,7 +327,7 @@ fn check_case(case: &Case, base: &[Vec<(VertexId, u64)>], root: &Path) -> Outcom
     }
 
     // 3. Recover and compare against the baseline.
-    let (probe, ms) = match probe_now(&data_dir, case.lanes) {
+    let (probe, ms) = match probe_now(&data_dir, case.sources) {
         Ok(v) => v,
         Err(e) => {
             out.error = Some(format!("recovery failed: {e}"));
@@ -381,7 +370,7 @@ fn check_case(case: &Case, base: &[Vec<(VertexId, u64)>], root: &Path) -> Outcom
 
     // 4. Recovery must be idempotent (the probe itself re-appends the
     //    checkpoint marker and prunes — run it again on the result).
-    match probe_now(&data_dir, case.lanes) {
+    match probe_now(&data_dir, case.sources) {
         Ok((again, _)) => {
             if again.epoch != probe.epoch || again.fingerprints != probe.fingerprints {
                 out.error = Some("second recovery disagreed with the first".into());
@@ -408,7 +397,7 @@ fn check_resume_to_completion(base: &[Vec<(VertexId, u64)>], root: &Path) -> Opt
     }
     // Recover inside a real server and run the stream dry.
     let handle =
-        match dppr_serve::start(the_stream(), INIT_FRACTION, &SOURCES, serve_cfg(&data_dir, 1)) {
+        match dppr_serve::start(the_stream(), INIT_FRACTION, &SOURCES, serve_cfg(&data_dir)) {
             Ok(h) => h,
             Err(e) => return Some(format!("restart failed: {e}")),
         };
@@ -423,7 +412,7 @@ fn check_resume_to_completion(base: &[Vec<(VertexId, u64)>], root: &Path) -> Opt
         return Some(format!("resumed run ended at epoch {}, baseline {}", report.epoch, base.len()));
     }
     // The graceful join checkpointed the final epoch; probe it.
-    match probe_now(&data_dir, 1) {
+    match probe_now(&data_dir, &SOURCES) {
         Ok((probe, _)) => {
             if probe.fingerprints != *base.last().unwrap() {
                 return Some("final state after resume diverged from baseline".into());
@@ -434,17 +423,18 @@ fn check_resume_to_completion(base: &[Vec<(VertexId, u64)>], root: &Path) -> Opt
     }
 }
 
-/// Kills a 2-lane server between batches, mid-stream, and recovers it
-/// through the same probe and the same assertions as every other case:
-/// tail-only replay, fingerprints bit-identical to the uncrashed one-lane
-/// baseline of the same three sources, idempotent second recovery.
+/// Kills a three-session server between batches, mid-stream, and
+/// recovers it through the same probe and the same assertions as every
+/// other case: tail-only replay, fingerprints bit-identical to the
+/// uncrashed baseline of the same three sources, idempotent second
+/// recovery.
 fn check_lanes_kill(root: &Path) -> Outcome {
     let case = Case {
-        name: format!("lanes-kill-{LANES}"),
+        name: "lanes-kill".into(),
         crash: String::new(),
         die_after_slides: 12,
         corrupt: None,
-        lanes: LANES,
+        sources: &LANE_SOURCES,
     };
     check_case(&case, &baseline_for(&LANE_SOURCES), root)
 }
@@ -460,12 +450,14 @@ fn main() {
             .position(|a| a == "--die-after-slides")
             .and_then(|j| args.get(j + 1))
             .map_or(0, |v| v.parse().expect("--die-after-slides <n>"));
-        let lanes = args
+        let sources: Vec<VertexId> = args
             .iter()
-            .position(|a| a == "--lanes")
+            .position(|a| a == "--sources")
             .and_then(|j| args.get(j + 1))
-            .map_or(1, |v| v.parse().expect("--lanes <n>"));
-        run_child(&data_dir, die, lanes);
+            .map_or(SOURCES.to_vec(), |v| {
+                v.split(',').map(|s| s.parse().expect("--sources <v,v,...>")).collect()
+            });
+        run_child(&data_dir, die, &sources);
     }
     let root = std::env::temp_dir().join(format!("dppr_crash_{}", std::process::id()));
     std::fs::create_dir_all(&root).expect("creating scratch dir");
@@ -506,7 +498,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "crash_recovery: {} cases (the last a {LANES}-lane kill) + resume-to-completion all ok",
+        "crash_recovery: {} cases (the last a multi-lane kill) + resume-to-completion all ok",
         outcomes.len()
     );
 }

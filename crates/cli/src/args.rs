@@ -299,7 +299,6 @@ mod tests {
             "--read-timeout-ms", "5000", "--write-timeout-ms", "8000",
             "--shed-after-ms", "250",
             "--trace-sample", "10", "--trace-capacity", "512",
-            "--write-shards", "4",
             "--audit-sample", "8", "--audit-interval-ms", "250",
             "--slo-p99-ms", "50", "--slo-availability", "0.999",
             "--slo-topk-overlap", "0.9",
@@ -322,7 +321,6 @@ mod tests {
         assert_eq!(a.get_parsed("shed-after-ms", 0u64).unwrap(), 250);
         assert_eq!(a.get_parsed("trace-sample", 0u64).unwrap(), 10);
         assert_eq!(a.get_parsed("trace-capacity", 1024usize).unwrap(), 512);
-        assert_eq!(a.get_parsed("write-shards", 1usize).unwrap(), 4);
         assert_eq!(a.get_parsed("audit-sample", 0usize).unwrap(), 8);
         assert_eq!(a.get_parsed("audit-interval-ms", 500u64).unwrap(), 250);
         assert_eq!(a.get_finite("slo-p99-ms", 0.0).unwrap(), 50.0);

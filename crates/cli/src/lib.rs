@@ -68,9 +68,6 @@ COMMANDS
              [--seed S]  [--read-timeout-ms MS (10000)]
              [--write-timeout-ms MS (10000)]  [--shed-after-ms MS (1000;
              0 = never shed)]
-             [--write-shards N (1; push lanes: the one write loop pushes
-             its sessions in N chunks side by side, cores/N threads each;
-             one graph, WAL and epoch; answers identical for any N)]
              [--data-dir DIR (durable WAL + checkpoints; restart recovers
              checkpoint + log tail)]  [--fsync batch|off|interval:MS
              (interval:50)]  [--checkpoint-every N (64 slides)]
@@ -87,7 +84,8 @@ COMMANDS
              Connections are HTTP/1.1 keep-alive, accepted and served by
              poll(2) event-loop shards; queries answer 503 + Retry-After
              while a slide lags past --shed-after-ms or the latency SLO
-             burns.
+             burns. The one write loop spreads each slide's session
+             pushes and snapshot builds over every core (no setting).
              SIGTERM/SIGINT drain connections, flush the WAL, write a
              final checkpoint, and dump the trace ring to stderr.
              Endpoints: /topk?source=S&k=K  /score?source=S&v=V

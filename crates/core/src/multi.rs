@@ -9,19 +9,22 @@
 //! updated against the same graph. The pushes of different sources are
 //! independent — each writes its own state and only reads the graph — so
 //! [`MultiSourcePpr::apply_batch`] mutates the graph once and then spreads
-//! the sessions over `lanes` contiguous chunks of one
-//! [`fan_out_chunks`]: sources go to workers, the graph is not copied per
-//! worker (the scaling of Lin's distributed fully-personalized PageRank).
-//! One lane, the default, is a plain loop on the calling thread.
+//! the sessions over every core: `min(cores, sessions)` lanes claim them
+//! one at a time from a shared queue, the graph is not copied per lane
+//! (the scaling of Lin's distributed fully-personalized PageRank). The
+//! core budget is split, not multiplied, so with at least as many
+//! sessions as cores every push is a one-thread, bit-reproducible
+//! schedule.
 
 use crate::config::PprConfig;
 use crate::counters::Counters;
-use crate::fanout::{default_threads, fan_out_chunks};
+use crate::fanout::{default_threads, fan_out};
 use crate::invariant::restore_invariant_with_degree;
 use crate::par::{parallel_local_push, parallel_local_push_opts, ParPushBuffers, PushOpts};
 use crate::state::PprState;
 use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
+use std::sync::Mutex;
 
 /// One maintained vector with the push scratch that travels with it.
 struct Session {
@@ -42,7 +45,6 @@ pub struct MultiSourcePpr {
     epsilon: f64,
     variant: PushVariant,
     counters: Counters,
-    lanes: usize,
 }
 
 impl MultiSourcePpr {
@@ -52,7 +54,7 @@ impl MultiSourcePpr {
             .iter()
             .map(|&s| Session::new(PprState::new(PprConfig::new(s, alpha, epsilon))))
             .collect();
-        MultiSourcePpr { sessions, alpha, epsilon, variant, counters: Counters::new(), lanes: 1 }
+        MultiSourcePpr { sessions, alpha, epsilon, variant, counters: Counters::new() }
     }
 
     /// Rebuilds a bundle from previously maintained states (e.g. loaded
@@ -75,19 +77,7 @@ impl MultiSourcePpr {
             );
         }
         let sessions = states.into_iter().map(Session::new).collect();
-        MultiSourcePpr { sessions, alpha, epsilon, variant, counters: Counters::new(), lanes: 1 }
-    }
-
-    /// Spreads [`MultiSourcePpr::apply_batch`]'s sessions over `lanes`
-    /// contiguous chunks pushed side by side (0 means 1). The thread
-    /// budget is split, not multiplied: each session's own push gets
-    /// `max(1, default_threads() / lanes)` threads, so a lane count that
-    /// uses up the budget makes every push a one-thread, bit-reproducible
-    /// schedule. The maintained states do not depend on `lanes` as long as
-    /// no push fans out (frontiers below `PushOpts::seq_threshold`).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
-        self
+        MultiSourcePpr { sessions, alpha, epsilon, variant, counters: Counters::new() }
     }
 
     /// Number of maintained sources.
@@ -142,15 +132,17 @@ impl MultiSourcePpr {
     }
 
     /// Applies a batch: mutates the graph once on the calling thread, then
-    /// repairs and pushes every source's vector — the sessions split into
-    /// `lanes` contiguous chunks, lane 0 on the caller and the others under
-    /// one `thread::scope` for the batch. With one lane (the default) this
-    /// is a plain loop in index order on the calling thread, each push on
-    /// [`default_threads`] threads; only a push whose frontier reaches
-    /// `PushOpts::seq_threshold` fans out. What a server passes to
-    /// [`MultiSourcePpr::with_lanes`] when its configuration says 1 is a
-    /// one-line change for a perf issue that claims `serve_write`
-    /// `updates_per_s` for it.
+    /// repairs and pushes every source's vector over
+    /// `lanes = min(default_threads(), sessions)` lanes, lane 0 on the
+    /// caller and the others under one `thread::scope` for the batch. The
+    /// lanes claim sessions one at a time in index order, so sessions
+    /// given in descending-cost order (the serving layer's
+    /// top-out-degree hubs) make a greedy longest-first schedule whose idle
+    /// tail is at most one push. Each push runs on
+    /// `max(1, default_threads() / lanes)` threads: one thread, and a
+    /// deterministic schedule, whenever the sessions fill the cores; a
+    /// single session gets every thread. One lane is a plain loop on the
+    /// calling thread.
     pub fn apply_batch(&mut self, g: &mut DynamicGraph, batch: &[EdgeUpdate]) -> usize {
         // Graph mutation happens once, recording each update's post-update
         // out-degree (the d_j(u) of Lemma 3) so the invariant repairs can
@@ -164,19 +156,23 @@ impl MultiSourcePpr {
         let seeds: Vec<VertexId> = applied.iter().map(|(upd, _)| upd.src).collect();
         let (g, n) = (&*g, g.num_vertices());
         let (variant, counters) = (self.variant, &self.counters);
-        let threads = (default_threads() / self.lanes).max(1);
-        let lane = |_first: usize, sessions: &mut [Session]| {
-            for Session { state, bufs } in sessions {
-                state.ensure_len(n);
-                for &(upd, dout_after) in &applied {
-                    restore_invariant_with_degree(state, upd.src, upd.dst, upd.op, dout_after);
-                }
-                counters.record_restores(applied.len() as u64);
-                let opts = PushOpts::default();
-                parallel_local_push_opts(g, state, variant, &seeds, counters, bufs, opts, threads);
+        let lanes = default_threads().min(self.sessions.len()).max(1);
+        let threads = (default_threads() / lanes).max(1);
+        let queue = Mutex::new(self.sessions.iter_mut());
+        let lane = |_: std::ops::Range<usize>| loop {
+            // Claim, then release the lock before pushing: a `while let`
+            // on the guard would hold it through the push.
+            let next = queue.lock().unwrap().next();
+            let Some(Session { state, bufs }) = next else { break };
+            state.ensure_len(n);
+            for &(upd, dout_after) in &applied {
+                restore_invariant_with_degree(state, upd.src, upd.dst, upd.op, dout_after);
             }
+            counters.record_restores(applied.len() as u64);
+            let opts = PushOpts::default();
+            parallel_local_push_opts(g, state, variant, &seeds, counters, bufs, opts, threads);
         };
-        fan_out_chunks(&mut self.sessions, self.lanes, lane, |(), ()| ());
+        fan_out(lanes, lanes, lane, |(), ()| ());
         applied.len()
     }
 
@@ -419,73 +415,105 @@ mod tests {
         (0..m.num_sources()).map(|i| (m.source(i), state_fingerprint(m.state(i)))).collect()
     }
 
-    /// Five sources over inserts then deletes, with a session opened and
-    /// one closed between batches: the maintained states and the work
-    /// counted do not depend on how many lanes pushed them.
-    #[test]
-    fn states_and_counters_do_not_depend_on_the_lane_count() {
-        let edges = erdos_renyi(60, 900, 77);
-        let mut batches: Vec<Vec<EdgeUpdate>> = edges
-            .chunks(150)
-            .map(|c| c.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect())
+    /// What `apply_batch` must equal when the sessions fill the cores:
+    /// per session, in index order, the invariant repairs and then a
+    /// one-thread push, with the bundle's `add_source` and `remove_source`
+    /// (at `reshape`) mirrored by hand.
+    fn one_thread_reference(
+        sources: &[VertexId],
+        batches: &[Vec<EdgeUpdate>],
+        reshape: impl Fn(&mut Vec<(PprState, ParPushBuffers)>, &DynamicGraph, &Counters),
+    ) -> (Vec<(VertexId, u64)>, Counters) {
+        use crate::persist::state_fingerprint;
+        let counters = Counters::new();
+        let mut sessions: Vec<(PprState, ParPushBuffers)> = sources
+            .iter()
+            .map(|&s| (PprState::new(PprConfig::new(s, 0.2, 1e-6)), ParPushBuffers::new()))
             .collect();
-        batches.push(edges[..200].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect());
-        batches.push(edges[300..450].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect());
-        let run = |lanes: usize| {
-            let mut multi = MultiSourcePpr::new(&[0, 3, 7, 11, 20], 0.2, 1e-4, PushVariant::OPT)
-                .with_lanes(lanes);
+        let mut g = DynamicGraph::new();
+        for (i, batch) in batches.iter().enumerate() {
+            let mut applied = Vec::new();
+            for &upd in batch {
+                if g.apply(upd) {
+                    applied.push((upd, g.out_degree(upd.src)));
+                }
+            }
+            let seeds: Vec<VertexId> = applied.iter().map(|(upd, _)| upd.src).collect();
+            for (state, bufs) in &mut sessions {
+                state.ensure_len(g.num_vertices());
+                for &(upd, d) in &applied {
+                    restore_invariant_with_degree(state, upd.src, upd.dst, upd.op, d);
+                }
+                counters.record_restores(applied.len() as u64);
+                let (opts, variant) = (PushOpts::default(), PushVariant::OPT);
+                parallel_local_push_opts(&g, state, variant, &seeds, &counters, bufs, opts, 1);
+            }
+            if i == 0 {
+                reshape(&mut sessions, &g, &counters);
+            }
+        }
+        let fps = sessions.iter().map(|(st, _)| (st.config().source, state_fingerprint(st)));
+        (fps.collect(), counters)
+    }
+
+    /// At least as many sessions as cores, over a stream whose pushes
+    /// reach `FAN_OUT_MIN`, with a session opened and one closed between
+    /// batches: every maintained state is bit-identical to the one-thread
+    /// reference, with the same work counted, no CAS lost, and two runs
+    /// agree.
+    #[test]
+    fn sessions_over_every_core_push_the_one_thread_schedule() {
+        use crate::fanout::{default_threads, FAN_OUT_MIN};
+        let [load, slide] = crate::engine::tests::wide_stream();
+        // A small first batch keeps the opened session's cold-start push
+        // below the fan-out threshold, so it is one thread too.
+        let batches = [load[..300].to_vec(), load[300..].to_vec(), slide];
+        let sources: Vec<VertexId> = (0..default_threads().max(2) as VertexId).collect();
+        const OPENED: VertexId = 50;
+        let run = || {
+            let mut multi = MultiSourcePpr::new(&sources, 0.2, 1e-6, PushVariant::OPT);
             let mut g = DynamicGraph::new();
             for (i, batch) in batches.iter().enumerate() {
                 multi.apply_batch(&mut g, batch);
-                match i {
-                    2 => assert_eq!(multi.add_source(&g, 31), 5),
-                    4 => assert_eq!(multi.remove_source(1), 3),
-                    _ => {}
+                if i == 0 {
+                    assert!((OPENED as usize) < g.num_vertices());
+                    assert_eq!(multi.add_source(&g, OPENED), sources.len());
+                    assert_eq!(multi.remove_source(1), 1);
                 }
             }
-            assert_eq!(multi.sources(), vec![0, 31, 7, 11, 20]);
-            let c = multi.counters().snapshot();
-            (fingerprints(&multi), c.restore_ops, c.pushes)
+            (fingerprints(&multi), multi.counters().snapshot())
         };
-        let one = run(1);
-        assert!(one.2 > 0, "the stream pushed nothing");
-        for lanes in [2, 3, 7] {
-            assert_eq!(run(lanes), one, "{lanes} lanes");
-        }
-    }
-
-    /// Lanes that use up the thread budget leave every push one thread, so
-    /// the bundle is bit-reproducible even where a push would fan out.
-    #[test]
-    fn a_full_lane_budget_is_deterministic_past_the_fan_out_threshold() {
-        use crate::fanout::{default_threads, FAN_OUT_MIN};
-        let [load, slide] = crate::engine::tests::wide_stream();
-        let run = || {
-            let mut multi = MultiSourcePpr::new(&[0, 1], 0.2, 1e-6, PushVariant::OPT)
-                .with_lanes(default_threads());
-            let mut g = DynamicGraph::new();
-            multi.apply_batch(&mut g, &load);
-            multi.apply_batch(&mut g, &slide);
-            let c = multi.counters().snapshot();
-            assert!(c.max_frontier >= FAN_OUT_MIN as u64, "max frontier {}", c.max_frontier);
-            // Lanes share no residual, and no push had a second thread.
-            assert_eq!(c.cas_retries, 0);
-            fingerprints(&multi)
-        };
-        assert_eq!(run(), run());
+        let (fps, c) = run();
+        assert!(c.max_frontier >= FAN_OUT_MIN as u64, "max frontier {}", c.max_frontier);
+        assert_eq!(c.cas_retries, 0, "a push had a second thread");
+        let (want, rc) = one_thread_reference(&sources, &batches, |sessions, g, counters| {
+            let cfg = PprConfig::new(OPENED, 0.2, 1e-6);
+            let state = PprState::cold_start(cfg, g.num_vertices());
+            let (opts, variant) = (PushOpts::default(), PushVariant::OPT);
+            let mut bufs = ParPushBuffers::new();
+            parallel_local_push_opts(g, &state, variant, &[OPENED], counters, &mut bufs, opts, 1);
+            sessions.push((state, bufs));
+            sessions.swap_remove(1);
+        });
+        assert_eq!(fps, want);
+        let rc = rc.snapshot();
+        assert_eq!((c.restore_ops, c.pushes), (rc.restore_ops, rc.pushes));
+        let (again, c2) = run();
+        assert_eq!(again, fps);
+        assert_eq!((c2.restore_ops, c2.pushes), (c.restore_ops, c.pushes));
     }
 
     /// A push that panics — here on its convergence `debug_assert`, tripped
     /// by a poisoned residual the batch's seeds never reach — surfaces on
-    /// the caller whether its lane is the caller's own or a spawned one.
+    /// the caller whether the lane that claimed it is the caller's own or a
+    /// spawned one.
     #[cfg(debug_assertions)]
     #[test]
     fn a_panic_inside_a_lane_resurfaces_on_the_caller() {
         let ins: Vec<EdgeUpdate> =
             erdos_renyi(20, 150, 5).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
         for poisoned in [0, 3] {
-            let mut multi =
-                MultiSourcePpr::new(&[0, 1, 2, 3], 0.2, 1e-3, PushVariant::OPT).with_lanes(2);
+            let mut multi = MultiSourcePpr::new(&[0, 1, 2, 3], 0.2, 1e-3, PushVariant::OPT);
             let mut g = DynamicGraph::new();
             multi.apply_batch(&mut g, &ins);
             multi.state(poisoned).set_r(19, f64::INFINITY);

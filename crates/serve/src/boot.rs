@@ -2,6 +2,10 @@
 //! window or checkpoint + WAL-tail replay), the write loop, the observer
 //! and the event-loop shards that accept and serve connections — and
 //! [`boot_probe`] runs the durable half alone for the recovery harness.
+//! Bootstrap and WAL-tail replay go through the same `apply_batch` as a
+//! live slide, so they spread the sessions over every core too, and the
+//! base checkpoint clones the states the way the checkpointer's capture
+//! does.
 
 use crate::audit::{self, AuditShared, SloEngine};
 use crate::cache::QueryCache;
@@ -13,8 +17,8 @@ use crate::query::RouterImpl;
 use crate::registry::SessionRegistry;
 use crate::server::{Control, Ctx, ServeConfig, ServerHandle, ServerStats};
 use crate::snapshot::QuerySnapshot;
-use crate::writer::{apply_counted, mark_checkpoint, spawn_durable, write_loop};
-use dppr_core::{MultiSourcePpr, PprState, PushVariant};
+use crate::writer::{apply_counted, clone_states, mark_checkpoint, spawn_durable, write_loop};
+use dppr_core::{MultiSourcePpr, PushVariant};
 use dppr_graph::{GraphStream, VertexId};
 use dppr_stream::StreamDriver;
 use dppr_wal::{Wal, WalOptions, WalRecord, WalStats};
@@ -102,7 +106,6 @@ pub fn start(
         addr,
         start: Instant::now(),
         shed_after: cfg.shed_after,
-        lanes: cfg.write_shards.max(1),
         vertex_bound,
         durability_enabled: cfg.durability.is_some(),
         slide_started_ns: AtomicU64::new(0),
@@ -197,8 +200,7 @@ fn bootstrap_window(
     stats: &ServerStats,
 ) -> (StreamDriver, MultiSourcePpr) {
     let mut driver = StreamDriver::new(stream, init_fraction);
-    let mut multi = MultiSourcePpr::new(sources, cfg.alpha, cfg.epsilon, PushVariant::OPT)
-        .with_lanes(cfg.write_shards);
+    let mut multi = MultiSourcePpr::new(sources, cfg.alpha, cfg.epsilon, PushVariant::OPT);
     let init = driver.take_initial_batch();
     apply_counted(&mut driver, &mut multi, &init, stats);
     open_sessions(&multi, registry, domain.advance());
@@ -270,10 +272,8 @@ fn durable_boot(
             bootstrap_window(stream, init_fraction, sources, cfg, domain, registry, stats);
         // The base checkpoint: recovery always has somewhere to start, so
         // the WAL never needs to hold the (large) initial window.
-        let states: Vec<PprState> =
-            (0..multi.num_sources()).map(|i| multi.state(i).clone_values()).collect();
         let (ws, we) = driver.window_range();
-        durability::write_checkpoint(&dcfg.data_dir, 1, (ws, we), &states)?;
+        durability::write_checkpoint(&dcfg.data_dir, 1, (ws, we), &clone_states(&multi))?;
         wal.append(&WalRecord::Checkpoint { epoch: 1 })?;
         wal.sync()?;
         stats.checkpoints.fetch_add(1, Relaxed);
@@ -296,8 +296,7 @@ fn durable_boot(
         MultiSourcePpr::new(&[], cfg.alpha, cfg.epsilon, PushVariant::OPT)
     } else {
         MultiSourcePpr::from_states(ck.states, PushVariant::OPT)
-    }
-    .with_lanes(cfg.write_shards);
+    };
 
     // Replay only the tail: batches at or below the checkpoint epoch are
     // the duplicated-tail case (checkpointed but not yet pruned) and are

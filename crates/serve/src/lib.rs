@@ -33,9 +33,9 @@
 //! * [`server`] — the assembled instance's shared types (`ServeConfig`,
 //!   `ServerStats`, `ServerHandle`), with the code along its seams:
 //!   `boot` (start + recovery), `writer` (the one write loop sliding
-//!   `StreamDriver` batches — graph once, sessions over
-//!   `ServeConfig::write_shards` push lanes — epoch publication after
-//!   every batch, durability acks), `query` (dispatch + query handlers,
+//!   `StreamDriver` batches — graph once, then the sessions' pushes and
+//!   snapshot builds over every core — epoch publication after every
+//!   batch, durability acks), `query` (dispatch + query handlers,
 //!   shedding while a slide lags the stream or the latency SLO burns) and
 //!   `admin` (telemetry + control).
 //! * [`metrics`] — the pipeline histograms and the tables that describe

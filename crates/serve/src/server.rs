@@ -3,7 +3,8 @@
 //! ```text
 //!                     ┌────────────────────────────────────────────┐
 //!  edge stream ──────▶│ write loop (owns StreamDriver+MultiSource) │
-//!                     │  slide → WAL → graph once → N push lanes   │
+//!                     │  slide → WAL → graph once → sessions over  │
+//!                     │  every core (pushes, then snapshots)       │
 //!                     │        → advance epoch ────────────────────┼──▶ publish
 //!                     └────────────▲───────────────────────────────┘    per-session
 //!                                  │ control (open/close/audit)         SnapshotCell
@@ -20,9 +21,8 @@
 //! travel over a channel and are applied by the write loop *between*
 //! batches, which is what keeps `MultiSourcePpr`'s mutable state
 //! single-owner. There is one graph, one stream, one WAL, one epoch line,
-//! one session registry and one query cache per instance whatever
-//! [`ServeConfig::write_shards`] says: that number only decides over how
-//! many lanes a batch's per-session pushes are spread.
+//! one session registry and one query cache per instance; only a batch's
+//! per-session pushes and snapshot builds spread over the host's cores.
 //!
 //! The front end is event-driven (see [`crate::event`]): each shard
 //! thread accepts from the shared listening socket, owns the connections
@@ -63,10 +63,10 @@ pub struct ServeConfig {
     /// Event-loop shard threads.
     pub threads: usize,
     /// Query-cache capacity in entries (0 disables the cache) — the whole
-    /// instance's one cache, whatever `write_shards` says.
+    /// instance's one cache.
     pub cache_capacity: usize,
     /// Session budget; opening past it evicts the LRU session — one
-    /// instance-wide LRU, whatever `write_shards` says.
+    /// instance-wide LRU.
     pub session_capacity: usize,
     /// Teleport probability α.
     pub alpha: f64,
@@ -98,13 +98,11 @@ pub struct ServeConfig {
     pub trace_sample: u64,
     /// Capacity of the trace ring in events (oldest evicted first).
     pub trace_capacity: usize,
-    /// Push lanes (0 and 1 both mean one): the instance's single write
-    /// loop mutates the graph once per batch, then repairs and pushes its
-    /// sessions in this many contiguous chunks side by side
-    /// ([`dppr_core::MultiSourcePpr::with_lanes`]), each push on
-    /// `max(1, cores / lanes)` threads. Nothing is replicated per lane —
-    /// one graph, WAL, epoch line, registry and cache — and answers are
-    /// byte-identical for any value.
+    /// Ignored. It once set how many lanes the write loop pushed its
+    /// sessions over; the lane count is now derived from the host's cores
+    /// and the session count ([`dppr_core::MultiSourcePpr::apply_batch`]).
+    /// The field stays only so that configurations which still set it
+    /// compile; it will be deleted.
     pub write_shards: usize,
     /// Accuracy auditing: recompute ground-truth PPR for up to this many
     /// live sessions per audit tick (round-robin over the sessions)
@@ -251,8 +249,6 @@ pub struct ServeReport {
     pub durable_epoch: u64,
     /// Checkpoints written over the instance lifetime.
     pub checkpoints: u64,
-    /// Push lanes the write loop spread its sessions over (≥ 1).
-    pub write_shards: usize,
 }
 
 pub(crate) enum Control {
@@ -282,8 +278,6 @@ pub(crate) struct Ctx {
     pub(crate) start: Instant,
     /// See [`ServeConfig::shed_after`].
     pub(crate) shed_after: Duration,
-    /// See [`ServeConfig::write_shards`] (≥ 1).
-    pub(crate) lanes: usize,
     /// One past the largest vertex id the stream will ever mention; the
     /// upper bound for `/session/open` requests (an unchecked id would
     /// make `cold_start` allocate `source + 1` slots — a single request
@@ -442,7 +436,6 @@ impl ServerHandle {
             degraded: stats.degraded.load(Relaxed),
             durable_epoch: ctx.durable_epoch.load(Relaxed),
             checkpoints: stats.checkpoints.load(Relaxed),
-            write_shards: ctx.lanes,
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The write side of the instance: the one slide loop that applies
-//! batches (graph once, sessions over the push lanes) and publishes
-//! epochs, session control between batches, and the durability half —
-//! WAL appends before publication, the background checkpointer, its
+//! batches (graph once, then the sessions' pushes over every core) and
+//! publishes epochs (the sessions' snapshots built over every core too),
+//! session control between batches, and the durability half — WAL
+//! appends before publication, the background checkpointer, its
 //! acknowledgement markers and retention.
 
 use crate::audit::{AuditJob, AuditSession};
@@ -11,6 +12,7 @@ use crate::json::JsonBuf;
 use crate::registry::OpenOutcome;
 use crate::server::{Control, Ctx, ServeConfig, ServerStats};
 use crate::snapshot::QuerySnapshot;
+use dppr_core::fanout::{concat, default_threads, fan_out};
 use dppr_core::{MultiSourcePpr, PprState};
 use dppr_graph::{EdgeUpdate, VertexId};
 use dppr_stream::StreamDriver;
@@ -36,7 +38,7 @@ impl CkptJob {
         CkptJob {
             epoch,
             window: driver.window_range(),
-            states: (0..multi.num_sources()).map(|i| multi.state(i).clone_values()).collect(),
+            states: clone_states(multi),
         }
     }
 
@@ -52,6 +54,13 @@ impl CkptJob {
         ctx.stats.checkpoints.fetch_add(1, Relaxed);
         Ok(())
     }
+}
+
+/// Copies of every session's state in index order, cloned over every
+/// core.
+pub(crate) fn clone_states(multi: &MultiSourcePpr) -> Vec<PprState> {
+    let clone = |r: std::ops::Range<usize>| r.map(|i| multi.state(i).clone_values()).collect();
+    fan_out(multi.num_sources(), default_threads(), clone, concat)
 }
 
 /// Appends and flushes the `Checkpoint` marker for durable epoch `epoch`,
@@ -236,17 +245,19 @@ pub(crate) fn write_loop(
         ctx.metrics.push_wall.record(apply_ns);
         let slides = ctx.stats.slides.fetch_add(1, Relaxed) + 1;
         // Publication point: one epoch per batch, every session swapped to
-        // a snapshot of the new converged state.
+        // a snapshot of the new converged state. The snapshots are built
+        // over every core and each is published as soon as it is built.
         let epoch = ctx.domain.advance();
         let t = Instant::now();
-        for i in 0..multi.num_sources() {
-            if let Some(entry) = ctx.registry.peek(multi.source(i)) {
-                entry.publish(
-                    &ctx.domain,
-                    Arc::new(QuerySnapshot::from_state(multi.state(i), epoch)),
-                );
+        let publish = |r: std::ops::Range<usize>| {
+            for i in r {
+                if let Some(entry) = ctx.registry.peek(multi.source(i)) {
+                    let snap = QuerySnapshot::from_state(multi.state(i), epoch);
+                    entry.publish(&ctx.domain, Arc::new(snap));
+                }
             }
-        }
+        };
+        fan_out(multi.num_sources(), default_threads(), publish, |(), ()| ());
         let publish_ns = t.elapsed().as_nanos() as u64;
         ctx.metrics.snapshot_publish.record(publish_ns);
         ctx.slide_started_ns.store(0, Relaxed);

@@ -38,8 +38,8 @@ fn poll_metrics(addr: SocketAddr, secs: u64, check: impl Fn(&str) -> bool) -> St
     }
 }
 
-/// At 4 push lanes (`write_shards: 4` — the name predates lanes): one
-/// capture from the one write loop covers sessions of every lane.
+/// Eight sessions pushed over every core: one capture from the one write
+/// loop covers sessions of every lane.
 #[test]
 fn audit_reports_errors_within_bound_across_shards() {
     let epsilon = 1e-3;
@@ -50,7 +50,6 @@ fn audit_reports_errors_within_bound_across_shards() {
         &[0, 1, 2, 3, 4, 5, 6, 7],
         ServeConfig {
             threads: 2,
-            write_shards: 4,
             batch: 500,
             epsilon,
             audit_sample: 8,

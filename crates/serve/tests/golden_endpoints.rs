@@ -1,10 +1,9 @@
-//! Golden pins of every endpoint's wire shape, at 1 and 4 push lanes.
+//! Golden pins of every endpoint's wire shape.
 //!
 //! A deterministic instance (fixed graph seed, `max_slides` so the epoch
 //! freezes, auditing + SLOs + durability on) is driven through a fixed
-//! request script and the transcript is compared with the one golden
-//! `tests/golden/ws1.txt` — `write_shards` changes nothing on the wire
-//! but `ServeReport.write_shards`, which is masked:
+//! request script and the transcript is compared with the golden
+//! `tests/golden/ws1.txt`:
 //!
 //! * query endpoints and error bodies byte for byte;
 //! * `/stats`, `/healthz`, `/series` byte for byte after masking the
@@ -297,11 +296,9 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/ws1.txt")
 }
 
-fn run(write_shards: usize) {
-    let dir = std::env::temp_dir().join(format!(
-        "dppr_serve_golden_{}_ws{write_shards}",
-        std::process::id()
-    ));
+#[test]
+fn golden_unsharded() {
+    let dir = std::env::temp_dir().join(format!("dppr_serve_golden_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut durability = DurabilityConfig::new(&dir);
     durability.fsync = FsyncPolicy::PerBatch;
@@ -316,7 +313,6 @@ fn run(write_shards: usize) {
             batch: 300,
             epsilon: 1e-3,
             max_slides: SLIDES as usize,
-            write_shards,
             durability: Some(durability),
             audit_sample: 2,
             audit_interval: Duration::from_millis(20),
@@ -424,7 +420,7 @@ fn run(write_shards: usize) {
         t.text,
         "### ServeReport\nepoch={} slides={} updates_offered={} updates_applied={} queries={} \
          shed={} cache={:?} sessions={} stream_done={} degraded={} durable_epoch={} \
-         checkpoints={} write_shards=<num>",
+         checkpoints={}",
         r.epoch,
         r.slides,
         r.updates_offered,
@@ -439,17 +435,14 @@ fn run(write_shards: usize) {
         r.checkpoints
     )
     .unwrap();
-    assert_eq!(r.write_shards, write_shards);
     std::fs::remove_dir_all(&dir).ok();
 
     let path = golden_path();
     if std::env::var_os("DPPR_BLESS").is_some() {
-        // The 1-lane run writes the golden; run again without the
-        // variable to hold both lane counts against it.
-        if write_shards == 1 {
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, &t.text).unwrap();
-        }
+        // Writes the golden; run again without the variable to hold the
+        // instance against it.
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &t.text).unwrap();
         return;
     }
     let want = std::fs::read_to_string(&path)
@@ -473,16 +466,6 @@ fn run(write_shards: usize) {
         "{}: length differs",
         path.display()
     );
-}
-
-#[test]
-fn golden_unsharded() {
-    run(1);
-}
-
-#[test]
-fn golden_four_write_shards() {
-    run(4);
 }
 
 #[test]

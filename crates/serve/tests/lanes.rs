@@ -1,14 +1,22 @@
-//! `--write-shards N` as push lanes: whatever N is, an instance has one
-//! write loop, one graph, one WAL and one epoch line, and answers, epochs
-//! and counters are the same as at N = 1 — N only spreads a batch's
-//! per-session pushes over N lanes.
+//! Sessions over every core: an instance has one write loop, one graph,
+//! one WAL and one epoch line, and that loop spreads a batch's
+//! per-session pushes over `min(cores, sessions)` lanes, each push on
+//! `cores / lanes` threads. With at least as many sessions as cores every
+//! push is the one-thread schedule, so what the instance publishes is
+//! bit-identical to a one-thread replay on any host.
 
 mod common;
 
 use common::{get, request};
+use dppr_core::invariant::restore_invariant_with_degree;
+use dppr_core::par::{parallel_local_push_opts, ParPushBuffers};
+use dppr_core::{Counters, PprConfig, PprState, PushOpts, PushVariant};
 use dppr_graph::generators::erdos_renyi;
 use dppr_graph::{GraphStream, VertexId};
-use dppr_serve::{boot_probe, start, DurabilityConfig, ServeConfig, ServerHandle};
+use dppr_serve::{
+    boot_probe, start, DurabilityConfig, QuerySnapshot, Reader, ServeConfig, ServerHandle,
+};
+use dppr_stream::StreamDriver;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -31,51 +39,90 @@ fn wait_epoch(handle: &ServerHandle, epoch: u64) {
     }
 }
 
-/// The headline equivalence: the lanes share one graph and push disjoint
-/// states, so a 4-lane instance serves *bit-identical* estimates and
-/// rankings at the same epoch as a 1-lane one — checked at every epoch
-/// of a four-slide run, each frozen by its own `max_slides`.
-#[test]
-fn four_lanes_answer_bit_identically_to_one() {
-    let _one = ONE_INSTANCE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let sources: Vec<VertexId> = vec![0, 1, 2, 3, 4, 5, 6, 7];
-    for slides in 1..=4u64 {
-        let cfg = |n: usize| ServeConfig {
-            threads: 2,
-            batch: 400,
-            epsilon: 1e-3,
-            max_slides: slides as usize,
-            write_shards: n,
-            ..ServeConfig::default()
-        };
-        let one = start(the_stream(), 0.1, &sources, cfg(1)).expect("1-lane starts");
-        let four = start(the_stream(), 0.1, &sources, cfg(4)).expect("4-lane starts");
-        wait_epoch(&one, slides + 1);
-        wait_epoch(&four, slides + 1);
-        assert_eq!((one.epoch(), four.epoch()), (slides + 1, slides + 1));
-
-        for s in &sources {
-            for target in [
-                format!("/topk?source={s}&k=10"),
-                format!("/score?source={s}&v=1"),
-                format!("/score?source={s}&v=17"),
-                format!("/threshold?source={s}&delta=0.001"),
-                format!("/compare?source={s}&a=1&b=2"),
-            ] {
-                let (st1, b1) = get(one.addr(), &target);
-                let (st4, b4) = get(four.addr(), &target);
-                assert_eq!(st1, 200, "{target}: {b1}");
-                assert_eq!(st4, 200, "{target}: {b4}");
-                assert_eq!(b1, b4, "4-lane answer diverged on {target} after {slides} slides");
+/// The write loop replayed by hand on one thread: the initial window,
+/// then `batch`-edge slides, each session repaired and pushed on its own
+/// with a one-thread push. `replay[e - 1]` holds, per source, the
+/// fingerprint of the snapshot the instance must publish at epoch `e`.
+fn one_thread_replay(sources: &[VertexId], cfg: &ServeConfig, epochs: u64) -> Vec<Vec<u64>> {
+    let counters = Counters::new();
+    let mut sessions: Vec<(PprState, ParPushBuffers)> = sources
+        .iter()
+        .map(|&s| (PprState::new(PprConfig::new(s, cfg.alpha, cfg.epsilon)), ParPushBuffers::new()))
+        .collect();
+    let mut driver = StreamDriver::new(the_stream(), 0.1);
+    let mut batch = driver.take_initial_batch();
+    let mut replay = Vec::new();
+    for epoch in 1..=epochs {
+        let g = driver.graph_mut();
+        let mut applied = Vec::new();
+        for &upd in &batch {
+            if g.apply(upd) {
+                applied.push((upd, g.out_degree(upd.src)));
             }
         }
-        one.join();
-        four.join();
+        let seeds: Vec<VertexId> = applied.iter().map(|(upd, _)| upd.src).collect();
+        let fps = sessions
+            .iter_mut()
+            .map(|(state, bufs)| {
+                state.ensure_len(g.num_vertices());
+                for &(upd, d) in &applied {
+                    restore_invariant_with_degree(state, upd.src, upd.dst, upd.op, d);
+                }
+                let (opts, variant) = (PushOpts::default(), PushVariant::OPT);
+                parallel_local_push_opts(g, state, variant, &seeds, &counters, bufs, opts, 1);
+                QuerySnapshot::from_state(state, epoch).fingerprint()
+            })
+            .collect();
+        replay.push(fps);
+        batch = driver.slide_batch(cfg.batch).expect("the stream outlasts the test");
+    }
+    replay
+}
+
+/// The headline contract: every push of eight sessions over a 200-vertex
+/// graph is the one-thread schedule — one thread per push wherever the
+/// sessions fill the cores, frontiers below the fan-out threshold
+/// elsewhere — so at every epoch of a four-slide run, each frozen by its
+/// own `max_slides`, every published snapshot is bit-identical to the
+/// one-thread replay's.
+#[test]
+fn answers_match_a_one_thread_replay() {
+    let _one = ONE_INSTANCE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let sources: Vec<VertexId> = vec![0, 1, 2, 3, 4, 5, 6, 7];
+    let cfg = |slides: u64| ServeConfig {
+        threads: 2,
+        batch: 400,
+        epsilon: 1e-3,
+        max_slides: slides as usize,
+        ..ServeConfig::default()
+    };
+    let replay = one_thread_replay(&sources, &cfg(0), 5);
+    for epoch in 2..=5u64 {
+        let handle = start(the_stream(), 0.1, &sources, cfg(epoch - 1)).expect("server starts");
+        wait_epoch(&handle, epoch);
+        assert_eq!(handle.epoch(), epoch);
+        for (k, &s) in sources.iter().enumerate() {
+            // The epoch advances before the snapshots publish.
+            let entry = handle.registry().peek(s).expect("session is open");
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let snap = loop {
+                let snap = entry.load(&Reader);
+                if snap.epoch() == epoch {
+                    break snap;
+                }
+                assert!(Instant::now() < deadline, "source {s} never published epoch {epoch}");
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            let want = replay[epoch as usize - 1][k];
+            assert_eq!(snap.fingerprint(), want, "source {s} at epoch {epoch}");
+        }
+        handle.join();
     }
 }
 
-/// `/compare_sessions` at 4 lanes: both sessions resolve in the one
-/// registry at the one epoch, and the interval order comes out.
+/// `/compare_sessions` over four sessions (four lanes on a host of four
+/// or more cores): both sessions resolve in the one registry at the one
+/// epoch, and the interval order comes out.
 #[test]
 fn compare_sessions_at_four_lanes() {
     let _one = ONE_INSTANCE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -88,7 +135,6 @@ fn compare_sessions_at_four_lanes() {
             batch: 500,
             epsilon: 1e-3,
             max_slides: 2,
-            write_shards: 4,
             ..ServeConfig::default()
         },
     )
@@ -123,40 +169,38 @@ fn compare_sessions_at_four_lanes() {
     handle.join();
 }
 
-/// Satellite pin: the instance counters describe the instance, not a sum
-/// over replicas — the same `max_slides` run reports the same slides,
-/// updates and epoch at 1 and at 4 lanes.
+/// The instance counters describe the instance, not a sum over lanes:
+/// a `max_slides: 3` run over six sessions reports three slides, epoch 4,
+/// and exactly the updates the stream offered in those slides.
 #[test]
 fn report_counts_do_not_scale_with_the_lane_count() {
     let _one = ONE_INSTANCE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let run = |n: usize| {
-        let handle = start(
-            the_stream(),
-            0.1,
-            &[0, 1, 2, 3, 4, 5],
-            ServeConfig {
-                threads: 1,
-                batch: 500,
-                epsilon: 1e-3,
-                max_slides: 3,
-                write_shards: n,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("server starts");
-        wait_epoch(&handle, 4);
-        let r = handle.join();
-        assert_eq!(r.write_shards, n);
-        (r.slides, r.updates_offered, r.updates_applied, r.epoch)
-    };
-    let one = run(1);
-    assert_eq!(one.0, 3, "max_slides counts the instance's slides");
-    assert_eq!(one.3, 4);
-    assert_eq!(run(4), one);
+    let handle = start(
+        the_stream(),
+        0.1,
+        &[0, 1, 2, 3, 4, 5],
+        ServeConfig {
+            threads: 1,
+            batch: 500,
+            epsilon: 1e-3,
+            max_slides: 3,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server starts");
+    wait_epoch(&handle, 4);
+    let r = handle.join();
+    assert_eq!((r.slides, r.epoch), (3, 4), "max_slides counts the instance's slides");
+    let mut driver = StreamDriver::new(the_stream(), 0.1);
+    let mut offered = driver.take_initial_batch().len();
+    for _ in 0..3 {
+        offered += driver.slide_batch(500).expect("three slides").len();
+    }
+    assert_eq!(r.updates_offered, offered as u64);
 }
 
-/// The session budget is the instance's, not a slice per lane: at 2
-/// lanes and capacity 4 the registry fills to 4, then every further open
+/// The session budget is the instance's, not a slice per lane: at
+/// capacity 4 the registry fills to 4, then every further open
 /// evicts the least recently used session — from the registry and from
 /// the engine, which keeps sliding with the survivors.
 #[test]
@@ -171,7 +215,6 @@ fn eviction_budget_is_instance_wide() {
             batch: 500,
             epsilon: 1e-3,
             max_slides: 1,
-            write_shards: 2,
             session_capacity: 4,
             ..ServeConfig::default()
         },
@@ -212,59 +255,46 @@ fn thread_names() -> Option<Vec<String>> {
     )
 }
 
-/// At any lane count `start` builds one of everything: one writer, one
-/// checkpointer and one observer thread next to the `threads` event-loop
-/// shards and no other `dppr-` thread, and one WAL directory directly
-/// under the data directory with no per-lane subdirectories.
+/// Whatever the lane count, `start` builds one of everything: one
+/// writer, one checkpointer and one observer thread next to the `threads`
+/// event-loop shards and no other `dppr-` thread (the lanes are scoped
+/// threads of the write loop, named by nobody), and one WAL directory
+/// directly under the data directory with no per-lane subdirectories.
 #[test]
 fn one_of_everything_at_any_lane_count() {
     let _one = ONE_INSTANCE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    for lanes in [1usize, 4] {
-        let dir =
-            std::env::temp_dir().join(format!("dppr_lanes_{}_{lanes}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let handle = start(
-            the_stream(),
-            0.1,
-            &[0, 1, 2, 3, 4, 5],
-            ServeConfig {
-                threads: 2,
-                batch: 500,
-                epsilon: 1e-3,
-                max_slides: 2,
-                write_shards: lanes,
-                durability: Some(DurabilityConfig::new(&dir)),
-                ..ServeConfig::default()
-            },
-        )
-        .expect("server starts");
-        wait_epoch(&handle, 3);
-        if let Some(names) = thread_names() {
-            let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
-            assert_eq!(count("dppr-serve-writ"), 1, "{lanes} lanes: {names:?}");
-            assert_eq!(count("dppr-serve-ckpt"), 1, "{lanes} lanes: {names:?}");
-            assert_eq!(count("dppr-observer"), 1, "{lanes} lanes: {names:?}");
-            assert_eq!(count("dppr-serve-shar"), 2, "{lanes} lanes: {names:?}");
-            // Nothing else: the shards accept their own connections.
-            assert_eq!(count("dppr-"), 5, "{lanes} lanes: {names:?}");
-        }
-        assert_eq!(handle.registry().len(), 6);
-        let report = handle.join();
-        let mut entries: Vec<String> = std::fs::read_dir(&dir)
-            .expect("data dir")
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        entries.sort();
-        assert!(entries.iter().any(|e| e == "wal"), "{entries:?}");
-        assert!(entries.iter().all(|e| !e.starts_with("shard-")), "{entries:?}");
-        // The directory does not remember its lane count.
-        let other = ServeConfig {
-            write_shards: 5 - lanes,
-            durability: Some(DurabilityConfig::new(&dir)),
-            ..ServeConfig::default()
-        };
-        let probe = boot_probe(the_stream(), 0.1, &[0, 1, 2, 3, 4, 5], &other).expect("recovers");
-        assert_eq!(probe.epoch, report.epoch);
-        std::fs::remove_dir_all(&dir).ok();
+    let dir = std::env::temp_dir().join(format!("dppr_lanes_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let sources = [0, 1, 2, 3, 4, 5];
+    let durable = || ServeConfig {
+        threads: 2,
+        batch: 500,
+        epsilon: 1e-3,
+        max_slides: 2,
+        durability: Some(DurabilityConfig::new(&dir)),
+        ..ServeConfig::default()
+    };
+    let handle = start(the_stream(), 0.1, &sources, durable()).expect("server starts");
+    wait_epoch(&handle, 3);
+    if let Some(names) = thread_names() {
+        let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+        assert_eq!(count("dppr-serve-writ"), 1, "{names:?}");
+        assert_eq!(count("dppr-serve-ckpt"), 1, "{names:?}");
+        assert_eq!(count("dppr-observer"), 1, "{names:?}");
+        assert_eq!(count("dppr-serve-shar"), 2, "{names:?}");
+        // Nothing else: the shards accept their own connections.
+        assert_eq!(count("dppr-"), 5, "{names:?}");
     }
+    assert_eq!(handle.registry().len(), 6);
+    let report = handle.join();
+    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+        .expect("data dir")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    assert!(entries.iter().any(|e| e == "wal"), "{entries:?}");
+    assert!(entries.iter().all(|e| !e.starts_with("shard-")), "{entries:?}");
+    let probe = boot_probe(the_stream(), 0.1, &sources, &durable()).expect("recovers");
+    assert_eq!(probe.epoch, report.epoch);
+    std::fs::remove_dir_all(&dir).ok();
 }
