@@ -144,6 +144,17 @@ impl MultiSourcePpr {
     /// single session gets every thread. One lane is a plain loop on the
     /// calling thread.
     pub fn apply_batch(&mut self, g: &mut DynamicGraph, batch: &[EdgeUpdate]) -> usize {
+        self.apply_batch_over(g, batch, default_threads())
+    }
+
+    /// [`MultiSourcePpr::apply_batch`] on a budget of `cores` threads
+    /// (0 means 1), which the tests vary to vary the lane count.
+    fn apply_batch_over(
+        &mut self,
+        g: &mut DynamicGraph,
+        batch: &[EdgeUpdate],
+        cores: usize,
+    ) -> usize {
         // Graph mutation happens once, recording each update's post-update
         // out-degree (the d_j(u) of Lemma 3) so the invariant repairs can
         // be replayed exactly against every source's state afterwards.
@@ -156,8 +167,9 @@ impl MultiSourcePpr {
         let seeds: Vec<VertexId> = applied.iter().map(|(upd, _)| upd.src).collect();
         let (g, n) = (&*g, g.num_vertices());
         let (variant, counters) = (self.variant, &self.counters);
-        let lanes = default_threads().min(self.sessions.len()).max(1);
-        let threads = (default_threads() / lanes).max(1);
+        let cores = cores.max(1);
+        let lanes = cores.min(self.sessions.len()).max(1);
+        let threads = (cores / lanes).max(1);
         let queue = Mutex::new(self.sessions.iter_mut());
         let lane = |_: std::ops::Range<usize>| loop {
             // Claim, then release the lock before pushing: a `while let`
@@ -413,6 +425,63 @@ mod tests {
     fn fingerprints(m: &MultiSourcePpr) -> Vec<(VertexId, u64)> {
         use crate::persist::state_fingerprint;
         (0..m.num_sources()).map(|i| (m.source(i), state_fingerprint(m.state(i)))).collect()
+    }
+
+    /// Five sources over inserts then deletes, with a session opened and
+    /// one closed between batches: the maintained states and the work
+    /// counted do not depend on how many lanes the core budget gave them.
+    #[test]
+    fn states_and_counters_do_not_depend_on_the_lane_count() {
+        let edges = erdos_renyi(60, 900, 77);
+        let mut batches: Vec<Vec<EdgeUpdate>> = edges
+            .chunks(150)
+            .map(|c| c.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect())
+            .collect();
+        batches.push(edges[..200].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect());
+        batches.push(edges[300..450].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect());
+        let run = |cores: usize| {
+            let mut multi = MultiSourcePpr::new(&[0, 3, 7, 11, 20], 0.2, 1e-4, PushVariant::OPT);
+            let mut g = DynamicGraph::new();
+            for (i, batch) in batches.iter().enumerate() {
+                multi.apply_batch_over(&mut g, batch, cores);
+                match i {
+                    2 => assert_eq!(multi.add_source(&g, 31), 5),
+                    4 => assert_eq!(multi.remove_source(1), 3),
+                    _ => {}
+                }
+            }
+            assert_eq!(multi.sources(), vec![0, 31, 7, 11, 20]);
+            let c = multi.counters().snapshot();
+            (fingerprints(&multi), c.restore_ops, c.pushes)
+        };
+        let one = run(1);
+        assert!(one.2 > 0, "the stream pushed nothing");
+        // 2, 3 and 5 lanes; 12 cores give each of the 5 lanes 2 threads,
+        // which stay sequential below `PushOpts::seq_threshold`.
+        for cores in [2, 3, 7, 12] {
+            assert_eq!(run(cores), one, "{cores} cores");
+        }
+    }
+
+    /// Lanes that use up the core budget leave every push one thread, so
+    /// the bundle is bit-reproducible even where a push would fan out.
+    #[test]
+    fn a_full_lane_budget_is_deterministic_past_the_fan_out_threshold() {
+        use crate::fanout::FAN_OUT_MIN;
+        let [load, slide] = crate::engine::tests::wide_stream();
+        let run = || {
+            let mut multi = MultiSourcePpr::new(&[0, 1], 0.2, 1e-6, PushVariant::OPT);
+            let mut g = DynamicGraph::new();
+            // Two cores for two sessions: two lanes of one thread.
+            multi.apply_batch_over(&mut g, &load, 2);
+            multi.apply_batch_over(&mut g, &slide, 2);
+            let c = multi.counters().snapshot();
+            assert!(c.max_frontier >= FAN_OUT_MIN as u64, "max frontier {}", c.max_frontier);
+            // Lanes share no residual, and no push had a second thread.
+            assert_eq!(c.cas_retries, 0);
+            fingerprints(&multi)
+        };
+        assert_eq!(run(), run());
     }
 
     /// What `apply_batch` must equal when the sessions fill the cores:
