@@ -7,7 +7,9 @@
 //! at the same epoch, and replays only the WAL tail past the newest
 //! durable checkpoint. A corruption corpus (truncated segment,
 //! bit-flipped CRC, duplicated tail frame) is layered on top of a hard
-//! kill to prove torn-tail repair.
+//! kill to prove torn-tail repair, and a flipped byte in the newest
+//! checkpoint file on top of a kill right after its rename proves the
+//! fall-back to the previous checkpoint.
 //!
 //! How it works:
 //!
@@ -21,7 +23,8 @@
 //!    identical bootstrap `start` runs, minus threads — and asserts the
 //!    recovered fingerprints equal the baseline's at the recovered
 //!    epoch, that replay covered exactly `recovered - checkpoint`
-//!    batches, and that a second probe is idempotent.
+//!    batches, and that a second probe is idempotent (the first one
+//!    prunes the WAL through the loaded checkpoint; it logs nothing).
 //!
 //! Output: one TSV line per case and a closing `… all ok` line. Exits
 //! nonzero if any case fails. (Recovery *time* is tracked by the
@@ -184,6 +187,25 @@ fn corrupt_duplicate_tail(data_dir: &Path) {
     f.write_all(&dup).unwrap();
 }
 
+/// Flips one byte in the middle of the newest `ckpt-<epoch>.bin` — a
+/// checkpoint damaged after it was published.
+fn corrupt_newest_checkpoint(data_dir: &Path) {
+    let newest = std::fs::read_dir(data_dir)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter_map(|name| {
+            let epoch: u64 = name.strip_prefix("ckpt-")?.strip_suffix(".bin")?.parse().ok()?;
+            Some((epoch, data_dir.join(name)))
+        })
+        .max()
+        .expect("at least one checkpoint")
+        .1;
+    let mut bytes = std::fs::read(&newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&newest, bytes).unwrap();
+}
+
 // ---- the case matrix -------------------------------------------------
 
 struct Case {
@@ -198,6 +220,8 @@ struct Case {
     corrupt: Option<fn(&Path)>,
     /// Sessions of the child and of the recovering probe.
     sources: &'static [VertexId],
+    /// The checkpoint recovery must start from, when the case fixes it.
+    want_checkpoint: Option<u64>,
 }
 
 impl Case {
@@ -208,6 +232,7 @@ impl Case {
             die_after_slides: 0,
             corrupt: None,
             sources: &SOURCES,
+            want_checkpoint: None,
         }
     }
 
@@ -218,6 +243,7 @@ impl Case {
             die_after_slides: 10,
             corrupt: Some(corrupt),
             sources: &SOURCES,
+            want_checkpoint: None,
         }
     }
 }
@@ -251,6 +277,15 @@ fn cases() -> Vec<Case> {
         Case::corpus("truncated-segment", corrupt_truncate),
         Case::corpus("bit-flipped-crc", corrupt_bitflip),
         Case::corpus("duplicated-tail", corrupt_duplicate_tail),
+        // Killed right after the first periodic checkpoint's rename, that
+        // checkpoint then damaged: `ckpt-1.bin` is not yet pruned and the
+        // WAL tail is intact, so recovery falls back to epoch 1.
+        Case {
+            name: "ckpt-post-rename:2+corrupt-newest-checkpoint".into(),
+            corrupt: Some(corrupt_newest_checkpoint),
+            want_checkpoint: Some(1),
+            ..Case::injected("ckpt-post-rename", 2)
+        },
     ];
     // Randomized (but seeded) mid-stream append kills.
     for nth in lcg_points(SEED, 3, 2, 12) {
@@ -336,6 +371,11 @@ fn check_case(case: &Case, base: &[Vec<(VertexId, u64)>], root: &Path) -> Outcom
     };
     out.recovery_ms = ms;
     out.recovered_epoch = probe.epoch;
+    let from = probe.recovery.map(|r| r.checkpoint_epoch);
+    if let Some(want) = case.want_checkpoint.filter(|&want| from != Some(want)) {
+        out.error = Some(format!("recovered from checkpoint {from:?}, wanted {want}"));
+        return out;
+    }
     if let Some(r) = &probe.recovery {
         out.checkpoint_epoch = r.checkpoint_epoch;
         out.replayed = r.replayed_batches;
@@ -368,8 +408,8 @@ fn check_case(case: &Case, base: &[Vec<(VertexId, u64)>], root: &Path) -> Outcom
         return out;
     }
 
-    // 4. Recovery must be idempotent (the probe itself re-appends the
-    //    checkpoint marker and prunes — run it again on the result).
+    // 4. Recovery must be idempotent (the probe itself prunes the WAL —
+    //    run it again on the result).
     match probe_now(&data_dir, case.sources) {
         Ok((again, _)) => {
             if again.epoch != probe.epoch || again.fingerprints != probe.fingerprints {
@@ -435,6 +475,7 @@ fn check_lanes_kill(root: &Path) -> Outcome {
         die_after_slides: 12,
         corrupt: None,
         sources: &LANE_SOURCES,
+        want_checkpoint: None,
     };
     check_case(&case, &baseline_for(&LANE_SOURCES), root)
 }

@@ -1,14 +1,19 @@
 //! CRC32 (IEEE 802.3 polynomial), the integrity check shared by the
-//! durable formats: `persist` v3 snapshot trailers, checkpoint manifests
-//! and the `dppr-wal` record framing all use it, so a snapshot or log
-//! frame that was torn or bit-flipped on disk is detected before any of
-//! its contents are trusted.
+//! durable formats: `persist` v3 snapshot trailers, checkpoint file
+//! trailers and the `dppr-wal` record framing all use it, so a snapshot
+//! or log frame that was torn or bit-flipped on disk is detected before
+//! any of its contents are trusted.
 //!
 //! The build environment is offline (no `crc32fast`), so this is a
 //! table-driven slicing-by-8 implementation: eight `const`-built 256-entry
 //! tables fold eight input bytes per step, and the plain byte-at-a-time
 //! loop handles the tail. Every checkpoint write and load hashes each
-//! state file whole, so this sits on the checkpoint path.
+//! state once, so this sits on the checkpoint path; the checkpoint file's
+//! own trailer takes each state's CRC through [`Crc32::combine`] instead
+//! of hashing the same bytes a second time.
+
+/// The reflected CRC32 polynomial.
+const POLY: u32 = 0xEDB8_8320;
 
 /// Reflected CRC32 lookup tables for polynomial `0xEDB88320`: `TABLES[0]`
 /// is the byte table, and `TABLES[k][b]` is the CRC of byte `b` followed
@@ -22,7 +27,7 @@ const fn build_tables() -> [[u32; 256]; 8] {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
         tables[0][i] = crc;
@@ -40,6 +45,34 @@ const fn build_tables() -> [[u32; 256]; 8] {
     }
     tables
 }
+
+/// `a·b` modulo the CRC polynomial, both in the reflected bit order
+/// (bit 31 is x⁰). `a` must be nonzero.
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let (mut m, mut p) = (1u32 << 31, 0u32);
+    loop {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+}
+
+/// `X2N[k]` = x^(2^k) modulo the polynomial.
+const X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    t[0] = 1 << 30; // x¹
+    let mut k = 1;
+    while k < 32 {
+        t[k] = mul_mod_p(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
 
 /// The byte-at-a-time CRC step over `bytes`, starting from the raw
 /// register `crc`: the tail handler of [`Crc32::update`] and the reference
@@ -81,6 +114,24 @@ impl Crc32 {
                 ^ t[0][w[7] as usize];
         }
         self.state = update_bytewise(crc, words.remainder());
+    }
+
+    /// Feeds a block of `len` bytes whose own CRC32 is `crc` without
+    /// touching its bytes: afterwards the hasher holds the checksum of
+    /// everything fed so far followed by that block (zlib's
+    /// `crc32_combine`, in O(log len) steps).
+    pub fn combine(&mut self, crc: u32, len: u64) {
+        // Shifting the checksum so far past `len` zero bytes multiplies it
+        // by x^(8·len); the block's own CRC then adds in.
+        let (mut shift, mut n, mut k) = (1u32 << 31, len, 3);
+        while n != 0 {
+            if n & 1 != 0 {
+                shift = mul_mod_p(X2N[k & 31], shift);
+            }
+            n >>= 1;
+            k += 1;
+        }
+        self.state = !(mul_mod_p(shift, !self.state) ^ crc);
     }
 
     /// The checksum of everything fed so far.
@@ -156,6 +207,28 @@ mod tests {
             }
             assert_eq!(h.finish(), want);
         }
+    }
+
+    #[test]
+    fn combine_matches_feeding_the_bytes() {
+        let mut rng = SmallRng::seed_from_u64(0xC0B1);
+        let data: Vec<u8> = (0..3000).map(|_| rng.gen_range(0..=255u8)).collect();
+        for _ in 0..200 {
+            let cut = rng.gen_range(0..=data.len());
+            let (head, tail) = data.split_at(cut);
+            let mut h = Crc32::new();
+            h.update(head);
+            h.combine(crc32(tail), tail.len() as u64);
+            assert_eq!(h.finish(), crc32(&data), "cut at {cut}");
+        }
+        // An empty block changes nothing; an empty prefix is the block.
+        let mut h = Crc32::new();
+        h.update(&data);
+        h.combine(crc32(&[]), 0);
+        assert_eq!(h.finish(), crc32(&data));
+        let mut h = Crc32::new();
+        h.combine(crc32(&data), data.len() as u64);
+        assert_eq!(h.finish(), crc32(&data));
     }
 
     #[test]

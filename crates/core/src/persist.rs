@@ -7,8 +7,9 @@
 //! written after any converged batch and re-attached to a graph later —
 //! useful for restart, for shipping states between the sequential and
 //! parallel engines, and for the serving layer's crash-recovery
-//! checkpoints (`dppr-serve`'s durability module pairs these files with a
-//! `dppr-wal` update log).
+//! checkpoints (`dppr-serve`'s durability module stores one snapshot per
+//! session in each checkpoint file and pairs it with a `dppr-wal` update
+//! log).
 //!
 //! Format v3, every integer little-endian, every `f64` stored as its bit
 //! pattern so the round trip is exact:
@@ -45,8 +46,19 @@ const HEADER: usize = MAGIC.len() + 4 + 3 * 8;
 /// Writes a v3 snapshot of `state` to `w`: the bytes are encoded into one
 /// buffer, checksummed, and handed to `w` in a single `write_all`.
 pub fn write_state<W: Write>(state: &PprState, mut w: W) -> io::Result<()> {
+    let mut buf = Vec::new();
+    encode_state(state, &mut buf);
+    w.write_all(&buf)?;
+    w.flush()
+}
+
+/// Appends the v3 snapshot of `state` to `buf`, trailer included — the
+/// bytes [`write_state`] writes, for a caller that frames several
+/// snapshots in one file through one reused buffer.
+pub fn encode_state(state: &PprState, buf: &mut Vec<u8>) {
     let cfg = state.config();
-    let mut buf = Vec::with_capacity(HEADER + 16 * state.len() + 4);
+    let start = buf.len();
+    buf.reserve(HEADER + 16 * state.len() + 4);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&cfg.source.to_le_bytes());
     for word in [cfg.alpha.to_bits(), cfg.epsilon.to_bits(), state.len() as u64] {
@@ -55,10 +67,8 @@ pub fn write_state<W: Write>(state: &PprState, mut w: W) -> io::Result<()> {
     for x in state.p_atomics().iter().chain(state.r_atomics()) {
         buf.extend_from_slice(&x.load().to_bits().to_le_bytes());
     }
-    let crc = crc32(&buf);
+    let crc = crc32(&buf[start..]);
     buf.extend_from_slice(&crc.to_le_bytes());
-    w.write_all(&buf)?;
-    w.flush()
 }
 
 /// Reads a v3 snapshot back. The returned state is bit-identical to the
@@ -69,6 +79,12 @@ pub fn write_state<W: Write>(state: &PprState, mut w: W) -> io::Result<()> {
 pub fn read_state<R: Read>(mut r: R) -> io::Result<PprState> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
+    decode_state(&bytes)
+}
+
+/// [`read_state`] over bytes already in memory: `bytes` must be exactly
+/// one snapshot, and pass every check `read_state` makes.
+pub fn decode_state(bytes: &[u8]) -> io::Result<PprState> {
     if !bytes.starts_with(MAGIC) {
         return Err(bad("not a dppr-state v3 snapshot (bad magic)".into()));
     }

@@ -5,7 +5,11 @@
 //! Bootstrap and WAL-tail replay go through the same `apply_batch` as a
 //! live slide, so they spread the sessions over every core too, and the
 //! base checkpoint clones the states the way the checkpointer's capture
-//! does.
+//! does. A fresh boot writes that base checkpoint and logs nothing; a
+//! recovery starts from the newest valid `ckpt-<epoch>.bin` and prunes
+//! the WAL through its epoch. A data directory in an older layout, or
+//! one whose checkpoints all fail validation, is refused before the WAL
+//! is opened.
 
 use crate::audit::{self, AuditShared, SloEngine};
 use crate::cache::QueryCache;
@@ -17,14 +21,13 @@ use crate::query::RouterImpl;
 use crate::registry::SessionRegistry;
 use crate::server::{Control, Ctx, ServeConfig, ServerHandle, ServerStats};
 use crate::snapshot::QuerySnapshot;
-use crate::writer::{apply_counted, clone_states, mark_checkpoint, spawn_durable, write_loop};
+use crate::writer::{apply_counted, clone_states, spawn_durable, write_loop};
 use dppr_core::{MultiSourcePpr, PushVariant};
 use dppr_graph::{GraphStream, VertexId};
 use dppr_stream::StreamDriver;
 use dppr_wal::{Wal, WalOptions, WalRecord, WalStats};
 use std::io;
 use std::net::TcpListener;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -211,25 +214,12 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// A directory entry named `shard-<digits>`: the per-shard layout of
-/// instances that kept one WAL directory per write shard.
-fn sharded_layout_entry(data_dir: &Path) -> io::Result<Option<String>> {
-    for entry in std::fs::read_dir(data_dir)? {
-        let name = entry?.file_name().to_string_lossy().into_owned();
-        let digits = name.strip_prefix("shard-").unwrap_or("");
-        if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
-            return Ok(Some(name));
-        }
-    }
-    Ok(None)
-}
-
 /// Durable bootstrap: recover from the newest checkpoint + WAL tail when
 /// one exists, else bootstrap fresh and write the epoch-1 base
 /// checkpoint. Either way the returned WAL is open, repaired, and ready
-/// for the write loop to append to. A directory in the per-shard layout
-/// is refused: its root holds no checkpoint, so it would look fresh and
-/// be bootstrapped over.
+/// for the write loop to append to. A directory in a layout older
+/// builds wrote is refused before anything is read or written, and so is
+/// one whose checkpoints all fail validation.
 #[allow(clippy::too_many_arguments)]
 fn durable_boot(
     stream: GraphStream,
@@ -242,14 +232,7 @@ fn durable_boot(
     stats: &ServerStats,
 ) -> io::Result<Boot> {
     std::fs::create_dir_all(&dcfg.data_dir)?;
-    if let Some(name) = sharded_layout_entry(&dcfg.data_dir)? {
-        return Err(invalid(format!(
-            "data directory {} holds {name}/: it was written with one WAL directory per write \
-             shard, a layout this version does not read — recover it with the version that \
-             wrote it, or point --data-dir at an empty directory",
-            dcfg.data_dir.display()
-        )));
-    }
+    durability::refuse_older_layouts(&dcfg.data_dir)?;
     let checkpoint = durability::load_latest_checkpoint(&dcfg.data_dir)?;
     let wal_opts = WalOptions { segment_bytes: dcfg.segment_bytes, fsync: dcfg.fsync };
     let wdir = durability::wal_dir(&dcfg.data_dir);
@@ -274,8 +257,6 @@ fn durable_boot(
         // the WAL never needs to hold the (large) initial window.
         let (ws, we) = driver.window_range();
         durability::write_checkpoint(&dcfg.data_dir, 1, (ws, we), &clone_states(&multi))?;
-        wal.append(&WalRecord::Checkpoint { epoch: 1 })?;
-        wal.sync()?;
         stats.checkpoints.fetch_add(1, Relaxed);
         return Ok(Boot { driver, multi, wal: Some(wal), recovery: None, durable_epoch: 1 });
     };
@@ -300,8 +281,9 @@ fn durable_boot(
 
     // Replay only the tail: batches at or below the checkpoint epoch are
     // the duplicated-tail case (checkpointed but not yet pruned) and are
-    // skipped; an epoch gap means the log lost acknowledged records and
-    // recovery must not fake the missing slides.
+    // skipped, as are the checkpoint markers older builds logged; an
+    // epoch gap means the log lost acknowledged records and recovery
+    // must not fake the missing slides.
     let mut applied_epoch = checkpoint_epoch;
     let mut replayed = 0u64;
     for rec in &tail {
@@ -338,10 +320,9 @@ fn durable_boot(
 
     domain.resume_at(applied_epoch);
     open_sessions(&multi, registry, applied_epoch);
-    // Re-anchor retention: if the crash hit between the checkpoint rename
-    // and its WAL marker, the marker is missing — append it now so the
-    // covered segments can be pruned.
-    mark_checkpoint(&mut wal, checkpoint_epoch)?;
+    // Retention: a crash can land between a checkpoint's rename and the
+    // write loop's prune, leaving segments the checkpoint covers.
+    wal.prune_through(checkpoint_epoch)?;
 
     let (ws, we) = driver.window_range();
     let recovery = RecoveryReport {
@@ -373,11 +354,11 @@ pub struct BootProbe {
 }
 
 /// Runs the durable bootstrap exactly as [`start`] would — recovery or
-/// fresh start, including WAL torn-tail repair, checkpoint-marker
-/// re-append, and retention — but binds no port and spawns no threads,
-/// so the returned state is frozen at the boot point instead of racing
-/// the write loop. The crash-recovery harness uses this to prove a
-/// recovered instance is bit-identical to a never-crashed replay.
+/// fresh start, including WAL torn-tail repair and retention — but binds
+/// no port and spawns no threads, so the returned state is frozen at the
+/// boot point instead of racing the write loop. The crash-recovery
+/// harness uses this to prove a recovered instance is bit-identical to a
+/// never-crashed replay.
 pub fn boot_probe(
     stream: GraphStream,
     init_fraction: f64,

@@ -1,47 +1,54 @@
 //! Checkpoints + WAL plumbing for the serving stack.
 //!
 //! The durable state of a serving instance is (a) the newest checkpoint
-//! directory `ckpt-<epoch>` and (b) the WAL tail past that epoch. A
-//! checkpoint captures everything recovery needs:
+//! file `ckpt-<epoch>.bin` and (b) the WAL tail past that epoch. A
+//! checkpoint is one binary file, every integer little-endian:
 //!
-//! * `MANIFEST` — a small text file: the version line `dppr-ckpt v2`,
-//!   epoch, window bounds (logical stream positions), the open source
-//!   list, and a CRC32 trailer over all preceding bytes;
-//! * one `state-<source>.bin` per open session, in the binary
-//!   `core::persist` v3 format (its own CRC trailer).
+//! ```text
+//! magic     "dppr-ckpt v3\n"
+//! epoch     u64
+//! window    u64 start, u64 end (logical stream positions)
+//! sessions  u32
+//! per session: u64 byte length, then one `core::persist` v3 state
+//! CRC32     u32 over every byte before it
+//! ```
 //!
-//! Checkpoints are written crash-atomically: everything goes into a
-//! staging directory `ckpt.tmp-<epoch>` first, each file is fsynced, and
-//! a single `rename(2)` publishes it — a crash at any point leaves
-//! either the old checkpoint or the new one, never a half-written
-//! hybrid. Loading walks `ckpt-*` newest-first and takes the first one
-//! that validates, so a corrupt newest checkpoint silently falls back to
-//! its predecessor (whose WAL tail is still retained, because segments
-//! are pruned only up to the *acknowledged* durable epoch). A valid
-//! `dppr-ckpt v1` manifest — a checkpoint in the text state format of
-//! older builds — is not skipped but refused with an error, so a data
-//! directory written by an older version is never mistaken for a fresh
-//! one and bootstrapped over.
+//! The length prefix keeps this module ignorant of the state layout; each
+//! state also carries its own length check and CRC trailer. States are
+//! encoded and decoded one at a time through one reused buffer, and the
+//! file's CRC takes each state's own CRC by `Crc32::combine`, so no byte
+//! is hashed twice.
+//!
+//! Checkpoints are written crash-atomically: the bytes go to
+//! `ckpt-<epoch>.tmp`, one `fdatasync` flushes them, a `rename(2)`
+//! publishes the file and one directory fsync makes the rename durable —
+//! a crash at any point leaves either the old checkpoint or the new one.
+//! Because nothing is ever written under the final name, an invalid
+//! `ckpt-<epoch>.bin` is damage, not a crash artifact: loading walks the
+//! files newest-first and takes the first that validates, and refuses
+//! the directory when none does, rather than treating it as fresh (a
+//! fresh boot deletes the WAL). The directory layouts older builds wrote
+//! are refused the same way, by [`refuse_older_layouts`].
 
-use dppr_core::persist::{read_state, write_state};
-use dppr_core::{crc32, PprState};
+use dppr_core::persist::{decode_state, encode_state};
+use dppr_core::{Crc32, PprState};
 use dppr_wal::{fault, FsyncPolicy};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// First line of every checkpoint manifest.
-const MANIFEST_MAGIC: &str = "dppr-ckpt v2";
-/// First line of the manifests older builds wrote next to text state
-/// files; such a checkpoint is refused, not skipped.
-const TEXT_MANIFEST_MAGIC: &str = "dppr-ckpt v1";
+/// First bytes of every checkpoint file.
+const MAGIC: &[u8] = b"dppr-ckpt v3\n";
+/// Bytes before the first record: the magic, epoch, window start and
+/// end (u64 each), then the session count (u32).
+const HEADER: usize = MAGIC.len() + 3 * 8 + 4;
 
 /// Durability knobs for a serving instance.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Root directory: WAL segments under `wal/`, checkpoints as
-    /// `ckpt-<epoch>` subdirectories.
+    /// `ckpt-<epoch>.bin` files.
     pub data_dir: PathBuf,
     /// WAL flush discipline.
     pub fsync: FsyncPolicy,
@@ -88,7 +95,7 @@ pub struct LoadedCheckpoint {
     pub window_start: usize,
     /// Window end at that epoch.
     pub window_end: usize,
-    /// One converged state per open session, in manifest order.
+    /// One converged state per open session, in file order.
     pub states: Vec<PprState>,
 }
 
@@ -98,15 +105,17 @@ pub fn wal_dir(data_dir: &Path) -> PathBuf {
 }
 
 fn ckpt_path(data_dir: &Path, epoch: u64) -> PathBuf {
-    data_dir.join(format!("ckpt-{epoch}"))
-}
-
-fn state_file(source: u32) -> String {
-    format!("state-{source}.bin")
+    data_dir.join(format!("ckpt-{epoch}.bin"))
 }
 
 fn parse_ckpt_epoch(name: &str) -> Option<u64> {
-    name.strip_prefix("ckpt-")?.parse().ok()
+    name.strip_prefix("ckpt-")?.strip_suffix(".bin")?.parse().ok()
+}
+
+/// `name` is `prefix` followed by one or more ASCII digits.
+fn numbered(name: &str, prefix: &str) -> bool {
+    name.strip_prefix(prefix)
+        .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
 }
 
 fn sync_dir(dir: &Path) -> io::Result<()> {
@@ -117,136 +126,155 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Writes the checkpoint for `epoch` crash-atomically under `data_dir`.
+/// Refuses a data directory in a layout older builds wrote: an entry
+/// `shard-<digits>` (one WAL directory per write shard) or
+/// `ckpt-<digits>` (a checkpoint directory of per-session files). Such a
+/// directory holds no `ckpt-<epoch>.bin`, so it would look fresh and be
+/// bootstrapped over; the boot fails with an error naming the entry
+/// before anything is written.
+pub(crate) fn refuse_older_layouts(data_dir: &Path) -> io::Result<()> {
+    for entry in fs::read_dir(data_dir)? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        let layout = if numbered(&name, "shard-") {
+            "one WAL directory per write shard"
+        } else if numbered(&name, "ckpt-") {
+            "one checkpoint directory of per-session files per epoch"
+        } else {
+            continue;
+        };
+        return Err(bad(format!(
+            "data directory {} holds {name}/: it was written with {layout}, a layout this \
+             version does not read — recover it with the version that wrote it, or point \
+             --data-dir at an empty directory",
+            data_dir.display()
+        )));
+    }
+    Ok(())
+}
+
+/// Feeds one encoded state to a checkpoint's running CRC. A state ends
+/// with the CRC of its other bytes, so those are not hashed a second time;
+/// on load this runs only after the state passed its own checks.
+fn feed_state(crc: &mut Crc32, state: &[u8]) {
+    let (body, trailer) = state.split_at(state.len() - 4);
+    crc.combine(u32::from_le_bytes(trailer.try_into().expect("4 bytes")), body.len() as u64);
+    crc.update(trailer);
+}
+
+/// Writes the checkpoint for `epoch` crash-atomically under `data_dir`,
+/// encoding one state at a time through one reused buffer.
 ///
-/// Crash-injection sites: `ckpt-state` (dies with only the first state
-/// file staged), `ckpt-pre-rename` (staging complete, rename pending)
-/// and `ckpt-post-rename` (checkpoint published, WAL marker pending).
+/// Crash-injection sites: `ckpt-state` (dies with only the first record
+/// in the tmp file), `ckpt-pre-rename` (tmp file flushed, rename pending)
+/// and `ckpt-post-rename` (checkpoint published and its rename durable,
+/// older checkpoints and the WAL not yet pruned).
 pub fn write_checkpoint(
     data_dir: &Path,
     epoch: u64,
     window: (usize, usize),
     states: &[PprState],
 ) -> io::Result<()> {
-    let stage = data_dir.join(format!("ckpt.tmp-{epoch}"));
-    let _ = fs::remove_dir_all(&stage);
-    fs::create_dir_all(&stage)?;
-
-    let mut manifest = String::new();
-    manifest.push_str(MANIFEST_MAGIC);
-    manifest.push('\n');
-    manifest.push_str(&format!("epoch {epoch}\n"));
-    manifest.push_str(&format!("window {} {}\n", window.0, window.1));
-    manifest.push_str(&format!("sources {}\n", states.len()));
+    let tmp = data_dir.join(format!("ckpt-{epoch}.tmp"));
+    let mut file = File::create(&tmp)?;
+    let mut header = MAGIC.to_vec();
+    for word in [epoch, window.0 as u64, window.1 as u64] {
+        header.extend_from_slice(&word.to_le_bytes());
+    }
+    header.extend_from_slice(&(states.len() as u32).to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&header);
+    file.write_all(&header)?;
+    let mut buf = Vec::new();
     for (i, st) in states.iter().enumerate() {
-        let source = st.config().source;
-        manifest.push_str(&format!("source {source}\n"));
-        let mut f = File::create(stage.join(state_file(source)))?;
-        write_state(st, &mut f)?;
-        f.sync_data()?;
+        buf.clear();
+        encode_state(st, &mut buf);
+        let len = (buf.len() as u64).to_le_bytes();
+        crc.update(&len);
+        feed_state(&mut crc, &buf);
+        file.write_all(&len)?;
+        file.write_all(&buf)?;
         if i == 0 {
             fault::maybe_crash("ckpt-state");
         }
     }
-    manifest.push_str(&format!("crc32 {:08x}\n", crc32(manifest.as_bytes())));
-    let mut f = File::create(stage.join("MANIFEST"))?;
-    f.write_all(manifest.as_bytes())?;
-    f.sync_data()?;
-    sync_dir(&stage)?;
+    file.write_all(&crc.finish().to_le_bytes())?;
+    file.sync_data()?;
 
     fault::maybe_crash("ckpt-pre-rename");
-    let target = ckpt_path(data_dir, epoch);
-    let _ = fs::remove_dir_all(&target); // re-checkpointing an epoch is idempotent
-    fs::rename(&stage, &target)?;
+    fs::rename(&tmp, ckpt_path(data_dir, epoch))?;
     sync_dir(data_dir)?;
     fault::maybe_crash("ckpt-post-rename");
     Ok(())
 }
 
-/// Loads one checkpoint directory, validating the manifest CRC, the
-/// listed sources, and every per-state file (v3 length and trailer). A
-/// valid manifest of the text-format version is an
-/// [`io::ErrorKind::Unsupported`] error, which the caller must not skip.
-fn load_checkpoint_dir(dir: &Path) -> io::Result<LoadedCheckpoint> {
-    let mut bytes = Vec::new();
-    File::open(dir.join("MANIFEST"))?.read_to_end(&mut bytes)?;
-    let text = std::str::from_utf8(&bytes).map_err(|_| bad("manifest is not UTF-8"))?;
-    let body_end = text
-        .trim_end_matches('\n')
-        .rfind('\n')
-        .ok_or_else(|| bad("manifest too short"))?;
-    let (body, trailer) = text.split_at(body_end + 1);
-    let stored = trailer
-        .trim_end()
-        .strip_prefix("crc32 ")
-        .and_then(|h| u32::from_str_radix(h, 16).ok())
-        .ok_or_else(|| bad("manifest missing crc32 trailer"))?;
-    if crc32(body.as_bytes()) != stored {
-        return Err(bad("manifest checksum mismatch"));
+/// Loads one checkpoint file. Every length is checked against the bytes
+/// left in the file before a buffer is sized for it, each state is
+/// checked by `decode_state` (exact length, own CRC), and the trailer must
+/// follow the last record and equal the CRC of everything before it.
+fn load_checkpoint_file(path: &Path) -> io::Result<LoadedCheckpoint> {
+    let mut file = File::open(path)?;
+    let size = file.metadata()?.len();
+    // Bytes between the read position and the 4-byte trailer; every read
+    // below is covered by it.
+    let mut left = size
+        .checked_sub(HEADER as u64 + 4)
+        .ok_or_else(|| bad(format!("checkpoint of {size} bytes ends inside its header")))?;
+    let mut header = [0u8; HEADER];
+    file.read_exact(&mut header)?;
+    if !header.starts_with(MAGIC) {
+        return Err(bad("not a dppr-ckpt v3 checkpoint (bad magic)"));
     }
-
-    let mut lines = body.lines();
-    match lines.next() {
-        Some(MANIFEST_MAGIC) => {}
-        Some(TEXT_MANIFEST_MAGIC) => {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!(
-                    "checkpoint {} is a {TEXT_MANIFEST_MAGIC} checkpoint: its state files are in \
-                     the text format of older builds, which this version does not read — \
-                     recover the data directory with the version that wrote it, or point \
-                     --data-dir at an empty directory",
-                    dir.display()
-                ),
-            ))
-        }
-        _ => return Err(bad("bad manifest magic")),
-    }
-    let field = |line: Option<&str>, key: &str| -> io::Result<String> {
-        line.and_then(|l| l.strip_prefix(key))
-            .map(str::to_string)
-            .ok_or_else(|| bad(format!("manifest missing `{key}` line")))
+    let word = |i: usize| {
+        let at = MAGIC.len() + 8 * i;
+        u64::from_le_bytes(header[at..at + 8].try_into().expect("an 8-byte field"))
     };
-    let epoch: u64 =
-        field(lines.next(), "epoch ")?.parse().map_err(|_| bad("bad epoch field"))?;
-    let window_raw = field(lines.next(), "window ")?;
-    let mut w = window_raw.split_whitespace();
-    let window_start: usize = w
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| bad("bad window field"))?;
-    let window_end: usize = w
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| bad("bad window field"))?;
+    let (epoch, window_start, window_end) = (word(0), word(1), word(2));
+    let count = u32::from_le_bytes(header[HEADER - 4..].try_into().expect("a 4-byte field"));
     if window_start > window_end {
-        return Err(bad("inverted window bounds"));
+        return Err(bad(format!("inverted window bounds {window_start} > {window_end}")));
     }
-    let count: usize =
-        field(lines.next(), "sources ")?.parse().map_err(|_| bad("bad sources field"))?;
+    let fits =
+        |w: u64| usize::try_from(w).map_err(|_| bad("window bound does not fit in memory"));
+    let (window_start, window_end) = (fits(window_start)?, fits(window_end)?);
+    let mut crc = Crc32::new();
+    crc.update(&header);
+    let mut buf = Vec::new();
     let mut states = Vec::new();
-    for _ in 0..count {
-        let source: u32 =
-            field(lines.next(), "source ")?.parse().map_err(|_| bad("bad source field"))?;
-        let st = read_state(File::open(dir.join(state_file(source)))?)?;
-        if st.config().source != source {
-            return Err(bad(format!(
-                "state file claims source {}, manifest says {source}",
-                st.config().source
-            )));
+    for i in 0..count {
+        let mut len = [0u8; 8];
+        left = left.checked_sub(8).ok_or_else(|| bad(format!("record {i} is cut off")))?;
+        file.read_exact(&mut len)?;
+        crc.update(&len);
+        let len = u64::from_le_bytes(len);
+        if len > left {
+            return Err(bad(format!("record {i} claims {len} bytes, {left} are left")));
         }
-        states.push(st);
+        left -= len;
+        buf.resize(len as usize, 0);
+        file.read_exact(&mut buf)?;
+        states.push(decode_state(&buf)?);
+        feed_state(&mut crc, &buf);
+    }
+    if left != 0 {
+        return Err(bad(format!("{left} bytes between the last record and the trailer")));
+    }
+    let mut trailer = [0u8; 4];
+    file.read_exact(&mut trailer)?;
+    let (stored, actual) = (u32::from_le_bytes(trailer), crc.finish());
+    if stored != actual {
+        return Err(bad(format!(
+            "checkpoint checksum mismatch: stored {stored:08x}, computed {actual:08x}"
+        )));
     }
     Ok(LoadedCheckpoint { epoch, window_start, window_end, states })
 }
 
 /// Finds and loads the newest valid checkpoint under `data_dir`:
-/// candidates are tried newest-first and invalid ones are skipped with a
-/// note on stderr (a crash mid-checkpoint must not block recovery from
-/// the previous one). `Ok(None)` means a genuinely fresh data dir. A
-/// checkpoint an older build wrote in the text state format is an error:
-/// skipping it would make the directory look fresh, and a fresh boot
-/// deletes the WAL.
+/// candidates are tried newest-first and the first that validates wins,
+/// with a note on stderr for each newer one skipped. `Ok(None)` means a
+/// fresh data dir — one holding no `ckpt-<epoch>.bin` at all. Candidates
+/// of which none validates are an [`io::ErrorKind::InvalidData`] error
+/// naming each one and what is wrong with it.
 pub fn load_latest_checkpoint(data_dir: &Path) -> io::Result<Option<LoadedCheckpoint>> {
     let mut epochs: Vec<u64> = match fs::read_dir(data_dir) {
         Ok(rd) => rd
@@ -257,32 +285,38 @@ pub fn load_latest_checkpoint(data_dir: &Path) -> io::Result<Option<LoadedCheckp
         Err(e) => return Err(e),
     };
     epochs.sort_unstable_by(|a, b| b.cmp(a));
+    let mut invalid = Vec::new();
     for epoch in epochs {
-        match load_checkpoint_dir(&ckpt_path(data_dir, epoch)) {
-            Ok(ck) => {
-                debug_assert_eq!(ck.epoch, epoch);
-                return Ok(Some(ck));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Unsupported => return Err(e),
-            Err(e) => {
-                eprintln!("dppr-serve: skipping invalid checkpoint ckpt-{epoch}: {e}");
-            }
-        }
+        let err = match load_checkpoint_file(&ckpt_path(data_dir, epoch)) {
+            Ok(ck) if ck.epoch == epoch => return Ok(Some(ck)),
+            Ok(ck) => bad(format!("its header says epoch {}", ck.epoch)),
+            Err(e) => e,
+        };
+        eprintln!("dppr-serve: skipping invalid checkpoint ckpt-{epoch}.bin: {err}");
+        invalid.push(format!("ckpt-{epoch}.bin: {err}"));
     }
-    Ok(None)
+    if invalid.is_empty() {
+        return Ok(None);
+    }
+    Err(bad(format!(
+        "data directory {} holds checkpoints, but none is valid ({}) — it is damaged, not fresh, \
+         and is not bootstrapped over",
+        data_dir.display(),
+        invalid.join("; ")
+    )))
 }
 
 /// Deletes checkpoints older than `keep_epoch` and every leftover
-/// staging directory.
+/// `ckpt-<epoch>.tmp`.
 pub fn prune_checkpoints(data_dir: &Path, keep_epoch: u64) -> io::Result<()> {
     for entry in fs::read_dir(data_dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let stale_tmp = name.starts_with("ckpt.tmp-");
+        let stale_tmp = name.starts_with("ckpt-") && name.ends_with(".tmp");
         let old_ckpt = parse_ckpt_epoch(name).is_some_and(|e| e < keep_epoch);
         if stale_tmp || old_ckpt {
-            fs::remove_dir_all(entry.path())?;
+            fs::remove_file(entry.path())?;
         }
     }
     Ok(())
@@ -330,6 +364,10 @@ mod tests {
         for (a, b) in ck.states.iter().zip(&states) {
             assert_eq!(state_fingerprint(a), state_fingerprint(b));
         }
+        // One file, no leftovers.
+        let names: Vec<_> =
+            fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["ckpt-12.bin"]);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -350,21 +388,25 @@ mod tests {
         let states = converged_states(&[2]);
         write_checkpoint(&dir, 3, (0, 50), &states).unwrap();
         write_checkpoint(&dir, 8, (50, 100), &states).unwrap();
-        // Flip a manifest byte in the newest.
-        let m = dir.join("ckpt-8").join("MANIFEST");
-        let mut bytes = fs::read(&m).unwrap();
+        // Flip a header byte in the newest.
+        let newest = dir.join("ckpt-8.bin");
+        let mut bytes = fs::read(&newest).unwrap();
         bytes[20] ^= 0x10;
-        fs::write(&m, &bytes).unwrap();
+        fs::write(&newest, &bytes).unwrap();
         let ck = load_latest_checkpoint(&dir).unwrap().unwrap();
         assert_eq!(ck.epoch, 3);
 
-        // Corrupt a *state file* of epoch 3 too: nothing valid remains.
-        let s = dir.join("ckpt-3").join("state-2.bin");
-        let mut bytes = fs::read(&s).unwrap();
+        // Corrupt a state record of epoch 3 too: nothing valid remains,
+        // and the directory is refused, naming both candidates.
+        let older = dir.join("ckpt-3.bin");
+        let mut bytes = fs::read(&older).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
-        fs::write(&s, &bytes).unwrap();
-        assert!(load_latest_checkpoint(&dir).unwrap().is_none());
+        fs::write(&older, &bytes).unwrap();
+        let err = load_latest_checkpoint(&dir).err().expect("no valid checkpoint");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("ckpt-8.bin") && msg.contains("ckpt-3.bin"), "{msg}");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -384,11 +426,11 @@ mod tests {
         let states = converged_states(&[0]);
         write_checkpoint(&dir, 2, (0, 10), &states).unwrap();
         write_checkpoint(&dir, 5, (10, 20), &states).unwrap();
-        fs::create_dir_all(dir.join("ckpt.tmp-9")).unwrap();
+        fs::write(dir.join("ckpt-9.tmp"), b"torn").unwrap();
         prune_checkpoints(&dir, 5).unwrap();
-        assert!(!dir.join("ckpt-2").exists());
-        assert!(dir.join("ckpt-5").exists());
-        assert!(!dir.join("ckpt.tmp-9").exists());
+        assert!(!dir.join("ckpt-2.bin").exists());
+        assert!(dir.join("ckpt-5.bin").exists());
+        assert!(!dir.join("ckpt-9.tmp").exists());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -401,9 +443,9 @@ mod tests {
     #[test]
     fn hostile_checkpoint_bytes_load_the_same_state_or_fall_back() {
         // Seeded mutations of the newer of two checkpoints: every
-        // truncation of each of its files, random byte flips in each, and
-        // a flip at every manifest byte. Every case must load the newer
-        // checkpoint bit-identically or fall back to the older one.
+        // truncation, random byte flips anywhere, and a flip at every
+        // header byte. Every case must load the newer checkpoint
+        // bit-identically or fall back to the older one.
         let dir = test_dir("hostile");
         let older = converged_states(&[0, 5]);
         let newer = converged_states(&[1, 5]);
@@ -420,44 +462,42 @@ mod tests {
             assert_eq!(&fps(&ck.states), want, "{}: epoch {} differs", what(), ck.epoch);
         };
         let mut rng = SmallRng::seed_from_u64(0xC4EC4);
-        for name in ["MANIFEST", "state-1.bin", "state-5.bin"] {
-            let path = dir.join("ckpt-8").join(name);
-            let clean = fs::read(&path).unwrap();
-            for cut in 0..clean.len() {
-                fs::write(&path, &clean[..cut]).unwrap();
-                check(&|| format!("{name} cut to {cut}"));
-            }
-            for case in 0..100 {
-                let mut m = clean.clone();
-                for _ in 0..rng.gen_range(1..=4) {
-                    m[rng.gen_range(0..clean.len())] ^= rng.gen_range(1..=255u8);
-                }
-                fs::write(&path, &m).unwrap();
-                check(&|| format!("{name} flip case {case}"));
-            }
-            if name == "MANIFEST" {
-                for at in 0..clean.len() {
-                    let mut m = clean.clone();
-                    m[at] ^= rng.gen_range(1..=255u8);
-                    fs::write(&path, &m).unwrap();
-                    check(&|| format!("manifest byte {at} flipped"));
-                }
-            }
-            fs::write(&path, &clean).unwrap();
+        let path = dir.join("ckpt-8.bin");
+        let clean = fs::read(&path).unwrap();
+        for cut in 0..clean.len() {
+            fs::write(&path, &clean[..cut]).unwrap();
+            check(&|| format!("cut to {cut}"));
         }
+        for case in 0..300 {
+            let mut m = clean.clone();
+            for _ in 0..rng.gen_range(1..=4) {
+                m[rng.gen_range(0..clean.len())] ^= rng.gen_range(1..=255u8);
+            }
+            fs::write(&path, &m).unwrap();
+            check(&|| format!("flip case {case}"));
+        }
+        for at in 0..HEADER {
+            let mut m = clean.clone();
+            m[at] ^= rng.gen_range(1..=255u8);
+            fs::write(&path, &m).unwrap();
+            check(&|| format!("header byte {at} flipped"));
+        }
+        fs::write(&path, &clean).unwrap();
         assert_eq!(load_latest_checkpoint(&dir).unwrap().unwrap().epoch, 8);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn truncated_manifest_is_skipped() {
+    fn truncated_checkpoint_is_refused() {
         let dir = test_dir("trunc");
         let states = converged_states(&[1]);
         write_checkpoint(&dir, 4, (0, 30), &states).unwrap();
-        let m = dir.join("ckpt-4").join("MANIFEST");
-        let bytes = fs::read(&m).unwrap();
-        fs::write(&m, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(load_latest_checkpoint(&dir).unwrap().is_none());
+        let path = dir.join("ckpt-4.bin");
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let err = load_latest_checkpoint(&dir).err().expect("a torn checkpoint is not fresh");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("ckpt-4.bin"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,8 +2,10 @@
 //! batches (graph once, then the sessions' pushes over every core) and
 //! publishes epochs (the sessions' snapshots built over every core too),
 //! session control between batches, and the durability half — WAL
-//! appends before publication, the background checkpointer, its
-//! acknowledgement markers and retention.
+//! appends before publication, the background checkpointer, and
+//! retention: once the checkpointer publishes a durable epoch, the loop
+//! prunes the WAL segments it covers. No marker is logged for a
+//! checkpoint; its file is the record.
 
 use crate::audit::{AuditJob, AuditSession};
 use crate::durability::{self, DurabilityConfig};
@@ -63,22 +65,14 @@ pub(crate) fn clone_states(multi: &MultiSourcePpr) -> Vec<PprState> {
     fan_out(multi.num_sources(), default_threads(), clone, concat)
 }
 
-/// Appends and flushes the `Checkpoint` marker for durable epoch `epoch`,
-/// then prunes the WAL segments it covers.
-pub(crate) fn mark_checkpoint(wal: &mut Wal, epoch: u64) -> io::Result<()> {
-    wal.append(&WalRecord::Checkpoint { epoch })?;
-    wal.sync()?;
-    wal.prune_through(epoch).map(drop)
-}
-
 /// The write loop's durability half: the WAL it owns exclusively, plus
 /// the handles of the background checkpointer.
 pub(crate) struct DurableState {
     wal: Wal,
     cfg: DurabilityConfig,
-    /// Newest durable epoch whose `Checkpoint` marker has been appended
-    /// to the WAL (retention runs when this catches up to
-    /// `Ctx::durable_epoch`, which the background checkpointer publishes).
+    /// Newest durable epoch the WAL has been pruned through (retention
+    /// runs when `Ctx::durable_epoch`, which the background checkpointer
+    /// publishes, moves past it).
     acked: u64,
     ckpt_tx: Option<SyncSender<CkptJob>>,
     ckpt_thread: Option<JoinHandle<()>>,
@@ -186,8 +180,7 @@ pub(crate) fn write_loop(
             handle_control(ctl, &mut driver, &mut multi, &ctx, &mut audit_cursor);
         }
         // Retention follows the background checkpointer: once a newer
-        // checkpoint is durable, append its marker and drop the WAL
-        // segments it covers.
+        // checkpoint is durable, drop the WAL segments it covers.
         if let Some(d) = dur.as_mut() {
             ack_durable(d, &ctx);
         }
@@ -307,22 +300,21 @@ pub(crate) fn write_loop(
     }
 }
 
-/// Appends the `Checkpoint` marker for any newly durable checkpoint and
-/// prunes the WAL segments it covers.
+/// Prunes the WAL segments a newly durable checkpoint covers.
 fn ack_durable(d: &mut DurableState, ctx: &Ctx) {
     let e = ctx.durable_epoch.load(Relaxed);
     if d.dead || e <= d.acked {
         return;
     }
-    match mark_checkpoint(&mut d.wal, e) {
-        Ok(()) => {
+    match d.wal.prune_through(e) {
+        Ok(_) => {
             d.acked = e;
             note_wal(d, ctx);
         }
         Err(err) => {
-            eprintln!("dppr-serve: WAL checkpoint marker failed ({err}); serving read-only");
+            eprintln!("dppr-serve: WAL prune failed ({err}); serving read-only");
             d.dead = true;
-            mark_degraded(ctx, format!("WAL checkpoint marker failed: {err}"));
+            mark_degraded(ctx, format!("WAL prune failed: {err}"));
         }
     }
 }
@@ -372,7 +364,7 @@ fn finalize_durable(
     }
     match CkptJob::capture(epoch, driver, multi).write(ctx, &d.cfg.data_dir) {
         Ok(()) => {
-            let _ = mark_checkpoint(&mut d.wal, epoch);
+            let _ = d.wal.prune_through(epoch);
         }
         Err(e) => eprintln!("dppr-serve: final checkpoint at epoch {epoch} failed: {e}"),
     }

@@ -76,6 +76,14 @@ fn graceful_shutdown_checkpoints_and_restart_replays_nothing() {
     let report = handle.join();
     assert!(report.checkpoints >= 1);
     assert_eq!(report.durable_epoch, report.epoch, "join leaves a final checkpoint");
+    // The final checkpoint is one file; older ones and tmp files are gone.
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, [format!("ckpt-{}.bin", report.epoch), "wal".into()]);
+    assert!(dir.join("wal").is_dir());
 
     // Restart: the final checkpoint covers everything — an empty tail.
     let probe = boot_probe(the_stream(), INIT, &SOURCES, &c).unwrap();
@@ -90,21 +98,19 @@ fn graceful_shutdown_checkpoints_and_restart_replays_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn recovery_replays_only_the_tail() {
-    let dir = tmpdir("tail");
-    let c = cfg(&dir);
-
-    // Hand-build the post-crash disk state: a checkpoint at epoch 1 and
-    // three logged-but-uncheckpointed batches (epochs 2..=4) — exactly
-    // what a crash right after the epoch-4 append leaves behind.
+/// Hand-builds the post-crash disk state under `dir`: a checkpoint at
+/// epoch 1 and three logged-but-uncheckpointed batches (epochs 2..=4) —
+/// exactly what a crash right after the epoch-4 append leaves behind.
+/// The log opens with the `Checkpoint` marker older builds wrote, which
+/// recovery must skip. Returns the live state at epoch 4.
+fn crashed_after_epoch_4(dir: &Path) -> MultiSourcePpr {
     let mut driver = StreamDriver::new(the_stream(), INIT);
     let mut multi = MultiSourcePpr::new(&SOURCES, ALPHA, EPS, PushVariant::OPT);
     let init = driver.take_initial_batch();
     multi.apply_batch(driver.graph_mut(), &init);
     let states: Vec<_> = (0..multi.num_sources()).map(|i| multi.state(i).clone_values()).collect();
-    dppr_serve::durability::write_checkpoint(&dir, 1, driver.window_range(), &states).unwrap();
-    let wal_dir = dppr_serve::durability::wal_dir(&dir);
+    dppr_serve::durability::write_checkpoint(dir, 1, driver.window_range(), &states).unwrap();
+    let wal_dir = dppr_serve::durability::wal_dir(dir);
     let (mut wal, tail) = Wal::open(&wal_dir, WalOptions::default()).unwrap();
     assert!(tail.is_empty());
     wal.append(&WalRecord::Checkpoint { epoch: 1 }).unwrap();
@@ -121,9 +127,14 @@ fn recovery_replays_only_the_tail() {
         multi.apply_batch(driver.graph_mut(), &batch);
     }
     wal.sync().unwrap();
-    drop(wal);
+    multi
+}
 
-    let probe = boot_probe(the_stream(), INIT, &SOURCES, &c).unwrap();
+#[test]
+fn recovery_replays_only_the_tail() {
+    let dir = tmpdir("tail");
+    let multi = crashed_after_epoch_4(&dir);
+    let probe = boot_probe(the_stream(), INIT, &SOURCES, &cfg(&dir)).unwrap();
     let rec = probe.recovery.expect("recovers from the checkpoint");
     assert_eq!(rec.checkpoint_epoch, 1);
     assert_eq!(rec.replayed_batches, 3, "replays exactly the tail");
@@ -191,6 +202,51 @@ fn restarted_server_serves_recovered_sessions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The bytes of every WAL segment under `dir`, in name order (`None`
+/// when there is no WAL directory).
+fn wal_bytes(dir: &Path) -> Option<Vec<Vec<u8>>> {
+    let wal_dir = dppr_serve::durability::wal_dir(dir);
+    let mut segs: Vec<_> =
+        std::fs::read_dir(wal_dir).ok()?.map(|e| e.unwrap().path()).collect();
+    segs.sort();
+    Some(segs.iter().map(|p| std::fs::read(p).unwrap()).collect())
+}
+
+/// Booting over `dir` is refused by `boot_probe` and by `start` alike,
+/// with an `InvalidData` error naming the directory and `entry`, and the
+/// WAL (or its absence) is left exactly as it was.
+fn assert_refused(dir: &Path, entry: &str) -> Vec<String> {
+    let before = wal_bytes(dir);
+    let c = cfg(dir);
+    let errs = [
+        boot_probe(the_stream(), INIT, &SOURCES, &c).expect_err("probe must refuse"),
+        dppr_serve::start(the_stream(), INIT, &SOURCES, c.clone())
+            .err()
+            .expect("start must refuse"),
+    ];
+    let msgs = errs
+        .iter()
+        .map(|err| {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(dir.to_str().unwrap()), "names the directory: {msg}");
+            assert!(msg.contains(entry), "names {entry}: {msg}");
+            msg
+        })
+        .collect();
+    assert_eq!(wal_bytes(dir), before, "a refused boot must not touch the log");
+    msgs
+}
+
+/// Opens a log under `dir` holding the `Checkpoint` marker older builds
+/// wrote after their checkpoint at `epoch`.
+fn old_log(dir: &Path, epoch: u64) {
+    let (mut wal, _) =
+        Wal::open(&dppr_serve::durability::wal_dir(dir), WalOptions::default()).unwrap();
+    wal.append(&WalRecord::Checkpoint { epoch }).unwrap();
+    wal.sync().unwrap();
+}
+
 /// A data directory in the one-WAL-per-write-shard layout has no
 /// checkpoint at its root and would look fresh; booting over it is
 /// refused, by `start` and by `boot_probe` alike, and nothing is written.
@@ -199,15 +255,8 @@ fn data_directory_in_the_per_shard_layout_is_refused() {
     let dir = tmpdir("pershard");
     std::fs::create_dir_all(dir.join("shard-0").join("wal")).unwrap();
     std::fs::create_dir_all(dir.join("shard-1").join("wal")).unwrap();
-    let c = cfg(&dir);
-    for err in [
-        boot_probe(the_stream(), INIT, &SOURCES, &c).expect_err("probe must refuse"),
-        dppr_serve::start(the_stream(), INIT, &SOURCES, c.clone()).err().expect("start must refuse"),
-    ] {
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let msg = err.to_string();
-        assert!(msg.contains(dir.to_str().unwrap()), "names the directory: {msg}");
-        assert!(msg.contains("shard-") && msg.contains("per write shard"), "names the cause: {msg}");
+    for msg in assert_refused(&dir, "shard-") {
+        assert!(msg.contains("per write shard"), "names the cause: {msg}");
     }
     assert!(!dir.join("wal").exists(), "a refused boot must not start a log");
 
@@ -229,27 +278,52 @@ fn data_directory_with_text_format_checkpoints_is_refused() {
     let manifest = format!("{body}crc32 {:08x}\n", dppr_core::crc32(body.as_bytes()));
     std::fs::create_dir_all(dir.join("ckpt-1")).unwrap();
     std::fs::write(dir.join("ckpt-1").join("MANIFEST"), manifest).unwrap();
-    let wal_dir = dppr_serve::durability::wal_dir(&dir);
-    let (mut wal, _) = Wal::open(&wal_dir, WalOptions::default()).unwrap();
-    wal.append(&WalRecord::Checkpoint { epoch: 1 }).unwrap();
-    wal.sync().unwrap();
-    drop(wal);
-    let wal_bytes = |d: &Path| -> Vec<Vec<u8>> {
-        let mut segs: Vec<_> = std::fs::read_dir(d).unwrap().map(|e| e.unwrap().path()).collect();
-        segs.sort();
-        segs.iter().map(|p| std::fs::read(p).unwrap()).collect()
-    };
-    let before = wal_bytes(&wal_dir);
-
-    let c = cfg(&dir);
-    for err in [
-        boot_probe(the_stream(), INIT, &SOURCES, &c).expect_err("probe must refuse"),
-        dppr_serve::start(the_stream(), INIT, &SOURCES, c.clone()).err().expect("start must refuse"),
-    ] {
-        let msg = err.to_string();
-        assert!(msg.contains("ckpt-1") && msg.contains("dppr-ckpt v1"), "names the cause: {msg}");
+    old_log(&dir, 1);
+    for msg in assert_refused(&dir, "ckpt-1/") {
+        assert!(msg.contains("checkpoint directory"), "names the cause: {msg}");
     }
+    let wal_dir = dppr_serve::durability::wal_dir(&dir);
     assert!(wal_dir.is_dir(), "a refused boot must not delete the log");
-    assert_eq!(wal_bytes(&wal_dir), before, "nor touch it");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The binary checkpoint directory of the previous layout (`MANIFEST`
+/// `dppr-ckpt v2` plus one `state-<source>.bin` per session) is refused
+/// the same way.
+#[test]
+fn data_directory_with_binary_checkpoint_directories_is_refused() {
+    let dir = tmpdir("v2ckpt");
+    let ckpt = dir.join("ckpt-3");
+    std::fs::create_dir_all(&ckpt).unwrap();
+    let body = "dppr-ckpt v2\nepoch 3\nwindow 0 100\nsources 1\nsource 0\n";
+    let manifest = format!("{body}crc32 {:08x}\n", dppr_core::crc32(body.as_bytes()));
+    std::fs::write(ckpt.join("MANIFEST"), manifest).unwrap();
+    let state = dppr_core::PprState::new(dppr_core::PprConfig::new(0, ALPHA, EPS));
+    dppr_core::persist::save_state(&state, ckpt.join("state-0.bin")).unwrap();
+    old_log(&dir, 3);
+    for msg in assert_refused(&dir, "ckpt-3/") {
+        assert!(msg.contains("checkpoint directory"), "names the cause: {msg}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every checkpoint is written under a tmp name and renamed only after an
+/// fsync, so a `ckpt-<epoch>.bin` that fails validation is damage. With
+/// no valid checkpoint left the directory is refused — not bootstrapped
+/// over, which would delete the WAL tail.
+#[test]
+fn data_directory_whose_checkpoints_are_all_invalid_is_refused() {
+    let dir = tmpdir("allinvalid");
+    crashed_after_epoch_4(&dir);
+    let path = dir.join("ckpt-1.bin");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&path, bytes).unwrap();
+    let logged = wal_bytes(&dir).is_some_and(|segs| segs.iter().any(|s| s.len() > 8));
+    assert!(logged, "a non-empty log");
+    for msg in assert_refused(&dir, "ckpt-1.bin") {
+        assert!(msg.contains("none is valid"), "names the cause: {msg}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

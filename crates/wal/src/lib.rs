@@ -5,15 +5,18 @@
 //! reconstructed as: newest durable checkpoint + replay of the log tail.
 //! The pieces:
 //!
-//! * [`record`] — the logical records ([`WalRecord::Batch`],
-//!   [`WalRecord::Checkpoint`]) and their compact binary encoding.
+//! * [`record`] — the logical records and their compact binary
+//!   encoding: [`WalRecord::Batch`], the one record the serving stack
+//!   writes, and [`WalRecord::Checkpoint`], a marker written by older
+//!   builds that is still decoded (and skipped by recovery).
 //! * [`segment`] — the on-disk frame format (`[len][crc32][payload]`
 //!   after an 8-byte magic) and the scanner that stops at the first
 //!   invalid byte, making a torn final write recoverable by truncation.
 //! * [`log`] — [`Wal`]: segment rotation, the [`FsyncPolicy`] spectrum
 //!   (per-batch / interval / off), torn-tail repair on open, and
 //!   retention that deletes segments wholly covered by the newest
-//!   durable checkpoint.
+//!   durable checkpoint (the caller names its epoch; the log itself
+//!   holds no record of checkpoints).
 //! * [`fault`] — deterministic, env-driven crash injection
 //!   (`DPPR_CRASH="<site>:<nth>"`) used by the crash-recovery harness to
 //!   kill the process mid-append, mid-checkpoint, and mid-rename.

@@ -1,14 +1,17 @@
 //! The logical records carried by the log.
 //!
-//! Two record kinds cover the serving write loop's durability needs:
+//! Two record kinds are decoded; the serving write loop writes only the
+//! first:
 //!
 //! * [`WalRecord::Batch`] — one window slide: the epoch it produces when
 //!   applied, the post-slide window position in *logical stream edges*
 //!   (so recovery can fast-forward the sliding window), and the expanded
 //!   arc updates themselves (inserts then deletes, exactly as handed to
 //!   the engine).
-//! * [`WalRecord::Checkpoint`] — a marker that the checkpoint for `epoch`
-//!   is durable on disk; everything at or before it is prunable.
+//! * [`WalRecord::Checkpoint`] — written by older builds after each
+//!   durable checkpoint; decoded and skipped. Retention now takes the
+//!   checkpoint epoch from the caller, so nothing needs the marker, but
+//!   logs that hold one must still open.
 //!
 //! Encoding is little-endian and self-describing enough to reject
 //! garbage: a one-byte tag, fixed-width fields, and an update count that
@@ -39,7 +42,8 @@ pub enum WalRecord {
         /// The expanded arc updates, in application order.
         updates: Vec<EdgeUpdate>,
     },
-    /// The checkpoint for `epoch` is durable; the log before it is dead.
+    /// Written by older builds; decoded and skipped. It marked the
+    /// checkpoint for `epoch` as durable.
     Checkpoint {
         /// Epoch the durable checkpoint captured.
         epoch: u64,
