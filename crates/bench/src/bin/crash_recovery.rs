@@ -30,7 +30,7 @@
 //! nonzero if any case fails. (Recovery *time* is tracked by the
 //! benchmark's gated `recovery_s`, not here.)
 
-use dppr_core::{persist::state_fingerprint, MultiSourcePpr, PushVariant};
+use dppr_core::{persist::state_fingerprint, MultiSourcePpr};
 use dppr_graph::{presets, GraphStream, VertexId};
 use dppr_serve::{boot_probe, BootProbe, DurabilityConfig, ServeConfig};
 use dppr_stream::StreamDriver;
@@ -84,7 +84,7 @@ fn serve_cfg(data_dir: &Path) -> ServeConfig {
 /// further epoch is one `BATCH`-edge slide.
 fn baseline_for(sources: &[VertexId]) -> Vec<Vec<(VertexId, u64)>> {
     let mut driver = StreamDriver::new(the_stream(), INIT_FRACTION);
-    let mut multi = MultiSourcePpr::new(sources, ALPHA, EPSILON, PushVariant::OPT);
+    let mut multi = MultiSourcePpr::new(sources, ALPHA, EPSILON);
     let init = driver.take_initial_batch();
     multi.apply_batch(driver.graph_mut(), &init);
     let fp = |m: &MultiSourcePpr| {

@@ -162,11 +162,10 @@ mod tests {
         // after a mixed insert/delete stream must stay within ε of the
         // sequential exact solve on the final graph — for every source.
         use crate::multi::MultiSourcePpr;
-        use crate::PushVariant;
         use dppr_graph::EdgeUpdate;
         let (alpha, eps) = (0.2, 1e-3);
         let mut g = DynamicGraph::new();
-        let mut multi = MultiSourcePpr::new(&[0, 5, 17], alpha, eps, PushVariant::OPT);
+        let mut multi = MultiSourcePpr::new(&[0, 5, 17], alpha, eps);
         let edges = undirected_to_directed(&barabasi_albert(120, 3, 5));
         for chunk in edges.chunks(150) {
             let batch: Vec<EdgeUpdate> =

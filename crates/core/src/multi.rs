@@ -26,6 +26,9 @@ use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
 use std::sync::Mutex;
 
+/// The push variant every vector in the bundle is maintained with.
+const VARIANT: PushVariant = PushVariant::OPT;
+
 /// One maintained vector with the push scratch that travels with it.
 struct Session {
     state: PprState,
@@ -43,18 +46,17 @@ pub struct MultiSourcePpr {
     sessions: Vec<Session>,
     alpha: f64,
     epsilon: f64,
-    variant: PushVariant,
     counters: Counters,
 }
 
 impl MultiSourcePpr {
     /// Creates one maintained vector per source, all with the same α and ε.
-    pub fn new(sources: &[VertexId], alpha: f64, epsilon: f64, variant: PushVariant) -> Self {
+    pub fn new(sources: &[VertexId], alpha: f64, epsilon: f64) -> Self {
         let sessions = sources
             .iter()
             .map(|&s| Session::new(PprState::new(PprConfig::new(s, alpha, epsilon))))
             .collect();
-        MultiSourcePpr { sessions, alpha, epsilon, variant, counters: Counters::new() }
+        MultiSourcePpr { sessions, alpha, epsilon, counters: Counters::new() }
     }
 
     /// Rebuilds a bundle from previously maintained states (e.g. loaded
@@ -66,7 +68,7 @@ impl MultiSourcePpr {
     ///
     /// # Panics
     /// When `states` is empty or the states disagree on α/ε.
-    pub fn from_states(states: Vec<PprState>, variant: PushVariant) -> Self {
+    pub fn from_states(states: Vec<PprState>) -> Self {
         assert!(!states.is_empty(), "from_states needs at least one state");
         let alpha = states[0].config().alpha;
         let epsilon = states[0].config().epsilon;
@@ -77,7 +79,7 @@ impl MultiSourcePpr {
             );
         }
         let sessions = states.into_iter().map(Session::new).collect();
-        MultiSourcePpr { sessions, alpha, epsilon, variant, counters: Counters::new() }
+        MultiSourcePpr { sessions, alpha, epsilon, counters: Counters::new() }
     }
 
     /// Number of maintained sources.
@@ -105,13 +107,6 @@ impl MultiSourcePpr {
         &self.counters
     }
 
-    /// Index of the maintained state for `source`, if any. Indices are
-    /// not stable across [`MultiSourcePpr::remove_source`] (swap-remove),
-    /// so callers that close sessions must re-resolve rather than cache.
-    pub fn index_of(&self, source: VertexId) -> Option<usize> {
-        self.sessions.iter().position(|s| s.state.config().source == source)
-    }
-
     /// Starts maintaining a new source against an **already-populated**
     /// graph and returns its index: a [`PprState::cold_start`] state (which
     /// satisfies the invariant on any graph) is pushed to convergence from
@@ -120,15 +115,17 @@ impl MultiSourcePpr {
     pub fn add_source(&mut self, g: &DynamicGraph, source: VertexId) -> usize {
         let cfg = PprConfig::new(source, self.alpha, self.epsilon);
         let mut sess = Session::new(PprState::cold_start(cfg, g.num_vertices()));
-        parallel_local_push(g, &sess.state, self.variant, &[source], &self.counters, &mut sess.bufs);
+        parallel_local_push(g, &sess.state, VARIANT, &[source], &self.counters, &mut sess.bufs);
         self.sessions.push(sess);
         self.sessions.len() - 1
     }
 
-    /// Stops maintaining the `i`-th source (swap-remove: the last index
-    /// moves into `i`) and returns its source vertex.
-    pub fn remove_source(&mut self, i: usize) -> VertexId {
-        self.sessions.swap_remove(i).state.config().source
+    /// Stops maintaining `source`; `false` if it was not maintained. The
+    /// last vector moves into the freed index (swap-remove), so indices
+    /// are not stable across a removal.
+    pub fn remove_source(&mut self, source: VertexId) -> bool {
+        let i = self.sessions.iter().position(|s| s.state.config().source == source);
+        i.map(|i| self.sessions.swap_remove(i)).is_some()
     }
 
     /// Applies a batch: mutates the graph once on the calling thread, then
@@ -166,7 +163,7 @@ impl MultiSourcePpr {
         }
         let seeds: Vec<VertexId> = applied.iter().map(|(upd, _)| upd.src).collect();
         let (g, n) = (&*g, g.num_vertices());
-        let (variant, counters) = (self.variant, &self.counters);
+        let counters = &self.counters;
         let cores = cores.max(1);
         let lanes = cores.min(self.sessions.len()).max(1);
         let threads = (cores / lanes).max(1);
@@ -182,7 +179,7 @@ impl MultiSourcePpr {
             }
             counters.record_restores(applied.len() as u64);
             let opts = PushOpts::default();
-            parallel_local_push_opts(g, state, variant, &seeds, counters, bufs, opts, threads);
+            parallel_local_push_opts(g, state, VARIANT, &seeds, counters, bufs, opts, threads);
         };
         fan_out(lanes, lanes, lane, |(), ()| ());
         applied.len()
@@ -268,7 +265,7 @@ mod tests {
     #[test]
     fn maintains_every_source_accurately() {
         let sources = [0u32, 3, 7];
-        let mut multi = MultiSourcePpr::new(&sources, 0.2, 1e-3, PushVariant::OPT);
+        let mut multi = MultiSourcePpr::new(&sources, 0.2, 1e-3);
         let mut g = DynamicGraph::new();
         let edges = erdos_renyi(40, 400, 13);
         for chunk in edges.chunks(80) {
@@ -291,7 +288,7 @@ mod tests {
     #[test]
     fn deletions_propagate_to_all_sources() {
         let sources = [0u32, 1];
-        let mut multi = MultiSourcePpr::new(&sources, 0.3, 1e-3, PushVariant::OPT);
+        let mut multi = MultiSourcePpr::new(&sources, 0.3, 1e-3);
         let mut g = DynamicGraph::new();
         let edges = erdos_renyi(20, 150, 5);
         let ins: Vec<EdgeUpdate> =
@@ -359,7 +356,7 @@ mod tests {
 
     #[test]
     fn add_source_on_populated_graph_is_epsilon_accurate() {
-        let mut multi = MultiSourcePpr::new(&[0], 0.2, 1e-3, PushVariant::OPT);
+        let mut multi = MultiSourcePpr::new(&[0], 0.2, 1e-3);
         let mut g = DynamicGraph::new();
         let edges = erdos_renyi(40, 400, 99);
         let ins: Vec<EdgeUpdate> =
@@ -398,14 +395,14 @@ mod tests {
         let b1: Vec<EdgeUpdate> = first.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
         let b2: Vec<EdgeUpdate> = second.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
 
-        let mut live = MultiSourcePpr::new(&[0, 5], 0.2, 1e-3, PushVariant::OPT);
+        let mut live = MultiSourcePpr::new(&[0, 5], 0.2, 1e-3);
         let mut g_live = DynamicGraph::new();
         live.apply_batch(&mut g_live, &b1);
         let snapshot: Vec<PprState> =
             (0..live.num_sources()).map(|i| live.state(i).clone_values()).collect();
         live.apply_batch(&mut g_live, &b2);
 
-        let mut resumed = MultiSourcePpr::from_states(snapshot, PushVariant::OPT);
+        let mut resumed = MultiSourcePpr::from_states(snapshot);
         assert_eq!(resumed.sources(), vec![0, 5]);
         let mut g_resumed = DynamicGraph::new();
         // Rebuild the graph as of the snapshot, then replay the tail.
@@ -440,13 +437,13 @@ mod tests {
         batches.push(edges[..200].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect());
         batches.push(edges[300..450].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect());
         let run = |cores: usize| {
-            let mut multi = MultiSourcePpr::new(&[0, 3, 7, 11, 20], 0.2, 1e-4, PushVariant::OPT);
+            let mut multi = MultiSourcePpr::new(&[0, 3, 7, 11, 20], 0.2, 1e-4);
             let mut g = DynamicGraph::new();
             for (i, batch) in batches.iter().enumerate() {
                 multi.apply_batch_over(&mut g, batch, cores);
                 match i {
                     2 => assert_eq!(multi.add_source(&g, 31), 5),
-                    4 => assert_eq!(multi.remove_source(1), 3),
+                    4 => assert!(multi.remove_source(3)),
                     _ => {}
                 }
             }
@@ -470,7 +467,7 @@ mod tests {
         use crate::fanout::FAN_OUT_MIN;
         let [load, slide] = crate::engine::tests::wide_stream();
         let run = || {
-            let mut multi = MultiSourcePpr::new(&[0, 1], 0.2, 1e-6, PushVariant::OPT);
+            let mut multi = MultiSourcePpr::new(&[0, 1], 0.2, 1e-6);
             let mut g = DynamicGraph::new();
             // Two cores for two sessions: two lanes of one thread.
             multi.apply_batch_over(&mut g, &load, 2);
@@ -540,14 +537,14 @@ mod tests {
         let sources: Vec<VertexId> = (0..default_threads().max(2) as VertexId).collect();
         const OPENED: VertexId = 50;
         let run = || {
-            let mut multi = MultiSourcePpr::new(&sources, 0.2, 1e-6, PushVariant::OPT);
+            let mut multi = MultiSourcePpr::new(&sources, 0.2, 1e-6);
             let mut g = DynamicGraph::new();
             for (i, batch) in batches.iter().enumerate() {
                 multi.apply_batch(&mut g, batch);
                 if i == 0 {
                     assert!((OPENED as usize) < g.num_vertices());
                     assert_eq!(multi.add_source(&g, OPENED), sources.len());
-                    assert_eq!(multi.remove_source(1), 1);
+                    assert!(multi.remove_source(1));
                 }
             }
             (fingerprints(&multi), multi.counters().snapshot())
@@ -582,7 +579,7 @@ mod tests {
         let ins: Vec<EdgeUpdate> =
             erdos_renyi(20, 150, 5).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
         for poisoned in [0, 3] {
-            let mut multi = MultiSourcePpr::new(&[0, 1, 2, 3], 0.2, 1e-3, PushVariant::OPT);
+            let mut multi = MultiSourcePpr::new(&[0, 1, 2, 3], 0.2, 1e-3);
             let mut g = DynamicGraph::new();
             multi.apply_batch(&mut g, &ins);
             multi.state(poisoned).set_r(19, f64::INFINITY);
@@ -596,13 +593,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one state")]
     fn from_states_rejects_empty() {
-        let _ = MultiSourcePpr::from_states(Vec::new(), PushVariant::OPT);
+        let _ = MultiSourcePpr::from_states(Vec::new());
     }
 
     #[test]
     fn remove_source_swaps_last_into_slot() {
-        let mut multi = MultiSourcePpr::new(&[0, 3, 7], 0.2, 1e-3, PushVariant::OPT);
-        assert_eq!(multi.remove_source(0), 0);
+        let mut multi = MultiSourcePpr::new(&[0, 3, 7], 0.2, 1e-3);
+        assert!(multi.remove_source(0));
+        assert!(!multi.remove_source(0));
         assert_eq!(multi.num_sources(), 2);
         assert_eq!(multi.sources(), vec![7, 3]); // 7 swapped into index 0
         // The survivors still update correctly.

@@ -2,14 +2,18 @@
 //! window or checkpoint + WAL-tail replay), the write loop, the observer
 //! and the event-loop shards that accept and serve connections — and
 //! [`boot_probe`] runs the durable half alone for the recovery harness.
-//! Bootstrap and WAL-tail replay go through the same `apply_batch` as a
-//! live slide, so they spread the sessions over every core too, and the
-//! base checkpoint clones the states the way the checkpointer's capture
-//! does. A fresh boot writes that base checkpoint and logs nothing; a
-//! recovery starts from the newest valid `ckpt-<epoch>.bin` and prunes
-//! the WAL through its epoch. A data directory in an older layout, or
-//! one whose checkpoints all fail validation, is refused before the WAL
-//! is opened.
+//! Both go through one boot path that checks the requested sources and
+//! returns the sessions it maintains with the epoch they reached; it
+//! registers nothing. `start` publishes each booted session once, and
+//! from then on only the write loop pairs or unpairs a vector and its
+//! published cell. Bootstrap and WAL-tail replay go through the same
+//! `apply_batch` as a live slide, so they spread the sessions over every
+//! core too, and the base checkpoint clones the states the way the
+//! checkpointer's capture does. A fresh boot writes that base checkpoint
+//! and logs nothing; a recovery starts from the newest valid
+//! `ckpt-<epoch>.bin` and prunes the WAL through its epoch. A data
+//! directory in an older layout, or one whose checkpoints all fail
+//! validation, is refused before the WAL is opened.
 
 use crate::audit::{self, AuditShared, SloEngine};
 use crate::cache::QueryCache;
@@ -22,10 +26,11 @@ use crate::registry::SessionRegistry;
 use crate::server::{Control, Ctx, ServeConfig, ServerHandle, ServerStats};
 use crate::snapshot::QuerySnapshot;
 use crate::writer::{apply_counted, clone_states, spawn_durable, write_loop};
-use dppr_core::{MultiSourcePpr, PushVariant};
+use dppr_core::MultiSourcePpr;
 use dppr_graph::{GraphStream, VertexId};
 use dppr_stream::StreamDriver;
 use dppr_wal::{Wal, WalOptions, WalRecord, WalStats};
+use std::collections::HashSet;
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -58,7 +63,8 @@ pub fn pick_top_degree_sources(
 /// every source in `sources` (so the returned handle is immediately
 /// queryable), then starts the write loop, the observer, and the
 /// event-loop shards. `init_fraction` is the sliding-window warmup share
-/// (the paper uses 0.1).
+/// (the paper uses 0.1). A recovered instance serves the sessions its
+/// checkpoint holds, every one of them, even past `session_capacity`.
 pub fn start(
     stream: GraphStream,
     init_fraction: f64,
@@ -66,35 +72,23 @@ pub fn start(
     cfg: ServeConfig,
 ) -> io::Result<ServerHandle> {
     let vertex_bound = stream.vertex_bound();
-    if let Some(&s) = sources.iter().find(|&&s| (s as usize) >= vertex_bound) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("source {s} is outside the stream's vertex bound {vertex_bound}"),
-        ));
-    }
     let threads = cfg.threads.max(1);
     let stats = ServerStats::default();
     let conn_counters = Arc::new(ConnCounters::default());
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    // --- bootstrap synchronously: sessions are live before we return. A
-    // durable instance either recovers (checkpoint + WAL tail) or
-    // bootstraps fresh and writes its epoch-1 base checkpoint.
+    // --- bootstrap synchronously, then publish every booted session at
+    // the booted epoch: sessions are live before we return.
+    let boot = boot(stream, init_fraction, sources, &cfg, &stats)?;
     let domain = EpochDomain::new(0);
-    let registry = Arc::new(SessionRegistry::new(
-        Arc::clone(&domain),
-        cfg.session_capacity.max(sources.len()).max(1),
-    ));
-    let boot = match &cfg.durability {
-        None => {
-            let (driver, multi) =
-                bootstrap_window(stream, init_fraction, sources, &cfg, &domain, &registry, &stats);
-            Boot { driver, multi, wal: None, recovery: None, durable_epoch: 0 }
-        }
-        Some(d) => {
-            durable_boot(stream, init_fraction, sources, &cfg, d, &domain, &registry, &stats)?
-        }
-    };
+    domain.resume_at(boot.epoch);
+    let sessions = boot.multi.num_sources();
+    let registry =
+        Arc::new(SessionRegistry::new(Arc::clone(&domain), cfg.session_capacity.max(sessions)));
+    for i in 0..sessions {
+        let snap = QuerySnapshot::from_state(boot.multi.state(i), boot.epoch);
+        registry.open(boot.multi.source(i), Arc::new(snap));
+    }
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
     let addr = listener.local_addr()?;
 
@@ -174,40 +168,62 @@ pub fn start(
     })
 }
 
-/// What bootstrapping produced, durable or not.
+/// What booting produced, durable or not: the maintained sessions and
+/// the epoch their states are at, not yet published.
 struct Boot {
     driver: StreamDriver,
     multi: MultiSourcePpr,
+    /// The epoch the sessions' states are at (1 after a fresh bootstrap).
+    epoch: u64,
     wal: Option<Wal>,
     recovery: Option<RecoveryReport>,
     /// Epoch of the newest durable checkpoint at startup.
     durable_epoch: u64,
 }
 
-/// Publishes every maintained source as an open session at `epoch`.
-fn open_sessions(multi: &MultiSourcePpr, registry: &SessionRegistry, epoch: u64) {
-    for i in 0..multi.num_sources() {
-        registry.open(multi.source(i), Arc::new(QuerySnapshot::from_state(multi.state(i), epoch)));
+/// The one boot path of [`start`] and [`boot_probe`]: refuses a source
+/// past the stream's vertex bound or repeated in `sources`, then
+/// bootstraps the initial window in memory or, with `cfg.durability`,
+/// recovers from the data directory or bootstraps it fresh.
+fn boot(
+    stream: GraphStream,
+    init_fraction: f64,
+    sources: &[VertexId],
+    cfg: &ServeConfig,
+    stats: &ServerStats,
+) -> io::Result<Boot> {
+    let vertex_bound = stream.vertex_bound();
+    let mut seen = HashSet::new();
+    for &s in sources {
+        let why = if s as usize >= vertex_bound {
+            format!("outside the stream's vertex bound {vertex_bound}")
+        } else if !seen.insert(s) {
+            "repeated".to_string()
+        } else {
+            continue;
+        };
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, format!("source {s} is {why}")));
+    }
+    match &cfg.durability {
+        None => Ok(bootstrap_window(stream, init_fraction, sources, cfg, stats)),
+        Some(d) => durable_boot(stream, init_fraction, sources, cfg, d, stats),
     }
 }
 
-/// The in-memory bootstrap: apply the initial window, advance to epoch 1,
-/// open a session per source.
+/// The in-memory bootstrap: apply the initial window, which epoch 1
+/// publishes.
 fn bootstrap_window(
     stream: GraphStream,
     init_fraction: f64,
     sources: &[VertexId],
     cfg: &ServeConfig,
-    domain: &EpochDomain,
-    registry: &SessionRegistry,
     stats: &ServerStats,
-) -> (StreamDriver, MultiSourcePpr) {
+) -> Boot {
     let mut driver = StreamDriver::new(stream, init_fraction);
-    let mut multi = MultiSourcePpr::new(sources, cfg.alpha, cfg.epsilon, PushVariant::OPT);
+    let mut multi = MultiSourcePpr::new(sources, cfg.alpha, cfg.epsilon);
     let init = driver.take_initial_batch();
     apply_counted(&mut driver, &mut multi, &init, stats);
-    open_sessions(&multi, registry, domain.advance());
-    (driver, multi)
+    Boot { driver, multi, epoch: 1, wal: None, recovery: None, durable_epoch: 0 }
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -220,15 +236,12 @@ fn invalid(msg: String) -> io::Error {
 /// for the write loop to append to. A directory in a layout older
 /// builds wrote is refused before anything is read or written, and so is
 /// one whose checkpoints all fail validation.
-#[allow(clippy::too_many_arguments)]
 fn durable_boot(
     stream: GraphStream,
     init_fraction: f64,
     sources: &[VertexId],
     cfg: &ServeConfig,
     dcfg: &DurabilityConfig,
-    domain: &Arc<EpochDomain>,
-    registry: &SessionRegistry,
     stats: &ServerStats,
 ) -> io::Result<Boot> {
     std::fs::create_dir_all(&dcfg.data_dir)?;
@@ -251,14 +264,13 @@ fn durable_boot(
             std::fs::remove_dir_all(&wdir)?;
             (wal, _) = Wal::open(&wdir, wal_opts)?;
         }
-        let (driver, multi) =
-            bootstrap_window(stream, init_fraction, sources, cfg, domain, registry, stats);
+        let boot = bootstrap_window(stream, init_fraction, sources, cfg, stats);
         // The base checkpoint: recovery always has somewhere to start, so
         // the WAL never needs to hold the (large) initial window.
-        let (ws, we) = driver.window_range();
-        durability::write_checkpoint(&dcfg.data_dir, 1, (ws, we), &clone_states(&multi))?;
+        let window = boot.driver.window_range();
+        durability::write_checkpoint(&dcfg.data_dir, 1, window, &clone_states(&boot.multi))?;
         stats.checkpoints.fetch_add(1, Relaxed);
-        return Ok(Boot { driver, multi, wal: Some(wal), recovery: None, durable_epoch: 1 });
+        return Ok(Boot { wal: Some(wal), durable_epoch: 1, ..boot });
     };
 
     // --- recovery: checkpoint + WAL-tail replay ---------------------------
@@ -274,9 +286,9 @@ fn durable_boot(
     let (window_start, window_end) = (ck.window_start, ck.window_end);
     let mut driver = StreamDriver::resume_from(stream, window_start, window_end);
     let mut multi = if ck.states.is_empty() {
-        MultiSourcePpr::new(&[], cfg.alpha, cfg.epsilon, PushVariant::OPT)
+        MultiSourcePpr::new(&[], cfg.alpha, cfg.epsilon)
     } else {
-        MultiSourcePpr::from_states(ck.states, PushVariant::OPT)
+        MultiSourcePpr::from_states(ck.states)
     };
 
     // Replay only the tail: batches at or below the checkpoint epoch are
@@ -318,8 +330,6 @@ fn durable_boot(
         replayed += 1;
     }
 
-    domain.resume_at(applied_epoch);
-    open_sessions(&multi, registry, applied_epoch);
     // Retention: a crash can land between a checkpoint's rename and the
     // write loop's prune, leaving segments the checkpoint covers.
     wal.prune_through(checkpoint_epoch)?;
@@ -335,6 +345,7 @@ fn durable_boot(
     Ok(Boot {
         driver,
         multi,
+        epoch: applied_epoch,
         wal: Some(wal),
         recovery: Some(recovery),
         durable_epoch: checkpoint_epoch,
@@ -365,19 +376,14 @@ pub fn boot_probe(
     sources: &[VertexId],
     cfg: &ServeConfig,
 ) -> io::Result<BootProbe> {
-    let dcfg = cfg.durability.as_ref().ok_or_else(|| {
+    cfg.durability.as_ref().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, "boot_probe requires cfg.durability")
     })?;
-    let domain = EpochDomain::new(0);
-    let registry =
-        SessionRegistry::new(Arc::clone(&domain), cfg.session_capacity.max(sources.len()).max(1));
-    let stats = ServerStats::default();
-    let boot =
-        durable_boot(stream, init_fraction, sources, cfg, dcfg, &domain, &registry, &stats)?;
+    let boot = boot(stream, init_fraction, sources, cfg, &ServerStats::default())?;
     let fingerprints = (0..boot.multi.num_sources())
         .map(|i| {
             (boot.multi.source(i), dppr_core::persist::state_fingerprint(boot.multi.state(i)))
         })
         .collect();
-    Ok(BootProbe { recovery: boot.recovery, epoch: domain.epoch(), fingerprints })
+    Ok(BootProbe { recovery: boot.recovery, epoch: boot.epoch, fingerprints })
 }

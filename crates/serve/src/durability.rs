@@ -33,6 +33,7 @@
 use dppr_core::persist::{decode_state, encode_state};
 use dppr_core::{Crc32, PprState};
 use dppr_wal::{fault, FsyncPolicy};
+use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -210,7 +211,9 @@ pub fn write_checkpoint(
 /// Loads one checkpoint file. Every length is checked against the bytes
 /// left in the file before a buffer is sized for it, each state is
 /// checked by `decode_state` (exact length, own CRC), and the trailer must
-/// follow the last record and equal the CRC of everything before it.
+/// follow the last record and equal the CRC of everything before it. The
+/// states must be of distinct sources and share α and ε, as the
+/// `MultiSourcePpr` they rebuild requires.
 fn load_checkpoint_file(path: &Path) -> io::Result<LoadedCheckpoint> {
     let mut file = File::open(path)?;
     let size = file.metadata()?.len();
@@ -265,6 +268,19 @@ fn load_checkpoint_file(path: &Path) -> io::Result<LoadedCheckpoint> {
         return Err(bad(format!(
             "checkpoint checksum mismatch: stored {stored:08x}, computed {actual:08x}"
         )));
+    }
+    let mut sources = HashSet::new();
+    for (i, c) in states.iter().map(PprState::config).enumerate() {
+        if !sources.insert(c.source) {
+            return Err(bad(format!("source {} appears twice", c.source)));
+        }
+        let first = states[0].config();
+        if (c.alpha, c.epsilon) != (first.alpha, first.epsilon) {
+            return Err(bad(format!(
+                "state {i} has alpha {} and epsilon {}, state 0 has alpha {} and epsilon {}",
+                c.alpha, c.epsilon, first.alpha, first.epsilon
+            )));
+        }
     }
     Ok(LoadedCheckpoint { epoch, window_start, window_end, states })
 }
@@ -326,7 +342,7 @@ pub fn prune_checkpoints(data_dir: &Path, keep_epoch: u64) -> io::Result<()> {
 mod tests {
     use super::*;
     use dppr_core::persist::state_fingerprint;
-    use dppr_core::{MultiSourcePpr, PushVariant};
+    use dppr_core::MultiSourcePpr;
     use dppr_graph::{generators::erdos_renyi, DynamicGraph, EdgeUpdate};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -345,7 +361,7 @@ mod tests {
 
     fn converged_states(sources: &[u32]) -> Vec<PprState> {
         let mut g = DynamicGraph::new();
-        let mut multi = MultiSourcePpr::new(sources, 0.2, 1e-3, PushVariant::OPT);
+        let mut multi = MultiSourcePpr::new(sources, 0.2, 1e-3);
         let batch: Vec<EdgeUpdate> =
             erdos_renyi(40, 300, 11).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
         multi.apply_batch(&mut g, &batch);
@@ -485,6 +501,34 @@ mod tests {
         fs::write(&path, &clean).unwrap();
         assert_eq!(load_latest_checkpoint(&dir).unwrap().unwrap().epoch, 8);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A CRC-valid checkpoint whose states `MultiSourcePpr::from_states`
+    /// would reject is invalid too: a lone one is refused, naming the
+    /// cause.
+    fn assert_unloadable(tag: &str, states: &[PprState], cause: &str) {
+        let dir = test_dir(tag);
+        write_checkpoint(&dir, 6, (0, 40), states).unwrap();
+        let err = load_latest_checkpoint(&dir).err().expect("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("ckpt-6.bin") && msg.contains(cause), "{msg}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_with_a_repeated_source_is_refused() {
+        let mut states = converged_states(&[4, 7]);
+        states.extend(converged_states(&[4]));
+        assert_unloadable("repeated", &states, "source 4 appears twice");
+    }
+
+    #[test]
+    fn checkpoint_whose_states_disagree_on_alpha_or_epsilon_is_refused() {
+        let mut states = converged_states(&[4]);
+        let config = dppr_core::PprConfig::new(7, 0.2, 1e-4);
+        states.push(PprState::new(config));
+        assert_unloadable("epsilon", &states, "state 1 has alpha 0.2 and epsilon 0.0001");
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! immutable snapshot with no lock held.
 //!
 //! Mutations — open, close, LRU eviction past the capacity budget — are
-//! driven by the write loop only, which keeps the registry's contents in
-//! lock-step with the `MultiSourcePpr` state indices it owns.
+//! made by the write loop only (and by `start`, which opens each booted
+//! session once before the loop runs). The loop adds or removes a
+//! maintained vector with every one of them, so each vector it
+//! maintains has exactly one cell here, found by source.
 
 use crate::epoch::{EpochDomain, Reader, SnapshotCell};
 use crate::snapshot::QuerySnapshot;

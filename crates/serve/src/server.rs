@@ -183,8 +183,9 @@ pub struct ServerStats {
     /// Checkpoint attempts that failed (serving continues; the WAL tail
     /// keeps growing until one succeeds).
     pub checkpoint_failures: AtomicU64,
-    /// True once a WAL append failed: the write loop has stopped sliding
-    /// and the instance serves read-only from the last published epoch.
+    /// True once a WAL append, sync or prune failed: the write loop has
+    /// stopped sliding and the instance serves read-only from the last
+    /// published epoch.
     pub degraded: AtomicBool,
     /// Why the instance degraded to read-only (the WAL error text);
     /// `None` while healthy. Surfaced by `/healthz`.

@@ -5,13 +5,22 @@
 //! appends before publication, the background checkpointer, and
 //! retention: once the checkpointer publishes a durable epoch, the loop
 //! prunes the WAL segments it covers. No marker is logged for a
-//! checkpoint; its file is the record.
+//! checkpoint; its file is the record. When the loop idles it flushes
+//! the WAL, so an interval fsync policy bounds loss with no slide to
+//! trigger the flush.
+//!
+//! The loop is the only code that changes the maintained sessions or the
+//! registry once the instance is up: an open adds the vector and its
+//! cell together, an eviction or a close removes both, so every
+//! maintained vector has exactly one published cell. Publishing and the
+//! audit capture walk the vectors and take each one's cell from the
+//! registry.
 
 use crate::audit::{AuditJob, AuditSession};
 use crate::durability::{self, DurabilityConfig};
 use crate::epoch::Reader;
 use crate::json::JsonBuf;
-use crate::registry::OpenOutcome;
+use crate::registry::{OpenOutcome, SessionEntry};
 use crate::server::{Control, Ctx, ServeConfig, ServerStats};
 use crate::snapshot::QuerySnapshot;
 use dppr_core::fanout::{concat, default_threads, fan_out};
@@ -153,8 +162,17 @@ pub(crate) fn apply_counted(
     (applied, apply_ns)
 }
 
-/// Records why the instance degraded to read-only (shown by `/healthz`).
-fn mark_degraded(ctx: &Ctx, reason: String) {
+/// The published cell of a maintained session; the write loop keeps the
+/// two paired, so a missing cell is a bug.
+fn cell(ctx: &Ctx, source: VertexId) -> Arc<SessionEntry> {
+    ctx.registry.peek(source).expect("every maintained session has a published cell")
+}
+
+/// Stops sliding after a WAL failure: the instance serves read-only from
+/// the last published epoch, and `/healthz` shows `reason`.
+fn go_read_only(d: &mut DurableState, ctx: &Ctx, reason: String) {
+    eprintln!("dppr-serve: {reason}; serving read-only");
+    d.dead = true;
     *ctx.stats.degraded_reason.lock().unwrap() = Some(reason);
     ctx.stats.degraded.store(true, SeqCst);
 }
@@ -189,8 +207,15 @@ pub(crate) fn write_loop(
                 && ctx.stats.slides.load(Relaxed) >= cfg.max_slides as u64);
         if frozen || ctx.stats.stream_done.load(Relaxed) {
             // Nothing left to slide (stream dry, slide cap, or WAL
-            // failure → read-only): serve from the frozen epoch, but stay
-            // responsive to session control and shutdown.
+            // failure → read-only): flush what the fsync policy left
+            // unsynced, serve from the frozen epoch, but stay responsive
+            // to session control and shutdown.
+            if let Some(d) = dur.as_mut().filter(|d| !d.dead) {
+                if let Err(e) = d.wal.sync() {
+                    go_read_only(d, &ctx, format!("WAL sync failed: {e}"));
+                }
+                note_wal(d, &ctx);
+            }
             match ctl_rx.recv_timeout(Duration::from_millis(20)) {
                 Ok(ctl) => {
                     handle_control(ctl, &mut driver, &mut multi, &ctx, &mut audit_cursor)
@@ -221,9 +246,7 @@ pub(crate) fn write_loop(
             };
             let t = Instant::now();
             if let Err(e) = d.wal.append(&rec) {
-                eprintln!("dppr-serve: WAL append failed ({e}); serving read-only from here");
-                d.dead = true;
-                mark_degraded(&ctx, format!("WAL append failed: {e}"));
+                go_read_only(d, &ctx, format!("WAL append failed: {e}"));
                 continue;
             }
             wal_append_ns = t.elapsed().as_nanos() as u64;
@@ -244,10 +267,8 @@ pub(crate) fn write_loop(
         let t = Instant::now();
         let publish = |r: std::ops::Range<usize>| {
             for i in r {
-                if let Some(entry) = ctx.registry.peek(multi.source(i)) {
-                    let snap = QuerySnapshot::from_state(multi.state(i), epoch);
-                    entry.publish(&ctx.domain, Arc::new(snap));
-                }
+                let snap = QuerySnapshot::from_state(multi.state(i), epoch);
+                cell(&ctx, multi.source(i)).publish(&ctx.domain, Arc::new(snap));
             }
         };
         fan_out(multi.num_sources(), default_threads(), publish, |(), ()| ());
@@ -311,11 +332,7 @@ fn ack_durable(d: &mut DurableState, ctx: &Ctx) {
             d.acked = e;
             note_wal(d, ctx);
         }
-        Err(err) => {
-            eprintln!("dppr-serve: WAL prune failed ({err}); serving read-only");
-            d.dead = true;
-            mark_degraded(ctx, format!("WAL prune failed: {err}"));
-        }
+        Err(err) => go_read_only(d, ctx, format!("WAL prune failed: {err}")),
     }
 }
 
@@ -387,14 +404,14 @@ fn handle_control(
             if let OpenOutcome::Opened { evicted: Some(victim) } =
                 ctx.registry.open(s, Arc::new(snap))
             {
-                remove_maintained(multi, victim);
+                assert!(multi.remove_source(victim), "evicted session {victim} was not maintained");
                 ctx.stats.sessions_evicted.fetch_add(1, Relaxed);
             }
             ctx.stats.sessions_opened.fetch_add(1, Relaxed);
         }
         Control::Close(s) => {
             if ctx.registry.close(s) {
-                remove_maintained(multi, s);
+                assert!(multi.remove_source(s), "closed session {s} was not maintained");
                 ctx.stats.sessions_closed.fetch_add(1, Relaxed);
             }
         }
@@ -402,23 +419,20 @@ fn handle_control(
             // Between batches the graph, the live states, and the
             // published snapshots are mutually consistent — clone them
             // all here and let the observer pay for the exact solve.
-            let sources = ctx.registry.sources();
-            let take = max_sessions.min(sources.len());
-            let cursor = *audit_cursor;
+            let n = multi.num_sources();
+            let take = max_sessions.min(n);
+            let sessions = (*audit_cursor..*audit_cursor + take)
+                .map(|k| {
+                    let i = k % n;
+                    let source = multi.source(i);
+                    AuditSession {
+                        source,
+                        snapshot: cell(ctx, source).load(&Reader),
+                        state: multi.state(i).clone_values(),
+                    }
+                })
+                .collect();
             *audit_cursor += take;
-            let mut sessions = Vec::with_capacity(take);
-            for k in 0..take {
-                let source = sources[(cursor + k) % sources.len()];
-                let (Some(entry), Some(i)) = (ctx.registry.peek(source), multi.index_of(source))
-                else {
-                    continue; // raced with a close; skip
-                };
-                sessions.push(AuditSession {
-                    source,
-                    snapshot: entry.load(&Reader),
-                    state: multi.state(i).clone_values(),
-                });
-            }
             let job = AuditJob {
                 epoch: ctx.domain.epoch(),
                 graph: driver.graph().clone(),
@@ -428,11 +442,5 @@ fn handle_control(
             // problem, not the write loop's.
             let _ = reply.send(job);
         }
-    }
-}
-
-fn remove_maintained(multi: &mut MultiSourcePpr, source: VertexId) {
-    if let Some(i) = multi.index_of(source) {
-        multi.remove_source(i);
     }
 }

@@ -1,10 +1,12 @@
 //! In-process recovery integration tests: checkpoint + WAL-tail replay
-//! through the same `durable_boot` path `start` uses, without spawning
-//! child processes (the full kill-point matrix lives in the
-//! `crash_recovery` harness binary under `crates/bench`).
+//! through the same boot path `start` uses, without spawning child
+//! processes (the full kill-point matrix lives in the `crash_recovery`
+//! harness binary under `crates/bench`).
+
+mod common;
 
 use dppr_core::persist::state_fingerprint;
-use dppr_core::{MultiSourcePpr, PushVariant};
+use dppr_core::MultiSourcePpr;
 use dppr_graph::{presets, GraphStream, VertexId};
 use dppr_serve::{boot_probe, DurabilityConfig, ServeConfig};
 use dppr_stream::StreamDriver;
@@ -12,6 +14,7 @@ use dppr_wal::{FsyncPolicy, Wal, WalOptions, WalRecord};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::Relaxed;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xD1CE;
 const INIT: f64 = 0.1;
@@ -54,7 +57,7 @@ fn fingerprints(m: &MultiSourcePpr) -> Vec<(VertexId, u64)> {
 /// window applied at epoch 1, then one epoch per `BATCH`-edge slide.
 fn replay_epochs(n_slides: usize) -> (StreamDriver, MultiSourcePpr) {
     let mut driver = StreamDriver::new(the_stream(), INIT);
-    let mut multi = MultiSourcePpr::new(&SOURCES, ALPHA, EPS, PushVariant::OPT);
+    let mut multi = MultiSourcePpr::new(&SOURCES, ALPHA, EPS);
     let init = driver.take_initial_batch();
     multi.apply_batch(driver.graph_mut(), &init);
     for _ in 0..n_slides {
@@ -105,7 +108,7 @@ fn graceful_shutdown_checkpoints_and_restart_replays_nothing() {
 /// recovery must skip. Returns the live state at epoch 4.
 fn crashed_after_epoch_4(dir: &Path) -> MultiSourcePpr {
     let mut driver = StreamDriver::new(the_stream(), INIT);
-    let mut multi = MultiSourcePpr::new(&SOURCES, ALPHA, EPS, PushVariant::OPT);
+    let mut multi = MultiSourcePpr::new(&SOURCES, ALPHA, EPS);
     let init = driver.take_initial_batch();
     multi.apply_batch(driver.graph_mut(), &init);
     let states: Vec<_> = (0..multi.num_sources()).map(|i| multi.state(i).clone_values()).collect();
@@ -199,6 +202,87 @@ fn restarted_server_serves_recovered_sessions() {
     assert_eq!(handle.registry().len(), SOURCES.len());
     let report = handle.join();
     assert!(report.epoch >= 4);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A repeated source is refused by `start` and `boot_probe` alike, naming
+/// it, before the data directory is touched: two vectors of one source
+/// would share one published cell.
+#[test]
+fn repeated_source_is_refused() {
+    let dir = tmpdir("repeated");
+    let c = cfg(&dir);
+    let errs = [
+        boot_probe(the_stream(), INIT, &[0, 0], &c).expect_err("probe must refuse"),
+        dppr_serve::start(the_stream(), INIT, &[0, 0], c.clone()).err().expect("start must refuse"),
+    ];
+    for err in errs {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("source 0 is repeated"), "{err}");
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "nothing written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Blocks until `done`, failing after 10 s.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A restart serves every session its checkpoint holds — past a smaller
+/// `session_capacity`, whatever `sources` asks for — and a session
+/// closed after the restart is gone from the next checkpoint.
+#[test]
+fn recovered_sessions_stay_open_past_the_capacity() {
+    let dir = tmpdir("capacity");
+    let mut c = cfg(&dir);
+    c.max_slides = 2;
+    c.session_capacity = 4;
+    let handle = dppr_serve::start(the_stream(), INIT, &[0, 1, 2, 3], c.clone()).unwrap();
+    wait_for("two slides", || handle.stats().slides.load(Relaxed) >= 2);
+    handle.join();
+
+    c.session_capacity = 1;
+    let handle = dppr_serve::start(the_stream(), INIT, &[0], c.clone()).unwrap();
+    let (status, body) = common::get(handle.addr(), "/sessions");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(r#""sessions":[0,1,2,3]"#), "{body}");
+    let (status, body) = common::request(handle.addr(), "POST", "/session/close?source=2");
+    assert_eq!(status, 200, "{body}");
+    wait_for("the close", || handle.registry().sources() == [0, 1, 3]);
+    handle.join();
+
+    let probe = boot_probe(the_stream(), INIT, &[0], &c).unwrap();
+    let mut sources: Vec<VertexId> = probe.fingerprints.iter().map(|&(s, _)| s).collect();
+    sources.sort_unstable();
+    assert_eq!(sources, [0, 1, 3]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `wal_syncs` as `/stats` reports it.
+fn wal_syncs(handle: &dppr_serve::ServerHandle) -> u64 {
+    let (_, body) = common::get(handle.addr(), "/stats");
+    let rest = body.split(r#""wal_syncs":"#).nth(1).expect("a wal_syncs key");
+    rest[..rest.find(',').unwrap()].parse().unwrap()
+}
+
+/// An idle write loop flushes the WAL: with an fsync interval longer than
+/// the test no append syncs, so only the idle flush can, and it does so
+/// soon after the last slide.
+#[test]
+fn idle_writer_syncs_the_wal() {
+    let dir = tmpdir("idle");
+    let mut c = cfg(&dir);
+    c.durability.as_mut().unwrap().fsync = FsyncPolicy::Interval(Duration::from_secs(600));
+    c.max_slides = 3;
+    let handle = dppr_serve::start(the_stream(), INIT, &SOURCES, c).unwrap();
+    wait_for("three slides", || handle.stats().slides.load(Relaxed) >= 3);
+    wait_for("an idle WAL sync", || wal_syncs(&handle) >= 1);
+    handle.join();
     std::fs::remove_dir_all(&dir).ok();
 }
 

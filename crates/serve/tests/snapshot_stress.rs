@@ -9,7 +9,7 @@
 //! torn state) cannot pass. On top of that readers check per-cell epoch
 //! monotonicity, estimate range, and query-internal consistency.
 
-use dppr_core::{MultiSourcePpr, PushVariant};
+use dppr_core::MultiSourcePpr;
 use dppr_graph::generators::erdos_renyi;
 use dppr_graph::GraphStream;
 use dppr_serve::{start, EpochDomain, QuerySnapshot, ServeConfig, SnapshotCell};
@@ -29,7 +29,7 @@ fn concurrent_readers_never_observe_torn_snapshots() {
     let stream = GraphStream::directed(erdos_renyi(250, 7_000, 11)).permuted(3);
     let domain = EpochDomain::new(0);
     let mut driver = StreamDriver::new(stream, 0.1);
-    let mut multi = MultiSourcePpr::new(&SOURCES, 0.2, EPS, PushVariant::OPT);
+    let mut multi = MultiSourcePpr::new(&SOURCES, 0.2, EPS);
 
     // Bootstrap and publish epoch 1.
     let init = driver.take_initial_batch();

@@ -10,7 +10,6 @@
 //! ```
 
 use dppr::core::multi::MultiSourcePpr;
-use dppr::core::PushVariant;
 use dppr::graph::generators::{barabasi_albert, undirected_to_directed};
 use dppr::graph::{DynamicGraph, EdgeUpdate, GraphStream, SlidingWindow};
 
@@ -55,7 +54,7 @@ fn main() {
     // Track the hubs' PPR vectors; replay the window so their state covers
     // the current graph (bootstrapping from an empty graph is exact).
     let mut fresh = DynamicGraph::new();
-    let mut multi = MultiSourcePpr::new(&hubs, 0.15, 1e-5, PushVariant::OPT);
+    let mut multi = MultiSourcePpr::new(&hubs, 0.15, 1e-5);
     multi.apply_batch(&mut fresh, &init);
     let mut graph = fresh;
 

@@ -82,7 +82,7 @@ fn query_verdicts_are_sound_against_ground_truth() {
 #[test]
 fn multi_source_tracks_each_hub_through_slides() {
     let sources = [0u32, 1, 2];
-    let mut multi = MultiSourcePpr::new(&sources, 0.15, 1e-4, PushVariant::OPT);
+    let mut multi = MultiSourcePpr::new(&sources, 0.15, 1e-4);
     let mut g = DynamicGraph::new();
     let mut window = dppr::graph::SlidingWindow::new(stream(), 0.1);
     multi.apply_batch(&mut g, &window.initial_updates());
