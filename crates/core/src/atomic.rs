@@ -7,6 +7,13 @@
 //! The returned before-value is the by-product that makes *local duplicate
 //! detection* possible.
 //!
+//! The CAS loop is needed only while several threads may add to one cell.
+//! A push round that runs on one thread owns every residual it touches, so
+//! [`AtomicF64::fetch_add_round`] adds there with a relaxed load and a
+//! store: the same `before + delta`, rounded the same way, so the stored
+//! bits are those the CAS loop would have stored. Rounds that fan out keep
+//! the loop and count its retries.
+//!
 //! All operations use `Relaxed` ordering: the values are pure data and every
 //! cross-thread hand-off in the push kernels happens across the join of a
 //! `thread::scope` (see [`crate::fanout`]), which already establishes the
@@ -47,24 +54,22 @@ impl AtomicF64 {
     /// `atomicAdd`, Algorithm 4 line 14). Implemented as a CAS loop.
     #[inline]
     pub fn fetch_add(&self, delta: f64) -> f64 {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return f64::from_bits(cur),
-                Err(actual) => cur = actual,
-            }
-        }
+        self.fetch_add_round(delta, false, &mut 0)
     }
 
-    /// [`AtomicF64::fetch_add`] that also counts CAS retries (for the
-    /// contention profiling of Figure 9's substitute metrics).
+    /// Adds `delta` and returns the before-value, as a push round does.
+    /// With `owned` — no other thread can touch the cell until the round's
+    /// join — a relaxed load and a store; otherwise [`AtomicF64::fetch_add`]'s
+    /// CAS loop, counting its retries into `retries` (the contention
+    /// profile of Figure 9's substitute metrics). Both store the bits of
+    /// `before + delta`.
     #[inline]
-    pub fn fetch_add_counting(&self, delta: f64, retries: &mut u64) -> f64 {
+    pub fn fetch_add_round(&self, delta: f64, owned: bool, retries: &mut u64) -> f64 {
         let mut cur = self.0.load(Ordering::Relaxed);
+        if owned {
+            self.0.store((f64::from_bits(cur) + delta).to_bits(), Ordering::Relaxed);
+            return f64::from_bits(cur);
+        }
         loop {
             let new = (f64::from_bits(cur) + delta).to_bits();
             match self
@@ -164,9 +169,61 @@ mod tests {
     fn counting_variant_matches() {
         let a = AtomicF64::new(3.0);
         let mut retries = 0;
-        assert_eq!(a.fetch_add_counting(4.0, &mut retries), 3.0);
+        assert_eq!(a.fetch_add_round(4.0, false, &mut retries), 3.0);
         assert_eq!(a.load(), 7.0);
         // Uncontended: no retries.
         assert_eq!(retries, 0);
+    }
+
+    /// The owned and the shared add return the before-value and store the
+    /// bits of `fetch_add`, signed zeros, subnormals, overflow and NaN
+    /// included; neither counts a retry uncontended.
+    #[test]
+    fn round_add_stores_the_bits_of_fetch_add() {
+        let tiny = f64::from_bits(1); // the smallest subnormal
+        let big = 2f64.powi(60);
+        let table = [
+            (0.0, 0.0),
+            (0.0, -0.0),
+            (-0.0, 0.0),
+            (-0.0, -0.0),
+            (tiny, tiny),
+            (tiny, -tiny),
+            (-tiny, -tiny),
+            (f64::MIN_POSITIVE, -tiny),
+            (f64::MAX, f64::MAX),
+            (f64::MIN, -f64::MAX),
+            (f64::INFINITY, f64::NEG_INFINITY),
+            (f64::NAN, 1.0),
+            (big + 1024.0, -big),
+            (1e300, -(1e300 - 1e284)),
+            (0.1, 0.2),
+        ];
+        for (start, delta) in table {
+            let want = AtomicF64::new(start);
+            let want_before = want.fetch_add(delta);
+            for owned in [true, false] {
+                let a = AtomicF64::new(start);
+                let mut retries = 0;
+                let before = a.fetch_add_round(delta, owned, &mut retries);
+                let case = format!("{start:e} + {delta:e}, owned {owned}");
+                assert_eq!(before.to_bits(), want_before.to_bits(), "{case}");
+                assert_eq!(a.load().to_bits(), want.load().to_bits(), "{case}");
+                assert_eq!(a.load().to_bits(), (start + delta).to_bits(), "{case}");
+                assert_eq!(retries, 0, "{case}");
+            }
+        }
+        // The table reaches the results it is meant to.
+        let sum = |a: f64, b: f64| {
+            let x = AtomicF64::new(a);
+            x.fetch_add_round(b, true, &mut 0);
+            x.load()
+        };
+        assert_eq!(sum(-0.0, -0.0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(sum(0.0, -0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(sum(tiny, tiny).to_bits(), 2);
+        assert_eq!(sum(f64::MAX, f64::MAX), f64::INFINITY);
+        assert!(sum(f64::INFINITY, f64::NEG_INFINITY).is_nan());
+        assert_eq!(sum(big + 1024.0, -big), 1024.0);
     }
 }

@@ -106,9 +106,11 @@ pub struct LocalCounters {
     pub pushes: u64,
     /// In-neighbor edges walked during neighbor-propagation.
     pub edge_traversals: u64,
-    /// Atomic residual updates issued.
+    /// Residual adds issued (the paper's `atomicAdd`s), whether a round
+    /// ran them as a CAS loop or, owning the state, as a load and a store.
     pub atomic_adds: u64,
-    /// CAS retries inside atomic adds (contention).
+    /// CAS retries inside residual adds (contention); only rounds that fan
+    /// out over several threads issue a CAS, so only they can retry.
     pub cas_retries: u64,
     /// Vertices enqueued into the next frontier.
     pub enqueued: u64,

@@ -345,12 +345,11 @@ pub(crate) mod tests {
         [load, slide]
     }
 
-    /// `CPU-MT[Opt]` with `threads` threads over [`wide_stream`].
-    fn run_wide_stream(threads: usize) -> (DynamicGraph, ParallelEngine) {
+    /// `CPU-MT[variant]` with `threads` threads over [`wide_stream`].
+    fn run_wide_stream(variant: PushVariant, threads: usize) -> (DynamicGraph, ParallelEngine) {
         let [load, slide] = wide_stream();
         let mut g = DynamicGraph::new();
-        let mut e =
-            ParallelEngine::with_threads(PprConfig::new(0, 0.2, 1e-6), PushVariant::OPT, threads);
+        let mut e = ParallelEngine::with_threads(PprConfig::new(0, 0.2, 1e-6), variant, threads);
         e.apply_batch(&mut g, &load);
         e.apply_batch(&mut g, &slide);
         assert!(
@@ -363,18 +362,39 @@ pub(crate) mod tests {
 
     #[test]
     fn one_thread_engine_is_deterministic_past_the_fan_out_threshold() {
-        let (_, a) = run_wide_stream(1);
-        let (_, b) = run_wide_stream(1);
-        // No second thread ever touched a residual, so no CAS ever lost.
+        let (_, a) = run_wide_stream(PushVariant::OPT, 1);
+        let (_, b) = run_wide_stream(PushVariant::OPT, 1);
+        // Every round was owned by the calling thread: no CAS, no retry.
         assert_eq!(a.counters().cas_retries, 0);
         assert_eq!(b.counters().cas_retries, 0);
         assert_eq!(state_fingerprint(a.state()), state_fingerprint(b.state()));
     }
 
+    /// Every variant's one-thread push over [`wide_stream`], pinned to
+    /// literals: the state's bits and the work counted. The determinism
+    /// tests compare a run with another of the same build; an add that a
+    /// change reorders or rounds differently moves these literals.
+    #[test]
+    fn one_thread_push_is_pinned() {
+        let got: Vec<_> = PushVariant::ALL
+            .into_iter()
+            .map(|variant| {
+                let (_, e) = run_wide_stream(variant, 1);
+                let c = e.counters();
+                (state_fingerprint(e.state()), c.pushes, c.atomic_adds, c.enqueued, c.iterations)
+            })
+            .collect();
+        // At one thread the claim flags enqueue exactly what local
+        // duplicate detection does, so each eager/vanilla pair agrees.
+        let eager = (11_866_952_711_023_298_490, 544_230, 3_800_680, 542_122, 79);
+        let vanilla = (10_121_663_691_472_039_129, 970_898, 5_808_321, 968_792, 95);
+        assert_eq!(got, [eager, eager, vanilla, vanilla]);
+    }
+
     #[test]
     fn three_thread_engine_stays_within_two_epsilon_of_one_thread() {
-        let (_, one) = run_wide_stream(1);
-        let (g, three) = run_wide_stream(3);
+        let (_, one) = run_wide_stream(PushVariant::OPT, 1);
+        let (g, three) = run_wide_stream(PushVariant::OPT, 3);
         assert!(max_invariant_violation(&g, three.state()) < 1e-9);
         let eps = three.config().epsilon;
         for v in 0..g.num_vertices() as VertexId {

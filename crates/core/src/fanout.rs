@@ -40,6 +40,13 @@ pub fn concat<T>(mut a: Vec<T>, mut b: Vec<T>) -> Vec<T> {
     a
 }
 
+/// Whether a fan-out over `n` items on `threads` threads is one part: a
+/// plain call of the body on the calling thread, which then owns whatever
+/// the body touches until it returns.
+pub(crate) fn one_part(n: usize, threads: usize) -> bool {
+    threads.min(n) <= 1
+}
+
 /// Runs `body` over `min(threads, n)` contiguous sub-ranges covering `0..n`
 /// and merges the results in range order.
 pub fn fan_out<R: Send>(
@@ -48,10 +55,10 @@ pub fn fan_out<R: Send>(
     body: impl Fn(Range<usize>) -> R + Sync,
     merge: impl FnMut(R, R) -> R,
 ) -> R {
-    let parts = threads.min(n);
-    if parts <= 1 {
+    if one_part(n, threads) {
         return body(0..n);
     }
+    let parts = threads.min(n);
     let ranges = (0..parts).map(|i| i * n / parts..(i + 1) * n / parts);
     scoped(ranges, &body, merge)
 }
@@ -66,11 +73,10 @@ pub fn fan_out_chunks<T: Send, R: Send>(
     merge: impl FnMut(R, R) -> R,
 ) -> R {
     let n = data.len();
-    let parts = threads.min(n);
-    if parts <= 1 {
+    if one_part(n, threads) {
         return body(0, data);
     }
-    let size = n.div_ceil(parts);
+    let size = n.div_ceil(threads.min(n));
     let chunks = data.chunks_mut(size).enumerate();
     scoped(chunks, &|(i, chunk)| body(i * size, chunk), merge)
 }
@@ -151,6 +157,10 @@ mod tests {
         assert!(on_caller(1, 8));
         assert!(on_caller(0, 8));
         assert!(!on_caller(100, 2), "part 1 of 2 runs on a spawned thread");
+        // `one_part` is the rule the schedule follows.
+        for (n, threads) in [(100, 1), (100, 0), (1, 8), (0, 8), (100, 2), (2, 2)] {
+            assert_eq!(one_part(n, threads), on_caller(n, threads), "n = {n}, {threads} threads");
+        }
         let mut one = [0u8];
         assert!(fan_out_chunks(
             &mut one,

@@ -14,7 +14,7 @@
 //! (the scaling of Lin's distributed fully-personalized PageRank). The
 //! core budget is split, not multiplied, so with at least as many
 //! sessions as cores every push is a one-thread, bit-reproducible
-//! schedule.
+//! schedule, whose rounds own their state and issue no CAS.
 
 use crate::config::PprConfig;
 use crate::counters::Counters;
@@ -479,6 +479,23 @@ mod tests {
             fingerprints(&multi)
         };
         assert_eq!(run(), run());
+    }
+
+    /// Two sessions on two cores push one thread each over
+    /// [`crate::engine::tests::wide_stream`]; their bits and the work
+    /// counted are pinned to literals.
+    #[test]
+    fn one_thread_push_is_pinned() {
+        let [load, slide] = crate::engine::tests::wide_stream();
+        let mut multi = MultiSourcePpr::new(&[0, 1], 0.2, 1e-6);
+        let mut g = DynamicGraph::new();
+        multi.apply_batch_over(&mut g, &load, 2);
+        multi.apply_batch_over(&mut g, &slide, 2);
+        let want = [(0, 11_866_952_711_023_298_490), (1, 14_812_820_352_697_794_727)];
+        assert_eq!(fingerprints(&multi), want);
+        let c = multi.counters().snapshot();
+        let work = (c.pushes, c.atomic_adds, c.enqueued, c.iterations);
+        assert_eq!(work, (1_018_036, 7_114_044, 1_014_128, 153));
     }
 
     /// What `apply_batch` must equal when the sessions fill the cores:

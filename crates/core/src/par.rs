@@ -21,10 +21,33 @@
 //! that updater enqueues — or the baseline **atomic-flag dedup**: a shared
 //! per-vertex claim bit, standing in for the synchronizing `UniqueEnqueue`
 //! of Algorithm 3.
+//!
+//! **Owned and shared rounds.** The paper's `atomicAdd` exists for rounds
+//! in which several threads scatter into one residual vector. A round
+//! whose fan-out has one part — `threads = 1`, or a frontier under
+//! [`PushOpts::seq_threshold`] — runs on the calling thread alone, and no
+//! other thread reads or writes the state until it returns. Such a round
+//! is *owned*: every read-modify-write on it (the `propagate` scatter, the
+//! eager self-update's subtraction, the vanilla take-out and the claim
+//! flags) is a relaxed load and a store, in the same order and with the
+//! same arithmetic, so the state is bit-identical to the CAS schedule's
+//! and no CAS is issued. A round that fans out is *shared* and keeps the
+//! CAS loop and its retry count. The choice is made once per round, by
+//! the same rule [`fan_out`] schedules with ([`one_part`]); every add goes
+//! through [`AtomicF64::fetch_add_round`](crate::atomic::AtomicF64::fetch_add_round).
+//!
+//! Two alternatives were weighed and left out:
+//! * the kernel keeps taking `&PprState`. An owned round on `&mut PprState`
+//!   (`AtomicU64::get_mut` per element) would be a second kernel body
+//!   beside the shared one, and relaxed loads and stores already compile
+//!   to plain moves on x86-64;
+//! * [`crate::seq`]'s FIFO kernel stays separate. Its schedule differs (one
+//!   vertex at a time, not frontier rounds), so sharing this inner loop
+//!   would change the sequential engine's results and speed.
 
 use crate::config::Phase;
 use crate::counters::{Counters, LocalCounters};
-use crate::fanout::{default_threads, fan_out, FAN_OUT_MIN};
+use crate::fanout::{default_threads, fan_out, one_part, FAN_OUT_MIN};
 use crate::seq::{dedup_seeds, LockstepTrace};
 use crate::state::PprState;
 use crate::variants::PushVariant;
@@ -40,8 +63,9 @@ pub struct PushOpts {
     /// parallel push. CilkPlus gets this behaviour for free from lazy task
     /// stealing; with one `thread::scope` per session the explicit
     /// threshold is needed to avoid paying two barriers per iteration for
-    /// a ten-vertex frontier. `0` fans every iteration out, `usize::MAX`
-    /// none (the granularity ablation bench runs both).
+    /// a ten-vertex frontier. Such a round is also CAS-free: it owns the
+    /// state and adds with a load and a store. `0` fans every iteration
+    /// out, `usize::MAX` none (the granularity ablation bench runs both).
     pub seq_threshold: usize,
 }
 
@@ -52,7 +76,7 @@ impl Default for PushOpts {
 }
 
 /// Reusable scratch for the parallel push: the claim-flag array used by the
-/// non-`local_dup` variants.
+/// non-`local_dup` variants, and grown only by their pushes.
 #[derive(Debug, Default)]
 pub struct ParPushBuffers {
     claimed: Vec<AtomicBool>,
@@ -91,6 +115,29 @@ impl SessAcc {
     }
 }
 
+/// One round's schedule, decided once at its start: its sessions fan out
+/// over `threads` threads, and `owned` records that this is one part on
+/// the calling thread, whose read-modify-writes are loads and stores.
+#[derive(Clone, Copy)]
+struct Round {
+    phase: Phase,
+    threads: usize,
+    owned: bool,
+}
+
+/// Sets a claim flag and returns whether it was already set: a `swap` in a
+/// shared round, a load and a store in an owned one.
+#[inline]
+fn claim(flag: &AtomicBool, owned: bool) -> bool {
+    if owned {
+        let was = flag.load(Ordering::Relaxed);
+        flag.store(true, Ordering::Relaxed);
+        was
+    } else {
+        flag.swap(true, Ordering::Relaxed)
+    }
+}
+
 struct Ctx<'a> {
     g: &'a DynamicGraph,
     state: &'a PprState,
@@ -105,17 +152,17 @@ impl Ctx<'_> {
     /// `(1−α)·w / dout(v)` to every in-neighbor `v` and generate frontier
     /// candidates according to the variant's dedup scheme.
     #[inline]
-    fn propagate(&self, u: VertexId, w: f64, phase: Phase, acc: &mut SessAcc) {
+    fn propagate(&self, u: VertexId, w: f64, round: Round, acc: &mut SessAcc) {
         acc.lc.pushes += 1;
         let scaled = (1.0 - self.alpha) * w;
         let r = self.state.r_atomics();
+        let phase = round.phase;
         // Division-free inner loop: multiply by the graph-maintained 1/dout
         // (v has the edge v→u, so dout(v) ≥ 1).
         for &v in self.g.in_neighbors(u) {
             acc.lc.edge_traversals += 1;
             let inc = scaled * self.g.inv_out_degree(v);
-            let r_pre =
-                r[v as usize].fetch_add_counting(inc, &mut acc.lc.cas_retries);
+            let r_pre = r[v as usize].fetch_add_round(inc, round.owned, &mut acc.lc.cas_retries);
             acc.lc.atomic_adds += 1;
             let r_cur = r_pre + inc;
             if self.variant.local_dup {
@@ -128,7 +175,7 @@ impl Ctx<'_> {
                     acc.lc.dup_avoided += 1;
                 }
             } else if phase.active(r_cur, self.eps) {
-                if !self.claimed[v as usize].swap(true, Ordering::Relaxed) {
+                if !claim(&self.claimed[v as usize], round.owned) {
                     acc.next.push(v);
                     acc.lc.enqueued += 1;
                 } else {
@@ -148,13 +195,13 @@ impl Ctx<'_> {
     /// Here the flag is kept if `u` re-enters the frontier and released
     /// otherwise.
     #[inline]
-    fn eager_self_update(&self, u: VertexId, ru: f64, phase: Phase, acc: &mut SessAcc) {
+    fn eager_self_update(&self, u: VertexId, ru: f64, round: Round, acc: &mut SessAcc) {
         let p = &self.state.p_atomics()[u as usize];
         p.store(p.load() + self.alpha * ru);
         let r = &self.state.r_atomics()[u as usize];
-        let after = r.fetch_add_counting(-ru, &mut acc.lc.cas_retries) - ru;
+        let after = r.fetch_add_round(-ru, round.owned, &mut acc.lc.cas_retries) - ru;
         acc.lc.atomic_adds += 1;
-        if phase.active(after, self.eps) {
+        if round.phase.active(after, self.eps) {
             acc.next.push(u);
             acc.lc.enqueued += 1;
         } else if !self.variant.local_dup {
@@ -162,14 +209,15 @@ impl Ctx<'_> {
         }
     }
 
-    /// One session over `items` on `threads` threads, each with its own
+    /// One session over `items` on the round's threads, each with its own
     /// accumulator; the merged result is the session's barrier.
     fn session<T: Sync>(
         &self,
         items: &[T],
-        threads: usize,
+        round: Round,
         each: impl Fn(&T, &mut SessAcc) + Sync,
     ) -> SessAcc {
+        debug_assert_eq!(round.owned, one_part(items.len(), round.threads));
         let fold = |range: Range<usize>| {
             // Room for one entry and one enqueue per item up front: growing
             // these by `realloc` from empty, iteration after iteration, is what
@@ -185,35 +233,42 @@ impl Ctx<'_> {
             }
             acc
         };
-        fan_out(items.len(), threads, fold, SessAcc::merge)
+        fan_out(items.len(), round.threads, fold, SessAcc::merge)
     }
 
     /// Algorithm 3: self-update (stale snapshot) then neighbor-propagation.
-    fn vanilla_iteration(&self, frontier: &[VertexId], phase: Phase, threads: usize) -> SessAcc {
+    fn vanilla_iteration(&self, frontier: &[VertexId], round: Round) -> SessAcc {
         // Session 1: take out residuals, bank α·w. Distinct vertices, so
         // the plain read-modify-write on P is race-free.
-        let snapshots = self.session(frontier, threads, |&u, acc| {
-            let w = self.state.r_atomics()[u as usize].swap(0.0);
+        let snapshots = self.session(frontier, round, |&u, acc| {
+            let r = &self.state.r_atomics()[u as usize];
+            let w = if round.owned {
+                let w = r.load();
+                r.store(0.0);
+                w
+            } else {
+                r.swap(0.0)
+            };
             let p = &self.state.p_atomics()[u as usize];
             p.store(p.load() + self.alpha * w);
             acc.entries.push((u, w));
         });
         // Session 2: propagate the snapshots.
-        self.session(&snapshots.entries, threads, |&(u, w), acc| {
-            self.propagate(u, w, phase, acc)
+        self.session(&snapshots.entries, round, |&(u, w), acc| {
+            self.propagate(u, w, round, acc)
         })
     }
 
     /// Algorithm 4: neighbor-propagation on fresh reads, then the
     /// consistent self-update with its second frontier-generation pass.
-    fn eager_iteration(&self, frontier: &[VertexId], phase: Phase, threads: usize) -> SessAcc {
+    fn eager_iteration(&self, frontier: &[VertexId], round: Round) -> SessAcc {
         // Session 1: read the *current* residual (it may keep growing under
         // us — whatever arrives after the read is handled by the consistent
         // subtraction below) and propagate it.
-        let mut acc = self.session(frontier, threads, |&u, acc| {
+        let mut acc = self.session(frontier, round, |&u, acc| {
             let ru = self.state.r_atomics()[u as usize].load();
             acc.entries.push((u, ru));
-            self.propagate(u, ru, phase, acc);
+            self.propagate(u, ru, round, acc);
         });
         // Session 2: banked estimate update and Rs(u) −= ru; a frontier
         // vertex that accumulated more than ε since its read goes straight
@@ -223,8 +278,8 @@ impl Ctx<'_> {
         // satisfy the push condition. With flags, the member's claim is
         // held until this very check.)
         let entries = std::mem::take(&mut acc.entries);
-        let requeued = self.session(&entries, threads, |&(u, ru), acc| {
-            self.eager_self_update(u, ru, phase, acc)
+        let requeued = self.session(&entries, round, |&(u, ru), acc| {
+            self.eager_self_update(u, ru, round, acc)
         });
         acc.merge(requeued)
     }
@@ -247,8 +302,8 @@ pub fn parallel_local_push(
 
 /// [`parallel_local_push`] with explicit tuning options and thread count.
 /// An iteration whose frontier is shorter than `opts.seq_threshold` runs on
-/// one thread whatever `threads` says; with `threads = 1` every iteration
-/// does, and the push is deterministic.
+/// one thread whatever `threads` says, and issues no CAS; with
+/// `threads = 1` every iteration does, and the push is deterministic.
 ///
 /// The positive phase runs first; because positive pushes only ever *add*
 /// probability mass, the only candidates for the negative phase are the
@@ -264,7 +319,9 @@ pub fn parallel_local_push_opts(
     opts: PushOpts,
     threads: usize,
 ) {
-    bufs.ensure(g.num_vertices());
+    if !variant.local_dup {
+        bufs.ensure(g.num_vertices());
+    }
     let ctx = Ctx {
         g,
         state,
@@ -297,10 +354,11 @@ pub fn parallel_local_push_opts(
         while !frontier.is_empty() {
             counters.record_iteration(frontier.len());
             let threads = if frontier.len() < opts.seq_threshold { 1 } else { threads };
+            let round = Round { phase, threads, owned: one_part(frontier.len(), threads) };
             let acc = if variant.eager {
-                ctx.eager_iteration(&frontier, phase, threads)
+                ctx.eager_iteration(&frontier, round)
             } else {
-                ctx.vanilla_iteration(&frontier, phase, threads)
+                ctx.vanilla_iteration(&frontier, round)
             };
             acc.lc.flush(counters);
             frontier = acc.next;
@@ -597,6 +655,24 @@ mod tests {
                     "{variant}: vertex {v} differs from sequential by {d}"
                 );
             }
+        }
+    }
+
+    /// Only the flag variants read claim flags, so only their pushes grow
+    /// the array: a local-dup session carries none.
+    #[test]
+    fn claim_flags_are_allocated_only_by_the_flag_variants() {
+        use dppr_graph::generators::erdos_renyi;
+        let g = DynamicGraph::from_edges(erdos_renyi(1_000, 5_000, 3));
+        assert_eq!(g.num_vertices(), 1_000);
+        for variant in PushVariant::ALL {
+            let st = PprState::cold_start(PprConfig::new(0, 0.2, 1e-4), g.num_vertices());
+            let c = Counters::new();
+            let mut bufs = ParPushBuffers::new();
+            parallel_local_push(&g, &st, variant, &[0], &c, &mut bufs);
+            assert!(c.snapshot().pushes > 1, "{variant} pushed nothing");
+            let want = if variant.local_dup { 0 } else { g.num_vertices() };
+            assert_eq!(bufs.claimed.len(), want, "{variant}");
         }
     }
 
