@@ -84,7 +84,6 @@ pub fn info(args: &Args) -> Result<String, CliError> {
     writeln!(out, "graph\t{name}").unwrap();
     writeln!(out, "active_vertices\t{}", g.active_vertices()).unwrap();
     let ss = g.substrate_stats();
-    writeln!(out, "hub_vertices\t{}", ss.hub_vertices).unwrap();
     writeln!(
         out,
         "pool_slots\t{} (live {}, dead {})",
@@ -93,6 +92,29 @@ pub fn info(args: &Args) -> Result<String, CliError> {
     .unwrap();
     write!(out, "{}", dppr_graph::stats::degree_stats(&g)).unwrap();
     Ok(out)
+}
+
+/// `--alpha`, refused unless it lies in (0, 1): the range
+/// `PprConfig::new` asserts, checked here so a bad value is an error that
+/// names the option rather than a panic.
+fn get_alpha(args: &Args) -> Result<f64, CliError> {
+    let alpha = args.get_finite("alpha", 0.15)?;
+    if alpha > 0.0 && alpha < 1.0 {
+        Ok(alpha)
+    } else {
+        Err(err(format!("--alpha must lie in (0, 1), got {alpha}")))
+    }
+}
+
+/// `--epsilon`, refused unless it is above 0 (`PprConfig::new`'s other
+/// assert).
+fn get_epsilon(args: &Args, default: f64) -> Result<f64, CliError> {
+    let epsilon = args.get_finite("epsilon", default)?;
+    if epsilon > 0.0 {
+        Ok(epsilon)
+    } else {
+        Err(err(format!("--epsilon must be above 0, got {epsilon}")))
+    }
 }
 
 fn parse_variant(raw: &str) -> Result<PushVariant, CliError> {
@@ -109,8 +131,8 @@ fn parse_variant(raw: &str) -> Result<PushVariant, CliError> {
 pub fn run(args: &Args) -> Result<String, CliError> {
     let (edges, undirected, name) = load_edges(args)?;
     let seed: u64 = args.get_parsed("seed", 1u64)?;
-    let alpha: f64 = args.get_finite("alpha", 0.15)?;
-    let epsilon: f64 = args.get_finite("epsilon", 1e-5)?;
+    let alpha = get_alpha(args)?;
+    let epsilon = get_epsilon(args, 1e-5)?;
     let batch: usize = args.get_parsed("batch", 1_000usize)?;
     let slides: usize = args.get_parsed("slides", 10usize)?;
     let explicit_source: Option<VertexId> = args
@@ -204,8 +226,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 pub fn query(args: &Args) -> Result<String, CliError> {
     let (edges, undirected, name) = load_edges(args)?;
     let source: VertexId = args.get_parsed("source", 0u32)?;
-    let alpha: f64 = args.get_finite("alpha", 0.15)?;
-    let epsilon: f64 = args.get_finite("epsilon", 1e-5)?;
+    let alpha = get_alpha(args)?;
+    let epsilon = get_epsilon(args, 1e-5)?;
     let k: usize = args.get_parsed("top", 10usize)?;
     let threshold: Option<f64> =
         args.get("threshold").map(|_| args.get_finite("threshold", 0.0)).transpose()?;
@@ -295,10 +317,10 @@ fn serve_durability(args: &Args) -> Result<Option<dppr_serve::DurabilityConfig>,
     }
     cfg.checkpoint_every_slides = args.get_parsed("checkpoint-every", cfg.checkpoint_every_slides)?;
     let segment_kb: u64 = args.get_parsed("segment-kb", cfg.segment_bytes / 1024)?;
-    if segment_kb == 0 {
-        return Err(err("--segment-kb must be positive"));
-    }
-    cfg.segment_bytes = segment_kb * 1024;
+    cfg.segment_bytes = match segment_kb.checked_mul(1024) {
+        Some(bytes) if bytes > 0 => bytes,
+        _ => return Err(err(format!("--segment-kb must lie in 1..={}", u64::MAX / 1024))),
+    };
     Ok(Some(cfg))
 }
 
@@ -314,13 +336,16 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
 
     let (edges, undirected, name) = load_edges(args)?;
     let seed: u64 = args.get_parsed("seed", 1u64)?;
+    let slo_p99_ms = args.get_finite("slo-p99-ms", 0.0)?.max(0.0);
+    let slo_p99 = std::time::Duration::try_from_secs_f64(slo_p99_ms / 1e3)
+        .map_err(|_| err(format!("--slo-p99-ms out of range: {slo_p99_ms:e}")))?;
     let cfg = dppr_serve::ServeConfig {
         port: args.get_parsed("port", 7171u16)?,
         threads: args.get_parsed("threads", 4usize)?,
         cache_capacity: args.get_parsed("cache-capacity", 1024usize)?,
         session_capacity: args.get_parsed("session-capacity", 64usize)?,
-        alpha: args.get_finite("alpha", 0.15)?,
-        epsilon: args.get_finite("epsilon", 1e-4)?,
+        alpha: get_alpha(args)?,
+        epsilon: get_epsilon(args, 1e-4)?,
         batch: args.get_parsed("batch", 500usize)?,
         max_slides: args.get_parsed("max-slides", 0usize)?,
         slide_pause: std::time::Duration::from_millis(
@@ -340,9 +365,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         audit_interval: std::time::Duration::from_millis(
             args.get_parsed("audit-interval-ms", 500u64)?,
         ),
-        slo_p99: std::time::Duration::from_secs_f64(
-            args.get_finite("slo-p99-ms", 0.0)?.max(0.0) / 1e3,
-        ),
+        slo_p99,
         slo_availability: args.get_finite("slo-availability", 0.0)?,
         slo_topk_overlap: args.get_finite("slo-topk-overlap", 0.0)?,
         ..dppr_serve::ServeConfig::default()
@@ -427,7 +450,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
 pub fn exact(args: &Args) -> Result<String, CliError> {
     let (edges, undirected, name) = load_edges(args)?;
     let source: VertexId = args.get_parsed("source", 0u32)?;
-    let alpha: f64 = args.get_finite("alpha", 0.15)?;
+    let alpha = get_alpha(args)?;
     let k: usize = args.get_parsed("top", 10usize)?;
     args.reject_unknown()?;
     let g = materialize(&edges, undirected);
@@ -579,6 +602,52 @@ mod tests {
     #[test]
     fn exact_rejects_a_misspelt_option() {
         assert_unknown(&["exact", "--preset", "toy", "--source", "0", "--tpo", "1"], "tpo");
+    }
+
+    // One per numeric option whose range the engine or the server would
+    // otherwise assert: an out-of-range value is an error naming the
+    // option, raised before anything is built or bound.
+
+    fn assert_refused(line: &[&str], option: &str) {
+        let args = Args::parse(line.iter().copied()).unwrap();
+        let e = crate::dispatch(&args).expect_err("an out-of-range value must fail");
+        assert!(e.0.contains(option), "{line:?}: {}", e.0);
+    }
+
+    #[test]
+    fn alpha_outside_the_unit_interval_is_refused() {
+        for bad in ["0", "1", "1.5", "-0.2"] {
+            assert_refused(&["serve", "--preset", "toy", "--port", "0", "--alpha", bad], "--alpha");
+            assert_refused(&["run", "--preset", "toy", "--alpha", bad], "--alpha");
+            assert_refused(&["query", "--preset", "toy", "--alpha", bad], "--alpha");
+            assert_refused(&["exact", "--preset", "toy", "--alpha", bad], "--alpha");
+        }
+    }
+
+    #[test]
+    fn epsilon_at_or_below_zero_is_refused() {
+        for bad in ["0", "-1"] {
+            assert_refused(&["serve", "--preset", "toy", "--port", "0", "--epsilon", bad], "--epsilon");
+            assert_refused(&["run", "--preset", "toy", "--epsilon", bad], "--epsilon");
+            assert_refused(&["query", "--preset", "toy", "--epsilon", bad], "--epsilon");
+        }
+    }
+
+    #[test]
+    fn slo_p99_too_large_for_a_duration_is_refused() {
+        assert_refused(&["serve", "--preset", "toy", "--port", "0", "--slo-p99-ms", "1e30"], "--slo-p99-ms");
+    }
+
+    #[test]
+    fn segment_kb_that_overflows_bytes_is_refused() {
+        let dir = tmpfile("never_created_data_dir");
+        for bad in ["0", "18014398509481984"] {
+            assert_refused(
+                &["serve", "--preset", "toy", "--port", "0", "--data-dir", &dir, "--segment-kb", bad],
+                "--segment-kb",
+            );
+        }
+        assert!(!std::path::Path::new(&dir).exists(), "the check runs before the directory is made");
     }
 
     #[test]

@@ -27,11 +27,6 @@ impl PprConfig {
         assert!(epsilon > 0.0, "error threshold must be positive, got {epsilon}");
         PprConfig { source, alpha, epsilon }
     }
-
-    /// The paper's default parameters (`α = 0.15`) for a given source and ε.
-    pub fn with_default_alpha(source: VertexId, epsilon: f64) -> Self {
-        Self::new(source, 0.15, epsilon)
-    }
 }
 
 /// Which of the two push phases of Algorithms 2/3 is running: positive
@@ -75,7 +70,7 @@ mod tests {
     fn config_validation() {
         let c = PprConfig::new(3, 0.15, 1e-6);
         assert_eq!(c.source, 3);
-        assert_eq!(PprConfig::with_default_alpha(0, 1e-3).alpha, 0.15);
+        assert_eq!((c.alpha, c.epsilon), (0.15, 1e-6));
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! `πs(v)·d(s) = πv(s)·d(v)`, which the tests exploit to cross-validate the
 //! reverse engines.
 
-use crate::config::PprConfig;
 use dppr_graph::{DynamicGraph, VertexId};
 use std::collections::VecDeque;
 
@@ -151,13 +150,6 @@ pub fn sweep_cut(g: &DynamicGraph, p: &[f64]) -> Option<SweepCut> {
         community: order[..=i].to_vec(),
         conductance: phi,
     })
-}
-
-/// Convenience wrapper: forward PPR then sweep cut, using the config's
-/// parameters.
-pub fn local_community(g: &DynamicGraph, cfg: &PprConfig) -> Option<SweepCut> {
-    let fp = forward_push(g, cfg.source, cfg.alpha, cfg.epsilon);
-    sweep_cut(g, &fp.p)
 }
 
 #[cfg(test)]

@@ -18,12 +18,15 @@
 //! slots outnumber live ones. Deletion is O(deg) via `swap_remove`, the standard
 //! trade-off for streaming graph stores (cf. STINGER [14]).
 //!
-//! # Degree-adaptive duplicate detection
+//! # Duplicate detection
 //!
 //! The paper's graphs are simple, so `insert_edge` must reject duplicates.
-//! A linear membership scan is fastest below a small degree threshold but
-//! makes ingest quadratic on power-law hubs; above the threshold the graph
-//! keeps a per-hub hash set of out-neighbors, making hub membership O(1).
+//! Membership has one implementation: a scan of `u`'s out-span, O(dout(u)).
+//! A per-hub hash set would make an insert's check O(1), but it cannot
+//! help the matching delete, which must find the edge's position in both
+//! spans anyway. On a sliding window every inserted edge is deleted one
+//! window later, so the scan is paid either way; measured on R-MAT
+//! windows, a hash index bought no time and cost memory.
 //!
 //! # Maintained aggregates
 //!
@@ -36,61 +39,9 @@
 //!   [`DynamicGraph::active_vertices`] is O(1) instead of an O(n) scan.
 
 use crate::types::{EdgeOp, EdgeUpdate, VertexId};
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Out-degree above which a vertex gets a hash-set membership index for
-/// duplicate detection. Below it, a linear scan of the (cache-resident)
-/// span is cheaper than hashing.
-pub const DUP_THRESHOLD: usize = 32;
-
-/// Multiply-xor hasher (FxHash-style) for the hub membership sets. The
-/// std default (SipHash) costs more per lookup than the linear scan it is
-/// supposed to replace at moderate degrees; vertex ids need no
-/// HashDoS-resistant hashing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FastIdHasher(u64);
-
-impl FastIdHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for FastIdHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
-
-type FastBuild = BuildHasherDefault<FastIdHasher>;
-type FastSet = HashSet<VertexId, FastBuild>;
-
-/// Sentinel in `hub_slot` for "no membership set".
-const NO_HUB: u32 = u32::MAX;
 
 /// Observability snapshot of the adjacency-pool substrate
-/// ([`DynamicGraph::substrate_stats`]): arena occupancy and how many
-/// vertices run on the hash-membership (hub) path.
+/// ([`DynamicGraph::substrate_stats`]): arena occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubstrateStats {
     /// Total arena slots across both directions (live + slack + garbage).
@@ -100,10 +51,6 @@ pub struct SubstrateStats {
     pub live_slots: usize,
     /// Garbage slots abandoned by span relocation, awaiting compaction.
     pub dead_slots: usize,
-    /// Vertices promoted to hash-set duplicate detection.
-    pub hub_vertices: usize,
-    /// The promotion threshold in effect.
-    pub dup_threshold: usize,
 }
 
 impl SubstrateStats {
@@ -287,7 +234,7 @@ impl AdjPool {
 /// paper: "an edge insertion may introduce new vertices"); deleting an edge
 /// never shrinks ids, but [`DynamicGraph::active_vertices`] reports how many
 /// vertices currently have non-zero degree (the paper's `|V^t|` accounting).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DynamicGraph {
     out: AdjPool,
     inn: AdjPool,
@@ -296,51 +243,12 @@ pub struct DynamicGraph {
     active: usize,
     /// `1 / dout(u)`, or 0 when `dout(u) = 0`. See the module docs.
     inv_dout: Vec<f64>,
-    /// Per-vertex index into `hub_sets`, or [`NO_HUB`]. A plain array so
-    /// the per-insert "is this a hub?" probe is one load, not a hash map
-    /// lookup.
-    hub_slot: Vec<u32>,
-    /// Hash membership indexes for vertices whose out-degree reached
-    /// `dup_threshold` (power-law hubs). Sets are kept once created.
-    hub_sets: Vec<FastSet>,
-    /// Degree at which a vertex is promoted to hash membership.
-    dup_threshold: usize,
-}
-
-impl Default for DynamicGraph {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DynamicGraph {
     /// Creates an empty graph with no vertices.
     pub fn new() -> Self {
-        Self::with_dup_threshold(DUP_THRESHOLD)
-    }
-
-    /// Creates an empty graph with a custom hub-promotion threshold.
-    /// Primarily for tests (a tiny threshold exercises the hub path on
-    /// small random graphs) and benchmarks.
-    pub fn with_dup_threshold(dup_threshold: usize) -> Self {
-        DynamicGraph {
-            out: AdjPool::default(),
-            inn: AdjPool::default(),
-            num_edges: 0,
-            active: 0,
-            inv_dout: Vec::new(),
-            hub_slot: Vec::new(),
-            hub_sets: Vec::new(),
-            dup_threshold,
-        }
-    }
-
-    /// Test-only: a graph that always uses the pre-pool linear
-    /// membership scan for duplicate detection, regardless of degree.
-    /// The reference model `tests/proptest_pool.rs` checks the adaptive
-    /// path against; not intended for production use.
-    pub fn new_linear_scan() -> Self {
-        Self::with_dup_threshold(usize::MAX)
+        Self::default()
     }
 
     /// Creates an empty graph with `n` isolated vertices.
@@ -368,16 +276,6 @@ impl DynamicGraph {
         self.inn.ensure(n);
         if self.inv_dout.len() < n {
             self.inv_dout.resize(n, 0.0);
-            self.hub_slot.resize(n, NO_HUB);
-        }
-    }
-
-    /// The hub membership set for `u`, if promoted.
-    #[inline]
-    fn hub_set(&self, u: usize) -> Option<&FastSet> {
-        match self.hub_slot.get(u) {
-            Some(&s) if s != NO_HUB => Some(&self.hub_sets[s as usize]),
-            _ => None,
         }
     }
 
@@ -398,16 +296,6 @@ impl DynamicGraph {
     #[inline]
     pub fn active_vertices(&self) -> usize {
         self.active
-    }
-
-    /// Average out-degree `d = m/n` over allocated vertices (the `d` of
-    /// Theorem 1). Returns 0 for an empty graph.
-    pub fn average_degree(&self) -> f64 {
-        if self.num_vertices() == 0 {
-            0.0
-        } else {
-            self.num_edges as f64 / self.num_vertices() as f64
-        }
     }
 
     /// Grows the vertex set so `v` is a valid id.
@@ -454,12 +342,9 @@ impl DynamicGraph {
         self.inn.neighbors(u as usize)
     }
 
-    /// Whether the directed edge `u → v` is present. O(dout(u)) below the
-    /// duplicate-detection threshold, O(1) expected above it.
+    /// Whether the directed edge `u → v` is present. O(dout(u)): a scan
+    /// of `u`'s out-span.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if let Some(set) = self.hub_set(u as usize) {
-            return set.contains(&v);
-        }
         self.out_neighbors(u).contains(&v)
     }
 
@@ -470,27 +355,18 @@ impl DynamicGraph {
 
     /// Inserts the directed edge `u → v`. Returns `false` (and leaves the
     /// graph unchanged) for self-loops and already-present edges — the
-    /// paper's graphs are simple. Amortized O(1), including on hubs
-    /// (degree-adaptive duplicate detection).
+    /// paper's graphs are simple. O(dout(u)) for the duplicate check
+    /// ([`DynamicGraph::has_edge`]), then an amortized O(1) append.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         if u == v || self.has_edge(u, v) {
             return false;
         }
-        self.insert_edge_unchecked(u, v);
-        true
-    }
-
-    /// Inserts `u → v` without the duplicate check. Safe to use when the
-    /// caller guarantees uniqueness (e.g. a random edge permutation, where
-    /// each edge occurs once); produces a multigraph otherwise.
-    #[inline]
-    pub fn insert_edge_unchecked(&mut self, u: VertexId, v: VertexId) {
         self.ensure_vertex(u.max(v));
         let (ui, vi) = (u as usize, v as usize);
         if self.total_degree(ui) == 0 {
             self.active += 1;
         }
-        if vi != ui && self.total_degree(vi) == 0 {
+        if self.total_degree(vi) == 0 {
             self.active += 1;
         }
         self.out.push(ui, v);
@@ -498,17 +374,7 @@ impl DynamicGraph {
         self.num_edges += 1;
         let dout = self.out.len[ui] as usize;
         self.inv_dout[ui] = 1.0 / dout as f64;
-        let slot = self.hub_slot[ui];
-        if slot != NO_HUB {
-            self.hub_sets[slot as usize].insert(v);
-        } else if dout >= self.dup_threshold {
-            // Promotion: one O(deg) pass builds the membership index, paid
-            // once per hub (amortized into the threshold's worth of scans
-            // already performed).
-            let set: FastSet = self.out.neighbors(ui).iter().copied().collect();
-            self.hub_slot[ui] = self.hub_sets.len() as u32;
-            self.hub_sets.push(set);
-        }
+        true
     }
 
     /// Deletes the directed edge `u → v`. Returns `false` if absent.
@@ -517,12 +383,6 @@ impl DynamicGraph {
         let ui = u as usize;
         if ui >= self.num_vertices() {
             return false;
-        }
-        // Hubs answer the absence case in O(1).
-        if let Some(set) = self.hub_set(ui) {
-            if !set.contains(&v) {
-                return false;
-            }
         }
         let Some(pos) = self.out.neighbors(ui).iter().position(|&x| x == v) else {
             return false;
@@ -539,14 +399,6 @@ impl DynamicGraph {
         self.num_edges -= 1;
         let dout = self.out.len[ui] as usize;
         self.inv_dout[ui] = if dout == 0 { 0.0 } else { 1.0 / dout as f64 };
-        let slot = self.hub_slot[ui];
-        if slot != NO_HUB {
-            // The graph is simple (duplicates only arise from misuse of
-            // `insert_edge_unchecked`, which is out of contract), so no
-            // copy of the edge can remain — drop membership directly
-            // rather than paying a second O(deg) span rescan per delete.
-            self.hub_sets[slot as usize].remove(&v);
-        }
         if self.total_degree(ui) == 0 {
             self.active -= 1;
         }
@@ -607,15 +459,13 @@ impl DynamicGraph {
             arena_slots: self.out.data.len() + self.inn.data.len(),
             live_slots: 2 * self.num_edges,
             dead_slots: self.out.dead + self.inn.dead,
-            hub_vertices: self.hub_sets.len(),
-            dup_threshold: self.dup_threshold,
         }
     }
 
     /// Checks internal consistency: the two adjacency directions agree,
     /// the edge count matches, the pool spans are structurally valid, the
     /// maintained `inv_dout` / `active_vertices` aggregates match a
-    /// recount, and every hub membership set mirrors its span.
+    /// recount.
     /// O(n + m log m); intended for tests and debug assertions.
     pub fn check_consistency(&self) -> Result<(), String> {
         if self.out.num_vertices() != self.inn.num_vertices() {
@@ -660,30 +510,12 @@ impl DynamicGraph {
             if self.total_degree(u) > 0 {
                 active += 1;
             }
-            if dout >= self.dup_threshold && self.hub_set(u).is_none() {
-                return Err(format!("hub {u} (dout {dout}) has no membership set"));
-            }
         }
         if active != self.active {
             return Err(format!(
                 "active_vertices counter {} != recount {active}",
                 self.active
             ));
-        }
-        if self.hub_slot.len() != self.num_vertices() {
-            return Err("hub_slot length mismatch".into());
-        }
-        for u in 0..self.num_vertices() {
-            if let Some(set) = self.hub_set(u) {
-                let span: FastSet = self
-                    .out_neighbors(u as VertexId)
-                    .iter()
-                    .copied()
-                    .collect();
-                if *set != span {
-                    return Err(format!("hub {u} membership set disagrees with span"));
-                }
-            }
         }
         Ok(())
     }
@@ -825,59 +657,26 @@ mod tests {
     }
 
     #[test]
-    fn average_degree() {
-        let g = DynamicGraph::from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert!((g.average_degree() - 1.0).abs() < 1e-12);
-        assert_eq!(DynamicGraph::new().average_degree(), 0.0);
-    }
-
-    #[test]
-    fn hub_promotion_keeps_membership_exact() {
-        // A tiny threshold exercises promotion, hub inserts, hub deletes,
-        // and duplicate rejection through the hash path.
-        let mut g = DynamicGraph::with_dup_threshold(4);
-        for v in 1..=10u32 {
+    fn high_degree_membership_is_exact() {
+        // One vertex far above any small-degree regime: every membership
+        // answer still comes from the span scan and must be exact.
+        let mut g = DynamicGraph::new();
+        for v in 1..=2_000u32 {
             assert!(g.insert_edge(0, v));
         }
-        assert!(!g.insert_edge(0, 7), "hub duplicate must be rejected");
-        assert!(g.has_edge(0, 10));
-        assert!(!g.has_edge(0, 11));
-        assert!(g.delete_edge(0, 7));
-        assert!(!g.has_edge(0, 7));
-        assert!(!g.delete_edge(0, 7));
-        assert!(g.insert_edge(0, 7));
-        g.check_consistency().unwrap();
-        assert_eq!(g.out_degree(0), 10);
-    }
-
-    #[test]
-    fn linear_scan_mode_matches_adaptive() {
-        let mut a = DynamicGraph::new_linear_scan();
-        let mut b = DynamicGraph::with_dup_threshold(2);
-        let script: Vec<(u32, u32, bool)> = (0..500)
-            .map(|i| {
-                let u = (i * 7) % 13;
-                let v = (i * 11 + 3) % 13;
-                (u, v, i % 5 != 0)
-            })
-            .collect();
-        for (u, v, ins) in script {
-            let upd = if ins {
-                EdgeUpdate::insert(u, v)
-            } else {
-                EdgeUpdate::delete(u, v)
-            };
-            assert_eq!(a.apply(upd), b.apply(upd), "{upd:?}");
+        for v in (1..=2_000u32).step_by(7) {
+            assert!(!g.insert_edge(0, v), "duplicate 0 -> {v} must be refused");
         }
-        a.check_consistency().unwrap();
-        b.check_consistency().unwrap();
-        assert_eq!(a.num_edges(), b.num_edges());
-        assert_eq!(a.active_vertices(), b.active_vertices());
-        let mut ea: Vec<_> = a.edges().collect();
-        let mut eb: Vec<_> = b.edges().collect();
-        ea.sort_unstable();
-        eb.sort_unstable();
-        assert_eq!(ea, eb);
+        assert_eq!(g.num_edges(), 2_000);
+        assert!(g.has_edge(0, 1) && g.has_edge(0, 2_000));
+        assert!(!g.has_edge(0, 2_001) && !g.has_edge(0, 0) && !g.has_edge(1, 0));
+        assert!(g.delete_edge(0, 777));
+        assert!(!g.has_edge(0, 777));
+        assert!(!g.delete_edge(0, 777));
+        assert!(g.insert_edge(0, 777));
+        assert!(g.has_edge(0, 777));
+        assert_eq!(g.out_degree(0), 2_000);
+        g.check_consistency().unwrap();
     }
 
     #[test]
@@ -957,19 +756,6 @@ mod tests {
             ss.dead_slots,
             ss.live_slots
         );
-        g.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn unchecked_insert_maintains_aggregates() {
-        let mut g = DynamicGraph::with_dup_threshold(3);
-        for v in 1..=6u32 {
-            g.insert_edge_unchecked(0, v);
-        }
-        assert_eq!(g.num_edges(), 6);
-        assert_eq!(g.inv_out_degree(0), 1.0 / 6.0);
-        assert_eq!(g.active_vertices(), 7);
-        assert!(g.has_edge(0, 6));
         g.check_consistency().unwrap();
     }
 }

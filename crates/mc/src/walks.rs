@@ -73,11 +73,6 @@ impl MonteCarloPpr {
         self.end_counts.iter().map(|&c| c as f64 / w).collect()
     }
 
-    /// Sum of walk lengths (size of the trace store).
-    pub fn total_trace_len(&self) -> usize {
-        self.walks.iter().map(Vec::len).sum()
-    }
-
     fn ensure(&mut self, n: usize) {
         if self.index.len() < n {
             self.index.resize_with(n, Vec::new);

@@ -112,11 +112,6 @@ impl PromText {
         self.series_u64(name, None, v);
     }
 
-    pub fn gauge_f64(&mut self, name: &str, help: &str, v: f64) {
-        self.family(name, help, "gauge");
-        self.series_f64(name, None, v);
-    }
-
     /// Render a histogram snapshot: cumulative `_bucket{le=...}` lines
     /// (only up to the last non-empty bucket, then `+Inf`), `_sum`,
     /// `_count`. `Unit::Nanos` scales bounds and sum to seconds. Every

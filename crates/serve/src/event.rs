@@ -212,16 +212,12 @@ pub fn spawn_shard<R: Router>(
             let mut closed = Vec::new();
             for fi in 2..fds.len() {
                 let step = drive(&mut conns[fi - 2], &fds[fi], now, &stats, &mut router);
-                if let Step::Close(why) = step {
-                    match why {
-                        Close::ReadTimeout => stats.read_timeouts.fetch_add(1, Relaxed),
-                        Close::WriteTimeout => stats.write_timeouts.fetch_add(1, Relaxed),
-                        _ => 0,
-                    };
+                if let Step::Close(_) = step {
                     closed.push(fi - 2);
                 }
             }
-            // Also reap connections that saw no readiness but expired.
+            // Also reap connections that expired; only `expired` reports
+            // the timeouts, so they are counted here alone.
             for (ci, c) in conns.iter().enumerate() {
                 if closed.contains(&ci) {
                     continue;
@@ -250,7 +246,8 @@ pub fn spawn_shard<R: Router>(
 }
 
 /// Drives one connection through a readiness edge: read, parse+route as
-/// many requests as are buffered, flush.
+/// many requests as are buffered, flush. Closes only with `Done` or
+/// `Error`; timeouts are `Conn::expired`'s to report.
 fn drive<R: Router>(
     c: &mut Conn,
     fd: &PollFd,

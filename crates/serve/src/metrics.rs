@@ -328,8 +328,6 @@ pub(crate) static INSTANCE: &[Row] = &[
         .gauge("dppr_graph_live_slots", "Live adjacency slots (2m)"),
     row("graph.dead_slots", |_, v| U(v.graph.dead_slots as u64))
         .gauge("dppr_graph_dead_slots", "Garbage slots awaiting compaction"),
-    row("graph.hub_vertices", |_, v| U(v.graph.hub_vertices as u64))
-        .gauge("dppr_graph_hub_vertices", "Vertices on the hash-membership (hub) path"),
     row("graph.utilization", |_, v| F(v.graph.utilization()))
         .gauge("dppr_graph_utilization", "Live fraction of the arena"),
 

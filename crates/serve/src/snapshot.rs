@@ -83,11 +83,6 @@ impl QuerySnapshot {
         &self.estimates
     }
 
-    /// Sum of all estimates (consistency checks in the stress suite).
-    pub fn total_mass(&self) -> f64 {
-        self.estimates.iter().sum()
-    }
-
     /// The ε-interval around one vertex's estimate.
     pub fn score(&self, v: VertexId) -> BoundedScore {
         bounded_score(&self.estimates, self.epsilon, v)

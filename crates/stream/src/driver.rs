@@ -134,17 +134,6 @@ impl StreamDriver {
         self.window.stream_len()
     }
 
-    /// Fraction of the stream that has arrived — window end over stream
-    /// length, the serving layer's notion of ingest progress.
-    pub fn fraction_consumed(&self) -> f64 {
-        let n = self.window.stream_len();
-        if n == 0 {
-            1.0
-        } else {
-            self.window.end() as f64 / n as f64
-        }
-    }
-
     /// The graph as of the last processed batch.
     pub fn graph(&self) -> &DynamicGraph {
         &self.graph
