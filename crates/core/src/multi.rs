@@ -16,6 +16,7 @@
 //! sessions as cores every push is a one-thread, bit-reproducible
 //! schedule, whose rounds own their state and issue no CAS.
 
+use crate::atomic::AtomicF64;
 use crate::config::PprConfig;
 use crate::counters::Counters;
 use crate::fanout::{default_threads, fan_out};
@@ -193,7 +194,7 @@ impl MultiSourcePpr {
     /// Top-`k` vertices by estimate for the `i`-th source, descending
     /// (ties by ascending id). The workhorse of recommendation queries.
     pub fn top_k(&self, i: usize, k: usize) -> Vec<(VertexId, f64)> {
-        top_k_of(&self.state(i).estimates(), k)
+        top_k_in_place(self.state(i).p_atomics(), k)
     }
 }
 
@@ -223,36 +224,112 @@ impl Ord for ByWorst {
     }
 }
 
+/// Width of the chunks [`scan_gated`] tests at once.
+const CHUNK: usize = 16;
+
+/// Calls `take(acc, v, p)`, in ascending `v`, for every score `p` of
+/// `scores` (vertex `v` = `base` + position) that passes `pass(acc, p)`.
+///
+/// The scores are tested [`CHUNK`] at a time with a fold that vectorizes;
+/// only a chunk holding a passing score is walked one score at a time, with
+/// `pass` re-evaluated per score since `take` may move what it tests.
+pub(crate) fn scan_gated<A>(
+    scores: &[f64],
+    base: usize,
+    acc: &mut A,
+    pass: impl Fn(&A, f64) -> bool,
+    mut take: impl FnMut(&mut A, usize, f64),
+) {
+    let mut chunks = scores.chunks_exact(CHUNK);
+    let mut v = base;
+    for chunk in chunks.by_ref() {
+        if chunk.iter().fold(false, |any, &p| any | pass(acc, p)) {
+            for (i, &p) in chunk.iter().enumerate() {
+                if pass(acc, p) {
+                    take(acc, v + i, p);
+                }
+            }
+        }
+        v += CHUNK;
+    }
+    for (i, &p) in chunks.remainder().iter().enumerate() {
+        if pass(acc, p) {
+            take(acc, v + i, p);
+        }
+    }
+}
+
+/// The selection kernel every top-k runs: a k-heap of the best candidates
+/// seen so far and `floor`, the k-th best score.
+///
+/// Vertices are offered in ascending id order, so a later vertex never wins
+/// a tie, and "beats the k-th best" in [`ByWorst`] order is exactly
+/// `p > floor`. The gate is that one compare against a plain `f64`; the
+/// heap update behind it is kept out of line so the gate stays a load, a
+/// compare and a branch in the scan loops.
+struct Selection {
+    heap: std::collections::BinaryHeap<ByWorst>,
+    floor: f64,
+}
+
+impl Selection {
+    /// Fills the heap with the first `k` vertices (ids `0..k`); every one
+    /// enters, whatever its score.
+    #[inline(never)]
+    fn seeded(first: impl Iterator<Item = f64>) -> Self {
+        let heap: std::collections::BinaryHeap<ByWorst> =
+            first.enumerate().map(|(v, p)| ByWorst(v as VertexId, p)).collect();
+        let floor = heap.peek().expect("seeded with k > 0 scores").1;
+        Selection { heap, floor }
+    }
+
+    /// Replaces the k-th best with `(v, p)`, which beats it, and moves the
+    /// floor.
+    #[inline(never)]
+    fn admit(&mut self, v: usize, p: f64) {
+        let full = "admit runs on a seeded, non-empty heap";
+        *self.heap.peek_mut().expect(full) = ByWorst(v as VertexId, p);
+        self.floor = self.heap.peek().expect(full).1;
+    }
+
+    /// The retained entries, best first.
+    fn ranking(self) -> Vec<(VertexId, f64)> {
+        // Ascending in `ByWorst` order = best first, the answer order.
+        self.heap.into_sorted_vec().into_iter().map(|ByWorst(v, p)| (v, p)).collect()
+    }
+}
+
 /// Top-`k` entries of a score vector, descending (ties by ascending id).
 ///
-/// Bounded max-k selection with a k-sized max-heap of the *worst* retained
-/// candidate: O(k) extra memory and, on randomly ordered scores, expected
-/// O(n + k log k) comparisons (once the heap is warm, a candidate beats the
-/// k-th best with probability ~k/i, so heap pushes are rare). This runs on
-/// every serving-layer query against an n-sized snapshot, where the
-/// previous `select_nth_unstable_by` formulation's O(n) index allocation
-/// per call was the dominant cost.
+/// One pass with the `Selection` kernel: O(k) extra memory, one compare
+/// per score; heap work only for candidates. The first `k` scores fill the
+/// heap; the rest go through `scan_gated` against the floor. This runs
+/// on every serving-layer snapshot query, the audit and the CLI.
 pub fn top_k_of(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
     let k = k.min(scores.len());
     if k == 0 {
         return Vec::new();
     }
-    let mut heap = std::collections::BinaryHeap::with_capacity(k + 1);
-    for (v, &p) in scores.iter().enumerate() {
-        let cand = ByWorst(v as VertexId, p);
-        if heap.len() < k {
-            heap.push(cand);
-        } else if cand < *heap.peek().unwrap() {
-            // Strictly better than the current k-th best: replace it.
-            heap.pop();
-            heap.push(cand);
+    let mut sel = Selection::seeded(scores[..k].iter().copied());
+    scan_gated(&scores[k..], k, &mut sel, |sel, p| p > sel.floor, Selection::admit);
+    sel.ranking()
+}
+
+/// [`top_k_of`] over a maintained vector, read in place. Atomic loads do
+/// not vectorize, so each score is gated on its own rather than copied out
+/// first for the chunked test.
+pub(crate) fn top_k_in_place(scores: &[AtomicF64], k: usize) -> Vec<(VertexId, f64)> {
+    let k = k.min(scores.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut sel = Selection::seeded(scores[..k].iter().map(AtomicF64::load));
+    for (i, p) in scores[k..].iter().map(AtomicF64::load).enumerate() {
+        if p > sel.floor {
+            sel.admit(k + i, p);
         }
     }
-    // Ascending in `ByWorst` order = best first, the answer order.
-    heap.into_sorted_vec()
-        .into_iter()
-        .map(|ByWorst(v, p)| (v, p))
-        .collect()
+    sel.ranking()
 }
 
 #[cfg(test)]
@@ -352,6 +429,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn bits(ranking: &[(VertexId, f64)]) -> Vec<(VertexId, u64)> {
+        ranking.iter().map(|&(v, p)| (v, p.to_bits())).collect()
+    }
+
+    /// Structured score vectors where the gate's floor and the tie-break
+    /// carry the answer: every element beats the floor (ascending), none
+    /// after the first k does (descending), all ties (the lowest ids must
+    /// win), signed zeros (equal under `>`, distinct bit patterns),
+    /// negative ties, and a sparse vector of subnormals and zeros. Both the
+    /// slice kernel and the in-place state form must return the full
+    /// sort's entries, bit for bit, for every length around the chunk width
+    /// and every `k` around the heap's edges.
+    #[test]
+    fn top_k_matches_full_sort_bitwise_on_structured_scores() {
+        let patterns: [(&str, fn(usize, usize) -> f64); 6] = [
+            ("ascending", |i, _| i as f64 * 0.001),
+            ("descending", |i, n| (n - i) as f64 * 0.001),
+            ("all-equal", |_, _| 0.25),
+            ("signed-zeros", |i, _| if i % 2 == 0 { 0.0 } else { -0.0 }),
+            ("negative-ties", |i, _| -((i % 7) as f64) * 0.125),
+            ("sparse-tiny", |i, _| if i % 13 == 5 { f64::from_bits(1 + (i % 3) as u64) } else { 0.0 }),
+        ];
+        let mut cases = 0;
+        for n in [0usize, 1, 15, 16, 17, 33, 100, 1000] {
+            for (name, score) in patterns {
+                let scores: Vec<f64> = (0..n).map(|i| score(i, n)).collect();
+                let state = (n > 0).then(|| {
+                    let mut st = PprState::new(PprConfig::new(0, 0.2, 1e-3));
+                    st.ensure_len(n);
+                    for (v, &p) in scores.iter().enumerate() {
+                        st.set_p(v as VertexId, p);
+                    }
+                    MultiSourcePpr::from_states(vec![st])
+                });
+                let ks = [0, 1, 2, 15, 16, 17, n.saturating_sub(1), n, n + 1, usize::MAX];
+                for k in ks {
+                    let want = bits(&top_k_by_full_sort(&scores, k));
+                    assert_eq!(bits(&top_k_of(&scores, k)), want, "{name} n={n} k={k}");
+                    if let Some(multi) = &state {
+                        assert_eq!(bits(&multi.top_k(0, k)), want, "state {name} n={n} k={k}");
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 480);
     }
 
     #[test]

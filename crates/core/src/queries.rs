@@ -11,9 +11,15 @@
 //! Each query exists in two forms: over a live [`PprState`] (borrowing the
 //! engine) and over a plain `(&[f64], ε)` score slice. The slice forms are
 //! what `dppr-serve` runs against its immutable epoch snapshots, where the
-//! engine itself is not reachable from reader threads.
+//! engine itself is not reachable from reader threads. The state forms
+//! read the estimate vector in place — no |V| copy per query — and answer
+//! exactly what the slice forms answer on a copy. Both scan the vector
+//! once and gate each score with one compare before any per-vertex work:
+//! top-k against the k-th best so far (the kernel behind
+//! [`crate::multi::top_k_of`]), threshold on `p + ε ≥ δ`.
 
-use crate::multi::top_k_of;
+use crate::atomic::AtomicF64;
+use crate::multi::{scan_gated, top_k_in_place, top_k_of};
 use crate::state::PprState;
 use dppr_graph::VertexId;
 
@@ -49,39 +55,31 @@ pub struct TopKAnswer {
     pub set_is_certain: bool,
 }
 
+/// The ε-interval around estimate `p` of vertex `v`.
+fn interval(v: VertexId, p: f64, eps: f64) -> BoundedScore {
+    BoundedScore {
+        vertex: v,
+        estimate: p,
+        lo: (p - eps).max(0.0),
+        hi: (p + eps).min(1.0),
+    }
+}
+
 /// The ε-interval around one score. Reads 0 for out-of-range vertices
 /// (they are unmaterialized, i.e. their estimate is exactly 0).
 pub fn bounded_score(scores: &[f64], eps: f64, v: VertexId) -> BoundedScore {
-    let p = scores.get(v as usize).copied().unwrap_or(0.0);
-    BoundedScore {
-        vertex: v,
-        estimate: p,
-        lo: (p - eps).max(0.0),
-        hi: (p + eps).min(1.0),
-    }
+    interval(v, scores.get(v as usize).copied().unwrap_or(0.0), eps)
 }
 
 fn bounded(state: &PprState, v: VertexId) -> BoundedScore {
-    let eps = state.config().epsilon;
-    let p = state.p(v);
-    BoundedScore {
-        vertex: v,
-        estimate: p,
-        lo: (p - eps).max(0.0),
-        hi: (p + eps).min(1.0),
-    }
+    interval(v, state.p(v), state.config().epsilon)
 }
 
-/// [`top_k`] over a plain score slice.
-pub fn top_k_scores(scores: &[f64], eps: f64, k: usize) -> TopKAnswer {
-    // One extra entry decides set certainty. `k` arrives straight from a
-    // query string, so the add saturates (`top_k_of` clamps to the slice).
-    let extended = top_k_of(scores, k.saturating_add(1));
-    let ranking: Vec<BoundedScore> = extended
-        .iter()
-        .take(k)
-        .map(|&(v, _)| bounded_score(scores, eps, v))
-        .collect();
+/// The answer from the top `k + 1` entries, best first: the first `k` are
+/// the ranking, the extra one decides set certainty.
+fn ranked(extended: &[(VertexId, f64)], eps: f64, k: usize) -> TopKAnswer {
+    let ranking: Vec<BoundedScore> =
+        extended.iter().take(k).map(|&(v, p)| interval(v, p, eps)).collect();
     let set_is_certain = match (ranking.last(), extended.get(k)) {
         (Some(last), Some(&(_, runner_up))) => last.estimate - runner_up > 2.0 * eps,
         // Fewer than k+1 vertices exist: the set is trivially exact.
@@ -90,39 +88,82 @@ pub fn top_k_scores(scores: &[f64], eps: f64, k: usize) -> TopKAnswer {
     TopKAnswer { ranking, set_is_certain }
 }
 
+/// [`top_k`] over a plain score slice.
+pub fn top_k_scores(scores: &[f64], eps: f64, k: usize) -> TopKAnswer {
+    // `k` arrives straight from a query string, so the add saturates
+    // (`top_k_of` clamps to the slice).
+    ranked(&top_k_of(scores, k.saturating_add(1)), eps, k)
+}
+
 /// Top-`k` vertices by estimate, with interval bounds and a certainty
 /// verdict for the answer *set*.
 pub fn top_k(state: &PprState, k: usize) -> TopKAnswer {
-    top_k_scores(&state.estimates(), state.config().epsilon, k)
+    let extended = top_k_in_place(state.p_atomics(), k.saturating_add(1));
+    ranked(&extended, state.config().epsilon, k)
+}
+
+/// Threshold selection's accumulator: each vertex that passes the
+/// `p + ε ≥ δ` gate (a superset of `hi ≥ δ`) is classified here.
+struct Split {
+    eps: f64,
+    delta: f64,
+    answer: ThresholdAnswer,
+}
+
+impl Split {
+    fn new(eps: f64, delta: f64) -> Self {
+        let answer = ThresholdAnswer { certain: Vec::new(), possible: Vec::new() };
+        Split { eps, delta, answer }
+    }
+
+    /// Whether `p` may reach δ; only such vertices are classified.
+    fn passes(&self, p: f64) -> bool {
+        p + self.eps >= self.delta
+    }
+
+    /// Files vertex `v` as certain, possible or neither; out of line, so
+    /// the gate in the scan stays a compare and a branch.
+    #[inline(never)]
+    fn classify(&mut self, v: usize, p: f64) {
+        let b = interval(v as VertexId, p, self.eps);
+        if b.lo >= self.delta {
+            self.answer.certain.push(b);
+        } else if b.hi >= self.delta {
+            self.answer.possible.push(b);
+        }
+    }
+
+    /// Both lists sorted by descending estimate, ties by ascending id.
+    fn sorted(mut self) -> ThresholdAnswer {
+        let by_est = |a: &BoundedScore, b: &BoundedScore| {
+            b.estimate
+                .partial_cmp(&a.estimate)
+                .unwrap()
+                .then(a.vertex.cmp(&b.vertex))
+        };
+        self.answer.certain.sort_by(by_est);
+        self.answer.possible.sort_by(by_est);
+        self.answer
+    }
 }
 
 /// [`above_threshold`] over a plain score slice.
 pub fn above_threshold_scores(scores: &[f64], eps: f64, delta: f64) -> ThresholdAnswer {
-    let mut certain = Vec::new();
-    let mut possible = Vec::new();
-    for v in 0..scores.len() as VertexId {
-        let b = bounded_score(scores, eps, v);
-        if b.lo >= delta {
-            certain.push(b);
-        } else if b.hi >= delta {
-            possible.push(b);
-        }
-    }
-    let by_est = |a: &BoundedScore, b: &BoundedScore| {
-        b.estimate
-            .partial_cmp(&a.estimate)
-            .unwrap()
-            .then(a.vertex.cmp(&b.vertex))
-    };
-    certain.sort_by(by_est);
-    possible.sort_by(by_est);
-    ThresholdAnswer { certain, possible }
+    let mut split = Split::new(eps, delta);
+    scan_gated(scores, 0, &mut split, Split::passes, Split::classify);
+    split.sorted()
 }
 
 /// All vertices whose true PPR value may reach `delta`, split by
 /// certainty. Both lists are sorted by descending estimate.
 pub fn above_threshold(state: &PprState, delta: f64) -> ThresholdAnswer {
-    above_threshold_scores(&state.estimates(), state.config().epsilon, delta)
+    let mut split = Split::new(state.config().epsilon, delta);
+    for (v, p) in state.p_atomics().iter().map(AtomicF64::load).enumerate() {
+        if split.passes(p) {
+            split.classify(v, p);
+        }
+    }
+    split.sorted()
 }
 
 /// [`compare`] over a plain score slice.

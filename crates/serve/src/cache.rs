@@ -8,6 +8,13 @@
 //! the freshness contract the snapshots themselves give. Entries are
 //! sharded over independent mutexes to keep worker threads off each
 //! other's locks.
+//!
+//! Each shard is bounded twice: by its share of the entry capacity and by
+//! its share of `BYTE_BUDGET`, the 64 MiB of body bytes the cache may hold.
+//! The second bound matters because a client picks `k`: distinct large
+//! top-k bodies (megabytes each) would otherwise grow the server's memory
+//! by the entry capacity times the body size. A body larger than a
+//! shard's share is returned uncached.
 
 use dppr_graph::VertexId;
 use std::collections::HashMap;
@@ -17,6 +24,13 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
 const SHARDS: usize = 16;
+
+/// Total rendered-body bytes the cache holds at most, split evenly over
+/// the shards.
+const BYTE_BUDGET: usize = 64 << 20;
+
+/// One shard's share of [`BYTE_BUDGET`].
+const SHARD_BYTES: usize = BYTE_BUDGET / SHARDS;
 
 /// A query, as a cache key component. `Threshold` stores the δ bit
 /// pattern so the key stays `Eq + Hash`.
@@ -41,6 +55,48 @@ struct Key {
 struct Entry {
     epoch: u64,
     body: std::sync::Arc<str>,
+}
+
+/// One shard's entries and the sum of their body lengths.
+#[derive(Default)]
+struct Shard {
+    map: HashMap<Key, Entry>,
+    bytes: usize,
+}
+
+impl Shard {
+    /// Whether caching a `len`-byte body under `key` would pass the
+    /// shard's entry cap or byte share.
+    fn over(&self, key: &Key, len: usize, cap: usize) -> bool {
+        let old = self.map.get(key);
+        let replaced = old.map_or(0, |e| e.body.len());
+        (old.is_none() && self.map.len() >= cap) || self.bytes - replaced + len > SHARD_BYTES
+    }
+
+    /// Keeps only the entries `keep` accepts; returns how many went.
+    fn retain(&mut self, keep: impl Fn(&Entry) -> bool) -> usize {
+        let before = self.map.len();
+        self.map.retain(|_, e| keep(e));
+        self.bytes = self.map.values().map(|e| e.body.len()).sum();
+        before - self.map.len()
+    }
+
+    /// Caches `body` under `key` unless a fresher entry is already there.
+    fn insert(&mut self, key: Key, epoch: u64, body: &std::sync::Arc<str>) {
+        let entry = Entry { epoch, body: std::sync::Arc::clone(body) };
+        match self.map.entry(key) {
+            std::collections::hash_map::Entry::Occupied(mut o) => {
+                if o.get().epoch <= epoch {
+                    self.bytes = self.bytes - o.get().body.len() + body.len();
+                    o.insert(entry);
+                }
+            }
+            std::collections::hash_map::Entry::Vacant(v) => {
+                self.bytes += body.len();
+                v.insert(entry);
+            }
+        }
+    }
 }
 
 /// Hit/miss counters, exported into `/stats`, `/metrics` and `ServeReport`.
@@ -73,7 +129,7 @@ impl CacheStats {
 
 /// Sharded, epoch-validated cache of rendered responses.
 pub struct QueryCache {
-    shards: Box<[Mutex<HashMap<Key, Entry>>]>,
+    shards: Box<[Mutex<Shard>]>,
     /// Max entries per shard; 0 disables the cache entirely.
     per_shard_cap: usize,
     hits: AtomicU64,
@@ -83,12 +139,13 @@ pub struct QueryCache {
 }
 
 impl QueryCache {
-    /// A cache holding roughly `capacity` entries (0 disables caching).
+    /// A cache holding roughly `capacity` entries (0 disables caching) and
+    /// at most `BYTE_BUDGET` (64 MiB) of bodies.
     pub fn new(capacity: usize) -> Self {
         let per_shard_cap = capacity.div_ceil(SHARDS);
         QueryCache {
             shards: (0..SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Shard::default()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             per_shard_cap,
@@ -99,7 +156,7 @@ impl QueryCache {
         }
     }
 
-    fn shard(&self, key: &Key) -> &Mutex<HashMap<Key, Entry>> {
+    fn shard(&self, key: &Key) -> &Mutex<Shard> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % SHARDS]
@@ -123,7 +180,7 @@ impl QueryCache {
         let shard = self.shard(&key);
         {
             let guard = shard.lock().unwrap();
-            if let Some(entry) = guard.get(&key) {
+            if let Some(entry) = guard.map.get(&key) {
                 if entry.epoch == epoch {
                     self.hits.fetch_add(1, Relaxed);
                     return (std::sync::Arc::clone(&entry.body), true);
@@ -134,47 +191,41 @@ impl QueryCache {
         // shard's other queries.
         self.misses.fetch_add(1, Relaxed);
         let body: std::sync::Arc<str> = render().into();
+        if body.len() > SHARD_BYTES {
+            return (body, false);
+        }
         let mut guard = shard.lock().unwrap();
-        if guard.len() >= self.per_shard_cap && !guard.contains_key(&key) {
+        if guard.over(&key, body.len(), self.per_shard_cap) {
             // Capacity pressure. A worker may arrive here holding a
             // snapshot from *before* the latest publication; its entry is
             // stale on arrival and must not displace fresher ones, so it
             // is simply not cached.
-            let newest = guard.values().map(|e| e.epoch).max().unwrap_or(epoch);
+            let newest = guard.map.values().map(|e| e.epoch).max().unwrap_or(epoch);
             if epoch < newest {
                 return (body, false);
             }
             // Dead-epoch entries can never hit again — purge those first
             // (reclamation, counted as `stale_purged`); only if the shard
-            // is still full of current-epoch entries does a live entry
-            // get dropped, and only that counts as capacity pressure
-            // (epoch churn makes any retained entry short-lived anyway).
-            let before = guard.len();
-            guard.retain(|_, e| e.epoch == epoch);
-            self.stale_purged.fetch_add((before - guard.len()) as u64, Relaxed);
-            if guard.len() >= self.per_shard_cap {
-                self.evictions.fetch_add(guard.len() as u64, Relaxed);
-                guard.clear();
+            // is still over its cap or byte share with current-epoch
+            // entries does a live entry get dropped, and only that counts
+            // as capacity pressure (epoch churn makes any retained entry
+            // short-lived anyway).
+            let purged = guard.retain(|e| e.epoch == epoch);
+            self.stale_purged.fetch_add(purged as u64, Relaxed);
+            if guard.over(&key, body.len(), self.per_shard_cap) {
+                let evicted = guard.retain(|_| false);
+                self.evictions.fetch_add(evicted as u64, Relaxed);
             }
         }
         // Same guard on the plain-insert path: a laggard's render must not
         // overwrite a fresher entry already cached under this key.
-        match guard.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                if o.get().epoch <= epoch {
-                    o.insert(Entry { epoch, body: std::sync::Arc::clone(&body) });
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Entry { epoch, body: std::sync::Arc::clone(&body) });
-            }
-        }
+        guard.insert(key, epoch, &body);
         (body, false)
     }
 
     /// Current entry count across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -303,6 +354,49 @@ mod tests {
         }
         assert!(c.stats().stale_purged > 0);
         assert!(c.len() <= 2 * SHARDS);
+    }
+
+    /// Distinct large top-k bodies (a client choosing `k`) stay within the
+    /// byte budget however many entries the capacity allows, small
+    /// entries still hit, and a body past a shard's share is not cached.
+    #[test]
+    fn large_bodies_stay_within_the_byte_budget() {
+        const LARGE: usize = 512 << 10;
+        const KEYS: usize = 160; // 80 MiB of bodies, over the budget
+        let c = QueryCache::new(1024);
+        let large = |k: usize| move || format!("{k:08}{}", "x".repeat(LARGE - 8));
+        for k in 0..KEYS {
+            c.get_or_render(0, QueryKind::TopK(k), 1, large(k));
+        }
+        let mut cached = 0;
+        for k in 0..KEYS {
+            let (_, hit) = c.get_or_render(0, QueryKind::TopK(k), 1, large(k));
+            cached += hit as usize * LARGE;
+        }
+        assert!(cached <= BYTE_BUDGET, "{cached} cached body bytes");
+        for shard in c.shards.iter() {
+            let shard = shard.lock().unwrap();
+            assert!(shard.bytes <= SHARD_BYTES, "a shard holds {} bytes", shard.bytes);
+            assert_eq!(shard.bytes, shard.map.values().map(|e| e.body.len()).sum::<usize>());
+        }
+        // Small entries displace the large ones and then hit.
+        for v in 0..64u32 {
+            c.get_or_render(0, QueryKind::Score(v), 1, || format!("s{v}"));
+        }
+        for v in 0..64u32 {
+            let (body, hit) =
+                c.get_or_render(0, QueryKind::Score(v), 1, || panic!("s{v} was not cached"));
+            assert!(hit);
+            assert_eq!(&*body, format!("s{v}"));
+        }
+        // A body past a shard's share is answered but never cached.
+        let huge = || "x".repeat(SHARD_BYTES + 1);
+        let len = c.len();
+        let (body, _) = c.get_or_render(0, QueryKind::TopK(usize::MAX), 1, huge);
+        assert_eq!(body.len(), SHARD_BYTES + 1);
+        assert_eq!(c.len(), len);
+        let (_, hit) = c.get_or_render(0, QueryKind::TopK(usize::MAX), 1, huge);
+        assert!(!hit);
     }
 
     #[test]

@@ -144,11 +144,20 @@ mod tests {
         assert_eq!(snap.epoch(), 42);
         assert_eq!(snap.source(), 0);
         assert_eq!(snap.len(), e.estimates().len());
-        assert_eq!(snap.top_k(5), queries::top_k(e.state(), 5));
-        assert_eq!(
-            snap.above_threshold(0.01),
-            queries::above_threshold(e.state(), 0.01)
-        );
+        // The state forms read the vector in place, the snapshot's run on
+        // its copy: every k around the vector's length and every δ from
+        // "all" to "none" must give the same answer.
+        let n = snap.len();
+        for k in [0, 1, 2, 5, 16, 17, n - 1, n, n + 1, usize::MAX] {
+            assert_eq!(snap.top_k(k), queries::top_k(e.state(), k), "k = {k}");
+        }
+        for delta in [-1.0, 0.0, 1e-3, 2e-3, 0.01, 0.05, 0.2, 1.0, 2.0] {
+            assert_eq!(
+                snap.above_threshold(delta),
+                queries::above_threshold(e.state(), delta),
+                "delta = {delta}"
+            );
+        }
         assert_eq!(snap.compare(0, 1), queries::compare(e.state(), 0, 1));
         let b = snap.score(3);
         assert_eq!(b.estimate, e.estimate(3));
