@@ -30,13 +30,8 @@ pub fn run(scale: ExperimentScale) {
         for &bucket in buckets {
             let workload = Workload::prepare(ds.clone(), 4, 0.1, bucket);
             // Report the chosen source's degree in the initial window.
-            let mut probe = dppr_graph::DynamicGraph::new();
-            {
-                let w = dppr_graph::SlidingWindow::new(workload.dataset.stream(workload.seed), 0.1);
-                for u in w.initial_updates() {
-                    probe.apply(u);
-                }
-            }
+            let stream = workload.dataset.stream(workload.seed);
+            let probe = dppr_graph::SlidingWindow::new(stream, 0.1).to_graph();
             let deg = probe.out_degree(workload.source);
             let mut seq_ms = None;
             for kind in engines {

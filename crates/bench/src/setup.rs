@@ -2,7 +2,7 @@
 
 use dppr_core::{DynamicPprEngine, ParallelEngine, PprConfig, PushVariant, SeqEngine, UpdateMode};
 use dppr_graph::presets::Dataset;
-use dppr_graph::{DynamicGraph, VertexId};
+use dppr_graph::VertexId;
 use dppr_mc::MonteCarloEngine;
 use dppr_stream::{pick_top_degree_source, StreamDriver};
 use dppr_vc::LigraEngine;
@@ -112,11 +112,7 @@ impl Workload {
     pub fn prepare(dataset: Dataset, seed: u64, init_fraction: f64, top_bucket: usize) -> Self {
         let stream = dataset.stream(seed);
         let window = dppr_graph::SlidingWindow::new(stream, init_fraction);
-        let mut g0 = DynamicGraph::new();
-        for upd in window.initial_updates() {
-            g0.apply(upd);
-        }
-        let source = pick_top_degree_source(&g0, top_bucket, seed ^ 0xABCD);
+        let source = pick_top_degree_source(&window.to_graph(), top_bucket, seed ^ 0xABCD);
         Workload {
             name: dataset.name.to_string(),
             num_vertices: window.stream().vertex_bound(),

@@ -117,6 +117,18 @@ fn get_epsilon(args: &Args, default: f64) -> Result<f64, CliError> {
     }
 }
 
+/// `--source`, refused unless it is a vertex id below the vertex bound of
+/// `edges`: a PPR state holds `source + 1` rows, so an id past the graph
+/// would size the state by the id rather than by the graph.
+fn check_source(source: VertexId, edges: &[(u32, u32)]) -> Result<VertexId, CliError> {
+    let bound = edges.iter().map(|&(u, v)| u.max(v) as usize + 1).max().unwrap_or(0);
+    if (source as usize) < bound {
+        Ok(source)
+    } else {
+        Err(err(format!("--source must be a vertex id below {bound}, got {source}")))
+    }
+}
+
 fn parse_variant(raw: &str) -> Result<PushVariant, CliError> {
     match raw.to_ascii_lowercase().as_str() {
         "opt" => Ok(PushVariant::OPT),
@@ -138,6 +150,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let explicit_source: Option<VertexId> = args
         .get("source")
         .map(|raw| raw.parse().map_err(|_| err(format!("bad --source {raw:?}"))))
+        .transpose()?
+        .map(|source| check_source(source, &edges))
         .transpose()?;
     let bucket: usize = args.get_parsed("top-bucket", 1_000usize)?;
     let engine_name = args.get_or("engine", "cpu-mt");
@@ -160,11 +174,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let source: VertexId = if let Some(source) = explicit_source {
         source
     } else {
-        let window = dppr_graph::SlidingWindow::new(stream.clone(), 0.1);
-        let mut probe = DynamicGraph::new();
-        for upd in window.initial_updates() {
-            probe.apply(upd);
-        }
+        let probe = dppr_graph::SlidingWindow::new(stream.clone(), 0.1).to_graph();
         pick_top_degree_source(&probe, bucket, seed ^ 0xABCD)
     };
     let cfg = PprConfig::new(source, alpha, epsilon);
@@ -225,7 +235,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 /// queries.
 pub fn query(args: &Args) -> Result<String, CliError> {
     let (edges, undirected, name) = load_edges(args)?;
-    let source: VertexId = args.get_parsed("source", 0u32)?;
+    let source = check_source(args.get_parsed("source", 0u32)?, &edges)?;
     let alpha = get_alpha(args)?;
     let epsilon = get_epsilon(args, 1e-5)?;
     let k: usize = args.get_parsed("top", 10usize)?;
@@ -449,7 +459,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
 /// `dppr exact` — Gauss–Jacobi ground truth.
 pub fn exact(args: &Args) -> Result<String, CliError> {
     let (edges, undirected, name) = load_edges(args)?;
-    let source: VertexId = args.get_parsed("source", 0u32)?;
+    let source = check_source(args.get_parsed("source", 0u32)?, &edges)?;
     let alpha = get_alpha(args)?;
     let k: usize = args.get_parsed("top", 10usize)?;
     args.reject_unknown()?;
@@ -621,6 +631,29 @@ mod tests {
             assert_refused(&["run", "--preset", "toy", "--alpha", bad], "--alpha");
             assert_refused(&["query", "--preset", "toy", "--alpha", bad], "--alpha");
             assert_refused(&["exact", "--preset", "toy", "--alpha", bad], "--alpha");
+        }
+    }
+
+    // toy has 200 vertices; each id here would otherwise size a state by
+    // itself.
+    #[test]
+    fn run_refuses_a_source_past_the_graph() {
+        for bad in ["200", "20000000"] {
+            assert_refused(&["run", "--preset", "toy", "--source", bad], "--source");
+        }
+    }
+
+    #[test]
+    fn query_refuses_a_source_past_the_graph() {
+        for bad in ["200", "20000000"] {
+            assert_refused(&["query", "--preset", "toy", "--source", bad], "--source");
+        }
+    }
+
+    #[test]
+    fn exact_refuses_a_source_past_the_graph() {
+        for bad in ["200", "20000000"] {
+            assert_refused(&["exact", "--preset", "toy", "--source", bad], "--source");
         }
     }
 

@@ -42,11 +42,6 @@ impl Counters {
         self.batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one `RestoreInvariant` call.
-    pub fn record_restore(&self) {
-        self.restore_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records `n` `RestoreInvariant` calls at once.
     pub fn record_restores(&self, n: u64) {
         self.restore_ops.fetch_add(n, Ordering::Relaxed);
@@ -263,7 +258,7 @@ mod tests {
         l.flush(&c);
         c.record_iteration(5);
         c.record_iteration(9);
-        c.record_restore();
+        c.record_restores(1);
         c.record_batch();
         let s = c.snapshot();
         assert_eq!(s.pushes, 6);

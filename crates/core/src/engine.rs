@@ -8,13 +8,19 @@
 //! * `CPU-MT` — [`ParallelEngine`]: batch restore + the parallel push of
 //!   Algorithms 3/4, with a configurable [`PushVariant`] and thread count.
 //!
+//! Each restores through the two halves of [`crate::invariant`]: the graph
+//! absorbs the batch (for `CPU-Base`, the one update) in one pass that
+//! records every repair, which is then replayed against the state — the
+//! same path [`crate::MultiSourcePpr`] takes for many states, so an engine
+//! and a one-session bundle fed the same stream hold the same bits.
+//!
 //! The Monte-Carlo and Ligra-style baselines implement the same trait from
 //! their own crates (`dppr-mc`, `dppr-vc`).
 
 use crate::config::PprConfig;
 use crate::counters::{CounterSnapshot, Counters};
 use crate::fanout::default_threads;
-use crate::invariant::apply_update;
+use crate::invariant::{apply_to_graph, replay_repairs};
 use crate::par::{parallel_local_push_opts, ParPushBuffers, PushOpts};
 use crate::seq::{sequential_local_push, SeqPushBuffers};
 use crate::state::PprState;
@@ -72,7 +78,6 @@ pub struct SeqEngine {
     mode: UpdateMode,
     counters: Counters,
     bufs: SeqPushBuffers,
-    seeds: Vec<VertexId>,
 }
 
 impl SeqEngine {
@@ -83,7 +88,6 @@ impl SeqEngine {
             mode,
             counters: Counters::new(),
             bufs: SeqPushBuffers::new(),
-            seeds: Vec::new(),
         }
     }
 
@@ -108,34 +112,19 @@ impl DynamicPprEngine for SeqEngine {
     fn apply_batch(&mut self, g: &mut DynamicGraph, batch: &[EdgeUpdate]) -> BatchStats {
         let before = self.counters.snapshot();
         let start = Instant::now();
+        // `CPU-Base` absorbs and pushes one update at a time, `CPU-Seq`
+        // the whole batch at once.
+        let part_len = match self.mode {
+            UpdateMode::PerUpdate => 1,
+            UpdateMode::Batched => batch.len().max(1),
+        };
         let mut applied = 0usize;
-        match self.mode {
-            UpdateMode::PerUpdate => {
-                for &upd in batch {
-                    if apply_update(g, &mut self.state, upd, &self.counters) {
-                        applied += 1;
-                        sequential_local_push(
-                            g,
-                            &self.state,
-                            &[upd.src],
-                            &self.counters,
-                            &mut self.bufs,
-                        );
-                    }
-                }
-            }
-            UpdateMode::Batched => {
-                self.seeds.clear();
-                for &upd in batch {
-                    if apply_update(g, &mut self.state, upd, &self.counters) {
-                        applied += 1;
-                        self.seeds.push(upd.src);
-                    }
-                }
-                let seeds = std::mem::take(&mut self.seeds);
-                sequential_local_push(g, &self.state, &seeds, &self.counters, &mut self.bufs);
-                self.seeds = seeds;
-            }
+        for part in batch.chunks(part_len) {
+            let repairs = apply_to_graph(g, part);
+            replay_repairs(g, &mut self.state, &repairs, &self.counters);
+            let seeds: Vec<VertexId> = repairs.iter().map(|(upd, _)| upd.src).collect();
+            sequential_local_push(g, &self.state, &seeds, &self.counters, &mut self.bufs);
+            applied += repairs.len();
         }
         self.counters.record_batch();
         BatchStats {
@@ -164,7 +153,6 @@ pub struct ParallelEngine {
     variant: PushVariant,
     counters: Counters,
     bufs: ParPushBuffers,
-    seeds: Vec<VertexId>,
     threads: usize,
     opts: PushOpts,
 }
@@ -186,7 +174,6 @@ impl ParallelEngine {
             variant,
             counters: Counters::new(),
             bufs: ParPushBuffers::new(),
-            seeds: Vec::new(),
             threads,
             opts: PushOpts::default(),
         }
@@ -223,20 +210,15 @@ impl DynamicPprEngine for ParallelEngine {
         // Restore the invariant for the whole batch ("repairing the
         // invariant only takes a constant time" per update, §4), serially:
         // the graph mutation itself is inherently sequential.
-        self.seeds.clear();
-        let mut applied = 0usize;
-        for &upd in batch {
-            if apply_update(g, &mut self.state, upd, &self.counters) {
-                applied += 1;
-                self.seeds.push(upd.src);
-            }
-        }
+        let repairs = apply_to_graph(g, batch);
+        replay_repairs(g, &mut self.state, &repairs, &self.counters);
+        let seeds: Vec<VertexId> = repairs.iter().map(|(upd, _)| upd.src).collect();
         // One parallel push for the batch.
         parallel_local_push_opts(
             g,
             &self.state,
             self.variant,
-            &self.seeds,
+            &seeds,
             &self.counters,
             &mut self.bufs,
             self.opts,
@@ -245,7 +227,7 @@ impl DynamicPprEngine for ParallelEngine {
         self.counters.record_batch();
         BatchStats {
             latency: start.elapsed(),
-            applied,
+            applied: repairs.len(),
             counters: self.counters.snapshot() - before,
         }
     }

@@ -19,30 +19,57 @@
 //! tests). Deleting the last out-edge is the one degenerate case: the sum
 //! side of the invariant becomes empty, so `Rs(u)` is set directly from
 //! `Ps(u) + α·Rs(u) = α·1{u=s}`.
-
+//!
+//! Every engine absorbs a batch the same way, in two halves:
+//! [`apply_to_graph`] mutates the graph once and records each applied
+//! update with its `d_j(u)`; [`replay_repairs`] then replays those repairs,
+//! in order, against a state. A repair writes only `Rs(u)` and reads `Ps`,
+//! which no repair writes, so replaying after the whole batch gives the
+//! bits interleaving would — for one state or for many against one graph.
+//! The replay divides by the recorded degree per update: it is a historical
+//! degree, which the graph's maintained `inv_out_degree` (the final one)
+//! cannot supply.
 
 use crate::counters::Counters;
 use crate::state::PprState;
 use dppr_graph::{DynamicGraph, EdgeOp, EdgeUpdate, VertexId};
 
-/// Repairs the invariant for the update `(u, v, op)`. Must be called
-/// **after** the edge change has been applied to `g`, with `state` already
-/// grown to cover `g`'s vertices.
-pub fn restore_invariant(
-    g: &DynamicGraph,
-    state: &PprState,
-    u: VertexId,
-    v: VertexId,
-    op: EdgeOp,
-) {
-    restore_invariant_with_degree(state, u, v, op, g.out_degree(u));
+/// One invariant repair: an update that changed the graph, and `dout(u)`
+/// right after it (the `d_j(u)` of Lemma 3).
+pub type Repair = (EdgeUpdate, usize);
+
+/// The graph half of absorbing a batch: applies `batch` to `g` in order
+/// and returns one [`Repair`] per update that changed the graph (a
+/// duplicate insert or an absent delete records nothing).
+pub fn apply_to_graph(g: &mut DynamicGraph, batch: &[EdgeUpdate]) -> Vec<Repair> {
+    let mut repairs = Vec::with_capacity(batch.len());
+    for &upd in batch {
+        if g.apply(upd) {
+            repairs.push((upd, g.out_degree(upd.src)));
+        }
+    }
+    repairs
 }
 
-/// [`restore_invariant`] with the post-update out-degree supplied by the
-/// caller. This is what makes *replaying* a batch of repairs against
-/// several states possible after the graph has already absorbed the whole
-/// batch (`dout(u)` must be the degree right after *this* update — the
-/// `d_j(u)` of Lemma 3 — not the final one).
+/// The state half: grows `state` to cover `g`, which has absorbed the
+/// batch, and replays `repairs` through [`restore_invariant_with_degree`]
+/// in order, counting each one.
+pub fn replay_repairs(
+    g: &DynamicGraph,
+    state: &mut PprState,
+    repairs: &[Repair],
+    counters: &Counters,
+) {
+    state.ensure_len(g.num_vertices());
+    for &(upd, dout_after) in repairs {
+        restore_invariant_with_degree(state, upd.src, upd.dst, upd.op, dout_after);
+    }
+    counters.record_restores(repairs.len() as u64);
+}
+
+/// Repairs the invariant for the update `(u, v, op)`, given `dout_after`,
+/// `u`'s out-degree right after *this* update (not after the batch).
+/// `state` must already cover `u` and `v`.
 pub fn restore_invariant_with_degree(
     state: &PprState,
     u: VertexId,
@@ -64,31 +91,10 @@ pub fn restore_invariant_with_degree(
 
     let numerator =
         (1.0 - alpha) * state.p(v) - state.p(u) - alpha * state.r(u) + indicator;
-    // This division is per-*update*, not per-edge, and `dout_after` is a
-    // historical degree (the d_j(u) of Lemma 3) that the graph's maintained
-    // `inv_out_degree` cannot supply mid-replay. It also keeps the serial
-    // and parallel restore paths bit-identical — do not rewrite it as a
-    // multiply by a cached reciprocal.
+    // A division by the recorded degree, not a multiply by the graph's
+    // `inv_out_degree`: that holds the degree after the whole batch.
     let delta = numerator / (alpha * dout_after as f64);
     state.set_r(u, state.r(u) + op.sign() * delta);
-}
-
-/// Applies one update end-to-end: mutates the graph, grows the state, and
-/// repairs the invariant. Returns `false` (leaving everything unchanged)
-/// if the graph mutation was a no-op (duplicate insert / absent delete).
-pub fn apply_update(
-    g: &mut DynamicGraph,
-    state: &mut PprState,
-    upd: EdgeUpdate,
-    counters: &Counters,
-) -> bool {
-    if !g.apply(upd) {
-        return false;
-    }
-    state.ensure_len(g.num_vertices());
-    restore_invariant(g, state, upd.src, upd.dst, upd.op);
-    counters.record_restore();
-    true
 }
 
 /// Largest absolute violation of Eq. 2 over all vertices. Exactly zero only
@@ -116,7 +122,7 @@ pub fn max_invariant_violation(g: &DynamicGraph, state: &PprState) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::PprConfig;
 
@@ -149,6 +155,19 @@ mod tests {
         assert!(max_invariant_violation(&g, &st) < 1e-12);
     }
 
+    /// Both halves against one state; returns the applied updates'
+    /// sources, the seeds a push after them starts from.
+    pub(crate) fn absorb(
+        g: &mut DynamicGraph,
+        st: &mut PprState,
+        batch: &[EdgeUpdate],
+        c: &Counters,
+    ) -> Vec<VertexId> {
+        let repairs = apply_to_graph(g, batch);
+        replay_repairs(g, st, &repairs, c);
+        repairs.iter().map(|(upd, _)| upd.src).collect()
+    }
+
     #[test]
     fn figure1_insert_matches_paper() {
         // Figure 1(b): inserting e1 = v1→v2 (our 0→1) moves R(v1) from
@@ -156,7 +175,7 @@ mod tests {
         let mut g = figure1_graph();
         let mut st = figure1_state();
         let c = Counters::new();
-        assert!(apply_update(&mut g, &mut st, EdgeUpdate::insert(0, 1), &c));
+        assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c), [0]);
         assert!((st.r(0) - 0.15625).abs() < 1e-12);
         // Only u's residual changes; estimates are untouched.
         assert_eq!(st.p(0), 0.5);
@@ -172,8 +191,8 @@ mod tests {
         let mut g = figure1_graph();
         let mut st = figure1_state();
         let c = Counters::new();
-        assert!(apply_update(&mut g, &mut st, EdgeUpdate::insert(0, 1), &c));
-        assert!(apply_update(&mut g, &mut st, EdgeUpdate::insert(3, 0), &c));
+        let batch = [EdgeUpdate::insert(0, 1), EdgeUpdate::insert(3, 0)];
+        assert_eq!(absorb(&mut g, &mut st, &batch, &c), [0, 3]);
         assert!((st.r(0) - 0.15625).abs() < 1e-12);
         assert!((st.r(3) - 0.21875).abs() < 1e-12);
         assert!(max_invariant_violation(&g, &st) < 1e-12);
@@ -185,10 +204,27 @@ mod tests {
         let mut st = figure1_state();
         let c = Counters::new();
         let r0 = st.r(0);
-        apply_update(&mut g, &mut st, EdgeUpdate::insert(0, 1), &c);
-        apply_update(&mut g, &mut st, EdgeUpdate::delete(0, 1), &c);
+        let batch = [EdgeUpdate::insert(0, 1), EdgeUpdate::delete(0, 1)];
+        absorb(&mut g, &mut st, &batch, &c);
         assert!((st.r(0) - r0).abs() < 1e-12);
         assert!(max_invariant_violation(&g, &st) < 1e-12);
+    }
+
+    /// The graph half records `d_j(u)`, the degree right after each update,
+    /// not the batch's final one, and skips the updates that change nothing.
+    #[test]
+    fn graph_half_records_each_updates_own_degree() {
+        let mut g = DynamicGraph::new();
+        let batch = [
+            EdgeUpdate::insert(0, 1),
+            EdgeUpdate::insert(0, 2),
+            EdgeUpdate::insert(0, 2), // duplicate
+            EdgeUpdate::delete(0, 1),
+            EdgeUpdate::delete(0, 5), // absent
+        ];
+        let want = [(batch[0], 1), (batch[1], 2), (batch[3], 1)];
+        assert_eq!(apply_to_graph(&mut g, &batch), want);
+        assert_eq!(g.out_degree(0), 1);
     }
 
     #[test]
@@ -198,7 +234,7 @@ mod tests {
         let mut g = figure1_graph();
         let mut st = figure1_state();
         let c = Counters::new();
-        assert!(apply_update(&mut g, &mut st, EdgeUpdate::delete(0, 3), &c));
+        assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::delete(0, 3)], &c), [0]);
         assert_eq!(g.out_degree(0), 0);
         let cfg = *st.config();
         assert!(
@@ -215,8 +251,8 @@ mod tests {
         let c = Counters::new();
         let before = st.residuals();
         // Duplicate insert and missing delete must not touch the state.
-        assert!(!apply_update(&mut g, &mut st, EdgeUpdate::insert(1, 0), &c));
-        assert!(!apply_update(&mut g, &mut st, EdgeUpdate::delete(0, 1), &c));
+        let batch = [EdgeUpdate::insert(1, 0), EdgeUpdate::delete(0, 1)];
+        assert!(absorb(&mut g, &mut st, &batch, &c).is_empty());
         assert_eq!(st.residuals(), before);
         assert_eq!(c.snapshot().restore_ops, 0);
     }
@@ -227,31 +263,42 @@ mod tests {
         let mut st = figure1_state();
         let c = Counters::new();
         // Vertex 9 did not exist; the edge 9→0 materializes it.
-        assert!(apply_update(&mut g, &mut st, EdgeUpdate::insert(9, 0), &c));
+        assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::insert(9, 0)], &c), [9]);
         assert_eq!(st.len(), 10);
-        assert!(max_invariant_violation(&g, &st) < 1e-12);
+        assert!(max_invariant_violation(&g, &st) < 1e-9);
     }
 
+    /// Random inserts and deletes keep the invariant, and replaying a
+    /// batch after the graph absorbed all of it leaves the residuals'
+    /// bits equal to absorbing the same updates one at a time.
     #[test]
     fn invariant_holds_under_random_updates() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(17);
-        let cfg = PprConfig::new(0, 0.15, 0.01);
-        let mut st = PprState::new(cfg);
-        let mut g = DynamicGraph::new();
-        let c = Counters::new();
-        for _ in 0..500 {
-            let u = rng.gen_range(0..20u32);
-            let v = rng.gen_range(0..20u32);
-            let upd = if rng.gen_bool(0.7) {
-                EdgeUpdate::insert(u, v)
-            } else {
-                EdgeUpdate::delete(u, v)
-            };
-            apply_update(&mut g, &mut st, upd, &c);
-            g.check_consistency().unwrap();
-        }
-        assert!(max_invariant_violation(&g, &st) < 1e-9);
+        let updates: Vec<EdgeUpdate> = (0..500)
+            .map(|_| {
+                let u = rng.gen_range(0..20u32);
+                let v = rng.gen_range(0..20u32);
+                if rng.gen_bool(0.7) {
+                    EdgeUpdate::insert(u, v)
+                } else {
+                    EdgeUpdate::delete(u, v)
+                }
+            })
+            .collect();
+        let run = |chunk: usize| {
+            let mut st = PprState::new(PprConfig::new(0, 0.15, 0.01));
+            let mut g = DynamicGraph::new();
+            let c = Counters::new();
+            for batch in updates.chunks(chunk) {
+                absorb(&mut g, &mut st, batch, &c);
+                g.check_consistency().unwrap();
+            }
+            assert!(max_invariant_violation(&g, &st) < 1e-9);
+            let bits: Vec<u64> = st.residuals().iter().map(|r| r.to_bits()).collect();
+            (bits, c.snapshot().restore_ops)
+        };
+        assert_eq!(run(25), run(1));
     }
 }

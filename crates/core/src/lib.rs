@@ -3,8 +3,10 @@
 //! This crate implements the algorithmic content of Guo, Li, Sha & Tan,
 //! *Parallel Personalized PageRank on Dynamic Graphs* (PVLDB 11(1), 2017):
 //!
-//! * [`invariant`] — `RestoreInvariant` (Algorithm 1) and the Eq. 2
-//!   invariant checker.
+//! * [`invariant`] — `RestoreInvariant` (Algorithm 1), the one way every
+//!   engine absorbs a batch (mutate the graph once, recording each
+//!   update's post-update degree, then replay the repairs against a
+//!   state), and the Eq. 2 invariant checker.
 //! * [`seq`] — `SequentialLocalPush` (Algorithm 2), both the practical
 //!   worklist form and the lock-step iteration form used by Lemma 4.
 //! * [`par`] — `ParallelLocalPush` (Algorithm 3) and `OptParallelPush`
@@ -12,7 +14,8 @@
 //!   ([`PushVariant`]): eager propagation × local duplicate detection.
 //! * [`engine`] — the [`DynamicPprEngine`] trait plus the paper's engine
 //!   line-up: `CPU-Base` / `CPU-Seq` ([`SeqEngine`]) and `CPU-MT`
-//!   ([`ParallelEngine`]).
+//!   ([`ParallelEngine`]), each absorbing a batch through [`invariant`]'s
+//!   two halves before it pushes.
 //! * [`fanout`] — the one fork-join primitive everything parallel in the
 //!   workspace runs on: contiguous ranges over scoped threads, results
 //!   merged in range order, a direct call when there is one range.
@@ -26,7 +29,9 @@
 //! * [`forward`] — the classic forward (source-side) local push and a
 //!   conductance sweep cut, supporting the application examples.
 //! * [`multi`] — maintenance of many PPR vectors side by side (the
-//!   "multiple personalized unit vectors" building block of §2.1).
+//!   "multiple personalized unit vectors" building block of §2.1): the
+//!   same two halves, the graph mutated once and the repairs replayed
+//!   against every vector.
 //!
 //! # Semantics
 //!
@@ -67,7 +72,7 @@ pub use config::{Phase, PprConfig};
 pub use counters::{CounterSnapshot, Counters};
 pub use engine::{BatchStats, DynamicPprEngine, ParallelEngine, SeqEngine, UpdateMode};
 pub use ground_truth::{exact_ppr, exact_ppr_seq};
-pub use invariant::{apply_update, max_invariant_violation, restore_invariant};
+pub use invariant::{apply_to_graph, max_invariant_violation, replay_repairs};
 pub use multi::MultiSourcePpr;
 pub use par::PushOpts;
 pub use state::PprState;

@@ -20,7 +20,7 @@ use crate::atomic::AtomicF64;
 use crate::config::PprConfig;
 use crate::counters::Counters;
 use crate::fanout::{default_threads, fan_out};
-use crate::invariant::restore_invariant_with_degree;
+use crate::invariant::{apply_to_graph, replay_repairs};
 use crate::par::{parallel_local_push, parallel_local_push_opts, ParPushBuffers, PushOpts};
 use crate::state::PprState;
 use crate::variants::PushVariant;
@@ -153,17 +153,11 @@ impl MultiSourcePpr {
         batch: &[EdgeUpdate],
         cores: usize,
     ) -> usize {
-        // Graph mutation happens once, recording each update's post-update
-        // out-degree (the d_j(u) of Lemma 3) so the invariant repairs can
-        // be replayed exactly against every source's state afterwards.
-        let mut applied: Vec<(EdgeUpdate, usize)> = Vec::with_capacity(batch.len());
-        for &upd in batch {
-            if g.apply(upd) {
-                applied.push((upd, g.out_degree(upd.src)));
-            }
-        }
-        let seeds: Vec<VertexId> = applied.iter().map(|(upd, _)| upd.src).collect();
-        let (g, n) = (&*g, g.num_vertices());
+        // The graph absorbs the batch once; its repairs are replayed
+        // against every source's state.
+        let repairs = apply_to_graph(g, batch);
+        let seeds: Vec<VertexId> = repairs.iter().map(|(upd, _)| upd.src).collect();
+        let g = &*g;
         let counters = &self.counters;
         let cores = cores.max(1);
         let lanes = cores.min(self.sessions.len()).max(1);
@@ -174,16 +168,12 @@ impl MultiSourcePpr {
             // on the guard would hold it through the push.
             let next = queue.lock().unwrap().next();
             let Some(Session { state, bufs }) = next else { break };
-            state.ensure_len(n);
-            for &(upd, dout_after) in &applied {
-                restore_invariant_with_degree(state, upd.src, upd.dst, upd.op, dout_after);
-            }
-            counters.record_restores(applied.len() as u64);
+            replay_repairs(g, state, &repairs, counters);
             let opts = PushOpts::default();
             parallel_local_push_opts(g, state, VARIANT, &seeds, counters, bufs, opts, threads);
         };
         fan_out(lanes, lanes, lane, |(), ()| ());
-        applied.len()
+        repairs.len()
     }
 
     /// The estimate of `v` w.r.t. the `i`-th source.
@@ -227,24 +217,30 @@ impl Ord for ByWorst {
 /// Width of the chunks [`scan_gated`] tests at once.
 const CHUNK: usize = 16;
 
-/// Calls `take(acc, v, p)`, in ascending `v`, for every score `p` of
-/// `scores` (vertex `v` = `base` + position) that passes `pass(acc, p)`.
+/// Calls `take(acc, v, p)`, in ascending `v`, for every score `p =
+/// load(&scores[i])` (vertex `v` = `base` + `i`) that passes `pass(acc, p)`.
 ///
-/// The scores are tested [`CHUNK`] at a time with a fold that vectorizes;
-/// only a chunk holding a passing score is walked one score at a time, with
-/// `pass` re-evaluated per score since `take` may move what it tests.
-pub(crate) fn scan_gated<A>(
-    scores: &[f64],
+/// The scores are tested [`CHUNK`] at a time with a branch-free fold: over
+/// a slice of `f64` it vectorizes, and over a maintained vector's atomics,
+/// which do not, it still leaves one branch per chunk instead of one per
+/// score (a per-score loop's speed swung by a quarter with where the linker
+/// placed it). Only a chunk holding a passing score is walked one score at
+/// a time, with `pass` re-evaluated per score since `take` may move what it
+/// tests.
+pub(crate) fn scan_gated<T, A>(
+    scores: &[T],
     base: usize,
     acc: &mut A,
+    load: impl Fn(&T) -> f64,
     pass: impl Fn(&A, f64) -> bool,
     mut take: impl FnMut(&mut A, usize, f64),
 ) {
     let mut chunks = scores.chunks_exact(CHUNK);
     let mut v = base;
     for chunk in chunks.by_ref() {
-        if chunk.iter().fold(false, |any, &p| any | pass(acc, p)) {
-            for (i, &p) in chunk.iter().enumerate() {
+        if chunk.iter().fold(false, |any, p| any | pass(acc, load(p))) {
+            for (i, p) in chunk.iter().enumerate() {
+                let p = load(p);
                 if pass(acc, p) {
                     take(acc, v + i, p);
                 }
@@ -252,7 +248,8 @@ pub(crate) fn scan_gated<A>(
         }
         v += CHUNK;
     }
-    for (i, &p) in chunks.remainder().iter().enumerate() {
+    for (i, p) in chunks.remainder().iter().enumerate() {
+        let p = load(p);
         if pass(acc, p) {
             take(acc, v + i, p);
         }
@@ -311,24 +308,19 @@ pub fn top_k_of(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
         return Vec::new();
     }
     let mut sel = Selection::seeded(scores[..k].iter().copied());
-    scan_gated(&scores[k..], k, &mut sel, |sel, p| p > sel.floor, Selection::admit);
+    scan_gated(&scores[k..], k, &mut sel, |&p| p, |sel, p| p > sel.floor, Selection::admit);
     sel.ranking()
 }
 
-/// [`top_k_of`] over a maintained vector, read in place. Atomic loads do
-/// not vectorize, so each score is gated on its own rather than copied out
-/// first for the chunked test.
+/// [`top_k_of`] over a maintained vector, read in place.
 pub(crate) fn top_k_in_place(scores: &[AtomicF64], k: usize) -> Vec<(VertexId, f64)> {
     let k = k.min(scores.len());
     if k == 0 {
         return Vec::new();
     }
     let mut sel = Selection::seeded(scores[..k].iter().map(AtomicF64::load));
-    for (i, p) in scores[k..].iter().map(AtomicF64::load).enumerate() {
-        if p > sel.floor {
-            sel.admit(k + i, p);
-        }
-    }
+    let beats_floor = |sel: &Selection, p| p > sel.floor;
+    scan_gated(&scores[k..], k, &mut sel, AtomicF64::load, beats_floor, Selection::admit);
     sel.ranking()
 }
 
@@ -336,7 +328,7 @@ pub(crate) fn top_k_in_place(scores: &[AtomicF64], k: usize) -> Vec<(VertexId, f
 mod tests {
     use super::*;
     use crate::ground_truth::exact_ppr;
-    use crate::invariant::max_invariant_violation;
+    use crate::invariant::{max_invariant_violation, restore_invariant_with_degree};
     use dppr_graph::generators::erdos_renyi;
 
     #[test]
@@ -621,6 +613,28 @@ mod tests {
         let c = multi.counters().snapshot();
         let work = (c.pushes, c.atomic_adds, c.enqueued, c.iterations);
         assert_eq!(work, (1_018_036, 7_114_044, 1_014_128, 153));
+    }
+
+    /// The library engine and the serving bundle absorb a batch the same
+    /// way: `CPU-MT[Opt]` on one thread and a one-session bundle on one
+    /// core, fed [`crate::engine::tests::wide_stream`], hold the same bits
+    /// after every batch and count the same work.
+    #[test]
+    fn one_thread_engine_equals_a_one_session_bundle() {
+        use crate::engine::{DynamicPprEngine, ParallelEngine};
+        use crate::persist::state_fingerprint;
+        let [load, slide] = crate::engine::tests::wide_stream();
+        let cfg = PprConfig::new(0, 0.2, 1e-6);
+        let mut engine = ParallelEngine::with_threads(cfg, PushVariant::OPT, 1);
+        let mut multi = MultiSourcePpr::new(&[0], 0.2, 1e-6);
+        let (mut g_engine, mut g_multi) = (DynamicGraph::new(), DynamicGraph::new());
+        for batch in [&load, &slide] {
+            let applied = engine.apply_batch(&mut g_engine, batch).applied;
+            assert_eq!(multi.apply_batch_over(&mut g_multi, batch, 1), applied);
+            assert_eq!(state_fingerprint(engine.state()), state_fingerprint(multi.state(0)));
+        }
+        let work = |c: crate::CounterSnapshot| (c.restore_ops, c.pushes, c.atomic_adds);
+        assert_eq!(work(engine.counters()), work(multi.counters().snapshot()));
     }
 
     /// What `apply_batch` must equal when the sessions fill the cores:

@@ -445,7 +445,8 @@ pub fn parallel_push_lockstep(
 mod tests {
     use super::*;
     use crate::config::PprConfig;
-    use crate::invariant::{apply_update, max_invariant_violation};
+    use crate::invariant::max_invariant_violation;
+    use crate::invariant::tests::absorb;
     use crate::seq::sequential_push_lockstep;
     use dppr_graph::EdgeUpdate;
 
@@ -477,8 +478,8 @@ mod tests {
         let mut g = figure_graph();
         let mut st = figure_state();
         let c = Counters::new();
-        assert!(apply_update(&mut g, &mut st, EdgeUpdate::insert(0, 1), &c));
-        assert!(apply_update(&mut g, &mut st, EdgeUpdate::insert(3, 0), &c));
+        let batch = [EdgeUpdate::insert(0, 1), EdgeUpdate::insert(3, 0)];
+        assert_eq!(absorb(&mut g, &mut st, &batch, &c), [0, 3]);
         let mut bufs = ParPushBuffers::new();
         parallel_local_push(&g, &st, PushVariant::VANILLA, &[0, 3], &c, &mut bufs);
 
@@ -501,8 +502,7 @@ mod tests {
             let mut g = figure_graph();
             let mut st = figure_state();
             let c = Counters::new();
-            apply_update(&mut g, &mut st, EdgeUpdate::insert(0, 1), &c);
-            apply_update(&mut g, &mut st, EdgeUpdate::insert(3, 0), &c);
+            absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1), EdgeUpdate::insert(3, 0)], &c);
             let mut bufs = ParPushBuffers::new();
             parallel_local_push(&g, &st, variant, &[0, 3], &c, &mut bufs);
             assert!(st.converged(), "{variant} did not converge");
@@ -618,12 +618,7 @@ mod tests {
         let c = Counters::new();
         let mut sbufs = SeqPushBuffers::new();
         for chunk in script.chunks(10) {
-            let mut seeds = Vec::new();
-            for &u in chunk {
-                if apply_update(&mut g_ref, &mut st_ref, u, &c) {
-                    seeds.push(u.src);
-                }
-            }
+            let seeds = absorb(&mut g_ref, &mut st_ref, chunk, &c);
             sequential_local_push(&g_ref, &st_ref, &seeds, &c, &mut sbufs);
         }
         assert!(st_ref.converged());
@@ -633,12 +628,7 @@ mod tests {
             let mut st = PprState::new(cfg);
             let mut bufs = ParPushBuffers::new();
             for chunk in script.chunks(10) {
-                let mut seeds = Vec::new();
-                for &u in chunk {
-                    if apply_update(&mut g, &mut st, u, &c) {
-                        seeds.push(u.src);
-                    }
-                }
+                let seeds = absorb(&mut g, &mut st, chunk, &c);
                 parallel_local_push(&g, &st, variant, &seeds, &c, &mut bufs);
                 assert!(st.converged(), "{variant} left residuals over ε");
             }
@@ -697,14 +687,10 @@ mod tests {
             // deletions have something to subtract.
             let c = Counters::new();
             let mut bufs = ParPushBuffers::new();
-            apply_update(&mut g, &mut st, EdgeUpdate::insert(0, 1), &c);
+            absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c);
             parallel_local_push(&g, &st, variant, &[0], &c, &mut bufs);
-            let mut seeds = Vec::new();
-            for upd in [EdgeUpdate::delete(2, 0), EdgeUpdate::delete(2, 1)] {
-                if apply_update(&mut g, &mut st, upd, &c) {
-                    seeds.push(upd.src);
-                }
-            }
+            let batch = [EdgeUpdate::delete(2, 0), EdgeUpdate::delete(2, 1)];
+            let seeds = absorb(&mut g, &mut st, &batch, &c);
             parallel_local_push(&g, &st, variant, &seeds, &c, &mut bufs);
             assert!(st.converged(), "{variant}");
             assert!(max_invariant_violation(&g, &st) < 1e-12, "{variant}");

@@ -201,7 +201,8 @@ fn bad(msg: String) -> io::Error {
 mod tests {
     use super::*;
     use crate::counters::Counters;
-    use crate::invariant::{apply_update, max_invariant_violation};
+    use crate::invariant::max_invariant_violation;
+    use crate::invariant::tests::absorb;
     use crate::par::{parallel_local_push, ParPushBuffers};
     use crate::variants::PushVariant;
     use dppr_graph::generators::erdos_renyi;
@@ -214,12 +215,9 @@ mod tests {
         let mut st = PprState::new(cfg);
         let mut g = DynamicGraph::new();
         let c = Counters::new();
-        let mut seeds = Vec::new();
-        for (u, v) in erdos_renyi(40, 300, 5) {
-            if apply_update(&mut g, &mut st, EdgeUpdate::insert(u, v), &c) {
-                seeds.push(u);
-            }
-        }
+        let batch: Vec<EdgeUpdate> =
+            erdos_renyi(40, 300, 5).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
+        let seeds = absorb(&mut g, &mut st, &batch, &c);
         let mut bufs = ParPushBuffers::new();
         parallel_local_push(&g, &st, PushVariant::OPT, &seeds, &c, &mut bufs);
         (g, st)
@@ -363,12 +361,9 @@ mod tests {
         let mut resumed = read_state(&encoded(&st)[..]).unwrap();
         // Keep updating through the resumed state.
         let c = Counters::new();
-        let mut seeds = Vec::new();
-        for (u, v) in erdos_renyi(40, 60, 77) {
-            if apply_update(&mut g, &mut resumed, EdgeUpdate::insert(u, v), &c) {
-                seeds.push(u);
-            }
-        }
+        let batch: Vec<EdgeUpdate> =
+            erdos_renyi(40, 60, 77).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
+        let seeds = absorb(&mut g, &mut resumed, &batch, &c);
         let mut bufs = ParPushBuffers::new();
         parallel_local_push(&g, &resumed, PushVariant::OPT, &seeds, &c, &mut bufs);
         assert!(resumed.converged());

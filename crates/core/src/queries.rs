@@ -150,7 +150,7 @@ impl Split {
 /// [`above_threshold`] over a plain score slice.
 pub fn above_threshold_scores(scores: &[f64], eps: f64, delta: f64) -> ThresholdAnswer {
     let mut split = Split::new(eps, delta);
-    scan_gated(scores, 0, &mut split, Split::passes, Split::classify);
+    scan_gated(scores, 0, &mut split, |&p| p, Split::passes, Split::classify);
     split.sorted()
 }
 
@@ -158,11 +158,8 @@ pub fn above_threshold_scores(scores: &[f64], eps: f64, delta: f64) -> Threshold
 /// certainty. Both lists are sorted by descending estimate.
 pub fn above_threshold(state: &PprState, delta: f64) -> ThresholdAnswer {
     let mut split = Split::new(state.config().epsilon, delta);
-    for (v, p) in state.p_atomics().iter().map(AtomicF64::load).enumerate() {
-        if split.passes(p) {
-            split.classify(v, p);
-        }
-    }
+    let scores = state.p_atomics();
+    scan_gated(scores, 0, &mut split, AtomicF64::load, Split::passes, Split::classify);
     split.sorted()
 }
 

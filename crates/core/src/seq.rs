@@ -193,7 +193,8 @@ pub fn dedup_seeds(seeds: &[VertexId]) -> Vec<VertexId> {
 mod tests {
     use super::*;
     use crate::config::PprConfig;
-    use crate::invariant::{apply_update, max_invariant_violation};
+    use crate::invariant::max_invariant_violation;
+    use crate::invariant::tests::absorb;
     use dppr_graph::EdgeUpdate;
 
     /// Figure 1 graph (paper ids shifted by −1): 2→1, 3→1, 3→2, 4→3, 1→4.
@@ -222,7 +223,7 @@ mod tests {
         let mut g = figure1_graph();
         let mut st = figure1_state();
         let c = Counters::new();
-        assert!(apply_update(&mut g, &mut st, EdgeUpdate::insert(0, 1), &c));
+        assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c), [0]);
         let mut bufs = SeqPushBuffers::new();
         sequential_local_push(&g, &st, &[0], &c, &mut bufs);
 
@@ -285,7 +286,7 @@ mod tests {
         let c = Counters::new();
         // Delete 3→2 (v4→v3): Figure-1 state has P(3) small, the deletion
         // swings R(3); whatever the sign, the push must converge.
-        assert!(apply_update(&mut g, &mut st, EdgeUpdate::delete(3, 2), &c));
+        assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::delete(3, 2)], &c), [3]);
         let mut bufs = SeqPushBuffers::new();
         sequential_local_push(&g, &st, &[3], &c, &mut bufs);
         assert!(st.converged());

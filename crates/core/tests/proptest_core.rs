@@ -1,11 +1,11 @@
 //! Property-based tests for the core algorithmic building blocks.
 
-use dppr_core::invariant::{apply_update, max_invariant_violation};
+use dppr_core::invariant::{apply_to_graph, max_invariant_violation, replay_repairs};
 use dppr_core::multi::top_k_of;
 use dppr_core::par::{parallel_local_push, parallel_push_lockstep, ParPushBuffers};
 use dppr_core::seq::{sequential_local_push, sequential_push_lockstep, SeqPushBuffers};
 use dppr_core::{exact_ppr, AtomicF64, Counters, Phase, PprConfig, PprState, PushVariant};
-use dppr_graph::{DynamicGraph, EdgeOp, EdgeUpdate};
+use dppr_graph::{DynamicGraph, EdgeOp, EdgeUpdate, VertexId};
 use proptest::prelude::*;
 
 fn update_script(n: u32, len: usize) -> impl Strategy<Value = Vec<EdgeUpdate>> {
@@ -19,13 +19,26 @@ fn update_script(n: u32, len: usize) -> impl Strategy<Value = Vec<EdgeUpdate>> {
     )
 }
 
+/// Both halves of absorbing `batch` against one state; returns the
+/// applied updates' sources, the seeds a push after them starts from.
+fn absorb(
+    g: &mut DynamicGraph,
+    st: &mut PprState,
+    batch: &[EdgeUpdate],
+    c: &Counters,
+) -> Vec<VertexId> {
+    let repairs = apply_to_graph(g, batch);
+    replay_repairs(g, st, &repairs, c);
+    repairs.iter().map(|(upd, _)| upd.src).collect()
+}
+
 proptest! {
     // Case count pinned (the stub runner is already seed-deterministic)
     // so tier-1 wall time is stable in CI.
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// `RestoreInvariant` alone (no pushes) keeps Eq. 2 exactly satisfied
-    /// after every update, for any α.
+    /// after a batch of updates replayed against the final graph, for any α.
     #[test]
     fn restore_keeps_invariant(
         script in update_script(20, 150),
@@ -35,9 +48,7 @@ proptest! {
         let mut st = PprState::new(cfg);
         let mut g = DynamicGraph::new();
         let c = Counters::new();
-        for upd in script {
-            apply_update(&mut g, &mut st, upd, &c);
-        }
+        absorb(&mut g, &mut st, &script, &c);
         prop_assert!(max_invariant_violation(&g, &st) < 1e-9);
     }
 
@@ -52,12 +63,7 @@ proptest! {
         let mut st = PprState::new(cfg);
         let mut g = DynamicGraph::new();
         let c = Counters::new();
-        let mut seeds = Vec::new();
-        for upd in script {
-            if apply_update(&mut g, &mut st, upd, &c) {
-                seeds.push(upd.src);
-            }
-        }
+        let seeds = absorb(&mut g, &mut st, &script, &c);
         let mut bufs = SeqPushBuffers::new();
         sequential_local_push(&g, &st, &seeds, &c, &mut bufs);
         prop_assert!(st.converged());
@@ -77,12 +83,7 @@ proptest! {
         let mut st = PprState::new(cfg);
         let mut g = DynamicGraph::new();
         let c = Counters::new();
-        let mut seeds = Vec::new();
-        for upd in script {
-            if apply_update(&mut g, &mut st, upd, &c) {
-                seeds.push(upd.src);
-            }
-        }
+        let seeds = absorb(&mut g, &mut st, &script, &c);
         let mut bufs = ParPushBuffers::new();
         parallel_local_push(&g, &st, variant, &seeds, &c, &mut bufs);
         prop_assert!(st.converged());
@@ -103,13 +104,7 @@ proptest! {
         let build = || {
             let mut st = PprState::new(cfg);
             let mut g = DynamicGraph::new();
-            let c = Counters::new();
-            let mut seeds = Vec::new();
-            for upd in &script {
-                if apply_update(&mut g, &mut st, *upd, &c) {
-                    seeds.push(upd.src);
-                }
-            }
+            let seeds = absorb(&mut g, &mut st, &script, &Counters::new());
             (g, st, seeds)
         };
         let (g, stp, seeds) = build();
@@ -187,20 +182,14 @@ proptest! {
         let mut st = PprState::new(cfg);
         let mut g = DynamicGraph::new();
         let c = Counters::new();
-        let mut seeds = Vec::new();
-        for &(u, v) in &edges {
-            if apply_update(&mut g, &mut st, EdgeUpdate::insert(u, v), &c) {
-                seeds.push(u);
-            }
-        }
+        let inserts: Vec<EdgeUpdate> =
+            edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
+        let seeds = absorb(&mut g, &mut st, &inserts, &c);
         let mut bufs = ParPushBuffers::new();
         parallel_local_push(&g, &st, PushVariant::OPT, &seeds, &c, &mut bufs);
-        let mut seeds = Vec::new();
-        for &(u, v) in &edges {
-            if apply_update(&mut g, &mut st, EdgeUpdate::delete(u, v), &c) {
-                seeds.push(u);
-            }
-        }
+        let deletes: Vec<EdgeUpdate> =
+            edges.iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect();
+        let seeds = absorb(&mut g, &mut st, &deletes, &c);
         parallel_local_push(&g, &st, PushVariant::OPT, &seeds, &c, &mut bufs);
         prop_assert_eq!(g.num_edges(), 0);
         prop_assert!((st.p(0) - 0.3).abs() <= 1e-3 + 1e-9);

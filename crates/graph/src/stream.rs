@@ -6,6 +6,7 @@
 //! window; every slide of batch size `k` inserts the next `k` edges and
 //! deletes the `k` oldest ones.
 
+use crate::dynamic::DynamicGraph;
 use crate::types::{EdgeUpdate, VertexId};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -133,6 +134,22 @@ impl SlidingWindow {
             self.expand(i, true, &mut out);
         }
         out
+    }
+
+    /// The graph the window currently holds: [`SlidingWindow::initial_updates`]
+    /// applied one by one to an empty graph, without collecting them first.
+    /// This is how a source probe warms a window and how recovery rebuilds
+    /// the graph from the bounds a checkpoint recorded.
+    pub fn to_graph(&self) -> DynamicGraph {
+        let mut g = DynamicGraph::new();
+        for i in self.start..self.end {
+            let (u, v) = self.stream.edge_at(i);
+            g.insert_edge(u, v);
+            if self.stream.undirected {
+                g.insert_edge(v, u);
+            }
+        }
+        g
     }
 
     /// Number of logical edges currently inside the window.
@@ -335,6 +352,39 @@ mod tests {
         // initial_updates over the resumed window inserts exactly the
         // window content — the recovery graph-rebuild path.
         assert_eq!(resumed.initial_updates().len(), resumed.window_len());
+    }
+
+    /// `to_graph` holds the same edges, degrees and `inv_out_degree` as
+    /// applying `initial_updates` one by one, for directed and undirected
+    /// streams, before and after slides.
+    #[test]
+    fn to_graph_matches_applying_initial_updates() {
+        let undirected: Vec<_> =
+            (0..40u32).map(|i| (i % 13, (i * 7 + 3) % 17)).filter(|&(u, v)| u < v).collect();
+        for stream in [stream10().permuted(7), GraphStream::undirected(undirected).permuted(7)] {
+            let mut w = SlidingWindow::new(stream, 0.4);
+            for slide in 0..3 {
+                let mut want = DynamicGraph::new();
+                for u in w.initial_updates() {
+                    want.apply(u);
+                }
+                let got = w.to_graph();
+                got.check_consistency().unwrap();
+                let sorted = |g: &DynamicGraph| {
+                    let mut e: Vec<_> = g.edges().collect();
+                    e.sort_unstable();
+                    e
+                };
+                assert_eq!(sorted(&got), sorted(&want), "slide {slide}");
+                assert_eq!(got.num_vertices(), want.num_vertices());
+                for v in 0..want.num_vertices() as VertexId {
+                    assert_eq!(got.out_degree(v), want.out_degree(v));
+                    assert_eq!(got.in_degree(v), want.in_degree(v));
+                    assert_eq!(got.inv_out_degree(v).to_bits(), want.inv_out_degree(v).to_bits());
+                }
+                w.slide(1).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -52,11 +52,7 @@ pub fn pick_top_degree_sources(
     k: usize,
 ) -> Vec<VertexId> {
     let window = dppr_graph::SlidingWindow::new(stream.clone(), init_fraction);
-    let mut probe = dppr_graph::DynamicGraph::new();
-    for upd in window.initial_updates() {
-        probe.apply(upd);
-    }
-    probe.top_out_degree_vertices(k)
+    window.to_graph().top_out_degree_vertices(k)
 }
 
 /// Boots a serving instance over `stream`: applies the initial window for

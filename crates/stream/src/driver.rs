@@ -115,11 +115,7 @@ impl StreamDriver {
     /// stream exactly where the crashed process would have.
     pub fn resume_from(stream: GraphStream, start: usize, end: usize) -> Self {
         let window = SlidingWindow::resume_at(stream, start, end);
-        let mut graph = DynamicGraph::new();
-        for u in window.initial_updates() {
-            graph.apply(u);
-        }
-        StreamDriver { window, graph, bootstrapped: true }
+        StreamDriver { graph: window.to_graph(), window, bootstrapped: true }
     }
 
     /// Current window bounds `[start, end)` in logical stream positions —

@@ -15,8 +15,8 @@
 use crate::edge_map::{edge_map, vertex_map, Direction, EdgeMapOptions};
 use crate::subset::VertexSubset;
 use dppr_core::{
-    apply_update, AtomicF64, BatchStats, CounterSnapshot, Counters, DynamicPprEngine, Phase,
-    PprConfig, PprState,
+    apply_to_graph, replay_repairs, AtomicF64, BatchStats, CounterSnapshot, Counters,
+    DynamicPprEngine, Phase, PprConfig, PprState,
 };
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,7 +26,6 @@ use std::time::Instant;
 pub struct LigraEngine {
     state: PprState,
     counters: Counters,
-    seeds: Vec<VertexId>,
     /// Residual snapshots taken during self-update, read by propagation.
     ws: Vec<AtomicF64>,
     /// CAS-claim flags for frontier dedup.
@@ -40,7 +39,6 @@ impl LigraEngine {
         LigraEngine {
             state: PprState::new(cfg),
             counters: Counters::new(),
-            seeds: Vec::new(),
             ws: Vec::new(),
             claimed: Vec::new(),
             opts: EdgeMapOptions::default(),
@@ -67,7 +65,7 @@ impl LigraEngine {
         }
     }
 
-    fn push(&mut self, g: &DynamicGraph) {
+    fn push(&mut self, g: &DynamicGraph, seeds: &[VertexId]) {
         let n = g.num_vertices();
         self.ensure(n);
         let cfg = *self.state.config();
@@ -78,7 +76,7 @@ impl LigraEngine {
         let claimed = &self.claimed;
 
         for phase in Phase::BOTH {
-            let mut seed_ids: Vec<VertexId> = self.seeds.clone();
+            let mut seed_ids: Vec<VertexId> = seeds.to_vec();
             seed_ids.sort_unstable();
             seed_ids.dedup();
             seed_ids.retain(|&u| phase.active(state.r(u), eps));
@@ -142,19 +140,14 @@ impl DynamicPprEngine for LigraEngine {
     fn apply_batch(&mut self, g: &mut DynamicGraph, batch: &[EdgeUpdate]) -> BatchStats {
         let before = self.counters.snapshot();
         let start = Instant::now();
-        self.seeds.clear();
-        let mut applied = 0usize;
-        for &upd in batch {
-            if apply_update(g, &mut self.state, upd, &self.counters) {
-                applied += 1;
-                self.seeds.push(upd.src);
-            }
-        }
-        self.push(g);
+        let repairs = apply_to_graph(g, batch);
+        replay_repairs(g, &mut self.state, &repairs, &self.counters);
+        let seeds: Vec<VertexId> = repairs.iter().map(|(upd, _)| upd.src).collect();
+        self.push(g, &seeds);
         self.counters.record_batch();
         BatchStats {
             latency: start.elapsed(),
-            applied,
+            applied: repairs.len(),
             counters: self.counters.snapshot() - before,
         }
     }

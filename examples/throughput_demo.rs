@@ -21,13 +21,7 @@ fn main() {
     let slides = 15usize;
 
     // Choose a hub source from the initial window, like the paper.
-    let mut probe = dppr::graph::DynamicGraph::new();
-    {
-        let window = dppr::graph::SlidingWindow::new(dataset.stream(seed), 0.1);
-        for upd in window.initial_updates() {
-            probe.apply(upd);
-        }
-    }
+    let probe = dppr::graph::SlidingWindow::new(dataset.stream(seed), 0.1).to_graph();
     let source = pick_top_degree_source(&probe, 10, seed);
     let cfg = PprConfig::new(source, 0.15, epsilon);
     println!(

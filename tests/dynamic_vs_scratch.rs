@@ -17,13 +17,7 @@ fn dynamic_equals_scratch_on_directed_stream() {
     // Incremental run.
     let mut driver = StreamDriver::new(ds.stream(9), 0.2);
     // Source choice requires the warmed window.
-    let mut probe = DynamicGraph::new();
-    {
-        let w = dppr::graph::SlidingWindow::new(ds.stream(9), 0.2);
-        for u in w.initial_updates() {
-            probe.apply(u);
-        }
-    }
+    let probe = dppr::graph::SlidingWindow::new(ds.stream(9), 0.2).to_graph();
     let source = pick_top_degree_source(&probe, 5, 3);
     let cfg = PprConfig::new(source, 0.15, eps);
     let mut dynamic = ParallelEngine::new(cfg, PushVariant::OPT);
@@ -60,13 +54,7 @@ fn dynamic_equals_scratch_on_directed_stream() {
 fn dynamic_equals_scratch_on_undirected_stream() {
     let ds = presets::small_sim(); // undirected preset
     let eps = 1e-4;
-    let mut probe = DynamicGraph::new();
-    {
-        let w = dppr::graph::SlidingWindow::new(ds.stream(4), 0.1);
-        for u in w.initial_updates() {
-            probe.apply(u);
-        }
-    }
+    let probe = dppr::graph::SlidingWindow::new(ds.stream(4), 0.1).to_graph();
     let source = pick_top_degree_source(&probe, 10, 8);
     let cfg = PprConfig::new(source, 0.15, eps);
 

@@ -7,14 +7,22 @@
 
 use dppr::core::seq::{sequential_local_push, SeqPushBuffers};
 use dppr::core::{
-    apply_update, max_invariant_violation, Counters, ParallelEngine, PprConfig, PprState,
-    PushVariant, SeqEngine, UpdateMode,
+    apply_to_graph, max_invariant_violation, replay_repairs, Counters, ParallelEngine,
+    PprConfig, PprState, PushVariant, SeqEngine, UpdateMode,
 };
 use dppr::core::{DynamicPprEngine, exact_ppr};
 use dppr::graph::{DynamicGraph, EdgeUpdate};
 
 fn figure_graph() -> DynamicGraph {
     DynamicGraph::from_edges([(1, 0), (2, 0), (2, 1), (3, 2), (0, 3)])
+}
+
+/// The graph absorbs `batch`, then its repairs are replayed against `st`;
+/// returns how many updates changed the graph.
+fn absorb(g: &mut DynamicGraph, st: &mut PprState, batch: &[EdgeUpdate], c: &Counters) -> usize {
+    let repairs = apply_to_graph(g, batch);
+    replay_repairs(g, st, &repairs, c);
+    repairs.len()
 }
 
 fn figure_state() -> PprState {
@@ -36,7 +44,7 @@ fn figure1_sequential_single_update() {
     let mut g = figure_graph();
     let mut st = figure_state();
     let c = Counters::new();
-    assert!(apply_update(&mut g, &mut st, EdgeUpdate::insert(0, 1), &c));
+    assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c), 1);
     assert!((st.r(0) - 0.15625).abs() < 1e-12, "Figure 1(b)");
     let mut bufs = SeqPushBuffers::new();
     sequential_local_push(&g, &st, &[0], &c, &mut bufs);
@@ -123,7 +131,7 @@ fn example1_and_2_prose_claims() {
     let mut g = figure_graph();
     let mut st = figure_state();
     let c = Counters::new();
-    apply_update(&mut g, &mut st, EdgeUpdate::insert(0, 1), &c);
+    absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c);
     assert!(st.r(0) > 0.1, "v1 must be activated");
     assert!(st.r(1) <= 0.1 && st.r(2) <= 0.1 && st.r(3) <= 0.1);
 
@@ -131,8 +139,7 @@ fn example1_and_2_prose_claims() {
     // the parallel push converges in one iteration.
     let mut g = figure_graph();
     let mut st = figure_state();
-    apply_update(&mut g, &mut st, EdgeUpdate::insert(0, 1), &c);
-    apply_update(&mut g, &mut st, EdgeUpdate::insert(3, 0), &c);
+    absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1), EdgeUpdate::insert(3, 0)], &c);
     assert!(st.r(0) > 0.1 && st.r(3) > 0.1);
     let c2 = Counters::new();
     let mut bufs = dppr::core::par::ParPushBuffers::new();
