@@ -121,7 +121,7 @@ fn get_epsilon(args: &Args, default: f64) -> Result<f64, CliError> {
 /// `edges`: a PPR state holds `source + 1` rows, so an id past the graph
 /// would size the state by the id rather than by the graph.
 fn check_source(source: VertexId, edges: &[(u32, u32)]) -> Result<VertexId, CliError> {
-    let bound = edges.iter().map(|&(u, v)| u.max(v) as usize + 1).max().unwrap_or(0);
+    let bound = dppr_graph::stream::vertex_bound(edges);
     if (source as usize) < bound {
         Ok(source)
     } else {

@@ -8,9 +8,11 @@
 //! * `CPU-MT` — [`ParallelEngine`]: batch restore + the parallel push of
 //!   Algorithms 3/4, with a configurable [`PushVariant`] and thread count.
 //!
-//! Each restores through the two halves of [`crate::invariant`]: the graph
+//! Each restores through [`crate::invariant::absorb_batch`]: the graph
 //! absorbs the batch (for `CPU-Base`, the one update) in one pass that
-//! records every repair, which is then replayed against the state — the
+//! records every repair into the engine's reused
+//! [`Repairs`](crate::invariant::Repairs), which is then replayed against
+//! the state, and the repairs' sources seed the push — the
 //! same path [`crate::MultiSourcePpr`] takes for many states, so an engine
 //! and a one-session bundle fed the same stream hold the same bits.
 //!
@@ -20,7 +22,7 @@
 use crate::config::PprConfig;
 use crate::counters::{CounterSnapshot, Counters};
 use crate::fanout::default_threads;
-use crate::invariant::{apply_to_graph, replay_repairs};
+use crate::invariant::{absorb_batch, Repairs};
 use crate::par::{parallel_local_push_opts, ParPushBuffers, PushOpts};
 use crate::seq::{sequential_local_push, SeqPushBuffers};
 use crate::state::PprState;
@@ -78,6 +80,7 @@ pub struct SeqEngine {
     mode: UpdateMode,
     counters: Counters,
     bufs: SeqPushBuffers,
+    repairs: Repairs,
 }
 
 impl SeqEngine {
@@ -88,6 +91,7 @@ impl SeqEngine {
             mode,
             counters: Counters::new(),
             bufs: SeqPushBuffers::new(),
+            repairs: Repairs::default(),
         }
     }
 
@@ -120,11 +124,10 @@ impl DynamicPprEngine for SeqEngine {
         };
         let mut applied = 0usize;
         for part in batch.chunks(part_len) {
-            let repairs = apply_to_graph(g, part);
-            replay_repairs(g, &mut self.state, &repairs, &self.counters);
-            let seeds: Vec<VertexId> = repairs.iter().map(|(upd, _)| upd.src).collect();
-            sequential_local_push(g, &self.state, &seeds, &self.counters, &mut self.bufs);
-            applied += repairs.len();
+            let seeds =
+                absorb_batch(g, &mut self.state, part, &self.counters, &mut self.repairs);
+            sequential_local_push(g, &self.state, seeds, &self.counters, &mut self.bufs);
+            applied += self.repairs.list.len();
         }
         self.counters.record_batch();
         BatchStats {
@@ -153,6 +156,7 @@ pub struct ParallelEngine {
     variant: PushVariant,
     counters: Counters,
     bufs: ParPushBuffers,
+    repairs: Repairs,
     threads: usize,
     opts: PushOpts,
 }
@@ -174,6 +178,7 @@ impl ParallelEngine {
             variant,
             counters: Counters::new(),
             bufs: ParPushBuffers::new(),
+            repairs: Repairs::default(),
             threads,
             opts: PushOpts::default(),
         }
@@ -210,15 +215,13 @@ impl DynamicPprEngine for ParallelEngine {
         // Restore the invariant for the whole batch ("repairing the
         // invariant only takes a constant time" per update, §4), serially:
         // the graph mutation itself is inherently sequential.
-        let repairs = apply_to_graph(g, batch);
-        replay_repairs(g, &mut self.state, &repairs, &self.counters);
-        let seeds: Vec<VertexId> = repairs.iter().map(|(upd, _)| upd.src).collect();
+        let seeds = absorb_batch(g, &mut self.state, batch, &self.counters, &mut self.repairs);
         // One parallel push for the batch.
         parallel_local_push_opts(
             g,
             &self.state,
             self.variant,
-            &seeds,
+            seeds,
             &self.counters,
             &mut self.bufs,
             self.opts,
@@ -227,7 +230,7 @@ impl DynamicPprEngine for ParallelEngine {
         self.counters.record_batch();
         BatchStats {
             latency: start.elapsed(),
-            applied: repairs.len(),
+            applied: self.repairs.list.len(),
             counters: self.counters.snapshot() - before,
         }
     }

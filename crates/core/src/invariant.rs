@@ -22,8 +22,10 @@
 //!
 //! Every engine absorbs a batch the same way, in two halves:
 //! [`apply_to_graph`] mutates the graph once and records each applied
-//! update with its `d_j(u)`; [`replay_repairs`] then replays those repairs,
-//! in order, against a state. A repair writes only `Rs(u)` and reads `Ps`,
+//! update with its `d_j(u)`, and its source (a seed of the push that
+//! follows), into [`Repairs`]; [`replay_repairs`] then replays those
+//! repairs, in order, against a state. [`absorb_batch`] is both halves
+//! against one state. A repair writes only `Rs(u)` and reads `Ps`,
 //! which no repair writes, so replaying after the whole batch gives the
 //! bits interleaving would — for one state or for many against one graph.
 //! The replay divides by the recorded degree per update: it is a historical
@@ -34,21 +36,31 @@ use crate::counters::Counters;
 use crate::state::PprState;
 use dppr_graph::{DynamicGraph, EdgeOp, EdgeUpdate, VertexId};
 
-/// One invariant repair: an update that changed the graph, and `dout(u)`
-/// right after it (the `d_j(u)` of Lemma 3).
-pub type Repair = (EdgeUpdate, usize);
+/// The repairs one batch left to replay, and their sources: the seeds of
+/// the push that follows. Kept across batches to reuse its buffers.
+#[derive(Debug, Default)]
+pub struct Repairs {
+    /// Per update that changed the graph, in batch order: the update and
+    /// `dout(u)` right after it (the `d_j(u)` of Lemma 3).
+    pub list: Vec<(EdgeUpdate, usize)>,
+    /// The repaired sources, in the same order (repeats kept; the push
+    /// kernels deduplicate).
+    pub seeds: Vec<VertexId>,
+}
 
 /// The graph half of absorbing a batch: applies `batch` to `g` in order
-/// and returns one [`Repair`] per update that changed the graph (a
-/// duplicate insert or an absent delete records nothing).
-pub fn apply_to_graph(g: &mut DynamicGraph, batch: &[EdgeUpdate]) -> Vec<Repair> {
-    let mut repairs = Vec::with_capacity(batch.len());
+/// and records into `out` (cleared first) one repair per update that
+/// changed the graph (a duplicate insert or an absent delete records
+/// nothing).
+pub fn apply_to_graph(g: &mut DynamicGraph, batch: &[EdgeUpdate], out: &mut Repairs) {
+    out.list.clear();
+    out.seeds.clear();
     for &upd in batch {
         if g.apply(upd) {
-            repairs.push((upd, g.out_degree(upd.src)));
+            out.list.push((upd, g.out_degree(upd.src)));
+            out.seeds.push(upd.src);
         }
     }
-    repairs
 }
 
 /// The state half: grows `state` to cover `g`, which has absorbed the
@@ -57,14 +69,28 @@ pub fn apply_to_graph(g: &mut DynamicGraph, batch: &[EdgeUpdate]) -> Vec<Repair>
 pub fn replay_repairs(
     g: &DynamicGraph,
     state: &mut PprState,
-    repairs: &[Repair],
+    repairs: &Repairs,
     counters: &Counters,
 ) {
     state.ensure_len(g.num_vertices());
-    for &(upd, dout_after) in repairs {
+    for &(upd, dout_after) in &repairs.list {
         restore_invariant_with_degree(state, upd.src, upd.dst, upd.op, dout_after);
     }
-    counters.record_restores(repairs.len() as u64);
+    counters.record_restores(repairs.list.len() as u64);
+}
+
+/// Both halves against one state, recording into `repairs`; returns the
+/// seeds of the push that follows.
+pub fn absorb_batch<'r>(
+    g: &mut DynamicGraph,
+    state: &mut PprState,
+    batch: &[EdgeUpdate],
+    counters: &Counters,
+    repairs: &'r mut Repairs,
+) -> &'r [VertexId] {
+    apply_to_graph(g, batch, repairs);
+    replay_repairs(g, state, repairs, counters);
+    &repairs.seeds
 }
 
 /// Repairs the invariant for the update `(u, v, op)`, given `dout_after`,
@@ -155,19 +181,6 @@ pub(crate) mod tests {
         assert!(max_invariant_violation(&g, &st) < 1e-12);
     }
 
-    /// Both halves against one state; returns the applied updates'
-    /// sources, the seeds a push after them starts from.
-    pub(crate) fn absorb(
-        g: &mut DynamicGraph,
-        st: &mut PprState,
-        batch: &[EdgeUpdate],
-        c: &Counters,
-    ) -> Vec<VertexId> {
-        let repairs = apply_to_graph(g, batch);
-        replay_repairs(g, st, &repairs, c);
-        repairs.iter().map(|(upd, _)| upd.src).collect()
-    }
-
     #[test]
     fn figure1_insert_matches_paper() {
         // Figure 1(b): inserting e1 = v1→v2 (our 0→1) moves R(v1) from
@@ -175,7 +188,9 @@ pub(crate) mod tests {
         let mut g = figure1_graph();
         let mut st = figure1_state();
         let c = Counters::new();
-        assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c), [0]);
+        let mut r = Repairs::default();
+        let seeds = absorb_batch(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c, &mut r);
+        assert_eq!(seeds, [0]);
         assert!((st.r(0) - 0.15625).abs() < 1e-12);
         // Only u's residual changes; estimates are untouched.
         assert_eq!(st.p(0), 0.5);
@@ -192,7 +207,7 @@ pub(crate) mod tests {
         let mut st = figure1_state();
         let c = Counters::new();
         let batch = [EdgeUpdate::insert(0, 1), EdgeUpdate::insert(3, 0)];
-        assert_eq!(absorb(&mut g, &mut st, &batch, &c), [0, 3]);
+        assert_eq!(absorb_batch(&mut g, &mut st, &batch, &c, &mut Repairs::default()), [0, 3]);
         assert!((st.r(0) - 0.15625).abs() < 1e-12);
         assert!((st.r(3) - 0.21875).abs() < 1e-12);
         assert!(max_invariant_violation(&g, &st) < 1e-12);
@@ -205,7 +220,7 @@ pub(crate) mod tests {
         let c = Counters::new();
         let r0 = st.r(0);
         let batch = [EdgeUpdate::insert(0, 1), EdgeUpdate::delete(0, 1)];
-        absorb(&mut g, &mut st, &batch, &c);
+        absorb_batch(&mut g, &mut st, &batch, &c, &mut Repairs::default());
         assert!((st.r(0) - r0).abs() < 1e-12);
         assert!(max_invariant_violation(&g, &st) < 1e-12);
     }
@@ -223,7 +238,10 @@ pub(crate) mod tests {
             EdgeUpdate::delete(0, 5), // absent
         ];
         let want = [(batch[0], 1), (batch[1], 2), (batch[3], 1)];
-        assert_eq!(apply_to_graph(&mut g, &batch), want);
+        let mut r = Repairs::default();
+        apply_to_graph(&mut g, &batch, &mut r);
+        assert_eq!(r.list, want);
+        assert_eq!(r.seeds, [0, 0, 0]);
         assert_eq!(g.out_degree(0), 1);
     }
 
@@ -234,7 +252,9 @@ pub(crate) mod tests {
         let mut g = figure1_graph();
         let mut st = figure1_state();
         let c = Counters::new();
-        assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::delete(0, 3)], &c), [0]);
+        let mut r = Repairs::default();
+        let seeds = absorb_batch(&mut g, &mut st, &[EdgeUpdate::delete(0, 3)], &c, &mut r);
+        assert_eq!(seeds, [0]);
         assert_eq!(g.out_degree(0), 0);
         let cfg = *st.config();
         assert!(
@@ -252,7 +272,7 @@ pub(crate) mod tests {
         let before = st.residuals();
         // Duplicate insert and missing delete must not touch the state.
         let batch = [EdgeUpdate::insert(1, 0), EdgeUpdate::delete(0, 1)];
-        assert!(absorb(&mut g, &mut st, &batch, &c).is_empty());
+        assert!(absorb_batch(&mut g, &mut st, &batch, &c, &mut Repairs::default()).is_empty());
         assert_eq!(st.residuals(), before);
         assert_eq!(c.snapshot().restore_ops, 0);
     }
@@ -263,9 +283,11 @@ pub(crate) mod tests {
         let mut st = figure1_state();
         let c = Counters::new();
         // Vertex 9 did not exist; the edge 9→0 materializes it.
-        assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::insert(9, 0)], &c), [9]);
+        let mut r = Repairs::default();
+        let seeds = absorb_batch(&mut g, &mut st, &[EdgeUpdate::insert(9, 0)], &c, &mut r);
+        assert_eq!(seeds, [9]);
         assert_eq!(st.len(), 10);
-        assert!(max_invariant_violation(&g, &st) < 1e-9);
+        assert!(max_invariant_violation(&g, &st) < 1e-12);
     }
 
     /// Random inserts and deletes keep the invariant, and replaying a
@@ -292,7 +314,7 @@ pub(crate) mod tests {
             let mut g = DynamicGraph::new();
             let c = Counters::new();
             for batch in updates.chunks(chunk) {
-                absorb(&mut g, &mut st, batch, &c);
+                absorb_batch(&mut g, &mut st, batch, &c, &mut Repairs::default());
                 g.check_consistency().unwrap();
             }
             assert!(max_invariant_violation(&g, &st) < 1e-9);

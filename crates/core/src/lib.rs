@@ -72,7 +72,7 @@ pub use config::{Phase, PprConfig};
 pub use counters::{CounterSnapshot, Counters};
 pub use engine::{BatchStats, DynamicPprEngine, ParallelEngine, SeqEngine, UpdateMode};
 pub use ground_truth::{exact_ppr, exact_ppr_seq};
-pub use invariant::{apply_to_graph, max_invariant_violation, replay_repairs};
+pub use invariant::{absorb_batch, max_invariant_violation, Repairs};
 pub use multi::MultiSourcePpr;
 pub use par::PushOpts;
 pub use state::PprState;

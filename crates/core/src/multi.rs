@@ -20,7 +20,7 @@ use crate::atomic::AtomicF64;
 use crate::config::PprConfig;
 use crate::counters::Counters;
 use crate::fanout::{default_threads, fan_out};
-use crate::invariant::{apply_to_graph, replay_repairs};
+use crate::invariant::{apply_to_graph, replay_repairs, Repairs};
 use crate::par::{parallel_local_push, parallel_local_push_opts, ParPushBuffers, PushOpts};
 use crate::state::PprState;
 use crate::variants::PushVariant;
@@ -155,9 +155,9 @@ impl MultiSourcePpr {
     ) -> usize {
         // The graph absorbs the batch once; its repairs are replayed
         // against every source's state.
-        let repairs = apply_to_graph(g, batch);
-        let seeds: Vec<VertexId> = repairs.iter().map(|(upd, _)| upd.src).collect();
-        let g = &*g;
+        let mut repairs = Repairs::default();
+        apply_to_graph(g, batch, &mut repairs);
+        let (g, seeds) = (&*g, &repairs.seeds);
         let counters = &self.counters;
         let cores = cores.max(1);
         let lanes = cores.min(self.sessions.len()).max(1);
@@ -170,10 +170,10 @@ impl MultiSourcePpr {
             let Some(Session { state, bufs }) = next else { break };
             replay_repairs(g, state, &repairs, counters);
             let opts = PushOpts::default();
-            parallel_local_push_opts(g, state, VARIANT, &seeds, counters, bufs, opts, threads);
+            parallel_local_push_opts(g, state, VARIANT, seeds, counters, bufs, opts, threads);
         };
         fan_out(lanes, lanes, lane, |(), ()| ());
-        repairs.len()
+        repairs.list.len()
     }
 
     /// The estimate of `v` w.r.t. the `i`-th source.

@@ -446,7 +446,7 @@ mod tests {
     use super::*;
     use crate::config::PprConfig;
     use crate::invariant::max_invariant_violation;
-    use crate::invariant::tests::absorb;
+    use crate::invariant::{absorb_batch, Repairs};
     use crate::seq::sequential_push_lockstep;
     use dppr_graph::EdgeUpdate;
 
@@ -479,7 +479,8 @@ mod tests {
         let mut st = figure_state();
         let c = Counters::new();
         let batch = [EdgeUpdate::insert(0, 1), EdgeUpdate::insert(3, 0)];
-        assert_eq!(absorb(&mut g, &mut st, &batch, &c), [0, 3]);
+        let mut r = Repairs::default();
+        assert_eq!(absorb_batch(&mut g, &mut st, &batch, &c, &mut r), [0, 3]);
         let mut bufs = ParPushBuffers::new();
         parallel_local_push(&g, &st, PushVariant::VANILLA, &[0, 3], &c, &mut bufs);
 
@@ -502,7 +503,8 @@ mod tests {
             let mut g = figure_graph();
             let mut st = figure_state();
             let c = Counters::new();
-            absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1), EdgeUpdate::insert(3, 0)], &c);
+            let batch = [EdgeUpdate::insert(0, 1), EdgeUpdate::insert(3, 0)];
+            absorb_batch(&mut g, &mut st, &batch, &c, &mut Repairs::default());
             let mut bufs = ParPushBuffers::new();
             parallel_local_push(&g, &st, variant, &[0, 3], &c, &mut bufs);
             assert!(st.converged(), "{variant} did not converge");
@@ -617,9 +619,10 @@ mod tests {
         let mut st_ref = PprState::new(cfg);
         let c = Counters::new();
         let mut sbufs = SeqPushBuffers::new();
+        let mut r = Repairs::default();
         for chunk in script.chunks(10) {
-            let seeds = absorb(&mut g_ref, &mut st_ref, chunk, &c);
-            sequential_local_push(&g_ref, &st_ref, &seeds, &c, &mut sbufs);
+            let seeds = absorb_batch(&mut g_ref, &mut st_ref, chunk, &c, &mut r);
+            sequential_local_push(&g_ref, &st_ref, seeds, &c, &mut sbufs);
         }
         assert!(st_ref.converged());
 
@@ -628,8 +631,8 @@ mod tests {
             let mut st = PprState::new(cfg);
             let mut bufs = ParPushBuffers::new();
             for chunk in script.chunks(10) {
-                let seeds = absorb(&mut g, &mut st, chunk, &c);
-                parallel_local_push(&g, &st, variant, &seeds, &c, &mut bufs);
+                let seeds = absorb_batch(&mut g, &mut st, chunk, &c, &mut r);
+                parallel_local_push(&g, &st, variant, seeds, &c, &mut bufs);
                 assert!(st.converged(), "{variant} left residuals over ε");
             }
             assert!(
@@ -687,11 +690,12 @@ mod tests {
             // deletions have something to subtract.
             let c = Counters::new();
             let mut bufs = ParPushBuffers::new();
-            absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c);
+            let mut r = Repairs::default();
+            absorb_batch(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c, &mut r);
             parallel_local_push(&g, &st, variant, &[0], &c, &mut bufs);
             let batch = [EdgeUpdate::delete(2, 0), EdgeUpdate::delete(2, 1)];
-            let seeds = absorb(&mut g, &mut st, &batch, &c);
-            parallel_local_push(&g, &st, variant, &seeds, &c, &mut bufs);
+            let seeds = absorb_batch(&mut g, &mut st, &batch, &c, &mut r);
+            parallel_local_push(&g, &st, variant, seeds, &c, &mut bufs);
             assert!(st.converged(), "{variant}");
             assert!(max_invariant_violation(&g, &st) < 1e-12, "{variant}");
         }

@@ -202,7 +202,7 @@ mod tests {
     use super::*;
     use crate::counters::Counters;
     use crate::invariant::max_invariant_violation;
-    use crate::invariant::tests::absorb;
+    use crate::invariant::{absorb_batch, Repairs};
     use crate::par::{parallel_local_push, ParPushBuffers};
     use crate::variants::PushVariant;
     use dppr_graph::generators::erdos_renyi;
@@ -217,9 +217,10 @@ mod tests {
         let c = Counters::new();
         let batch: Vec<EdgeUpdate> =
             erdos_renyi(40, 300, 5).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
-        let seeds = absorb(&mut g, &mut st, &batch, &c);
+        let mut r = Repairs::default();
+        let seeds = absorb_batch(&mut g, &mut st, &batch, &c, &mut r);
         let mut bufs = ParPushBuffers::new();
-        parallel_local_push(&g, &st, PushVariant::OPT, &seeds, &c, &mut bufs);
+        parallel_local_push(&g, &st, PushVariant::OPT, seeds, &c, &mut bufs);
         (g, st)
     }
 
@@ -363,9 +364,10 @@ mod tests {
         let c = Counters::new();
         let batch: Vec<EdgeUpdate> =
             erdos_renyi(40, 60, 77).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
-        let seeds = absorb(&mut g, &mut resumed, &batch, &c);
+        let mut r = Repairs::default();
+        let seeds = absorb_batch(&mut g, &mut resumed, &batch, &c, &mut r);
         let mut bufs = ParPushBuffers::new();
-        parallel_local_push(&g, &resumed, PushVariant::OPT, &seeds, &c, &mut bufs);
+        parallel_local_push(&g, &resumed, PushVariant::OPT, seeds, &c, &mut bufs);
         assert!(resumed.converged());
         assert!(max_invariant_violation(&g, &resumed) < 1e-9);
     }

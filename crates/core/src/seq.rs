@@ -194,7 +194,7 @@ mod tests {
     use super::*;
     use crate::config::PprConfig;
     use crate::invariant::max_invariant_violation;
-    use crate::invariant::tests::absorb;
+    use crate::invariant::{absorb_batch, Repairs};
     use dppr_graph::EdgeUpdate;
 
     /// Figure 1 graph (paper ids shifted by −1): 2→1, 3→1, 3→2, 4→3, 1→4.
@@ -223,7 +223,9 @@ mod tests {
         let mut g = figure1_graph();
         let mut st = figure1_state();
         let c = Counters::new();
-        assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c), [0]);
+        let mut r = Repairs::default();
+        let seeds = absorb_batch(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c, &mut r);
+        assert_eq!(seeds, [0]);
         let mut bufs = SeqPushBuffers::new();
         sequential_local_push(&g, &st, &[0], &c, &mut bufs);
 
@@ -286,7 +288,9 @@ mod tests {
         let c = Counters::new();
         // Delete 3→2 (v4→v3): Figure-1 state has P(3) small, the deletion
         // swings R(3); whatever the sign, the push must converge.
-        assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::delete(3, 2)], &c), [3]);
+        let mut r = Repairs::default();
+        let seeds = absorb_batch(&mut g, &mut st, &[EdgeUpdate::delete(3, 2)], &c, &mut r);
+        assert_eq!(seeds, [3]);
         let mut bufs = SeqPushBuffers::new();
         sequential_local_push(&g, &st, &[3], &c, &mut bufs);
         assert!(st.converged());

@@ -1,11 +1,11 @@
 //! Property-based tests for the core algorithmic building blocks.
 
-use dppr_core::invariant::{apply_to_graph, max_invariant_violation, replay_repairs};
+use dppr_core::invariant::{absorb_batch, max_invariant_violation, Repairs};
 use dppr_core::multi::top_k_of;
 use dppr_core::par::{parallel_local_push, parallel_push_lockstep, ParPushBuffers};
 use dppr_core::seq::{sequential_local_push, sequential_push_lockstep, SeqPushBuffers};
 use dppr_core::{exact_ppr, AtomicF64, Counters, Phase, PprConfig, PprState, PushVariant};
-use dppr_graph::{DynamicGraph, EdgeOp, EdgeUpdate, VertexId};
+use dppr_graph::{DynamicGraph, EdgeOp, EdgeUpdate};
 use proptest::prelude::*;
 
 fn update_script(n: u32, len: usize) -> impl Strategy<Value = Vec<EdgeUpdate>> {
@@ -17,19 +17,6 @@ fn update_script(n: u32, len: usize) -> impl Strategy<Value = Vec<EdgeUpdate>> {
         }),
         len,
     )
-}
-
-/// Both halves of absorbing `batch` against one state; returns the
-/// applied updates' sources, the seeds a push after them starts from.
-fn absorb(
-    g: &mut DynamicGraph,
-    st: &mut PprState,
-    batch: &[EdgeUpdate],
-    c: &Counters,
-) -> Vec<VertexId> {
-    let repairs = apply_to_graph(g, batch);
-    replay_repairs(g, st, &repairs, c);
-    repairs.iter().map(|(upd, _)| upd.src).collect()
 }
 
 proptest! {
@@ -48,7 +35,7 @@ proptest! {
         let mut st = PprState::new(cfg);
         let mut g = DynamicGraph::new();
         let c = Counters::new();
-        absorb(&mut g, &mut st, &script, &c);
+        absorb_batch(&mut g, &mut st, &script, &c, &mut Repairs::default());
         prop_assert!(max_invariant_violation(&g, &st) < 1e-9);
     }
 
@@ -63,9 +50,10 @@ proptest! {
         let mut st = PprState::new(cfg);
         let mut g = DynamicGraph::new();
         let c = Counters::new();
-        let seeds = absorb(&mut g, &mut st, &script, &c);
+        let mut r = Repairs::default();
+        let seeds = absorb_batch(&mut g, &mut st, &script, &c, &mut r);
         let mut bufs = SeqPushBuffers::new();
-        sequential_local_push(&g, &st, &seeds, &c, &mut bufs);
+        sequential_local_push(&g, &st, seeds, &c, &mut bufs);
         prop_assert!(st.converged());
         prop_assert!(max_invariant_violation(&g, &st) < 1e-9);
     }
@@ -83,9 +71,10 @@ proptest! {
         let mut st = PprState::new(cfg);
         let mut g = DynamicGraph::new();
         let c = Counters::new();
-        let seeds = absorb(&mut g, &mut st, &script, &c);
+        let mut r = Repairs::default();
+        let seeds = absorb_batch(&mut g, &mut st, &script, &c, &mut r);
         let mut bufs = ParPushBuffers::new();
-        parallel_local_push(&g, &st, variant, &seeds, &c, &mut bufs);
+        parallel_local_push(&g, &st, variant, seeds, &c, &mut bufs);
         prop_assert!(st.converged());
         prop_assert!(max_invariant_violation(&g, &st) < 1e-9);
         let truth = exact_ppr(&g, 1, 0.25, 1e-12);
@@ -104,13 +93,14 @@ proptest! {
         let build = || {
             let mut st = PprState::new(cfg);
             let mut g = DynamicGraph::new();
-            let seeds = absorb(&mut g, &mut st, &script, &Counters::new());
-            (g, st, seeds)
+            let mut r = Repairs::default();
+            absorb_batch(&mut g, &mut st, &script, &Counters::new(), &mut r);
+            (g, st, r)
         };
-        let (g, stp, seeds) = build();
-        let tp = parallel_push_lockstep(&g, &stp, &seeds);
-        let (g2, stq, seeds2) = build();
-        let tq = sequential_push_lockstep(&g2, &stq, &seeds2);
+        let (g, stp, rp) = build();
+        let tp = parallel_push_lockstep(&g, &stp, &rp.seeds);
+        let (g2, stq, rq) = build();
+        let tq = sequential_push_lockstep(&g2, &stq, &rq.seeds);
         prop_assert!(stp.converged());
         prop_assert!(stq.converged());
         prop_assert!(tp.pushes >= tq.pushes || tp.pushes + 4 >= tq.pushes,
@@ -184,13 +174,14 @@ proptest! {
         let c = Counters::new();
         let inserts: Vec<EdgeUpdate> =
             edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
-        let seeds = absorb(&mut g, &mut st, &inserts, &c);
+        let mut r = Repairs::default();
+        let seeds = absorb_batch(&mut g, &mut st, &inserts, &c, &mut r);
         let mut bufs = ParPushBuffers::new();
-        parallel_local_push(&g, &st, PushVariant::OPT, &seeds, &c, &mut bufs);
+        parallel_local_push(&g, &st, PushVariant::OPT, seeds, &c, &mut bufs);
         let deletes: Vec<EdgeUpdate> =
             edges.iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect();
-        let seeds = absorb(&mut g, &mut st, &deletes, &c);
-        parallel_local_push(&g, &st, PushVariant::OPT, &seeds, &c, &mut bufs);
+        let seeds = absorb_batch(&mut g, &mut st, &deletes, &c, &mut r);
+        parallel_local_push(&g, &st, PushVariant::OPT, seeds, &c, &mut bufs);
         prop_assert_eq!(g.num_edges(), 0);
         prop_assert!((st.p(0) - 0.3).abs() <= 1e-3 + 1e-9);
         for v in 1..st.len() as u32 {

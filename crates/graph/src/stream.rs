@@ -69,12 +69,13 @@ impl GraphStream {
 
     /// Largest vertex id mentioned anywhere in the stream, plus one.
     pub fn vertex_bound(&self) -> usize {
-        self.edges
-            .iter()
-            .map(|&(u, v)| u.max(v) as usize + 1)
-            .max()
-            .unwrap_or(0)
+        vertex_bound(&self.edges)
     }
+}
+
+/// Largest vertex id mentioned in `edges`, plus one (0 for no edges).
+pub fn vertex_bound(edges: &[(VertexId, VertexId)]) -> usize {
+    edges.iter().map(|&(u, v)| u.max(v) as usize + 1).max().unwrap_or(0)
 }
 
 /// Sliding-window driver over a [`GraphStream`].
@@ -137,17 +138,13 @@ impl SlidingWindow {
     }
 
     /// The graph the window currently holds: [`SlidingWindow::initial_updates`]
-    /// applied one by one to an empty graph, without collecting them first.
-    /// This is how a source probe warms a window and how recovery rebuilds
-    /// the graph from the bounds a checkpoint recorded.
+    /// applied one by one to an empty graph. This is how a source probe
+    /// warms a window and how recovery rebuilds the graph from the bounds a
+    /// checkpoint recorded.
     pub fn to_graph(&self) -> DynamicGraph {
         let mut g = DynamicGraph::new();
-        for i in self.start..self.end {
-            let (u, v) = self.stream.edge_at(i);
-            g.insert_edge(u, v);
-            if self.stream.undirected {
-                g.insert_edge(v, u);
-            }
+        for upd in self.initial_updates() {
+            g.apply(upd);
         }
         g
     }

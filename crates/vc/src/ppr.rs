@@ -15,8 +15,8 @@
 use crate::edge_map::{edge_map, vertex_map, Direction, EdgeMapOptions};
 use crate::subset::VertexSubset;
 use dppr_core::{
-    apply_to_graph, replay_repairs, AtomicF64, BatchStats, CounterSnapshot, Counters,
-    DynamicPprEngine, Phase, PprConfig, PprState,
+    absorb_batch, AtomicF64, BatchStats, CounterSnapshot, Counters, DynamicPprEngine, Phase,
+    PprConfig, PprState, Repairs,
 };
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,6 +26,7 @@ use std::time::Instant;
 pub struct LigraEngine {
     state: PprState,
     counters: Counters,
+    repairs: Repairs,
     /// Residual snapshots taken during self-update, read by propagation.
     ws: Vec<AtomicF64>,
     /// CAS-claim flags for frontier dedup.
@@ -39,6 +40,7 @@ impl LigraEngine {
         LigraEngine {
             state: PprState::new(cfg),
             counters: Counters::new(),
+            repairs: Repairs::default(),
             ws: Vec::new(),
             claimed: Vec::new(),
             opts: EdgeMapOptions::default(),
@@ -65,7 +67,8 @@ impl LigraEngine {
         }
     }
 
-    fn push(&mut self, g: &DynamicGraph, seeds: &[VertexId]) {
+    /// Pushes from the sources of the batch's repairs.
+    fn push(&mut self, g: &DynamicGraph) {
         let n = g.num_vertices();
         self.ensure(n);
         let cfg = *self.state.config();
@@ -76,7 +79,7 @@ impl LigraEngine {
         let claimed = &self.claimed;
 
         for phase in Phase::BOTH {
-            let mut seed_ids: Vec<VertexId> = seeds.to_vec();
+            let mut seed_ids: Vec<VertexId> = self.repairs.seeds.clone();
             seed_ids.sort_unstable();
             seed_ids.dedup();
             seed_ids.retain(|&u| phase.active(state.r(u), eps));
@@ -140,14 +143,12 @@ impl DynamicPprEngine for LigraEngine {
     fn apply_batch(&mut self, g: &mut DynamicGraph, batch: &[EdgeUpdate]) -> BatchStats {
         let before = self.counters.snapshot();
         let start = Instant::now();
-        let repairs = apply_to_graph(g, batch);
-        replay_repairs(g, &mut self.state, &repairs, &self.counters);
-        let seeds: Vec<VertexId> = repairs.iter().map(|(upd, _)| upd.src).collect();
-        self.push(g, &seeds);
+        absorb_batch(g, &mut self.state, batch, &self.counters, &mut self.repairs);
+        self.push(g);
         self.counters.record_batch();
         BatchStats {
             latency: start.elapsed(),
-            applied: repairs.len(),
+            applied: self.repairs.list.len(),
             counters: self.counters.snapshot() - before,
         }
     }

@@ -7,22 +7,14 @@
 
 use dppr::core::seq::{sequential_local_push, SeqPushBuffers};
 use dppr::core::{
-    apply_to_graph, max_invariant_violation, replay_repairs, Counters, ParallelEngine,
-    PprConfig, PprState, PushVariant, SeqEngine, UpdateMode,
+    absorb_batch, max_invariant_violation, Counters, ParallelEngine, PprConfig, PprState,
+    PushVariant, Repairs, SeqEngine, UpdateMode,
 };
 use dppr::core::{DynamicPprEngine, exact_ppr};
 use dppr::graph::{DynamicGraph, EdgeUpdate};
 
 fn figure_graph() -> DynamicGraph {
     DynamicGraph::from_edges([(1, 0), (2, 0), (2, 1), (3, 2), (0, 3)])
-}
-
-/// The graph absorbs `batch`, then its repairs are replayed against `st`;
-/// returns how many updates changed the graph.
-fn absorb(g: &mut DynamicGraph, st: &mut PprState, batch: &[EdgeUpdate], c: &Counters) -> usize {
-    let repairs = apply_to_graph(g, batch);
-    replay_repairs(g, st, &repairs, c);
-    repairs.len()
 }
 
 fn figure_state() -> PprState {
@@ -44,7 +36,9 @@ fn figure1_sequential_single_update() {
     let mut g = figure_graph();
     let mut st = figure_state();
     let c = Counters::new();
-    assert_eq!(absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c), 1);
+    let mut r = Repairs::default();
+    absorb_batch(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c, &mut r);
+    assert_eq!(r.list.len(), 1);
     assert!((st.r(0) - 0.15625).abs() < 1e-12, "Figure 1(b)");
     let mut bufs = SeqPushBuffers::new();
     sequential_local_push(&g, &st, &[0], &c, &mut bufs);
@@ -131,7 +125,8 @@ fn example1_and_2_prose_claims() {
     let mut g = figure_graph();
     let mut st = figure_state();
     let c = Counters::new();
-    absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c);
+    let mut r = Repairs::default();
+    absorb_batch(&mut g, &mut st, &[EdgeUpdate::insert(0, 1)], &c, &mut r);
     assert!(st.r(0) > 0.1, "v1 must be activated");
     assert!(st.r(1) <= 0.1 && st.r(2) <= 0.1 && st.r(3) <= 0.1);
 
@@ -139,7 +134,8 @@ fn example1_and_2_prose_claims() {
     // the parallel push converges in one iteration.
     let mut g = figure_graph();
     let mut st = figure_state();
-    absorb(&mut g, &mut st, &[EdgeUpdate::insert(0, 1), EdgeUpdate::insert(3, 0)], &c);
+    let batch = [EdgeUpdate::insert(0, 1), EdgeUpdate::insert(3, 0)];
+    absorb_batch(&mut g, &mut st, &batch, &c, &mut r);
     assert!(st.r(0) > 0.1 && st.r(3) > 0.1);
     let c2 = Counters::new();
     let mut bufs = dppr::core::par::ParPushBuffers::new();
