@@ -72,25 +72,6 @@ impl Counters {
             batches: self.batches.load(Ordering::Relaxed),
         }
     }
-
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        for c in [
-            &self.pushes,
-            &self.edge_traversals,
-            &self.atomic_adds,
-            &self.cas_retries,
-            &self.enqueued,
-            &self.dup_avoided,
-            &self.iterations,
-            &self.max_frontier,
-            &self.frontier_total,
-            &self.restore_ops,
-            &self.batches,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Per-task accumulator; merge into [`Counters`] with
@@ -222,22 +203,14 @@ impl Sub for CounterSnapshot {
 }
 
 impl fmt::Display for CounterSnapshot {
+    /// `name=value` for every [`CounterSnapshot::fields`] entry, space
+    /// separated (the CLI's `run --counters` line).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "pushes={} traversals={} atomics={} cas_retries={} enq={} dup_avoided={} iters={} max_fq={} mean_fq={:.1} restores={} batches={}",
-            self.pushes,
-            self.edge_traversals,
-            self.atomic_adds,
-            self.cas_retries,
-            self.enqueued,
-            self.dup_avoided,
-            self.iterations,
-            self.max_frontier,
-            self.mean_frontier(),
-            self.restore_ops,
-            self.batches,
-        )
+        for (i, (name, v)) in self.fields().into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{name}={v}")?;
+        }
+        Ok(())
     }
 }
 
@@ -284,14 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes() {
-        let c = Counters::new();
-        c.record_iteration(3);
-        c.reset();
-        assert_eq!(c.snapshot(), CounterSnapshot::default());
-    }
-
-    #[test]
     fn snapshot_delta() {
         let c = Counters::new();
         let l = LocalCounters { pushes: 4, ..Default::default() };
@@ -309,5 +274,11 @@ mod tests {
         let s = CounterSnapshot { pushes: 1, ..Default::default() };
         let text = s.to_string();
         assert!(text.contains("pushes=1"));
+        // One name per counter: the `fields()` names, nothing derived.
+        assert_eq!(
+            text,
+            "pushes=1 edge_traversals=0 atomic_adds=0 cas_retries=0 enqueued=0 dup_avoided=0 \
+             iterations=0 max_frontier=0 frontier_total=0 restore_ops=0 batches=0"
+        );
     }
 }

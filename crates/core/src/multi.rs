@@ -30,21 +30,9 @@ use std::sync::Mutex;
 /// The push variant every vector in the bundle is maintained with.
 const VARIANT: PushVariant = PushVariant::OPT;
 
-/// One maintained vector with the push scratch that travels with it.
-struct Session {
-    state: PprState,
-    bufs: ParPushBuffers,
-}
-
-impl Session {
-    fn new(state: PprState) -> Self {
-        Session { state, bufs: ParPushBuffers::new() }
-    }
-}
-
 /// A bundle of PPR vectors for several sources over one dynamic graph.
 pub struct MultiSourcePpr {
-    sessions: Vec<Session>,
+    sessions: Vec<PprState>,
     alpha: f64,
     epsilon: f64,
     counters: Counters,
@@ -55,7 +43,7 @@ impl MultiSourcePpr {
     pub fn new(sources: &[VertexId], alpha: f64, epsilon: f64) -> Self {
         let sessions = sources
             .iter()
-            .map(|&s| Session::new(PprState::new(PprConfig::new(s, alpha, epsilon))))
+            .map(|&s| PprState::new(PprConfig::new(s, alpha, epsilon)))
             .collect();
         MultiSourcePpr { sessions, alpha, epsilon, counters: Counters::new() }
     }
@@ -79,8 +67,7 @@ impl MultiSourcePpr {
                 "all restored states must share alpha/epsilon"
             );
         }
-        let sessions = states.into_iter().map(Session::new).collect();
-        MultiSourcePpr { sessions, alpha, epsilon, counters: Counters::new() }
+        MultiSourcePpr { sessions: states, alpha, epsilon, counters: Counters::new() }
     }
 
     /// Number of maintained sources.
@@ -90,7 +77,7 @@ impl MultiSourcePpr {
 
     /// The state maintained for the `i`-th source.
     pub fn state(&self, i: usize) -> &PprState {
-        &self.sessions[i].state
+        &self.sessions[i]
     }
 
     /// The source vertex of the `i`-th maintained vector.
@@ -100,7 +87,7 @@ impl MultiSourcePpr {
 
     /// All maintained sources, in index order.
     pub fn sources(&self) -> Vec<VertexId> {
-        self.sessions.iter().map(|s| s.state.config().source).collect()
+        self.sessions.iter().map(|s| s.config().source).collect()
     }
 
     /// Cumulative counters across all sources.
@@ -115,9 +102,10 @@ impl MultiSourcePpr {
     /// session mid-stream without replaying the graph's edge history.
     pub fn add_source(&mut self, g: &DynamicGraph, source: VertexId) -> usize {
         let cfg = PprConfig::new(source, self.alpha, self.epsilon);
-        let mut sess = Session::new(PprState::cold_start(cfg, g.num_vertices()));
-        parallel_local_push(g, &sess.state, VARIANT, &[source], &self.counters, &mut sess.bufs);
-        self.sessions.push(sess);
+        let state = PprState::cold_start(cfg, g.num_vertices());
+        let mut bufs = ParPushBuffers::new();
+        parallel_local_push(g, &state, VARIANT, &[source], &self.counters, &mut bufs);
+        self.sessions.push(state);
         self.sessions.len() - 1
     }
 
@@ -125,7 +113,7 @@ impl MultiSourcePpr {
     /// last vector moves into the freed index (swap-remove), so indices
     /// are not stable across a removal.
     pub fn remove_source(&mut self, source: VertexId) -> bool {
-        let i = self.sessions.iter().position(|s| s.state.config().source == source);
+        let i = self.sessions.iter().position(|s| s.config().source == source);
         i.map(|i| self.sessions.swap_remove(i)).is_some()
     }
 
@@ -167,10 +155,12 @@ impl MultiSourcePpr {
             // Claim, then release the lock before pushing: a `while let`
             // on the guard would hold it through the push.
             let next = queue.lock().unwrap().next();
-            let Some(Session { state, bufs }) = next else { break };
+            let Some(state) = next else { break };
             replay_repairs(g, state, &repairs, counters);
-            let opts = PushOpts::default();
-            parallel_local_push_opts(g, state, VARIANT, seeds, counters, bufs, opts, threads);
+            // OPT dedups locally, so the push never grows the claim flags
+            // and empty buffers allocate nothing.
+            let (opts, mut bufs) = (PushOpts::default(), ParPushBuffers::new());
+            parallel_local_push_opts(g, state, VARIANT, seeds, counters, &mut bufs, opts, threads);
         };
         fan_out(lanes, lanes, lane, |(), ()| ());
         repairs.list.len()
@@ -644,13 +634,13 @@ mod tests {
     fn one_thread_reference(
         sources: &[VertexId],
         batches: &[Vec<EdgeUpdate>],
-        reshape: impl Fn(&mut Vec<(PprState, ParPushBuffers)>, &DynamicGraph, &Counters),
+        reshape: impl Fn(&mut Vec<PprState>, &DynamicGraph, &Counters),
     ) -> (Vec<(VertexId, u64)>, Counters) {
         use crate::persist::state_fingerprint;
         let counters = Counters::new();
-        let mut sessions: Vec<(PprState, ParPushBuffers)> = sources
+        let mut sessions: Vec<PprState> = sources
             .iter()
-            .map(|&s| (PprState::new(PprConfig::new(s, 0.2, 1e-6)), ParPushBuffers::new()))
+            .map(|&s| PprState::new(PprConfig::new(s, 0.2, 1e-6)))
             .collect();
         let mut g = DynamicGraph::new();
         for (i, batch) in batches.iter().enumerate() {
@@ -661,20 +651,23 @@ mod tests {
                 }
             }
             let seeds: Vec<VertexId> = applied.iter().map(|(upd, _)| upd.src).collect();
-            for (state, bufs) in &mut sessions {
+            for state in &mut sessions {
                 state.ensure_len(g.num_vertices());
                 for &(upd, d) in &applied {
                     restore_invariant_with_degree(state, upd.src, upd.dst, upd.op, d);
                 }
                 counters.record_restores(applied.len() as u64);
                 let (opts, variant) = (PushOpts::default(), PushVariant::OPT);
-                parallel_local_push_opts(&g, state, variant, &seeds, &counters, bufs, opts, 1);
+                let mut bufs = ParPushBuffers::new();
+                parallel_local_push_opts(&g, state, variant, &seeds, &counters, &mut bufs, opts, 1);
             }
             if i == 0 {
                 reshape(&mut sessions, &g, &counters);
             }
         }
-        let fps = sessions.iter().map(|(st, _)| (st.config().source, state_fingerprint(st)));
+        let fps = sessions
+            .iter()
+            .map(|st| (st.config().source, state_fingerprint(st)));
         (fps.collect(), counters)
     }
 
@@ -714,7 +707,7 @@ mod tests {
             let (opts, variant) = (PushOpts::default(), PushVariant::OPT);
             let mut bufs = ParPushBuffers::new();
             parallel_local_push_opts(g, &state, variant, &[OPENED], counters, &mut bufs, opts, 1);
-            sessions.push((state, bufs));
+            sessions.push(state);
             sessions.swap_remove(1);
         });
         assert_eq!(fps, want);

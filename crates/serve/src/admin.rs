@@ -210,9 +210,7 @@ pub(crate) fn stats(_req: &Request, r: &RouterImpl) -> Result<Response, String> 
         json_section(&mut j, section, ctx, &view);
     }
     slos_json(&mut j, &ctx.slo);
-    for section in ["process", "series"] {
-        json_section(&mut j, section, ctx, &view);
-    }
+    json_section(&mut j, "process", ctx, &view);
     j.end_obj();
     Ok(Response::new(200, j.finish()))
 }
@@ -290,9 +288,9 @@ pub(crate) fn shutdown(_req: &Request, r: &RouterImpl) -> Result<Response, Strin
 
 #[cfg(test)]
 mod tests {
-    use super::{metrics_text, stats};
+    use super::{metrics, metrics_text, stats};
     use crate::http::Request;
-    use crate::metrics::{HISTOGRAMS, INSTANCE};
+    use crate::metrics::{series_columns, HISTOGRAMS, INSTANCE};
     use crate::query::RouterImpl;
     use crate::server::{ServeConfig, ServerHandle};
     use dppr_graph::generators::erdos_renyi;
@@ -302,7 +300,8 @@ mod tests {
 
     /// Every `dppr_…` name in `text`, with `{a,b}` alternations expanded
     /// and label sets (`{k=…}`) dropped; `*` and a trailing `_` stay in
-    /// the pattern as wildcards.
+    /// the pattern as wildcards. A bare `dppr_` (as in the regex
+    /// `dppr_(audit|slo)_`, which the token stops short of) names nothing.
     fn family_patterns(text: &str) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         for (at, _) in text.match_indices("dppr_") {
@@ -330,7 +329,8 @@ mod tests {
                     .collect();
                 rest = &rest[close + 1..];
             }
-            out.extend(expanded.into_iter().map(|p| p + rest));
+            let bare = |p: &String| p["dppr_".len()..].chars().all(|c| c == '*');
+            out.extend(expanded.into_iter().map(|p| p + rest).filter(|p| !bare(p)));
         }
         out
     }
@@ -365,7 +365,6 @@ mod tests {
              `dppr_process_{rss_bytes,threads}`; grep 'dppr_(audit|slo)_'",
         );
         let want = [
-            "dppr_",
             "dppr_engine_*_total",
             "dppr_process_rss_bytes",
             "dppr_process_threads",
@@ -374,6 +373,7 @@ mod tests {
             "dppr_x",
         ];
         assert_eq!(got.iter().map(String::as_str).collect::<Vec<_>>(), want);
+        assert!(family_patterns("dppr_ `dppr_*` dppr_{,*} dppr_(a|b)").is_empty());
         assert!(matches("dppr_engine_*_total", "dppr_engine_pushes_total"));
         assert!(!matches("dppr_engine_*_total", "dppr_engine_pushes"));
         assert!(matches("dppr_", "dppr_anything"));
@@ -391,6 +391,36 @@ mod tests {
             ..ServeConfig::default()
         };
         crate::start(stream, 0.1, &[0], cfg).expect("server starts")
+    }
+
+    /// README's runbook: the Observability, Accuracy and Durability
+    /// sections.
+    fn runbook() -> &'static str {
+        let readme = include_str!("../../../README.md");
+        let from = readme
+            .find("## Observability")
+            .expect("Observability section");
+        let to = readme
+            .find("## Build and test")
+            .expect("section after the Durability one");
+        &readme[from..to]
+    }
+
+    /// Every family of a full `/metrics` render of [`live_instance`].
+    fn exported_families() -> BTreeSet<String> {
+        let handle = live_instance();
+        let router = RouterImpl::new(handle.ctx.clone(), std::sync::mpsc::channel().0, 0);
+        let req = Request {
+            method: "GET".into(),
+            path: "/metrics".into(),
+            params: vec![],
+            http11: true,
+        };
+        let text = metrics(&req, &router).expect("/metrics renders").body;
+        handle.join();
+        text.lines()
+            .filter_map(|l| Some(l.strip_prefix("# TYPE ")?.split(' ').next()?.to_string()))
+            .collect()
     }
 
     /// Each row of the histogram table reaches both surfaces: a complete
@@ -434,33 +464,17 @@ mod tests {
         handle.join();
     }
 
-    /// README's observability sections may only name families the server
-    /// exports: each name there must match a row of one of the tables or
-    /// one of the computed families of `/metrics`.
+    /// README's runbook may only name families the server exports: each
+    /// name there must match a family of a full `/metrics` render, and
+    /// every table family must be in that render.
     #[test]
     fn readme_families_exist() {
-        let readme = include_str!("../../../README.md");
-        let from = readme
-            .find("## Observability")
-            .expect("Observability section");
-        let to = readme
-            .find("## Durability & recovery")
-            .expect("section after the SLO one");
-        let patterns = family_patterns(&readme[from..to]);
+        let patterns = family_patterns(runbook());
         assert!(
             patterns.len() > 20,
             "README parse found too little: {patterns:?}"
         );
-
-        let handle = live_instance();
-        let text = metrics_text(&handle.ctx);
-        handle.join();
-        let mut families: BTreeSet<&str> = text
-            .as_str()
-            .lines()
-            .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
-            .collect();
-        families.insert("dppr_metrics_families"); // appended by the handler
+        let families = exported_families();
         for row in INSTANCE.iter().filter_map(|r| r.prom) {
             assert!(
                 families.contains(row.0),
@@ -474,5 +488,38 @@ mod tests {
                 "README names {pattern}, which /metrics does not export"
             );
         }
+    }
+
+    /// The reverse of `readme_families_exist`: README's runbook names
+    /// every signal the server exports — each `/metrics` family (patterns
+    /// allowed), and in backticks each `/series` column and the `/stats`
+    /// key of each table row that has no family.
+    #[test]
+    fn readme_names_every_signal() {
+        let text = runbook();
+        let patterns = family_patterns(text);
+        let mut unnamed: Vec<String> = exported_families()
+            .into_iter()
+            .filter(|f| !patterns.iter().any(|p| matches(p, f)))
+            .collect();
+        let quoted = |name: &str| text.contains(&format!("`{name}`"));
+        for (column, _) in series_columns() {
+            if !quoted(column) {
+                unnamed.push(format!("/series {column}"));
+            }
+        }
+        for row in INSTANCE
+            .iter()
+            .filter(|r| r.prom.is_none() && !r.key.is_empty())
+        {
+            if !quoted(row.key) {
+                unnamed.push(format!("/stats {}", row.key));
+            }
+        }
+        assert!(
+            unnamed.is_empty(),
+            "README names none of these {} signals: {unnamed:#?}",
+            unnamed.len()
+        );
     }
 }

@@ -33,7 +33,7 @@ use crate::snapshot::QuerySnapshot;
 use dppr_core::multi::top_k_of;
 use dppr_core::{exact_ppr_seq, max_invariant_violation, AtomicF64, PprState};
 use dppr_graph::{DynamicGraph, VertexId};
-use dppr_obs::{HistSnapshot, SeriesRing};
+use dppr_obs::{HistSnapshot, SeriesRing, SeriesWindow};
 use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
@@ -98,12 +98,10 @@ pub(crate) struct AuditShared {
     pub(crate) staleness_epochs: AtomicU64,
     /// Epoch of the newest completed audit.
     pub(crate) last_epoch: AtomicU64,
-    pub(crate) last_l1: AtomicF64,
     pub(crate) last_linf: AtomicF64,
     /// Largest L∞ error ever audited (the headline accuracy number).
     pub(crate) max_linf: AtomicF64,
     pub(crate) last_overlap10: AtomicF64,
-    pub(crate) last_overlap50: AtomicF64,
     /// Largest Eq. 2 invariant residual in the last audit.
     pub(crate) last_residual: AtomicF64,
 }
@@ -119,13 +117,11 @@ impl AuditShared {
             cpu_nanos: AtomicU64::new(0),
             staleness_epochs: AtomicU64::new(0),
             last_epoch: AtomicU64::new(0),
-            last_l1: AtomicF64::new(0.0),
             last_linf: AtomicF64::new(0.0),
             max_linf: AtomicF64::new(0.0),
             // Overlap defaults to perfect so the accuracy SLO does not
             // burn before the first audit lands.
             last_overlap10: AtomicF64::new(1.0),
-            last_overlap50: AtomicF64::new(1.0),
             last_residual: AtomicF64::new(0.0),
         }
     }
@@ -142,6 +138,19 @@ pub(crate) enum SloKind {
     Availability,
     /// Audited top-10 overlap must stay above the target.
     TopkOverlap,
+}
+
+impl SloKind {
+    /// The `/series` columns the burn rate reads, in the order `burn`
+    /// takes them. A column missing from the ring would read as burn 0
+    /// forever, so a test holds each one to `series_columns()`.
+    pub(crate) const fn columns(self) -> &'static [&'static str] {
+        match self {
+            SloKind::LatencyP99 => &["http_request_p99_seconds"],
+            SloKind::Availability => &["shed_total", "http_requests_total"],
+            SloKind::TopkOverlap => &["audit_topk_overlap_10"],
+        }
+    }
 }
 
 pub(crate) struct SloSpec {
@@ -338,11 +347,9 @@ fn run_audit(ctx: &Ctx, job: AuditJob) {
         if linf > eps + tol {
             a.bound_violations.fetch_add(1, Relaxed);
         }
-        a.last_l1.store(l1);
         a.last_linf.store(linf);
         a.max_linf.store(a.max_linf.load().max(linf));
         a.last_overlap10.store(o10);
-        a.last_overlap50.store(o50);
     }
     if !job.sessions.is_empty() {
         a.last_residual.store(max_residual);
@@ -371,36 +378,24 @@ fn topk_overlap(exact: &[f64], est: &[f64], k: usize) -> f64 {
 /// Burn rate of one SLO over the newest `ticks` series rows. 1.0 =
 /// consuming the error budget exactly at the allowed rate.
 fn burn(ctx: &Ctx, spec: &SloSpec, ticks: usize) -> f64 {
-    match spec.kind {
-        SloKind::LatencyP99 => ctx
-            .series
-            .last_n("http_request_p99_seconds", ticks)
-            .map(|w| w.max / spec.target.max(1e-12))
-            .unwrap_or(0.0),
-        SloKind::Availability => {
-            let (Some(shed), Some(reqs)) = (
-                ctx.series.last_n("shed_total", ticks),
-                ctx.series.last_n("http_requests_total", ticks),
-            ) else {
-                return 0.0;
-            };
-            let d_shed = shed.last - shed.points.first().map_or(0.0, |p| p.1);
-            let d_reqs = reqs.last - reqs.points.first().map_or(0.0, |p| p.1);
-            if d_reqs <= 0.0 {
-                return 0.0;
-            }
-            (d_shed / d_reqs) / (1.0 - spec.target)
+    let windows: Vec<_> = spec
+        .kind
+        .columns()
+        .iter()
+        .map(|c| ctx.series.last_n(c, ticks))
+        .collect();
+    // How far a counter column moved across the window.
+    let delta = |w: &SeriesWindow| w.last - w.points.first().map_or(0.0, |p| p.1);
+    match (spec.kind, &windows[..]) {
+        (SloKind::LatencyP99, [Some(p99)]) => p99.max / spec.target.max(1e-12),
+        (SloKind::Availability, [Some(shed), Some(reqs)]) if delta(reqs) > 0.0 => {
+            (delta(shed) / delta(reqs)) / (1.0 - spec.target)
         }
-        SloKind::TopkOverlap => {
-            // Without auditing there is no overlap signal to burn on.
-            if !ctx.audit.enabled {
-                return 0.0;
-            }
-            ctx.series
-                .last_n("audit_topk_overlap_10", ticks)
-                .map(|w| (1.0 - w.min) / (1.0 - spec.target))
-                .unwrap_or(0.0)
+        // Without auditing there is no overlap signal to burn on.
+        (SloKind::TopkOverlap, [Some(o10)]) if ctx.audit.enabled => {
+            (1.0 - o10.min) / (1.0 - spec.target)
         }
+        _ => 0.0,
     }
 }
 
@@ -462,6 +457,23 @@ mod tests {
         e.status[0].breaching.store(true, Relaxed);
         e.status[0].burn_fast.store(2.5);
         assert_eq!(e.breach_reason().as_deref(), Some("SLO latency_p99 fast burn 2.50"));
+    }
+
+    /// Every column an SLO's burn rate reads is sampled into the ring;
+    /// a missing one would switch that SLO off without a breach.
+    #[test]
+    fn slo_columns_are_series_columns() {
+        let all = SloEngine::new(&cfg_with(|c| {
+            c.slo_p99 = Duration::from_millis(50);
+            c.slo_availability = 0.999;
+            c.slo_topk_overlap = 0.9;
+        }));
+        let ring: Vec<&str> = series_columns().into_iter().map(|(name, _)| name).collect();
+        for spec in &all.specs {
+            for column in spec.kind.columns() {
+                assert!(ring.contains(column), "SLO {} reads {column}, not sampled", spec.name);
+            }
+        }
     }
 
     #[test]

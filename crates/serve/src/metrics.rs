@@ -15,6 +15,15 @@
 //! `/series` column next to the function that reads it. The handlers in
 //! `admin.rs` and the observer's series sampler are loops over those
 //! rows; the per-event-shard connection gauge is written out there.
+//!
+//! A row is added together with the README line that names it. Every
+//! exported signal has a consumer — a test, an SLO, a bench gate or a
+//! runbook line in README's Observability, Accuracy or Durability
+//! section — and `admin.rs` checks the README both ways: each family,
+//! `/series` column and family-less `/stats` key is named there
+//! (`readme_names_every_signal`), and each name there is exported
+//! (`readme_families_exist`). A number that is a ratio of rows that
+//! stay, or that another endpoint already reports, is not a row.
 
 use crate::cache::CacheStats;
 use crate::json::JsonBuf;
@@ -245,18 +254,9 @@ impl View {
     }
 }
 
-fn fraction_consumed(ctx: &Ctx) -> f64 {
-    match ctx.stream_len {
-        0 => 1.0,
-        len => ctx.window_end.load(Relaxed) as f64 / len as f64,
-    }
-}
-
 /// Instance-scope scalars, in `/stats` order.
 #[rustfmt::skip]
 pub(crate) static INSTANCE: &[Row] = &[
-    row("", |c, _| F(c.start.elapsed().as_secs_f64()))
-        .gauge("dppr_uptime_seconds", "Seconds since the instance started serving"),
     row("epoch", |c, _| U(c.domain.epoch()))
         .gauge("dppr_epoch", "Last published epoch").series(5, "epoch"),
     row("slides", |c, _| U(c.stats.slides.load(Relaxed)))
@@ -298,8 +298,6 @@ pub(crate) static INSTANCE: &[Row] = &[
         .counter("dppr_cache_evictions_total", "Query-cache evictions"),
     row("cache.stale_purged", |_, v| U(v.cache.stale_purged))
         .counter("dppr_cache_stale_purged_total", "Dead-epoch cache entries purged at insert"),
-    row("cache.hit_rate", |_, v| F(v.cache.hit_rate()))
-        .gauge("dppr_cache_hit_rate", "Query-cache hit rate (0 before any lookup)"),
 
     row("durability.enabled", |c, _| B(c.durability_enabled))
         .gauge("dppr_durability_enabled", "1 when a WAL and checkpoints are configured"),
@@ -328,8 +326,6 @@ pub(crate) static INSTANCE: &[Row] = &[
         .gauge("dppr_graph_live_slots", "Live adjacency slots (2m)"),
     row("graph.dead_slots", |_, v| U(v.graph.dead_slots as u64))
         .gauge("dppr_graph_dead_slots", "Garbage slots awaiting compaction"),
-    row("graph.utilization", |_, v| F(v.graph.utilization()))
-        .gauge("dppr_graph_utilization", "Live fraction of the arena"),
 
     row("stream.window_start", |c, _| U(c.window_start.load(Relaxed)))
         .gauge("dppr_stream_window_start", "Window start (stream position)"),
@@ -337,10 +333,7 @@ pub(crate) static INSTANCE: &[Row] = &[
         .gauge("dppr_stream_window_end", "Window end (stream position)"),
     row("stream.stream_len", |c, _| U(c.stream_len))
         .gauge("dppr_stream_len", "Total logical edges in the stream"),
-    row("stream.fraction_consumed", |c, _| F(fraction_consumed(c)))
-        .gauge("dppr_stream_fraction_consumed", "Share of the stream that has arrived"),
 
-    row("trace.enabled", |c, _| B(c.metrics.trace_requests.enabled())),
     row("trace.buffered", |c, _| U(c.metrics.trace.len() as u64))
         .gauge("dppr_trace_buffered", "Trace events currently buffered"),
     row("trace.dropped", |c, _| U(c.metrics.trace.dropped()))
@@ -348,7 +341,6 @@ pub(crate) static INSTANCE: &[Row] = &[
 
     row("audit.enabled", |c, _| B(c.audit.enabled))
         .gauge("dppr_audit_enabled", "1 when online accuracy auditing is configured"),
-    row("audit.sample", |c, _| U(c.audit.sample as u64)),
     row("audit.runs", |c, _| U(c.audit.runs.load(Relaxed)))
         .counter("dppr_audit_runs_total", "Audit ticks completed"),
     row("audit.sessions_audited", |c, _| U(c.audit.sessions_audited.load(Relaxed)))
@@ -362,14 +354,12 @@ pub(crate) static INSTANCE: &[Row] = &[
         .gauge("dppr_audit_last_epoch", "Epoch of the newest completed audit"),
     row("audit.staleness_epochs", |c, _| U(c.audit.staleness_epochs.load(Relaxed)))
         .gauge("dppr_audit_staleness_epochs", "Published epoch minus audited epoch at last report"),
-    row("audit.last_l1_error", |c, _| F(c.audit.last_l1.load())),
     row("audit.last_linf_error", |c, _| F(c.audit.last_linf.load()))
         .gauge("dppr_audit_last_linf_error", "Max per-vertex error in the newest audit")
         .series(9, "audit_linf_error"),
     row("audit.max_linf_error", |c, _| F(c.audit.max_linf.load()))
         .gauge("dppr_audit_max_linf_error", "Largest per-vertex error ever audited"),
     row("audit.last_topk_overlap_10", |c, _| F(c.audit.last_overlap10.load())).series(10, "audit_topk_overlap_10"),
-    row("audit.last_topk_overlap_50", |c, _| F(c.audit.last_overlap50.load())),
     row("audit.last_invariant_residual", |c, _| F(c.audit.last_residual.load()))
         .gauge("dppr_audit_invariant_residual", "Largest Eq. 2 invariant violation in the newest audit"),
 
@@ -380,10 +370,6 @@ pub(crate) static INSTANCE: &[Row] = &[
         .gauge("dppr_process_open_fds", "Open file descriptors").series(12, "process_open_fds"),
     row("process.threads", |_, v| U(v.process.threads))
         .gauge("dppr_process_threads", "OS threads").series(13, "process_threads"),
-
-    row("series.interval_ms", |c, _| F(c.audit_interval.as_secs_f64() * 1e3)),
-    row("series.samples", |c, _| U(c.series.len() as u64))
-        .gauge("dppr_metrics_series_samples", "Rows retained by the in-process metrics time-series"),
 
     row("", |_, v| F(v.tick_latency.0)).series(7, "http_request_p50_seconds"),
     row("", |_, v| F(v.tick_latency.1)).series(8, "http_request_p99_seconds"),

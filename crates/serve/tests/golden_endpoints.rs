@@ -216,7 +216,7 @@ const CI_SERIES: [&str; 15] = [
 
 // --- masks ------------------------------------------------------------------
 
-const STATS_MASK: [&str; 36] = [
+const STATS_MASK: [&str; 33] = [
     "updates_per_sec",
     "http.connections",
     "http.requests",
@@ -241,18 +241,15 @@ const STATS_MASK: [&str; 36] = [
     "audit.cpu_seconds",
     "audit.last_epoch",
     "audit.staleness_epochs",
-    "audit.last_l1_error",
     "audit.last_linf_error",
     "audit.max_linf_error",
     "audit.last_topk_overlap_10",
-    "audit.last_topk_overlap_50",
     "audit.last_invariant_residual",
     "slos[].burn_fast",
     "slos[].burn_slow",
     "process.rss_bytes",
     "process.open_fds",
     "process.threads",
-    "series.samples",
 ];
 
 const HEALTHZ_MASK: [&str; 3] = [

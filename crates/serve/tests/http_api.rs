@@ -239,7 +239,7 @@ fn serves_every_endpoint_while_sliding() {
     let (status, body) = get(addr, "/stats");
     assert_eq!(status, 200);
     assert!(body.contains("\"queries\":"), "{body}");
-    assert!(body.contains("\"hit_rate\":"), "{body}");
+    assert!(body.contains("\"hits\":"), "{body}");
     let (status, body) = request(addr, "POST", "/shutdown");
     assert_eq!(status, 200);
     assert!(body.contains("\"shutting_down\":true"), "{body}");
@@ -473,11 +473,11 @@ fn healthz_and_stats_report_observability_fields() {
     assert!(body.contains("\"degraded_reason\":null"), "{body}");
     assert!(body.contains("\"last_fsync_age_seconds\":null"), "{body}");
 
-    // A fresh cache reports rate 0, not NaN; a pre-slide instance reports
+    // A fresh cache reports no lookups; a pre-slide instance reports
     // updates_per_sec 0, not a division artifact.
     let (status, body) = get(addr, "/stats");
     assert_eq!(status, 200);
-    assert!(body.contains("\"hit_rate\":0"), "{body}");
+    assert!(body.contains("\"cache\":{\"hits\":0,\"misses\":0,"), "{body}");
     assert!(body.contains("\"updates_per_sec\":"), "{body}");
     assert!(!body.to_ascii_lowercase().contains("nan"), "{body}");
     // The stage-timing block is part of /stats now.
