@@ -15,9 +15,13 @@
 //! the loop and count its retries.
 //!
 //! All operations use `Relaxed` ordering: the values are pure data and every
-//! cross-thread hand-off in the push kernels happens across the join of a
-//! `thread::scope` (see [`crate::fanout`]), which already establishes the
-//! necessary happens-before edges.
+//! cross-thread hand-off in the push kernels happens across a fan-out's
+//! barrier (see [`crate::fanout`]): the join of a `thread::scope`, or a
+//! push crew's post and finish, which must stay a Release/Acquire edge —
+//! the post's Release bump of the crew's epoch that the helpers
+//! Acquire-load, and the helpers' Release decrements of its pending count
+//! that the caller Acquire-waits for. Those edges order every relaxed
+//! access of one session before every access of the next.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -388,6 +388,31 @@ pub(crate) mod tests {
         }
     }
 
+    /// Every variant over [`wide_stream`] at 2 and 3 threads, whose wide
+    /// rounds fan out over the push's crew with a plain take-out and
+    /// self-update: every round's frontier is duplicate-free (the kernel
+    /// asserts it in this crate's tests, `--release` included), and each
+    /// state converges, keeps Eq. 2 and stays within 2ε of the one-thread
+    /// run.
+    #[test]
+    fn fanned_out_variants_keep_frontiers_distinct_and_within_two_epsilon() {
+        for variant in PushVariant::ALL {
+            let (_, one) = run_wide_stream(variant, 1);
+            for threads in [2, 3] {
+                let (g, e) = run_wide_stream(variant, threads);
+                let at = format!("{variant} at {threads} threads");
+                assert!(e.state().converged(), "{at}");
+                let violation = max_invariant_violation(&g, e.state());
+                assert!(violation < 1e-9, "{at}: invariant off by {violation}");
+                let eps = e.config().epsilon;
+                for v in 0..g.num_vertices() as VertexId {
+                    let d = (e.estimate(v) - one.estimate(v)).abs();
+                    assert!(d <= 2.0 * eps + 1e-12, "{at}: vertex {v} off by {d}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn mixed_insert_delete_batches_keep_invariant() {
         let mut g = DynamicGraph::new();

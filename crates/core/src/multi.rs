@@ -163,6 +163,7 @@ impl MultiSourcePpr {
             parallel_local_push_opts(g, state, VARIANT, seeds, counters, &mut bufs, opts, threads);
         };
         fan_out(lanes, lanes, lane, |(), ()| ());
+        counters.record_batch();
         repairs.list.len()
     }
 

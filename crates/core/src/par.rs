@@ -1,12 +1,13 @@
 //! `ParallelLocalPush` (Algorithm 3) and `OptParallelPush` (Algorithm 4).
 //!
 //! One iteration of the push runs two parallel sessions separated by a
-//! barrier (the join of a [`fan_out`] is the paper's `synchronize`):
+//! barrier (the end of a `Crew::run` is the paper's `synchronize`):
 //!
 //! * **Vanilla order** (Algorithm 3): *self-update* first — every frontier
-//!   vertex `u` atomically takes out its residual (`w = swap(Rs(u), 0)`) and
-//!   banks `α·w` into the estimate — then *neighbor-propagation* of the
-//!   stale snapshot `w` to the in-neighbors.
+//!   vertex `u` takes out its residual (the paper's atomic
+//!   `w = swap(Rs(u), 0)`, here a load and a store, see below) and banks
+//!   `α·w` into the estimate — then *neighbor-propagation* of the stale
+//!   snapshot `w` to the in-neighbors.
 //! * **Eager order** (Algorithm 4): *neighbor-propagation* first, reading
 //!   the freshest `ru = Rs(u)` at the moment `u` is processed (so residual
 //!   that arrived from concurrently-pushing neighbors is propagated in the
@@ -24,19 +25,33 @@
 //!
 //! **Owned and shared rounds.** The paper's `atomicAdd` exists for rounds
 //! in which several threads scatter into one residual vector. A round
-//! whose fan-out has one part — `threads = 1`, or a frontier under
+//! whose sessions are one part — `threads = 1`, or a frontier under
 //! [`PushOpts::seq_threshold`] — runs on the calling thread alone, and no
 //! other thread reads or writes the state until it returns. Such a round
-//! is *owned*: every read-modify-write on it (the `propagate` scatter, the
-//! eager self-update's subtraction, the vanilla take-out and the claim
-//! flags) is a relaxed load and a store, in the same order and with the
-//! same arithmetic, so the state is bit-identical to the CAS schedule's
-//! and no CAS is issued. A round that fans out is *shared* and keeps the
-//! CAS loop and its retry count. The choice is made once per round, by
-//! the same rule [`fan_out`] schedules with ([`one_part`]); every add goes
-//! through [`AtomicF64::fetch_add_round`](crate::atomic::AtomicF64::fetch_add_round).
+//! is *owned*: every read-modify-write on it (the `propagate` scatter and
+//! the claim flags) is a relaxed load and a store, in the same order and
+//! with the same arithmetic, so the state is bit-identical to the CAS
+//! schedule's and no CAS is issued. A round that fans out is *shared*:
+//! only its scatter keeps the CAS loop and its retry count. The vanilla
+//! take-out and the eager self-update are a load and a store in every
+//! round, since each touches only its own frontier vertex, frontiers name
+//! no vertex twice (checked every round in debug builds and this crate's
+//! tests), and no other thread writes that residual during the session.
+//! The choice is made once per round, by the rule the fan-outs schedule
+//! with ([`one_part`]); every scatter add goes through
+//! [`AtomicF64::fetch_add_round`](crate::atomic::AtomicF64::fetch_add_round).
 //!
-//! Two alternatives were weighed and left out:
+//! **One crew per push.** The first round that fans out opens the push's
+//! one `with_crew` scope with `threads − 1` helpers, and every later
+//! shared session is handed to them through the crew's barrier, its input
+//! moved into the crew's slot. Rounds that never fan out never start a
+//! crew, so a one-thread push spawns no thread.
+//!
+//! Three alternatives were weighed and left out:
+//! * a process-wide pool instead of a crew per push. Running borrowed
+//!   closures on threads that outlive the call needs `unsafe` lifetime
+//!   erasure, and the pool would park idle threads inside every server,
+//!   whose pushes run one thread per lane;
 //! * the kernel keeps taking `&PprState`. An owned round on `&mut PprState`
 //!   (`AtomicU64::get_mut` per element) would be a second kernel body
 //!   beside the shared one, and relaxed loads and stores already compile
@@ -47,7 +62,7 @@
 
 use crate::config::Phase;
 use crate::counters::{Counters, LocalCounters};
-use crate::fanout::{default_threads, fan_out, one_part, FAN_OUT_MIN};
+use crate::fanout::{default_threads, one_part, with_crew, Crew, FAN_OUT_MIN};
 use crate::seq::{dedup_seeds, LockstepTrace};
 use crate::state::PprState;
 use crate::variants::PushVariant;
@@ -61,11 +76,13 @@ pub struct PushOpts {
     /// Frontiers smaller than this run the iteration on one thread — the
     /// same body on the calling thread, i.e. the one-worker schedule of the
     /// parallel push. CilkPlus gets this behaviour for free from lazy task
-    /// stealing; with one `thread::scope` per session the explicit
-    /// threshold is needed to avoid paying two barriers per iteration for
-    /// a ten-vertex frontier. Such a round is also CAS-free: it owns the
-    /// state and adds with a load and a store. `0` fans every iteration
-    /// out, `usize::MAX` none (the granularity ablation bench runs both).
+    /// stealing; here a fanned-out session costs a hand-off through the
+    /// push's crew and back (a few µs, more once a helper has parked), so
+    /// the explicit threshold avoids paying two barriers per iteration for
+    /// a ten-vertex frontier, and a push whose frontiers all stay below it
+    /// starts no crew. Such a round is also CAS-free: it owns the state and
+    /// adds with a load and a store. `0` fans every iteration out,
+    /// `usize::MAX` none (the granularity ablation bench runs both).
     pub seq_threshold: usize,
 }
 
@@ -115,13 +132,13 @@ impl SessAcc {
     }
 }
 
-/// One round's schedule, decided once at its start: its sessions fan out
-/// over `threads` threads, and `owned` records that this is one part on
-/// the calling thread, whose read-modify-writes are loads and stores.
+/// One round's schedule, decided once at its start: `owned` records that
+/// its sessions are one part on the calling thread, whose scatter adds and
+/// claims are loads and stores; otherwise they fan out over the push's
+/// crew.
 #[derive(Clone, Copy)]
 struct Round {
     phase: Phase,
-    threads: usize,
     owned: bool,
 }
 
@@ -136,6 +153,42 @@ fn claim(flag: &AtomicBool, owned: bool) -> bool {
     } else {
         flag.swap(true, Ordering::Relaxed)
     }
+}
+
+/// One parallel session's input, moved into the crew's slot when its round
+/// fans out.
+enum Session {
+    /// Algorithm 3's self-update: take out each frontier vertex's residual.
+    TakeOut(Vec<VertexId>),
+    /// Algorithm 3's neighbor-propagation of the taken-out snapshots.
+    Propagate(Vec<(VertexId, f64)>),
+    /// Algorithm 4's neighbor-propagation of each frontier vertex's fresh
+    /// residual.
+    ReadAndPropagate(Vec<VertexId>),
+    /// Algorithm 4's consistent self-update of what was propagated.
+    SelfUpdate(Vec<(VertexId, f64)>),
+}
+
+impl Session {
+    fn len(&self) -> usize {
+        match self {
+            Session::TakeOut(us) | Session::ReadAndPropagate(us) => us.len(),
+            Session::Propagate(es) | Session::SelfUpdate(es) => es.len(),
+        }
+    }
+}
+
+/// The crew a push's fanned-out sessions run on.
+type PushCrew<'w> = Crew<'w, (Session, Round), SessAcc>;
+
+/// Whether `frontier` names no vertex twice. The take-out and the
+/// self-update touch only the round's frontier vertices, each in one part,
+/// which is what lets them read and write a residual with a plain load
+/// and store even when the round fans out.
+fn distinct(frontier: &[VertexId]) -> bool {
+    let mut sorted = frontier.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|w| w[0] != w[1])
 }
 
 struct Ctx<'a> {
@@ -185,6 +238,18 @@ impl Ctx<'_> {
         }
     }
 
+    /// Algorithm 3's take-out for one frontier vertex: `w = Rs(u)`,
+    /// `Rs(u) = 0`, bank `α·w`.
+    #[inline]
+    fn take_out(&self, u: VertexId, acc: &mut SessAcc) {
+        let r = &self.state.r_atomics()[u as usize];
+        let w = r.load();
+        r.store(0.0);
+        let p = &self.state.p_atomics()[u as usize];
+        p.store(p.load() + self.alpha * w);
+        acc.entries.push((u, w));
+    }
+
     /// Algorithm 4's self-update for one frontier vertex (lines 19–23):
     /// bank `α·ru`, subtract the consistent `ru`, and re-enqueue `u` if the
     /// residual that accumulated since the session-1 read still exceeds ε.
@@ -195,13 +260,14 @@ impl Ctx<'_> {
     /// Here the flag is kept if `u` re-enters the frontier and released
     /// otherwise.
     #[inline]
-    fn eager_self_update(&self, u: VertexId, ru: f64, round: Round, acc: &mut SessAcc) {
+    fn eager_self_update(&self, u: VertexId, ru: f64, phase: Phase, acc: &mut SessAcc) {
         let p = &self.state.p_atomics()[u as usize];
         p.store(p.load() + self.alpha * ru);
         let r = &self.state.r_atomics()[u as usize];
-        let after = r.fetch_add_round(-ru, round.owned, &mut acc.lc.cas_retries) - ru;
+        let after = r.load() - ru;
+        r.store(after);
         acc.lc.atomic_adds += 1;
-        if round.phase.active(after, self.eps) {
+        if phase.active(after, self.eps) {
             acc.next.push(u);
             acc.lc.enqueued += 1;
         } else if !self.variant.local_dup {
@@ -209,79 +275,150 @@ impl Ctx<'_> {
         }
     }
 
-    /// One session over `items` on the round's threads, each with its own
-    /// accumulator; the merged result is the session's barrier.
-    fn session<T: Sync>(
-        &self,
-        items: &[T],
-        round: Round,
-        each: impl Fn(&T, &mut SessAcc) + Sync,
-    ) -> SessAcc {
-        debug_assert_eq!(round.owned, one_part(items.len(), round.threads));
-        let fold = |range: Range<usize>| {
-            // Room for one entry and one enqueue per item up front: growing
-            // these by `realloc` from empty, iteration after iteration, is what
-            // two pushes running side by side contend on (the allocator grows
-            // and trims its heaps under one process-wide kernel lock).
-            let mut acc = SessAcc {
-                next: Vec::with_capacity(range.len()),
-                entries: Vec::with_capacity(range.len()),
-                lc: LocalCounters::default(),
-            };
-            for item in &items[range] {
-                each(item, &mut acc);
-            }
-            acc
+    /// One part of a session: its items in `range`, into an accumulator of
+    /// its own. The take-out and the self-update touch only their own
+    /// item's vertex, which no other part holds ([`distinct`]) and no
+    /// other thread writes during the session: their load and store need
+    /// no CAS. Only `propagate`'s scatter, which several parts aim at one
+    /// residual, keeps it in a shared round.
+    fn part(&self, (session, round): &(Session, Round), range: Range<usize>) -> SessAcc {
+        let round = *round;
+        // Room for one entry and one enqueue per item up front: growing
+        // these by `realloc` from empty, iteration after iteration, is what
+        // two pushes running side by side contend on (the allocator grows
+        // and trims its heaps under one process-wide kernel lock).
+        let mut acc = SessAcc {
+            next: Vec::with_capacity(range.len()),
+            entries: Vec::with_capacity(range.len()),
+            lc: LocalCounters::default(),
         };
-        fan_out(items.len(), round.threads, fold, SessAcc::merge)
+        match session {
+            Session::TakeOut(us) => us[range].iter().for_each(|&u| self.take_out(u, &mut acc)),
+            Session::Propagate(es) => {
+                es[range].iter().for_each(|&(u, w)| self.propagate(u, w, round, &mut acc))
+            }
+            Session::ReadAndPropagate(us) => {
+                for &u in &us[range] {
+                    // The *current* residual: it may keep growing under us,
+                    // and whatever arrives after the read is left by the
+                    // consistent subtraction of session 2.
+                    let ru = self.state.r_atomics()[u as usize].load();
+                    acc.entries.push((u, ru));
+                    self.propagate(u, ru, round, &mut acc);
+                }
+            }
+            Session::SelfUpdate(es) => {
+                let phase = round.phase;
+                es[range].iter().for_each(|&(u, ru)| self.eager_self_update(u, ru, phase, &mut acc))
+            }
+        }
+        acc
     }
 
-    /// Algorithm 3: self-update (stale snapshot) then neighbor-propagation.
-    fn vanilla_iteration(&self, frontier: &[VertexId], round: Round) -> SessAcc {
-        // Session 1: take out residuals, bank α·w. Distinct vertices, so
-        // the plain read-modify-write on P is race-free.
-        let snapshots = self.session(frontier, round, |&u, acc| {
-            let r = &self.state.r_atomics()[u as usize];
-            let w = if round.owned {
-                let w = r.load();
-                r.store(0.0);
-                w
-            } else {
-                r.swap(0.0)
-            };
-            let p = &self.state.p_atomics()[u as usize];
-            p.store(p.load() + self.alpha * w);
-            acc.entries.push((u, w));
-        });
-        // Session 2: propagate the snapshots.
-        self.session(&snapshots.entries, round, |&(u, w), acc| {
-            self.propagate(u, w, round, acc)
-        })
+    /// One session of `round`: on the calling thread if the round is owned,
+    /// else over `crew`; the merged result is the session's barrier.
+    fn session(&self, session: Session, round: Round, crew: Option<&PushCrew<'_>>) -> SessAcc {
+        let n = session.len();
+        if round.owned {
+            return self.part(&(session, round), 0..n);
+        }
+        let crew = crew.expect("a round that fans out runs on the push's crew");
+        crew.run((session, round), n, SessAcc::merge)
     }
 
-    /// Algorithm 4: neighbor-propagation on fresh reads, then the
-    /// consistent self-update with its second frontier-generation pass.
-    fn eager_iteration(&self, frontier: &[VertexId], round: Round) -> SessAcc {
-        // Session 1: read the *current* residual (it may keep growing under
-        // us — whatever arrives after the read is handled by the consistent
-        // subtraction below) and propagate it.
-        let mut acc = self.session(frontier, round, |&u, acc| {
-            let ru = self.state.r_atomics()[u as usize].load();
-            acc.entries.push((u, ru));
-            self.propagate(u, ru, round, acc);
-        });
-        // Session 2: banked estimate update and Rs(u) −= ru; a frontier
-        // vertex that accumulated more than ε since its read goes straight
-        // back into the frontier, after session 1's crossings. (With local
-        // duplicate detection this enqueue cannot duplicate: session 1
-        // never enqueues current members, whose before-values already
-        // satisfy the push condition. With flags, the member's claim is
-        // held until this very check.)
+    /// One push round over `frontier`: Algorithm 4's two sessions —
+    /// neighbor-propagation on fresh reads, then the consistent
+    /// self-update with its second frontier-generation pass — or
+    /// Algorithm 3's — self-update (stale snapshot), then
+    /// neighbor-propagation.
+    fn round(&self, frontier: Vec<VertexId>, round: Round, crew: Option<&PushCrew<'_>>) -> SessAcc {
+        if !self.variant.eager {
+            let snapshots = self.session(Session::TakeOut(frontier), round, crew);
+            return self.session(Session::Propagate(snapshots.entries), round, crew);
+        }
+        let mut acc = self.session(Session::ReadAndPropagate(frontier), round, crew);
+        // A frontier vertex that accumulated more than ε since its read
+        // goes straight back into the frontier, after session 1's
+        // crossings. (With local duplicate detection this enqueue cannot
+        // duplicate: session 1 never enqueues current members, whose
+        // before-values already satisfy the push condition. With flags,
+        // the member's claim is held until this very check.)
         let entries = std::mem::take(&mut acc.entries);
-        let requeued = self.session(&entries, round, |&(u, ru), acc| {
-            self.eager_self_update(u, ru, round, acc)
-        });
+        let requeued = self.session(Session::SelfUpdate(entries), round, crew);
         acc.merge(requeued)
+    }
+}
+
+/// A push between rounds: the phase it is in, that phase's next frontier,
+/// and what decides whether a round fans out.
+struct Push<'a> {
+    seeds: Vec<VertexId>,
+    /// Index into [`Phase::BOTH`].
+    phase: usize,
+    frontier: Vec<VertexId>,
+    counters: &'a Counters,
+    opts: PushOpts,
+    threads: usize,
+}
+
+impl Push<'_> {
+    /// The phase's first frontier: its active seeds. Positive pushes only
+    /// ever *add* probability mass, so the only candidates for the
+    /// negative phase are the seeds themselves (Algorithm 3 line 4 written
+    /// work-efficiently).
+    fn start_phase(&mut self, ctx: &Ctx) {
+        let phase = Phase::BOTH[self.phase];
+        let active = |&u: &VertexId| phase.active(ctx.state.r(u), ctx.eps);
+        self.frontier = self.seeds.iter().copied().filter(active).collect();
+        // Flag discipline differs by ordering (see `eager_self_update`):
+        // * vanilla+flags: a member's flag is cleared when its frontier
+        //   starts (it was zeroed, so any re-crossing is a genuine
+        //   re-activation);
+        // * eager+flags: a member's flag stays set while scheduled, so
+        //   session 1 cannot re-enqueue a vertex whose pending self-update
+        //   is about to drain it — only session 2's re-check puts it back.
+        if ctx.variant.eager && !ctx.variant.local_dup {
+            for &u in &self.frontier {
+                ctx.claimed[u as usize].store(true, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Runs rounds to convergence. Rounds that stay on the caller need no
+    /// crew; the first that fans out, met with none, opens the push's one
+    /// crew and runs it and every later round there.
+    fn run(&mut self, ctx: &Ctx, crew: Option<&PushCrew<'_>>) {
+        loop {
+            if self.frontier.is_empty() {
+                self.phase += 1;
+                if self.phase == Phase::BOTH.len() {
+                    return;
+                }
+                self.start_phase(ctx);
+                continue;
+            }
+            let len = self.frontier.len();
+            let threads = if len < self.opts.seq_threshold { 1 } else { self.threads };
+            let round = Round { phase: Phase::BOTH[self.phase], owned: one_part(len, threads) };
+            if !round.owned && crew.is_none() {
+                let work = |job: &(Session, Round), range| ctx.part(job, range);
+                return with_crew(self.threads, work, |crew| self.run(ctx, Some(crew)));
+            }
+            if cfg!(any(test, debug_assertions)) {
+                assert!(distinct(&self.frontier), "a frontier names a vertex twice");
+            }
+            self.counters.record_iteration(len);
+            let acc = ctx.round(std::mem::take(&mut self.frontier), round, crew);
+            acc.lc.flush(self.counters);
+            self.frontier = acc.next;
+            if !ctx.variant.eager && !ctx.variant.local_dup {
+                // Release the claim flags so next iteration's members can
+                // be re-enqueued if they re-activate.
+                for &v in &self.frontier {
+                    ctx.claimed[v as usize].store(false, Ordering::Relaxed);
+                }
+            }
+        }
     }
 }
 
@@ -303,12 +440,12 @@ pub fn parallel_local_push(
 /// [`parallel_local_push`] with explicit tuning options and thread count.
 /// An iteration whose frontier is shorter than `opts.seq_threshold` runs on
 /// one thread whatever `threads` says, and issues no CAS; with
-/// `threads = 1` every iteration does, and the push is deterministic.
+/// `threads = 1` every iteration does, and the push is deterministic. The
+/// first iteration that fans out opens one `with_crew` scope for the rest
+/// of the push; no thread outlives the call.
 ///
-/// The positive phase runs first; because positive pushes only ever *add*
-/// probability mass, the only candidates for the negative phase are the
-/// seeds themselves, which is why it is seeded from the same list rather
-/// than a full vertex scan (Algorithm 3 line 4 written work-efficiently).
+/// The positive phase runs first, then the negative one, each seeded from
+/// the seeds whose residual is active in it.
 pub fn parallel_local_push_opts(
     g: &DynamicGraph,
     state: &PprState,
@@ -331,46 +468,9 @@ pub fn parallel_local_push_opts(
         claimed: &bufs.claimed,
     };
     let seeds = dedup_seeds(seeds);
-    // Flag discipline differs by ordering (see `eager_self_update`):
-    // * vanilla+flags: a member's flag is cleared when its frontier starts
-    //   (it was zeroed, so any re-crossing is a genuine re-activation);
-    // * eager+flags: a member's flag stays set while scheduled, so session
-    //   1 cannot re-enqueue a vertex whose pending self-update is about to
-    //   drain it — only session 2's re-check puts it back.
-    let eager_flags = variant.eager && !variant.local_dup;
-    let vanilla_flags = !variant.eager && !variant.local_dup;
-    for phase in Phase::BOTH {
-        let frontier: Vec<VertexId> = seeds
-            .iter()
-            .copied()
-            .filter(|&u| phase.active(state.r(u), ctx.eps))
-            .collect();
-        if eager_flags {
-            for &u in &frontier {
-                ctx.claimed[u as usize].store(true, Ordering::Relaxed);
-            }
-        }
-        let mut frontier = frontier;
-        while !frontier.is_empty() {
-            counters.record_iteration(frontier.len());
-            let threads = if frontier.len() < opts.seq_threshold { 1 } else { threads };
-            let round = Round { phase, threads, owned: one_part(frontier.len(), threads) };
-            let acc = if variant.eager {
-                ctx.eager_iteration(&frontier, round)
-            } else {
-                ctx.vanilla_iteration(&frontier, round)
-            };
-            acc.lc.flush(counters);
-            frontier = acc.next;
-            if vanilla_flags {
-                // Release the claim flags so next iteration's members can
-                // be re-enqueued if they re-activate.
-                for &v in &frontier {
-                    ctx.claimed[v as usize].store(false, Ordering::Relaxed);
-                }
-            }
-        }
-    }
+    let mut push = Push { seeds, phase: 0, frontier: Vec::new(), counters, opts, threads };
+    push.start_phase(&ctx);
+    push.run(&ctx, None);
     debug_assert!(state.max_abs_residual() <= ctx.eps + 1e-12);
 }
 

@@ -18,6 +18,7 @@ use dppr_core::{
     absorb_batch, AtomicF64, BatchStats, CounterSnapshot, Counters, DynamicPprEngine, Phase,
     PprConfig, PprState, Repairs,
 };
+use dppr_core::counters::LocalCounters;
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -94,6 +95,14 @@ impl LigraEngine {
                     ws[u as usize].store(w);
                     true
                 });
+                // Every member pushes once, along each of its in-edges.
+                let ids = fq.ids();
+                let lc = LocalCounters {
+                    pushes: ids.len() as u64,
+                    edge_traversals: ids.iter().map(|&u| g.in_degree(u) as u64).sum(),
+                    ..LocalCounters::default()
+                };
+                lc.flush(&self.counters);
                 // edgeMap along in-edges: propagate, claim-dedup.
                 let mut next = edge_map(
                     g,
@@ -212,6 +221,22 @@ mod tests {
         for v in 0..g.num_vertices() as VertexId {
             assert!((eng.estimate(v) - truth[v as usize]).abs() <= 1e-3 + 1e-9);
         }
+    }
+
+    /// Each frontier member is one push, and the pushes walk edges.
+    #[test]
+    fn ligra_counts_its_pushes_and_edge_traversals() {
+        let mut eng = LigraEngine::new(PprConfig::new(0, 0.2, 1e-4));
+        let mut g = DynamicGraph::new();
+        for chunk in erdos_renyi(200, 2_000, 7).chunks(500) {
+            let batch: Vec<EdgeUpdate> =
+                chunk.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
+            eng.apply_batch(&mut g, &batch);
+        }
+        let c = eng.counters();
+        assert!(c.pushes > 0);
+        assert_eq!(c.pushes, c.frontier_total);
+        assert!(c.edge_traversals >= c.pushes, "{c}");
     }
 
     #[test]
