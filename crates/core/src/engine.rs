@@ -376,6 +376,27 @@ pub(crate) mod tests {
         assert_eq!(got, [eager, eager, vanilla, vanilla]);
     }
 
+    /// `CPU-Seq` over [`wide_stream`], pinned like the one-thread parallel
+    /// push: the state's bits and the work its FIFO kernel counts, in which
+    /// every push is an iteration over a frontier of one vertex.
+    #[test]
+    fn cpu_seq_push_is_pinned() {
+        let [load, slide] = wide_stream();
+        let mut g = DynamicGraph::new();
+        let mut e = SeqEngine::new(PprConfig::new(0, 0.2, 1e-6), UpdateMode::Batched);
+        e.apply_batch(&mut g, &load);
+        e.apply_batch(&mut g, &slide);
+        let c = e.counters();
+        let got = (
+            state_fingerprint(e.state()),
+            c.pushes,
+            c.edge_traversals,
+            c.iterations,
+            c.max_frontier,
+        );
+        assert_eq!(got, (10_445_728_618_809_296_132, 545_616, 3_261_567, 545_616, 1));
+    }
+
     #[test]
     fn three_thread_engine_stays_within_two_epsilon_of_one_thread() {
         let (_, one) = run_wide_stream(PushVariant::OPT, 1);
