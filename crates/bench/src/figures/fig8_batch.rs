@@ -2,8 +2,10 @@
 //! sliding-window size (the paper sweeps 1%, 0.1%, 0.01%).
 //!
 //! Paper's shape: smaller batches mean lower latency for everyone (less
-//! work per slide), but the parallel engines retain their speedup over
-//! CPU-Seq at every batch size.
+//! work per slide), and the paper reports that the parallel engines
+//! retain their speedup over CPU-Seq at every batch size. Our quick-scale
+//! rows on a 2-processor host do not show that: there CPU-MT is at or
+//! below CPU-Seq in most rows.
 //!
 //! Usage: `figures fig8_batch [--full]`
 

@@ -8,28 +8,19 @@
 //! synchronization it costs (atomic adds, CAS retries, duplicate-enqueue
 //! attempts), and how many iterations the push takes.
 //!
-//! Hot loops accumulate into a plain [`LocalCounters`] and flush once per
-//! iteration, so profiling adds no per-edge atomic traffic.
+//! One record, [`CounterSnapshot`], describes every quantity. A kernel
+//! counts into a plain local record and publishes it with one
+//! [`Counters::add`] per push, so profiling adds no shared traffic to the
+//! per-vertex or per-round loops.
 
 use std::fmt;
-use std::ops::Sub;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::{Add, AddAssign, Sub};
+use std::sync::Mutex;
 
-/// Shared counters, updated by flushing [`LocalCounters`].
+/// Shared counters: the cumulative [`CounterSnapshot`] of everything
+/// published to them, behind a lock taken once per push.
 #[derive(Debug, Default)]
-pub struct Counters {
-    pushes: AtomicU64,
-    edge_traversals: AtomicU64,
-    atomic_adds: AtomicU64,
-    cas_retries: AtomicU64,
-    enqueued: AtomicU64,
-    dup_avoided: AtomicU64,
-    iterations: AtomicU64,
-    max_frontier: AtomicU64,
-    frontier_total: AtomicU64,
-    restore_ops: AtomicU64,
-    batches: AtomicU64,
-}
+pub struct Counters(Mutex<CounterSnapshot>);
 
 impl Counters {
     /// Fresh zeroed counters.
@@ -37,48 +28,33 @@ impl Counters {
         Self::default()
     }
 
+    /// Adds one kernel's record of its work.
+    pub fn add(&self, work: &CounterSnapshot) {
+        *self.0.lock().unwrap() += *work;
+    }
+
     /// Records one processed batch.
     pub fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.add(&CounterSnapshot { batches: 1, ..Default::default() });
     }
 
     /// Records `n` `RestoreInvariant` calls at once.
     pub fn record_restores(&self, n: u64) {
-        self.restore_ops.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one push iteration over a frontier of the given size.
-    pub fn record_iteration(&self, frontier_len: usize) {
-        self.iterations.fetch_add(1, Ordering::Relaxed);
-        self.frontier_total
-            .fetch_add(frontier_len as u64, Ordering::Relaxed);
-        self.max_frontier
-            .fetch_max(frontier_len as u64, Ordering::Relaxed);
+        self.add(&CounterSnapshot { restore_ops: n, ..Default::default() });
     }
 
     /// Point-in-time copy of all counters.
     pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            pushes: self.pushes.load(Ordering::Relaxed),
-            edge_traversals: self.edge_traversals.load(Ordering::Relaxed),
-            atomic_adds: self.atomic_adds.load(Ordering::Relaxed),
-            cas_retries: self.cas_retries.load(Ordering::Relaxed),
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            dup_avoided: self.dup_avoided.load(Ordering::Relaxed),
-            iterations: self.iterations.load(Ordering::Relaxed),
-            max_frontier: self.max_frontier.load(Ordering::Relaxed),
-            frontier_total: self.frontier_total.load(Ordering::Relaxed),
-            restore_ops: self.restore_ops.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-        }
+        *self.0.lock().unwrap()
     }
 }
 
-/// Per-task accumulator; merge into [`Counters`] with
-/// [`LocalCounters::flush`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LocalCounters {
-    /// Push operations (one per frontier vertex processed).
+/// Plain-value record of push work: what a kernel counts, what
+/// [`Counters`] holds, and, by subtraction, a per-interval delta.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CounterSnapshot {
+    /// Push operations: one per frontier vertex processed, so also the
+    /// sum of the frontier sizes.
     pub pushes: u64,
     /// In-neighbor edges walked during neighbor-propagation.
     pub edge_traversals: u64,
@@ -92,56 +68,14 @@ pub struct LocalCounters {
     pub enqueued: u64,
     /// Enqueue attempts suppressed as duplicates.
     pub dup_avoided: u64,
-}
-
-impl LocalCounters {
-    /// Adds `other` into `self` (used when a fan-out merges per-range accumulators).
-    pub fn merge(&mut self, other: &LocalCounters) {
-        self.pushes += other.pushes;
-        self.edge_traversals += other.edge_traversals;
-        self.atomic_adds += other.atomic_adds;
-        self.cas_retries += other.cas_retries;
-        self.enqueued += other.enqueued;
-        self.dup_avoided += other.dup_avoided;
-    }
-
-    /// Publishes the accumulated values.
-    pub fn flush(&self, to: &Counters) {
-        if self.pushes > 0 {
-            to.pushes.fetch_add(self.pushes, Ordering::Relaxed);
-        }
-        if self.edge_traversals > 0 {
-            to.edge_traversals
-                .fetch_add(self.edge_traversals, Ordering::Relaxed);
-        }
-        if self.atomic_adds > 0 {
-            to.atomic_adds.fetch_add(self.atomic_adds, Ordering::Relaxed);
-        }
-        if self.cas_retries > 0 {
-            to.cas_retries.fetch_add(self.cas_retries, Ordering::Relaxed);
-        }
-        if self.enqueued > 0 {
-            to.enqueued.fetch_add(self.enqueued, Ordering::Relaxed);
-        }
-        if self.dup_avoided > 0 {
-            to.dup_avoided.fetch_add(self.dup_avoided, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Plain-value snapshot; supports subtraction for per-interval deltas.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    pub pushes: u64,
-    pub edge_traversals: u64,
-    pub atomic_adds: u64,
-    pub cas_retries: u64,
-    pub enqueued: u64,
-    pub dup_avoided: u64,
+    /// Push iterations (frontier rounds; one per push in the FIFO kernel).
     pub iterations: u64,
+    /// The largest frontier an iteration ran over — a running maximum,
+    /// not a count.
     pub max_frontier: u64,
-    pub frontier_total: u64,
+    /// `RestoreInvariant` calls.
     pub restore_ops: u64,
+    /// Processed batches.
     pub batches: u64,
 }
 
@@ -152,18 +86,19 @@ impl CounterSnapshot {
         self.restore_ops + self.pushes + self.edge_traversals
     }
 
-    /// Mean frontier size across iterations (0 if none ran).
+    /// Mean frontier size across iterations (0 if none ran): every kernel
+    /// pushes each frontier member exactly once, so `pushes / iterations`.
     pub fn mean_frontier(&self) -> f64 {
         if self.iterations == 0 {
             0.0
         } else {
-            self.frontier_total as f64 / self.iterations as f64
+            self.pushes as f64 / self.iterations as f64
         }
     }
 
     /// Every quantity by stable name, for telemetry layers that render
     /// the full set without hand-listing the fields.
-    pub fn fields(&self) -> [(&'static str, u64); 11] {
+    pub fn fields(&self) -> [(&'static str, u64); 10] {
         [
             ("pushes", self.pushes),
             ("edge_traversals", self.edge_traversals),
@@ -173,10 +108,34 @@ impl CounterSnapshot {
             ("dup_avoided", self.dup_avoided),
             ("iterations", self.iterations),
             ("max_frontier", self.max_frontier),
-            ("frontier_total", self.frontier_total),
             ("restore_ops", self.restore_ops),
             ("batches", self.batches),
         ]
+    }
+}
+
+impl AddAssign for CounterSnapshot {
+    /// Component-wise sum; `max_frontier` takes the larger value.
+    fn add_assign(&mut self, rhs: CounterSnapshot) {
+        self.pushes += rhs.pushes;
+        self.edge_traversals += rhs.edge_traversals;
+        self.atomic_adds += rhs.atomic_adds;
+        self.cas_retries += rhs.cas_retries;
+        self.enqueued += rhs.enqueued;
+        self.dup_avoided += rhs.dup_avoided;
+        self.iterations += rhs.iterations;
+        self.max_frontier = self.max_frontier.max(rhs.max_frontier);
+        self.restore_ops += rhs.restore_ops;
+        self.batches += rhs.batches;
+    }
+}
+
+impl Add for CounterSnapshot {
+    type Output = CounterSnapshot;
+
+    fn add(mut self, rhs: CounterSnapshot) -> CounterSnapshot {
+        self += rhs;
+        self
     }
 }
 
@@ -195,7 +154,6 @@ impl Sub for CounterSnapshot {
             dup_avoided: self.dup_avoided - rhs.dup_avoided,
             iterations: self.iterations - rhs.iterations,
             max_frontier: self.max_frontier,
-            frontier_total: self.frontier_total - rhs.frontier_total,
             restore_ops: self.restore_ops - rhs.restore_ops,
             batches: self.batches - rhs.batches,
         }
@@ -219,54 +177,66 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flush_and_snapshot() {
+    fn add_and_snapshot() {
         let c = Counters::new();
-        let l = LocalCounters {
-            pushes: 3,
+        let push = CounterSnapshot {
+            pushes: 14,
             edge_traversals: 10,
             enqueued: 2,
+            iterations: 2,
+            max_frontier: 9,
             ..Default::default()
         };
-        l.flush(&c);
-        l.flush(&c);
-        c.record_iteration(5);
-        c.record_iteration(9);
+        c.add(&push);
+        c.add(&CounterSnapshot { max_frontier: 5, ..push });
         c.record_restores(1);
         c.record_batch();
         let s = c.snapshot();
-        assert_eq!(s.pushes, 6);
+        assert_eq!(s.pushes, 28);
         assert_eq!(s.edge_traversals, 20);
         assert_eq!(s.enqueued, 4);
-        assert_eq!(s.iterations, 2);
+        assert_eq!(s.iterations, 4);
         assert_eq!(s.max_frontier, 9);
-        assert_eq!(s.frontier_total, 14);
         assert_eq!(s.mean_frontier(), 7.0);
         assert_eq!(s.restore_ops, 1);
         assert_eq!(s.batches, 1);
-        assert_eq!(s.total_operations(), 1 + 6 + 20);
+        assert_eq!(s.total_operations(), 1 + 28 + 20);
     }
 
+    /// `Add` merges two records: it sums every field and keeps the larger
+    /// `max_frontier`.
     #[test]
     fn merge_accumulates() {
-        let mut a = LocalCounters { pushes: 1, edge_traversals: 2, ..Default::default() };
-        let b = LocalCounters { pushes: 10, cas_retries: 5, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.pushes, 11);
-        assert_eq!(a.edge_traversals, 2);
-        assert_eq!(a.cas_retries, 5);
+        let a = CounterSnapshot {
+            pushes: 1,
+            edge_traversals: 2,
+            atomic_adds: 3,
+            cas_retries: 4,
+            enqueued: 5,
+            dup_avoided: 6,
+            iterations: 7,
+            max_frontier: 8,
+            restore_ops: 9,
+            batches: 10,
+        };
+        let sum = a + CounterSnapshot { max_frontier: 2, ..a };
+        for ((name, x), (_, s)) in a.fields().into_iter().zip(sum.fields()) {
+            let want = if name == "max_frontier" { x } else { 2 * x };
+            assert_eq!(s, want, "{name}");
+        }
     }
 
+    /// `Sub` takes back the sums and keeps the newer maximum.
     #[test]
     fn snapshot_delta() {
         let c = Counters::new();
-        let l = LocalCounters { pushes: 4, ..Default::default() };
-        l.flush(&c);
+        let push = CounterSnapshot { pushes: 4, iterations: 1, max_frontier: 4, ..Default::default() };
+        c.add(&push);
         let before = c.snapshot();
-        l.flush(&c);
-        c.record_iteration(1);
+        c.add(&CounterSnapshot { max_frontier: 3, ..push });
+        c.record_batch();
         let delta = c.snapshot() - before;
-        assert_eq!(delta.pushes, 4);
-        assert_eq!(delta.iterations, 1);
+        assert_eq!(delta, CounterSnapshot { batches: 1, ..push });
     }
 
     #[test]
@@ -278,7 +248,7 @@ mod tests {
         assert_eq!(
             text,
             "pushes=1 edge_traversals=0 atomic_adds=0 cas_retries=0 enqueued=0 dup_avoided=0 \
-             iterations=0 max_frontier=0 frontier_total=0 restore_ops=0 batches=0"
+             iterations=0 max_frontier=0 restore_ops=0 batches=0"
         );
     }
 }

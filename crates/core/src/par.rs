@@ -61,7 +61,7 @@
 //!   would change the sequential engine's results and speed.
 
 use crate::config::Phase;
-use crate::counters::{Counters, LocalCounters};
+use crate::counters::{CounterSnapshot, Counters};
 use crate::fanout::{default_threads, one_part, with_crew, Crew, FAN_OUT_MIN};
 use crate::seq::{dedup_seeds, LockstepTrace};
 use crate::state::PprState;
@@ -114,20 +114,20 @@ impl ParPushBuffers {
 
 /// Per-range accumulator of a fanned-out session: thread-local
 /// next-frontier buffer, the `(u, ru)` entry log `E` of Algorithm 4 (the
-/// `(u, w)` snapshots of Algorithm 3), and local counters. Merging appends in range order, so frontier generation
-/// itself never contends on shared state and a one-thread run enqueues in
-/// frontier order.
+/// `(u, w)` snapshots of Algorithm 3), and the work counted. Merging
+/// appends in range order, so frontier generation itself never contends on
+/// shared state and a one-thread run enqueues in frontier order.
 struct SessAcc {
     next: Vec<VertexId>,
     entries: Vec<(VertexId, f64)>,
-    lc: LocalCounters,
+    work: CounterSnapshot,
 }
 
 impl SessAcc {
     fn merge(mut self, mut other: SessAcc) -> SessAcc {
         self.next.append(&mut other.next);
         self.entries.append(&mut other.entries);
-        self.lc.merge(&other.lc);
+        self.work += other.work;
         self
     }
 }
@@ -206,33 +206,33 @@ impl Ctx<'_> {
     /// candidates according to the variant's dedup scheme.
     #[inline]
     fn propagate(&self, u: VertexId, w: f64, round: Round, acc: &mut SessAcc) {
-        acc.lc.pushes += 1;
+        acc.work.pushes += 1;
         let scaled = (1.0 - self.alpha) * w;
         let r = self.state.r_atomics();
         let phase = round.phase;
         // Division-free inner loop: multiply by the graph-maintained 1/dout
         // (v has the edge v→u, so dout(v) ≥ 1).
         for &v in self.g.in_neighbors(u) {
-            acc.lc.edge_traversals += 1;
+            acc.work.edge_traversals += 1;
             let inc = scaled * self.g.inv_out_degree(v);
-            let r_pre = r[v as usize].fetch_add_round(inc, round.owned, &mut acc.lc.cas_retries);
-            acc.lc.atomic_adds += 1;
+            let r_pre = r[v as usize].fetch_add_round(inc, round.owned, &mut acc.work.cas_retries);
+            acc.work.atomic_adds += 1;
             let r_cur = r_pre + inc;
             if self.variant.local_dup {
                 if phase.crossed(r_pre, r_cur, self.eps) {
                     acc.next.push(v);
-                    acc.lc.enqueued += 1;
+                    acc.work.enqueued += 1;
                 } else if phase.active(r_pre, self.eps) {
                     // Someone else is responsible for v — the detection the
                     // shared-flag scheme would have paid an atomic for.
-                    acc.lc.dup_avoided += 1;
+                    acc.work.dup_avoided += 1;
                 }
             } else if phase.active(r_cur, self.eps) {
                 if !claim(&self.claimed[v as usize], round.owned) {
                     acc.next.push(v);
-                    acc.lc.enqueued += 1;
+                    acc.work.enqueued += 1;
                 } else {
-                    acc.lc.dup_avoided += 1;
+                    acc.work.dup_avoided += 1;
                 }
             }
         }
@@ -266,10 +266,10 @@ impl Ctx<'_> {
         let r = &self.state.r_atomics()[u as usize];
         let after = r.load() - ru;
         r.store(after);
-        acc.lc.atomic_adds += 1;
+        acc.work.atomic_adds += 1;
         if phase.active(after, self.eps) {
             acc.next.push(u);
-            acc.lc.enqueued += 1;
+            acc.work.enqueued += 1;
         } else if !self.variant.local_dup {
             self.claimed[u as usize].store(false, Ordering::Relaxed);
         }
@@ -290,7 +290,7 @@ impl Ctx<'_> {
         let mut acc = SessAcc {
             next: Vec::with_capacity(range.len()),
             entries: Vec::with_capacity(range.len()),
-            lc: LocalCounters::default(),
+            work: CounterSnapshot::default(),
         };
         match session {
             Session::TakeOut(us) => us[range].iter().for_each(|&u| self.take_out(u, &mut acc)),
@@ -350,18 +350,18 @@ impl Ctx<'_> {
 }
 
 /// A push between rounds: the phase it is in, that phase's next frontier,
-/// and what decides whether a round fans out.
-struct Push<'a> {
+/// the work counted so far, and what decides whether a round fans out.
+struct Push {
     seeds: Vec<VertexId>,
     /// Index into [`Phase::BOTH`].
     phase: usize,
     frontier: Vec<VertexId>,
-    counters: &'a Counters,
+    work: CounterSnapshot,
     opts: PushOpts,
     threads: usize,
 }
 
-impl Push<'_> {
+impl Push {
     /// The phase's first frontier: its active seeds. Positive pushes only
     /// ever *add* probability mass, so the only candidates for the
     /// negative phase are the seeds themselves (Algorithm 3 line 4 written
@@ -407,9 +407,11 @@ impl Push<'_> {
             if cfg!(any(test, debug_assertions)) {
                 assert!(distinct(&self.frontier), "a frontier names a vertex twice");
             }
-            self.counters.record_iteration(len);
+            self.work.iterations += 1;
+            self.work.max_frontier = self.work.max_frontier.max(len as u64);
             let acc = ctx.round(std::mem::take(&mut self.frontier), round, crew);
-            acc.lc.flush(self.counters);
+            debug_assert_eq!(acc.work.pushes, len as u64, "one push per frontier member");
+            self.work += acc.work;
             self.frontier = acc.next;
             if !ctx.variant.eager && !ctx.variant.local_dup {
                 // Release the claim flags so next iteration's members can
@@ -468,9 +470,11 @@ pub fn parallel_local_push_opts(
         claimed: &bufs.claimed,
     };
     let seeds = dedup_seeds(seeds);
-    let mut push = Push { seeds, phase: 0, frontier: Vec::new(), counters, opts, threads };
+    let work = CounterSnapshot::default();
+    let mut push = Push { seeds, phase: 0, frontier: Vec::new(), work, opts, threads };
     push.start_phase(&ctx);
     push.run(&ctx, None);
+    counters.add(&push.work);
     debug_assert!(state.max_abs_residual() <= ctx.eps + 1e-12);
 }
 

@@ -15,7 +15,7 @@
 //!   and collects the next frontier. Used by the parallel-loss experiment.
 
 use crate::config::Phase;
-use crate::counters::{Counters, LocalCounters};
+use crate::counters::{CounterSnapshot, Counters};
 use crate::state::PprState;
 use dppr_graph::{DynamicGraph, VertexId};
 use std::collections::VecDeque;
@@ -49,17 +49,17 @@ fn seq_push(
     state: &PprState,
     u: VertexId,
     alpha: f64,
-    lc: &mut LocalCounters,
+    work: &mut CounterSnapshot,
 ) {
     let w = state.r(u);
     state.set_p(u, state.p(u) + alpha * w);
     state.set_r(u, 0.0);
-    lc.pushes += 1;
+    work.pushes += 1;
     let scaled = (1.0 - alpha) * w;
     // Division-free inner loop: `inv_out_degree` is the graph-maintained
     // 1/dout (see the dppr-graph docs); v has the edge v→u so dout(v) ≥ 1.
     for &v in g.in_neighbors(u) {
-        lc.edge_traversals += 1;
+        work.edge_traversals += 1;
         state.set_r(v, state.r(v) + scaled * g.inv_out_degree(v));
     }
 }
@@ -77,7 +77,7 @@ pub fn sequential_local_push(
     let alpha = state.config().alpha;
     let eps = state.config().epsilon;
     bufs.ensure(g.num_vertices());
-    let mut lc = LocalCounters::default();
+    let mut work = CounterSnapshot::default();
 
     for phase in Phase::BOTH {
         debug_assert!(bufs.queue.is_empty());
@@ -95,19 +95,21 @@ pub fn sequential_local_push(
             if !phase.active(state.r(u), eps) {
                 continue;
             }
-            counters.record_iteration(1);
-            seq_push(g, state, u, alpha, &mut lc);
+            seq_push(g, state, u, alpha, &mut work);
             for &v in g.in_neighbors(u) {
                 let vi = v as usize;
                 if phase.active(state.r(v), eps) && !bufs.in_queue[vi] {
                     bufs.in_queue[vi] = true;
                     bufs.queue.push_back(v);
-                    lc.enqueued += 1;
+                    work.enqueued += 1;
                 }
             }
         }
     }
-    lc.flush(counters);
+    // Each push is an iteration over a frontier of one vertex.
+    work.iterations = work.pushes;
+    work.max_frontier = work.pushes.min(1);
+    counters.add(&work);
     debug_assert!(state.max_abs_residual() <= eps + 1e-12);
 }
 
@@ -140,7 +142,7 @@ pub fn sequential_push_lockstep(
         frontier_sizes: Vec::new(),
         pushes: 0,
     };
-    let mut lc = LocalCounters::default();
+    let mut work = CounterSnapshot::default();
     let mut touched_flag = vec![false; g.num_vertices()];
 
     for phase in Phase::BOTH {
@@ -160,7 +162,7 @@ pub fn sequential_push_lockstep(
                 }
             };
             for &u in &frontier {
-                seq_push(g, state, u, alpha, &mut lc);
+                seq_push(g, state, u, alpha, &mut work);
                 trace.pushes += 1;
                 note(u, &mut touched, &mut touched_flag);
                 for &v in g.in_neighbors(u) {

@@ -91,13 +91,15 @@ pub(crate) fn metrics_text(ctx: &Ctx) -> PromText {
             (row.read)(ctx, &view).prom(&mut out, family);
         }
     }
-    // The paper's operation quantities, by `CounterSnapshot::fields` name.
+    // The paper's operation quantities, by `CounterSnapshot::fields` name:
+    // counts, but for the running maximum `max_frontier`.
     for (name, v) in view.engine.fields() {
-        out.counter_u64(
-            &format!("dppr_engine_{name}_total"),
-            "Cumulative engine push-work counter",
-            v,
-        );
+        if name == "max_frontier" {
+            out.gauge_u64("dppr_engine_max_frontier", "Largest push frontier so far", v);
+        } else {
+            let family = format!("dppr_engine_{name}_total");
+            out.counter_u64(&family, "Cumulative engine push-work counter", v);
+        }
     }
     // One {slo,window} burn series per target and window, one {slo}
     // series per target for the breach state and count.

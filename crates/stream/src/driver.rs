@@ -2,6 +2,7 @@
 
 use dppr_core::{BatchStats, CounterSnapshot, DynamicPprEngine};
 use dppr_graph::{DynamicGraph, GraphStream, SlidingWindow};
+use std::ops::Add;
 use std::time::Duration;
 
 /// One window slide as observed by the driver.
@@ -67,23 +68,10 @@ impl RunSummary {
             .unwrap_or(Duration::ZERO)
     }
 
-    /// Sum of counter deltas over all recorded slides.
+    /// Sum of counter deltas over all recorded slides (`max_frontier`:
+    /// the largest of them).
     pub fn total_counters(&self) -> CounterSnapshot {
-        let mut total = CounterSnapshot::default();
-        for r in &self.records {
-            total.pushes += r.counters.pushes;
-            total.edge_traversals += r.counters.edge_traversals;
-            total.atomic_adds += r.counters.atomic_adds;
-            total.cas_retries += r.counters.cas_retries;
-            total.enqueued += r.counters.enqueued;
-            total.dup_avoided += r.counters.dup_avoided;
-            total.iterations += r.counters.iterations;
-            total.max_frontier = total.max_frontier.max(r.counters.max_frontier);
-            total.frontier_total += r.counters.frontier_total;
-            total.restore_ops += r.counters.restore_ops;
-            total.batches += r.counters.batches;
-        }
-        total
+        self.records.iter().map(|r| r.counters).fold(CounterSnapshot::default(), Add::add)
     }
 }
 
@@ -326,10 +314,16 @@ mod tests {
         let mut d = StreamDriver::new(stream(), 0.1);
         let mut e = ParallelEngine::new(PprConfig::new(0, 0.2, 1e-3), PushVariant::OPT);
         d.bootstrap(&mut e);
+        let boot = e.counters();
         let summary = d.run_slides(&mut e, 100, 5);
         let total = summary.total_counters();
         assert_eq!(total.batches, 5);
-        assert!(total.restore_ops > 0);
+        assert!(total.restore_ops > 0 && total.pushes > 0 && total.iterations > 0);
+        // The summed records are the engine's own delta over the slides,
+        // in every field; `max_frontier` is the largest any record holds.
+        assert_eq!(total, e.counters() - boot);
+        let max = summary.records.iter().map(|r| r.counters.max_frontier).max();
+        assert_eq!(Some(total.max_frontier), max);
     }
 
     #[test]

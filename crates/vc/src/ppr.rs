@@ -18,7 +18,6 @@ use dppr_core::{
     absorb_batch, AtomicF64, BatchStats, CounterSnapshot, Counters, DynamicPprEngine, Phase,
     PprConfig, PprState, Repairs,
 };
-use dppr_core::counters::LocalCounters;
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -68,7 +67,8 @@ impl LigraEngine {
         }
     }
 
-    /// Pushes from the sources of the batch's repairs.
+    /// Pushes from the sources of the batch's repairs, and publishes the
+    /// work counted once it converges.
     fn push(&mut self, g: &DynamicGraph) {
         let n = g.num_vertices();
         self.ensure(n);
@@ -78,6 +78,7 @@ impl LigraEngine {
         let state = &self.state;
         let ws = &self.ws;
         let claimed = &self.claimed;
+        let mut work = CounterSnapshot::default();
 
         for phase in Phase::BOTH {
             let mut seed_ids: Vec<VertexId> = self.repairs.seeds.clone();
@@ -86,7 +87,8 @@ impl LigraEngine {
             seed_ids.retain(|&u| phase.active(state.r(u), eps));
             let mut frontier = VertexSubset::from_sparse(n, seed_ids);
             while !frontier.is_empty() {
-                self.counters.record_iteration(frontier.len());
+                work.iterations += 1;
+                work.max_frontier = work.max_frontier.max(frontier.len() as u64);
                 // vertexMap: take out residuals (stale snapshots).
                 let mut fq = vertex_map(&mut frontier, |u| {
                     let w = state.r_atomics()[u as usize].swap(0.0);
@@ -97,12 +99,8 @@ impl LigraEngine {
                 });
                 // Every member pushes once, along each of its in-edges.
                 let ids = fq.ids();
-                let lc = LocalCounters {
-                    pushes: ids.len() as u64,
-                    edge_traversals: ids.iter().map(|&u| g.in_degree(u) as u64).sum(),
-                    ..LocalCounters::default()
-                };
-                lc.flush(&self.counters);
+                work.pushes += ids.len() as u64;
+                work.edge_traversals += ids.iter().map(|&u| g.in_degree(u) as u64).sum::<u64>();
                 // edgeMap along in-edges: propagate, claim-dedup.
                 let mut next = edge_map(
                     g,
@@ -137,6 +135,7 @@ impl LigraEngine {
             }
         }
         debug_assert!(state.max_abs_residual() <= eps + 1e-12);
+        self.counters.add(&work);
     }
 }
 
@@ -235,7 +234,8 @@ mod tests {
         }
         let c = eng.counters();
         assert!(c.pushes > 0);
-        assert_eq!(c.pushes, c.frontier_total);
+        // One push per member of each iteration's frontier.
+        assert!(c.iterations <= c.pushes && c.pushes <= c.iterations * c.max_frontier, "{c}");
         assert!(c.edge_traversals >= c.pushes, "{c}");
     }
 
