@@ -9,14 +9,21 @@
 //! in it.
 //!
 //! Each query exists in two forms: over a live [`PprState`] (borrowing the
-//! engine) and over a plain `(&[f64], ε)` score slice. The slice forms are
-//! what `dppr-serve` runs against its immutable epoch snapshots, where the
-//! engine itself is not reachable from reader threads. The state forms
+//! engine) and over a plain `(&[f64], ε)` score slice. The state forms
 //! read the estimate vector in place — no |V| copy per query — and answer
 //! exactly what the slice forms answer on a copy. Both scan the vector
 //! once and gate each score with one compare before any per-vertex work:
 //! top-k against the k-th best so far (the kernel behind
 //! [`crate::multi::top_k_of`]), threshold on `p + ε ≥ δ`.
+//!
+//! An immutable vector can also be ranked once and asked many times.
+//! [`rank_prefix`] lists its best `m` vertices in the answer order (best
+//! estimate first, ties by ascending id). That order is total, so a
+//! shorter prefix is always a prefix of a longer one, and both query
+//! lists are subsequences of it. The `_ranked` forms answer from such a
+//! prefix in time proportional to the answer, not to |V|. `dppr-serve`
+//! runs them against its epoch snapshots, each of which ranks itself on
+//! first use.
 
 use crate::atomic::AtomicF64;
 use crate::multi::{scan_gated, top_k_in_place, top_k_of};
@@ -88,11 +95,26 @@ fn ranked(extended: &[(VertexId, f64)], eps: f64, k: usize) -> TopKAnswer {
     TopKAnswer { ranking, set_is_certain }
 }
 
+/// The best `m` vertices of `scores` (all of them if `m ≥ |V|`), best
+/// estimate first, ties by ascending id: the ids of [`top_k_of`].
+pub fn rank_prefix(scores: &[f64], m: usize) -> Vec<VertexId> {
+    top_k_of(scores, m).into_iter().map(|(v, _)| v).collect()
+}
+
+/// [`top_k`] from `prefix`, a [`rank_prefix`] of `scores` that holds at
+/// least `min(k + 1, |V|)` ids; each score is read back from `scores`.
+pub fn top_k_ranked(scores: &[f64], prefix: &[VertexId], eps: f64, k: usize) -> TopKAnswer {
+    debug_assert!(prefix.len() > k || prefix.len() == scores.len(), "prefix too short");
+    let extended: Vec<(VertexId, f64)> =
+        prefix.iter().take(k.saturating_add(1)).map(|&v| (v, scores[v as usize])).collect();
+    ranked(&extended, eps, k)
+}
+
 /// [`top_k`] over a plain score slice.
 pub fn top_k_scores(scores: &[f64], eps: f64, k: usize) -> TopKAnswer {
     // `k` arrives straight from a query string, so the add saturates
-    // (`top_k_of` clamps to the slice).
-    ranked(&top_k_of(scores, k.saturating_add(1)), eps, k)
+    // (`rank_prefix` clamps to the slice).
+    top_k_ranked(scores, &rank_prefix(scores, k.saturating_add(1)), eps, k)
 }
 
 /// Top-`k` vertices by estimate, with interval bounds and a certainty
@@ -152,6 +174,29 @@ pub fn above_threshold_scores(scores: &[f64], eps: f64, delta: f64) -> Threshold
     let mut split = Split::new(eps, delta);
     scan_gated(scores, 0, &mut split, |&p| p, Split::passes, Split::classify);
     split.sorted()
+}
+
+/// [`above_threshold`] from `prefix`, a [`rank_prefix`] of `scores`.
+///
+/// `p + ε ≥ δ` holds on a leading run of the rank order, so the walk stops
+/// at the first score that fails it, and both lists come out sorted. The
+/// answer is `None` when the prefix ends inside the run without covering
+/// every vertex: the caller must extend it and ask again.
+pub fn above_threshold_ranked(
+    scores: &[f64],
+    prefix: &[VertexId],
+    eps: f64,
+    delta: f64,
+) -> Option<ThresholdAnswer> {
+    let mut split = Split::new(eps, delta);
+    for &v in prefix {
+        let p = scores[v as usize];
+        if !split.passes(p) {
+            return Some(split.answer);
+        }
+        split.classify(v as usize, p);
+    }
+    (prefix.len() == scores.len()).then_some(split.answer)
 }
 
 /// All vertices whose true PPR value may reach `delta`, split by

@@ -11,9 +11,9 @@
 //!   one swap, plus the instance's epoch counter. Readers can never
 //!   observe a torn state; `Arc` frees a snapshot after its last holder.
 //! * [`snapshot`] — [`QuerySnapshot`], an immutable `(estimates, ε,
-//!   epoch)` frozen at the publication point, answering top-k / score /
-//!   threshold / compare via the slice-based query kernels in
-//!   `dppr_core::queries`.
+//!   epoch)` frozen at the publication point, answering score / compare
+//!   via the slice-based query kernels in `dppr_core::queries`, and top-k
+//!   / threshold from a rank order it computes on first use.
 //! * [`registry`] — the [`SessionRegistry`]: many tracked sources over one
 //!   `MultiSourcePpr`, with open/close and LRU eviction past a capacity
 //!   budget.

@@ -1,25 +1,45 @@
 //! The immutable per-session query snapshot.
+//!
+//! A snapshot never changes after the write loop publishes it, so its rank
+//! order (best estimate first, ties by ascending id) is computed at most a
+//! few times in its life, not once per query. The first top-k or
+//! threshold query it serves ranks its best `FIRST_PREFIX` (64) vertices
+//! into a private memo of ids. A later query that needs more rebuilds the
+//! memo at twice the length, up to every vertex. Every other query is
+//! answered from the memo in time proportional to its answer, with each
+//! score read back from the estimates: a query-cache miss costs O(k), not
+//! a |V| scan. Answers are bit-identical to a scan's, since a shorter
+//! prefix of the order is always a prefix of a longer one. Publishing
+//! builds no memo, so the write path pays nothing for it.
 
 use dppr_core::queries::{
-    above_threshold_scores, bounded_score, compare_scores, top_k_scores, BoundedScore,
-    ThresholdAnswer, TopKAnswer,
+    above_threshold_ranked, bounded_score, compare_scores, rank_prefix, top_k_ranked,
+    BoundedScore, ThresholdAnswer, TopKAnswer,
 };
 use dppr_core::PprState;
 use dppr_graph::VertexId;
+use std::sync::RwLock;
+
+/// The length of a snapshot's first ranked prefix; each rebuild doubles it.
+const FIRST_PREFIX: usize = 64;
 
 /// One source's frozen estimate vector, tagged with the publication epoch.
 ///
 /// A snapshot is built by the write loop *after* a batch has converged, so
 /// its estimates are ε-accurate for the graph as of that epoch, and it is
 /// never mutated afterwards — readers answer every query kind from it
-/// without further coordination.
-#[derive(Debug, Clone)]
+/// without further coordination. Only its rank memo grows, behind a lock
+/// a query holds while it reads the memo or swaps in a longer one.
+#[derive(Debug)]
 pub struct QuerySnapshot {
     source: VertexId,
     epoch: u64,
     alpha: f64,
     epsilon: f64,
     estimates: Vec<f64>,
+    /// A [`rank_prefix`] of `estimates`: empty until the first top-k or
+    /// threshold query, never longer than `estimates`.
+    ranked: RwLock<Vec<VertexId>>,
 }
 
 impl QuerySnapshot {
@@ -31,7 +51,7 @@ impl QuerySnapshot {
         epsilon: f64,
         estimates: Vec<f64>,
     ) -> Self {
-        QuerySnapshot { source, epoch, alpha, epsilon, estimates }
+        QuerySnapshot { source, epoch, alpha, epsilon, estimates, ranked: RwLock::default() }
     }
 
     /// Freezes the current estimates of a maintained state. Called by the
@@ -44,6 +64,7 @@ impl QuerySnapshot {
             alpha: cfg.alpha,
             epsilon: cfg.epsilon,
             estimates: state.estimates(),
+            ranked: RwLock::default(),
         }
     }
 
@@ -88,14 +109,50 @@ impl QuerySnapshot {
         bounded_score(&self.estimates, self.epsilon, v)
     }
 
-    /// Top-`k` with interval bounds and a set-certainty verdict.
+    /// Top-`k` with interval bounds and a set-certainty verdict, from the
+    /// first `k + 1` ranked vertices.
     pub fn top_k(&self, k: usize) -> TopKAnswer {
-        top_k_scores(&self.estimates, self.epsilon, k)
+        let (scores, eps) = (&self.estimates[..], self.epsilon);
+        let query = |prefix: &[VertexId]| Some(top_k_ranked(scores, prefix, eps, k));
+        self.answer_ranked(k.saturating_add(1), query)
     }
 
-    /// Vertices whose true value may reach `delta`, split by certainty.
+    /// Vertices whose true value may reach `delta`, split by certainty:
+    /// the ranked vertices up to the first one that cannot reach it.
     pub fn above_threshold(&self, delta: f64) -> ThresholdAnswer {
-        above_threshold_scores(&self.estimates, self.epsilon, delta)
+        let (scores, eps) = (&self.estimates[..], self.epsilon);
+        self.answer_ranked(0, |prefix| above_threshold_ranked(scores, prefix, eps, delta))
+    }
+
+    /// Runs `query` on a ranked prefix of at least `need` ids (clamped to
+    /// |V|), extending the memo until `query` answers. A rebuild ranks
+    /// outside the lock and keeps whichever of two racing builds is longer.
+    fn answer_ranked<R>(&self, need: usize, query: impl Fn(&[VertexId]) -> Option<R>) -> R {
+        let n = self.estimates.len();
+        let mut need = need.min(n);
+        {
+            let memo = self.ranked.read().expect("rank memo lock poisoned");
+            if memo.len() >= need {
+                if let Some(answer) = query(&memo) {
+                    return answer;
+                }
+                need = memo.len() + 1;
+            }
+        }
+        loop {
+            let len = need.max(FIRST_PREFIX).next_power_of_two().min(n);
+            let prefix = rank_prefix(&self.estimates, len);
+            let answer = query(&prefix);
+            let mut memo = self.ranked.write().expect("rank memo lock poisoned");
+            if prefix.len() > memo.len() {
+                *memo = prefix;
+            }
+            drop(memo);
+            match answer {
+                Some(answer) => return answer,
+                None => need = len + 1,
+            }
+        }
     }
 
     /// ε-aware comparison of two vertices.
@@ -103,10 +160,11 @@ impl QuerySnapshot {
         compare_scores(&self.estimates, self.epsilon, a, b)
     }
 
-    /// Order-insensitive fingerprint of the snapshot's exact contents
-    /// (f64 bit patterns mixed position-dependently). The stress suite
-    /// compares reader-side fingerprints against writer-side ones to prove
-    /// no torn state is ever observed.
+    /// Fingerprint of the snapshot's source, epoch and exact estimates:
+    /// each f64 bit pattern is mixed with its position, so reordering the
+    /// vector changes it. The stress suite compares reader-side
+    /// fingerprints against writer-side ones to prove no torn state is
+    /// ever observed.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = self.source as u64 ^ (self.epoch.rotate_left(32));
         for (i, &p) in self.estimates.iter().enumerate() {
@@ -164,6 +222,39 @@ mod tests {
         assert!(b.lo <= b.estimate && b.estimate <= b.hi);
         // Out-of-range vertex reads as an unmaterialized zero.
         assert_eq!(snap.score(10_000).estimate, 0.0);
+    }
+
+    /// The memo retains ids only, and never more than one per vertex,
+    /// however much a query asks for: after `k = usize::MAX` or `δ ≤ 0` it
+    /// holds |V| ids.
+    #[test]
+    fn ranked_prefix_holds_at_most_every_vertex() {
+        let memo = |s: &QuerySnapshot| {
+            let ranked = s.ranked.read().unwrap();
+            (ranked.len(), ranked.capacity())
+        };
+        let scores: Vec<f64> = (0..300).map(|v| (v % 7) as f64 / 10.0).collect();
+        let n = scores.len();
+        let snap = QuerySnapshot::new(0, 1, 0.15, 1e-3, scores.clone());
+        assert_eq!(memo(&snap).0, 0, "a new snapshot ranks nothing");
+        snap.top_k(5);
+        assert_eq!(memo(&snap).0, FIRST_PREFIX);
+        snap.top_k(FIRST_PREFIX);
+        assert_eq!(memo(&snap).0, 2 * FIRST_PREFIX, "k + 1 ids are needed");
+        snap.top_k(usize::MAX);
+        assert!(memo(&snap).0 == n && memo(&snap).1 <= n, "{:?}", memo(&snap));
+        snap.above_threshold(0.0);
+        assert!(memo(&snap).0 == n && memo(&snap).1 <= n, "{:?}", memo(&snap));
+
+        for delta in [0.0, -1.0] {
+            let fresh = QuerySnapshot::new(0, 1, 0.15, 1e-3, scores.clone());
+            let all = fresh.above_threshold(delta);
+            assert_eq!(all.certain.len() + all.possible.len(), n);
+            assert!(memo(&fresh).0 == n && memo(&fresh).1 <= n, "{:?}", memo(&fresh));
+        }
+        let empty = QuerySnapshot::new(0, 1, 0.15, 1e-3, Vec::new());
+        assert!(empty.top_k(usize::MAX).ranking.is_empty());
+        assert_eq!(memo(&empty), (0, 0));
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! epoch)`; every snapshot a reader observes must fingerprint-match what
 //! the writer published for that epoch — a mix of two epochs' bytes (a
 //! torn state) cannot pass. On top of that readers check per-cell epoch
-//! monotonicity, estimate range, and query-internal consistency.
+//! monotonicity, estimate range, query-internal consistency, and that each
+//! top-k and threshold answer (served from the snapshot's rank memo, which
+//! the readers build and extend concurrently) equals the scan's.
 
+use dppr_core::queries::{above_threshold_scores, top_k_scores};
 use dppr_core::MultiSourcePpr;
 use dppr_graph::generators::erdos_renyi;
 use dppr_graph::GraphStream;
@@ -110,7 +113,12 @@ fn concurrent_readers_never_observe_torn_snapshots() {
                                 "estimate {p} out of ε-bounded range"
                             );
                         }
-                        let top = snap.top_k(5);
+                        // Readers rank a new snapshot concurrently, and
+                        // ask it for different lengths, so first-use
+                        // builds and rebuilds race: every answer must still
+                        // equal the scan's on the same snapshot.
+                        let k = [5, 70, 300][(r + loads as usize) % 3];
+                        let top = snap.top_k(k);
                         for w in top.ranking.windows(2) {
                             assert!(
                                 w[0].estimate > w[1].estimate
@@ -119,13 +127,20 @@ fn concurrent_readers_never_observe_torn_snapshots() {
                                 "top-k ranking out of order"
                             );
                         }
-                        let thr = snap.above_threshold(0.01);
+                        assert_eq!(top, top_k_scores(snap.estimates(), EPS, k), "k = {k}");
+                        let delta = [0.01, 1e-3, 0.0][(r + 2 * loads as usize) % 3];
+                        let thr = snap.above_threshold(delta);
                         for b in &thr.certain {
-                            assert!(b.lo >= 0.01);
+                            assert!(b.lo >= delta);
                         }
                         for b in &thr.possible {
-                            assert!(b.hi >= 0.01 && b.lo < 0.01);
+                            assert!(b.hi >= delta && b.lo < delta);
                         }
+                        assert_eq!(
+                            thr,
+                            above_threshold_scores(snap.estimates(), EPS, delta),
+                            "delta = {delta}"
+                        );
                     }
                 }
                 (observed_epochs, loads)
