@@ -283,6 +283,52 @@ mod tests {
         assert!(st.converged());
     }
 
+    /// Both Lemma 4 traces over a fixed BA graph, pinned to literals: the
+    /// push counts, the frontier sizes and the bits of every `‖Rs‖₁`. The
+    /// two differ only in when a frontier member takes out its residual,
+    /// so a change to either moves these literals.
+    #[test]
+    fn lockstep_traces_are_pinned() {
+        use crate::par::parallel_push_lockstep;
+        use dppr_graph::generators::{barabasi_albert, undirected_to_directed};
+        let g = DynamicGraph::from_edges(undirected_to_directed(&barabasi_albert(200, 3, 4)));
+        let hub = g.top_out_degree_vertices(1)[0];
+        let trace = |lockstep: fn(&DynamicGraph, &PprState, &[VertexId]) -> LockstepTrace| {
+            let mut st = PprState::new(PprConfig::new(hub, 0.2, 1e-3));
+            st.ensure_len(g.num_vertices());
+            st.set_p(hub, 0.0);
+            st.set_r(hub, 1.0);
+            let t = lockstep(&g, &st, &[hub]);
+            let bits: Vec<u64> = t.l1_after_iteration.iter().map(|l1| l1.to_bits()).collect();
+            (t.pushes, t.frontier_sizes, bits)
+        };
+        let par = trace(parallel_push_lockstep);
+        let seq = trace(sequential_push_lockstep);
+        // The stale push's frontier saturates at every vertex.
+        let stale_sizes: Vec<usize> = [1, 41, 161, 199].into_iter().chain([200; 12]).collect();
+        #[rustfmt::skip]
+        let stale_l1 = vec![
+            4618478869501232220, 4616095403111277326, 4615308756265419779, 4613415044724566272,
+            4612301920055039084, 4610787011122257464, 4609206180031410222, 4607887212101882527,
+            4606521982471138589, 4604848275419433853, 4603515848955158195, 4602215404034515278,
+            4600507273829795517, 4599140072461538894, 4597917620749466648, 4596167802209676504,
+        ];
+        #[rustfmt::skip]
+        let fresh_sizes = vec![
+            1, 41, 144, 139, 152, 137, 151, 134, 144, 124, 118, 103, 100, 87, 96, 59, 43, 17, 4, 1,
+        ];
+        #[rustfmt::skip]
+        let fresh_l1 = vec![
+            4618478869501232220, 4615911161788035637, 4614027742675559661, 4612323312502736594,
+            4609570067906553662, 4608267676326761978, 4605572321402523035, 4604258710213925612,
+            4601919587758083388, 4600439357917191463, 4598600393364195750, 4597300595718675176,
+            4594927046667133930, 4594682768916828053, 4593016594523240034, 4592415760486770254,
+            4591606973077876956, 4591477253512031692, 4591753557926174670, 4591706029011274947,
+        ];
+        assert_eq!(par, (2802, stale_sizes, stale_l1));
+        assert_eq!(seq, (1795, fresh_sizes, fresh_l1));
+    }
+
     #[test]
     fn negative_residuals_drain_in_second_phase() {
         let mut g = figure1_graph();
