@@ -66,49 +66,24 @@ fn part(i: usize, n: usize, parts: usize) -> Range<usize> {
 }
 
 /// Runs `body` over `min(threads, n)` contiguous sub-ranges covering `0..n`
-/// and merges the results in range order.
+/// and merges the results in range order: the first range on the caller,
+/// the others on scoped threads. A panic in any range resurfaces on the
+/// caller once every thread has been joined.
 pub fn fan_out<R: Send>(
     n: usize,
     threads: usize,
     body: impl Fn(Range<usize>) -> R + Sync,
-    merge: impl FnMut(R, R) -> R,
+    mut merge: impl FnMut(R, R) -> R,
 ) -> R {
     if one_part(n, threads) {
         return body(0..n);
     }
     let parts = threads.min(n);
-    scoped((0..parts).map(|i| part(i, n, parts)), &body, merge)
-}
-
-/// [`fan_out`] over at most `min(threads, n)` equal-sized disjoint mutable
-/// chunks of `data`; `body` also receives the index of its chunk's first
-/// element.
-pub fn fan_out_chunks<T: Send, R: Send>(
-    data: &mut [T],
-    threads: usize,
-    body: impl Fn(usize, &mut [T]) -> R + Sync,
-    merge: impl FnMut(R, R) -> R,
-) -> R {
-    let n = data.len();
-    if one_part(n, threads) {
-        return body(0, data);
-    }
-    let size = n.div_ceil(threads.min(n));
-    let chunks = data.chunks_mut(size).enumerate();
-    scoped(chunks, &|(i, chunk)| body(i * size, chunk), merge)
-}
-
-/// First part on the caller, the others on scoped threads; a panic in any
-/// part resurfaces on the caller once every thread has been joined.
-fn scoped<P: Send, R: Send>(
-    mut parts: impl Iterator<Item = P>,
-    body: &(impl Fn(P) -> R + Sync),
-    mut merge: impl FnMut(R, R) -> R,
-) -> R {
-    let first = parts.next().expect("a fan-out has at least one part");
+    let body = &body;
     thread::scope(|s| {
-        let spawned: Vec<_> = parts.map(|p| spawn(s, move || body(p))).collect();
-        let head = body(first);
+        let spawned: Vec<_> =
+            (1..parts).map(|i| spawn(s, move || body(part(i, n, parts)))).collect();
+        let head = body(part(0, n, parts));
         spawned.into_iter().fold(head, |acc, handle| match handle.join() {
             Ok(r) => merge(acc, r),
             Err(payload) => resume_unwind(payload),
@@ -314,26 +289,6 @@ mod tests {
             assert_eq!(merged, (0..n).collect::<Vec<_>>(), "n = {n}");
             let seen = seen.into_inner().expect("no panic under the lock");
             assert_eq!(seen.len(), threads.min(n).max(1), "n = {n}");
-
-            let mut data = vec![0usize; n];
-            let offsets = fan_out_chunks(
-                &mut data,
-                threads,
-                |offset, chunk| {
-                    for (i, slot) in chunk.iter_mut().enumerate() {
-                        *slot += offset + i + 1;
-                    }
-                    vec![(offset, chunk.len())]
-                },
-                concat,
-            );
-            assert_eq!(data, (1..=n).collect::<Vec<_>>(), "n = {n}");
-            let mut next = 0;
-            for (offset, len) in offsets {
-                assert_eq!(offset, next, "n = {n}");
-                next += len;
-            }
-            assert_eq!(next, n);
         }
     }
 
@@ -351,13 +306,6 @@ mod tests {
         for (n, threads) in [(100, 1), (100, 0), (1, 8), (0, 8), (100, 2), (2, 2)] {
             assert_eq!(one_part(n, threads), on_caller(n, threads), "n = {n}, {threads} threads");
         }
-        let mut one = [0u8];
-        assert!(fan_out_chunks(
-            &mut one,
-            8,
-            |_, _| thread::current().id() == me,
-            |a, b| a && b
-        ));
         // Part 0 stays on the caller when the rest fan out.
         let firsts = fan_out(100, 3, |r| vec![(r.start, thread::current().id())], concat);
         assert_eq!(firsts[0], (0, me));

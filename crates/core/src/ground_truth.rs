@@ -11,8 +11,10 @@
 //! factor `(1−α)`, so plain iteration converges geometrically from any
 //! start; we iterate until the sup-norm step falls below `tol`.
 
-use crate::fanout::{fan_out_chunks, threads_for};
+use crate::atomic::AtomicF64;
+use crate::fanout::{fan_out, threads_for};
 use dppr_graph::{DynamicGraph, VertexId};
+use std::ops::Range;
 
 /// Solves the Eq. 2 fix-point to sup-norm accuracy `tol`, each Jacobi sweep
 /// fanned out over every core once the graph is large enough to pay for it.
@@ -35,14 +37,17 @@ fn solve(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64, threads: usiz
     assert!(alpha > 0.0 && alpha < 1.0);
     assert!(tol > 0.0);
     let n = g.num_vertices().max(source as usize + 1);
-    let mut cur = vec![0.0f64; n];
-    cur[source as usize] = alpha;
-    let mut next = vec![0.0f64; n];
+    // The two iterates are atomic rows, as `PprState` holds its vectors, so
+    // that every part of a sweep can share them.
+    let row = || (0..n).map(|_| AtomicF64::default()).collect::<Vec<_>>();
+    let (mut cur, mut next) = (row(), row());
+    cur[source as usize].store(alpha);
     // Eq. 2's right-hand side at `v`, read off the iterate `cur`.
-    let value_at = |v: usize, cur: &[f64]| {
+    let value_at = |v: usize, cur: &[AtomicF64]| {
         let teleport = if v == source as usize { alpha } else { 0.0 };
         if v < g.num_vertices() && g.out_degree(v as VertexId) > 0 {
-            let sum: f64 = g.out_neighbors(v as VertexId).iter().map(|&x| cur[x as usize]).sum();
+            let sum: f64 =
+                g.out_neighbors(v as VertexId).iter().map(|&x| cur[x as usize].load()).sum();
             teleport + (1.0 - alpha) * sum / g.out_degree(v as VertexId) as f64
         } else {
             teleport
@@ -51,24 +56,23 @@ fn solve(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64, threads: usiz
     // (1−α)^k < tol/1 gives a generous iteration cap.
     let max_iters = ((tol.ln() / (1.0 - alpha).ln()).ceil() as usize + 2).max(8);
     for _ in 0..max_iters {
-        // One Jacobi sweep: each thread reads `cur` and overwrites its own
-        // chunk of `next`; the sup-norm change folds by max.
-        let sweep = |offset: usize, chunk: &mut [f64]| {
-            let mut delta = 0.0f64;
-            for (v, slot) in (offset..).zip(chunk) {
+        // One Jacobi sweep: each part reads `cur` and overwrites only its
+        // own range of `next`; the sup-norm change folds by max.
+        let sweep = |range: Range<usize>| {
+            range.fold(0.0f64, |delta, v| {
                 let value = value_at(v, &cur);
-                delta = delta.max((value - *slot).abs());
-                *slot = value;
-            }
-            delta
+                let delta = delta.max((value - next[v].load()).abs());
+                next[v].store(value);
+                delta
+            })
         };
-        let delta = fan_out_chunks(&mut next, threads, sweep, f64::max);
+        let delta = fan_out(n, threads, sweep, f64::max);
         std::mem::swap(&mut cur, &mut next);
         if delta < tol {
             break;
         }
     }
-    cur
+    cur.iter().map(AtomicF64::load).collect()
 }
 
 #[cfg(test)]

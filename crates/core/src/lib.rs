@@ -7,11 +7,15 @@
 //!   engine absorbs a batch (mutate the graph once, recording each
 //!   update's post-update degree, then replay the repairs against a
 //!   state), and the Eq. 2 invariant checker.
-//! * [`seq`] — `SequentialLocalPush` (Algorithm 2), both the practical
-//!   worklist form and the lock-step iteration form used by Lemma 4.
+//! * [`seq`] — `SequentialLocalPush` (Algorithm 2) in its practical
+//!   worklist form, and the one lock-step loop behind both of Lemma 4's
+//!   traces, which differ only in when a frontier member reads its
+//!   residual: when its turn comes (`sequential_push_lockstep`) or before
+//!   any propagation (`par::parallel_push_lockstep`).
 //! * [`par`] — `ParallelLocalPush` (Algorithm 3) and `OptParallelPush`
 //!   (Algorithm 4), covering the full 2×2 optimization matrix of Table 3
-//!   ([`PushVariant`]): eager propagation × local duplicate detection.
+//!   ([`PushVariant`]): eager propagation × local duplicate detection;
+//!   its Lemma 4 trace is a call of `seq`'s lock-step loop.
 //! * [`engine`] — the [`DynamicPprEngine`] trait plus the paper's engine
 //!   line-up: `CPU-Base` / `CPU-Seq` ([`SeqEngine`]) and `CPU-MT`
 //!   ([`ParallelEngine`]), each absorbing a batch through [`invariant`]'s
@@ -24,8 +28,9 @@
 //! * [`counters`] — software profiling counters (push operations, edge
 //!   traversals, CAS retries, frontier statistics) substituting for the
 //!   paper's nvprof/PAPI hardware metrics (Table 4).
-//! * [`ground_truth`] — a Gauss–Jacobi solver for the exact fix-point of
-//!   Eq. 2, used to validate the ε-approximation guarantee.
+//! * [`ground_truth`] — a Jacobi solver for the exact fix-point of Eq. 2,
+//!   its sweeps fanned out through [`fanout`], used to validate the
+//!   ε-approximation guarantee.
 //! * [`forward`] — the classic forward (source-side) local push and a
 //!   conductance sweep cut, supporting the application examples.
 //! * [`multi`] — maintenance of many PPR vectors side by side (the

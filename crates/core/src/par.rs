@@ -63,7 +63,7 @@
 use crate::config::Phase;
 use crate::counters::{CounterSnapshot, Counters};
 use crate::fanout::{default_threads, one_part, with_crew, Crew, FAN_OUT_MIN};
-use crate::seq::{dedup_seeds, LockstepTrace};
+use crate::seq::{dedup_seeds, lockstep, LockstepTrace};
 use crate::state::PprState;
 use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, VertexId};
@@ -478,71 +478,18 @@ pub fn parallel_local_push_opts(
     debug_assert!(state.max_abs_residual() <= ctx.eps + 1e-12);
 }
 
-/// Deterministic, single-threaded simulation of the **vanilla** parallel
-/// push semantics (all frontier residuals snapshotted at iteration start),
-/// recording `‖Rs‖₁` after every iteration. This is the `R^p` side of
-/// Lemma 4's comparison; pair it with
-/// [`crate::seq::sequential_push_lockstep`].
+/// Lemma 4's `R^p`: the lock-step push with the **vanilla** parallel push's
+/// stale reads (every frontier residual taken out at the start of its
+/// iteration), simulated deterministically on one thread, recording
+/// `‖Rs‖₁` after every iteration. Pair it with
+/// [`crate::seq::sequential_push_lockstep`], which runs the same loop with
+/// fresh reads.
 pub fn parallel_push_lockstep(
     g: &DynamicGraph,
     state: &PprState,
     seeds: &[VertexId],
 ) -> LockstepTrace {
-    let alpha = state.config().alpha;
-    let eps = state.config().epsilon;
-    let mut trace = LockstepTrace {
-        l1_after_iteration: Vec::new(),
-        frontier_sizes: Vec::new(),
-        pushes: 0,
-    };
-    let mut touched_flag = vec![false; g.num_vertices()];
-
-    for phase in Phase::BOTH {
-        let mut frontier: Vec<VertexId> = dedup_seeds(seeds)
-            .into_iter()
-            .filter(|&u| phase.active(state.r(u), eps))
-            .collect();
-        while !frontier.is_empty() {
-            trace.frontier_sizes.push(frontier.len());
-            // Session 1: snapshot + self-update for the whole frontier.
-            let snapshots: Vec<f64> = frontier
-                .iter()
-                .map(|&u| {
-                    let w = state.r(u);
-                    state.set_p(u, state.p(u) + alpha * w);
-                    state.set_r(u, 0.0);
-                    w
-                })
-                .collect();
-            // Session 2: propagate the stale snapshots.
-            let mut touched: Vec<VertexId> = Vec::new();
-            for (&u, &w) in frontier.iter().zip(&snapshots) {
-                trace.pushes += 1;
-                let scaled = (1.0 - alpha) * w;
-                if !touched_flag[u as usize] {
-                    touched_flag[u as usize] = true;
-                    touched.push(u);
-                }
-                for &v in g.in_neighbors(u) {
-                    state.set_r(v, state.r(v) + scaled * g.inv_out_degree(v));
-                    if !touched_flag[v as usize] {
-                        touched_flag[v as usize] = true;
-                        touched.push(v);
-                    }
-                }
-            }
-            let mut next = Vec::new();
-            for &v in &touched {
-                touched_flag[v as usize] = false;
-                if phase.active(state.r(v), eps) {
-                    next.push(v);
-                }
-            }
-            trace.l1_after_iteration.push(state.l1_residual());
-            frontier = next;
-        }
-    }
-    trace
+    lockstep(g, state, seeds, true)
 }
 
 #[cfg(test)]

@@ -13,6 +13,9 @@
 //!   Lemma 4 compares against the parallel push: each "iteration" drains
 //!   the current frontier serially (reading fresh residuals as it goes)
 //!   and collects the next frontier. Used by the parallel-loss experiment.
+//!   The one lock-step loop behind it also produces
+//!   [`crate::par::parallel_push_lockstep`]'s trace, which differs only in
+//!   reading every frontier residual before any propagation.
 
 use crate::config::Phase;
 use crate::counters::{CounterSnapshot, Counters};
@@ -41,19 +44,27 @@ impl SeqPushBuffers {
     }
 }
 
-/// One `SeqPush(u)` (Algorithm 2, lines 6–10): move `α·Rs(u)` into the
-/// estimate and propagate the remaining `(1−α)·Rs(u)` to the in-neighbors.
+/// `SeqPush(u)`'s take-out (Algorithm 2, lines 7–8): move `α·Rs(u)` into
+/// the estimate, zero the residual, and return the residual taken.
 #[inline]
-fn seq_push(
-    g: &DynamicGraph,
-    state: &PprState,
-    u: VertexId,
-    alpha: f64,
-    work: &mut CounterSnapshot,
-) {
+fn take_out(state: &PprState, u: VertexId, alpha: f64) -> f64 {
     let w = state.r(u);
     state.set_p(u, state.p(u) + alpha * w);
     state.set_r(u, 0.0);
+    w
+}
+
+/// The rest of a push of `w` at `u` (Algorithm 2, lines 9–10): propagate
+/// `(1−α)·w` to the in-neighbors.
+#[inline]
+fn propagate(
+    g: &DynamicGraph,
+    state: &PprState,
+    u: VertexId,
+    w: f64,
+    alpha: f64,
+    work: &mut CounterSnapshot,
+) {
     work.pushes += 1;
     let scaled = (1.0 - alpha) * w;
     // Division-free inner loop: `inv_out_degree` is the graph-maintained
@@ -95,7 +106,8 @@ pub fn sequential_local_push(
             if !phase.active(state.r(u), eps) {
                 continue;
             }
-            seq_push(g, state, u, alpha, &mut work);
+            let w = take_out(state, u, alpha);
+            propagate(g, state, u, w, alpha, &mut work);
             for &v in g.in_neighbors(u) {
                 let vi = v as usize;
                 if phase.active(state.r(v), eps) && !bufs.in_queue[vi] {
@@ -124,16 +136,32 @@ pub struct LockstepTrace {
     pub pushes: u64,
 }
 
-/// Iteration-structured sequential push: drains the whole current frontier
-/// serially (fresh residual reads, as Lemma 4 assumes), records `‖Rs‖₁`
-/// after every iteration, and repeats until convergence. The next frontier
-/// is the set of vertices active **at the end of the iteration** — the same
-/// semantics the parallel push realizes through crossing detection plus the
-/// self-update re-check.
+/// Lemma 4's `R^q`: the lock-step push with fresh residual reads, each
+/// frontier member taking out its residual when its turn comes. Pair it
+/// with [`crate::par::parallel_push_lockstep`].
 pub fn sequential_push_lockstep(
     g: &DynamicGraph,
     state: &PprState,
     seeds: &[VertexId],
+) -> LockstepTrace {
+    lockstep(g, state, seeds, false)
+}
+
+/// The lock-step push behind both Lemma 4 traces: drains the whole current
+/// frontier serially, records `‖Rs‖₁` after every iteration, and repeats
+/// until convergence. The next frontier is the set of vertices active **at
+/// the end of the iteration** — the semantics the parallel push realizes
+/// through crossing detection plus the self-update re-check.
+///
+/// The traces differ in one read only. With `stale`, every frontier member
+/// takes out its residual before any propagation, as Algorithm 3's
+/// self-update session does; otherwise each takes it out when its turn
+/// comes, with whatever earlier members have sent it.
+pub(crate) fn lockstep(
+    g: &DynamicGraph,
+    state: &PprState,
+    seeds: &[VertexId],
+    stale: bool,
 ) -> LockstepTrace {
     let alpha = state.config().alpha;
     let eps = state.config().epsilon;
@@ -152,34 +180,30 @@ pub fn sequential_push_lockstep(
             .collect();
         while !frontier.is_empty() {
             trace.frontier_sizes.push(frontier.len());
+            let early: Vec<Option<f64>> =
+                frontier.iter().map(|&u| stale.then(|| take_out(state, u, alpha))).collect();
             // Candidates for the next frontier: everything this iteration
             // wrote to (frontier members and their in-neighbors).
             let mut touched: Vec<VertexId> = Vec::new();
-            let note = |v: VertexId, touched: &mut Vec<VertexId>, flags: &mut [bool]| {
-                if !flags[v as usize] {
-                    flags[v as usize] = true;
-                    touched.push(v);
-                }
-            };
-            for &u in &frontier {
-                seq_push(g, state, u, alpha, &mut work);
-                trace.pushes += 1;
-                note(u, &mut touched, &mut touched_flag);
-                for &v in g.in_neighbors(u) {
-                    note(v, &mut touched, &mut touched_flag);
+            for (&u, early) in frontier.iter().zip(early) {
+                let w = early.unwrap_or_else(|| take_out(state, u, alpha));
+                propagate(g, state, u, w, alpha, &mut work);
+                for v in std::iter::once(u).chain(g.in_neighbors(u).iter().copied()) {
+                    if !touched_flag[v as usize] {
+                        touched_flag[v as usize] = true;
+                        touched.push(v);
+                    }
                 }
             }
-            let mut next: Vec<VertexId> = Vec::new();
-            for &v in &touched {
+            touched.retain(|&v| {
                 touched_flag[v as usize] = false;
-                if phase.active(state.r(v), eps) {
-                    next.push(v);
-                }
-            }
+                phase.active(state.r(v), eps)
+            });
             trace.l1_after_iteration.push(state.l1_residual());
-            frontier = next;
+            frontier = touched;
         }
     }
+    trace.pushes = work.pushes;
     trace
 }
 
