@@ -9,7 +9,14 @@
 //!
 //! The Jacobi operator behind this recurrence is an ∞-norm contraction with
 //! factor `(1−α)`, so plain iteration converges geometrically from any
-//! start; we iterate until the sup-norm step falls below `tol`.
+//! start, and a sweep's sup-norm step `δ` bounds what is left to go by
+//! `(1−α)/α · δ`. We iterate until that bound falls below `tol`, or until
+//! `(1−α)^k < tol`, which bounds it too: the iterates rise monotonically
+//! from `α·e_s` towards `π ≤ 1`.
+//!
+//! Each sweep fans out over [`fan_out`]'s ranges: every part reads the
+//! current iterate and writes only its own range of the next one, so the
+//! result does not depend on the thread count.
 
 use crate::atomic::AtomicF64;
 use crate::fanout::{fan_out, threads_for};
@@ -53,7 +60,7 @@ fn solve(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64, threads: usiz
             teleport
         }
     };
-    // (1−α)^k < tol/1 gives a generous iteration cap.
+    // After k sweeps the error is at most (1−α)^k; this cap makes it < tol.
     let max_iters = ((tol.ln() / (1.0 - alpha).ln()).ceil() as usize + 2).max(8);
     for _ in 0..max_iters {
         // One Jacobi sweep: each part reads `cur` and overwrites only its
@@ -68,7 +75,7 @@ fn solve(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64, threads: usiz
         };
         let delta = fan_out(n, threads, sweep, f64::max);
         std::mem::swap(&mut cur, &mut next);
-        if delta < tol {
+        if (1.0 - alpha) * delta < alpha * tol {
             break;
         }
     }
@@ -191,6 +198,22 @@ mod tests {
                 })
                 .fold(0.0f64, f64::max);
             assert!(linf <= eps + 1e-9, "source {s}: audited error {linf} > eps {eps}");
+        }
+    }
+
+    /// The returned vector is within `tol` of the fix-point, whatever α:
+    /// a stop on the step alone would leave up to `(1−α)/α · tol` to go.
+    #[test]
+    fn error_is_within_tolerance() {
+        let g = DynamicGraph::from_edges(undirected_to_directed(&barabasi_albert(2_000, 3, 1)));
+        let s = g.top_out_degree_vertices(1)[0];
+        for alpha in [0.5, 0.15, 0.05, 0.01] {
+            let fine = exact_ppr(&g, s, alpha, 1e-15);
+            for tol in [1e-4, 1e-6] {
+                let p = exact_ppr(&g, s, alpha, tol);
+                let err = p.iter().zip(&fine).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+                assert!(err <= tol, "α {alpha}, tol {tol}: error {err:.3e}");
+            }
         }
     }
 
