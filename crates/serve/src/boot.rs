@@ -89,6 +89,7 @@ pub fn start(
     let addr = listener.local_addr()?;
 
     let (window_start, window_end) = boot.driver.window_range();
+    let boot_updates = stats.updates_offered.load(Relaxed);
     let ctx = Arc::new(Ctx {
         domain,
         registry,
@@ -117,6 +118,7 @@ pub fn start(
         slo: SloEngine::new(&cfg),
         series: audit::new_series_ring(),
         audit_interval: cfg.audit_interval.max(Duration::from_millis(10)),
+        boot_updates,
     });
 
     // --- background checkpointer + write loop -----------------------------

@@ -265,7 +265,7 @@ pub(crate) static INSTANCE: &[Row] = &[
         .counter("dppr_updates_offered_total", "Updates handed to the engine (arcs)"),
     row("updates_applied", |c, _| U(c.stats.updates_applied.load(Relaxed)))
         .counter("dppr_updates_applied_total", "Updates that changed the graph"),
-    row("updates_per_sec", |c, _| F(c.stats.updates_per_sec())),
+    row("updates_per_sec", |c, _| F(c.updates_per_sec())),
     row("stream_done", |c, _| B(c.stats.stream_done.load(Relaxed))),
     row("queries", |c, _| U(c.stats.queries.load(Relaxed)))
         .counter("dppr_queries_total", "Query requests answered (any kind, any status)").series(2, "queries_total"),

@@ -163,8 +163,6 @@ pub struct ServerStats {
     pub updates_offered: AtomicU64,
     /// Updates that changed the graph.
     pub updates_applied: AtomicU64,
-    /// Nanoseconds spent inside `apply_batch` (the paper's engine latency).
-    pub update_nanos: AtomicU64,
     /// Query requests answered (any kind, any status).
     pub queries: AtomicU64,
     /// Query requests shed with 503 while the write loop lagged or the
@@ -192,24 +190,6 @@ pub struct ServerStats {
     pub degraded_reason: Mutex<Option<String>>,
 }
 
-impl ServerStats {
-    /// Sustained update throughput (updates offered per second of engine
-    /// time), the same quantity as `RunSummary::throughput`. Reports 0
-    /// until the first slide completes — before that the counters hold
-    /// only the bootstrap window, which is warmup, not sustained rate.
-    pub fn updates_per_sec(&self) -> f64 {
-        if self.slides.load(Relaxed) == 0 {
-            return 0.0;
-        }
-        let secs = self.update_nanos.load(Relaxed) as f64 * 1e-9;
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.updates_offered.load(Relaxed) as f64 / secs
-        }
-    }
-}
-
 /// Final numbers reported by [`ServerHandle::join`].
 #[derive(Debug, Clone)]
 pub struct ServeReport {
@@ -221,7 +201,8 @@ pub struct ServeReport {
     pub updates_offered: u64,
     /// Updates that changed the graph.
     pub updates_applied: u64,
-    /// Update throughput while serving (updates/second of engine time).
+    /// Update throughput of the slides: their updates per second of their
+    /// engine time (`/stats`' `updates_per_sec`).
     pub updates_per_sec: f64,
     /// Query requests answered.
     pub queries: u64,
@@ -320,9 +301,26 @@ pub(crate) struct Ctx {
     /// Observer tick period (`/series` reports it so dashboards can
     /// convert rows to wall time).
     pub(crate) audit_interval: Duration,
+    /// Updates the bootstrap window and the WAL-tail replay offered: what
+    /// `stats.updates_offered` held before the first slide.
+    pub(crate) boot_updates: u64,
 }
 
 impl Ctx {
+    /// Sustained update throughput: the updates the slides offered per
+    /// second of their engine time, which `push_wall` sums — the quantity
+    /// `RunSummary::throughput` reports. The bootstrap window and the
+    /// WAL-tail replay are warmup, not sustained rate, and count in
+    /// neither. Reports 0 until the first slide completes.
+    pub(crate) fn updates_per_sec(&self) -> f64 {
+        let nanos = self.metrics.push_wall.snapshot().sum;
+        if nanos == 0 {
+            return 0.0;
+        }
+        let updates = self.stats.updates_offered.load(Relaxed) - self.boot_updates;
+        updates as f64 / (nanos as f64 * 1e-9)
+    }
+
     /// Whether queries should be shed: the published epoch lags the
     /// stream by a slide that has been in flight past `shed_after`.
     pub(crate) fn lagging(&self) -> bool {
@@ -423,7 +421,7 @@ impl ServerHandle {
             slides: stats.slides.load(Relaxed),
             updates_offered: stats.updates_offered.load(Relaxed),
             updates_applied: stats.updates_applied.load(Relaxed),
-            updates_per_sec: stats.updates_per_sec(),
+            updates_per_sec: ctx.updates_per_sec(),
             queries: stats.queries.load(Relaxed),
             http_requests: conn.requests.load(Relaxed),
             connections: conn.accepted.load(Relaxed),
@@ -438,5 +436,55 @@ impl ServerHandle {
             durable_epoch: ctx.durable_epoch.load(Relaxed),
             checkpoints: stats.checkpoints.load(Relaxed),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::server::ServeConfig;
+    use dppr_graph::generators::erdos_renyi;
+    use dppr_graph::GraphStream;
+    use dppr_stream::StreamDriver;
+    use std::sync::atomic::Ordering::Relaxed;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// `updates_per_sec` is the slides' updates over their engine time,
+    /// `push_wall`'s sum: a bootstrap window many times the slides' size
+    /// counts in neither, and an instance with nothing to slide reports 0.
+    #[test]
+    fn updates_per_sec_counts_the_slides_only() {
+        let stream = GraphStream::directed(erdos_renyi(500, 10_000, 3)).permuted(2);
+        let (init, batch, slides) = (0.5, 100, 3);
+        let mut replica = StreamDriver::new(stream.clone(), init);
+        let boot = replica.take_initial_batch().len() as u64;
+        let slid: u64 =
+            (0..slides).map(|_| replica.slide_batch(batch).expect("a full slide").len() as u64).sum();
+        assert!(boot > 5 * slid, "bootstrap {boot} against slides {slid}");
+
+        let cfg = ServeConfig { threads: 1, batch, max_slides: slides, ..ServeConfig::default() };
+        let handle = crate::start(stream.clone(), init, &[0, 1], cfg.clone()).expect("server starts");
+        wait_for("the slides", || handle.stats().slides.load(Relaxed) == slides as u64);
+        let ctx = Arc::clone(&handle.ctx);
+        let report = handle.join();
+        assert_eq!((ctx.boot_updates, report.updates_offered), (boot, boot + slid));
+        let want = slid as f64 / (ctx.metrics.push_wall.snapshot().sum as f64 * 1e-9);
+        assert_eq!(report.updates_per_sec, want);
+        assert_eq!(ctx.updates_per_sec(), want);
+
+        // The whole stream is the bootstrap window, so no slide ever runs.
+        let handle = crate::start(stream, 1.0, &[0], cfg).expect("server starts");
+        wait_for("the stream to run dry", || handle.stats().stream_done.load(Relaxed));
+        assert!(handle.stats().updates_offered.load(Relaxed) > 0);
+        assert_eq!(handle.ctx.updates_per_sec(), 0.0);
+        handle.join();
     }
 }

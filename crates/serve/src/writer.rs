@@ -146,7 +146,8 @@ fn note_wal(d: &mut DurableState, ctx: &Ctx) {
 
 /// Applies `batch` through the engine and counts it into `stats` — the one
 /// call bootstrap, WAL-tail replay and the live slide all make. Returns
-/// the updates that changed the graph and the engine time in nanoseconds.
+/// the updates that changed the graph and the engine time in nanoseconds,
+/// which a live slide records into `push_wall`.
 pub(crate) fn apply_counted(
     driver: &mut StreamDriver,
     multi: &mut MultiSourcePpr,
@@ -156,7 +157,6 @@ pub(crate) fn apply_counted(
     let t = Instant::now();
     let applied = multi.apply_batch(driver.graph_mut(), batch);
     let apply_ns = t.elapsed().as_nanos() as u64;
-    stats.update_nanos.fetch_add(apply_ns, Relaxed);
     stats.updates_offered.fetch_add(batch.len() as u64, Relaxed);
     stats.updates_applied.fetch_add(applied as u64, Relaxed);
     (applied, apply_ns)
