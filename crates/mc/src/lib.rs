@@ -43,7 +43,6 @@ use std::time::Instant;
 pub struct MonteCarloEngine {
     cfg: PprConfig,
     inner: MonteCarloPpr,
-    restores: u64,
     batches_seen: u64,
 }
 
@@ -54,7 +53,6 @@ impl MonteCarloEngine {
         MonteCarloEngine {
             cfg,
             inner: MonteCarloPpr::new(cfg.source, cfg.alpha, num_walks, seed),
-            restores: 0,
             batches_seen: 0,
         }
     }
@@ -99,7 +97,6 @@ impl DynamicPprEngine for MonteCarloEngine {
             // index must reflect each graph change before the next.
             if g.apply(upd) {
                 applied += 1;
-                self.restores += 1;
                 self.inner.on_update(g, upd.src);
             }
         }

@@ -5,8 +5,10 @@
 //! under `target/<profile>/examples/` next to this test's own binary.
 //! The end-to-end examples are run on tiny graphs (`DPPR_EXAMPLE_N`)
 //! so the smoke test stays fast; `quickstart` additionally self-checks
-//! the ε-guarantee with an `assert!` before exiting, and `serving` spins
-//! up the real HTTP server on an ephemeral port.
+//! the ε-guarantee with an `assert!` before exiting, `community_sweep`
+//! (a fixed 120-vertex graph) the purity of the community its sweep cut
+//! finds, and `serving` spins up the real HTTP server on an ephemeral
+//! port.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -87,5 +89,20 @@ fn who_to_follow_runs_and_recommends() {
     assert!(
         stdout.contains("  follow ") && stdout.contains("?  ppr "),
         "no recommendation lines in who_to_follow output:\n{stdout}"
+    );
+}
+
+#[test]
+fn community_sweep_finds_and_tracks_the_planted_community() {
+    // The example asserts the purity of the first cut and the growth of
+    // the second itself; confirm it printed both.
+    let stdout = run_tiny("community_sweep");
+    assert!(
+        stdout.contains("members belong to the planted community"),
+        "no first sweep cut in community_sweep output:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("sweep cut now has"),
+        "no sweep cut after the drift in community_sweep output:\n{stdout}"
     );
 }
