@@ -45,7 +45,9 @@ fn solve(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64, threads: usiz
     assert!(tol > 0.0);
     let n = g.num_vertices().max(source as usize + 1);
     // The two iterates are atomic rows, as `PprState` holds its vectors, so
-    // that every part of a sweep can share them.
+    // that every part of a sweep can share them. Relaxed loads and stores
+    // suffice: a sweep's parts write disjoint ranges of `next`, and
+    // `fan_out`'s join orders every store before the next sweep's loads.
     let row = || (0..n).map(|_| AtomicF64::default()).collect::<Vec<_>>();
     let (mut cur, mut next) = (row(), row());
     cur[source as usize].store(alpha);

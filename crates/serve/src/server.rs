@@ -466,12 +466,14 @@ mod tests {
         let (init, batch, slides) = (0.5, 100, 3);
         let mut replica = StreamDriver::new(stream.clone(), init);
         let boot = replica.take_initial_batch().len() as u64;
-        let slid: u64 =
-            (0..slides).map(|_| replica.slide_batch(batch).expect("a full slide").len() as u64).sum();
+        let slid: u64 = (0..slides)
+            .map(|_| replica.slide_batch(batch).expect("a full slide").len() as u64)
+            .sum();
         assert!(boot > 5 * slid, "bootstrap {boot} against slides {slid}");
 
         let cfg = ServeConfig { threads: 1, batch, max_slides: slides, ..ServeConfig::default() };
-        let handle = crate::start(stream.clone(), init, &[0, 1], cfg.clone()).expect("server starts");
+        let handle =
+            crate::start(stream.clone(), init, &[0, 1], cfg.clone()).expect("server starts");
         wait_for("the slides", || handle.stats().slides.load(Relaxed) == slides as u64);
         let ctx = Arc::clone(&handle.ctx);
         let report = handle.join();
