@@ -28,8 +28,8 @@
 //! * [`counters`] — software profiling counters (push operations, edge
 //!   traversals, CAS retries, frontier statistics) substituting for the
 //!   paper's nvprof/PAPI hardware metrics (Table 4).
-//! * [`ground_truth`] — a Jacobi solver for the exact fix-point of Eq. 2,
-//!   its sweeps fanned out through [`fanout`], used to validate the
+//! * [`ground_truth`] — a Gauss–Jacobi solver for the exact fix-point of
+//!   Eq. 2, its sweeps fanned out through [`fanout`], used to validate the
 //!   ε-approximation guarantee.
 //! * [`forward`] — the classic forward (source-side) local push and a
 //!   conductance sweep cut, supporting the application examples.
