@@ -225,7 +225,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     }
     writeln!(out, "top_{top}_by_ppr").unwrap();
     let scores = engine.estimates();
-    for (v, p) in dppr_core::multi::top_k_of(&scores, top) {
+    for (v, p) in queries::top_k_of(&scores, top) {
         writeln!(out, "  {v}\t{p:.8}").unwrap();
     }
     Ok(out)
@@ -467,7 +467,7 @@ pub fn exact(args: &Args) -> Result<String, CliError> {
     let p = exact_ppr(&g, source, alpha, 1e-12);
     let mut out = String::new();
     writeln!(out, "graph\t{name}\nsource\t{source}\nalpha\t{alpha}").unwrap();
-    for (v, score) in dppr_core::multi::top_k_of(&p, k) {
+    for (v, score) in queries::top_k_of(&p, k) {
         writeln!(out, "{v}\t{score:.10}").unwrap();
     }
     Ok(out)

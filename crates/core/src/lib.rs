@@ -36,7 +36,13 @@
 //! * [`multi`] — maintenance of many PPR vectors side by side (the
 //!   "multiple personalized unit vectors" building block of §2.1): the
 //!   same two halves, the graph mutated once and the repairs replayed
-//!   against every vector.
+//!   against every vector. It holds no ranking code; its per-source top-k
+//!   is a call of [`queries`]' selection kernel.
+//! * [`queries`] — ε-aware top-k, threshold and comparison queries, each
+//!   written once over the live state and over a score slice: the one rank
+//!   order (best estimate first, ties by ascending id), the one gated
+//!   selection kernel ([`queries::top_k_of`]) and the one interval-order
+//!   rule ([`queries::interval_order`]).
 //!
 //! # Semantics
 //!

@@ -15,6 +15,9 @@
 //! core budget is split, not multiplied, so with at least as many
 //! sessions as cores every push is a one-thread, bit-reproducible
 //! schedule, whose rounds own their state and issue no CAS.
+//!
+//! The module holds no ranking code: [`MultiSourcePpr::top_k`] runs the
+//! selection kernel of [`crate::queries`] on a session's vector in place.
 
 use crate::atomic::AtomicF64;
 use crate::config::PprConfig;
@@ -22,6 +25,7 @@ use crate::counters::Counters;
 use crate::fanout::{default_threads, fan_out};
 use crate::invariant::{apply_to_graph, replay_repairs, Repairs};
 use crate::par::{parallel_local_push, parallel_local_push_opts, ParPushBuffers, PushOpts};
+use crate::queries::select;
 use crate::state::PprState;
 use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
@@ -175,144 +179,8 @@ impl MultiSourcePpr {
     /// Top-`k` vertices by estimate for the `i`-th source, descending
     /// (ties by ascending id). The workhorse of recommendation queries.
     pub fn top_k(&self, i: usize, k: usize) -> Vec<(VertexId, f64)> {
-        top_k_in_place(self.state(i).p_atomics(), k)
+        select(self.state(i).p_atomics(), AtomicF64::load, k)
     }
-}
-
-/// Heap entry ordered so that the *worst* candidate is the heap maximum:
-/// lower score is greater, ties broken by higher id greater (the inverse of
-/// the answer order "descending score, ascending id").
-struct ByWorst(VertexId, f64);
-
-impl PartialEq for ByWorst {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for ByWorst {}
-impl PartialOrd for ByWorst {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ByWorst {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .1
-            .partial_cmp(&self.1)
-            .unwrap()
-            .then(self.0.cmp(&other.0))
-    }
-}
-
-/// Width of the chunks [`scan_gated`] tests at once.
-const CHUNK: usize = 16;
-
-/// Calls `take(acc, v, p)`, in ascending `v`, for every score `p =
-/// load(&scores[i])` (vertex `v` = `base` + `i`) that passes `pass(acc, p)`.
-///
-/// The scores are tested [`CHUNK`] at a time with a branch-free fold: over
-/// a slice of `f64` it vectorizes, and over a maintained vector's atomics,
-/// which do not, it still leaves one branch per chunk instead of one per
-/// score (a per-score loop's speed swung by a quarter with where the linker
-/// placed it). Only a chunk holding a passing score is walked one score at
-/// a time, with `pass` re-evaluated per score since `take` may move what it
-/// tests.
-pub(crate) fn scan_gated<T, A>(
-    scores: &[T],
-    base: usize,
-    acc: &mut A,
-    load: impl Fn(&T) -> f64,
-    pass: impl Fn(&A, f64) -> bool,
-    mut take: impl FnMut(&mut A, usize, f64),
-) {
-    let mut chunks = scores.chunks_exact(CHUNK);
-    let mut v = base;
-    for chunk in chunks.by_ref() {
-        if chunk.iter().fold(false, |any, p| any | pass(acc, load(p))) {
-            for (i, p) in chunk.iter().enumerate() {
-                let p = load(p);
-                if pass(acc, p) {
-                    take(acc, v + i, p);
-                }
-            }
-        }
-        v += CHUNK;
-    }
-    for (i, p) in chunks.remainder().iter().enumerate() {
-        let p = load(p);
-        if pass(acc, p) {
-            take(acc, v + i, p);
-        }
-    }
-}
-
-/// The selection kernel every top-k runs: a k-heap of the best candidates
-/// seen so far and `floor`, the k-th best score.
-///
-/// Vertices are offered in ascending id order, so a later vertex never wins
-/// a tie, and "beats the k-th best" in [`ByWorst`] order is exactly
-/// `p > floor`. The gate is that one compare against a plain `f64`; the
-/// heap update behind it is kept out of line so the gate stays a load, a
-/// compare and a branch in the scan loops.
-struct Selection {
-    heap: std::collections::BinaryHeap<ByWorst>,
-    floor: f64,
-}
-
-impl Selection {
-    /// Fills the heap with the first `k` vertices (ids `0..k`); every one
-    /// enters, whatever its score.
-    #[inline(never)]
-    fn seeded(first: impl Iterator<Item = f64>) -> Self {
-        let heap: std::collections::BinaryHeap<ByWorst> =
-            first.enumerate().map(|(v, p)| ByWorst(v as VertexId, p)).collect();
-        let floor = heap.peek().expect("seeded with k > 0 scores").1;
-        Selection { heap, floor }
-    }
-
-    /// Replaces the k-th best with `(v, p)`, which beats it, and moves the
-    /// floor.
-    #[inline(never)]
-    fn admit(&mut self, v: usize, p: f64) {
-        let full = "admit runs on a seeded, non-empty heap";
-        *self.heap.peek_mut().expect(full) = ByWorst(v as VertexId, p);
-        self.floor = self.heap.peek().expect(full).1;
-    }
-
-    /// The retained entries, best first.
-    fn ranking(self) -> Vec<(VertexId, f64)> {
-        // Ascending in `ByWorst` order = best first, the answer order.
-        self.heap.into_sorted_vec().into_iter().map(|ByWorst(v, p)| (v, p)).collect()
-    }
-}
-
-/// Top-`k` entries of a score vector, descending (ties by ascending id).
-///
-/// One pass with the `Selection` kernel: O(k) extra memory, one compare
-/// per score; heap work only for candidates. The first `k` scores fill the
-/// heap; the rest go through `scan_gated` against the floor. This runs
-/// on every serving-layer snapshot query, the audit and the CLI.
-pub fn top_k_of(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
-    let k = k.min(scores.len());
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut sel = Selection::seeded(scores[..k].iter().copied());
-    scan_gated(&scores[k..], k, &mut sel, |&p| p, |sel, p| p > sel.floor, Selection::admit);
-    sel.ranking()
-}
-
-/// [`top_k_of`] over a maintained vector, read in place.
-pub(crate) fn top_k_in_place(scores: &[AtomicF64], k: usize) -> Vec<(VertexId, f64)> {
-    let k = k.min(scores.len());
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut sel = Selection::seeded(scores[..k].iter().map(AtomicF64::load));
-    let beats_floor = |sel: &Selection, p| p > sel.floor;
-    scan_gated(&scores[k..], k, &mut sel, AtomicF64::load, beats_floor, Selection::admit);
-    sel.ranking()
 }
 
 #[cfg(test)]
@@ -366,100 +234,6 @@ mod tests {
                 assert!((multi.estimate(i, v) - truth[v as usize]).abs() <= 1e-3 + 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn top_k_ordering() {
-        let scores = [0.1, 0.5, 0.3, 0.5, 0.0];
-        let top = top_k_of(&scores, 3);
-        assert_eq!(top.len(), 3);
-        assert_eq!(top[0], (1, 0.5)); // tie broken by id
-        assert_eq!(top[1], (3, 0.5));
-        assert_eq!(top[2], (2, 0.3));
-        assert_eq!(top_k_of(&scores, 0), vec![]);
-        assert_eq!(top_k_of(&[], 5), vec![]);
-    }
-
-    /// The reference semantics `top_k_of` must preserve: full sort by
-    /// (descending score, ascending id), truncated to k.
-    fn top_k_by_full_sort(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
-        let mut all: Vec<(VertexId, f64)> = scores
-            .iter()
-            .enumerate()
-            .map(|(v, &p)| (v as VertexId, p))
-            .collect();
-        all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
-    }
-
-    #[test]
-    fn top_k_heap_matches_full_sort_on_random_scores() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
-        for n in [1usize, 2, 17, 200, 1000] {
-            // Coarse quantization forces plenty of exact ties, so the
-            // (score, id) tie-break is genuinely exercised.
-            let scores: Vec<f64> = (0..n)
-                .map(|_| (rng.gen_range(0..20) as f64) / 20.0)
-                .collect();
-            for k in [0usize, 1, 2, 7, n / 2, n, n + 10] {
-                assert_eq!(
-                    top_k_of(&scores, k),
-                    top_k_by_full_sort(&scores, k),
-                    "n={n} k={k}"
-                );
-            }
-        }
-    }
-
-    fn bits(ranking: &[(VertexId, f64)]) -> Vec<(VertexId, u64)> {
-        ranking.iter().map(|&(v, p)| (v, p.to_bits())).collect()
-    }
-
-    /// Structured score vectors where the gate's floor and the tie-break
-    /// carry the answer: every element beats the floor (ascending), none
-    /// after the first k does (descending), all ties (the lowest ids must
-    /// win), signed zeros (equal under `>`, distinct bit patterns),
-    /// negative ties, and a sparse vector of subnormals and zeros. Both the
-    /// slice kernel and the in-place state form must return the full
-    /// sort's entries, bit for bit, for every length around the chunk width
-    /// and every `k` around the heap's edges.
-    #[test]
-    fn top_k_matches_full_sort_bitwise_on_structured_scores() {
-        let patterns: [(&str, fn(usize, usize) -> f64); 6] = [
-            ("ascending", |i, _| i as f64 * 0.001),
-            ("descending", |i, n| (n - i) as f64 * 0.001),
-            ("all-equal", |_, _| 0.25),
-            ("signed-zeros", |i, _| if i % 2 == 0 { 0.0 } else { -0.0 }),
-            ("negative-ties", |i, _| -((i % 7) as f64) * 0.125),
-            ("sparse-tiny", |i, _| if i % 13 == 5 { f64::from_bits(1 + (i % 3) as u64) } else { 0.0 }),
-        ];
-        let mut cases = 0;
-        for n in [0usize, 1, 15, 16, 17, 33, 100, 1000] {
-            for (name, score) in patterns {
-                let scores: Vec<f64> = (0..n).map(|i| score(i, n)).collect();
-                let state = (n > 0).then(|| {
-                    let mut st = PprState::new(PprConfig::new(0, 0.2, 1e-3));
-                    st.ensure_len(n);
-                    for (v, &p) in scores.iter().enumerate() {
-                        st.set_p(v as VertexId, p);
-                    }
-                    MultiSourcePpr::from_states(vec![st])
-                });
-                let ks = [0, 1, 2, 15, 16, 17, n.saturating_sub(1), n, n + 1, usize::MAX];
-                for k in ks {
-                    let want = bits(&top_k_by_full_sort(&scores, k));
-                    assert_eq!(bits(&top_k_of(&scores, k)), want, "{name} n={n} k={k}");
-                    if let Some(multi) = &state {
-                        assert_eq!(bits(&multi.top_k(0, k)), want, "state {name} n={n} k={k}");
-                    }
-                    cases += 1;
-                }
-            }
-        }
-        assert_eq!(cases, 480);
     }
 
     #[test]

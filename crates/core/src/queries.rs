@@ -6,29 +6,33 @@
 //! recommendation and search applications the paper motivates — expose
 //! that uncertainty instead of hiding it: results are split into vertices
 //! that are *certainly* in the answer and those that are only *possibly*
-//! in it.
+//! in it, and two vertices compare only when their intervals are disjoint
+//! ([`interval_order`]).
 //!
-//! Each query exists in two forms: over a live [`PprState`] (borrowing the
-//! engine) and over a plain `(&[f64], ε)` score slice. The state forms
-//! read the estimate vector in place — no |V| copy per query — and answer
-//! exactly what the slice forms answer on a copy. Both scan the vector
-//! once and gate each score with one compare before any per-vertex work:
-//! top-k against the k-th best so far (the kernel behind
-//! [`crate::multi::top_k_of`]), threshold on `p + ε ≥ δ`.
+//! Every ranked answer lists vertices in one order, best estimate first
+//! and ties by ascending id. Each query is written once, generic over how
+//! a score is read, and exists in two forms: over a live [`PprState`]
+//! (borrowing the engine, each estimate an atomic load) and over a plain
+//! `(&[f64], ε)` score slice. The state forms read the estimate vector in
+//! place — no |V| copy per query — and answer exactly what the slice forms
+//! answer on a copy. Both scan the vector once and gate each score with
+//! one compare before any per-vertex work: top-k against the k-th best so
+//! far (the selection kernel behind [`top_k_of`]), threshold on
+//! `p + ε ≥ δ`.
 //!
 //! An immutable vector can also be ranked once and asked many times.
-//! [`rank_prefix`] lists its best `m` vertices in the answer order (best
-//! estimate first, ties by ascending id). That order is total, so a
-//! shorter prefix is always a prefix of a longer one, and both query
-//! lists are subsequences of it. The `_ranked` forms answer from such a
-//! prefix in time proportional to the answer, not to |V|. `dppr-serve`
-//! runs them against its epoch snapshots, each of which ranks itself on
-//! first use.
+//! [`rank_prefix`] lists its best `m` vertices in the answer order. That
+//! order is total, so a shorter prefix is always a prefix of a longer one,
+//! and both query lists are subsequences of it. The `_ranked` forms answer
+//! from such a prefix in time proportional to the answer, not to |V|.
+//! `dppr-serve` runs them against its epoch snapshots, each of which ranks
+//! itself on first use.
 
 use crate::atomic::AtomicF64;
-use crate::multi::{scan_gated, top_k_in_place, top_k_of};
 use crate::state::PprState;
 use dppr_graph::VertexId;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// An estimate with its ε-interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,6 +66,137 @@ pub struct TopKAnswer {
     pub set_is_certain: bool,
 }
 
+/// The answer order: `Less` when `(v, p)` ranks before `(w, q)`, i.e. it
+/// has the higher estimate, or the same estimate and the lower id.
+fn rank_order((v, p): (VertexId, f64), (w, q): (VertexId, f64)) -> Ordering {
+    q.partial_cmp(&p).unwrap().then(v.cmp(&w))
+}
+
+/// A candidate in the selection heap, ordered by [`rank_order`]: the
+/// heap's maximum is the worst candidate it holds.
+struct Ranked(VertexId, f64);
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Ranked {}
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        rank_order((self.0, self.1), (other.0, other.1))
+    }
+}
+
+/// Width of the chunks [`scan_gated`] tests at once.
+const CHUNK: usize = 16;
+
+/// Calls `take(acc, v, p)`, in ascending `v`, for every score `p =
+/// load(&scores[i])` (vertex `v` = `base` + `i`) that passes `pass(acc, p)`.
+///
+/// The scores are tested [`CHUNK`] at a time with a branch-free fold: over
+/// a slice of `f64` it vectorizes, and over a maintained vector's atomics,
+/// which do not, it still leaves one branch per chunk instead of one per
+/// score (a per-score loop's speed swung by a quarter with where the linker
+/// placed it). Only a chunk holding a passing score is walked one score at
+/// a time, with `pass` re-evaluated per score since `take` may move what it
+/// tests.
+fn scan_gated<T, A>(
+    scores: &[T],
+    base: usize,
+    acc: &mut A,
+    load: impl Fn(&T) -> f64,
+    pass: impl Fn(&A, f64) -> bool,
+    mut take: impl FnMut(&mut A, usize, f64),
+) {
+    let mut chunks = scores.chunks_exact(CHUNK);
+    let mut v = base;
+    for chunk in chunks.by_ref() {
+        if chunk.iter().fold(false, |any, p| any | pass(acc, load(p))) {
+            for (i, p) in chunk.iter().enumerate() {
+                let p = load(p);
+                if pass(acc, p) {
+                    take(acc, v + i, p);
+                }
+            }
+        }
+        v += CHUNK;
+    }
+    for (i, p) in chunks.remainder().iter().enumerate() {
+        let p = load(p);
+        if pass(acc, p) {
+            take(acc, v + i, p);
+        }
+    }
+}
+
+/// The selection kernel's state: a k-heap of the best candidates seen so
+/// far and `floor`, the k-th best score.
+///
+/// Vertices are offered in ascending id order, so a later vertex never wins
+/// a tie, and "beats the k-th best" in [`rank_order`] is exactly
+/// `p > floor`. The gate is that one compare against a plain `f64`; the
+/// heap update behind it is kept out of line so the gate stays a load, a
+/// compare and a branch in the scan loop.
+struct Selection {
+    heap: BinaryHeap<Ranked>,
+    floor: f64,
+}
+
+impl Selection {
+    /// Fills the heap with the first `k` vertices (ids `0..k`); every one
+    /// enters, whatever its score.
+    #[inline(never)]
+    fn seeded(first: impl Iterator<Item = f64>) -> Self {
+        let heap: BinaryHeap<Ranked> =
+            first.enumerate().map(|(v, p)| Ranked(v as VertexId, p)).collect();
+        let floor = heap.peek().expect("seeded with k > 0 scores").1;
+        Selection { heap, floor }
+    }
+
+    /// Replaces the k-th best with `(v, p)`, which beats it, and moves the
+    /// floor.
+    #[inline(never)]
+    fn admit(&mut self, v: usize, p: f64) {
+        let full = "admit runs on a seeded, non-empty heap";
+        *self.heap.peek_mut().expect(full) = Ranked(v as VertexId, p);
+        self.floor = self.heap.peek().expect(full).1;
+    }
+}
+
+/// The selection kernel every top-k runs: the best `k` entries of `scores`
+/// (each read through `load`), in the answer order.
+///
+/// One pass, O(k) extra memory, one compare per score; heap work only for
+/// candidates. The first `k` scores fill the heap; the rest go through
+/// [`scan_gated`] against the floor.
+pub(crate) fn select<T>(
+    scores: &[T],
+    load: impl Fn(&T) -> f64,
+    k: usize,
+) -> Vec<(VertexId, f64)> {
+    let k = k.min(scores.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut sel = Selection::seeded(scores[..k].iter().map(&load));
+    scan_gated(&scores[k..], k, &mut sel, load, |sel, p| p > sel.floor, Selection::admit);
+    // Ascending in `rank_order` = best first.
+    sel.heap.into_sorted_vec().into_iter().map(|Ranked(v, p)| (v, p)).collect()
+}
+
+/// Top-`k` entries of a score vector in the answer order (descending
+/// score, ties by ascending id). This runs on every serving-layer snapshot
+/// ranking, the audit and the CLI.
+pub fn top_k_of(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
+    select(scores, |&p| p, k)
+}
+
 /// The ε-interval around estimate `p` of vertex `v`.
 fn interval(v: VertexId, p: f64, eps: f64) -> BoundedScore {
     BoundedScore {
@@ -76,10 +211,6 @@ fn interval(v: VertexId, p: f64, eps: f64) -> BoundedScore {
 /// (they are unmaterialized, i.e. their estimate is exactly 0).
 pub fn bounded_score(scores: &[f64], eps: f64, v: VertexId) -> BoundedScore {
     interval(v, scores.get(v as usize).copied().unwrap_or(0.0), eps)
-}
-
-fn bounded(state: &PprState, v: VertexId) -> BoundedScore {
-    interval(v, state.p(v), state.config().epsilon)
 }
 
 /// The answer from the top `k + 1` entries, best first: the first `k` are
@@ -120,7 +251,7 @@ pub fn top_k_scores(scores: &[f64], eps: f64, k: usize) -> TopKAnswer {
 /// Top-`k` vertices by estimate, with interval bounds and a certainty
 /// verdict for the answer *set*.
 pub fn top_k(state: &PprState, k: usize) -> TopKAnswer {
-    let extended = top_k_in_place(state.p_atomics(), k.saturating_add(1));
+    let extended = select(state.p_atomics(), AtomicF64::load, k.saturating_add(1));
     ranked(&extended, state.config().epsilon, k)
 }
 
@@ -154,26 +285,23 @@ impl Split {
             self.answer.possible.push(b);
         }
     }
+}
 
-    /// Both lists sorted by descending estimate, ties by ascending id.
-    fn sorted(mut self) -> ThresholdAnswer {
-        let by_est = |a: &BoundedScore, b: &BoundedScore| {
-            b.estimate
-                .partial_cmp(&a.estimate)
-                .unwrap()
-                .then(a.vertex.cmp(&b.vertex))
-        };
-        self.answer.certain.sort_by(by_est);
-        self.answer.possible.sort_by(by_est);
-        self.answer
-    }
+/// The one threshold scan: every score (read through `load`) that may
+/// reach δ, split by certainty, both lists in the answer order.
+fn threshold<T>(scores: &[T], load: impl Fn(&T) -> f64, eps: f64, delta: f64) -> ThresholdAnswer {
+    let mut split = Split::new(eps, delta);
+    scan_gated(scores, 0, &mut split, load, Split::passes, Split::classify);
+    let by_rank =
+        |a: &BoundedScore, b: &BoundedScore| rank_order((a.vertex, a.estimate), (b.vertex, b.estimate));
+    split.answer.certain.sort_by(by_rank);
+    split.answer.possible.sort_by(by_rank);
+    split.answer
 }
 
 /// [`above_threshold`] over a plain score slice.
 pub fn above_threshold_scores(scores: &[f64], eps: f64, delta: f64) -> ThresholdAnswer {
-    let mut split = Split::new(eps, delta);
-    scan_gated(scores, 0, &mut split, |&p| p, Split::passes, Split::classify);
-    split.sorted()
+    threshold(scores, |&p| p, eps, delta)
 }
 
 /// [`above_threshold`] from `prefix`, a [`rank_prefix`] of `scores`.
@@ -202,48 +330,40 @@ pub fn above_threshold_ranked(
 /// All vertices whose true PPR value may reach `delta`, split by
 /// certainty. Both lists are sorted by descending estimate.
 pub fn above_threshold(state: &PprState, delta: f64) -> ThresholdAnswer {
-    let mut split = Split::new(state.config().epsilon, delta);
-    let scores = state.p_atomics();
-    scan_gated(scores, 0, &mut split, AtomicF64::load, Split::passes, Split::classify);
-    split.sorted()
+    threshold(state.p_atomics(), AtomicF64::load, state.config().epsilon, delta)
 }
 
-/// [`compare`] over a plain score slice.
-pub fn compare_scores(
-    scores: &[f64],
-    eps: f64,
-    a: VertexId,
-    b: VertexId,
-) -> Option<std::cmp::Ordering> {
-    let ba = bounded_score(scores, eps, a);
-    let bb = bounded_score(scores, eps, b);
-    if ba.lo > bb.hi {
-        Some(std::cmp::Ordering::Greater)
-    } else if bb.lo > ba.hi {
-        Some(std::cmp::Ordering::Less)
-    } else if a == b {
-        Some(std::cmp::Ordering::Equal)
+/// How the true values behind two ε-intervals compare as far as the
+/// intervals tell: `Some(ordering)` when they are disjoint, `None` when
+/// they overlap.
+pub fn interval_order(a: &BoundedScore, b: &BoundedScore) -> Option<Ordering> {
+    if a.lo > b.hi {
+        Some(Ordering::Greater)
+    } else if b.lo > a.hi {
+        Some(Ordering::Less)
     } else {
         None
     }
+}
+
+/// The one comparison body: [`interval_order`] of the two vertices'
+/// intervals, and `Equal` for a vertex against itself.
+fn compare_by(a: VertexId, b: VertexId, score: impl Fn(VertexId) -> BoundedScore) -> Option<Ordering> {
+    interval_order(&score(a), &score(b)).or((a == b).then_some(Ordering::Equal))
+}
+
+/// [`compare`] over a plain score slice.
+pub fn compare_scores(scores: &[f64], eps: f64, a: VertexId, b: VertexId) -> Option<Ordering> {
+    compare_by(a, b, |v| bounded_score(scores, eps, v))
 }
 
 /// Compares two vertices' true PPR values as far as ε allows:
 /// `Some(ordering)` when the intervals are disjoint, `None` when the
 /// comparison is undecidable at this ε. (Reads the two estimates directly
 /// rather than copying the vector like the slice form would need.)
-pub fn compare(state: &PprState, a: VertexId, b: VertexId) -> Option<std::cmp::Ordering> {
-    let ba = bounded(state, a);
-    let bb = bounded(state, b);
-    if ba.lo > bb.hi {
-        Some(std::cmp::Ordering::Greater)
-    } else if bb.lo > ba.hi {
-        Some(std::cmp::Ordering::Less)
-    } else if a == b {
-        Some(std::cmp::Ordering::Equal)
-    } else {
-        None
-    }
+pub fn compare(state: &PprState, a: VertexId, b: VertexId) -> Option<Ordering> {
+    let eps = state.config().epsilon;
+    compare_by(a, b, |v| interval(v, state.p(v), eps))
 }
 
 #[cfg(test)]
@@ -314,5 +434,134 @@ mod tests {
         let ans = top_k(&st, 2);
         assert_eq!(ans.ranking[0].hi, 1.0);
         assert_eq!(ans.ranking[1].lo, 0.0);
+    }
+
+    #[test]
+    fn top_k_ordering() {
+        let scores = [0.1, 0.5, 0.3, 0.5, 0.0];
+        let top = top_k_of(&scores, 3);
+        assert_eq!(top.len(), 3);
+        assert_eq!(top[0], (1, 0.5)); // tie broken by id
+        assert_eq!(top[1], (3, 0.5));
+        assert_eq!(top[2], (2, 0.3));
+        assert_eq!(top_k_of(&scores, 0), vec![]);
+        assert_eq!(top_k_of(&[], 5), vec![]);
+    }
+
+    /// The reference semantics `top_k_of` must preserve: full sort by
+    /// (descending score, ascending id), truncated to k.
+    fn top_k_by_full_sort(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
+        let mut all: Vec<(VertexId, f64)> = scores
+            .iter()
+            .enumerate()
+            .map(|(v, &p)| (v as VertexId, p))
+            .collect();
+        all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+
+    #[test]
+    fn top_k_heap_matches_full_sort_on_random_scores() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
+        for n in [1usize, 2, 17, 200, 1000] {
+            // Coarse quantization forces plenty of exact ties, so the
+            // (score, id) tie-break is genuinely exercised.
+            let scores: Vec<f64> = (0..n)
+                .map(|_| (rng.gen_range(0..20) as f64) / 20.0)
+                .collect();
+            for k in [0usize, 1, 2, 7, n / 2, n, n + 10] {
+                assert_eq!(
+                    top_k_of(&scores, k),
+                    top_k_by_full_sort(&scores, k),
+                    "n={n} k={k}"
+                );
+            }
+        }
+    }
+
+    fn bits(ranking: &[(VertexId, f64)]) -> Vec<(VertexId, u64)> {
+        ranking.iter().map(|&(v, p)| (v, p.to_bits())).collect()
+    }
+
+    /// Every field of every entry of both lists, as bits.
+    fn threshold_bits(ans: &ThresholdAnswer) -> [Vec<[u64; 4]>; 2] {
+        let row = |b: &BoundedScore| {
+            [b.vertex as u64, b.estimate.to_bits(), b.lo.to_bits(), b.hi.to_bits()]
+        };
+        [ans.certain.iter().map(row).collect(), ans.possible.iter().map(row).collect()]
+    }
+
+    /// Structured score vectors where the gate's floor and the tie-break
+    /// carry the answer: every element beats the floor (ascending), none
+    /// after the first k does (descending), all ties (the lowest ids must
+    /// win), signed zeros (equal under `>`, distinct bit patterns),
+    /// negative ties, and a sparse vector of subnormals and zeros. Both the
+    /// slice kernel and the in-place state form must return the full
+    /// sort's entries, bit for bit, for every length around the chunk width
+    /// and every `k` around the heap's edges. On the same vectors the
+    /// state and slice forms of the threshold query agree bit for bit for
+    /// every δ at a score ± ε and at the edges (±0, below every score,
+    /// above every interval), and those of the comparison agree on every
+    /// pair of the first 17 ids (past the vector's end too, where both
+    /// read 0).
+    #[test]
+    fn top_k_matches_full_sort_bitwise_on_structured_scores() {
+        use crate::multi::MultiSourcePpr;
+        const EPS: f64 = 1e-3;
+        let patterns: [(&str, fn(usize, usize) -> f64); 6] = [
+            ("ascending", |i, _| i as f64 * 0.001),
+            ("descending", |i, n| (n - i) as f64 * 0.001),
+            ("all-equal", |_, _| 0.25),
+            ("signed-zeros", |i, _| if i % 2 == 0 { 0.0 } else { -0.0 }),
+            ("negative-ties", |i, _| -((i % 7) as f64) * 0.125),
+            ("sparse-tiny", |i, _| if i % 13 == 5 { f64::from_bits(1 + (i % 3) as u64) } else { 0.0 }),
+        ];
+        let mut cases = 0;
+        for n in [0usize, 1, 15, 16, 17, 33, 100, 1000] {
+            for (name, score) in patterns {
+                let scores: Vec<f64> = (0..n).map(|i| score(i, n)).collect();
+                let state = (n > 0).then(|| {
+                    let mut st = PprState::new(PprConfig::new(0, 0.2, EPS));
+                    st.ensure_len(n);
+                    for (v, &p) in scores.iter().enumerate() {
+                        st.set_p(v as VertexId, p);
+                    }
+                    MultiSourcePpr::from_states(vec![st])
+                });
+                let ks = [0, 1, 2, 15, 16, 17, n.saturating_sub(1), n, n + 1, usize::MAX];
+                for k in ks {
+                    let want = bits(&top_k_by_full_sort(&scores, k));
+                    assert_eq!(bits(&top_k_of(&scores, k)), want, "{name} n={n} k={k}");
+                    if let Some(multi) = &state {
+                        assert_eq!(bits(&multi.top_k(0, k)), want, "state {name} n={n} k={k}");
+                    }
+                    cases += 1;
+                }
+                let Some(multi) = &state else { continue };
+                let st = multi.state(0);
+                let max = scores.iter().copied().fold(f64::MIN, f64::max);
+                let mut deltas: Vec<f64> = scores.iter().flat_map(|&p| [p - EPS, p + EPS]).collect();
+                deltas.extend([0.0, -0.0, -1.0, max + 2.0 * EPS]);
+                deltas.sort_by(f64::total_cmp);
+                deltas.dedup_by(|a, b| a.to_bits() == b.to_bits());
+                for delta in deltas {
+                    assert_eq!(
+                        threshold_bits(&above_threshold(st, delta)),
+                        threshold_bits(&above_threshold_scores(&scores, EPS, delta)),
+                        "threshold {name} n={n} delta={delta:e}"
+                    );
+                }
+                for a in 0..17 {
+                    for b in 0..17 {
+                        let want = compare_scores(&scores, EPS, a, b);
+                        assert_eq!(compare(st, a, b), want, "compare {name} n={n} {a} {b}");
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 480);
     }
 }

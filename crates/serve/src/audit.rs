@@ -30,7 +30,7 @@
 use crate::metrics::{series_columns, SeriesColumn, View};
 use crate::server::{Control, Ctx, ServeConfig};
 use crate::snapshot::QuerySnapshot;
-use dppr_core::multi::top_k_of;
+use dppr_core::queries::top_k_of;
 use dppr_core::{exact_ppr_seq, max_invariant_violation, AtomicF64, PprState};
 use dppr_graph::{DynamicGraph, VertexId};
 use dppr_obs::{HistSnapshot, SeriesRing, SeriesWindow};

@@ -10,7 +10,7 @@ use crate::http::{Request, Response};
 use crate::json::{error_body, JsonBuf};
 use crate::server::{Control, Ctx};
 use crate::snapshot::QuerySnapshot;
-use dppr_core::queries::BoundedScore;
+use dppr_core::queries::{interval_order, BoundedScore};
 use dppr_graph::VertexId;
 use std::cmp::Ordering;
 use std::sync::atomic::Ordering::Relaxed;
@@ -252,21 +252,28 @@ fn compare(req: &Request, r: &RouterImpl) -> Result<Response, String> {
         |j, snap, &(a, b)| {
             j.key("a").uint(a as u64);
             j.key("b").uint(b as u64);
-            j.key("order").str(match snap.compare(a, b) {
-                Some(Ordering::Greater) => "greater",
-                Some(Ordering::Less) => "less",
-                Some(Ordering::Equal) => "equal",
-                None => "undecidable",
-            });
+            j.key("order").str(order_name(snap.compare(a, b)));
         },
     )
+}
+
+/// The `order` field of `/compare` and `/compare_sessions`.
+fn order_name(order: Option<Ordering>) -> &'static str {
+    match order {
+        Some(Ordering::Greater) => "greater",
+        Some(Ordering::Less) => "less",
+        Some(Ordering::Equal) => "equal",
+        None => "undecidable",
+    }
 }
 
 /// Cross-session comparison: which of two *sessions* ranks vertex `v`
 /// higher. The per-session `/compare` reads one snapshot; this one loads
 /// both sessions' snapshots — two loads, so possibly one epoch apart —
-/// and interval-compares their estimates. Not cached: the cache is keyed
-/// by one source and one epoch.
+/// and orders their estimates' ε-intervals by the in-session rule
+/// ([`interval_order`]): certain only when the intervals are disjoint, and
+/// never `equal`. Not cached: the cache is keyed by one source and one
+/// epoch.
 fn compare_sessions(req: &Request, r: &RouterImpl) -> Result<Response, String> {
     let ctx = &*r.ctx;
     ctx.stats.queries.fetch_add(1, Relaxed);
@@ -281,15 +288,6 @@ fn compare_sessions(req: &Request, r: &RouterImpl) -> Result<Response, String> {
         (Err(not_found), _) | (_, Err(not_found)) => return Ok(not_found),
     };
     let (ba, bb) = (sa.score(v), sb.score(v));
-    // Certain only when the ε-intervals are disjoint, same as the
-    // in-session compare semantics.
-    let order = if ba.lo > bb.hi {
-        "greater"
-    } else if ba.hi < bb.lo {
-        "less"
-    } else {
-        "undecidable"
-    };
     let mut j = JsonBuf::new();
     j.begin_obj();
     j.key("a").uint(a as u64);
@@ -299,7 +297,7 @@ fn compare_sessions(req: &Request, r: &RouterImpl) -> Result<Response, String> {
     j.key("epoch_b").uint(sb.epoch());
     j.key("estimate_a").num(ba.estimate);
     j.key("estimate_b").num(bb.estimate);
-    j.key("order").str(order);
+    j.key("order").str(order_name(interval_order(&ba, &bb)));
     j.end_obj();
     Ok(Response::new(200, j.finish()))
 }
