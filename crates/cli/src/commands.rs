@@ -5,7 +5,7 @@ use dppr_core::{
     exact_ppr, queries, DynamicPprEngine, ParallelEngine, PprConfig, PushVariant, SeqEngine,
     UpdateMode,
 };
-use dppr_graph::{generators, io, presets, DynamicGraph, GraphStream, VertexId};
+use dppr_graph::{generators, io, presets, DynamicGraph, GraphStream, SlidingWindow, VertexId};
 use dppr_mc::MonteCarloEngine;
 use dppr_stream::{pick_top_degree_source, StreamDriver};
 use dppr_vc::LigraEngine;
@@ -42,44 +42,40 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
     Ok(format!("wrote {} arcs to {out} ({desc})\n", edges.len()))
 }
 
-/// (edges, undirected?, display name) triple loaded by `load_edges`.
-type LoadedGraph = (Vec<(u32, u32)>, bool, String);
-
-/// Loads a graph source shared by `info`, `query`, `exact`.
-fn load_edges(args: &Args) -> Result<LoadedGraph, CliError> {
+/// Loads the graph source every graph-reading subcommand shares, as an
+/// unpermuted stream (undirected when the preset is, or with
+/// `--undirected`), with its display name. `info`, `query` and `exact`
+/// read it as one window over the whole stream, so `SlidingWindow` stays
+/// the one owner of the undirected expansion and yields the arcs in
+/// stream order.
+fn load_edges(args: &Args) -> Result<(GraphStream, String), CliError> {
     // All three are looked up whichever one decides: a lookup is what
     // makes an option known to `Args::reject_unknown`.
     let (preset, graph, undirected) = (args.get("preset"), args.get("graph"), args.flag("undirected"));
-    if let Some(name) = preset {
+    let (edges, undirected, name) = if let Some(name) = preset {
         let ds = presets::by_name(name)
             .ok_or_else(|| err(format!("unknown preset {name:?}")))?;
-        let undirected = ds.undirected;
-        Ok((ds.edges, undirected, name.to_string()))
+        (ds.edges, ds.undirected, name)
     } else if let Some(path) = graph {
         let edges =
             io::read_edge_list(path).map_err(|e| err(format!("reading {path}: {e}")))?;
-        Ok((edges, undirected, path.to_string()))
+        (edges, undirected, path)
     } else {
-        Err(err("need --preset NAME or --graph FILE"))
-    }
-}
-
-fn materialize(edges: &[(u32, u32)], undirected: bool) -> DynamicGraph {
-    let mut g = DynamicGraph::new();
-    for &(u, v) in edges {
-        g.insert_edge(u, v);
-        if undirected {
-            g.insert_edge(v, u);
-        }
-    }
-    g
+        return Err(err("need --preset NAME or --graph FILE"));
+    };
+    let stream = if undirected {
+        GraphStream::undirected(edges)
+    } else {
+        GraphStream::directed(edges)
+    };
+    Ok((stream, name.to_string()))
 }
 
 /// `dppr info` — graph statistics including degree-distribution shape.
 pub fn info(args: &Args) -> Result<String, CliError> {
-    let (edges, undirected, name) = load_edges(args)?;
+    let (stream, name) = load_edges(args)?;
     args.reject_unknown()?;
-    let g = materialize(&edges, undirected);
+    let g = SlidingWindow::new(stream, 1.0).to_graph();
     let mut out = String::new();
     writeln!(out, "graph\t{name}").unwrap();
     writeln!(out, "active_vertices\t{}", g.active_vertices()).unwrap();
@@ -118,10 +114,10 @@ fn get_epsilon(args: &Args, default: f64) -> Result<f64, CliError> {
 }
 
 /// `--source`, refused unless it is a vertex id below the vertex bound of
-/// `edges`: a PPR state holds `source + 1` rows, so an id past the graph
+/// `stream`: a PPR state holds `source + 1` rows, so an id past the graph
 /// would size the state by the id rather than by the graph.
-fn check_source(source: VertexId, edges: &[(u32, u32)]) -> Result<VertexId, CliError> {
-    let bound = dppr_graph::stream::vertex_bound(edges);
+fn check_source(source: VertexId, stream: &GraphStream) -> Result<VertexId, CliError> {
+    let bound = stream.vertex_bound();
     if (source as usize) < bound {
         Ok(source)
     } else {
@@ -141,7 +137,7 @@ fn parse_variant(raw: &str) -> Result<PushVariant, CliError> {
 
 /// `dppr run` — sliding-window streaming through a chosen engine.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let (edges, undirected, name) = load_edges(args)?;
+    let (stream, name) = load_edges(args)?;
     let seed: u64 = args.get_parsed("seed", 1u64)?;
     let alpha = get_alpha(args)?;
     let epsilon = get_epsilon(args, 1e-5)?;
@@ -151,7 +147,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .get("source")
         .map(|raw| raw.parse().map_err(|_| err(format!("bad --source {raw:?}"))))
         .transpose()?
-        .map(|source| check_source(source, &edges))
+        .map(|source| check_source(source, &stream))
         .transpose()?;
     let bucket: usize = args.get_parsed("top-bucket", 1_000usize)?;
     let engine_name = args.get_or("engine", "cpu-mt");
@@ -161,20 +157,14 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let counters = args.flag("counters");
     let top: usize = args.get_parsed("top", 10usize)?;
     args.reject_unknown()?;
-
-    let stream = if undirected {
-        GraphStream::undirected(edges)
-    } else {
-        GraphStream::directed(edges)
-    }
-    .permuted(seed);
+    let stream = stream.permuted(seed);
 
     // Source: explicit id, or drawn from a top-degree bucket of the warmed
     // window (the paper's methodology).
     let source: VertexId = if let Some(source) = explicit_source {
         source
     } else {
-        let probe = dppr_graph::SlidingWindow::new(stream.clone(), 0.1).to_graph();
+        let probe = SlidingWindow::new(stream.clone(), 0.1).to_graph();
         pick_top_degree_source(&probe, bucket, seed ^ 0xABCD)
     };
     let cfg = PprConfig::new(source, alpha, epsilon);
@@ -234,8 +224,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 /// `dppr query` — maintain over the whole graph, then answer ε-aware
 /// queries.
 pub fn query(args: &Args) -> Result<String, CliError> {
-    let (edges, undirected, name) = load_edges(args)?;
-    let source = check_source(args.get_parsed("source", 0u32)?, &edges)?;
+    let (stream, name) = load_edges(args)?;
+    let source = check_source(args.get_parsed("source", 0u32)?, &stream)?;
     let alpha = get_alpha(args)?;
     let epsilon = get_epsilon(args, 1e-5)?;
     let k: usize = args.get_parsed("top", 10usize)?;
@@ -245,15 +235,7 @@ pub fn query(args: &Args) -> Result<String, CliError> {
     args.reject_unknown()?;
     let cfg = PprConfig::new(source, alpha, epsilon);
     let mut engine = ParallelEngine::new(cfg, PushVariant::OPT);
-    let mut g = DynamicGraph::new();
-    let mut batch = Vec::with_capacity(edges.len() * 2);
-    for &(u, v) in &edges {
-        batch.push(dppr_graph::EdgeUpdate::insert(u, v));
-        if undirected {
-            batch.push(dppr_graph::EdgeUpdate::insert(v, u));
-        }
-    }
-    engine.apply_batch(&mut g, &batch);
+    engine.apply_batch(&mut DynamicGraph::new(), &SlidingWindow::new(stream, 1.0).initial_updates());
 
     let mut out = String::new();
     writeln!(out, "graph\t{name}\nsource\t{source}\nepsilon\t{epsilon:e}").unwrap();
@@ -334,6 +316,47 @@ fn serve_durability(args: &Args) -> Result<Option<dppr_serve::DurabilityConfig>,
     Ok(Some(cfg))
 }
 
+/// The port `dppr serve` binds when `--port` is not given.
+const SERVE_PORT: u16 = 7171;
+
+/// `dppr serve`'s `ServeConfig`: each tuning option overrides its field,
+/// and an absent one keeps `ServeConfig::default()`'s value (the port
+/// falls back to [`SERVE_PORT`], the durability knobs to
+/// `DurabilityConfig::new`'s).
+fn serve_config(args: &Args) -> Result<dppr_serve::ServeConfig, CliError> {
+    use std::time::Duration;
+    let d = dppr_serve::ServeConfig::default();
+    let ms = |name: &str, default: Duration| -> Result<Duration, CliError> {
+        Ok(Duration::from_millis(args.get_parsed(name, default.as_millis() as u64)?))
+    };
+    let slo_p99_ms = args.get_finite("slo-p99-ms", d.slo_p99.as_secs_f64() * 1e3)?.max(0.0);
+    let slo_p99 = Duration::try_from_secs_f64(slo_p99_ms / 1e3)
+        .map_err(|_| err(format!("--slo-p99-ms out of range: {slo_p99_ms:e}")))?;
+    Ok(dppr_serve::ServeConfig {
+        port: args.get_parsed("port", SERVE_PORT)?,
+        threads: args.get_parsed("threads", d.threads)?,
+        cache_capacity: args.get_parsed("cache-capacity", d.cache_capacity)?,
+        session_capacity: args.get_parsed("session-capacity", d.session_capacity)?,
+        alpha: get_alpha(args)?,
+        epsilon: get_epsilon(args, d.epsilon)?,
+        batch: args.get_parsed("batch", d.batch)?,
+        max_slides: args.get_parsed("max-slides", d.max_slides)?,
+        slide_pause: ms("slide-pause-ms", d.slide_pause)?,
+        read_timeout: ms("read-timeout-ms", d.read_timeout)?,
+        write_timeout: ms("write-timeout-ms", d.write_timeout)?,
+        shed_after: ms("shed-after-ms", d.shed_after)?,
+        durability: serve_durability(args)?,
+        trace_sample: args.get_parsed("trace-sample", d.trace_sample)?,
+        trace_capacity: args.get_parsed("trace-capacity", d.trace_capacity)?,
+        audit_sample: args.get_parsed("audit-sample", d.audit_sample)?,
+        audit_interval: ms("audit-interval-ms", d.audit_interval)?,
+        slo_p99,
+        slo_availability: args.get_finite("slo-availability", d.slo_availability)?,
+        slo_topk_overlap: args.get_finite("slo-topk-overlap", d.slo_topk_overlap)?,
+        ..d
+    })
+}
+
 /// `dppr serve` — the concurrent query-serving subsystem: background
 /// window slides + epoch-published snapshots + HTTP front end.
 ///
@@ -344,53 +367,15 @@ fn serve_durability(args: &Args) -> Result<Option<dppr_serve::DurabilityConfig>,
 pub fn serve(args: &Args) -> Result<String, CliError> {
     use std::io::Write as _;
 
-    let (edges, undirected, name) = load_edges(args)?;
+    let (stream, name) = load_edges(args)?;
     let seed: u64 = args.get_parsed("seed", 1u64)?;
-    let slo_p99_ms = args.get_finite("slo-p99-ms", 0.0)?.max(0.0);
-    let slo_p99 = std::time::Duration::try_from_secs_f64(slo_p99_ms / 1e3)
-        .map_err(|_| err(format!("--slo-p99-ms out of range: {slo_p99_ms:e}")))?;
-    let cfg = dppr_serve::ServeConfig {
-        port: args.get_parsed("port", 7171u16)?,
-        threads: args.get_parsed("threads", 4usize)?,
-        cache_capacity: args.get_parsed("cache-capacity", 1024usize)?,
-        session_capacity: args.get_parsed("session-capacity", 64usize)?,
-        alpha: get_alpha(args)?,
-        epsilon: get_epsilon(args, 1e-4)?,
-        batch: args.get_parsed("batch", 500usize)?,
-        max_slides: args.get_parsed("max-slides", 0usize)?,
-        slide_pause: std::time::Duration::from_millis(
-            args.get_parsed("slide-pause-ms", 0u64)?,
-        ),
-        read_timeout: std::time::Duration::from_millis(
-            args.get_parsed("read-timeout-ms", 10_000u64)?,
-        ),
-        write_timeout: std::time::Duration::from_millis(
-            args.get_parsed("write-timeout-ms", 10_000u64)?,
-        ),
-        shed_after: std::time::Duration::from_millis(args.get_parsed("shed-after-ms", 1_000u64)?),
-        durability: serve_durability(args)?,
-        trace_sample: args.get_parsed("trace-sample", 0u64)?,
-        trace_capacity: args.get_parsed("trace-capacity", 1024usize)?,
-        audit_sample: args.get_parsed("audit-sample", 0usize)?,
-        audit_interval: std::time::Duration::from_millis(
-            args.get_parsed("audit-interval-ms", 500u64)?,
-        ),
-        slo_p99,
-        slo_availability: args.get_finite("slo-availability", 0.0)?,
-        slo_topk_overlap: args.get_finite("slo-topk-overlap", 0.0)?,
-        ..dppr_serve::ServeConfig::default()
-    };
+    let cfg = serve_config(args)?;
     let run_secs: u64 = args.get_parsed("run-secs", 0u64)?;
     let explicit_sources = args.get("sources");
     let num_sources: usize = args.get_parsed("num-sources", 4usize)?;
     args.reject_unknown()?;
 
-    let stream = if undirected {
-        GraphStream::undirected(edges)
-    } else {
-        GraphStream::directed(edges)
-    }
-    .permuted(seed);
+    let stream = stream.permuted(seed);
     let sources = serve_sources(explicit_sources, num_sources, &stream)?;
 
     let handle = dppr_serve::start(stream, SERVE_INIT_FRACTION, &sources, cfg)
@@ -458,12 +443,12 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
 
 /// `dppr exact` — Gauss–Jacobi ground truth.
 pub fn exact(args: &Args) -> Result<String, CliError> {
-    let (edges, undirected, name) = load_edges(args)?;
-    let source = check_source(args.get_parsed("source", 0u32)?, &edges)?;
+    let (stream, name) = load_edges(args)?;
+    let source = check_source(args.get_parsed("source", 0u32)?, &stream)?;
     let alpha = get_alpha(args)?;
     let k: usize = args.get_parsed("top", 10usize)?;
     args.reject_unknown()?;
-    let g = materialize(&edges, undirected);
+    let g = SlidingWindow::new(stream, 1.0).to_graph();
     let p = exact_ppr(&g, source, alpha, 1e-12);
     let mut out = String::new();
     writeln!(out, "graph\t{name}\nsource\t{source}\nalpha\t{alpha}").unwrap();
@@ -554,6 +539,15 @@ mod tests {
         assert!(out.contains("updates_per_sec"), "{out}");
         assert!(out.contains("cache_hit_rate"), "{out}");
         assert!(out.contains("sessions\t2"), "{out}");
+    }
+
+    /// Without tuning options the config is the library's default on the
+    /// CLI's own port.
+    #[test]
+    fn serve_config_defaults_to_the_library_defaults() {
+        let a = Args::parse(["serve", "--preset", "toy"]).unwrap();
+        let want = dppr_serve::ServeConfig { port: SERVE_PORT, ..Default::default() };
+        assert_eq!(format!("{:?}", serve_config(&a).unwrap()), format!("{want:?}"));
     }
 
     #[test]
