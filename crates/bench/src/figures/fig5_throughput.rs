@@ -47,7 +47,7 @@ pub fn run(scale: ExperimentScale) {
                 println!(
                     "{}\t{}\t{}\t{}\t{:.0}\t{:.3}",
                     workload.name,
-                    kind.label(),
+                    summary.engine,
                     batch,
                     summary.slides,
                     summary.throughput(),

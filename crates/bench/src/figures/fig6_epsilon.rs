@@ -51,7 +51,7 @@ pub fn run(scale: ExperimentScale) {
             }
             println!(
                 "{eps:.0e}\t{}\t{}\t{:.3}\t{}\t{:.2}",
-                kind.label(),
+                summary.engine,
                 summary.slides,
                 mean,
                 summary.total_counters().pushes,

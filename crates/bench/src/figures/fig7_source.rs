@@ -50,7 +50,7 @@ pub fn run(scale: ExperimentScale) {
                     bucket,
                     workload.source,
                     deg,
-                    kind.label(),
+                    summary.engine,
                     summary.slides,
                     mean,
                     seq_ms.unwrap_or(mean) / mean.max(1e-9),

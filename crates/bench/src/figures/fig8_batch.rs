@@ -43,7 +43,7 @@ pub fn run(scale: ExperimentScale) {
                     workload.name,
                     frac,
                     batch,
-                    kind.label(),
+                    summary.engine,
                     summary.slides,
                     ms(summary.mean_latency()),
                     summary.throughput(),

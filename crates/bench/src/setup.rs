@@ -56,19 +56,6 @@ pub enum EngineKind {
     Ligra,
 }
 
-impl EngineKind {
-    /// Display label matching the paper's legends.
-    pub fn label(self) -> String {
-        match self {
-            EngineKind::CpuBase => "CPU-Base".into(),
-            EngineKind::CpuSeq => "CPU-Seq".into(),
-            EngineKind::CpuMt(v) => format!("CPU-MT[{v}]"),
-            EngineKind::MonteCarlo { .. } => "Monte-Carlo".into(),
-            EngineKind::Ligra => "Ligra".into(),
-        }
-    }
-}
-
 /// Builds an engine for a graph with `num_vertices` vertices.
 pub fn build_engine(
     kind: EngineKind,
@@ -195,10 +182,16 @@ mod tests {
         assert!(a.window_len > 0);
     }
 
+    /// The figures' legend is each engine's own `name()`, the paper's.
     #[test]
     fn engine_labels() {
-        assert_eq!(EngineKind::CpuBase.label(), "CPU-Base");
-        assert_eq!(EngineKind::CpuMt(PushVariant::OPT).label(), "CPU-MT[Opt]");
+        let cfg = PprConfig::new(0, 0.15, 1e-3);
+        let name = |kind| build_engine(kind, cfg, 100, 1).name();
+        assert_eq!(name(EngineKind::CpuBase), "CPU-Base");
+        assert_eq!(name(EngineKind::CpuSeq), "CPU-Seq");
+        assert_eq!(name(EngineKind::CpuMt(PushVariant::OPT)), "CPU-MT[Opt]");
+        assert_eq!(name(EngineKind::MonteCarlo { walks_per_vertex: 1 }), "Monte-Carlo");
+        assert_eq!(name(EngineKind::Ligra), "Ligra");
     }
 
     #[test]
