@@ -111,11 +111,10 @@ fn run_child(data_dir: &Path, die_after_slides: u64, sources: &[VertexId]) -> ! 
     // fast slide loop must not run the stream dry before the poll below
     // notices the threshold and hard-exits.
     cfg.max_slides = die_after_slides as usize;
-    let handle = dppr_serve::start(the_stream(), INIT_FRACTION, sources, cfg)
-        .unwrap_or_else(|e| {
-            eprintln!("child: start failed: {e}");
-            std::process::exit(3);
-        });
+    let handle = dppr_serve::start(the_stream(), INIT_FRACTION, sources, cfg).unwrap_or_else(|e| {
+        eprintln!("child: start failed: {e}");
+        std::process::exit(3);
+    });
     loop {
         let slides = handle.stats().slides.load(std::sync::atomic::Ordering::Relaxed);
         if die_after_slides > 0 && slides >= die_after_slides {
@@ -346,13 +345,11 @@ fn check_case(case: &Case, base: &[Vec<(VertexId, u64)>], root: &Path) -> Outcom
     };
     out.child_exit = child.status.code().unwrap_or(-1);
     if out.child_exit != CRASH_EXIT_CODE {
-        out.error = Some(
-            format!(
-                "child exited {} (wanted the injected crash {CRASH_EXIT_CODE}); stderr: {}",
-                out.child_exit,
-                String::from_utf8_lossy(&child.stderr).trim()
-            ),
-        );
+        out.error = Some(format!(
+            "child exited {} (wanted the injected crash {CRASH_EXIT_CODE}); stderr: {}",
+            out.child_exit,
+            String::from_utf8_lossy(&child.stderr).trim()
+        ));
         return out;
     }
 
@@ -380,31 +377,29 @@ fn check_case(case: &Case, base: &[Vec<(VertexId, u64)>], root: &Path) -> Outcom
         out.checkpoint_epoch = r.checkpoint_epoch;
         out.replayed = r.replayed_batches;
         if r.recovered_epoch != probe.epoch {
-            out.error = Some(format!("report epoch {} != domain {}", r.recovered_epoch, probe.epoch));
+            out.error =
+                Some(format!("report epoch {} != domain {}", r.recovered_epoch, probe.epoch));
             return out;
         }
         // Tail-only replay: exactly the batches past the checkpoint.
         if r.checkpoint_epoch + r.replayed_batches != r.recovered_epoch {
-            out.error = Some(
-                format!(
-                    "replay not tail-only: checkpoint {} + replayed {} != recovered {}",
-                    r.checkpoint_epoch, r.replayed_batches, r.recovered_epoch
-                ),
-            );
+            out.error = Some(format!(
+                "replay not tail-only: checkpoint {} + replayed {} != recovered {}",
+                r.checkpoint_epoch, r.replayed_batches, r.recovered_epoch
+            ));
             return out;
         }
     }
     let Some(want) = probe.epoch.checked_sub(1).and_then(|i| base.get(i as usize)) else {
-        out.error = Some(format!("recovered epoch {} outside baseline 1..={}", probe.epoch, base.len()));
+        out.error =
+            Some(format!("recovered epoch {} outside baseline 1..={}", probe.epoch, base.len()));
         return out;
     };
     if probe.fingerprints != *want {
-        out.error = Some(
-            format!(
-                "state diverged at epoch {}: recovered {:x?}, baseline {:x?}",
-                probe.epoch, probe.fingerprints, want
-            ),
-        );
+        out.error = Some(format!(
+            "state diverged at epoch {}: recovered {:x?}, baseline {:x?}",
+            probe.epoch, probe.fingerprints, want
+        ));
         return out;
     }
 
@@ -449,7 +444,11 @@ fn check_resume_to_completion(base: &[Vec<(VertexId, u64)>], root: &Path) -> Opt
     }
     let report = handle.join();
     if report.epoch != base.len() as u64 {
-        return Some(format!("resumed run ended at epoch {}, baseline {}", report.epoch, base.len()));
+        return Some(format!(
+            "resumed run ended at epoch {}, baseline {}",
+            report.epoch,
+            base.len()
+        ));
     }
     // The graceful join checkpointed the final epoch; probe it.
     match probe_now(&data_dir, &SOURCES) {
@@ -522,10 +521,7 @@ fn main() {
         outcomes.push(o);
     }
     let resume_err = check_resume_to_completion(&base, &root);
-    println!(
-        "resume-to-completion\t-\t-\t-\t-\t-\t{}",
-        resume_err.as_deref().unwrap_or("ok")
-    );
+    println!("resume-to-completion\t-\t-\t-\t-\t-\t{}", resume_err.as_deref().unwrap_or("ok"));
 
     let failures: Vec<&Outcome> = outcomes.iter().filter(|o| o.error.is_some()).collect();
     std::fs::remove_dir_all(&root).ok();

@@ -71,26 +71,18 @@ pub fn run(scale: ExperimentScale) {
     };
     let g = DynamicGraph::from_edges(undirected_to_directed(&barabasi_albert(n, m, 17)));
     // A large frontier: every 4th vertex pushes one unit.
-    let frontier: Vec<(u32, f64)> = (0..g.num_vertices() as u32)
-        .step_by(4)
-        .map(|u| (u, 1.0))
-        .collect();
+    let frontier: Vec<(u32, f64)> =
+        (0..g.num_vertices() as u32).step_by(4).map(|u| (u, 1.0)).collect();
     let residuals = (0..g.num_vertices()).map(|_| AtomicF64::new(0.0)).collect();
-    let f = Fixture {
-        g,
-        frontier,
-        residuals,
-    };
+    let f = Fixture { g, frontier, residuals };
     println!(
         "# Ablation §3.1 fn. 2: neighbor update ({n} vertices, frontier {}, {} threads, {RUNS} runs)",
         f.frontier.len(),
         default_threads()
     );
     println!("method\tmedian_ms\tmin_ms\tmax_ms");
-    let methods: [(&str, fn(&Fixture)); 2] = [
-        ("atomic_adds", atomic_adds),
-        ("sort_aggregate", sort_aggregate),
-    ];
+    let methods: [(&str, fn(&Fixture)); 2] =
+        [("atomic_adds", atomic_adds), ("sort_aggregate", sort_aggregate)];
     for (name, method) in methods {
         let reset = || f.residuals.iter().for_each(|r| r.store(0.0));
         let (median, min, max) = median_of(RUNS, reset, || method(&f));

@@ -22,9 +22,7 @@ pub fn run(scale: ExperimentScale) {
         ExperimentScale::Quick => (presets::lj_sim(), 10_000, Duration::from_secs(4)),
         ExperimentScale::Full => (presets::big_sim(), 50_000, Duration::from_secs(30)),
     };
-    let max_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(8);
+    let max_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
     let mut threads = vec![1usize, 2, 4, 8, 16];
     threads.retain(|&t| t <= max_threads);
     if !threads.contains(&max_threads) {

@@ -24,12 +24,9 @@ pub fn run(scale: ExperimentScale) {
         let workload = Workload::prepare(ds, 1, 0.1, 10);
         let mut vanilla_ms = None;
         // Vanilla first so the speedup column can reference it.
-        for variant in [
-            PushVariant::VANILLA,
-            PushVariant::DUP_DETECT,
-            PushVariant::EAGER,
-            PushVariant::OPT,
-        ] {
+        for variant in
+            [PushVariant::VANILLA, PushVariant::DUP_DETECT, PushVariant::EAGER, PushVariant::OPT]
+        {
             let summary = run_engine(
                 EngineKind::CpuMt(variant),
                 &workload,

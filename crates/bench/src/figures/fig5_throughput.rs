@@ -35,11 +35,8 @@ pub fn run(scale: ExperimentScale) {
                 // CPU-Base at the largest batches would dominate the run
                 // (the paper likewise drops it after this figure); keep one
                 // slide so the point still appears.
-                let cap = if kind == EngineKind::CpuBase && batch > 1_000 {
-                    1
-                } else {
-                    scale.slides()
-                };
+                let cap =
+                    if kind == EngineKind::CpuBase && batch > 1_000 { 1 } else { scale.slides() };
                 let summary = run_engine(kind, &workload, eps, batch, cap, budget);
                 if summary.slides == 0 {
                     continue;

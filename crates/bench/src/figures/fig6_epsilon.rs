@@ -17,24 +17,14 @@ pub fn run(scale: ExperimentScale) {
     // "quick" setting uses the mid-size preset (the paper's smallest graph
     // is 1.1M vertices).
     let (ds, epsilons, batch, budget): (_, &[f64], usize, Duration) = match scale {
-        ExperimentScale::Quick => (
-            presets::youtube_sim(),
-            &[1e-4, 1e-5, 1e-6, 1e-7],
-            2_000,
-            Duration::from_secs(4),
-        ),
-        ExperimentScale::Full => (
-            presets::lj_sim(),
-            &[1e-4, 1e-5, 1e-6, 1e-7, 1e-8],
-            5_000,
-            Duration::from_secs(20),
-        ),
+        ExperimentScale::Quick => {
+            (presets::youtube_sim(), &[1e-4, 1e-5, 1e-6, 1e-7], 2_000, Duration::from_secs(4))
+        }
+        ExperimentScale::Full => {
+            (presets::lj_sim(), &[1e-4, 1e-5, 1e-6, 1e-7, 1e-8], 5_000, Duration::from_secs(20))
+        }
     };
-    let engines = [
-        EngineKind::CpuSeq,
-        EngineKind::CpuMt(PushVariant::OPT),
-        EngineKind::Ligra,
-    ];
+    let engines = [EngineKind::CpuSeq, EngineKind::CpuMt(PushVariant::OPT), EngineKind::Ligra];
     println!("# Figure 6: effect of ε (dataset {}, batch {batch})", ds.name);
     println!("epsilon\tengine\tslides\tmean_ms\tpushes\tspeedup_vs_seq");
     let workload = Workload::prepare(ds, 3, 0.1, 10);

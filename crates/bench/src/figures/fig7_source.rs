@@ -18,11 +18,7 @@ pub fn run(scale: ExperimentScale) {
         ExperimentScale::Quick => (500, Duration::from_secs(3), &[10, 1_000, 100_000]),
         ExperimentScale::Full => (5_000, Duration::from_secs(15), &[10, 1_000, 100_000]),
     };
-    let engines = [
-        EngineKind::CpuSeq,
-        EngineKind::CpuMt(PushVariant::OPT),
-        EngineKind::Ligra,
-    ];
+    let engines = [EngineKind::CpuSeq, EngineKind::CpuMt(PushVariant::OPT), EngineKind::Ligra];
     println!("# Figure 7: effect of source-vertex degree (batch {batch})");
     println!("dataset\tbucket\tsource\tsource_outdeg\tengine\tslides\tmean_ms\tspeedup_vs_seq");
     for ds in scale.datasets() {
@@ -35,8 +31,7 @@ pub fn run(scale: ExperimentScale) {
             let deg = probe.out_degree(workload.source);
             let mut seq_ms = None;
             for kind in engines {
-                let summary =
-                    run_engine(kind, &workload, eps, batch, scale.slides(), budget);
+                let summary = run_engine(kind, &workload, eps, batch, scale.slides(), budget);
                 if summary.slides == 0 {
                     continue;
                 }

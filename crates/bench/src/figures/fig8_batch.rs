@@ -33,8 +33,7 @@ pub fn run(scale: ExperimentScale) {
         for &frac in &fractions {
             let batch = ((workload.window_len as f64 * frac) as usize).max(1);
             for kind in engines {
-                let summary =
-                    run_engine(kind, &workload, eps, batch, scale.slides(), budget);
+                let summary = run_engine(kind, &workload, eps, batch, scale.slides(), budget);
                 if summary.slides == 0 {
                     continue;
                 }

@@ -59,11 +59,7 @@ pub fn run(scale: ExperimentScale) {
                 } else {
                     c.cas_retries as f64 * 1e6 / c.atomic_adds as f64
                 },
-                if c.pushes == 0 {
-                    0.0
-                } else {
-                    c.edge_traversals as f64 / c.pushes as f64
-                },
+                if c.pushes == 0 { 0.0 } else { c.edge_traversals as f64 / c.pushes as f64 },
                 c.dup_avoided,
             );
         }

@@ -129,10 +129,7 @@ pub fn main() -> ExitCode {
         Ok(Invocation::All(scale)) => match run_all(scale) {
             Ok(failed) if failed.is_empty() => ExitCode::SUCCESS,
             Ok(failed) => {
-                eprintln!(
-                    "figures all: failed or printed no data row: {}",
-                    failed.join(", ")
-                );
+                eprintln!("figures all: failed or printed no data row: {}", failed.join(", "));
                 ExitCode::FAILURE
             }
             Err(e) => {
@@ -198,35 +195,20 @@ mod tests {
             let shown = documented(text);
             assert!(!shown.is_empty(), "{file} shows no figures command");
             let unknown: Vec<_> = shown.difference(&known).collect();
-            assert!(
-                unknown.is_empty(),
-                "{file} names unknown figures: {unknown:?}"
-            );
+            assert!(unknown.is_empty(), "{file} names unknown figures: {unknown:?}");
         }
         let shown = documented(readme);
         let missing: Vec<_> = names().into_iter().filter(|n| !shown.contains(n)).collect();
-        assert!(
-            missing.is_empty(),
-            "README's figure list lacks: {missing:?}"
-        );
+        assert!(missing.is_empty(), "README's figure list lacks: {missing:?}");
     }
 
     #[test]
     fn parse_accepts_names_and_scale() {
         assert_eq!(parse(&args(&["list"])), Ok(Invocation::List));
-        assert_eq!(
-            parse(&args(&["all"])),
-            Ok(Invocation::All(ExperimentScale::Quick))
-        );
-        assert_eq!(
-            parse(&args(&["all", "--full"])),
-            Ok(Invocation::All(ExperimentScale::Full))
-        );
+        assert_eq!(parse(&args(&["all"])), Ok(Invocation::All(ExperimentScale::Quick)));
+        assert_eq!(parse(&args(&["all", "--full"])), Ok(Invocation::All(ExperimentScale::Full)));
         for (i, name) in names().into_iter().enumerate() {
-            assert_eq!(
-                parse(&args(&[name])),
-                Ok(Invocation::One(i, ExperimentScale::Quick))
-            );
+            assert_eq!(parse(&args(&[name])), Ok(Invocation::One(i, ExperimentScale::Quick)));
             assert_eq!(
                 parse(&args(&[name, "--full"])),
                 Ok(Invocation::One(i, ExperimentScale::Full))

@@ -27,11 +27,8 @@ pub fn run(scale: ExperimentScale) {
     for &(n, m) in sizes {
         for eps_exp in [4, 6, 8] {
             let eps = 10f64.powi(-eps_exp);
-            let g = DynamicGraph::from_edges(undirected_to_directed(&barabasi_albert(
-                n,
-                m,
-                n as u64,
-            )));
+            let g =
+                DynamicGraph::from_edges(undirected_to_directed(&barabasi_albert(n, m, n as u64)));
             let hub = g.top_out_degree_vertices(1)[0];
             let cfg = PprConfig::new(hub, 0.15, eps);
             let mk = || {

@@ -43,8 +43,7 @@ pub fn run(scale: ExperimentScale) {
                 EngineKind::CpuMt(PushVariant::VANILLA),
                 EngineKind::CpuMt(PushVariant::OPT),
             ] {
-                let summary =
-                    run_engine(kind, &workload, eps, batch, scale.slides(), budget);
+                let summary = run_engine(kind, &workload, eps, batch, scale.slides(), budget);
                 updates = summary.total_updates;
                 ops.push(summary.total_counters().total_operations());
             }

@@ -24,10 +24,7 @@ impl ExperimentScale {
     pub fn datasets(self) -> Vec<Dataset> {
         use dppr_graph::presets;
         match self {
-            ExperimentScale::Quick => vec![
-                presets::small_sim(),
-                presets::youtube_sim(),
-            ],
+            ExperimentScale::Quick => vec![presets::small_sim(), presets::youtube_sim()],
             ExperimentScale::Full => presets::all(),
         }
     }
@@ -67,11 +64,9 @@ pub fn build_engine(
         EngineKind::CpuBase => Box::new(SeqEngine::new(cfg, UpdateMode::PerUpdate)),
         EngineKind::CpuSeq => Box::new(SeqEngine::new(cfg, UpdateMode::Batched)),
         EngineKind::CpuMt(variant) => Box::new(ParallelEngine::new(cfg, variant)),
-        EngineKind::MonteCarlo { walks_per_vertex } => Box::new(MonteCarloEngine::new(
-            cfg,
-            (walks_per_vertex * num_vertices).max(1_000),
-            seed,
-        )),
+        EngineKind::MonteCarlo { walks_per_vertex } => {
+            Box::new(MonteCarloEngine::new(cfg, (walks_per_vertex * num_vertices).max(1_000), seed))
+        }
         EngineKind::Ligra => Box::new(LigraEngine::new(cfg)),
     }
 }

@@ -87,16 +87,12 @@ impl Args {
     }
 
     /// Typed option with a default.
-    pub fn get_parsed<T: std::str::FromStr>(
-        &self,
-        key: &str,
-        default: T,
-    ) -> Result<T, CliError> {
+    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
         match self.get(key) {
             None => Ok(default),
-            Some(raw) => raw
-                .parse::<T>()
-                .map_err(|_| err(format!("invalid value for --{key}: {raw:?}"))),
+            Some(raw) => {
+                raw.parse::<T>().map_err(|_| err(format!("invalid value for --{key}: {raw:?}")))
+            }
         }
     }
 
@@ -162,10 +158,7 @@ mod tests {
         let a = Args::parse(["x", "--k", "42"]).unwrap();
         assert_eq!(a.get_parsed("k", 0usize).unwrap(), 42);
         assert_eq!(a.get_parsed("missing", 7usize).unwrap(), 7);
-        assert!(Args::parse(["x", "--k", "nope"])
-            .unwrap()
-            .get_parsed::<usize>("k", 0)
-            .is_err());
+        assert!(Args::parse(["x", "--k", "nope"]).unwrap().get_parsed::<usize>("k", 0).is_err());
     }
 
     #[test]
@@ -230,7 +223,16 @@ mod tests {
     #[test]
     fn generate_command_line() {
         let a = Args::parse([
-            "generate", "--model", "ba", "--n", "10000", "--m", "5", "--seed", "1", "--out",
+            "generate",
+            "--model",
+            "ba",
+            "--n",
+            "10000",
+            "--m",
+            "5",
+            "--seed",
+            "1",
+            "--out",
             "edges.txt",
         ])
         .unwrap();
@@ -257,9 +259,30 @@ mod tests {
     #[test]
     fn run_command_line() {
         let a = Args::parse([
-            "run", "--preset", "small-sim", "--engine", "cpu-mt", "--variant", "opt", "--batch",
-            "1000", "--slides", "20", "--alpha", "0.15", "--epsilon", "1e-5", "--top-bucket",
-            "10", "--seed", "7", "--threads", "4", "--walks-per-vertex", "2", "--counters",
+            "run",
+            "--preset",
+            "small-sim",
+            "--engine",
+            "cpu-mt",
+            "--variant",
+            "opt",
+            "--batch",
+            "1000",
+            "--slides",
+            "20",
+            "--alpha",
+            "0.15",
+            "--epsilon",
+            "1e-5",
+            "--top-bucket",
+            "10",
+            "--seed",
+            "7",
+            "--threads",
+            "4",
+            "--walks-per-vertex",
+            "2",
+            "--counters",
         ])
         .unwrap();
         assert_eq!(a.command, "run");
@@ -278,8 +301,21 @@ mod tests {
     #[test]
     fn query_command_line() {
         let a = Args::parse([
-            "query", "--graph", "edges.txt", "--source", "0", "--alpha", "0.2", "--epsilon",
-            "1e-4", "--top", "10", "--threshold", "0.001", "--save-state", "state.bin",
+            "query",
+            "--graph",
+            "edges.txt",
+            "--source",
+            "0",
+            "--alpha",
+            "0.2",
+            "--epsilon",
+            "1e-4",
+            "--top",
+            "10",
+            "--threshold",
+            "0.001",
+            "--save-state",
+            "state.bin",
         ])
         .unwrap();
         assert_eq!(a.command, "query");
@@ -292,16 +328,53 @@ mod tests {
     #[test]
     fn serve_command_line() {
         let a = Args::parse([
-            "serve", "--preset", "small-sim", "--port", "7171", "--threads", "4",
-            "--sources", "0,3,9", "--cache-capacity", "2048", "--session-capacity", "32",
-            "--alpha", "0.15", "--epsilon", "1e-4", "--batch", "500", "--max-slides",
-            "100", "--slide-pause-ms", "5", "--run-secs", "60", "--seed", "7",
-            "--read-timeout-ms", "5000", "--write-timeout-ms", "8000",
-            "--shed-after-ms", "250",
-            "--trace-sample", "10", "--trace-capacity", "512",
-            "--audit-sample", "8", "--audit-interval-ms", "250",
-            "--slo-p99-ms", "50", "--slo-availability", "0.999",
-            "--slo-topk-overlap", "0.9",
+            "serve",
+            "--preset",
+            "small-sim",
+            "--port",
+            "7171",
+            "--threads",
+            "4",
+            "--sources",
+            "0,3,9",
+            "--cache-capacity",
+            "2048",
+            "--session-capacity",
+            "32",
+            "--alpha",
+            "0.15",
+            "--epsilon",
+            "1e-4",
+            "--batch",
+            "500",
+            "--max-slides",
+            "100",
+            "--slide-pause-ms",
+            "5",
+            "--run-secs",
+            "60",
+            "--seed",
+            "7",
+            "--read-timeout-ms",
+            "5000",
+            "--write-timeout-ms",
+            "8000",
+            "--shed-after-ms",
+            "250",
+            "--trace-sample",
+            "10",
+            "--trace-capacity",
+            "512",
+            "--audit-sample",
+            "8",
+            "--audit-interval-ms",
+            "250",
+            "--slo-p99-ms",
+            "50",
+            "--slo-availability",
+            "0.999",
+            "--slo-topk-overlap",
+            "0.9",
         ])
         .unwrap();
         assert_eq!(a.command, "serve");
@@ -330,8 +403,14 @@ mod tests {
         // An ephemeral-port line with top-degree source picking instead of
         // an explicit list.
         let a = Args::parse([
-            "serve", "--graph", "edges.txt", "--undirected", "--port", "0",
-            "--num-sources", "8",
+            "serve",
+            "--graph",
+            "edges.txt",
+            "--undirected",
+            "--port",
+            "0",
+            "--num-sources",
+            "8",
         ])
         .unwrap();
         assert_eq!(a.get_parsed("port", 7171u16).unwrap(), 0);
@@ -341,9 +420,17 @@ mod tests {
 
         // A durable line: WAL + checkpoint tuning.
         let a = Args::parse([
-            "serve", "--preset", "small-sim", "--data-dir", "/tmp/dppr",
-            "--fsync", "interval:25", "--checkpoint-every", "16",
-            "--segment-kb", "4096",
+            "serve",
+            "--preset",
+            "small-sim",
+            "--data-dir",
+            "/tmp/dppr",
+            "--fsync",
+            "interval:25",
+            "--checkpoint-every",
+            "16",
+            "--segment-kb",
+            "4096",
         ])
         .unwrap();
         assert_eq!(a.get("data-dir"), Some("/tmp/dppr"));
@@ -355,8 +442,16 @@ mod tests {
     #[test]
     fn exact_command_line() {
         let a = Args::parse([
-            "exact", "--preset", "small-sim", "--undirected", "--source", "3", "--alpha",
-            "0.15", "--top", "5",
+            "exact",
+            "--preset",
+            "small-sim",
+            "--undirected",
+            "--source",
+            "3",
+            "--alpha",
+            "0.15",
+            "--top",
+            "5",
         ])
         .unwrap();
         assert_eq!(a.command, "exact");

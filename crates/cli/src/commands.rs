@@ -24,10 +24,9 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
             generators::undirected_to_directed(&generators::barabasi_albert(n, m, seed)),
             format!("barabasi-albert n={n} m={m} seed={seed} (directed arcs)"),
         ),
-        "er" => (
-            generators::erdos_renyi(n, m, seed),
-            format!("erdos-renyi n={n} m={m} seed={seed}"),
-        ),
+        "er" => {
+            (generators::erdos_renyi(n, m, seed), format!("erdos-renyi n={n} m={m} seed={seed}"))
+        }
         "rmat" => {
             let scale = (32 - n.next_power_of_two().leading_zeros() - 1).max(1);
             (
@@ -37,8 +36,7 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
         }
         other => return Err(err(format!("unknown model {other:?} (ba|er|rmat)"))),
     };
-    io::write_edge_list(out, &edges, &desc)
-        .map_err(|e| err(format!("writing {out}: {e}")))?;
+    io::write_edge_list(out, &edges, &desc).map_err(|e| err(format!("writing {out}: {e}")))?;
     Ok(format!("wrote {} arcs to {out} ({desc})\n", edges.len()))
 }
 
@@ -51,23 +49,19 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
 fn load_edges(args: &Args) -> Result<(GraphStream, String), CliError> {
     // All three are looked up whichever one decides: a lookup is what
     // makes an option known to `Args::reject_unknown`.
-    let (preset, graph, undirected) = (args.get("preset"), args.get("graph"), args.flag("undirected"));
+    let (preset, graph, undirected) =
+        (args.get("preset"), args.get("graph"), args.flag("undirected"));
     let (edges, undirected, name) = if let Some(name) = preset {
-        let ds = presets::by_name(name)
-            .ok_or_else(|| err(format!("unknown preset {name:?}")))?;
+        let ds = presets::by_name(name).ok_or_else(|| err(format!("unknown preset {name:?}")))?;
         (ds.edges, ds.undirected, name)
     } else if let Some(path) = graph {
-        let edges =
-            io::read_edge_list(path).map_err(|e| err(format!("reading {path}: {e}")))?;
+        let edges = io::read_edge_list(path).map_err(|e| err(format!("reading {path}: {e}")))?;
         (edges, undirected, path)
     } else {
         return Err(err("need --preset NAME or --graph FILE"));
     };
-    let stream = if undirected {
-        GraphStream::undirected(edges)
-    } else {
-        GraphStream::directed(edges)
-    };
+    let stream =
+        if undirected { GraphStream::undirected(edges) } else { GraphStream::directed(edges) };
     Ok((stream, name.to_string()))
 }
 
@@ -235,17 +229,14 @@ pub fn query(args: &Args) -> Result<String, CliError> {
     args.reject_unknown()?;
     let cfg = PprConfig::new(source, alpha, epsilon);
     let mut engine = ParallelEngine::new(cfg, PushVariant::OPT);
-    engine.apply_batch(&mut DynamicGraph::new(), &SlidingWindow::new(stream, 1.0).initial_updates());
+    engine
+        .apply_batch(&mut DynamicGraph::new(), &SlidingWindow::new(stream, 1.0).initial_updates());
 
     let mut out = String::new();
     writeln!(out, "graph\t{name}\nsource\t{source}\nepsilon\t{epsilon:e}").unwrap();
     let ans = queries::top_k(engine.state(), k);
-    writeln!(
-        out,
-        "top_{k} (set_is_certain={})\nvertex\testimate\tlo\thi",
-        ans.set_is_certain
-    )
-    .unwrap();
+    writeln!(out, "top_{k} (set_is_certain={})\nvertex\testimate\tlo\thi", ans.set_is_certain)
+        .unwrap();
     for b in &ans.ranking {
         writeln!(out, "{}\t{:.8}\t{:.8}\t{:.8}", b.vertex, b.estimate, b.lo, b.hi).unwrap();
     }
@@ -307,7 +298,8 @@ fn serve_durability(args: &Args) -> Result<Option<dppr_serve::DurabilityConfig>,
     if let Some(raw) = args.get("fsync") {
         cfg.fsync = dppr_serve::FsyncPolicy::parse(raw).map_err(err)?;
     }
-    cfg.checkpoint_every_slides = args.get_parsed("checkpoint-every", cfg.checkpoint_every_slides)?;
+    cfg.checkpoint_every_slides =
+        args.get_parsed("checkpoint-every", cfg.checkpoint_every_slides)?;
     let segment_kb: u64 = args.get_parsed("segment-kb", cfg.segment_bytes / 1024)?;
     cfg.segment_bytes = match segment_kb.checked_mul(1024) {
         Some(bytes) if bytes > 0 => bytes,
@@ -380,11 +372,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
 
     let handle = dppr_serve::start(stream, SERVE_INIT_FRACTION, &sources, cfg)
         .map_err(|e| err(format!("starting server: {e}")))?;
-    let sources_csv = sources
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
+    let sources_csv = sources.iter().map(ToString::to_string).collect::<Vec<_>>().join(",");
     println!("listening\thttp://{}", handle.addr());
     println!("graph\t{name}\nsources\t{sources_csv}");
     if let Some(r) = handle.recovery() {
@@ -473,8 +461,7 @@ mod tests {
     fn generate_then_info_roundtrip() {
         let path = tmpfile("gen_ba.txt");
         let a = Args::parse([
-            "generate", "--model", "ba", "--n", "200", "--m", "3", "--seed", "5", "--out",
-            &path,
+            "generate", "--model", "ba", "--n", "200", "--m", "3", "--seed", "5", "--out", &path,
         ])
         .unwrap();
         let msg = generate(&a).unwrap();
@@ -489,16 +476,27 @@ mod tests {
     #[test]
     fn generate_rejects_unknown_model() {
         let path = tmpfile("never.txt");
-        let a =
-            Args::parse(["generate", "--model", "tree", "--out", &path]).unwrap();
+        let a = Args::parse(["generate", "--model", "tree", "--out", &path]).unwrap();
         assert!(generate(&a).is_err());
     }
 
     #[test]
     fn run_on_preset_smoke() {
         let a = Args::parse([
-            "run", "--preset", "toy", "--engine", "cpu-mt", "--variant", "opt", "--batch",
-            "50", "--slides", "3", "--epsilon", "1e-4", "--counters",
+            "run",
+            "--preset",
+            "toy",
+            "--engine",
+            "cpu-mt",
+            "--variant",
+            "opt",
+            "--batch",
+            "50",
+            "--slides",
+            "3",
+            "--epsilon",
+            "1e-4",
+            "--counters",
         ])
         .unwrap();
         let out = run(&a).unwrap();
@@ -517,8 +515,19 @@ mod tests {
             ("mc", "Monte-Carlo"),
         ] {
             let a = Args::parse([
-                "run", "--preset", "toy", "--engine", engine, "--batch", "50", "--slides",
-                "2", "--epsilon", "1e-3", "--walks-per-vertex", "1",
+                "run",
+                "--preset",
+                "toy",
+                "--engine",
+                engine,
+                "--batch",
+                "50",
+                "--slides",
+                "2",
+                "--epsilon",
+                "1e-3",
+                "--walks-per-vertex",
+                "1",
             ])
             .unwrap();
             let out = run(&a).unwrap();
@@ -529,9 +538,23 @@ mod tests {
     #[test]
     fn serve_runs_briefly_and_reports() {
         let a = Args::parse([
-            "serve", "--preset", "toy", "--port", "0", "--threads", "2",
-            "--num-sources", "2", "--batch", "100", "--max-slides", "3",
-            "--run-secs", "1", "--epsilon", "1e-3",
+            "serve",
+            "--preset",
+            "toy",
+            "--port",
+            "0",
+            "--threads",
+            "2",
+            "--num-sources",
+            "2",
+            "--batch",
+            "100",
+            "--max-slides",
+            "3",
+            "--run-secs",
+            "1",
+            "--epsilon",
+            "1e-3",
         ])
         .unwrap();
         let out = serve(&a).unwrap();
@@ -552,10 +575,8 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_sources() {
-        let a = Args::parse([
-            "serve", "--preset", "toy", "--port", "0", "--sources", "1,zebra",
-        ])
-        .unwrap();
+        let a = Args::parse(["serve", "--preset", "toy", "--port", "0", "--sources", "1,zebra"])
+            .unwrap();
         assert!(serve(&a).is_err());
     }
 
@@ -593,7 +614,10 @@ mod tests {
 
     #[test]
     fn serve_rejects_a_misspelt_option() {
-        assert_unknown(&["serve", "--preset", "toy", "--port", "0", "--epsilonn", "1e-6"], "epsilonn");
+        assert_unknown(
+            &["serve", "--preset", "toy", "--port", "0", "--epsilonn", "1e-6"],
+            "epsilonn",
+        );
         // Deleted options, spelt in two pieces so the CI greps for their
         // names stay empty.
         let deleted =
@@ -654,7 +678,10 @@ mod tests {
     #[test]
     fn epsilon_at_or_below_zero_is_refused() {
         for bad in ["0", "-1"] {
-            assert_refused(&["serve", "--preset", "toy", "--port", "0", "--epsilon", bad], "--epsilon");
+            assert_refused(
+                &["serve", "--preset", "toy", "--port", "0", "--epsilon", bad],
+                "--epsilon",
+            );
             assert_refused(&["run", "--preset", "toy", "--epsilon", bad], "--epsilon");
             assert_refused(&["query", "--preset", "toy", "--epsilon", bad], "--epsilon");
         }
@@ -662,7 +689,10 @@ mod tests {
 
     #[test]
     fn slo_p99_too_large_for_a_duration_is_refused() {
-        assert_refused(&["serve", "--preset", "toy", "--port", "0", "--slo-p99-ms", "1e30"], "--slo-p99-ms");
+        assert_refused(
+            &["serve", "--preset", "toy", "--port", "0", "--slo-p99-ms", "1e30"],
+            "--slo-p99-ms",
+        );
     }
 
     #[test]
@@ -670,18 +700,40 @@ mod tests {
         let dir = tmpfile("never_created_data_dir");
         for bad in ["0", "18014398509481984"] {
             assert_refused(
-                &["serve", "--preset", "toy", "--port", "0", "--data-dir", &dir, "--segment-kb", bad],
+                &[
+                    "serve",
+                    "--preset",
+                    "toy",
+                    "--port",
+                    "0",
+                    "--data-dir",
+                    &dir,
+                    "--segment-kb",
+                    bad,
+                ],
                 "--segment-kb",
             );
         }
-        assert!(!std::path::Path::new(&dir).exists(), "the check runs before the directory is made");
+        assert!(
+            !std::path::Path::new(&dir).exists(),
+            "the check runs before the directory is made"
+        );
     }
 
     #[test]
     fn query_reports_bounds_and_threshold() {
         let a = Args::parse([
-            "query", "--preset", "toy", "--source", "0", "--epsilon", "1e-4", "--top", "5",
-            "--threshold", "0.01",
+            "query",
+            "--preset",
+            "toy",
+            "--source",
+            "0",
+            "--epsilon",
+            "1e-4",
+            "--top",
+            "5",
+            "--threshold",
+            "0.01",
         ])
         .unwrap();
         let out = query(&a).unwrap();
@@ -693,15 +745,21 @@ mod tests {
     fn exact_matches_query_within_epsilon() {
         let q = query(
             &Args::parse([
-                "query", "--preset", "toy", "--source", "0", "--epsilon", "1e-6", "--top",
+                "query",
+                "--preset",
+                "toy",
+                "--source",
+                "0",
+                "--epsilon",
+                "1e-6",
+                "--top",
                 "1",
             ])
             .unwrap(),
         )
         .unwrap();
         let e = exact(
-            &Args::parse(["exact", "--preset", "toy", "--source", "0", "--top", "1"])
-                .unwrap(),
+            &Args::parse(["exact", "--preset", "toy", "--source", "0", "--top", "1"]).unwrap(),
         )
         .unwrap();
         // Same top-1 vertex in both reports.

@@ -36,9 +36,21 @@ fn dppr_serve_answers_live_queries_and_shuts_down() {
     // Port 0: the server prints the actual ephemeral address first.
     let mut child = Command::new(env!("CARGO_BIN_EXE_dppr"))
         .args([
-            "serve", "--preset", "toy", "--port", "0", "--threads", "2",
-            "--num-sources", "2", "--batch", "50", "--slide-pause-ms", "2",
-            "--epsilon", "1e-3",
+            "serve",
+            "--preset",
+            "toy",
+            "--port",
+            "0",
+            "--threads",
+            "2",
+            "--num-sources",
+            "2",
+            "--batch",
+            "50",
+            "--slide-pause-ms",
+            "2",
+            "--epsilon",
+            "1e-3",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -75,10 +87,7 @@ fn dppr_serve_answers_live_queries_and_shuts_down() {
     assert!(resp.contains("\"ranking\":[{\"vertex\":"), "{resp}");
     let resp = http(&addr, "GET", &format!("/score?source={s}&v=0"));
     assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
-    assert!(
-        resp.contains("\"estimate\":") && resp.contains("\"lo\":"),
-        "{resp}"
-    );
+    assert!(resp.contains("\"estimate\":") && resp.contains("\"lo\":"), "{resp}");
     // Untracked source → a clean JSON 404, not a hang or crash.
     let resp = http(&addr, "GET", "/topk?source=199999");
     assert!(resp.starts_with("HTTP/1.1 404"), "{resp}");

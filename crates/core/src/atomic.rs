@@ -76,10 +76,7 @@ impl AtomicF64 {
         }
         loop {
             let new = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-            {
+            match self.0.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => return f64::from_bits(cur),
                 Err(actual) => {
                     *retries += 1;
@@ -159,10 +156,7 @@ mod tests {
                 (0..5_000).map(|_| a.fetch_add(1.0)).collect::<Vec<f64>>()
             }));
         }
-        let mut seen: Vec<f64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
+        let mut seen: Vec<f64> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
         seen.sort_by(|x, y| x.partial_cmp(y).unwrap());
         for (i, v) in seen.iter().enumerate() {
             assert_eq!(*v, i as f64);

@@ -20,10 +20,7 @@ impl PprConfig {
     /// # Panics
     /// If `alpha ∉ (0, 1)` or `epsilon ≤ 0`.
     pub fn new(source: VertexId, alpha: f64, epsilon: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha < 1.0,
-            "teleport probability must lie in (0,1), got {alpha}"
-        );
+        assert!(alpha > 0.0 && alpha < 1.0, "teleport probability must lie in (0,1), got {alpha}");
         assert!(epsilon > 0.0, "error threshold must be positive, got {epsilon}");
         PprConfig { source, alpha, epsilon }
     }

@@ -230,7 +230,8 @@ mod tests {
     #[test]
     fn snapshot_delta() {
         let c = Counters::new();
-        let push = CounterSnapshot { pushes: 4, iterations: 1, max_frontier: 4, ..Default::default() };
+        let push =
+            CounterSnapshot { pushes: 4, iterations: 1, max_frontier: 4, ..Default::default() };
         c.add(&push);
         let before = c.snapshot();
         c.add(&CounterSnapshot { max_frontier: 3, ..push });

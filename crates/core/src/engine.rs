@@ -124,8 +124,7 @@ impl DynamicPprEngine for SeqEngine {
         };
         let mut applied = 0usize;
         for part in batch.chunks(part_len) {
-            let seeds =
-                absorb_batch(g, &mut self.state, part, &self.counters, &mut self.repairs);
+            let seeds = absorb_batch(g, &mut self.state, part, &self.counters, &mut self.repairs);
             sequential_local_push(g, &self.state, seeds, &self.counters, &mut self.bufs);
             applied += self.repairs.list.len();
         }
@@ -251,8 +250,8 @@ impl DynamicPprEngine for ParallelEngine {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::ground_truth::exact_ppr;
     use crate::fanout::FAN_OUT_MIN;
+    use crate::ground_truth::exact_ppr;
     use crate::invariant::max_invariant_violation;
     use crate::persist::state_fingerprint;
     use dppr_graph::generators::{barabasi_albert, erdos_renyi, undirected_to_directed};
@@ -277,11 +276,7 @@ pub(crate) mod tests {
         let truth = exact_ppr(&g, cfg.source, cfg.alpha, 1e-12);
         for v in 0..g.num_vertices() as VertexId {
             let err = (engine.estimate(v) - truth[v as usize]).abs();
-            assert!(
-                err <= cfg.epsilon + 1e-9,
-                "{}: vertex {v} error {err} > ε",
-                engine.name()
-            );
+            assert!(err <= cfg.epsilon + 1e-9, "{}: vertex {v} error {err} > ε", engine.name());
         }
     }
 
@@ -309,8 +304,7 @@ pub(crate) mod tests {
 
     #[test]
     fn dedicated_pool_engine_works() {
-        let mut e =
-            ParallelEngine::with_threads(PprConfig::new(0, 0.2, 1e-3), PushVariant::OPT, 2);
+        let mut e = ParallelEngine::with_threads(PprConfig::new(0, 0.2, 1e-3), PushVariant::OPT, 2);
         check_engine(&mut e);
         assert_eq!(e.name(), "CPU-MT[Opt]");
     }
@@ -439,19 +433,12 @@ pub(crate) mod tests {
         let mut g = DynamicGraph::new();
         let mut e = ParallelEngine::new(PprConfig::new(1, 0.15, 1e-3), PushVariant::OPT);
         let edges = erdos_renyi(50, 400, 3);
-        let ins: Vec<EdgeUpdate> =
-            edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
+        let ins: Vec<EdgeUpdate> = edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
         e.apply_batch(&mut g, &ins);
         // Delete half of them, in one batch that also inserts new edges.
-        let mut batch: Vec<EdgeUpdate> = edges[..200]
-            .iter()
-            .map(|&(u, v)| EdgeUpdate::delete(u, v))
-            .collect();
-        batch.extend(
-            erdos_renyi(50, 100, 77)
-                .into_iter()
-                .map(|(u, v)| EdgeUpdate::insert(u, v)),
-        );
+        let mut batch: Vec<EdgeUpdate> =
+            edges[..200].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect();
+        batch.extend(erdos_renyi(50, 100, 77).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)));
         let stats = e.apply_batch(&mut g, &batch);
         assert!(stats.applied >= 200);
         assert!(max_invariant_violation(&g, e.state()) < 1e-9);
@@ -466,10 +453,7 @@ pub(crate) mod tests {
     fn batch_stats_report_latency_and_counters() {
         let mut g = DynamicGraph::new();
         let mut e = SeqEngine::new(PprConfig::new(0, 0.3, 1e-2), UpdateMode::Batched);
-        let stats = e.apply_batch(
-            &mut g,
-            &[EdgeUpdate::insert(0, 1), EdgeUpdate::insert(1, 0)],
-        );
+        let stats = e.apply_batch(&mut g, &[EdgeUpdate::insert(0, 1), EdgeUpdate::insert(1, 0)]);
         assert_eq!(stats.applied, 2);
         assert_eq!(stats.counters.restore_ops, 2);
         assert_eq!(stats.counters.batches, 1);

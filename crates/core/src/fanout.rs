@@ -279,9 +279,7 @@ mod tests {
                 n,
                 threads,
                 |r| {
-                    seen.lock()
-                        .expect("no panic under the lock")
-                        .push(r.clone());
+                    seen.lock().expect("no panic under the lock").push(r.clone());
                     r.collect::<Vec<usize>>()
                 },
                 concat,
@@ -399,10 +397,14 @@ mod tests {
         }
         // So does one on the caller between fan-outs.
         let r = std::panic::catch_unwind(|| {
-            with_crew(3, |&(), _| (), |crew| {
-                crew.run((), 100, |(), ()| ());
-                panic!("between fan-outs");
-            })
+            with_crew(
+                3,
+                |&(), _| (),
+                |crew| {
+                    crew.run((), 100, |(), ()| ());
+                    panic!("between fan-outs");
+                },
+            )
         });
         assert!(r.is_err());
     }

@@ -33,12 +33,7 @@ pub struct ForwardPush {
 /// Andersen–Chung–Lang forward push from `source` on the current graph.
 /// `epsilon` is the per-degree residual threshold: vertex `u` is pushed
 /// while `r(u) ≥ ε·dout(u)`.
-pub fn forward_push(
-    g: &DynamicGraph,
-    source: VertexId,
-    alpha: f64,
-    epsilon: f64,
-) -> ForwardPush {
+pub fn forward_push(g: &DynamicGraph, source: VertexId, alpha: f64, epsilon: f64) -> ForwardPush {
     assert!(alpha > 0.0 && alpha < 1.0);
     assert!(epsilon > 0.0);
     let n = g.num_vertices().max(source as usize + 1);
@@ -49,8 +44,7 @@ pub fn forward_push(
 
     let mut queue: VecDeque<VertexId> = VecDeque::new();
     let mut in_queue = vec![false; n];
-    if g.out_degree(source) > 0 && r[source as usize] >= epsilon * g.out_degree(source) as f64
-    {
+    if g.out_degree(source) > 0 && r[source as usize] >= epsilon * g.out_degree(source) as f64 {
         queue.push_back(source);
         in_queue[source as usize] = true;
     } else {
@@ -101,9 +95,7 @@ pub struct SweepCut {
 /// returns the one minimizing conductance `cut(S)/min(vol(S), vol(V∖S))`.
 /// Prefixes are capped at half the total volume.
 pub fn sweep_cut(g: &DynamicGraph, p: &[f64]) -> Option<SweepCut> {
-    let total_vol: usize = (0..g.num_vertices() as VertexId)
-        .map(|v| g.out_degree(v))
-        .sum();
+    let total_vol: usize = (0..g.num_vertices() as VertexId).map(|v| g.out_degree(v)).sum();
     if total_vol == 0 {
         return None;
     }
@@ -146,10 +138,7 @@ pub fn sweep_cut(g: &DynamicGraph, p: &[f64]) -> Option<SweepCut> {
             best = Some((i, phi));
         }
     }
-    best.map(|(i, phi)| SweepCut {
-        community: order[..=i].to_vec(),
-        conductance: phi,
-    })
+    best.map(|(i, phi)| SweepCut { community: order[..=i].to_vec(), conductance: phi })
 }
 
 #[cfg(test)]
@@ -199,10 +188,7 @@ mod tests {
             let dv = g.out_degree(v) as f64;
             let lhs = fwd[v as usize] * ds;
             let rhs = reverse[v as usize] * dv;
-            assert!(
-                (lhs - rhs).abs() < 1e-5,
-                "duality failed at {v}: {lhs} vs {rhs}"
-            );
+            assert!((lhs - rhs).abs() < 1e-5, "duality failed at {v}: {lhs} vs {rhs}");
         }
     }
 

@@ -224,11 +224,7 @@ mod tests {
         let g = DynamicGraph::from_edges(erdos_renyi(40, 200, 4));
         let coarse = exact_ppr(&g, 0, 0.15, 1e-3);
         let fine = exact_ppr(&g, 0, 0.15, 1e-13);
-        let diff = coarse
-            .iter()
-            .zip(&fine)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let diff = coarse.iter().zip(&fine).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
         assert!(diff < 1e-2);
         assert!(diff > 0.0 || coarse == fine);
     }

@@ -115,8 +115,7 @@ pub fn restore_invariant_with_degree(
         return;
     }
 
-    let numerator =
-        (1.0 - alpha) * state.p(v) - state.p(u) - alpha * state.r(u) + indicator;
+    let numerator = (1.0 - alpha) * state.p(v) - state.p(u) - alpha * state.r(u) + indicator;
     // A division by the recorded degree, not a multiply by the graph's
     // `inv_out_degree`: that holds the degree after the whole batch.
     let delta = numerator / (alpha * dout_after as f64);
@@ -134,11 +133,7 @@ pub fn max_invariant_violation(g: &DynamicGraph, state: &PprState) -> f64 {
         let rhs = if g.out_degree(w) == 0 {
             indicator
         } else {
-            let sum: f64 = g
-                .out_neighbors(w)
-                .iter()
-                .map(|&x| state.p(x))
-                .sum();
+            let sum: f64 = g.out_neighbors(w).iter().map(|&x| state.p(x)).sum();
             (1.0 - alpha) * sum * g.inv_out_degree(w) + indicator
         };
         let lhs = state.p(w) + alpha * state.r(w);

@@ -45,10 +45,8 @@ pub struct MultiSourcePpr {
 impl MultiSourcePpr {
     /// Creates one maintained vector per source, all with the same α and ε.
     pub fn new(sources: &[VertexId], alpha: f64, epsilon: f64) -> Self {
-        let sessions = sources
-            .iter()
-            .map(|&s| PprState::new(PprConfig::new(s, alpha, epsilon)))
-            .collect();
+        let sessions =
+            sources.iter().map(|&s| PprState::new(PprConfig::new(s, alpha, epsilon))).collect();
         MultiSourcePpr { sessions, alpha, epsilon, counters: Counters::new() }
     }
 
@@ -219,13 +217,10 @@ mod tests {
         let mut multi = MultiSourcePpr::new(&sources, 0.3, 1e-3);
         let mut g = DynamicGraph::new();
         let edges = erdos_renyi(20, 150, 5);
-        let ins: Vec<EdgeUpdate> =
-            edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
+        let ins: Vec<EdgeUpdate> = edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
         multi.apply_batch(&mut g, &ins);
-        let del: Vec<EdgeUpdate> = edges[..50]
-            .iter()
-            .map(|&(u, v)| EdgeUpdate::delete(u, v))
-            .collect();
+        let del: Vec<EdgeUpdate> =
+            edges[..50].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect();
         let applied = multi.apply_batch(&mut g, &del);
         assert_eq!(applied, 50);
         for (i, &s) in sources.iter().enumerate() {
@@ -241,8 +236,7 @@ mod tests {
         let mut multi = MultiSourcePpr::new(&[0], 0.2, 1e-3);
         let mut g = DynamicGraph::new();
         let edges = erdos_renyi(40, 400, 99);
-        let ins: Vec<EdgeUpdate> =
-            edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
+        let ins: Vec<EdgeUpdate> = edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
         multi.apply_batch(&mut g, &ins);
         // Open a session for vertex 7 against the live graph.
         let i = multi.add_source(&g, 7);
@@ -255,10 +249,8 @@ mod tests {
             assert!((multi.estimate(i, v) - truth[v as usize]).abs() <= 1e-3 + 1e-9);
         }
         // And the late-opened source keeps tracking subsequent batches.
-        let more: Vec<EdgeUpdate> = erdos_renyi(40, 80, 123)
-            .into_iter()
-            .map(|(u, v)| EdgeUpdate::insert(u, v))
-            .collect();
+        let more: Vec<EdgeUpdate> =
+            erdos_renyi(40, 80, 123).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
         multi.apply_batch(&mut g, &more);
         let truth = exact_ppr(&g, 7, 0.2, 1e-12);
         for v in 0..g.num_vertices() as VertexId {
@@ -413,10 +405,8 @@ mod tests {
     ) -> (Vec<(VertexId, u64)>, Counters) {
         use crate::persist::state_fingerprint;
         let counters = Counters::new();
-        let mut sessions: Vec<PprState> = sources
-            .iter()
-            .map(|&s| PprState::new(PprConfig::new(s, 0.2, 1e-6)))
-            .collect();
+        let mut sessions: Vec<PprState> =
+            sources.iter().map(|&s| PprState::new(PprConfig::new(s, 0.2, 1e-6))).collect();
         let mut g = DynamicGraph::new();
         for (i, batch) in batches.iter().enumerate() {
             let mut applied = Vec::new();
@@ -440,9 +430,7 @@ mod tests {
                 reshape(&mut sessions, &g, &counters);
             }
         }
-        let fps = sessions
-            .iter()
-            .map(|st| (st.config().source, state_fingerprint(st)));
+        let fps = sessions.iter().map(|st| (st.config().source, state_fingerprint(st)));
         (fps.collect(), counters)
     }
 
@@ -527,12 +515,10 @@ mod tests {
         assert!(!multi.remove_source(0));
         assert_eq!(multi.num_sources(), 2);
         assert_eq!(multi.sources(), vec![7, 3]); // 7 swapped into index 0
-        // The survivors still update correctly.
+                                                 // The survivors still update correctly.
         let mut g = DynamicGraph::new();
-        let ins: Vec<EdgeUpdate> = erdos_renyi(20, 150, 5)
-            .into_iter()
-            .map(|(u, v)| EdgeUpdate::insert(u, v))
-            .collect();
+        let ins: Vec<EdgeUpdate> =
+            erdos_renyi(20, 150, 5).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
         multi.apply_batch(&mut g, &ins);
         for i in 0..multi.num_sources() {
             let s = multi.source(i);

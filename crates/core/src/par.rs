@@ -510,9 +510,8 @@ mod tests {
         let cfg = PprConfig::new(0, 0.5, 0.1);
         let mut st = PprState::new(cfg);
         st.ensure_len(4);
-        for (v, (p, r)) in [(0.5, 0.0625), (0.25, 0.0), (0.1875, 0.0), (0.0625, 0.0625)]
-            .into_iter()
-            .enumerate()
+        for (v, (p, r)) in
+            [(0.5, 0.0625), (0.25, 0.0), (0.1875, 0.0), (0.0625, 0.0625)].into_iter().enumerate()
         {
             st.set_p(v as u32, p);
             st.set_r(v as u32, r);
@@ -559,10 +558,7 @@ mod tests {
             let mut bufs = ParPushBuffers::new();
             parallel_local_push(&g, &st, variant, &[0, 3], &c, &mut bufs);
             assert!(st.converged(), "{variant} did not converge");
-            assert!(
-                max_invariant_violation(&g, &st) < 1e-12,
-                "{variant} broke the invariant"
-            );
+            assert!(max_invariant_violation(&g, &st) < 1e-12, "{variant} broke the invariant");
         }
     }
 
@@ -609,11 +605,8 @@ mod tests {
         assert_eq!(seq_trace.pushes, 4);
         assert_eq!(par_trace.frontier_sizes, vec![1, 2, 2]);
         assert_eq!(seq_trace.frontier_sizes, vec![1, 2, 1]);
-        for (i, (p, q)) in par_trace
-            .l1_after_iteration
-            .iter()
-            .zip(&seq_trace.l1_after_iteration)
-            .enumerate()
+        for (i, (p, q)) in
+            par_trace.l1_after_iteration.iter().zip(&seq_trace.l1_after_iteration).enumerate()
         {
             assert!(p >= q, "iteration {i}: parallel ‖R‖₁={p} < sequential {q}");
         }
@@ -686,10 +679,7 @@ mod tests {
                 parallel_local_push(&g, &st, variant, seeds, &c, &mut bufs);
                 assert!(st.converged(), "{variant} left residuals over ε");
             }
-            assert!(
-                max_invariant_violation(&g, &st) < 1e-9,
-                "{variant} broke the invariant"
-            );
+            assert!(max_invariant_violation(&g, &st) < 1e-9, "{variant} broke the invariant");
             // Both are ε-approximations of the same exact vector, so they
             // can differ by at most 2ε.
             for v in 0..40u32 {

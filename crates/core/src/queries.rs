@@ -175,11 +175,7 @@ impl Selection {
 /// One pass, O(k) extra memory, one compare per score; heap work only for
 /// candidates. The first `k` scores fill the heap; the rest go through
 /// [`scan_gated`] against the floor.
-pub(crate) fn select<T>(
-    scores: &[T],
-    load: impl Fn(&T) -> f64,
-    k: usize,
-) -> Vec<(VertexId, f64)> {
+pub(crate) fn select<T>(scores: &[T], load: impl Fn(&T) -> f64, k: usize) -> Vec<(VertexId, f64)> {
     let k = k.min(scores.len());
     if k == 0 {
         return Vec::new();
@@ -199,12 +195,7 @@ pub fn top_k_of(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
 
 /// The ε-interval around estimate `p` of vertex `v`.
 fn interval(v: VertexId, p: f64, eps: f64) -> BoundedScore {
-    BoundedScore {
-        vertex: v,
-        estimate: p,
-        lo: (p - eps).max(0.0),
-        hi: (p + eps).min(1.0),
-    }
+    BoundedScore { vertex: v, estimate: p, lo: (p - eps).max(0.0), hi: (p + eps).min(1.0) }
 }
 
 /// The ε-interval around one score. Reads 0 for out-of-range vertices
@@ -292,8 +283,9 @@ impl Split {
 fn threshold<T>(scores: &[T], load: impl Fn(&T) -> f64, eps: f64, delta: f64) -> ThresholdAnswer {
     let mut split = Split::new(eps, delta);
     scan_gated(scores, 0, &mut split, load, Split::passes, Split::classify);
-    let by_rank =
-        |a: &BoundedScore, b: &BoundedScore| rank_order((a.vertex, a.estimate), (b.vertex, b.estimate));
+    let by_rank = |a: &BoundedScore, b: &BoundedScore| {
+        rank_order((a.vertex, a.estimate), (b.vertex, b.estimate))
+    };
     split.answer.certain.sort_by(by_rank);
     split.answer.possible.sort_by(by_rank);
     split.answer
@@ -348,7 +340,11 @@ pub fn interval_order(a: &BoundedScore, b: &BoundedScore) -> Option<Ordering> {
 
 /// The one comparison body: [`interval_order`] of the two vertices'
 /// intervals, and `Equal` for a vertex against itself.
-fn compare_by(a: VertexId, b: VertexId, score: impl Fn(VertexId) -> BoundedScore) -> Option<Ordering> {
+fn compare_by(
+    a: VertexId,
+    b: VertexId,
+    score: impl Fn(VertexId) -> BoundedScore,
+) -> Option<Ordering> {
     interval_order(&score(a), &score(b)).or((a == b).then_some(Ordering::Equal))
 }
 
@@ -451,11 +447,8 @@ mod tests {
     /// The reference semantics `top_k_of` must preserve: full sort by
     /// (descending score, ascending id), truncated to k.
     fn top_k_by_full_sort(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
-        let mut all: Vec<(VertexId, f64)> = scores
-            .iter()
-            .enumerate()
-            .map(|(v, &p)| (v as VertexId, p))
-            .collect();
+        let mut all: Vec<(VertexId, f64)> =
+            scores.iter().enumerate().map(|(v, &p)| (v as VertexId, p)).collect();
         all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         all.truncate(k);
         all
@@ -469,15 +462,9 @@ mod tests {
         for n in [1usize, 2, 17, 200, 1000] {
             // Coarse quantization forces plenty of exact ties, so the
             // (score, id) tie-break is genuinely exercised.
-            let scores: Vec<f64> = (0..n)
-                .map(|_| (rng.gen_range(0..20) as f64) / 20.0)
-                .collect();
+            let scores: Vec<f64> = (0..n).map(|_| (rng.gen_range(0..20) as f64) / 20.0).collect();
             for k in [0usize, 1, 2, 7, n / 2, n, n + 10] {
-                assert_eq!(
-                    top_k_of(&scores, k),
-                    top_k_by_full_sort(&scores, k),
-                    "n={n} k={k}"
-                );
+                assert_eq!(top_k_of(&scores, k), top_k_by_full_sort(&scores, k), "n={n} k={k}");
             }
         }
     }
@@ -517,7 +504,10 @@ mod tests {
             ("all-equal", |_, _| 0.25),
             ("signed-zeros", |i, _| if i % 2 == 0 { 0.0 } else { -0.0 }),
             ("negative-ties", |i, _| -((i % 7) as f64) * 0.125),
-            ("sparse-tiny", |i, _| if i % 13 == 5 { f64::from_bits(1 + (i % 3) as u64) } else { 0.0 }),
+            (
+                "sparse-tiny",
+                |i, _| if i % 13 == 5 { f64::from_bits(1 + (i % 3) as u64) } else { 0.0 },
+            ),
         ];
         let mut cases = 0;
         for n in [0usize, 1, 15, 16, 17, 33, 100, 1000] {
@@ -543,7 +533,8 @@ mod tests {
                 let Some(multi) = &state else { continue };
                 let st = multi.state(0);
                 let max = scores.iter().copied().fold(f64::MIN, f64::max);
-                let mut deltas: Vec<f64> = scores.iter().flat_map(|&p| [p - EPS, p + EPS]).collect();
+                let mut deltas: Vec<f64> =
+                    scores.iter().flat_map(|&p| [p - EPS, p + EPS]).collect();
                 deltas.extend([0.0, -0.0, -1.0, max + 2.0 * EPS]);
                 deltas.sort_by(f64::total_cmp);
                 deltas.dedup_by(|a, b| a.to_bits() == b.to_bits());

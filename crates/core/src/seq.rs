@@ -165,19 +165,14 @@ pub(crate) fn lockstep(
 ) -> LockstepTrace {
     let alpha = state.config().alpha;
     let eps = state.config().epsilon;
-    let mut trace = LockstepTrace {
-        l1_after_iteration: Vec::new(),
-        frontier_sizes: Vec::new(),
-        pushes: 0,
-    };
+    let mut trace =
+        LockstepTrace { l1_after_iteration: Vec::new(), frontier_sizes: Vec::new(), pushes: 0 };
     let mut work = CounterSnapshot::default();
     let mut touched_flag = vec![false; g.num_vertices()];
 
     for phase in Phase::BOTH {
-        let mut frontier: Vec<VertexId> = dedup_seeds(seeds)
-            .into_iter()
-            .filter(|&u| phase.active(state.r(u), eps))
-            .collect();
+        let mut frontier: Vec<VertexId> =
+            dedup_seeds(seeds).into_iter().filter(|&u| phase.active(state.r(u), eps)).collect();
         while !frontier.is_empty() {
             trace.frontier_sizes.push(frontier.len());
             let early: Vec<Option<f64>> =
@@ -232,9 +227,8 @@ mod tests {
         let cfg = PprConfig::new(0, 0.5, 0.1);
         let mut st = PprState::new(cfg);
         st.ensure_len(4);
-        for (v, (p, r)) in [(0.5, 0.0625), (0.25, 0.0), (0.1875, 0.0), (0.0625, 0.0625)]
-            .into_iter()
-            .enumerate()
+        for (v, (p, r)) in
+            [(0.5, 0.0625), (0.25, 0.0), (0.1875, 0.0), (0.0625, 0.0625)].into_iter().enumerate()
         {
             st.set_p(v as u32, p);
             st.set_r(v as u32, r);

@@ -37,8 +37,7 @@ impl PushVariant {
     pub const VANILLA: PushVariant = PushVariant { eager: false, local_dup: false };
 
     /// All four variants in the paper's Table 3 order.
-    pub const ALL: [PushVariant; 4] =
-        [Self::OPT, Self::EAGER, Self::DUP_DETECT, Self::VANILLA];
+    pub const ALL: [PushVariant; 4] = [Self::OPT, Self::EAGER, Self::DUP_DETECT, Self::VANILLA];
 
     /// The paper's name for this variant.
     pub fn name(self) -> &'static str {

@@ -16,9 +16,8 @@ fn text_snapshots_are_refused() {
     let v1 = format!(
         "dppr-state v1\nsource 0 alpha {alpha:016x} epsilon {epsilon:016x} len 1000000000000\n{row}"
     );
-    let covered = format!(
-        "dppr-state v2\nsource 0 alpha {alpha:016x} epsilon {epsilon:016x} len 1\n{row}"
-    );
+    let covered =
+        format!("dppr-state v2\nsource 0 alpha {alpha:016x} epsilon {epsilon:016x} len 1\n{row}");
     let v2 = format!("{covered}crc32 {:08x}\n", crc32(covered.as_bytes()));
     for text in [v1, v2] {
         let err = read_state(text.as_bytes()).expect_err("text snapshots are not read");

@@ -1,8 +1,8 @@
 //! Property-based tests for the core algorithmic building blocks.
 
 use dppr_core::invariant::{absorb_batch, max_invariant_violation, Repairs};
-use dppr_core::queries::top_k_of;
 use dppr_core::par::{parallel_local_push, parallel_push_lockstep, ParPushBuffers};
+use dppr_core::queries::top_k_of;
 use dppr_core::seq::{sequential_local_push, sequential_push_lockstep, SeqPushBuffers};
 use dppr_core::{exact_ppr, AtomicF64, Counters, Phase, PprConfig, PprState, PushVariant};
 use dppr_graph::{DynamicGraph, EdgeOp, EdgeUpdate};

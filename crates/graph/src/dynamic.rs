@@ -166,11 +166,7 @@ impl AdjPool {
     /// Rebuilds the arena in vertex order, dropping garbage and resetting
     /// each span's slack to the next power of two above its length.
     fn compact(&mut self) {
-        let total: usize = self
-            .len
-            .iter()
-            .map(|&l| Self::compact_cap(l as usize))
-            .sum();
+        let total: usize = self.len.iter().map(|&l| Self::compact_cap(l as usize)).sum();
         let mut data = Vec::with_capacity(total);
         for u in 0..self.off.len() {
             let live = self.len[u] as usize;
@@ -418,12 +414,8 @@ impl DynamicGraph {
 
     /// Iterates over all directed edges `(u, v)` in unspecified order.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.num_vertices()).flat_map(move |u| {
-            self.out
-                .neighbors(u)
-                .iter()
-                .map(move |&v| (u as VertexId, v))
-        })
+        (0..self.num_vertices())
+            .flat_map(move |u| self.out.neighbors(u).iter().map(move |&v| (u as VertexId, v)))
     }
 
     /// The ids of the `k` vertices with the largest out-degree, sorted by
@@ -439,12 +431,10 @@ impl DynamicGraph {
         if k == 0 {
             return Vec::new();
         }
-        let mut keyed: Vec<(usize, VertexId)> = (0..n as VertexId)
-            .map(|v| (self.out.degree(v as usize), v))
-            .collect();
-        let by_degree_desc = |a: &(usize, VertexId), b: &(usize, VertexId)| {
-            b.0.cmp(&a.0).then(a.1.cmp(&b.1))
-        };
+        let mut keyed: Vec<(usize, VertexId)> =
+            (0..n as VertexId).map(|v| (self.out.degree(v as usize), v)).collect();
+        let by_degree_desc =
+            |a: &(usize, VertexId), b: &(usize, VertexId)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
         if k < n {
             keyed.select_nth_unstable_by(k - 1, by_degree_desc);
             keyed.truncate(k);
@@ -478,12 +468,7 @@ impl DynamicGraph {
         }
         let mut fwd: Vec<(VertexId, VertexId)> = self.edges().collect();
         let mut bwd: Vec<(VertexId, VertexId)> = (0..self.num_vertices())
-            .flat_map(|v| {
-                self.inn
-                    .neighbors(v)
-                    .iter()
-                    .map(move |&u| (u, v as VertexId))
-            })
+            .flat_map(|v| self.inn.neighbors(v).iter().map(move |&u| (u, v as VertexId)))
             .collect();
         if fwd.len() != self.num_edges {
             return Err(format!(
@@ -502,20 +487,14 @@ impl DynamicGraph {
             let dout = self.out.degree(u);
             let expect = if dout == 0 { 0.0 } else { 1.0 / dout as f64 };
             if self.inv_dout[u] != expect {
-                return Err(format!(
-                    "inv_dout[{u}] = {} but dout = {dout}",
-                    self.inv_dout[u]
-                ));
+                return Err(format!("inv_dout[{u}] = {} but dout = {dout}", self.inv_dout[u]));
             }
             if self.total_degree(u) > 0 {
                 active += 1;
             }
         }
         if active != self.active {
-            return Err(format!(
-                "active_vertices counter {} != recount {active}",
-                self.active
-            ));
+            return Err(format!("active_vertices counter {} != recount {active}", self.active));
         }
         Ok(())
     }

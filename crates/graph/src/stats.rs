@@ -75,11 +75,7 @@ pub fn degree_stats(g: &DynamicGraph) -> DegreeStats {
 /// Hill estimator of the tail index over the top 10% of non-zero degrees:
 /// `α̂ = 1 + k / Σ ln(d_i / d_min)`.
 fn hill_estimator(sorted_degrees: &[usize]) -> Option<f64> {
-    let nonzero: Vec<f64> = sorted_degrees
-        .iter()
-        .filter(|&&d| d > 0)
-        .map(|&d| d as f64)
-        .collect();
+    let nonzero: Vec<f64> = sorted_degrees.iter().filter(|&&d| d > 0).map(|&d| d as f64).collect();
     if nonzero.len() < 50 {
         return None;
     }
@@ -144,9 +140,7 @@ mod tests {
 
     #[test]
     fn ba_tail_is_heavier_than_er() {
-        let ba = DynamicGraph::from_edges(undirected_to_directed(&barabasi_albert(
-            3_000, 4, 7,
-        )));
+        let ba = DynamicGraph::from_edges(undirected_to_directed(&barabasi_albert(3_000, 4, 7)));
         let ba_stats = degree_stats(&ba);
         let er = DynamicGraph::from_edges(erdos_renyi(3_000, ba.num_edges(), 7));
         let er_stats = degree_stats(&er);

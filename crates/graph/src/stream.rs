@@ -96,10 +96,7 @@ impl SlidingWindow {
     /// stream. At least one edge is placed in the window if the stream is
     /// non-empty.
     pub fn new(stream: GraphStream, init_fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&init_fraction),
-            "init_fraction must lie in [0, 1]"
-        );
+        assert!((0.0..=1.0).contains(&init_fraction), "init_fraction must lie in [0, 1]");
         let end = ((stream.len() as f64 * init_fraction) as usize)
             .clamp(usize::from(!stream.is_empty()), stream.len());
         SlidingWindow { stream, start: 0, end }

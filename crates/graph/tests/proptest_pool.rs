@@ -93,23 +93,15 @@ fn assert_matches_model(g: &DynamicGraph, model: &ModelGraph) -> Result<(), Test
         // Neighbor multisets (the graphs are simple, so sorted vectors).
         let mut outs = g.out_neighbors(u).to_vec();
         outs.sort_unstable();
-        let mut want_outs: Vec<VertexId> = model
-            .edges
-            .iter()
-            .filter(|&&(a, _)| a == u)
-            .map(|&(_, b)| b)
-            .collect();
+        let mut want_outs: Vec<VertexId> =
+            model.edges.iter().filter(|&&(a, _)| a == u).map(|&(_, b)| b).collect();
         want_outs.sort_unstable();
         prop_assert_eq!(outs, want_outs, "out-neighbors of {}", u);
 
         let mut ins = g.in_neighbors(u).to_vec();
         ins.sort_unstable();
-        let mut want_ins: Vec<VertexId> = model
-            .edges
-            .iter()
-            .filter(|&&(_, b)| b == u)
-            .map(|&(a, _)| a)
-            .collect();
+        let mut want_ins: Vec<VertexId> =
+            model.edges.iter().filter(|&&(_, b)| b == u).map(|&(a, _)| a).collect();
         want_ins.sort_unstable();
         prop_assert_eq!(ins, want_ins, "in-neighbors of {}", u);
     }

@@ -130,16 +130,19 @@ mod tests {
         let cfg = PprConfig::new(0, 0.2, 0.05);
         let mut eng = MonteCarloEngine::new(cfg, 60_000, 7);
         let mut g = DynamicGraph::new();
-        let batch: Vec<EdgeUpdate> = erdos_renyi(30, 200, 3)
-            .into_iter()
-            .map(|(u, v)| EdgeUpdate::insert(u, v))
-            .collect();
+        let batch: Vec<EdgeUpdate> =
+            erdos_renyi(30, 200, 3).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
         let stats = eng.apply_batch(&mut g, &batch);
         assert_eq!(stats.applied, 200);
         let truth = endpoint_distribution(&g, 0, 0.2, 1e-12);
         for v in 0..g.num_vertices() as VertexId {
             let err = (eng.estimate(v) - truth[v as usize]).abs();
-            assert!(err < 0.02, "vertex {v}: MC {} vs exact {}", eng.estimate(v), truth[v as usize]);
+            assert!(
+                err < 0.02,
+                "vertex {v}: MC {} vs exact {}",
+                eng.estimate(v),
+                truth[v as usize]
+            );
         }
     }
 
@@ -149,13 +152,10 @@ mod tests {
         let mut eng = MonteCarloEngine::new(cfg, 40_000, 11);
         let mut g = DynamicGraph::new();
         let edges = erdos_renyi(20, 120, 9);
-        let ins: Vec<EdgeUpdate> =
-            edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
+        let ins: Vec<EdgeUpdate> = edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
         eng.apply_batch(&mut g, &ins);
-        let del: Vec<EdgeUpdate> = edges[..60]
-            .iter()
-            .map(|&(u, v)| EdgeUpdate::delete(u, v))
-            .collect();
+        let del: Vec<EdgeUpdate> =
+            edges[..60].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect();
         eng.apply_batch(&mut g, &del);
         let truth = endpoint_distribution(&g, 0, 0.3, 1e-12);
         for v in 0..g.num_vertices() as VertexId {

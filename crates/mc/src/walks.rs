@@ -63,8 +63,7 @@ impl MonteCarloPpr {
 
     /// Estimated PPR of `v`: the fraction of walks stopping at `v`.
     pub fn estimate(&self, v: VertexId) -> f64 {
-        self.end_counts.get(v as usize).copied().unwrap_or(0) as f64
-            / self.walks.len() as f64
+        self.end_counts.get(v as usize).copied().unwrap_or(0) as f64 / self.walks.len() as f64
     }
 
     /// The full estimate vector.
@@ -107,12 +106,8 @@ impl MonteCarloPpr {
         let epochs = &self.epochs;
         let resimulate = |&id: &u32| {
             let trace = &walks[id as usize];
-            let pos = trace
-                .iter()
-                .position(|&x| x == u)
-                .expect("validated above");
-            let mut rng =
-                SmallRng::seed_from_u64(mix(seed, id as u64, epochs[id as usize] + 1));
+            let pos = trace.iter().position(|&x| x == u).expect("validated above");
+            let mut rng = SmallRng::seed_from_u64(mix(seed, id as u64, epochs[id as usize] + 1));
             (id, pos, simulate_walk(g, u, alpha, &mut rng))
         };
         let resimulate_all = |range: Range<usize>| affected[range].iter().map(resimulate).collect();
@@ -243,7 +238,8 @@ fn simulate_walk(
 
 /// SplitMix64-style mixing for reproducible per-(walk, epoch) streams.
 fn mix(seed: u64, id: u64, epoch: u64) -> u64 {
-    let mut z = seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ epoch.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let mut z =
+        seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ epoch.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -252,12 +248,7 @@ fn mix(seed: u64, id: u64, epoch: u64) -> u64 {
 /// Exact endpoint distribution of the α-terminating walk (the quantity the
 /// Monte-Carlo engine estimates), by mass propagation until the residual
 /// walking mass drops below `tol`.
-pub fn endpoint_distribution(
-    g: &DynamicGraph,
-    source: VertexId,
-    alpha: f64,
-    tol: f64,
-) -> Vec<f64> {
+pub fn endpoint_distribution(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64) -> Vec<f64> {
     let n = g.num_vertices().max(source as usize + 1);
     let mut walking = vec![0.0f64; n];
     walking[source as usize] = 1.0;

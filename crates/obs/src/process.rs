@@ -66,9 +66,6 @@ mod tests {
 
     #[test]
     fn default_is_all_zero() {
-        assert_eq!(
-            ProcessStats::default(),
-            ProcessStats { rss_bytes: 0, open_fds: 0, threads: 0 }
-        );
+        assert_eq!(ProcessStats::default(), ProcessStats { rss_bytes: 0, open_fds: 0, threads: 0 });
     }
 }

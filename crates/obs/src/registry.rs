@@ -184,7 +184,10 @@ mod tests {
         let text = t.as_str();
         assert!(text.contains("t_lat_seconds_bucket{le=\"0\"} 1\n"));
         assert!(text.contains("t_lat_seconds_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.ends_with("t_lat_seconds_sum 1\nt_lat_seconds_count 2\n"), "sum is in seconds");
+        assert!(
+            text.ends_with("t_lat_seconds_sum 1\nt_lat_seconds_count 2\n"),
+            "sum is in seconds"
+        );
         let mut raw = PromText::new();
         raw.histogram("t_iters", None, &h.snapshot(), Unit::Raw);
         assert!(raw.as_str().contains("t_iters_sum 1000000000\n"));

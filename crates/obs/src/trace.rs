@@ -45,7 +45,11 @@ pub struct TraceRing {
 
 impl TraceRing {
     pub fn new(cap: usize) -> Self {
-        TraceRing { cap: cap.max(1), lines: Mutex::new(VecDeque::new()), dropped: AtomicU64::new(0) }
+        TraceRing {
+            cap: cap.max(1),
+            lines: Mutex::new(VecDeque::new()),
+            dropped: AtomicU64::new(0),
+        }
     }
 
     pub fn push(&self, line: String) {

@@ -39,8 +39,7 @@ pub(crate) fn healthz(_req: &Request, r: &RouterImpl) -> Result<Response, String
     j.begin_obj();
     j.key("ok").bool(true);
     j.key("epoch").uint(ctx.domain.epoch());
-    j.key("degraded")
-        .bool(ctx.stats.degraded.load(Relaxed) || ctx.slo.any_breaching());
+    j.key("degraded").bool(ctx.stats.degraded.load(Relaxed) || ctx.slo.any_breaching());
     // Why the instance is degraded (null while healthy): a WAL failure
     // (read-only serving) wins over an SLO burn.
     j.key("degraded_reason");
@@ -121,24 +120,12 @@ pub(crate) fn metrics_text(ctx: &Ctx) -> PromText {
             }
         }
         let family = "dppr_slo_breaching";
-        out.family(
-            family,
-            "1 while the SLO's fast-window burn is at or above 1",
-            "gauge",
-        );
+        out.family(family, "1 while the SLO's fast-window burn is at or above 1", "gauge");
         for (spec, st) in slos() {
-            out.series_u64_multi(
-                family,
-                &[("slo", spec.name)],
-                st.breaching.load(Relaxed) as u64,
-            );
+            out.series_u64_multi(family, &[("slo", spec.name)], st.breaching.load(Relaxed) as u64);
         }
         let family = "dppr_slo_breach_total";
-        out.family(
-            family,
-            "Healthy-to-breaching transitions per SLO",
-            "counter",
-        );
+        out.family(family, "Healthy-to-breaching transitions per SLO", "counter");
         for (spec, st) in slos() {
             out.series_u64_multi(family, &[("slo", spec.name)], st.breaches.load(Relaxed));
         }
@@ -159,15 +146,8 @@ pub(crate) fn metrics(_req: &Request, r: &RouterImpl) -> Result<Response, String
         "Metric families in this exposition (including this one)",
         families,
     );
-    r.ctx
-        .metrics
-        .metrics_scrape
-        .record(t.elapsed().as_nanos() as u64);
-    Ok(Response::with_content_type(
-        200,
-        PROMETHEUS_CONTENT_TYPE,
-        out.as_str(),
-    ))
+    r.ctx.metrics.metrics_scrape.record(t.elapsed().as_nanos() as u64);
+    Ok(Response::with_content_type(200, PROMETHEUS_CONTENT_TYPE, out.as_str()))
 }
 
 pub(crate) fn stats(_req: &Request, r: &RouterImpl) -> Result<Response, String> {
@@ -237,10 +217,7 @@ pub(crate) fn series(req: &Request, r: &RouterImpl) -> Result<Response, String> 
     let window_s: f64 = req.parsed_finite_or("window", 60.0)?;
     let window_nanos = (window_s.max(0.0) * 1e9) as u64;
     let Some(w) = ctx.series.window(name, window_nanos) else {
-        return Ok(Response::new(
-            404,
-            error_body(&format!("unknown series {name}")),
-        ));
+        return Ok(Response::new(404, error_body(&format!("unknown series {name}"))));
     };
     j.key("name").str(name);
     j.key("window_seconds").num(window_s);
@@ -271,11 +248,7 @@ pub(crate) fn trace(req: &Request, r: &RouterImpl) -> Result<Response, String> {
         Some("slide") => ring.dump_with(limit, |l| l.contains("\"event\":\"slide\"")),
         Some(other) => return Err(format!("unknown trace kind {other:?} (request|slide)")),
     };
-    Ok(Response::with_content_type(
-        200,
-        "application/x-ndjson",
-        body,
-    ))
+    Ok(Response::with_content_type(200, "application/x-ndjson", body))
 }
 
 pub(crate) fn shutdown(_req: &Request, r: &RouterImpl) -> Result<Response, String> {
@@ -324,9 +297,7 @@ mod tests {
                 expanded = expanded
                     .iter()
                     .flat_map(|p| {
-                        alternatives
-                            .iter()
-                            .map(move |a| format!("{p}{}{a}", &rest[..open]))
+                        alternatives.iter().map(move |a| format!("{p}{}{a}", &rest[..open]))
                     })
                     .collect();
                 rest = &rest[close + 1..];
@@ -338,11 +309,8 @@ mod tests {
     }
 
     fn matches(pattern: &str, family: &str) -> bool {
-        let pattern = if pattern.ends_with('_') {
-            format!("{pattern}*")
-        } else {
-            pattern.to_string()
-        };
+        let pattern =
+            if pattern.ends_with('_') { format!("{pattern}*") } else { pattern.to_string() };
         let mut parts = pattern.split('*');
         let Some(mut tail) = family.strip_prefix(parts.next().unwrap()) else {
             return false;
@@ -399,12 +367,8 @@ mod tests {
     /// sections.
     fn runbook() -> &'static str {
         let readme = include_str!("../../../README.md");
-        let from = readme
-            .find("## Observability")
-            .expect("Observability section");
-        let to = readme
-            .find("## Build and test")
-            .expect("section after the Durability one");
+        let from = readme.find("## Observability").expect("Observability section");
+        let to = readme.find("## Build and test").expect("section after the Durability one");
         &readme[from..to]
     }
 
@@ -412,12 +376,8 @@ mod tests {
     fn exported_families() -> BTreeSet<String> {
         let handle = live_instance();
         let router = RouterImpl::new(handle.ctx.clone(), std::sync::mpsc::channel().0, 0);
-        let req = Request {
-            method: "GET".into(),
-            path: "/metrics".into(),
-            params: vec![],
-            http11: true,
-        };
+        let req =
+            Request { method: "GET".into(), path: "/metrics".into(), params: vec![], http11: true };
         let text = metrics(&req, &router).expect("/metrics renders").body;
         handle.join();
         text.lines()
@@ -435,7 +395,11 @@ mod tests {
         let text = metrics_text(&handle.ctx);
         let text = text.as_str();
         let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
-        assert_eq!(types.len(), types.iter().collect::<BTreeSet<_>>().len(), "duplicate # TYPE line");
+        assert_eq!(
+            types.len(),
+            types.iter().collect::<BTreeSet<_>>().len(),
+            "duplicate # TYPE line"
+        );
         for &(family, _, _, label, ..) in HISTOGRAMS {
             assert!(types.contains(&format!("# TYPE {family} histogram").as_str()), "{family}");
             let (merged, plain) = match label {
@@ -452,7 +416,8 @@ mod tests {
         }
 
         let router = RouterImpl::new(handle.ctx.clone(), std::sync::mpsc::channel().0, 0);
-        let req = Request { method: "GET".into(), path: "/stats".into(), params: vec![], http11: true };
+        let req =
+            Request { method: "GET".into(), path: "/stats".into(), params: vec![], http11: true };
         let body = stats(&req, &router).expect("/stats renders").body;
         let timings = body.split_once("\"timings\":{").expect("timings object").1;
         let timings = timings.split_once("}},").expect("timings object closes").0;
@@ -472,17 +437,10 @@ mod tests {
     #[test]
     fn readme_families_exist() {
         let patterns = family_patterns(runbook());
-        assert!(
-            patterns.len() > 20,
-            "README parse found too little: {patterns:?}"
-        );
+        assert!(patterns.len() > 20, "README parse found too little: {patterns:?}");
         let families = exported_families();
         for row in INSTANCE.iter().filter_map(|r| r.prom) {
-            assert!(
-                families.contains(row.0),
-                "table family {} missing from /metrics",
-                row.0
-            );
+            assert!(families.contains(row.0), "table family {} missing from /metrics", row.0);
         }
         for pattern in &patterns {
             assert!(
@@ -510,10 +468,7 @@ mod tests {
                 unnamed.push(format!("/series {column}"));
             }
         }
-        for row in INSTANCE
-            .iter()
-            .filter(|r| r.prom.is_none() && !r.key.is_empty())
-        {
+        for row in INSTANCE.iter().filter(|r| r.prom.is_none() && !r.key.is_empty()) {
             if !quoted(row.key) {
                 unnamed.push(format!("/stats {}", row.key));
             }

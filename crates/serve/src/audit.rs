@@ -222,9 +222,9 @@ impl SloEngine {
     /// `"SLO <name> fast burn <x.xx>"` for the first breaching SLO.
     pub(crate) fn breach_reason(&self) -> Option<String> {
         self.specs.iter().zip(&self.status).find_map(|(spec, st)| {
-            st.breaching.load(Relaxed).then(|| {
-                format!("SLO {} fast burn {:.2}", spec.name, st.burn_fast.load())
-            })
+            st.breaching
+                .load(Relaxed)
+                .then(|| format!("SLO {} fast burn {:.2}", spec.name, st.burn_fast.load()))
         })
     }
 }
@@ -238,9 +238,7 @@ pub(crate) fn spawn_observer(
     ctx: Arc<Ctx>,
     ctl_tx: mpsc::Sender<Control>,
 ) -> io::Result<JoinHandle<()>> {
-    thread::Builder::new()
-        .name("dppr-observer".into())
-        .spawn(move || observer_loop(&ctx, &ctl_tx))
+    thread::Builder::new().name("dppr-observer".into()).spawn(move || observer_loop(&ctx, &ctl_tx))
 }
 
 fn observer_loop(ctx: &Ctx, ctl_tx: &mpsc::Sender<Control>) {
@@ -329,9 +327,8 @@ fn run_audit(ctx: &Ctx, job: AuditJob) {
         let est = snap.estimates();
         let (mut l1, mut linf) = (0.0f64, 0.0f64);
         for v in 0..exact.len().max(est.len()) {
-            let d = (exact.get(v).copied().unwrap_or(0.0)
-                - est.get(v).copied().unwrap_or(0.0))
-            .abs();
+            let d =
+                (exact.get(v).copied().unwrap_or(0.0) - est.get(v).copied().unwrap_or(0.0)).abs();
             l1 += d;
             linf = linf.max(d);
         }
@@ -378,12 +375,7 @@ fn topk_overlap(exact: &[f64], est: &[f64], k: usize) -> f64 {
 /// Burn rate of one SLO over the newest `ticks` series rows. 1.0 =
 /// consuming the error budget exactly at the allowed rate.
 fn burn(ctx: &Ctx, spec: &SloSpec, ticks: usize) -> f64 {
-    let windows: Vec<_> = spec
-        .kind
-        .columns()
-        .iter()
-        .map(|c| ctx.series.last_n(c, ticks))
-        .collect();
+    let windows: Vec<_> = spec.kind.columns().iter().map(|c| ctx.series.last_n(c, ticks)).collect();
     // How far a counter column moved across the window.
     let delta = |w: &SeriesWindow| w.last - w.points.first().map_or(0.0, |p| p.1);
     match (spec.kind, &windows[..]) {

@@ -137,10 +137,8 @@ pub fn start(
     };
 
     // --- event-loop shards ------------------------------------------------
-    let shard_cfg = ShardConfig {
-        read_timeout: cfg.read_timeout,
-        write_timeout: cfg.write_timeout,
-    };
+    let shard_cfg =
+        ShardConfig { read_timeout: cfg.read_timeout, write_timeout: cfg.write_timeout };
     let mut shards = Vec::with_capacity(threads);
     for w in 0..threads {
         shards.push(spawn_shard(
@@ -158,12 +156,7 @@ pub fn start(
     // same ticker, reaching the write loop over the control channel.
     let observer = audit::spawn_observer(Arc::clone(&ctx), ctl_tx)?;
 
-    Ok(ServerHandle {
-        ctx,
-        shards,
-        workers: vec![writer, observer],
-        recovery: boot.recovery,
-    })
+    Ok(ServerHandle { ctx, shards, workers: vec![writer, observer], recovery: boot.recovery })
 }
 
 /// What booting produced, durable or not: the maintained sessions and
@@ -379,9 +372,7 @@ pub fn boot_probe(
     })?;
     let boot = boot(stream, init_fraction, sources, cfg, &ServerStats::default())?;
     let fingerprints = (0..boot.multi.num_sources())
-        .map(|i| {
-            (boot.multi.source(i), dppr_core::persist::state_fingerprint(boot.multi.state(i)))
-        })
+        .map(|i| (boot.multi.source(i), dppr_core::persist::state_fingerprint(boot.multi.state(i))))
         .collect();
     Ok(BootProbe { recovery: boot.recovery, epoch: boot.epoch, fingerprints })
 }

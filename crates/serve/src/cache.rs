@@ -17,8 +17,8 @@
 //! shard's share is returned uncached.
 
 use dppr_graph::VertexId;
-use std::collections::HashMap;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -251,8 +251,7 @@ mod tests {
     #[test]
     fn hit_requires_matching_epoch() {
         let c = QueryCache::new(64);
-        let (body, hit) =
-            c.get_or_render(0, QueryKind::TopK(5), 1, || "v1".to_string());
+        let (body, hit) = c.get_or_render(0, QueryKind::TopK(5), 1, || "v1".to_string());
         assert!(!hit);
         assert_eq!(&*body, "v1");
         let (body, hit) = c.get_or_render(0, QueryKind::TopK(5), 1, || {
@@ -261,8 +260,7 @@ mod tests {
         assert!(hit);
         assert_eq!(&*body, "v1");
         // Epoch bump invalidates: the renderer runs again.
-        let (body, hit) =
-            c.get_or_render(0, QueryKind::TopK(5), 2, || "v2".to_string());
+        let (body, hit) = c.get_or_render(0, QueryKind::TopK(5), 2, || "v2".to_string());
         assert!(!hit);
         assert_eq!(&*body, "v2");
         let s = c.stats();
@@ -280,12 +278,7 @@ mod tests {
         let (b, hit) = c.get_or_render(1, QueryKind::TopK(5), 1, || "c".into());
         assert!(!hit);
         assert_eq!(&*b, "c");
-        let (b, hit) = c.get_or_render(
-            0,
-            QueryKind::Threshold(0.5f64.to_bits()),
-            1,
-            || "d".into(),
-        );
+        let (b, hit) = c.get_or_render(0, QueryKind::Threshold(0.5f64.to_bits()), 1, || "d".into());
         assert!(!hit);
         assert_eq!(&*b, "d");
         assert_eq!(c.len(), 4);
@@ -317,9 +310,7 @@ mod tests {
         }
         let mut fresh_hits = 0u64;
         for v in 0..64u32 {
-            let (_, hit) = c.get_or_render(0, QueryKind::Score(v), 2, || {
-                format!("rerendered-{v}")
-            });
+            let (_, hit) = c.get_or_render(0, QueryKind::Score(v), 2, || format!("rerendered-{v}"));
             fresh_hits += hit as u64;
         }
         assert_eq!(fresh_hits, 64, "laggard inserts wiped fresh entries");
@@ -334,9 +325,8 @@ mod tests {
         let (body, hit) = c.get_or_render(0, QueryKind::TopK(5), 1, || "stale".into());
         assert!(!hit);
         assert_eq!(&*body, "stale"); // the laggard gets its own answer...
-        let (body, hit) = c.get_or_render(0, QueryKind::TopK(5), 2, || {
-            panic!("fresh entry was overwritten")
-        });
+        let (body, hit) =
+            c.get_or_render(0, QueryKind::TopK(5), 2, || panic!("fresh entry was overwritten"));
         assert!(hit); // ...but the fresh entry still serves epoch 2
         assert_eq!(&*body, "fresh");
     }
@@ -402,9 +392,9 @@ mod tests {
     #[test]
     fn stale_purge_is_counted_apart_from_pressure_evictions() {
         let c = QueryCache::new(SHARDS); // one entry per shard
-        // Phase 1: flood epoch-1 keys until every shard holds exactly one
-        // e1 entry. Same-epoch churn past capacity here is genuine
-        // pressure and lands in `evictions`; nothing is stale yet.
+                                         // Phase 1: flood epoch-1 keys until every shard holds exactly one
+                                         // e1 entry. Same-epoch churn past capacity here is genuine
+                                         // pressure and lands in `evictions`; nothing is stale yet.
         for v in 0..200u32 {
             c.get_or_render(0, QueryKind::Score(v), 1, || "old".into());
         }
@@ -421,9 +411,6 @@ mod tests {
         let s2 = c.stats();
         let stale_delta = s2.stale_purged - s1.stale_purged;
         assert!(stale_delta >= 1, "dead entries must be purged, not evicted");
-        assert!(
-            stale_delta <= SHARDS as u64,
-            "each shard holds at most one dead entry to purge"
-        );
+        assert!(stale_delta <= SHARDS as u64, "each shard holds at most one dead entry to purge");
     }
 }

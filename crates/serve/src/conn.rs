@@ -244,11 +244,7 @@ impl Conn {
         if now < self.deadline(read_timeout, write_timeout) {
             return None;
         }
-        Some(if self.has_pending_output() {
-            Close::WriteTimeout
-        } else {
-            Close::ReadTimeout
-        })
+        Some(if self.has_pending_output() { Close::WriteTimeout } else { Close::ReadTimeout })
     }
 }
 
@@ -267,10 +263,7 @@ mod tests {
 
     fn wait_readable(conn: &Conn) {
         use std::os::fd::AsRawFd;
-        let mut fds = [minipoll::PollFd::new(
-            conn.stream().as_raw_fd(),
-            minipoll::READABLE,
-        )];
+        let mut fds = [minipoll::PollFd::new(conn.stream().as_raw_fd(), minipoll::READABLE)];
         minipoll::poll(&mut fds, Some(Duration::from_secs(5))).unwrap();
     }
 
@@ -282,9 +275,7 @@ mod tests {
         wait_readable(&conn);
         assert_eq!(conn.fill(now), Step::Continue);
         assert!(conn.next_request(now).unwrap().is_none(), "head incomplete");
-        client
-            .write_all(b"\r\nGET /b?x=1 HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .unwrap();
+        client.write_all(b"\r\nGET /b?x=1 HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         wait_readable(&conn);
         assert_eq!(conn.fill(now), Step::Continue);
         let (r1, ka1) = conn.next_request(now).unwrap().unwrap();

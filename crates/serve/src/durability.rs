@@ -236,8 +236,7 @@ fn load_checkpoint_file(path: &Path) -> io::Result<LoadedCheckpoint> {
     if window_start > window_end {
         return Err(bad(format!("inverted window bounds {window_start} > {window_end}")));
     }
-    let fits =
-        |w: u64| usize::try_from(w).map_err(|_| bad("window bound does not fit in memory"));
+    let fits = |w: u64| usize::try_from(w).map_err(|_| bad("window bound does not fit in memory"));
     let (window_start, window_end) = (fits(window_start)?, fits(window_end)?);
     let mut crc = Crc32::new();
     crc.update(&header);
@@ -352,8 +351,8 @@ mod tests {
 
     fn test_dir(tag: &str) -> PathBuf {
         let id = DIR_ID.fetch_add(1, Ordering::Relaxed);
-        let d = std::env::temp_dir()
-            .join(format!("dppr-durability-{}-{tag}-{id}", std::process::id()));
+        let d =
+            std::env::temp_dir().join(format!("dppr-durability-{}-{tag}-{id}", std::process::id()));
         fs::remove_dir_all(&d).ok();
         fs::create_dir_all(&d).unwrap();
         d
@@ -381,8 +380,7 @@ mod tests {
             assert_eq!(state_fingerprint(a), state_fingerprint(b));
         }
         // One file, no leftovers.
-        let names: Vec<_> =
-            fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
         assert_eq!(names, ["ckpt-12.bin"]);
         fs::remove_dir_all(&dir).ok();
     }
@@ -467,9 +465,8 @@ mod tests {
         let newer = converged_states(&[1, 5]);
         write_checkpoint(&dir, 3, (0, 50), &older).unwrap();
         write_checkpoint(&dir, 8, (50, 100), &newer).unwrap();
-        let fps = |states: &[PprState]| -> Vec<u64> {
-            states.iter().map(state_fingerprint).collect()
-        };
+        let fps =
+            |states: &[PprState]| -> Vec<u64> { states.iter().map(state_fingerprint).collect() };
         let (want_older, want_newer) = (fps(&older), fps(&newer));
         let check = |what: &dyn Fn() -> String| {
             let ck = load_latest_checkpoint(&dir).unwrap().expect("ckpt-3 is intact");

@@ -59,10 +59,8 @@ impl Request {
     /// escape fails the parse (the front end answers 400).
     pub fn parse_line(line: &str) -> Result<Request, String> {
         let mut it = line.split_whitespace();
-        let method = it
-            .next()
-            .ok_or_else(|| "empty request line".to_string())?
-            .to_ascii_uppercase();
+        let method =
+            it.next().ok_or_else(|| "empty request line".to_string())?.to_ascii_uppercase();
         let target = it.next().ok_or_else(|| "missing request target".to_string())?;
         if !target.starts_with('/') {
             return Err(format!("request target must be origin-form, got {target:?}"));
@@ -89,29 +87,21 @@ impl Request {
 
     /// First value of a query parameter.
     pub fn param(&self, key: &str) -> Option<&str> {
-        self.params
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
     /// Parses a query parameter, with a default when absent.
     pub fn parsed_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.param(key) {
             None => Ok(default),
-            Some(raw) => raw
-                .parse::<T>()
-                .map_err(|_| format!("invalid value for {key}: {raw:?}")),
+            Some(raw) => raw.parse::<T>().map_err(|_| format!("invalid value for {key}: {raw:?}")),
         }
     }
 
     /// Parses a required query parameter.
     pub fn require<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
-        let raw = self
-            .param(key)
-            .ok_or_else(|| format!("missing required parameter {key}"))?;
-        raw.parse::<T>()
-            .map_err(|_| format!("invalid value for {key}: {raw:?}"))
+        let raw = self.param(key).ok_or_else(|| format!("missing required parameter {key}"))?;
+        raw.parse::<T>().map_err(|_| format!("invalid value for {key}: {raw:?}"))
     }
 
     /// Parses a required float parameter, rejecting `NaN` and `±inf` —
@@ -152,11 +142,7 @@ pub enum Parsed {
     /// One complete request: `consumed` bytes of the buffer belong to it,
     /// and `keep_alive` is the connection's fate after the response
     /// (HTTP/1.1 default, overridden by a `Connection` header either way).
-    Complete {
-        req: Request,
-        consumed: usize,
-        keep_alive: bool,
-    },
+    Complete { req: Request, consumed: usize, keep_alive: bool },
 }
 
 /// Incrementally parses one request head (request line + headers) from
@@ -275,11 +261,7 @@ pub fn render_response(out: &mut Vec<u8>, resp: &Response, keep_alive: bool) {
     if let Some(secs) = resp.retry_after {
         let _ = write!(out, "Retry-After: {secs}\r\n");
     }
-    let _ = write!(
-        out,
-        "Connection: {}\r\n\r\n",
-        if keep_alive { "keep-alive" } else { "close" }
-    );
+    let _ = write!(out, "Connection: {}\r\n\r\n", if keep_alive { "keep-alive" } else { "close" });
     out.extend_from_slice(resp.body.as_bytes());
 }
 
@@ -319,8 +301,8 @@ mod tests {
 
     #[test]
     fn percent_decodes_params() {
-        let r = Request::parse_line("GET /x?source=a%2Fb&q=hello+world%21&%6bey=1 HTTP/1.1")
-            .unwrap();
+        let r =
+            Request::parse_line("GET /x?source=a%2Fb&q=hello+world%21&%6bey=1 HTTP/1.1").unwrap();
         assert_eq!(r.param("source"), Some("a/b"));
         assert_eq!(r.param("q"), Some("hello world!"));
         assert_eq!(r.param("key"), Some("1"));
@@ -333,7 +315,7 @@ mod tests {
         assert!(percent_decode("trail%").is_err());
         assert!(Request::parse_line("GET /x?k=%GG HTTP/1.1").is_err());
         assert!(Request::parse_line("GET /x?%=1 HTTP/1.1").is_err()); // bare % in a key
-        // Escapes decoding to invalid UTF-8 are rejected, not smuggled in.
+                                                                      // Escapes decoding to invalid UTF-8 are rejected, not smuggled in.
         assert!(percent_decode("%ff%fe").is_err());
         // Decoded separators do not re-split the query string.
         let r = Request::parse_line("GET /x?k=a%26b%3Dc HTTP/1.1").unwrap();
@@ -387,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn try_parse_pipelined_requests_consume_in_order(){
+    fn try_parse_pipelined_requests_consume_in_order() {
         let raw = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\nConnection: close\r\n\r\n";
         let (first, rest) = match try_parse(raw).unwrap() {
             Parsed::Complete { req, consumed, keep_alive } => {

@@ -74,15 +74,15 @@ pub mod signals;
 pub mod snapshot;
 mod writer;
 
+pub use boot::{boot_probe, pick_top_degree_sources, start, BootProbe};
 pub use cache::{CacheStats, QueryCache, QueryKind};
 pub use conn::{Close, Conn, Step};
-pub use durability::{DurabilityConfig, RecoveryReport};
 pub use dppr_wal::FsyncPolicy;
+pub use durability::{DurabilityConfig, RecoveryReport};
 pub use epoch::{EpochDomain, Reader, SnapshotCell};
 pub use event::{ConnCounters, Router, ShardConfig};
 pub use http::{Request, Response};
 pub use metrics::ServerMetrics;
 pub use registry::{OpenOutcome, SessionEntry, SessionRegistry};
-pub use boot::{boot_probe, pick_top_degree_sources, start, BootProbe};
 pub use server::{ServeConfig, ServeReport, ServerHandle, ServerStats};
 pub use snapshot::QuerySnapshot;

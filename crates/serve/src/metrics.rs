@@ -397,10 +397,8 @@ pub(crate) type SeriesColumn = (&'static str, fn(&Ctx, &View) -> Val);
 
 /// The `/series` columns in catalogue order.
 pub(crate) fn series_columns() -> Vec<SeriesColumn> {
-    let mut cols: Vec<_> = INSTANCE
-        .iter()
-        .filter_map(|r| r.series.map(|(at, name)| (at, name, r.read)))
-        .collect();
+    let mut cols: Vec<_> =
+        INSTANCE.iter().filter_map(|r| r.series.map(|(at, name)| (at, name, r.read))).collect();
     cols.sort_by_key(|c| c.0);
     cols.into_iter().map(|(_, name, read)| (name, read)).collect()
 }

@@ -93,18 +93,10 @@ fn route(req: &Request, r: &RouterImpl) -> Result<Response, String> {
         "/series" => ("", admin::series),
         "/trace" => ("", admin::trace),
         "/shutdown" => ("POST", admin::shutdown),
-        other => {
-            return Ok(Response::new(
-                404,
-                error_body(&format!("unknown endpoint {other}")),
-            ))
-        }
+        other => return Ok(Response::new(404, error_body(&format!("unknown endpoint {other}")))),
     };
     if !method.is_empty() && req.method != method {
-        return Ok(Response::new(
-            405,
-            error_body(&format!("{} requires {method}", req.path)),
-        ));
+        return Ok(Response::new(405, error_body(&format!("{} requires {method}", req.path))));
     }
     handler(req, r)
 }
@@ -127,10 +119,9 @@ fn push_bounded_arr(j: &mut JsonBuf, key: &str, scores: &[BoundedScore]) {
 fn load_session(r: &RouterImpl, source: VertexId) -> Result<Arc<QuerySnapshot>, Response> {
     match r.ctx.registry.lookup(source) {
         Some(entry) => Ok(entry.load(&Reader)),
-        None => Err(Response::new(
-            404,
-            error_body(&format!("no open session for source {source}")),
-        )),
+        None => {
+            Err(Response::new(404, error_body(&format!("no open session for source {source}"))))
+        }
     }
 }
 
@@ -179,17 +170,15 @@ fn cached_query<P>(
         Ok(snap) => snap,
         Err(not_found) => return Ok(not_found),
     };
-    let (body, _) = ctx
-        .cache
-        .get_or_render(source, kind(&params), snap.epoch(), || {
-            let mut j = JsonBuf::new();
-            j.begin_obj();
-            j.key("source").uint(source as u64);
-            j.key("epoch").uint(snap.epoch());
-            render(&mut j, &snap, &params);
-            j.end_obj();
-            j.finish()
-        });
+    let (body, _) = ctx.cache.get_or_render(source, kind(&params), snap.epoch(), || {
+        let mut j = JsonBuf::new();
+        j.begin_obj();
+        j.key("source").uint(source as u64);
+        j.key("epoch").uint(snap.epoch());
+        render(&mut j, &snap, &params);
+        j.end_obj();
+        j.finish()
+    });
     Ok(Response::new(200, body))
 }
 
@@ -328,17 +317,12 @@ fn session_control(req: &Request, r: &RouterImpl, open: bool) -> Result<Response
             ctx.vertex_bound
         ));
     }
-    let ctl = if open {
-        Control::Open(source)
-    } else {
-        Control::Close(source)
-    };
+    let ctl = if open { Control::Open(source) } else { Control::Close(source) };
     let accepted = r.ctl_tx.send(ctl).is_ok();
     let mut j = JsonBuf::new();
     j.begin_obj();
     j.key("accepted").bool(accepted);
-    j.key(if open { "opening" } else { "closing" })
-        .uint(source as u64);
+    j.key(if open { "opening" } else { "closing" }).uint(source as u64);
     j.end_obj();
     Ok(Response::new(200, j.finish()))
 }

@@ -192,10 +192,7 @@ mod tests {
         // Touch 10 and 11; 12 becomes the LRU.
         r.lookup(10);
         r.lookup(11);
-        assert_eq!(
-            r.open(13, snap(13)),
-            OpenOutcome::Opened { evicted: Some(12) }
-        );
+        assert_eq!(r.open(13, snap(13)), OpenOutcome::Opened { evicted: Some(12) });
         assert_eq!(r.sources(), vec![10, 11, 13]);
         // peek must NOT count as a use: 10 stays hotter than 11 only via
         // its later lookup, and peeking 11 repeatedly changes nothing.
@@ -203,10 +200,7 @@ mod tests {
         r.lookup(13);
         r.peek(11);
         r.peek(11);
-        assert_eq!(
-            r.open(14, snap(14)),
-            OpenOutcome::Opened { evicted: Some(11) }
-        );
+        assert_eq!(r.open(14, snap(14)), OpenOutcome::Opened { evicted: Some(11) });
         assert_eq!(r.sources(), vec![10, 13, 14]);
     }
 
@@ -245,10 +239,7 @@ mod tests {
         let entry = r.lookup(5).unwrap();
         assert_eq!(entry.load(&reader).epoch(), 0);
         let e = r.domain().advance();
-        entry.publish(
-            r.domain(),
-            Arc::new(QuerySnapshot::new(5, e, 0.15, 1e-3, vec![0.5; 4])),
-        );
+        entry.publish(r.domain(), Arc::new(QuerySnapshot::new(5, e, 0.15, 1e-3, vec![0.5; 4])));
         let got = r.lookup(5).unwrap().load(&reader);
         assert_eq!(got.epoch(), 1);
         assert_eq!(got.estimates(), &[0.5; 4]);

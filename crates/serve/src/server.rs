@@ -241,7 +241,10 @@ pub(crate) enum Control {
     /// clones the graph plus up to `max_sessions` sessions' published
     /// snapshots and live states into an [`AuditJob`] and replies. The
     /// expensive ground-truth solve happens on the observer thread.
-    Audit { max_sessions: usize, reply: SyncSender<AuditJob> },
+    Audit {
+        max_sessions: usize,
+        reply: SyncSender<AuditJob>,
+    },
 }
 
 /// State shared by the event-loop shards, the write loop, the

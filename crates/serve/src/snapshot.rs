@@ -13,8 +13,8 @@
 //! builds no memo, so the write path pays nothing for it.
 
 use dppr_core::queries::{
-    above_threshold_ranked, bounded_score, compare_scores, rank_prefix, top_k_ranked,
-    BoundedScore, ThresholdAnswer, TopKAnswer,
+    above_threshold_ranked, bounded_score, compare_scores, rank_prefix, top_k_ranked, BoundedScore,
+    ThresholdAnswer, TopKAnswer,
 };
 use dppr_core::PprState;
 use dppr_graph::VertexId;
@@ -187,10 +187,8 @@ mod tests {
     fn converged_engine() -> (DynamicGraph, ParallelEngine) {
         let mut g = DynamicGraph::new();
         let mut e = ParallelEngine::new(PprConfig::new(0, 0.2, 1e-3), PushVariant::OPT);
-        let batch: Vec<EdgeUpdate> = erdos_renyi(50, 500, 9)
-            .into_iter()
-            .map(|(u, v)| EdgeUpdate::insert(u, v))
-            .collect();
+        let batch: Vec<EdgeUpdate> =
+            erdos_renyi(50, 500, 9).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
         e.apply_batch(&mut g, &batch);
         (g, e)
     }

@@ -46,11 +46,7 @@ struct CkptJob {
 
 impl CkptJob {
     fn capture(epoch: u64, driver: &StreamDriver, multi: &MultiSourcePpr) -> CkptJob {
-        CkptJob {
-            epoch,
-            window: driver.window_range(),
-            states: clone_states(multi),
-        }
+        CkptJob { epoch, window: driver.window_range(), states: clone_states(multi) }
     }
 
     /// Writes the checkpoint, timed into the checkpoint histogram; on
@@ -104,16 +100,14 @@ pub(crate) fn spawn_durable(
     let (ckpt_tx, ckpt_rx) = sync_channel::<CkptJob>(1);
     let ckpt_thread = {
         let data_dir = dcfg.data_dir.clone();
-        std::thread::Builder::new()
-            .name("dppr-serve-ckpt".into())
-            .spawn(move || {
-                while let Ok(job) = ckpt_rx.recv() {
-                    if let Err(e) = job.write(&ctx, &data_dir) {
-                        eprintln!("dppr-serve: checkpoint at epoch {} failed: {e}", job.epoch);
-                        ctx.stats.checkpoint_failures.fetch_add(1, Relaxed);
-                    }
+        std::thread::Builder::new().name("dppr-serve-ckpt".into()).spawn(move || {
+            while let Ok(job) = ckpt_rx.recv() {
+                if let Err(e) = job.write(&ctx, &data_dir) {
+                    eprintln!("dppr-serve: checkpoint at epoch {} failed: {e}", job.epoch);
+                    ctx.stats.checkpoint_failures.fetch_add(1, Relaxed);
                 }
-            })?
+            }
+        })?
     };
     let seen = wal.stats();
     Ok(DurableState {
@@ -203,8 +197,7 @@ pub(crate) fn write_loop(
             ack_durable(d, &ctx);
         }
         let frozen = dur.as_ref().is_some_and(|d| d.dead)
-            || (cfg.max_slides != 0
-                && ctx.stats.slides.load(Relaxed) >= cfg.max_slides as u64);
+            || (cfg.max_slides != 0 && ctx.stats.slides.load(Relaxed) >= cfg.max_slides as u64);
         if frozen || ctx.stats.stream_done.load(Relaxed) {
             // Nothing left to slide (stream dry, slide cap, or WAL
             // failure → read-only): flush what the fsync policy left
@@ -217,9 +210,7 @@ pub(crate) fn write_loop(
                 note_wal(d, &ctx);
             }
             match ctl_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(ctl) => {
-                    handle_control(ctl, &mut driver, &mut multi, &ctx, &mut audit_cursor)
-                }
+                Ok(ctl) => handle_control(ctl, &mut driver, &mut multi, &ctx, &mut audit_cursor),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
@@ -433,11 +424,8 @@ fn handle_control(
                 })
                 .collect();
             *audit_cursor += take;
-            let job = AuditJob {
-                epoch: ctx.domain.epoch(),
-                graph: driver.graph().clone(),
-                sessions,
-            };
+            let job =
+                AuditJob { epoch: ctx.domain.epoch(), graph: driver.graph().clone(), sessions };
             // The observer may have timed out and gone away; that's its
             // problem, not the write loop's.
             let _ = reply.send(job);

@@ -173,13 +173,9 @@ fn latency_slo_breach_degrades_health_and_sheds() {
     // The availability SLO is listed too, with its own state.
     assert!(health.contains("\"name\":\"availability\""), "{health}");
 
-    let body = poll_metrics(addr, 10, |b| {
-        metric_value(b, "dppr_slo_breach_total").unwrap_or(0.0) >= 1.0
-    });
-    assert!(
-        body.contains("dppr_slo_burn_rate{slo=\"latency_p99\",window=\"fast\"}"),
-        "{body}"
-    );
+    let body =
+        poll_metrics(addr, 10, |b| metric_value(b, "dppr_slo_breach_total").unwrap_or(0.0) >= 1.0);
+    assert!(body.contains("dppr_slo_burn_rate{slo=\"latency_p99\",window=\"fast\"}"), "{body}");
     assert!(body.contains("dppr_slo_breach_total{slo=\"latency_p99\"}"), "{body}");
 
     // While the latency SLO burns, query endpoints shed with a distinct

@@ -15,16 +15,9 @@ pub fn request(addr: SocketAddr, method: &str, target: &str) -> (u16, String) {
     write!(conn, "{method} {target} HTTP/1.0\r\nHost: dppr\r\n\r\n").unwrap();
     let mut raw = String::new();
     conn.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
+    let status: u16 =
+        raw.split_whitespace().nth(1).expect("status code").parse().expect("numeric status");
+    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
     (status, body)
 }
 

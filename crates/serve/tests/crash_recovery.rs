@@ -290,8 +290,7 @@ fn idle_writer_syncs_the_wal() {
 /// when there is no WAL directory).
 fn wal_bytes(dir: &Path) -> Option<Vec<Vec<u8>>> {
     let wal_dir = dppr_serve::durability::wal_dir(dir);
-    let mut segs: Vec<_> =
-        std::fs::read_dir(wal_dir).ok()?.map(|e| e.unwrap().path()).collect();
+    let mut segs: Vec<_> = std::fs::read_dir(wal_dir).ok()?.map(|e| e.unwrap().path()).collect();
     segs.sort();
     Some(segs.iter().map(|p| std::fs::read(p).unwrap()).collect())
 }

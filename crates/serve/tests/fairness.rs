@@ -112,10 +112,7 @@ fn pipelining_burst_does_not_starve_the_other_connection() {
          (b={seq_b}, a_last={seq_a_last})"
     );
     // And B waited at most a few budget slices, not the whole burst.
-    assert!(
-        seq_b < 64,
-        "B should be served within a few ticks of acceptance, got seq {seq_b}"
-    );
+    assert!(seq_b < 64, "B should be served within a few ticks of acceptance, got seq {seq_b}");
 
     shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
     shard.join();

@@ -49,21 +49,13 @@ fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
 /// placeholder naming its JSON type. Panics on a mask path that matched
 /// nothing, so a renamed key cannot silently unmask itself.
 fn mask_json(src: &str, masked: &[&str]) -> String {
-    let mut m = Masker {
-        src: src.as_bytes(),
-        pos: 0,
-        path: Vec::new(),
-        masked,
-        hit: BTreeSet::new(),
-    };
+    let mut m =
+        Masker { src: src.as_bytes(), pos: 0, path: Vec::new(), masked, hit: BTreeSet::new() };
     let mut out = String::new();
     m.value(&mut out);
     assert_eq!(m.pos, src.len(), "trailing bytes after JSON value in {src}");
     for path in masked {
-        assert!(
-            m.hit.contains(*path),
-            "mask path {path:?} matched nothing in {src}"
-        );
+        assert!(m.hit.contains(*path), "mask path {path:?} matched nothing in {src}");
     }
     out
 }
@@ -252,11 +244,7 @@ const STATS_MASK: [&str; 33] = [
     "process.threads",
 ];
 
-const HEALTHZ_MASK: [&str; 3] = [
-    "slos[].burn_fast",
-    "slos[].burn_slow",
-    "last_fsync_age_seconds",
-];
+const HEALTHZ_MASK: [&str; 3] = ["slos[].burn_fast", "slos[].burn_slow", "last_fsync_age_seconds"];
 
 /// `/series?name=…` windows: the point list and its folds depend on how
 /// many ticks ran; `last` is pinned for the columns that freeze.
@@ -281,11 +269,7 @@ impl Transcript {
 
     fn masked(&mut self, target: &str, mask: &[&str]) {
         let (status, body) = request(self.addr, "GET", target);
-        self.raw(
-            &format!("GET {target} (masked)"),
-            status,
-            &mask_json(&body, mask),
-        );
+        self.raw(&format!("GET {target} (masked)"), status, &mask_json(&body, mask));
     }
 }
 
@@ -338,10 +322,7 @@ fn golden_unsharded() {
         w.contains(&format!("\"last\":{SLIDES},"))
     });
 
-    let mut t = Transcript {
-        addr,
-        text: String::new(),
-    };
+    let mut t = Transcript { addr, text: String::new() };
     // --- query endpoints, byte for byte ----------------------------------
     t.exact("GET", "/topk?source=0&k=5");
     t.exact("GET", "/topk?source=0&k=5"); // cache hit: same bytes
@@ -375,18 +356,10 @@ fn golden_unsharded() {
     t.exact("GET", "/sessions");
     t.exact("GET", &format!("/score?source={NEWCOMER}&v={NEWCOMER}"));
     t.exact("POST", &format!("/session/close?source={NEWCOMER}"));
-    wait_for("close", || {
-        handle.stats().sessions_closed.load(Relaxed) == 1
-    });
+    wait_for("close", || handle.stats().sessions_closed.load(Relaxed) == 1);
     // --- telemetry --------------------------------------------------------
     t.masked("/series", &["samples"]);
-    for name in [
-        "slides_total",
-        "epoch",
-        "sessions",
-        "queries_total",
-        "shed_total",
-    ] {
+    for name in ["slides_total", "epoch", "sessions", "queries_total", "shed_total"] {
         // `sessions` and `queries_total` moved during the script: wait
         // for a tick that saw the final value before pinning `last`.
         let target = format!("/series?name={name}&window=600");
@@ -404,10 +377,7 @@ fn golden_unsharded() {
     let (status, metrics) = request(addr, "GET", "/metrics");
     let identity = metrics_identity(&metrics);
     for series in CI_SERIES {
-        assert!(
-            identity.lines().any(|l| l == series),
-            "missing {series} in /metrics"
-        );
+        assert!(identity.lines().any(|l| l == series), "missing {series} in /metrics");
     }
     t.raw("GET /metrics (identity set)", status, &identity);
     // --- shutdown ---------------------------------------------------------
@@ -444,25 +414,12 @@ fn golden_unsharded() {
     }
     let want = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("{}: {e} (run with DPPR_BLESS=1 to create)", path.display()));
-    if let Some((i, (got, want))) = t
-        .text
-        .lines()
-        .zip(want.lines())
-        .enumerate()
-        .find(|(_, (g, w))| g != w)
+    if let Some((i, (got, want))) =
+        t.text.lines().zip(want.lines()).enumerate().find(|(_, (g, w))| g != w)
     {
-        panic!(
-            "{} line {}:\n  got  {got}\n  want {want}",
-            path.display(),
-            i + 1
-        );
+        panic!("{} line {}:\n  got  {got}\n  want {want}", path.display(), i + 1);
     }
-    assert_eq!(
-        t.text.lines().count(),
-        want.lines().count(),
-        "{}: length differs",
-        path.display()
-    );
+    assert_eq!(t.text.lines().count(), want.lines().count(), "{}: length differs", path.display());
 }
 
 #[test]

@@ -44,7 +44,13 @@ fn keep_alive_connection_serves_many_requests() {
         stream,
         0.1,
         &[0],
-        ServeConfig { threads: 2, batch: 400, epsilon: 1e-3, max_slides: 2, ..ServeConfig::default() },
+        ServeConfig {
+            threads: 2,
+            batch: 400,
+            epsilon: 1e-3,
+            max_slides: 2,
+            ..ServeConfig::default()
+        },
     )
     .expect("server starts");
     let addr = handle.addr();
@@ -289,7 +295,13 @@ fn metrics_exposition_is_prometheus_conformant() {
         stream,
         0.1,
         &[0],
-        ServeConfig { threads: 2, batch: 300, epsilon: 1e-3, max_slides: 3, ..ServeConfig::default() },
+        ServeConfig {
+            threads: 2,
+            batch: 300,
+            epsilon: 1e-3,
+            max_slides: 3,
+            ..ServeConfig::default()
+        },
     )
     .expect("server starts");
     let addr = handle.addr();
@@ -460,7 +472,13 @@ fn healthz_and_stats_report_observability_fields() {
         stream,
         0.1,
         &[0],
-        ServeConfig { threads: 2, batch: 300, epsilon: 1e-3, max_slides: 1, ..ServeConfig::default() },
+        ServeConfig {
+            threads: 2,
+            batch: 300,
+            epsilon: 1e-3,
+            max_slides: 1,
+            ..ServeConfig::default()
+        },
     )
     .expect("server starts");
     let addr = handle.addr();

@@ -70,9 +70,13 @@ fn malformed_request_corpus() {
     // --- state-changing endpoints insist on POST: 405, nothing happens ---
     for target in ["/shutdown", "/session/open?source=7", "/session/close?source=0"] {
         for method in ["GET", "DELETE"] {
-            let req = format!("{method} {target} HTTP/1.1\r\nHost: dppr\r\nConnection: close\r\n\r\n");
+            let req =
+                format!("{method} {target} HTTP/1.1\r\nHost: dppr\r\nConnection: close\r\n\r\n");
             let resp = send_raw(addr, req.as_bytes());
-            assert!(resp.starts_with("HTTP/1.1 405 Method Not Allowed"), "{method} {target}: {resp:?}");
+            assert!(
+                resp.starts_with("HTTP/1.1 405 Method Not Allowed"),
+                "{method} {target}: {resp:?}"
+            );
             assert!(resp.contains("requires POST"), "{resp}");
         }
     }

@@ -37,15 +37,11 @@ fn concurrent_readers_never_observe_torn_snapshots() {
     // Bootstrap and publish epoch 1.
     let init = driver.take_initial_batch();
     multi.apply_batch(driver.graph_mut(), &init);
-    let fingerprints: Arc<Mutex<HashMap<(usize, u64), u64>>> =
-        Arc::new(Mutex::new(HashMap::new()));
+    let fingerprints: Arc<Mutex<HashMap<(usize, u64), u64>>> = Arc::new(Mutex::new(HashMap::new()));
     let publish = |multi: &MultiSourcePpr, cells: &[Arc<SnapshotCell>], epoch: u64| {
         for (i, cell) in cells.iter().enumerate() {
             let snap = QuerySnapshot::from_state(multi.state(i), epoch);
-            fingerprints
-                .lock()
-                .unwrap()
-                .insert((i, epoch), snap.fingerprint());
+            fingerprints.lock().unwrap().insert((i, epoch), snap.fingerprint());
             cell.publish(Arc::new(snap));
         }
     };
@@ -53,10 +49,7 @@ fn concurrent_readers_never_observe_torn_snapshots() {
     let cells: Vec<Arc<SnapshotCell>> = (0..SOURCES.len())
         .map(|i| {
             let snap = QuerySnapshot::from_state(multi.state(i), epoch0);
-            fingerprints
-                .lock()
-                .unwrap()
-                .insert((i, epoch0), snap.fingerprint());
+            fingerprints.lock().unwrap().insert((i, epoch0), snap.fingerprint());
             Arc::new(SnapshotCell::new(Arc::new(snap)))
         })
         .collect();
@@ -90,11 +83,7 @@ fn concurrent_readers_never_observe_torn_snapshots() {
                         // (2) Exact content check against what the writer
                         // published for this epoch: a torn state cannot
                         // fingerprint-match.
-                        let expect = fingerprints
-                            .lock()
-                            .unwrap()
-                            .get(&(i, snap.epoch()))
-                            .copied();
+                        let expect = fingerprints.lock().unwrap().get(&(i, snap.epoch())).copied();
                         assert_eq!(
                             Some(snap.fingerprint()),
                             expect,
@@ -190,10 +179,15 @@ fn concurrent_readers_never_observe_torn_snapshots() {
 #[test]
 fn a_live_instance_serves_any_number_of_readers() {
     let stream = GraphStream::directed(erdos_renyi(120, 3_000, 9)).permuted(3);
-    let cfg = ServeConfig { threads: 1, batch: 400, epsilon: EPS, max_slides: 2, ..ServeConfig::default() };
+    let cfg = ServeConfig {
+        threads: 1,
+        batch: 400,
+        epsilon: EPS,
+        max_slides: 2,
+        ..ServeConfig::default()
+    };
     let handle = start(stream, 0.1, &[0], cfg).expect("server starts");
-    let readers: Vec<_> =
-        (0..64).map(|_| handle.registry().domain().register_reader()).collect();
+    let readers: Vec<_> = (0..64).map(|_| handle.registry().domain().register_reader()).collect();
     let entry = handle.registry().lookup(0).expect("session 0 is open");
     for reader in &readers {
         assert_eq!(entry.load(reader).source(), 0);

@@ -61,11 +61,7 @@ impl RunSummary {
 
     /// Maximum per-slide latency.
     pub fn max_latency(&self) -> Duration {
-        self.records
-            .iter()
-            .map(|r| r.latency)
-            .max()
-            .unwrap_or(Duration::ZERO)
+        self.records.iter().map(|r| r.latency).max().unwrap_or(Duration::ZERO)
     }
 
     /// Sum of counter deltas over all recorded slides (`max_frontier`:
@@ -220,9 +216,7 @@ impl StreamDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dppr_core::{
-        exact_ppr, ParallelEngine, PprConfig, PushVariant, SeqEngine, UpdateMode,
-    };
+    use dppr_core::{exact_ppr, ParallelEngine, PprConfig, PushVariant, SeqEngine, UpdateMode};
     use dppr_graph::generators::erdos_renyi;
     use dppr_graph::VertexId;
 
@@ -391,9 +385,6 @@ mod tests {
             assert!(r.active_vertices > 0);
             assert!(r.active_vertices <= d.graph().num_vertices());
         }
-        assert_eq!(
-            summary.records.last().unwrap().active_vertices,
-            d.graph().active_vertices()
-        );
+        assert_eq!(summary.records.last().unwrap().active_vertices, d.graph().active_vertices());
     }
 }

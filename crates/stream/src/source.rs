@@ -51,10 +51,7 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let g = star();
-        assert_eq!(
-            pick_top_degree_source(&g, 3, 5),
-            pick_top_degree_source(&g, 3, 5)
-        );
+        assert_eq!(pick_top_degree_source(&g, 3, 5), pick_top_degree_source(&g, 3, 5));
     }
 
     #[test]

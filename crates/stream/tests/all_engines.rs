@@ -1,9 +1,7 @@
 //! The streaming harness drives every engine family end-to-end (this is
 //! the integration point the Figure 5 binary relies on).
 
-use dppr_core::{
-    DynamicPprEngine, ParallelEngine, PprConfig, PushVariant, SeqEngine, UpdateMode,
-};
+use dppr_core::{DynamicPprEngine, ParallelEngine, PprConfig, PushVariant, SeqEngine, UpdateMode};
 use dppr_graph::generators::erdos_renyi;
 use dppr_graph::GraphStream;
 use dppr_mc::MonteCarloEngine;
@@ -37,11 +35,7 @@ fn every_engine_family_completes_a_run() {
     // All engines consumed the identical stream: identical final graphs.
     let (ref name0, ref g0) = graphs[0];
     for (name, g) in &graphs[1..] {
-        assert_eq!(
-            g.num_edges(),
-            g0.num_edges(),
-            "{name} and {name0} saw different streams"
-        );
+        assert_eq!(g.num_edges(), g0.num_edges(), "{name} and {name0} saw different streams");
     }
 }
 

@@ -165,7 +165,8 @@ where
 {
     let n = subset.universe();
     let ids = subset.ids();
-    let keep = |range: Range<usize>| ids[range].iter().copied().filter(|&v| f(v)).collect::<Vec<_>>();
+    let keep =
+        |range: Range<usize>| ids[range].iter().copied().filter(|&v| f(v)).collect::<Vec<_>>();
     VertexSubset::from_sparse(n, fan_out(ids.len(), threads_for(ids.len()), keep, concat))
 }
 

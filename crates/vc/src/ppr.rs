@@ -110,16 +110,14 @@ impl LigraEngine {
                     |u, v| {
                         // Division-free: multiply by the graph-maintained
                         // 1/dout (v has the edge v→u, so dout(v) ≥ 1).
-                        let inc =
-                            (1.0 - alpha) * ws[u as usize].load() * g.inv_out_degree(v);
+                        let inc = (1.0 - alpha) * ws[u as usize].load() * g.inv_out_degree(v);
                         let r_cur = state.r_atomics()[v as usize].fetch_add(inc) + inc;
                         phase.active(r_cur, eps)
                             && !claimed[v as usize].swap(true, Ordering::Relaxed)
                     },
                     |u, v| {
                         // Dense: one task owns v, plain update is fine.
-                        let inc =
-                            (1.0 - alpha) * ws[u as usize].load() * g.inv_out_degree(v);
+                        let inc = (1.0 - alpha) * ws[u as usize].load() * g.inv_out_degree(v);
                         let r = &state.r_atomics()[v as usize];
                         let r_cur = r.load() + inc;
                         r.store(r_cur);
@@ -194,10 +192,7 @@ mod tests {
         assert!(max_invariant_violation(&g, eng.state()) < 1e-9);
         let truth = exact_ppr(&g, 0, 0.2, 1e-12);
         for v in 0..g.num_vertices() as VertexId {
-            assert!(
-                (eng.estimate(v) - truth[v as usize]).abs() <= 1e-3 + 1e-9,
-                "vertex {v}"
-            );
+            assert!((eng.estimate(v) - truth[v as usize]).abs() <= 1e-3 + 1e-9, "vertex {v}");
         }
     }
 
@@ -207,13 +202,10 @@ mod tests {
         let mut eng = LigraEngine::new(cfg);
         let mut g = DynamicGraph::new();
         let edges = erdos_renyi(40, 300, 8);
-        let ins: Vec<EdgeUpdate> =
-            edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
+        let ins: Vec<EdgeUpdate> = edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
         eng.apply_batch(&mut g, &ins);
-        let del: Vec<EdgeUpdate> = edges[..150]
-            .iter()
-            .map(|&(u, v)| EdgeUpdate::delete(u, v))
-            .collect();
+        let del: Vec<EdgeUpdate> =
+            edges[..150].iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect();
         let stats = eng.apply_batch(&mut g, &del);
         assert_eq!(stats.applied, 150);
         let truth = exact_ppr(&g, 1, 0.15, 1e-12);
@@ -244,10 +236,8 @@ mod tests {
         use crate::edge_map::Mode;
         let run = |force: Option<Mode>| {
             let cfg = PprConfig::new(0, 0.3, 1e-3);
-            let mut eng = LigraEngine::with_options(
-                cfg,
-                EdgeMapOptions { force, ..Default::default() },
-            );
+            let mut eng =
+                LigraEngine::with_options(cfg, EdgeMapOptions { force, ..Default::default() });
             let mut g = DynamicGraph::new();
             let batch: Vec<EdgeUpdate> = erdos_renyi(30, 200, 4)
                 .into_iter()

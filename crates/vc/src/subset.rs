@@ -80,11 +80,8 @@ impl VertexSubset {
     /// Converts to the sparse representation (idempotent).
     pub fn to_sparse(&mut self) {
         if let Repr::Dense(bits, _) = &self.repr {
-            let ids: Vec<VertexId> = bits
-                .iter()
-                .enumerate()
-                .filter_map(|(v, &b)| b.then_some(v as VertexId))
-                .collect();
+            let ids: Vec<VertexId> =
+                bits.iter().enumerate().filter_map(|(v, &b)| b.then_some(v as VertexId)).collect();
             self.repr = Repr::Sparse(ids);
         }
     }
@@ -103,11 +100,9 @@ impl VertexSubset {
     pub fn collect_ids(&self) -> Vec<VertexId> {
         match &self.repr {
             Repr::Sparse(ids) => ids.clone(),
-            Repr::Dense(bits, _) => bits
-                .iter()
-                .enumerate()
-                .filter_map(|(v, &b)| b.then_some(v as VertexId))
-                .collect(),
+            Repr::Dense(bits, _) => {
+                bits.iter().enumerate().filter_map(|(v, &b)| b.then_some(v as VertexId)).collect()
+            }
         }
     }
 }

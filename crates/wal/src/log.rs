@@ -323,8 +323,8 @@ mod tests {
 
     fn test_dir(tag: &str) -> PathBuf {
         let id = DIR_ID.fetch_add(1, Ordering::Relaxed);
-        let d = std::env::temp_dir()
-            .join(format!("dppr-wal-log-{}-{tag}-{id}", std::process::id()));
+        let d =
+            std::env::temp_dir().join(format!("dppr-wal-log-{}-{tag}-{id}", std::process::id()));
         fs::remove_dir_all(&d).ok();
         d
     }
@@ -341,8 +341,10 @@ mod tests {
     #[test]
     fn append_reopen_replays_everything() {
         let dir = test_dir("roundtrip");
-        let recs: Vec<WalRecord> =
-            (1..=5).map(|e| batch(e, e as usize)).chain([WalRecord::Checkpoint { epoch: 3 }]).collect();
+        let recs: Vec<WalRecord> = (1..=5)
+            .map(|e| batch(e, e as usize))
+            .chain([WalRecord::Checkpoint { epoch: 3 }])
+            .collect();
         {
             let (mut wal, replay) = Wal::open(&dir, WalOptions::default()).unwrap();
             assert!(replay.is_empty());

@@ -161,10 +161,7 @@ impl Reader<'_> {
 
     fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
         if self.remaining() < N {
-            return Err(DecodeError(format!(
-                "need {N} bytes, have {}",
-                self.remaining()
-            )));
+            return Err(DecodeError(format!("need {N} bytes, have {}", self.remaining())));
         }
         let mut out = [0u8; N];
         out.copy_from_slice(&self.buf[self.at..self.at + N]);
@@ -209,12 +206,7 @@ mod tests {
             assert_eq!(WalRecord::decode(&bytes).unwrap(), rec);
         }
         // Empty batches (a slide where nothing applied) are legal.
-        let empty = WalRecord::Batch {
-            epoch: 1,
-            window_start: 0,
-            window_end: 5,
-            updates: vec![],
-        };
+        let empty = WalRecord::Batch { epoch: 1, window_start: 0, window_end: 5, updates: vec![] };
         assert_eq!(WalRecord::decode(&empty.encode()).unwrap(), empty);
     }
 
@@ -237,12 +229,8 @@ mod tests {
         bytes[29] = 7; // first update's op byte
         assert!(WalRecord::decode(&bytes).is_err());
         // Inverted window.
-        let inverted = WalRecord::Batch {
-            epoch: 1,
-            window_start: 10,
-            window_end: 3,
-            updates: vec![],
-        };
+        let inverted =
+            WalRecord::Batch { epoch: 1, window_start: 10, window_end: 3, updates: vec![] };
         assert!(WalRecord::decode(&inverted.encode()).is_err());
     }
 

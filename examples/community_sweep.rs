@@ -17,13 +17,7 @@ use rand::{Rng, SeedableRng};
 
 /// A planted-partition graph: `k` groups of `size` vertices, dense inside
 /// (probability `p_in`), sparse across (`p_out`). Returns undirected edges.
-fn planted_partition(
-    k: usize,
-    size: usize,
-    p_in: f64,
-    p_out: f64,
-    seed: u64,
-) -> Vec<(u32, u32)> {
+fn planted_partition(k: usize, size: usize, p_in: f64, p_out: f64, seed: u64) -> Vec<(u32, u32)> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let n = (k * size) as u32;
     let mut edges = Vec::new();
@@ -60,14 +54,8 @@ fn main() {
     let query = 7u32; // inside community 0 (vertices 0..30)
     let (members, phi) = community_of(&g, query);
     let inside = members.iter().filter(|&&v| (v as usize) < size).count();
-    println!(
-        "\nsweep cut around vertex {query}: {} members, conductance {phi:.4}",
-        members.len()
-    );
-    println!(
-        "  {inside}/{} members belong to the planted community",
-        members.len()
-    );
+    println!("\nsweep cut around vertex {query}: {} members, conductance {phi:.4}", members.len());
+    println!("  {inside}/{} members belong to the planted community", members.len());
     assert!(inside * 10 >= members.len() * 9, "community should be >90% pure");
 
     // The graph drifts: community 0 and 1 merge through new bridges.
@@ -88,8 +76,5 @@ fn main() {
         "  sweep cut now has {} members (conductance {phi:.4}), {in_01} inside 0∪1",
         members.len()
     );
-    assert!(
-        members.len() > size,
-        "the merged community should outgrow a single block"
-    );
+    assert!(members.len() > size, "the merged community should outgrow a single block");
 }

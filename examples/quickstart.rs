@@ -5,11 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dppr::core::{
-    exact_ppr, DynamicPprEngine, ParallelEngine, PprConfig, PushVariant,
-};
+use dppr::core::{exact_ppr, DynamicPprEngine, ParallelEngine, PprConfig, PushVariant};
 use dppr::graph::generators::{barabasi_albert, undirected_to_directed};
-use dppr::graph::{EdgeUpdate, DynamicGraph, GraphStream, SlidingWindow};
+use dppr::graph::{DynamicGraph, EdgeUpdate, GraphStream, SlidingWindow};
 
 fn main() {
     // A small scale-free social graph, streamed under the random edge
@@ -61,9 +59,8 @@ fn main() {
     assert!(max_err <= cfg.epsilon);
 
     // Top-5 vertices by PPR w.r.t. the source.
-    let mut top: Vec<(u32, f64)> = (0..graph.num_vertices() as u32)
-        .map(|v| (v, engine.estimate(v)))
-        .collect();
+    let mut top: Vec<(u32, f64)> =
+        (0..graph.num_vertices() as u32).map(|v| (v, engine.estimate(v))).collect();
     top.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     println!("top-5 by PPR w.r.t. {source}:");
     for (v, p) in top.into_iter().take(5) {

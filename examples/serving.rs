@@ -58,10 +58,7 @@ fn main() {
     let hub = sources[0];
     println!("topk    -> {}", get(addr, &format!("/topk?source={hub}&k=3")));
     println!("score   -> {}", get(addr, &format!("/score?source={hub}&v=0")));
-    println!(
-        "compare -> {}",
-        get(addr, &format!("/compare?source={hub}&a=0&b=1"))
-    );
+    println!("compare -> {}", get(addr, &format!("/compare?source={hub}&a=0&b=1")));
 
     // Open a session for a brand-new source mid-stream; the write loop
     // cold-starts it between batches. (Picked to not already be tracked,

@@ -5,9 +5,7 @@
 //! cargo run --release --example throughput_demo
 //! ```
 
-use dppr::core::{
-    DynamicPprEngine, ParallelEngine, PprConfig, PushVariant, SeqEngine, UpdateMode,
-};
+use dppr::core::{DynamicPprEngine, ParallelEngine, PprConfig, PushVariant, SeqEngine, UpdateMode};
 use dppr::graph::presets;
 use dppr::mc::MonteCarloEngine;
 use dppr::stream::{pick_top_degree_source, StreamDriver};

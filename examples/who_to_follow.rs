@@ -91,10 +91,7 @@ fn main() {
         .map(|&v| EdgeUpdate::delete(top_hub, v))
         .collect();
     multi.apply_batch(&mut graph, &victims);
-    println!(
-        "\nafter user {top_hub} unfollowed {} accounts:",
-        victims.len()
-    );
+    println!("\nafter user {top_hub} unfollowed {} accounts:", victims.len());
     for (v, score) in recommend(&multi, 0, top_hub, &graph, 5) {
         println!("  follow {v:>5}?  ppr {score:.6}");
     }

@@ -47,14 +47,7 @@ fn referenced_markdown_files_exist() {
     assert!(found.len() >= 3, "the scan found too little: {found:?}");
     let dangling: Vec<_> = found
         .iter()
-        .filter(|(_, name)| {
-            !HOMES
-                .iter()
-                .any(|home| root.join(home).join(name).is_file())
-        })
+        .filter(|(_, name)| !HOMES.iter().any(|home| root.join(home).join(name).is_file()))
         .collect();
-    assert!(
-        dangling.is_empty(),
-        "references to files that do not exist: {dangling:#?}"
-    );
+    assert!(dangling.is_empty(), "references to files that do not exist: {dangling:#?}");
 }

@@ -2,9 +2,7 @@
 //! number of slides, the maintained estimate and a fresh engine fed the
 //! final window as one batch are both ε-close to the same exact vector.
 
-use dppr::core::{
-    exact_ppr, DynamicPprEngine, ParallelEngine, PprConfig, PushVariant,
-};
+use dppr::core::{exact_ppr, DynamicPprEngine, ParallelEngine, PprConfig, PushVariant};
 use dppr::graph::presets;
 use dppr::graph::{DynamicGraph, EdgeUpdate};
 use dppr::stream::{pick_top_degree_source, StreamDriver};
@@ -27,11 +25,8 @@ fn dynamic_equals_scratch_on_directed_stream() {
     // From-scratch run on the final window content.
     let mut scratch = ParallelEngine::new(cfg, PushVariant::OPT);
     let mut g2 = DynamicGraph::new();
-    let batch: Vec<EdgeUpdate> = driver
-        .window()
-        .window_edges()
-        .map(|(u, v)| EdgeUpdate::insert(u, v))
-        .collect();
+    let batch: Vec<EdgeUpdate> =
+        driver.window().window_edges().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();
     scratch.apply_batch(&mut g2, &batch);
 
     assert_eq!(driver.graph().num_edges(), g2.num_edges());
@@ -39,14 +34,8 @@ fn dynamic_equals_scratch_on_directed_stream() {
     let n = driver.graph().num_vertices().max(g2.num_vertices());
     for v in 0..n as u32 {
         let t = truth.get(v as usize).copied().unwrap_or(0.0);
-        assert!(
-            (dynamic.estimate(v) - t).abs() <= eps + 1e-10,
-            "dynamic err at {v}"
-        );
-        assert!(
-            (scratch.estimate(v) - t).abs() <= eps + 1e-10,
-            "scratch err at {v}"
-        );
+        assert!((dynamic.estimate(v) - t).abs() <= eps + 1e-10, "dynamic err at {v}");
+        assert!((scratch.estimate(v) - t).abs() <= eps + 1e-10, "scratch err at {v}");
     }
 }
 

@@ -4,8 +4,8 @@
 //! pairwise within 2ε.
 
 use dppr::core::{
-    exact_ppr, max_invariant_violation, DynamicPprEngine, ParallelEngine, PprConfig,
-    PushVariant, SeqEngine, UpdateMode,
+    exact_ppr, max_invariant_violation, DynamicPprEngine, ParallelEngine, PprConfig, PushVariant,
+    SeqEngine, UpdateMode,
 };
 use dppr::graph::generators::{barabasi_albert, undirected_to_directed};
 use dppr::graph::GraphStream;
@@ -49,18 +49,10 @@ fn all_engines_agree_and_match_ground_truth() {
     let (_, ref_est, ref_graph) = &results[0];
     let truth = exact_ppr(ref_graph, 0, 0.15, 1e-13);
     for (name, est, graph) in &results {
-        assert_eq!(
-            graph.num_edges(),
-            ref_graph.num_edges(),
-            "{name} diverged in graph state"
-        );
+        assert_eq!(graph.num_edges(), ref_graph.num_edges(), "{name} diverged in graph state");
         for (v, &t) in truth.iter().enumerate() {
             let e = est.get(v).copied().unwrap_or(0.0);
-            assert!(
-                (e - t).abs() <= EPS + 1e-10,
-                "{name}: vertex {v} err {} > ε",
-                (e - t).abs()
-            );
+            assert!((e - t).abs() <= EPS + 1e-10, "{name}: vertex {v} err {} > ε", (e - t).abs());
             assert!(
                 (e - ref_est.get(v).copied().unwrap_or(0.0)).abs() <= 2.0 * EPS + 1e-10,
                 "{name}: vertex {v} disagrees with reference beyond 2ε"

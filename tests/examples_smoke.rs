@@ -47,27 +47,15 @@ fn quickstart_runs_and_verifies_epsilon_guarantee() {
     let stdout = run_tiny("quickstart");
     // The example prints the measured max error and asserts it is <= ε
     // itself; just confirm it got to the end.
-    assert!(
-        stdout.contains("max |estimate"),
-        "unexpected quickstart output:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("top-5 by PPR"),
-        "unexpected quickstart output:\n{stdout}"
-    );
+    assert!(stdout.contains("max |estimate"), "unexpected quickstart output:\n{stdout}");
+    assert!(stdout.contains("top-5 by PPR"), "unexpected quickstart output:\n{stdout}");
 }
 
 #[test]
 fn serving_example_answers_live_queries() {
     let stdout = run_tiny("serving");
-    assert!(
-        stdout.contains("serving sessions"),
-        "unexpected serving output:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("\"ranking\""),
-        "no top-k response in serving output:\n{stdout}"
-    );
+    assert!(stdout.contains("serving sessions"), "unexpected serving output:\n{stdout}");
+    assert!(stdout.contains("\"ranking\""), "no top-k response in serving output:\n{stdout}");
     assert!(
         stdout.contains("opened  ->"),
         "mid-stream session open missing in serving output:\n{stdout}"

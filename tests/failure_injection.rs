@@ -2,8 +2,8 @@
 //! + ε-accuracy) through degenerate update patterns a stream can produce.
 
 use dppr::core::{
-    exact_ppr, max_invariant_violation, DynamicPprEngine, ParallelEngine, PprConfig,
-    PushVariant, SeqEngine, UpdateMode,
+    exact_ppr, max_invariant_violation, DynamicPprEngine, ParallelEngine, PprConfig, PushVariant,
+    SeqEngine, UpdateMode,
 };
 use dppr::graph::{DynamicGraph, EdgeUpdate};
 
@@ -40,10 +40,10 @@ fn batch_full_of_noops() {
         let stats = e.apply_batch(
             &mut g,
             &[
-                EdgeUpdate::insert(0, 1),   // duplicate
-                EdgeUpdate::insert(2, 2),   // self-loop
-                EdgeUpdate::delete(5, 9),   // absent
-                EdgeUpdate::delete(1, 2),   // absent
+                EdgeUpdate::insert(0, 1), // duplicate
+                EdgeUpdate::insert(2, 2), // self-loop
+                EdgeUpdate::delete(5, 9), // absent
+                EdgeUpdate::delete(1, 2), // absent
             ],
         );
         assert_eq!(stats.applied, 0, "{}", e.name());
@@ -59,11 +59,7 @@ fn insert_then_delete_same_edge_in_one_batch() {
         e.apply_batch(&mut g, &[EdgeUpdate::insert(0, 1), EdgeUpdate::insert(1, 0)]);
         let stats = e.apply_batch(
             &mut g,
-            &[
-                EdgeUpdate::insert(0, 2),
-                EdgeUpdate::delete(0, 2),
-                EdgeUpdate::insert(0, 2),
-            ],
+            &[EdgeUpdate::insert(0, 2), EdgeUpdate::delete(0, 2), EdgeUpdate::insert(0, 2)],
         );
         assert_eq!(stats.applied, 3, "{}", e.name());
         assert!(g.has_edge(0, 2));
@@ -84,10 +80,7 @@ fn source_loses_all_out_edges() {
                 EdgeUpdate::insert(2, 1),
             ],
         );
-        e.apply_batch(
-            &mut g,
-            &[EdgeUpdate::delete(0, 1), EdgeUpdate::delete(0, 2)],
-        );
+        e.apply_batch(&mut g, &[EdgeUpdate::delete(0, 1), EdgeUpdate::delete(0, 2)]);
         assert_eq!(g.out_degree(0), 0);
         check_accurate(e.as_ref(), &g);
     }
@@ -100,11 +93,9 @@ fn every_vertex_loses_last_out_edge() {
     for mut e in engines() {
         let mut g = DynamicGraph::new();
         let edges = [(0u32, 1u32), (1, 2), (2, 0)];
-        let ins: Vec<EdgeUpdate> =
-            edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
+        let ins: Vec<EdgeUpdate> = edges.iter().map(|&(u, v)| EdgeUpdate::insert(u, v)).collect();
         e.apply_batch(&mut g, &ins);
-        let del: Vec<EdgeUpdate> =
-            edges.iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect();
+        let del: Vec<EdgeUpdate> = edges.iter().map(|&(u, v)| EdgeUpdate::delete(u, v)).collect();
         e.apply_batch(&mut g, &del);
         assert_eq!(g.num_edges(), 0);
         let cfg = *e.config();
@@ -127,9 +118,8 @@ fn batch_of_deletions_only() {
             }
         }
         e.apply_batch(&mut g, &ins);
-        let del: Vec<EdgeUpdate> = (1..10u32)
-            .flat_map(|u| (0..u).map(move |v| EdgeUpdate::delete(u, v)))
-            .collect();
+        let del: Vec<EdgeUpdate> =
+            (1..10u32).flat_map(|u| (0..u).map(move |v| EdgeUpdate::delete(u, v))).collect();
         e.apply_batch(&mut g, &del);
         check_accurate(e.as_ref(), &g);
     }
@@ -141,11 +131,8 @@ fn alternating_insert_delete_churn() {
         let mut g = DynamicGraph::new();
         e.apply_batch(&mut g, &[EdgeUpdate::insert(0, 1), EdgeUpdate::insert(1, 0)]);
         for round in 0..20 {
-            let upd = if round % 2 == 0 {
-                EdgeUpdate::insert(0, 2)
-            } else {
-                EdgeUpdate::delete(0, 2)
-            };
+            let upd =
+                if round % 2 == 0 { EdgeUpdate::insert(0, 2) } else { EdgeUpdate::delete(0, 2) };
             e.apply_batch(&mut g, &[upd]);
         }
         check_accurate(e.as_ref(), &g);

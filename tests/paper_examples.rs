@@ -10,7 +10,7 @@ use dppr::core::{
     absorb_batch, max_invariant_violation, Counters, ParallelEngine, PprConfig, PprState,
     PushVariant, Repairs, SeqEngine, UpdateMode,
 };
-use dppr::core::{DynamicPprEngine, exact_ppr};
+use dppr::core::{exact_ppr, DynamicPprEngine};
 use dppr::graph::{DynamicGraph, EdgeUpdate};
 
 fn figure_graph() -> DynamicGraph {
@@ -21,9 +21,8 @@ fn figure_state() -> PprState {
     let cfg = PprConfig::new(0, 0.5, 0.1);
     let mut st = PprState::new(cfg);
     st.ensure_len(4);
-    for (v, (p, r)) in [(0.5, 0.0625), (0.25, 0.0), (0.1875, 0.0), (0.0625, 0.0625)]
-        .into_iter()
-        .enumerate()
+    for (v, (p, r)) in
+        [(0.5, 0.0625), (0.25, 0.0), (0.1875, 0.0), (0.0625, 0.0625)].into_iter().enumerate()
     {
         st.set_p(v as u32, p);
         st.set_r(v as u32, r);
@@ -71,10 +70,7 @@ fn figure2_parallel_batch_update() {
     assert!(max_invariant_violation(&g, engine.state()) < 1e-12);
     let truth = exact_ppr(&g, 0, 0.5, 1e-14);
     for v in 0..4u32 {
-        assert!(
-            (engine.estimate(v) - truth[v as usize]).abs() <= 0.1 + 1e-12,
-            "vertex {v}"
-        );
+        assert!((engine.estimate(v) - truth[v as usize]).abs() <= 0.1 + 1e-12, "vertex {v}");
     }
 }
 
@@ -102,14 +98,7 @@ fn figure3_parallel_loss_account() {
     stp.set_p(0, 0.0);
     stp.set_r(0, 1.0);
     let mut pbufs = dppr::core::par::ParPushBuffers::new();
-    dppr::core::par::parallel_local_push(
-        &g,
-        &stp,
-        PushVariant::VANILLA,
-        &[0],
-        &c_par,
-        &mut pbufs,
-    );
+    dppr::core::par::parallel_local_push(&g, &stp, PushVariant::VANILLA, &[0], &c_par, &mut pbufs);
     assert_eq!(c_par.snapshot().pushes, 5);
 
     // Both converge to ε-equivalent states.
@@ -139,14 +128,7 @@ fn example1_and_2_prose_claims() {
     assert!(st.r(0) > 0.1 && st.r(3) > 0.1);
     let c2 = Counters::new();
     let mut bufs = dppr::core::par::ParPushBuffers::new();
-    dppr::core::par::parallel_local_push(
-        &g,
-        &st,
-        PushVariant::VANILLA,
-        &[0, 3],
-        &c2,
-        &mut bufs,
-    );
+    dppr::core::par::parallel_local_push(&g, &st, PushVariant::VANILLA, &[0, 3], &c2, &mut bufs);
     assert_eq!(c2.snapshot().iterations, 1);
 }
 

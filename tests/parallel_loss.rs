@@ -43,18 +43,12 @@ fn lemma4_l1_dominance_on_scale_free_graphs() {
         let eps = 1e-6;
         let (lp, lq, pp, pq) = compare(&g, hub, eps);
         // Parallel performs at least as many pushes (parallel loss).
-        assert!(
-            pp >= pq,
-            "seed {seed}: parallel pushes {pp} < sequential {pq}"
-        );
+        assert!(pp >= pq, "seed {seed}: parallel pushes {pp} < sequential {pq}");
         // Per-iteration dominance with O(ε)-scale slack. Traces can have
         // different lengths; compare the common prefix.
         let slack = 64.0 * eps * g.num_vertices() as f64;
         for (i, (p, q)) in lp.iter().zip(&lq).enumerate() {
-            assert!(
-                *p >= *q - slack,
-                "seed {seed} iteration {i}: ‖R^p‖₁ = {p} < ‖R^q‖₁ = {q}"
-            );
+            assert!(*p >= *q - slack, "seed {seed} iteration {i}: ‖R^p‖₁ = {p} < ‖R^q‖₁ = {q}");
         }
     }
 }
@@ -89,10 +83,7 @@ fn parallel_loss_shrinks_with_eager_propagation() {
             }
         }
     }
-    assert!(
-        eager_total <= vanilla_total,
-        "eager {eager_total} pushes vs vanilla {vanilla_total}"
-    );
+    assert!(eager_total <= vanilla_total, "eager {eager_total} pushes vs vanilla {vanilla_total}");
 }
 
 #[test]

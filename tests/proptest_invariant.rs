@@ -1,8 +1,8 @@
 //! Property-based tests over random graphs and update scripts.
 
 use dppr::core::{
-    exact_ppr, max_invariant_violation, DynamicPprEngine, ParallelEngine, PprConfig,
-    PushVariant, SeqEngine, UpdateMode,
+    exact_ppr, max_invariant_violation, DynamicPprEngine, ParallelEngine, PprConfig, PushVariant,
+    SeqEngine, UpdateMode,
 };
 use dppr::graph::{DynamicGraph, EdgeOp, EdgeUpdate};
 use proptest::prelude::*;

@@ -2,8 +2,8 @@
 //! multi-source maintenance, driven through the public facade over a
 //! live stream.
 
-use dppr::core::queries::{above_threshold, compare, top_k};
 use dppr::core::multi::MultiSourcePpr;
+use dppr::core::queries::{above_threshold, compare, top_k};
 use dppr::core::{exact_ppr, ParallelEngine, PprConfig, PushVariant};
 use dppr::graph::generators::{barabasi_albert, undirected_to_directed};
 use dppr::graph::{DynamicGraph, GraphStream};
@@ -32,16 +32,12 @@ fn query_verdicts_are_sound_against_ground_truth() {
     }
     // If the set is certain, it must equal the exact top-k set.
     if ans.set_is_certain {
-        let mut exact_top: Vec<(u32, f64)> = truth
-            .iter()
-            .enumerate()
-            .map(|(v, &t)| (v as u32, t))
-            .collect();
+        let mut exact_top: Vec<(u32, f64)> =
+            truth.iter().enumerate().map(|(v, &t)| (v as u32, t)).collect();
         exact_top.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         let want: std::collections::HashSet<u32> =
             exact_top.iter().take(20).map(|&(v, _)| v).collect();
-        let got: std::collections::HashSet<u32> =
-            ans.ranking.iter().map(|b| b.vertex).collect();
+        let got: std::collections::HashSet<u32> = ans.ranking.iter().map(|b| b.vertex).collect();
         assert_eq!(want, got);
     }
 
@@ -52,12 +48,8 @@ fn query_verdicts_are_sound_against_ground_truth() {
     for b in &t_ans.certain {
         assert!(truth[b.vertex as usize] >= delta - 1e-12);
     }
-    let covered: std::collections::HashSet<u32> = t_ans
-        .certain
-        .iter()
-        .chain(&t_ans.possible)
-        .map(|b| b.vertex)
-        .collect();
+    let covered: std::collections::HashSet<u32> =
+        t_ans.certain.iter().chain(&t_ans.possible).map(|b| b.vertex).collect();
     for (v, &t) in truth.iter().enumerate() {
         if t >= delta {
             assert!(covered.contains(&(v as u32)), "missed qualifying vertex {v}");
@@ -68,9 +60,7 @@ fn query_verdicts_are_sound_against_ground_truth() {
     for a in 0..20u32 {
         for b in 0..20u32 {
             if let Some(ord) = compare(engine.state(), a, b) {
-                let want = truth[a as usize]
-                    .partial_cmp(&truth[b as usize])
-                    .unwrap();
+                let want = truth[a as usize].partial_cmp(&truth[b as usize]).unwrap();
                 if ord != std::cmp::Ordering::Equal {
                     assert_eq!(ord, want, "compare({a},{b})");
                 }
