@@ -16,12 +16,13 @@
 //!
 //! All operations use `Relaxed` ordering: the values are pure data and every
 //! cross-thread hand-off in the push kernels happens across a fan-out's
-//! barrier (see [`crate::fanout`]): the join of a `thread::scope`, or a
-//! push crew's post and finish, which must stay a Release/Acquire edge —
-//! the post's Release bump of the crew's epoch that the helpers
-//! Acquire-load, and the helpers' Release decrements of its pending count
-//! that the caller Acquire-waits for. Those edges order every relaxed
-//! access of one session before every access of the next.
+//! barrier (see [`crate::fanout`]): a crew's post and finish, which must
+//! stay a Release/Acquire edge — the post's Release bump of the crew's
+//! epoch that the helpers Acquire-load, and the helpers' Release
+//! decrements of its pending count that the caller Acquire-waits for —
+//! and the join of its `thread::scope` when the crew closes. Those edges
+//! order every relaxed access of one session before every access of the
+//! next.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,22 +1,20 @@
 //! The workspace's one fork-join primitive: the paper's "parallel session,
 //! then `synchronize`" (Algorithms 3–4), on scoped OS threads.
 //!
-//! A fan-out splits its input into `min(threads, n)` contiguous parts, runs
-//! part 0 on the calling thread and the others on threads of one
-//! [`std::thread::scope`] (whose join is the barrier), and folds the
-//! per-part results **in part order**. With one part it is a plain call of
-//! the body on the caller's stack — no thread, no scope, no allocation —
-//! so `threads = 1` is an exact, deterministic schedule, not a slower
-//! parallel one.
+//! `with_crew` opens one [`std::thread::scope`] with `threads − 1`
+//! helpers, a `Crew`. Each `Crew::run` splits its input into
+//! `min(threads, n)` contiguous parts, runs part 0 on the calling thread,
+//! hands the others to the helpers through a barrier, and folds the
+//! per-part results **in part order**. A panic in any part resurfaces on
+//! the caller once every part has finished. The helpers spin briefly, then
+//! park, while the caller runs between fan-outs, and leave when the scope
+//! closes, so none outlives the call that opened it.
 //!
-//! A push fans out once per session, tens of times per batch. Its
-//! repeated fan-outs share one `Crew`: `with_crew` opens one scope and
-//! spawns `threads − 1` helpers, and each `Crew::run` hands them its
-//! input through a barrier instead of spawning and joining threads again.
-//! The parts, the caller's part 0 and the merge in part order are those of
-//! [`fan_out`]. The helpers spin briefly, then park, while the caller runs
-//! between fan-outs, and leave when the scope closes, so none outlives the
-//! call that opened it.
+//! A push fans out once per round, and its rounds share one crew. A
+//! [`fan_out`] is a one-shot crew: one split, one merge, then the scope
+//! closes. With one part it is a plain call of the body on the caller's
+//! stack — no thread, no scope, no allocation — so `threads = 1` is an
+//! exact, deterministic schedule, not a slower parallel one.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -60,35 +58,25 @@ pub(crate) fn one_part(n: usize, threads: usize) -> bool {
 }
 
 /// Part `i` of `parts` contiguous ranges covering `0..n`: the split of
-/// [`fan_out`] and of [`Crew::run`].
+/// [`Crew::run`].
 fn part(i: usize, n: usize, parts: usize) -> Range<usize> {
     i * n / parts..(i + 1) * n / parts
 }
 
 /// Runs `body` over `min(threads, n)` contiguous sub-ranges covering `0..n`
 /// and merges the results in range order: the first range on the caller,
-/// the others on scoped threads. A panic in any range resurfaces on the
-/// caller once every thread has been joined.
+/// the others on the helpers of a one-shot `Crew`. A panic in any range
+/// resurfaces on the caller once every range has finished.
 pub fn fan_out<R: Send>(
     n: usize,
     threads: usize,
     body: impl Fn(Range<usize>) -> R + Sync,
-    mut merge: impl FnMut(R, R) -> R,
+    merge: impl FnMut(R, R) -> R,
 ) -> R {
     if one_part(n, threads) {
         return body(0..n);
     }
-    let parts = threads.min(n);
-    let body = &body;
-    thread::scope(|s| {
-        let spawned: Vec<_> =
-            (1..parts).map(|i| spawn(s, move || body(part(i, n, parts)))).collect();
-        let head = body(part(0, n, parts));
-        spawned.into_iter().fold(head, |acc, handle| match handle.join() {
-            Ok(r) => merge(acc, r),
-            Err(payload) => resume_unwind(payload),
-        })
-    })
+    with_crew(threads.min(n), |&(), r| body(r), |crew| crew.run((), n, merge))
 }
 
 /// Spawns `f` on `scope`, counting the spawn for this crate's tests.
@@ -180,10 +168,10 @@ pub(crate) fn with_crew<I: Send + Sync, R: Send, T>(
 }
 
 impl<I: Send + Sync, R: Send> Crew<'_, I, R> {
-    /// [`fan_out`] of the crew's `work` over `input`'s `n` items: the same
-    /// parts, part 0 on the caller and the others on the helpers, merged in
-    /// part order; a panic in any part resurfaces here once every part has
-    /// finished.
+    /// Runs the crew's `work` over `input`'s `n` items in
+    /// `min(helpers + 1, n)` contiguous parts, part 0 on the caller and the
+    /// others on the helpers, and merges the results in part order; a panic
+    /// in any part resurfaces here once every part has finished.
     pub(crate) fn run(&self, input: I, n: usize, mut merge: impl FnMut(R, R) -> R) -> R {
         let parts = (self.helpers + 1).min(n).max(1);
         if parts == 1 {

@@ -47,7 +47,7 @@ fn solve(g: &DynamicGraph, source: VertexId, alpha: f64, tol: f64, threads: usiz
     // The two iterates are atomic rows, as `PprState` holds its vectors, so
     // that every part of a sweep can share them. Relaxed loads and stores
     // suffice: a sweep's parts write disjoint ranges of `next`, and
-    // `fan_out`'s join orders every store before the next sweep's loads.
+    // `fan_out`'s barrier orders every store before the next sweep's loads.
     let row = || (0..n).map(|_| AtomicF64::default()).collect::<Vec<_>>();
     let (mut cur, mut next) = (row(), row());
     cur[source as usize].store(alpha);

@@ -21,8 +21,10 @@
 //!   ([`ParallelEngine`]), each absorbing a batch through [`invariant`]'s
 //!   two halves before it pushes.
 //! * [`fanout`] — the one fork-join primitive everything parallel in the
-//!   workspace runs on: contiguous ranges over scoped threads, results
-//!   merged in range order, a direct call when there is one range.
+//!   workspace runs on: a crew of helpers in one scope that splits each
+//!   fan-out into contiguous ranges, part 0 on the caller, and merges the
+//!   results in range order. A push's rounds share one crew, a `fan_out`
+//!   is a one-shot crew, and one range is a direct call.
 //! * [`atomic`] — the atomic `f64` fetch-add returning the *before-value*,
 //!   the primitive §4.2's local duplicate detection is built on.
 //! * [`counters`] — software profiling counters (push operations, edge
@@ -36,8 +38,10 @@
 //! * [`multi`] — maintenance of many PPR vectors side by side (the
 //!   "multiple personalized unit vectors" building block of §2.1): the
 //!   same two halves, the graph mutated once and the repairs replayed
-//!   against every vector. It holds no ranking code; its per-source top-k
-//!   is a call of [`queries`]' selection kernel.
+//!   against every vector. Its lanes run every per-session pass of a slide
+//!   over the cores: the pushes, and through `map_states` the serving
+//!   layer's snapshot builds and checkpoint copies. It holds no ranking
+//!   code; its per-source top-k is a call of [`queries`]' selection kernel.
 //! * [`queries`] — ε-aware top-k, threshold and comparison queries, each
 //!   written once over the live state and over a score slice: the one rank
 //!   order (best estimate first, ties by ascending id), the one gated

@@ -16,19 +16,26 @@
 //! sessions as cores every push is a one-thread, bit-reproducible
 //! schedule, whose rounds own their state and issue no CAS.
 //!
+//! The same lanes run every per-session pass of a slide:
+//! [`MultiSourcePpr::map_states`] hands each state to a caller's function
+//! on them (the serving layer builds its snapshots and its checkpoint
+//! copies that way), so one scheduler decides how a slide's sessions
+//! share the cores.
+//!
 //! The module holds no ranking code: [`MultiSourcePpr::top_k`] runs the
 //! selection kernel of [`crate::queries`] on a session's vector in place.
 
 use crate::atomic::AtomicF64;
 use crate::config::PprConfig;
 use crate::counters::Counters;
-use crate::fanout::{default_threads, fan_out};
+use crate::fanout::{concat, default_threads, fan_out};
 use crate::invariant::{apply_to_graph, replay_repairs, Repairs};
 use crate::par::{parallel_local_push, parallel_local_push_opts, ParPushBuffers, PushOpts};
 use crate::queries::select;
 use crate::state::PprState;
 use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// The push variant every vector in the bundle is maintained with.
@@ -40,6 +47,38 @@ pub struct MultiSourcePpr {
     alpha: f64,
     epsilon: f64,
     counters: Counters,
+    /// The last batch's repairs, kept so that a batch reuses its buffers.
+    repairs: Repairs,
+}
+
+/// Runs `f` once per item over `lanes = min(cores, items)` lanes (0 cores
+/// mean 1), lane 0 on the caller and the others on one fan-out: the lanes
+/// claim the items one at a time in index order, and the results come back
+/// in index order. `f` also gets the threads its item may use,
+/// `max(1, cores / lanes)`: the core budget is split, not multiplied. One
+/// lane is a plain loop on the calling thread.
+fn on_lanes<T: Send, R: Send>(
+    items: impl ExactSizeIterator<Item = T> + Send,
+    cores: usize,
+    f: impl Fn(T, usize) -> R + Sync,
+) -> Vec<R> {
+    let cores = cores.max(1);
+    let lanes = cores.min(items.len()).max(1);
+    let threads = (cores / lanes).max(1);
+    let queue = Mutex::new(items.enumerate());
+    let lane = |_: Range<usize>| {
+        let mut done = Vec::new();
+        loop {
+            // Claim, then release the lock before the work: a `while let`
+            // on the guard would hold it through the call.
+            let next = queue.lock().unwrap().next();
+            let Some((i, item)) = next else { return done };
+            done.push((i, f(item, threads)));
+        }
+    };
+    let mut done = fan_out(lanes, lanes, lane, concat);
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 impl MultiSourcePpr {
@@ -47,7 +86,8 @@ impl MultiSourcePpr {
     pub fn new(sources: &[VertexId], alpha: f64, epsilon: f64) -> Self {
         let sessions =
             sources.iter().map(|&s| PprState::new(PprConfig::new(s, alpha, epsilon))).collect();
-        MultiSourcePpr { sessions, alpha, epsilon, counters: Counters::new() }
+        let (counters, repairs) = (Counters::new(), Repairs::default());
+        MultiSourcePpr { sessions, alpha, epsilon, counters, repairs }
     }
 
     /// Rebuilds a bundle from previously maintained states (e.g. loaded
@@ -69,7 +109,8 @@ impl MultiSourcePpr {
                 "all restored states must share alpha/epsilon"
             );
         }
-        MultiSourcePpr { sessions: states, alpha, epsilon, counters: Counters::new() }
+        let (counters, repairs) = (Counters::new(), Repairs::default());
+        MultiSourcePpr { sessions: states, alpha, epsilon, counters, repairs }
     }
 
     /// Number of maintained sources.
@@ -122,15 +163,13 @@ impl MultiSourcePpr {
     /// Applies a batch: mutates the graph once on the calling thread, then
     /// repairs and pushes every source's vector over
     /// `lanes = min(default_threads(), sessions)` lanes, lane 0 on the
-    /// caller and the others under one `thread::scope` for the batch. The
-    /// lanes claim sessions one at a time in index order, so sessions
-    /// given in descending-cost order (the serving layer's
+    /// caller. The lanes claim sessions one at a time in index order, so
+    /// sessions given in descending-cost order (the serving layer's
     /// top-out-degree hubs) make a greedy longest-first schedule whose idle
     /// tail is at most one push. Each push runs on
     /// `max(1, default_threads() / lanes)` threads: one thread, and a
     /// deterministic schedule, whenever the sessions fill the cores; a
-    /// single session gets every thread. One lane is a plain loop on the
-    /// calling thread.
+    /// single session gets every thread.
     pub fn apply_batch(&mut self, g: &mut DynamicGraph, batch: &[EdgeUpdate]) -> usize {
         self.apply_batch_over(g, batch, default_threads())
     }
@@ -145,28 +184,30 @@ impl MultiSourcePpr {
     ) -> usize {
         // The graph absorbs the batch once; its repairs are replayed
         // against every source's state.
-        let mut repairs = Repairs::default();
-        apply_to_graph(g, batch, &mut repairs);
-        let (g, seeds) = (&*g, &repairs.seeds);
-        let counters = &self.counters;
-        let cores = cores.max(1);
-        let lanes = cores.min(self.sessions.len()).max(1);
-        let threads = (cores / lanes).max(1);
-        let queue = Mutex::new(self.sessions.iter_mut());
-        let lane = |_: std::ops::Range<usize>| loop {
-            // Claim, then release the lock before pushing: a `while let`
-            // on the guard would hold it through the push.
-            let next = queue.lock().unwrap().next();
-            let Some(state) = next else { break };
-            replay_repairs(g, state, &repairs, counters);
+        apply_to_graph(g, batch, &mut self.repairs);
+        let (g, repairs, counters) = (&*g, &self.repairs, &self.counters);
+        on_lanes(self.sessions.iter_mut(), cores, |state, threads| {
+            replay_repairs(g, state, repairs, counters);
             // OPT dedups locally, so the push never grows the claim flags
             // and empty buffers allocate nothing.
             let (opts, mut bufs) = (PushOpts::default(), ParPushBuffers::new());
+            let seeds = &repairs.seeds;
             parallel_local_push_opts(g, state, VARIANT, seeds, counters, &mut bufs, opts, threads);
-        };
-        fan_out(lanes, lanes, lane, |(), ()| ());
+        });
         counters.record_batch();
         repairs.list.len()
+    }
+
+    /// `f` of every session's state, in index order, computed on the lanes
+    /// that [`MultiSourcePpr::apply_batch`] pushes on, with the same core
+    /// budget.
+    pub fn map_states<R: Send>(&self, f: impl Fn(&PprState) -> R + Sync) -> Vec<R> {
+        self.map_states_over(f, default_threads())
+    }
+
+    /// [`MultiSourcePpr::map_states`] on a budget of `cores` threads.
+    fn map_states_over<R: Send>(&self, f: impl Fn(&PprState) -> R + Sync, cores: usize) -> Vec<R> {
+        on_lanes(self.sessions.iter(), cores, |state, _| f(state))
     }
 
     /// The estimate of `v` w.r.t. the `i`-th source.
@@ -353,6 +394,36 @@ mod tests {
             fingerprints(&multi)
         };
         assert_eq!(run(), run());
+    }
+
+    /// `map_states` calls `f` once per session on at most
+    /// `min(cores, sessions)` lanes and returns the results in index order,
+    /// although the first session's call finishes last.
+    #[test]
+    fn map_states_returns_one_result_per_session_in_index_order() {
+        use std::collections::HashSet;
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        for sources in [&[][..], &[4], &[9, 2, 7, 0, 5]] {
+            let multi = MultiSourcePpr::new(sources, 0.2, 1e-3);
+            for cores in [1, 2, 3, 7] {
+                let (calls, lanes) = (AtomicUsize::new(0), Mutex::new(HashSet::new()));
+                let source = |st: &PprState| {
+                    calls.fetch_add(1, Relaxed);
+                    lanes.lock().unwrap().insert(std::thread::current().id());
+                    if st.config().source == sources[0] {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                    }
+                    st.config().source
+                };
+                let got = multi.map_states_over(source, cores);
+                assert_eq!(got, sources, "{} sessions, {cores} cores", sources.len());
+                assert_eq!(calls.into_inner(), sources.len());
+                let lanes = lanes.into_inner().unwrap().len();
+                assert!(lanes <= cores.min(sources.len()), "{lanes} lanes on {cores} cores");
+            }
+        }
+        let multi = MultiSourcePpr::new(&[3, 1], 0.2, 1e-3);
+        assert_eq!(multi.map_states(|st| st.config().source), [3, 1]);
     }
 
     /// Two sessions on two cores push one thread each over

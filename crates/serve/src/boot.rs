@@ -8,8 +8,8 @@
 //! from then on only the write loop pairs or unpairs a vector and its
 //! published cell. Bootstrap and WAL-tail replay go through the same
 //! `apply_batch` as a live slide, so they spread the sessions over every
-//! core too, and the base checkpoint clones the states the way the
-//! checkpointer's capture does. A fresh boot writes that base checkpoint
+//! core too, and the base checkpoint copies the states on the same lanes
+//! (`MultiSourcePpr::map_states`) as the checkpointer's capture does. A fresh boot writes that base checkpoint
 //! and logs nothing; a recovery starts from the newest valid
 //! `ckpt-<epoch>.bin` and prunes the WAL through its epoch. A data
 //! directory in an older layout, or one whose checkpoints all fail
@@ -25,8 +25,8 @@ use crate::query::RouterImpl;
 use crate::registry::SessionRegistry;
 use crate::server::{Control, Ctx, ServeConfig, ServerHandle, ServerStats};
 use crate::snapshot::QuerySnapshot;
-use crate::writer::{apply_counted, clone_states, spawn_durable, write_loop};
-use dppr_core::MultiSourcePpr;
+use crate::writer::{apply_counted, spawn_durable, write_loop};
+use dppr_core::{MultiSourcePpr, PprState};
 use dppr_graph::{GraphStream, VertexId};
 use dppr_stream::StreamDriver;
 use dppr_wal::{Wal, WalOptions, WalRecord, WalStats};
@@ -259,7 +259,8 @@ fn durable_boot(
         // The base checkpoint: recovery always has somewhere to start, so
         // the WAL never needs to hold the (large) initial window.
         let window = boot.driver.window_range();
-        durability::write_checkpoint(&dcfg.data_dir, 1, window, &clone_states(&boot.multi))?;
+        let states = boot.multi.map_states(PprState::clone_values);
+        durability::write_checkpoint(&dcfg.data_dir, 1, window, &states)?;
         stats.checkpoints.fetch_add(1, Relaxed);
         return Ok(Boot { wal: Some(wal), durable_epoch: 1, ..boot });
     };

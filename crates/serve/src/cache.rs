@@ -391,10 +391,11 @@ mod tests {
 
     #[test]
     fn stale_purge_is_counted_apart_from_pressure_evictions() {
-        let c = QueryCache::new(SHARDS); // one entry per shard
-                                         // Phase 1: flood epoch-1 keys until every shard holds exactly one
-                                         // e1 entry. Same-epoch churn past capacity here is genuine
-                                         // pressure and lands in `evictions`; nothing is stale yet.
+        // One entry per shard.
+        let c = QueryCache::new(SHARDS);
+        // Phase 1: flood epoch-1 keys until every shard holds exactly one
+        // e1 entry. Same-epoch churn past capacity here is genuine
+        // pressure and lands in `evictions`; nothing is stale yet.
         for v in 0..200u32 {
             c.get_or_render(0, QueryKind::Score(v), 1, || "old".into());
         }

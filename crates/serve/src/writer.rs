@@ -1,6 +1,5 @@
 //! The write side of the instance: the one slide loop that applies
-//! batches (graph once, then the sessions' pushes over every core) and
-//! publishes epochs (the sessions' snapshots built over every core too),
+//! batches (graph once, then the sessions' pushes) and publishes epochs,
 //! session control between batches, and the durability half — WAL
 //! appends before publication, the background checkpointer, and
 //! retention: once the checkpointer publishes a durable epoch, the loop
@@ -8,6 +7,11 @@
 //! checkpoint; its file is the record. When the loop idles it flushes
 //! the WAL, so an interval fsync policy bounds loss with no slide to
 //! trigger the flush.
+//!
+//! Every per-session pass of a slide runs on `MultiSourcePpr`'s lanes:
+//! the pushes, the snapshot builds (`map_states`, each snapshot published
+//! as soon as it is built) and a checkpoint's state copies, so one
+//! scheduler spreads them all over the cores.
 //!
 //! The loop is the only code that changes the maintained sessions or the
 //! registry once the instance is up: an open adds the vector and its
@@ -23,7 +27,6 @@ use crate::json::JsonBuf;
 use crate::registry::{OpenOutcome, SessionEntry};
 use crate::server::{Control, Ctx, ServeConfig, ServerStats};
 use crate::snapshot::QuerySnapshot;
-use dppr_core::fanout::{concat, default_threads, fan_out};
 use dppr_core::{MultiSourcePpr, PprState};
 use dppr_graph::{EdgeUpdate, VertexId};
 use dppr_stream::StreamDriver;
@@ -46,7 +49,8 @@ struct CkptJob {
 
 impl CkptJob {
     fn capture(epoch: u64, driver: &StreamDriver, multi: &MultiSourcePpr) -> CkptJob {
-        CkptJob { epoch, window: driver.window_range(), states: clone_states(multi) }
+        let states = multi.map_states(PprState::clone_values);
+        CkptJob { epoch, window: driver.window_range(), states }
     }
 
     /// Writes the checkpoint, timed into the checkpoint histogram; on
@@ -61,13 +65,6 @@ impl CkptJob {
         ctx.stats.checkpoints.fetch_add(1, Relaxed);
         Ok(())
     }
-}
-
-/// Copies of every session's state in index order, cloned over every
-/// core.
-pub(crate) fn clone_states(multi: &MultiSourcePpr) -> Vec<PprState> {
-    let clone = |r: std::ops::Range<usize>| r.map(|i| multi.state(i).clone_values()).collect();
-    fan_out(multi.num_sources(), default_threads(), clone, concat)
 }
 
 /// The write loop's durability half: the WAL it owns exclusively, plus
@@ -252,17 +249,14 @@ pub(crate) fn write_loop(
         ctx.metrics.push_wall.record(apply_ns);
         let slides = ctx.stats.slides.fetch_add(1, Relaxed) + 1;
         // Publication point: one epoch per batch, every session swapped to
-        // a snapshot of the new converged state. The snapshots are built
-        // over every core and each is published as soon as it is built.
+        // a snapshot of the new converged state. The snapshots are built on
+        // the sessions' lanes and each is published as soon as it is built.
         let epoch = ctx.domain.advance();
         let t = Instant::now();
-        let publish = |r: std::ops::Range<usize>| {
-            for i in r {
-                let snap = QuerySnapshot::from_state(multi.state(i), epoch);
-                cell(&ctx, multi.source(i)).publish(&ctx.domain, Arc::new(snap));
-            }
-        };
-        fan_out(multi.num_sources(), default_threads(), publish, |(), ()| ());
+        multi.map_states(|state| {
+            let snap = QuerySnapshot::from_state(state, epoch);
+            cell(&ctx, state.config().source).publish(&ctx.domain, Arc::new(snap));
+        });
         let publish_ns = t.elapsed().as_nanos() as u64;
         ctx.metrics.snapshot_publish.record(publish_ns);
         ctx.slide_started_ns.store(0, Relaxed);
