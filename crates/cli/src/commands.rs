@@ -228,7 +228,8 @@ pub fn query(args: &Args) -> Result<String, CliError> {
     let save_state = args.get("save-state");
     args.reject_unknown()?;
     let cfg = PprConfig::new(source, alpha, epsilon);
-    let mut engine = ParallelEngine::new(cfg, PushVariant::OPT);
+    // One thread: the printed estimates must not depend on the host.
+    let mut engine = ParallelEngine::with_threads(cfg, PushVariant::OPT, 1);
     engine
         .apply_batch(&mut DynamicGraph::new(), &SlidingWindow::new(stream, 1.0).initial_updates());
 
@@ -739,6 +740,26 @@ mod tests {
         let out = query(&a).unwrap();
         assert!(out.contains("set_is_certain"));
         assert!(out.contains("threshold_0.01"));
+    }
+
+    /// `query` pushes on one thread, so its text does not depend on the
+    /// host: small-sim's load pushes a frontier that a push on several
+    /// threads would fan out, and two runs still print the same text.
+    #[test]
+    fn query_prints_the_same_text_every_run() {
+        let a = Args::parse(["query", "--preset", "small-sim", "--source", "3", "--top", "20"])
+            .unwrap();
+        let first = query(&a).unwrap();
+        assert_eq!(query(&a).unwrap(), first);
+        let (stream, _) = load_edges(&a).unwrap();
+        let cfg = PprConfig::new(3, get_alpha(&a).unwrap(), 1e-5);
+        let mut engine = ParallelEngine::with_threads(cfg, PushVariant::OPT, 1);
+        engine.apply_batch(
+            &mut DynamicGraph::new(),
+            &SlidingWindow::new(stream, 1.0).initial_updates(),
+        );
+        let max_frontier = engine.counters().max_frontier;
+        assert!(max_frontier >= dppr_core::fanout::FAN_OUT_MIN as u64, "{max_frontier}");
     }
 
     #[test]
