@@ -55,25 +55,8 @@ impl PromText {
         let _ = writeln!(self.text, "# TYPE {name} {kind}");
     }
 
-    fn label_str(label: Option<(&str, &str)>) -> String {
-        match label {
-            Some((k, v)) => format!("{{{k}=\"{}\"}}", escape_label_value(v)),
-            None => String::new(),
-        }
-    }
-
-    pub fn series_u64(&mut self, name: &str, label: Option<(&str, &str)>, v: u64) {
-        let _ = writeln!(self.text, "{name}{} {v}", Self::label_str(label));
-    }
-
-    pub fn series_f64(&mut self, name: &str, label: Option<(&str, &str)>, v: f64) {
-        if v.is_finite() {
-            let _ = writeln!(self.text, "{name}{} {v}", Self::label_str(label));
-        } else {
-            let _ = writeln!(self.text, "{name}{} NaN", Self::label_str(label));
-        }
-    }
-
+    /// `{k="v",…}` for `labels` with every value escaped, or nothing for
+    /// no labels.
     fn labels_str(labels: &[(&str, &str)]) -> String {
         if labels.is_empty() {
             return String::new();
@@ -89,48 +72,47 @@ impl PromText {
         out
     }
 
-    /// A series line with arbitrary label pairs, e.g.
-    /// `slo_burn_rate{slo="latency_p99",window="fast"} 1.4`.
-    pub fn series_f64_multi(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let rendered = if v.is_finite() { v } else { f64::NAN };
-        let _ = writeln!(self.text, "{name}{} {rendered}", Self::labels_str(labels));
+    /// A series line with any label pairs, e.g.
+    /// `slo_breach_total{slo="latency_p99"} 3`.
+    pub fn series_u64(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
+        let _ = writeln!(self.text, "{name}{} {v}", Self::labels_str(labels));
     }
 
-    /// [`PromText::series_f64_multi`] for integer-valued series.
-    pub fn series_u64_multi(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
+    /// [`PromText::series_u64`] for real-valued series; a non-finite value
+    /// prints as `NaN`.
+    pub fn series_f64(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
+        let v = if v.is_finite() { v } else { f64::NAN };
         let _ = writeln!(self.text, "{name}{} {v}", Self::labels_str(labels));
     }
 
     /// One-line helpers for ad-hoc families (header + single series).
     pub fn counter_u64(&mut self, name: &str, help: &str, v: u64) {
         self.family(name, help, "counter");
-        self.series_u64(name, None, v);
+        self.series_u64(name, &[], v);
     }
 
     pub fn gauge_u64(&mut self, name: &str, help: &str, v: u64) {
         self.family(name, help, "gauge");
-        self.series_u64(name, None, v);
+        self.series_u64(name, &[], v);
     }
 
     /// Render a histogram snapshot: cumulative `_bucket{le=...}` lines
     /// (only up to the last non-empty bucket, then `+Inf`), `_sum`,
     /// `_count`. `Unit::Nanos` scales bounds and sum to seconds. Every
-    /// series carries `label`, if any; on bucket lines it is merged ahead
-    /// of the `le` bound.
+    /// series carries `labels`; on bucket lines they are merged ahead of
+    /// the `le` bound.
     pub fn histogram(
         &mut self,
         name: &str,
-        label: Option<(&str, &str)>,
+        labels: &[(&str, &str)],
         snap: &HistSnapshot,
         unit: Unit,
     ) {
         // `{shard="2",` on bucket lines, `{shard="2"}` on sum/count.
-        let (bucket_prefix, plain) = match label {
-            Some((k, v)) => {
-                let inner = format!("{k}=\"{}\"", escape_label_value(v));
-                (format!("{{{inner},"), format!("{{{inner}}}"))
-            }
-            None => ("{".to_owned(), String::new()),
+        let plain = Self::labels_str(labels);
+        let bucket_prefix = match plain.strip_suffix('}') {
+            Some(inner) => format!("{inner},"),
+            None => "{".to_owned(),
         };
         for (bound, cum) in snap.cumulative_nonempty() {
             // The overflow bucket (no finite bound) is covered by the
@@ -165,8 +147,8 @@ mod tests {
         let mut t = PromText::new();
         t.counter_u64("t_total", "a counter", 3);
         t.family("t_conns", "per-shard", "gauge");
-        t.series_u64("t_conns", Some(("shard", "0")), 7);
-        t.series_u64("t_conns", Some(("shard", "a\"b\\c\nd")), 2);
+        t.series_u64("t_conns", &[("shard", "0")], 7);
+        t.series_u64("t_conns", &[("shard", "a\"b\\c\nd")], 2);
         let text = t.as_str();
         assert!(text.contains("# HELP t_total a counter\n# TYPE t_total counter\nt_total 3\n"));
         assert_eq!(text.matches("# TYPE t_conns gauge").count(), 1);
@@ -180,7 +162,7 @@ mod tests {
         h.record(0);
         h.record(1_000_000_000); // 1s
         let mut t = PromText::new();
-        t.histogram("t_lat_seconds", None, &h.snapshot(), Unit::Nanos);
+        t.histogram("t_lat_seconds", &[], &h.snapshot(), Unit::Nanos);
         let text = t.as_str();
         assert!(text.contains("t_lat_seconds_bucket{le=\"0\"} 1\n"));
         assert!(text.contains("t_lat_seconds_bucket{le=\"+Inf\"} 2\n"));
@@ -189,7 +171,7 @@ mod tests {
             "sum is in seconds"
         );
         let mut raw = PromText::new();
-        raw.histogram("t_iters", None, &h.snapshot(), Unit::Raw);
+        raw.histogram("t_iters", &[], &h.snapshot(), Unit::Raw);
         assert!(raw.as_str().contains("t_iters_sum 1000000000\n"));
     }
 
@@ -197,13 +179,15 @@ mod tests {
     fn multi_label_series_render_all_pairs() {
         let mut t = PromText::new();
         t.family("t_burn", "burn rates", "gauge");
-        t.series_f64_multi("t_burn", &[("slo", "latency_p99"), ("window", "fast")], 1.25);
-        t.series_u64_multi("t_burn_total", &[("slo", "a\"b")], 3);
-        t.series_f64_multi("t_plain", &[], 0.5);
+        t.series_f64("t_burn", &[("slo", "latency_p99"), ("window", "fast")], 1.25);
+        t.series_u64("t_burn_total", &[("slo", "a\"b")], 3);
+        t.series_f64("t_plain", &[], 0.5);
+        t.series_f64("t_inf", &[("slo", "x")], f64::INFINITY);
         let text = t.text;
         assert!(text.contains("t_burn{slo=\"latency_p99\",window=\"fast\"} 1.25\n"));
         assert!(text.contains("t_burn_total{slo=\"a\\\"b\"} 3\n"));
         assert!(text.contains("t_plain 0.5\n"));
+        assert!(text.contains("t_inf{slo=\"x\"} NaN\n"), "non-finite prints NaN");
     }
 
     #[test]
@@ -213,8 +197,8 @@ mod tests {
         h1.record(1_000_000_000);
         let mut t = PromText::new();
         t.family("t_stage_seconds", "per-shard", "histogram");
-        t.histogram("t_stage_seconds", Some(("shard", "0")), &h0.snapshot(), Unit::Nanos);
-        t.histogram("t_stage_seconds", Some(("shard", "1")), &h1.snapshot(), Unit::Nanos);
+        t.histogram("t_stage_seconds", &[("shard", "0")], &h0.snapshot(), Unit::Nanos);
+        t.histogram("t_stage_seconds", &[("shard", "1")], &h1.snapshot(), Unit::Nanos);
         let text = t.as_str();
         assert_eq!(text.matches("# TYPE t_stage_seconds histogram").count(), 1);
         assert!(text.contains("t_stage_seconds_bucket{shard=\"0\",le=\"0\"} 1\n"));

@@ -72,17 +72,17 @@ pub(crate) fn metrics_text(ctx: &Ctx) -> PromText {
     let mut out = PromText::new();
     // Rows of one histogram family are adjacent and share its header.
     let mut last = "";
-    for &(family, help, unit, label, _, hist) in HISTOGRAMS {
+    for &(family, help, unit, labels, _, hist) in HISTOGRAMS {
         if family != last {
             last = family;
             out.family(family, help, "histogram");
         }
-        out.histogram(family, label, &hist(&ctx.metrics).snapshot(), unit);
+        out.histogram(family, labels, &hist(&ctx.metrics).snapshot(), unit);
     }
     let family = "dppr_shard_connections";
     out.family(family, "Live connections owned by the shard", "gauge");
     for (shard, conns) in ctx.shard_connections.iter().enumerate() {
-        out.series_u64(family, Some(("shard", &shard.to_string())), conns.load(Relaxed));
+        out.series_u64(family, &[("shard", &shard.to_string())], conns.load(Relaxed));
     }
     for row in INSTANCE {
         if let Some((family, help, kind)) = row.prom {
@@ -112,22 +112,18 @@ pub(crate) fn metrics_text(ctx: &Ctx) -> PromText {
         );
         for (spec, st) in slos() {
             for (window, burn) in [("fast", &st.burn_fast), ("slow", &st.burn_slow)] {
-                out.series_f64_multi(
-                    family,
-                    &[("slo", spec.name), ("window", window)],
-                    burn.load(),
-                );
+                out.series_f64(family, &[("slo", spec.name), ("window", window)], burn.load());
             }
         }
         let family = "dppr_slo_breaching";
         out.family(family, "1 while the SLO's fast-window burn is at or above 1", "gauge");
         for (spec, st) in slos() {
-            out.series_u64_multi(family, &[("slo", spec.name)], st.breaching.load(Relaxed) as u64);
+            out.series_u64(family, &[("slo", spec.name)], st.breaching.load(Relaxed) as u64);
         }
         let family = "dppr_slo_breach_total";
         out.family(family, "Healthy-to-breaching transitions per SLO", "counter");
         for (spec, st) in slos() {
-            out.series_u64_multi(family, &[("slo", spec.name)], st.breaches.load(Relaxed));
+            out.series_u64(family, &[("slo", spec.name)], st.breaches.load(Relaxed));
         }
     }
     out
@@ -403,8 +399,9 @@ mod tests {
         for &(family, _, _, label, ..) in HISTOGRAMS {
             assert!(types.contains(&format!("# TYPE {family} histogram").as_str()), "{family}");
             let (merged, plain) = match label {
-                Some((k, v)) => (format!("{{{k}=\"{v}\","), format!("{{{k}=\"{v}\"}}")),
-                None => ("{".to_string(), String::new()),
+                [(k, v)] => (format!("{{{k}=\"{v}\","), format!("{{{k}=\"{v}\"}}")),
+                [] => ("{".to_string(), String::new()),
+                _ => unreachable!("{family}: a histogram row has at most one label"),
             };
             for series in [
                 format!("\n{family}_bucket{merged}le=\"+Inf\"}} "),

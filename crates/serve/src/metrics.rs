@@ -99,14 +99,14 @@ impl ServerMetrics {
 // --- the histogram table ----------------------------------------------------
 
 /// One histogram, described once: `(family, help, unit, label, timings
-/// key, field)`. `label` is the series' one `key="value"` pair; rows of
+/// key, field)`. `labels` are the series' `key="value"` pairs; rows of
 /// one family are adjacent and share its header. A `timings` key puts the
 /// histogram's `{count, p50_s, p99_s}` under that name in `/stats`.
 pub(crate) type HistRow = (
     &'static str,
     &'static str,
     Unit,
-    Option<(&'static str, &'static str)>,
+    &'static [(&'static str, &'static str)],
     Option<&'static str>,
     fn(&ServerMetrics) -> &Histogram,
 );
@@ -127,36 +127,36 @@ const OVERLAP: (&str, &str) = (
 #[rustfmt::skip]
 pub(crate) static HISTOGRAMS: &[HistRow] = &[
     ("dppr_http_request_seconds", "Request handling end to end: parse, route, serialize",
-     Nanos, None, Some("http_request"), |m| &m.http_request),
-    ("dppr_http_parse_seconds", "Request-head parse time", Nanos, None, None, |m| &m.http_parse),
+     Nanos, &[], Some("http_request"), |m| &m.http_request),
+    ("dppr_http_parse_seconds", "Request-head parse time", Nanos, &[], None, |m| &m.http_parse),
     ("dppr_http_route_seconds", "Endpoint dispatch and query execution time",
-     Nanos, None, None, |m| &m.http_route),
+     Nanos, &[], None, |m| &m.http_route),
     ("dppr_http_write_seconds", "Response render time into the connection buffer",
-     Nanos, None, None, |m| &m.http_write),
+     Nanos, &[], None, |m| &m.http_write),
     ("dppr_slide_apply_seconds", "One window slide end to end: WAL append, engine apply, snapshot publish",
-     Nanos, None, Some("slide_apply"), |m| &m.slide_apply),
+     Nanos, &[], Some("slide_apply"), |m| &m.slide_apply),
     ("dppr_push_wall_seconds", "Engine apply_batch wall time (push convergence)",
-     Nanos, None, Some("push_wall"), |m| &m.push_wall),
+     Nanos, &[], Some("push_wall"), |m| &m.push_wall),
     ("dppr_push_iterations", "Frontier iterations per slide until the push converged",
-     Raw, None, None, |m| &m.push_iterations),
+     Raw, &[], None, |m| &m.push_iterations),
     ("dppr_snapshot_publish_seconds", "Per-slide session snapshot publication time",
-     Nanos, None, Some("snapshot_publish"), |m| &m.snapshot_publish),
+     Nanos, &[], Some("snapshot_publish"), |m| &m.snapshot_publish),
     ("dppr_wal_append_seconds", "WAL record append time (framing + write, excluding fsync policy)",
-     Nanos, None, Some("wal_append"), |m| &m.wal_append),
-    ("dppr_wal_fsync_seconds", "WAL device-flush latency", Nanos, None, Some("wal_fsync"), |m| &m.wal_fsync),
+     Nanos, &[], Some("wal_append"), |m| &m.wal_append),
+    ("dppr_wal_fsync_seconds", "WAL device-flush latency", Nanos, &[], Some("wal_fsync"), |m| &m.wal_fsync),
     ("dppr_checkpoint_seconds", "Checkpoint write duration (serialize, fsync, rename)",
-     Nanos, None, Some("checkpoint"), |m| &m.checkpoint),
+     Nanos, &[], Some("checkpoint"), |m| &m.checkpoint),
     ("dppr_audit_l1_error", "Audited L1 distance between published estimates and ground truth (recorded x1e9)",
-     Nanos, None, None, |m| &m.audit_l1),
+     Nanos, &[], None, |m| &m.audit_l1),
     ("dppr_audit_linf_error",
      "Audited max per-vertex error vs ground truth; the paper's epsilon contract (recorded x1e9)",
-     Nanos, None, None, |m| &m.audit_linf),
-    (OVERLAP.0, OVERLAP.1, Nanos, Some(("k", "10")), None, |m| &m.audit_overlap10),
-    (OVERLAP.0, OVERLAP.1, Nanos, Some(("k", "50")), None, |m| &m.audit_overlap50),
+     Nanos, &[], None, |m| &m.audit_linf),
+    (OVERLAP.0, OVERLAP.1, Nanos, &[("k", "10")], None, |m| &m.audit_overlap10),
+    (OVERLAP.0, OVERLAP.1, Nanos, &[("k", "50")], None, |m| &m.audit_overlap50),
     ("dppr_audit_solve_seconds", "Sequential ground-truth solve wall time per audited session",
-     Nanos, None, None, |m| &m.audit_solve),
+     Nanos, &[], None, |m| &m.audit_solve),
     ("dppr_metrics_scrape_seconds", "Time spent rendering /metrics (visible from the next scrape)",
-     Nanos, None, None, |m| &m.metrics_scrape),
+     Nanos, &[], None, |m| &m.metrics_scrape),
 ];
 
 // --- the scalar tables ------------------------------------------------------
@@ -182,9 +182,9 @@ impl Val {
 
     pub(crate) fn prom(self, out: &mut PromText, family: &str) {
         match self {
-            U(v) => out.series_u64(family, None, v),
-            F(v) => out.series_f64(family, None, v),
-            B(v) => out.series_u64(family, None, v as u64),
+            U(v) => out.series_u64(family, &[], v),
+            F(v) => out.series_f64(family, &[], v),
+            B(v) => out.series_u64(family, &[], v as u64),
         }
     }
 
