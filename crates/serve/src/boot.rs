@@ -9,11 +9,11 @@
 //! published cell. Bootstrap and WAL-tail replay go through the same
 //! `apply_batch` as a live slide, so they spread the sessions over every
 //! core too, and the base checkpoint copies the states on the same lanes
-//! (`MultiSourcePpr::map_states`) as the checkpointer's capture does. A fresh boot writes that base checkpoint
-//! and logs nothing; a recovery starts from the newest valid
-//! `ckpt-<epoch>.bin` and prunes the WAL through its epoch. A data
-//! directory in an older layout, or one whose checkpoints all fail
-//! validation, is refused before the WAL is opened.
+//! (`MultiSourcePpr::map_states`) as the checkpointer's capture does. A
+//! fresh boot writes that base checkpoint and logs nothing; a recovery
+//! starts from the newest valid `ckpt-<epoch>.bin` and prunes the WAL
+//! through its epoch. A data directory in an older layout, or one whose
+//! checkpoints all fail validation, is refused before the WAL is opened.
 
 use crate::audit::{self, AuditShared, SloEngine};
 use crate::cache::QueryCache;

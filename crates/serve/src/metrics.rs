@@ -98,7 +98,7 @@ impl ServerMetrics {
 
 // --- the histogram table ----------------------------------------------------
 
-/// One histogram, described once: `(family, help, unit, label, timings
+/// One histogram, described once: `(family, help, unit, labels, timings
 /// key, field)`. `labels` are the series' `key="value"` pairs; rows of
 /// one family are adjacent and share its header. A `timings` key puts the
 /// histogram's `{count, p50_s, p99_s}` under that name in `/stats`.
