@@ -350,9 +350,10 @@ pub(crate) mod tests {
     }
 
     /// Every variant's one-thread push over [`wide_stream`], pinned to
-    /// literals: the state's bits and the work counted. The determinism
-    /// tests compare a run with another of the same build; an add that a
-    /// change reorders or rounds differently moves these literals.
+    /// literals: the state's bits and every counter of the work. The
+    /// determinism tests compare a run with another of the same build; an
+    /// add that a change reorders or rounds differently, or a counter that
+    /// a change counts differently, moves these literals.
     #[test]
     fn one_thread_push_is_pinned() {
         let got: Vec<_> = PushVariant::ALL
@@ -360,13 +361,25 @@ pub(crate) mod tests {
             .map(|variant| {
                 let (_, e) = run_wide_stream(variant, 1);
                 let c = e.counters();
-                (state_fingerprint(e.state()), c.pushes, c.atomic_adds, c.enqueued, c.iterations)
+                let fp = state_fingerprint(e.state());
+                let adds = (c.pushes, c.edge_traversals, c.atomic_adds, c.cas_retries);
+                let frontiers = (c.enqueued, c.dup_avoided, c.iterations, c.max_frontier);
+                (fp, adds, frontiers)
             })
             .collect();
-        // At one thread the claim flags enqueue exactly what local
-        // duplicate detection does, so each eager/vanilla pair agrees.
-        let eager = (11_866_952_711_023_298_490, 544_230, 3_800_680, 542_122, 79);
-        let vanilla = (10_121_663_691_472_039_129, 970_898, 5_808_321, 968_792, 95);
+        // At one thread the claim flags enqueue, and turn away, exactly
+        // what local duplicate detection does, so each eager/vanilla pair
+        // agrees.
+        let eager = (
+            11_866_952_711_023_298_490,
+            (544_230, 3_256_450, 3_800_680, 0),
+            (542_122, 2_751_259, 79, 11_152),
+        );
+        let vanilla = (
+            10_121_663_691_472_039_129,
+            (970_898, 5_808_321, 5_808_321, 0),
+            (968_792, 3_887_102, 95, 12_000),
+        );
         assert_eq!(got, [eager, eager, vanilla, vanilla]);
     }
 

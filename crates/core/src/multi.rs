@@ -439,8 +439,10 @@ mod tests {
         let want = [(0, 11_866_952_711_023_298_490), (1, 14_812_820_352_697_794_727)];
         assert_eq!(fingerprints(&multi), want);
         let c = multi.counters().snapshot();
-        let work = (c.pushes, c.atomic_adds, c.enqueued, c.iterations);
-        assert_eq!(work, (1_018_036, 7_114_044, 1_014_128, 153));
+        let work = (c.pushes, c.edge_traversals, c.atomic_adds);
+        assert_eq!(work, (1_018_036, 6_096_008, 7_114_044));
+        let frontiers = (c.enqueued, c.dup_avoided, c.iterations);
+        assert_eq!(frontiers, (1_014_128, 5_102_793, 153));
     }
 
     /// The library engine and the serving bundle absorb a batch the same
