@@ -441,6 +441,27 @@ pub(crate) mod tests {
         }
     }
 
+    /// Every variant over [`wide_stream`] at 1, 2 and 3 threads: the
+    /// kernel counts its adds per push, not per edge, and they still add
+    /// up — one per in-edge walked, plus one per eager self-update — in
+    /// the shared rounds too, which no pin holds. A one-thread push
+    /// issues no CAS, so it retries none.
+    #[test]
+    fn counters_add_up_at_any_thread_count() {
+        for variant in PushVariant::ALL {
+            for threads in [1, 2, 3] {
+                let (_, e) = run_wide_stream(variant, threads);
+                let c = e.counters();
+                let at = format!("{variant} at {threads} threads");
+                let self_updates = if variant.eager { c.pushes } else { 0 };
+                assert_eq!(c.atomic_adds, c.edge_traversals + self_updates, "{at}");
+                if threads == 1 {
+                    assert_eq!(c.cas_retries, 0, "{at}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn mixed_insert_delete_batches_keep_invariant() {
         let mut g = DynamicGraph::new();

@@ -32,6 +32,7 @@ use crate::fanout::{concat, default_threads, fan_out};
 use crate::invariant::{apply_to_graph, replay_repairs, Repairs};
 use crate::par::{parallel_local_push, parallel_local_push_opts, ParPushBuffers, PushOpts};
 use crate::queries::select;
+use crate::seq::dedup_seeds;
 use crate::state::PprState;
 use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
@@ -185,13 +186,15 @@ impl MultiSourcePpr {
         // The graph absorbs the batch once; its repairs are replayed
         // against every source's state.
         apply_to_graph(g, batch, &mut self.repairs);
+        // Sorted and unique once per batch, not once per session: the
+        // push's own pass over a sorted, unique slice is then linear.
+        let seeds = &dedup_seeds(&self.repairs.seeds);
         let (g, repairs, counters) = (&*g, &self.repairs, &self.counters);
         on_lanes(self.sessions.iter_mut(), cores, |state, threads| {
             replay_repairs(g, state, repairs, counters);
             // OPT dedups locally, so the push never grows the claim flags
             // and empty buffers allocate nothing.
             let (opts, mut bufs) = (PushOpts::default(), ParPushBuffers::new());
-            let seeds = &repairs.seeds;
             parallel_local_push_opts(g, state, VARIANT, seeds, counters, &mut bufs, opts, threads);
         });
         counters.record_batch();
@@ -587,8 +590,9 @@ mod tests {
         assert!(multi.remove_source(0));
         assert!(!multi.remove_source(0));
         assert_eq!(multi.num_sources(), 2);
-        assert_eq!(multi.sources(), vec![7, 3]); // 7 swapped into index 0
-                                                 // The survivors still update correctly.
+        // 7 swapped into index 0.
+        assert_eq!(multi.sources(), vec![7, 3]);
+        // The survivors still update correctly.
         let mut g = DynamicGraph::new();
         let ins: Vec<EdgeUpdate> =
             erdos_renyi(20, 150, 5).into_iter().map(|(u, v)| EdgeUpdate::insert(u, v)).collect();

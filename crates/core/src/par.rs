@@ -41,6 +41,22 @@
 //! with ([`one_part`]); every scatter add goes through
 //! [`AtomicF64::fetch_add_round`](crate::atomic::AtomicF64::fetch_add_round).
 //!
+//! **Branch-free frontier generation.** Local duplicate detection decides
+//! on every in-edge whether its add enqueued the target, and about one add
+//! in six does: as a branch, that decision is taken at random, and each
+//! mispredict throws away the loads of the next edges' `r[v]` and
+//! `1/dout(v)` already in flight. So the scatter makes room for a push's
+//! whole in-span at the end of the next frontier once, writes every
+//! in-neighbor into the next free slot and keeps it by advancing the end
+//! by `!was_active & now_active`; `dup_avoided` sums `was_active`, and the
+//! adds and edges walked are counted once per push from the span's length.
+//! The eager self-update re-enqueues through the same kept slot. The body
+//! is monomorphised on ownership, so an owned round's loop holds no CAS
+//! and no retry count. Every add and every enqueue happens in the same
+//! order with the same arithmetic as a branch would make them, so states
+//! and counters are the same bits. The flag variants still branch: they
+//! claim a shared bit only for a target that is active.
+//!
 //! **One crew per push.** The first round that fans out opens the push's
 //! one `with_crew` scope with `threads − 1` helpers, and every later
 //! shared session is handed to them through the crew's barrier, its input
@@ -203,39 +219,70 @@ struct Ctx<'a> {
 impl Ctx<'_> {
     /// Neighbor-propagation for one frontier vertex: transfer
     /// `(1−α)·w / dout(v)` to every in-neighbor `v` and generate frontier
-    /// candidates according to the variant's dedup scheme.
+    /// candidates according to the variant's dedup scheme. The choice of
+    /// add is made here, once per push, by monomorphising the scatter.
     #[inline]
     fn propagate(&self, u: VertexId, w: f64, round: Round, acc: &mut SessAcc) {
-        acc.work.pushes += 1;
         let scaled = (1.0 - self.alpha) * w;
+        let nbrs = self.g.in_neighbors(u);
+        if round.owned {
+            self.scatter::<true>(nbrs, scaled, round.phase, acc);
+        } else {
+            self.scatter::<false>(nbrs, scaled, round.phase, acc);
+        }
+        // One add per in-edge walked, counted once per push.
+        let deg = nbrs.len() as u64;
+        acc.work.pushes += 1;
+        acc.work.edge_traversals += deg;
+        acc.work.atomic_adds += deg;
+    }
+
+    /// The scatter of one push over `nbrs`, its adds loads and stores when
+    /// `OWNED`. Every in-neighbor is written into the next free slot of
+    /// `acc.next` and kept only if it is enqueued, so local duplicate
+    /// detection takes no branch on the residual it just read; the flag
+    /// variants still branch to claim the bit.
+    #[inline]
+    fn scatter<const OWNED: bool>(
+        &self,
+        nbrs: &[VertexId],
+        scaled: f64,
+        phase: Phase,
+        acc: &mut SessAcc,
+    ) {
         let r = self.state.r_atomics();
-        let phase = round.phase;
+        let base = acc.next.len();
+        acc.next.resize(base + nbrs.len(), 0);
+        let slots = &mut acc.next[base..];
+        let (mut n, mut dup_avoided, mut retries) = (0, 0, 0);
         // Division-free inner loop: multiply by the graph-maintained 1/dout
         // (v has the edge v→u, so dout(v) ≥ 1).
-        for &v in self.g.in_neighbors(u) {
-            acc.work.edge_traversals += 1;
+        for &v in nbrs {
             let inc = scaled * self.g.inv_out_degree(v);
-            let r_pre = r[v as usize].fetch_add_round(inc, round.owned, &mut acc.work.cas_retries);
-            acc.work.atomic_adds += 1;
-            let r_cur = r_pre + inc;
-            if self.variant.local_dup {
-                if phase.crossed(r_pre, r_cur, self.eps) {
-                    acc.next.push(v);
-                    acc.work.enqueued += 1;
-                } else if phase.active(r_pre, self.eps) {
-                    // Someone else is responsible for v — the detection the
-                    // shared-flag scheme would have paid an atomic for.
-                    acc.work.dup_avoided += 1;
-                }
-            } else if phase.active(r_cur, self.eps) {
-                if !claim(&self.claimed[v as usize], round.owned) {
-                    acc.next.push(v);
-                    acc.work.enqueued += 1;
-                } else {
-                    acc.work.dup_avoided += 1;
-                }
-            }
+            let r_pre = r[v as usize].fetch_add_round(inc, OWNED, &mut retries);
+            let now_active = phase.active(r_pre + inc, self.eps);
+            let kept = if self.variant.local_dup {
+                // Only the add that crosses the threshold enqueues; one
+                // that finds `v` already active leaves it to whoever
+                // crossed it — the detection the shared-flag scheme would
+                // have paid an atomic for.
+                let was_active = phase.active(r_pre, self.eps);
+                dup_avoided += was_active as u64;
+                !was_active & now_active
+            } else if now_active {
+                let taken = claim(&self.claimed[v as usize], OWNED);
+                dup_avoided += taken as u64;
+                !taken
+            } else {
+                false
+            };
+            slots[n] = v;
+            n += kept as usize;
         }
+        acc.next.truncate(base + n);
+        acc.work.enqueued += n as u64;
+        acc.work.dup_avoided += dup_avoided;
+        acc.work.cas_retries += retries;
     }
 
     /// Algorithm 3's take-out for one frontier vertex: `w = Rs(u)`,
@@ -251,8 +298,9 @@ impl Ctx<'_> {
     }
 
     /// Algorithm 4's self-update for one frontier vertex (lines 19–23):
-    /// bank `α·ru`, subtract the consistent `ru`, and re-enqueue `u` if the
-    /// residual that accumulated since the session-1 read still exceeds ε.
+    /// bank `α·ru`, subtract the consistent `ru`, and return whether the
+    /// residual that accumulated since the session-1 read still exceeds ε,
+    /// i.e. whether `u` is re-enqueued.
     ///
     /// Flag discipline in the eager+flags variant: `u`'s claim flag is set
     /// for as long as `u` is scheduled (in `FQ` or `FQ'`), which is what
@@ -260,19 +308,17 @@ impl Ctx<'_> {
     /// Here the flag is kept if `u` re-enters the frontier and released
     /// otherwise.
     #[inline]
-    fn eager_self_update(&self, u: VertexId, ru: f64, phase: Phase, acc: &mut SessAcc) {
+    fn eager_self_update(&self, u: VertexId, ru: f64, phase: Phase) -> bool {
         let p = &self.state.p_atomics()[u as usize];
         p.store(p.load() + self.alpha * ru);
         let r = &self.state.r_atomics()[u as usize];
         let after = r.load() - ru;
         r.store(after);
-        acc.work.atomic_adds += 1;
-        if phase.active(after, self.eps) {
-            acc.next.push(u);
-            acc.work.enqueued += 1;
-        } else if !self.variant.local_dup {
+        let kept = phase.active(after, self.eps);
+        if !kept && !self.variant.local_dup {
             self.claimed[u as usize].store(false, Ordering::Relaxed);
         }
+        kept
     }
 
     /// One part of a session: its items in `range`, into an accumulator of
@@ -283,13 +329,20 @@ impl Ctx<'_> {
     /// residual, keeps it in a shared round.
     fn part(&self, (session, round): &(Session, Round), range: Range<usize>) -> SessAcc {
         let round = *round;
-        // Room for one entry and one enqueue per item up front: growing
-        // these by `realloc` from empty, iteration after iteration, is what
-        // two pushes running side by side contend on (the allocator grows
-        // and trims its heaps under one process-wide kernel lock).
+        // Room up front for what the part fills — one entry per item, and
+        // the next frontier — and nothing it does not: growing these by
+        // `realloc` from empty, iteration after iteration, is what two
+        // pushes running side by side contend on (the allocator grows and
+        // trims its heaps under one process-wide kernel lock).
+        let (logs, enqueues) = match session {
+            Session::TakeOut(_) => (true, false),
+            Session::ReadAndPropagate(_) => (true, true),
+            Session::Propagate(_) | Session::SelfUpdate(_) => (false, true),
+        };
+        let room = |used: bool| if used { range.len() } else { 0 };
         let mut acc = SessAcc {
-            next: Vec::with_capacity(range.len()),
-            entries: Vec::with_capacity(range.len()),
+            next: Vec::with_capacity(room(enqueues)),
+            entries: Vec::with_capacity(room(logs)),
             work: CounterSnapshot::default(),
         };
         match session {
@@ -308,8 +361,18 @@ impl Ctx<'_> {
                 }
             }
             Session::SelfUpdate(es) => {
-                let phase = round.phase;
-                es[range].iter().for_each(|&(u, ru)| self.eager_self_update(u, ru, phase, &mut acc))
+                // The same kept-slot append as the scatter's: every member
+                // is written, and kept if it re-enters the frontier.
+                let es = &es[range];
+                acc.next.resize(es.len(), 0);
+                let mut n = 0;
+                for &(u, ru) in es {
+                    acc.next[n] = u;
+                    n += self.eager_self_update(u, ru, round.phase) as usize;
+                }
+                acc.next.truncate(n);
+                acc.work.atomic_adds += es.len() as u64;
+                acc.work.enqueued += n as u64;
             }
         }
         acc

@@ -179,8 +179,9 @@ mod tests {
         assert_eq!(st.p(2), 0.0); // no α at the source: Ps ≡ 0
         assert_eq!(st.r(2), 1.0);
         assert_eq!(st.r(0), 0.0);
-        assert!(!st.converged()); // the unit residual still has to be pushed
-                                  // Source beyond n: materialized anyway.
+        // The unit residual still has to be pushed.
+        assert!(!st.converged());
+        // Source beyond n: materialized anyway.
         let st = PprState::cold_start(PprConfig::new(9, 0.15, 1e-3), 4);
         assert_eq!(st.len(), 10);
         assert_eq!(st.r(9), 1.0);

@@ -314,8 +314,9 @@ mod tests {
         assert!(percent_decode("trail%2").is_err());
         assert!(percent_decode("trail%").is_err());
         assert!(Request::parse_line("GET /x?k=%GG HTTP/1.1").is_err());
-        assert!(Request::parse_line("GET /x?%=1 HTTP/1.1").is_err()); // bare % in a key
-                                                                      // Escapes decoding to invalid UTF-8 are rejected, not smuggled in.
+        // A bare % in a key.
+        assert!(Request::parse_line("GET /x?%=1 HTTP/1.1").is_err());
+        // Escapes decoding to invalid UTF-8 are rejected, not smuggled in.
         assert!(percent_decode("%ff%fe").is_err());
         // Decoded separators do not re-split the query string.
         let r = Request::parse_line("GET /x?k=a%26b%3Dc HTTP/1.1").unwrap();
