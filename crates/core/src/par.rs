@@ -334,15 +334,14 @@ impl Ctx<'_> {
         // `realloc` from empty, iteration after iteration, is what two
         // pushes running side by side contend on (the allocator grows and
         // trims its heaps under one process-wide kernel lock).
-        let (logs, enqueues) = match session {
-            Session::TakeOut(_) => (true, false),
-            Session::ReadAndPropagate(_) => (true, true),
-            Session::Propagate(_) | Session::SelfUpdate(_) => (false, true),
+        let (next, entries) = match session {
+            Session::TakeOut(_) => (0, range.len()),
+            Session::ReadAndPropagate(_) => (range.len(), range.len()),
+            Session::Propagate(_) | Session::SelfUpdate(_) => (range.len(), 0),
         };
-        let room = |used: bool| if used { range.len() } else { 0 };
         let mut acc = SessAcc {
-            next: Vec::with_capacity(room(enqueues)),
-            entries: Vec::with_capacity(room(logs)),
+            next: Vec::with_capacity(next),
+            entries: Vec::with_capacity(entries),
             work: CounterSnapshot::default(),
         };
         match session {
