@@ -37,7 +37,9 @@ use crate::state::PprState;
 use dppr_graph::{DynamicGraph, EdgeOp, EdgeUpdate, VertexId};
 
 /// The repairs one batch left to replay, and their sources: the seeds of
-/// the push that follows. Kept across batches to reuse its buffers.
+/// the push that follows. Kept across batches to reuse its buffers, which
+/// [`apply_to_graph`] shrinks once a batch fills under a quarter of them,
+/// so a bootstrap batch's memory is not held for the whole stream.
 #[derive(Debug, Default)]
 pub struct Repairs {
     /// Per update that changed the graph, in batch order: the update and
@@ -60,6 +62,17 @@ pub fn apply_to_graph(g: &mut DynamicGraph, batch: &[EdgeUpdate], out: &mut Repa
             out.list.push((upd, g.out_degree(upd.src)));
             out.seeds.push(upd.src);
         }
+    }
+    trim(&mut out.list);
+    trim(&mut out.seeds);
+}
+
+/// Shrinks `v` to twice its length once its capacity passes four times
+/// that: the gap between the two thresholds is the hysteresis that keeps
+/// a stream of like-sized batches from reallocating every batch.
+fn trim<T>(v: &mut Vec<T>) {
+    if v.capacity() > 4 * v.len() {
+        v.shrink_to(2 * v.len());
     }
 }
 
@@ -238,6 +251,33 @@ pub(crate) mod tests {
         assert_eq!(r.list, want);
         assert_eq!(r.seeds, [0, 0, 0]);
         assert_eq!(g.out_degree(0), 1);
+    }
+
+    /// A 10k-update bootstrap batch grows the buffers; the first 100-update
+    /// batch after it gives most of that back, and later batches of about
+    /// that size reallocate nothing.
+    #[test]
+    fn repairs_shrink_after_a_much_larger_batch_then_stay_put() {
+        let inserts = |from: u32, n: u32| -> Vec<EdgeUpdate> {
+            (from..from + n).map(|i| EdgeUpdate::insert(i % 500, 500 + i)).collect()
+        };
+        let mut g = DynamicGraph::new();
+        let mut r = Repairs::default();
+        apply_to_graph(&mut g, &inserts(0, 10_000), &mut r);
+        assert_eq!(r.list.len(), 10_000);
+        let big = (r.list.capacity(), r.seeds.capacity());
+        apply_to_graph(&mut g, &inserts(10_000, 100), &mut r);
+        let small = (r.list.capacity(), r.seeds.capacity());
+        assert!(small.0 <= 400 && small.1 <= 400, "kept {small:?} of {big:?}");
+        for k in 1..20 {
+            // Batches of 60 to 100 updates, the smaller ones half deletes.
+            let mut batch = inserts(10_000 + 100 * k, 60 + 2 * k);
+            let deletes = inserts(400 * k, 40 - 2 * k);
+            batch.extend(deletes.iter().map(|u| EdgeUpdate::delete(u.src, u.dst)));
+            apply_to_graph(&mut g, &batch, &mut r);
+            assert_eq!(r.list.len(), 100);
+            assert_eq!((r.list.capacity(), r.seeds.capacity()), small, "batch {k}");
+        }
     }
 
     #[test]

@@ -76,6 +76,7 @@ pub mod invariant;
 pub mod multi;
 pub mod par;
 pub mod persist;
+mod prefetch;
 pub mod queries;
 pub mod seq;
 pub mod state;

@@ -32,7 +32,7 @@ use crate::fanout::{concat, default_threads, fan_out};
 use crate::invariant::{apply_to_graph, replay_repairs, Repairs};
 use crate::par::{parallel_local_push, parallel_local_push_opts, ParPushBuffers, PushOpts};
 use crate::queries::select;
-use crate::seq::dedup_seeds;
+use crate::seq::dedup_seeds_into;
 use crate::state::PprState;
 use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, EdgeUpdate, VertexId};
@@ -50,31 +50,44 @@ pub struct MultiSourcePpr {
     counters: Counters,
     /// The last batch's repairs, kept so that a batch reuses its buffers.
     repairs: Repairs,
+    /// The last batch's seeds, sorted and unique, kept for the same reason.
+    seeds: Vec<VertexId>,
+    /// One set of push buffers per lane, not per session: the sessions a
+    /// lane claims push one after another in its buffers, so their memory
+    /// grows with the lane count and not with the session count.
+    lanes: Vec<ParPushBuffers>,
 }
 
 /// Runs `f` once per item over `lanes = min(cores, items)` lanes (0 cores
 /// mean 1), lane 0 on the caller and the others on one fan-out: the lanes
 /// claim the items one at a time in index order, and the results come back
 /// in index order. `f` also gets the threads its item may use,
-/// `max(1, cores / lanes)`: the core budget is split, not multiplied. One
-/// lane is a plain loop on the calling thread.
-fn on_lanes<T: Send, R: Send>(
+/// `max(1, cores / lanes)` (the core budget is split, not multiplied), and
+/// its lane's entry of `scratch`, which grows to the lane count. One lane
+/// is a plain loop on the calling thread.
+fn on_lanes<T: Send, R: Send, L: Default + Send>(
     items: impl ExactSizeIterator<Item = T> + Send,
     cores: usize,
-    f: impl Fn(T, usize) -> R + Sync,
+    scratch: &mut Vec<L>,
+    f: impl Fn(T, usize, &mut L) -> R + Sync,
 ) -> Vec<R> {
-    let cores = cores.max(1);
-    let lanes = cores.min(items.len()).max(1);
+    let (cores, n) = (cores.max(1), items.len());
+    let lanes = cores.min(n).max(1);
     let threads = (cores / lanes).max(1);
+    if scratch.len() < lanes {
+        scratch.resize_with(lanes, L::default);
+    }
     let queue = Mutex::new(items.enumerate());
+    let scratch = Mutex::new(scratch.iter_mut());
     let lane = |_: Range<usize>| {
-        let mut done = Vec::new();
+        let mine = scratch.lock().unwrap().next().expect("a scratch entry per lane");
+        let mut done = Vec::with_capacity(n);
         loop {
             // Claim, then release the lock before the work: a `while let`
             // on the guard would hold it through the call.
             let next = queue.lock().unwrap().next();
             let Some((i, item)) = next else { return done };
-            done.push((i, f(item, threads)));
+            done.push((i, f(item, threads, &mut *mine)));
         }
     };
     let mut done = fan_out(lanes, lanes, lane, concat);
@@ -87,8 +100,13 @@ impl MultiSourcePpr {
     pub fn new(sources: &[VertexId], alpha: f64, epsilon: f64) -> Self {
         let sessions =
             sources.iter().map(|&s| PprState::new(PprConfig::new(s, alpha, epsilon))).collect();
+        Self::with_sessions(sessions, alpha, epsilon)
+    }
+
+    fn with_sessions(sessions: Vec<PprState>, alpha: f64, epsilon: f64) -> Self {
         let (counters, repairs) = (Counters::new(), Repairs::default());
-        MultiSourcePpr { sessions, alpha, epsilon, counters, repairs }
+        let (seeds, lanes) = (Vec::new(), Vec::new());
+        MultiSourcePpr { sessions, alpha, epsilon, counters, repairs, seeds, lanes }
     }
 
     /// Rebuilds a bundle from previously maintained states (e.g. loaded
@@ -110,8 +128,7 @@ impl MultiSourcePpr {
                 "all restored states must share alpha/epsilon"
             );
         }
-        let (counters, repairs) = (Counters::new(), Repairs::default());
-        MultiSourcePpr { sessions: states, alpha, epsilon, counters, repairs }
+        Self::with_sessions(states, alpha, epsilon)
     }
 
     /// Number of maintained sources.
@@ -143,12 +160,16 @@ impl MultiSourcePpr {
     /// graph and returns its index: a [`PprState::cold_start`] state (which
     /// satisfies the invariant on any graph) is pushed to convergence from
     /// the unit residual at `source`. This is how the serving layer opens a
-    /// session mid-stream without replaying the graph's edge history.
+    /// session mid-stream without replaying the graph's edge history. The
+    /// push runs in lane 0's buffers.
     pub fn add_source(&mut self, g: &DynamicGraph, source: VertexId) -> usize {
         let cfg = PprConfig::new(source, self.alpha, self.epsilon);
         let state = PprState::cold_start(cfg, g.num_vertices());
-        let mut bufs = ParPushBuffers::new();
-        parallel_local_push(g, &state, VARIANT, &[source], &self.counters, &mut bufs);
+        if self.lanes.is_empty() {
+            self.lanes.push(ParPushBuffers::new());
+        }
+        let bufs = &mut self.lanes[0];
+        parallel_local_push(g, &state, VARIANT, &[source], &self.counters, bufs);
         self.sessions.push(state);
         self.sessions.len() - 1
     }
@@ -176,8 +197,10 @@ impl MultiSourcePpr {
     }
 
     /// [`MultiSourcePpr::apply_batch`] on a budget of `cores` threads
-    /// (0 means 1), which the tests vary to vary the lane count.
-    fn apply_batch_over(
+    /// (0 means 1) in place of [`default_threads`]: the lane count and
+    /// each push's threads follow from it the same way. The tests vary it
+    /// to vary the lane count; one core is one lane on the calling thread.
+    pub fn apply_batch_over(
         &mut self,
         g: &mut DynamicGraph,
         batch: &[EdgeUpdate],
@@ -188,14 +211,15 @@ impl MultiSourcePpr {
         apply_to_graph(g, batch, &mut self.repairs);
         // Sorted and unique once per batch, not once per session: the
         // push's own pass over a sorted, unique slice is then linear.
-        let seeds = &dedup_seeds(&self.repairs.seeds);
-        let (g, repairs, counters) = (&*g, &self.repairs, &self.counters);
-        on_lanes(self.sessions.iter_mut(), cores, |state, threads| {
+        dedup_seeds_into(&self.repairs.seeds, &mut self.seeds);
+        let (g, repairs, seeds, counters) = (&*g, &self.repairs, &self.seeds, &self.counters);
+        on_lanes(self.sessions.iter_mut(), cores, &mut self.lanes, |state, threads, bufs| {
             replay_repairs(g, state, repairs, counters);
-            // OPT dedups locally, so the push never grows the claim flags
-            // and empty buffers allocate nothing.
-            let (opts, mut bufs) = (PushOpts::default(), ParPushBuffers::new());
-            parallel_local_push_opts(g, state, VARIANT, seeds, counters, &mut bufs, opts, threads);
+            // Each push runs in its lane's buffers, grown by the pushes
+            // before it, so a steady-state push allocates nothing (OPT
+            // dedups locally and never grows the claim flags).
+            let opts = PushOpts::default();
+            parallel_local_push_opts(g, state, VARIANT, seeds, counters, bufs, opts, threads);
         });
         counters.record_batch();
         repairs.list.len()
@@ -210,7 +234,7 @@ impl MultiSourcePpr {
 
     /// [`MultiSourcePpr::map_states`] on a budget of `cores` threads.
     fn map_states_over<R: Send>(&self, f: impl Fn(&PprState) -> R + Sync, cores: usize) -> Vec<R> {
-        on_lanes(self.sessions.iter(), cores, |state, _| f(state))
+        on_lanes(self.sessions.iter(), cores, &mut Vec::<()>::new(), |state, _, _| f(state))
     }
 
     /// The estimate of `v` w.r.t. the `i`-th source.

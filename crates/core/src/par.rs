@@ -63,7 +63,36 @@
 //! moved into the crew's slot. Rounds that never fan out never start a
 //! crew, so a one-thread push spawns no thread.
 //!
-//! Three alternatives were weighed and left out:
+//! **Latency hiding.** Once the scatter stopped branching, a push is bound
+//! by memory latency: its first loads — `r[u]`, `u`'s in-span header, the
+//! in-span itself, and in session 2 `p[u]` — each depend on the frontier
+//! member, come in data-dependent order and miss one after another. So
+//! every session prefetches ahead of the member it works on:
+//! `ReadAndPropagate` (eager session 1) prefetches `r` and the in-span
+//! header of the member [`AHEAD`] = 8 places on, and the in-span of the
+//! member [`SPAN_AHEAD`] = 4 places on (finding the span reads the header
+//! prefetched four members earlier); `SelfUpdate` (eager session 2)
+//! prefetches `p` of the member 8 places on; the vanilla `TakeOut`
+//! prefetches `r` and `p`, and `Propagate` the header and span, at the
+//! same distances. Every prefetch goes through one helper
+//! (`crate::prefetch`), a hint that never faults and changes no value, so
+//! states and counters are the same bits. The header's address comes from
+//! [`DynamicGraph::in_header_hint`], so the graph keeps its pool private,
+//! and the span's from the first slot of `in_neighbors`. Together with
+//! the round buffers below, this raised `dppr_bench`'s `serve_write`
+//! `updates_per_s` by a median 1.18× over 12 pairs against the kernel
+//! without either, higher in all 12 (2-core x86-64 host).
+//!
+//! **Round buffers.** A round reads its frontier from [`ParPushBuffers`]
+//! and writes its entry log and next frontier into the same buffers; the
+//! next frontier then swaps with the old one. A caller that keeps one
+//! `ParPushBuffers` across pushes (an engine, or one per lane of
+//! [`crate::multi`]) makes an owned round allocate nothing once the
+//! buffers have grown to its frontiers. A round that fans out still
+//! gives each part an accumulator of its own and merges them in range
+//! order.
+//!
+//! Five alternatives were weighed and left out:
 //! * a process-wide pool instead of a crew per push. Running borrowed
 //!   closures on threads that outlive the call needs `unsafe` lifetime
 //!   erasure, and the pool would park idle threads inside every server,
@@ -74,17 +103,34 @@
 //!   to plain moves on x86-64;
 //! * [`crate::seq`]'s FIFO kernel stays separate. Its schedule differs (one
 //!   vertex at a time, not frontier rounds), so sharing this inner loop
-//!   would change the sequential engine's results and speed.
+//!   would change the sequential engine's results and speed;
+//! * safe demand loads ("touches") of the members ahead instead of
+//!   prefetches. A prototype measured no gain;
+//! * a blocked gather that reads the in-span headers of a block of members
+//!   into a local array before pushing them. A prototype measured the
+//!   push's time 6 % lower, but the change won only 3 of 6 `dppr_bench`
+//!   pairs.
 
 use crate::config::Phase;
 use crate::counters::{CounterSnapshot, Counters};
 use crate::fanout::{default_threads, one_part, with_crew, Crew, FAN_OUT_MIN};
-use crate::seq::{dedup_seeds, lockstep, LockstepTrace};
+use crate::prefetch::prefetch;
+use crate::seq::{dedup_seeds_into, lockstep, LockstepTrace};
 use crate::state::PprState;
 use crate::variants::PushVariant;
 use dppr_graph::{DynamicGraph, VertexId};
+use std::mem::take;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
+
+/// How many frontier members ahead a session prefetches the state entries
+/// it will read and the member's in-span header.
+const AHEAD: usize = 8;
+
+/// How many members ahead a propagating session prefetches the in-span
+/// itself: nearer than [`AHEAD`], because finding the span reads the
+/// header that was prefetched at [`AHEAD`].
+const SPAN_AHEAD: usize = 4;
 
 /// Tuning knobs for the parallel push.
 #[derive(Debug, Clone, Copy)]
@@ -108,11 +154,15 @@ impl Default for PushOpts {
     }
 }
 
-/// Reusable scratch for the parallel push: the claim-flag array used by the
-/// non-`local_dup` variants, and grown only by their pushes.
+/// Reusable scratch for the parallel push: the round buffers, which an
+/// owned round reads and writes in place, and the claim-flag array used
+/// by the non-`local_dup` variants, grown only by their pushes. A caller
+/// that keeps one across pushes allocates nothing in a push whose
+/// frontiers fit what earlier pushes grew.
 #[derive(Debug, Default)]
 pub struct ParPushBuffers {
     claimed: Vec<AtomicBool>,
+    rounds: RoundBufs,
 }
 
 impl ParPushBuffers {
@@ -128,11 +178,28 @@ impl ParPushBuffers {
     }
 }
 
-/// Per-range accumulator of a fanned-out session: thread-local
-/// next-frontier buffer, the `(u, ru)` entry log `E` of Algorithm 4 (the
-/// `(u, w)` snapshots of Algorithm 3), and the work counted. Merging
-/// appends in range order, so frontier generation itself never contends on
-/// shared state and a one-thread run enqueues in frontier order.
+/// The buffers a push's rounds run in. A round reads `frontier`, writes
+/// its entry log into `entries` and the next frontier into `next`, which
+/// then swaps with `frontier`; a round that fans out hands its input to
+/// the crew and takes the merged next frontier back.
+#[derive(Debug, Default)]
+struct RoundBufs {
+    /// The push's seeds, sorted and unique.
+    seeds: Vec<VertexId>,
+    frontier: Vec<VertexId>,
+    next: Vec<VertexId>,
+    entries: Vec<(VertexId, f64)>,
+    /// One bit per vertex for [`distinct`], all clear between its calls;
+    /// sized only in builds that check.
+    seen: Vec<u64>,
+}
+
+/// A session's output: the next-frontier candidates, the `(u, ru)` entry
+/// log `E` of Algorithm 4 (the `(u, w)` snapshots of Algorithm 3), and the
+/// work counted. An owned round fills one built on the push's buffers; a
+/// fanned-out session gives each part its own, and merging appends in
+/// range order, so frontier generation itself never contends on shared
+/// state and a one-thread run enqueues in frontier order.
 struct SessAcc {
     next: Vec<VertexId>,
     entries: Vec<(VertexId, f64)>,
@@ -140,10 +207,33 @@ struct SessAcc {
 }
 
 impl SessAcc {
-    fn merge(mut self, mut other: SessAcc) -> SessAcc {
+    /// A part's accumulator, with room up front for what the part fills —
+    /// one entry per item, and the next frontier — and nothing it does
+    /// not: growing these by `realloc` from empty, iteration after
+    /// iteration, is what two pushes running side by side contend on (the
+    /// allocator grows and trims its heaps under one process-wide kernel
+    /// lock).
+    fn for_part(session: &Session, range: &Range<usize>) -> SessAcc {
+        let (next, entries) = match session {
+            Session::TakeOut(_) => (0, range.len()),
+            Session::ReadAndPropagate(_) => (range.len(), range.len()),
+            Session::Propagate(_) | Session::SelfUpdate(_) => (range.len(), 0),
+        };
+        SessAcc {
+            next: Vec::with_capacity(next),
+            entries: Vec::with_capacity(entries),
+            work: CounterSnapshot::default(),
+        }
+    }
+
+    fn append(&mut self, mut other: SessAcc) {
         self.next.append(&mut other.next);
         self.entries.append(&mut other.entries);
         self.work += other.work;
+    }
+
+    fn merge(mut self, other: SessAcc) -> SessAcc {
+        self.append(other);
         self
     }
 }
@@ -192,6 +282,14 @@ impl Session {
             Session::Propagate(es) | Session::SelfUpdate(es) => es.len(),
         }
     }
+
+    /// The input's buffer back, for the next round to reuse.
+    fn into_buffers(self) -> (Vec<VertexId>, Vec<(VertexId, f64)>) {
+        match self {
+            Session::TakeOut(us) | Session::ReadAndPropagate(us) => (us, Vec::new()),
+            Session::Propagate(es) | Session::SelfUpdate(es) => (Vec::new(), es),
+        }
+    }
 }
 
 /// The crew a push's fanned-out sessions run on.
@@ -200,11 +298,19 @@ type PushCrew<'w> = Crew<'w, (Session, Round), SessAcc>;
 /// Whether `frontier` names no vertex twice. The take-out and the
 /// self-update touch only the round's frontier vertices, each in one part,
 /// which is what lets them read and write a residual with a plain load
-/// and store even when the round fans out.
-fn distinct(frontier: &[VertexId]) -> bool {
-    let mut sorted = frontier.to_vec();
-    sorted.sort_unstable();
-    sorted.windows(2).all(|w| w[0] != w[1])
+/// and store even when the round fans out. `seen` has a clear bit per
+/// vertex id and is left clear, so the check allocates nothing.
+fn distinct(frontier: &[VertexId], seen: &mut [u64]) -> bool {
+    let mut once = true;
+    for &u in frontier {
+        let (word, bit) = (&mut seen[u as usize / 64], 1 << (u % 64));
+        once &= *word & bit == 0;
+        *word |= bit;
+    }
+    for &u in frontier {
+        seen[u as usize / 64] = 0;
+    }
+    once
 }
 
 struct Ctx<'a> {
@@ -321,109 +427,161 @@ impl Ctx<'_> {
         kept
     }
 
-    /// One part of a session: its items in `range`, into an accumulator of
-    /// its own. The take-out and the self-update touch only their own
-    /// item's vertex, which no other part holds ([`distinct`]) and no
-    /// other thread writes during the session: their load and store need
-    /// no CAS. Only `propagate`'s scatter, which several parts aim at one
-    /// residual, keeps it in a shared round.
-    fn part(&self, (session, round): &(Session, Round), range: Range<usize>) -> SessAcc {
-        let round = *round;
-        // Room up front for what the part fills — one entry per item, and
-        // the next frontier — and nothing it does not: growing these by
-        // `realloc` from empty, iteration after iteration, is what two
-        // pushes running side by side contend on (the allocator grows and
-        // trims its heaps under one process-wide kernel lock).
-        let (next, entries) = match session {
-            Session::TakeOut(_) => (0, range.len()),
-            Session::ReadAndPropagate(_) => (range.len(), range.len()),
-            Session::Propagate(_) | Session::SelfUpdate(_) => (range.len(), 0),
-        };
-        let mut acc = SessAcc {
-            next: Vec::with_capacity(next),
-            entries: Vec::with_capacity(entries),
-            work: CounterSnapshot::default(),
-        };
+    /// Prefetches what a propagation will read first: the in-span header
+    /// of the member [`AHEAD`] pushes on, and the in-span of the member
+    /// [`SPAN_AHEAD`] pushes on.
+    #[inline(always)]
+    fn prefetch_spans(&self, header_of: Option<VertexId>, span_of: Option<VertexId>) {
+        if let Some((off, len)) = header_of.and_then(|v| self.g.in_header_hint(v)) {
+            prefetch(off);
+            prefetch(len);
+        }
+        if let Some(first) = span_of.and_then(|v| self.g.in_neighbors(v).first()) {
+            prefetch(first);
+        }
+    }
+
+    /// One part of a session: its items in `range`, appended to `acc`.
+    /// The take-out and the self-update touch only their own item's
+    /// vertex, which no other part holds ([`distinct`]) and no other
+    /// thread writes during the session: their load and store need no
+    /// CAS. Only `propagate`'s scatter, which several parts aim at one
+    /// residual, keeps it in a shared round. Every session prefetches
+    /// some members ahead what its loads of a member will miss on.
+    fn fill(&self, session: &Session, round: Round, range: Range<usize>, acc: &mut SessAcc) {
+        let (r, p) = (self.state.r_atomics(), self.state.p_atomics());
         match session {
-            Session::TakeOut(us) => us[range].iter().for_each(|&u| self.take_out(u, &mut acc)),
+            Session::TakeOut(us) => {
+                let us = &us[range];
+                for (i, &u) in us.iter().enumerate() {
+                    if let Some(&a) = us.get(i + AHEAD) {
+                        prefetch(&r[a as usize]);
+                        prefetch(&p[a as usize]);
+                    }
+                    self.take_out(u, acc);
+                }
+            }
             Session::Propagate(es) => {
-                es[range].iter().for_each(|&(u, w)| self.propagate(u, w, round, &mut acc))
+                let es = &es[range];
+                for (i, &(u, w)) in es.iter().enumerate() {
+                    let ahead = |d: usize| es.get(i + d).map(|&(v, _)| v);
+                    self.prefetch_spans(ahead(AHEAD), ahead(SPAN_AHEAD));
+                    self.propagate(u, w, round, acc);
+                }
             }
             Session::ReadAndPropagate(us) => {
-                for &u in &us[range] {
+                let us = &us[range];
+                for (i, &u) in us.iter().enumerate() {
+                    if let Some(&a) = us.get(i + AHEAD) {
+                        prefetch(&r[a as usize]);
+                    }
+                    self.prefetch_spans(
+                        us.get(i + AHEAD).copied(),
+                        us.get(i + SPAN_AHEAD).copied(),
+                    );
                     // The *current* residual: it may keep growing under us,
                     // and whatever arrives after the read is left by the
                     // consistent subtraction of session 2.
-                    let ru = self.state.r_atomics()[u as usize].load();
+                    let ru = r[u as usize].load();
                     acc.entries.push((u, ru));
-                    self.propagate(u, ru, round, &mut acc);
+                    self.propagate(u, ru, round, acc);
                 }
             }
             Session::SelfUpdate(es) => {
                 // The same kept-slot append as the scatter's: every member
                 // is written, and kept if it re-enters the frontier.
                 let es = &es[range];
-                acc.next.resize(es.len(), 0);
+                let base = acc.next.len();
+                acc.next.resize(base + es.len(), 0);
+                let slots = &mut acc.next[base..];
                 let mut n = 0;
-                for &(u, ru) in es {
-                    acc.next[n] = u;
+                for (i, &(u, ru)) in es.iter().enumerate() {
+                    if let Some(&(a, _)) = es.get(i + AHEAD) {
+                        prefetch(&p[a as usize]);
+                    }
+                    slots[n] = u;
                     n += self.eager_self_update(u, ru, round.phase) as usize;
                 }
-                acc.next.truncate(n);
+                acc.next.truncate(base + n);
                 acc.work.atomic_adds += es.len() as u64;
                 acc.work.enqueued += n as u64;
             }
         }
-        acc
     }
 
-    /// One session of `round`: on the calling thread if the round is owned,
-    /// else over `crew`; the merged result is the session's barrier.
-    fn session(&self, session: Session, round: Round, crew: Option<&PushCrew<'_>>) -> SessAcc {
+    /// One session of `round`, its output appended to `acc`: on the
+    /// calling thread if the round is owned, else over `crew`, whose merged
+    /// result is the session's barrier. Hands the input's buffer back for
+    /// reuse (an empty one when the crew took it).
+    fn session(
+        &self,
+        session: Session,
+        round: Round,
+        crew: Option<&PushCrew<'_>>,
+        acc: &mut SessAcc,
+    ) -> (Vec<VertexId>, Vec<(VertexId, f64)>) {
         let n = session.len();
         if round.owned {
-            return self.part(&(session, round), 0..n);
+            self.fill(&session, round, 0..n, acc);
+            return session.into_buffers();
         }
         let crew = crew.expect("a round that fans out runs on the push's crew");
-        crew.run((session, round), n, SessAcc::merge)
+        acc.append(crew.run((session, round), n, SessAcc::merge));
+        Default::default()
     }
 
-    /// One push round over `frontier`: Algorithm 4's two sessions —
-    /// neighbor-propagation on fresh reads, then the consistent
-    /// self-update with its second frontier-generation pass — or
-    /// Algorithm 3's — self-update (stale snapshot), then
-    /// neighbor-propagation.
-    fn round(&self, frontier: Vec<VertexId>, round: Round, crew: Option<&PushCrew<'_>>) -> SessAcc {
-        if !self.variant.eager {
-            let snapshots = self.session(Session::TakeOut(frontier), round, crew);
-            return self.session(Session::Propagate(snapshots.entries), round, crew);
-        }
-        let mut acc = self.session(Session::ReadAndPropagate(frontier), round, crew);
-        // A frontier vertex that accumulated more than ε since its read
-        // goes straight back into the frontier, after session 1's
-        // crossings. (With local duplicate detection this enqueue cannot
-        // duplicate: session 1 never enqueues current members, whose
-        // before-values already satisfy the push condition. With flags,
-        // the member's claim is held until this very check.)
-        let entries = std::mem::take(&mut acc.entries);
-        let requeued = self.session(Session::SelfUpdate(entries), round, crew);
-        acc.merge(requeued)
+    /// One push round over `b.frontier`, leaving the next frontier there:
+    /// Algorithm 4's two sessions — neighbor-propagation on fresh reads,
+    /// then the consistent self-update with its second frontier-generation
+    /// pass — or Algorithm 3's — self-update (stale snapshot), then
+    /// neighbor-propagation. Both write into `b`'s buffers, so an owned
+    /// round allocates nothing once they have grown to its frontiers.
+    fn round(
+        &self,
+        b: &mut RoundBufs,
+        round: Round,
+        crew: Option<&PushCrew<'_>>,
+    ) -> CounterSnapshot {
+        let mut acc = SessAcc {
+            next: take(&mut b.next),
+            entries: take(&mut b.entries),
+            work: Default::default(),
+        };
+        acc.next.clear();
+        acc.entries.clear();
+        let frontier = take(&mut b.frontier);
+        // In the eager order, a frontier vertex that accumulated more than
+        // ε since its read goes straight back into the frontier, after
+        // session 1's crossings. (With local duplicate detection this
+        // enqueue cannot duplicate: session 1 never enqueues current
+        // members, whose before-values already satisfy the push condition.
+        // With flags, the member's claim is held until this very check.)
+        let (first, second): (_, fn(_) -> _) = if self.variant.eager {
+            (Session::ReadAndPropagate(frontier), Session::SelfUpdate)
+        } else {
+            (Session::TakeOut(frontier), Session::Propagate)
+        };
+        let (frontier, _) = self.session(first, round, crew, &mut acc);
+        let entries = take(&mut acc.entries);
+        let (_, entries) = self.session(second(entries), round, crew, &mut acc);
+        (b.frontier, b.next, b.entries) = (acc.next, frontier, entries);
+        acc.work
     }
 }
 
-/// A push between rounds: the phase it is in, that phase's next frontier,
-/// the work counted so far, and what decides whether a round fans out.
-struct Push {
-    seeds: Vec<VertexId>,
+/// A push between rounds: the phase it is in, the buffers holding that
+/// phase's next frontier, the work counted so far, and what decides
+/// whether a round fans out.
+struct Push<'b> {
+    bufs: &'b mut RoundBufs,
     /// Index into [`Phase::BOTH`].
     phase: usize,
-    frontier: Vec<VertexId>,
     work: CounterSnapshot,
     opts: PushOpts,
     threads: usize,
 }
 
-impl Push {
+impl Push<'_> {
     /// The phase's first frontier: its active seeds. Positive pushes only
     /// ever *add* probability mass, so the only candidates for the
     /// negative phase are the seeds themselves (Algorithm 3 line 4 written
@@ -431,7 +589,9 @@ impl Push {
     fn start_phase(&mut self, ctx: &Ctx) {
         let phase = Phase::BOTH[self.phase];
         let active = |&u: &VertexId| phase.active(ctx.state.r(u), ctx.eps);
-        self.frontier = self.seeds.iter().copied().filter(active).collect();
+        let RoundBufs { seeds, frontier, .. } = &mut *self.bufs;
+        frontier.clear();
+        frontier.extend(seeds.iter().copied().filter(active));
         // Flag discipline differs by ordering (see `eager_self_update`):
         // * vanilla+flags: a member's flag is cleared when its frontier
         //   starts (it was zeroed, so any re-crossing is a genuine
@@ -440,7 +600,7 @@ impl Push {
         //   session 1 cannot re-enqueue a vertex whose pending self-update
         //   is about to drain it — only session 2's re-check puts it back.
         if ctx.variant.eager && !ctx.variant.local_dup {
-            for &u in &self.frontier {
+            for &u in frontier.iter() {
                 ctx.claimed[u as usize].store(true, Ordering::Relaxed);
             }
         }
@@ -451,7 +611,8 @@ impl Push {
     /// crew and runs it and every later round there.
     fn run(&mut self, ctx: &Ctx, crew: Option<&PushCrew<'_>>) {
         loop {
-            if self.frontier.is_empty() {
+            let len = self.bufs.frontier.len();
+            if len == 0 {
                 self.phase += 1;
                 if self.phase == Phase::BOTH.len() {
                     return;
@@ -459,26 +620,29 @@ impl Push {
                 self.start_phase(ctx);
                 continue;
             }
-            let len = self.frontier.len();
             let threads = if len < self.opts.seq_threshold { 1 } else { self.threads };
             let round = Round { phase: Phase::BOTH[self.phase], owned: one_part(len, threads) };
             if !round.owned && crew.is_none() {
-                let work = |job: &(Session, Round), range| ctx.part(job, range);
+                let work = |job: &(Session, Round), range: Range<usize>| {
+                    let mut acc = SessAcc::for_part(&job.0, &range);
+                    ctx.fill(&job.0, job.1, range, &mut acc);
+                    acc
+                };
                 return with_crew(self.threads, work, |crew| self.run(ctx, Some(crew)));
             }
             if cfg!(any(test, debug_assertions)) {
-                assert!(distinct(&self.frontier), "a frontier names a vertex twice");
+                let RoundBufs { frontier, seen, .. } = &mut *self.bufs;
+                assert!(distinct(frontier, seen), "a frontier names a vertex twice");
             }
             self.work.iterations += 1;
             self.work.max_frontier = self.work.max_frontier.max(len as u64);
-            let acc = ctx.round(std::mem::take(&mut self.frontier), round, crew);
-            debug_assert_eq!(acc.work.pushes, len as u64, "one push per frontier member");
-            self.work += acc.work;
-            self.frontier = acc.next;
+            let work = ctx.round(self.bufs, round, crew);
+            debug_assert_eq!(work.pushes, len as u64, "one push per frontier member");
+            self.work += work;
             if !ctx.variant.eager && !ctx.variant.local_dup {
                 // Release the claim flags so next iteration's members can
                 // be re-enqueued if they re-activate.
-                for &v in &self.frontier {
+                for &v in &self.bufs.frontier {
                     ctx.claimed[v as usize].store(false, Ordering::Relaxed);
                 }
             }
@@ -523,17 +687,25 @@ pub fn parallel_local_push_opts(
     if !variant.local_dup {
         bufs.ensure(g.num_vertices());
     }
+    let ParPushBuffers { claimed, rounds } = bufs;
+    // Every frontier member indexes the residuals, so their length bounds
+    // the bits the check needs.
+    let words = state.r_atomics().len().div_ceil(64);
+    if cfg!(any(test, debug_assertions)) && rounds.seen.len() < words {
+        rounds.seen.resize(words, 0);
+    }
     let ctx = Ctx {
         g,
         state,
         alpha: state.config().alpha,
         eps: state.config().epsilon,
         variant,
-        claimed: &bufs.claimed,
+        claimed,
     };
-    let seeds = dedup_seeds(seeds);
+    dedup_seeds_into(seeds, &mut rounds.seeds);
+    rounds.frontier.clear();
     let work = CounterSnapshot::default();
-    let mut push = Push { seeds, phase: 0, frontier: Vec::new(), work, opts, threads };
+    let mut push = Push { bufs: rounds, phase: 0, work, opts, threads };
     push.start_phase(&ctx);
     push.run(&ctx, None);
     counters.add(&push.work);

@@ -204,10 +204,18 @@ pub(crate) fn lockstep(
 
 /// Sorts and deduplicates a seed list (batch sources repeat).
 pub fn dedup_seeds(seeds: &[VertexId]) -> Vec<VertexId> {
-    let mut s = seeds.to_vec();
-    s.sort_unstable();
-    s.dedup();
+    let mut s = Vec::new();
+    dedup_seeds_into(seeds, &mut s);
     s
+}
+
+/// [`dedup_seeds`] into `out`'s buffer (cleared first), for callers that
+/// keep one across batches.
+pub fn dedup_seeds_into(seeds: &[VertexId], out: &mut Vec<VertexId>) {
+    out.clear();
+    out.extend_from_slice(seeds);
+    out.sort_unstable();
+    out.dedup();
 }
 
 #[cfg(test)]

@@ -338,6 +338,17 @@ impl DynamicGraph {
         self.inn.neighbors(u as usize)
     }
 
+    /// Where `u`'s in-span header lives — its offset and length slots —
+    /// for a kernel that prefetches them some pushes ahead of
+    /// [`DynamicGraph::in_neighbors`] (whose first slot is the span's
+    /// address to hint at); `None` outside the vertex set. The references
+    /// are only addresses: the pool stays private.
+    #[inline]
+    pub fn in_header_hint(&self, u: VertexId) -> Option<(&usize, &u32)> {
+        let u = u as usize;
+        Some((self.inn.off.get(u)?, self.inn.len.get(u)?))
+    }
+
     /// Whether the directed edge `u → v` is present. O(dout(u)): a scan
     /// of `u`'s out-span.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
